@@ -17,8 +17,12 @@ fn bench_direct(c: &mut Criterion) {
             Complex::new(((i + j) % 7) as f64 - 3.0, ((i * 3 + j) % 5) as f64 - 2.0)
         });
         g.throughput(Throughput::Elements((n * p) as u64));
+        let (mut x, mut scratch) = (b.clone(), b.clone());
         g.bench_with_input(BenchmarkId::from_parameter(p), &p, |bch, _| {
-            bch.iter(|| fac.solve_multi(&b, 8, 1));
+            bch.iter(|| {
+                x.copy_from(&b);
+                fac.solve_in_place_ws(&mut x, &mut scratch, 8, 1);
+            });
         });
     }
     g.finish();

@@ -43,16 +43,23 @@ fn main() {
     let threads = [1usize, 2, 4, 8, 16];
     let ps = [1usize, 2, 4, 8, 16, 32, 64, 128];
     let mut t = vec![vec![0.0f64; ps.len()]; threads.len()];
+    // `threads_n` pool threads share the 8-column tiles of the block.
+    let solve = |b: &DMat<Complex<f64>>, threads_n: usize| {
+        let mut x = b.clone();
+        let mut scratch = DMat::zeros(n, b.ncols());
+        fac.solve_in_place_ws(&mut x, &mut scratch, 8, threads_n);
+        x
+    };
     // Warm up caches with one solve.
-    let _ = fac.solve_multi(&rhs_full.cols(0, 1), 8, 1);
+    let _ = solve(&rhs_full.cols(0, 1), 1);
     for (pi, &threads_n) in threads.iter().enumerate() {
         for (pj, &p) in ps.iter().enumerate() {
             let b = rhs_full.cols(0, p);
             // Average two runs, like the paper.
             let (_, t1) = time(|| {
-                std::hint::black_box(fac.solve_multi(&b, 8, threads_n));
+                std::hint::black_box(solve(&b, threads_n));
             });
-            let (x, t2) = time(|| fac.solve_multi(&b, 8, threads_n));
+            let (x, t2) = time(|| solve(&b, threads_n));
             std::hint::black_box(&x);
             t[pi][pj] = 0.5 * (t1 + t2);
         }
@@ -96,7 +103,7 @@ fn main() {
     );
     // Correctness spot-check: residual of the widest solve.
     let b = rhs_full.cols(0, 8);
-    let x = fac.solve_multi(&b, 8, 1);
+    let x = solve(&b, 1);
     let ax = prob.a.apply(&x);
     let mut worst = 0.0f64;
     for j in 0..8 {

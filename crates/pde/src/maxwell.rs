@@ -475,7 +475,8 @@ mod tests {
         let (p, geom) = maxwell3d(&params);
         let f = SparseDirect::factor(&p.a).expect("dissipative Maxwell is nonsingular");
         let rhs = antenna_ring_rhs(&geom, &params, 2, 0.3, 0.5);
-        let x = f.solve_multi(&rhs, 2, 1);
+        let mut x = rhs.clone();
+        f.solve_in_place_ws(&mut x, &mut rhs.clone(), 2, 1);
         // Residual check.
         let ax = p.a.apply(&x);
         let mut max = 0.0f64;

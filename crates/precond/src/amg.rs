@@ -152,7 +152,7 @@ pub struct Amg<S: Demote> {
 /// Coarse-level direct solve, fully resolved at setup: the factor to use
 /// (of the coarse operator, or of a diagonally shifted copy when the
 /// operator is numerically singular) plus the already-decided policy bits.
-/// The per-V-cycle apply path just calls `f.solve_multi_into` — no
+/// The per-V-cycle apply path just calls `f.solve_in_place_ws` — no
 /// per-apply fallback checks remain.
 struct CoarseSolve<S: Scalar> {
     f: SparseDirect<S>,
@@ -386,7 +386,8 @@ impl<S: Demote> Amg<S> {
             .agglomerated
             .then(|| kryst_obs::profile(kryst_obs::Phase::CoarseAgglom));
         let mut scratch = ws.take(b.nrows(), b.ncols());
-        self.coarse.f.solve_multi_into(b, x, &mut scratch, 8, 1);
+        x.copy_from(b);
+        self.coarse.f.solve_in_place_ws(x, &mut scratch, 8, 1);
         ws.put(scratch);
     }
 

@@ -19,6 +19,7 @@ use kryst_obs::{Event, PrecondApplyEvent, Recorder};
 use kryst_par::{CommStats, PrecondOp, PrecondPrecision};
 use kryst_rt::par::{for_each_range, map_vec};
 use kryst_scalar::{Demote, Scalar};
+use kryst_sparse::band::{pack, unpack};
 use kryst_sparse::partition::{
     grow_overlap, partition_of_unity, restricted_partition_of_unity, Partition,
 };
@@ -62,63 +63,72 @@ impl Default for SchwarzOpts {
 }
 
 struct Subdomain<S: Demote> {
-    /// Global indices of the overlapping set.
-    set: Vec<usize>,
-    /// Partition-of-unity weights aligned with `set`.
+    /// Global index of each row of the factor's packed block: the
+    /// overlapping set composed with the factor's ordering.
+    rows: Vec<usize>,
+    /// Partition-of-unity weights aligned with `rows`.
     weights: Vec<f64>,
     solver: SubSolver<S>,
 }
 
-/// A factored subdomain operator at the chosen storage precision. Each
-/// variant carries its persistent `(local, permuted-scratch)` buffers for
-/// the gathered RHS and the in-place banded solve; they are allocated
-/// lazily on the first apply (and again only if the block width changes),
-/// so steady-state applies are allocation-free. One mutex per subdomain:
-/// the parallel sweep assigns each subdomain to exactly one worker, so
-/// locks never contend.
-#[allow(clippy::type_complexity)]
+/// A factored subdomain operator at the chosen storage precision, with its
+/// persistent packed right-hand-side block (`n_i × p` in the factor's tile
+/// layout). The block grows on the first apply (and again only for a wider
+/// `p`), so steady-state applies are allocation-free. One mutex per
+/// subdomain: the parallel sweep assigns each subdomain to exactly one
+/// worker, so locks never contend.
 enum SubSolver<S: Demote> {
-    Full(SparseDirect<S>, Mutex<(DMat<S>, DMat<S>)>),
+    Full(SparseDirect<S>, Mutex<Vec<S>>),
     /// Banded factors in `S::Lo`: the gather demotes, the triangular solve
     /// runs entirely in low precision, the weighted scatter promotes.
-    Low(SparseDirect<S::Lo>, Mutex<(DMat<S::Lo>, DMat<S::Lo>)>),
+    Low(SparseDirect<S::Lo>, Mutex<Vec<S::Lo>>),
 }
 
 impl<S: Demote> SubSolver<S> {
-    fn n(&self) -> usize {
+    /// Factor entries one local solve reads.
+    fn factor_len(&self) -> usize {
         match self {
-            SubSolver::Full(s, _) => s.n(),
-            SubSolver::Low(s, _) => s.n(),
+            SubSolver::Full(s, _) => s.factor_len(),
+            SubSolver::Low(s, _) => s.factor_len(),
         }
     }
-    fn bandwidth(&self) -> usize {
-        match self {
-            SubSolver::Full(s, _) => s.bandwidth(),
-            SubSolver::Low(s, _) => s.bandwidth(),
-        }
-    }
-    /// Bytes of banded factor streamed by one single-RHS local solve.
+    /// Bytes of factor streamed by one single-RHS local solve.
     fn factor_bytes(&self) -> usize {
-        let elems = self.n() * (2 * self.bandwidth() + 1);
-        match self {
-            SubSolver::Full(..) => elems * std::mem::size_of::<S>(),
-            SubSolver::Low(..) => elems * std::mem::size_of::<S::Lo>(),
-        }
+        self.factor_len()
+            * match self {
+                SubSolver::Full(..) => std::mem::size_of::<S>(),
+                SubSolver::Low(..) => std::mem::size_of::<S::Lo>(),
+            }
     }
 }
 
-/// Reshape `m` to `nr × nc`, reusing its backing allocation when the
-/// capacity already fits. Contents are unspecified afterwards (callers
-/// overwrite every entry).
-fn reshape<S: Scalar>(m: &mut DMat<S>, nr: usize, nc: usize) {
-    if m.nrows() == nr && m.ncols() == nc {
-        return;
-    }
-    let old = std::mem::replace(m, DMat::zeros(0, 0));
-    let mut v = old.into_vec();
-    v.clear();
-    v.resize(nr * nc, S::zero());
-    *m = DMat::from_col_major(nr, nc, v);
+/// Gather the subdomain's rows of `r` straight into the packed block
+/// (through `lower`) and solve there.
+fn gather_solve<S: Scalar, T: Scalar>(
+    solver: &SparseDirect<T>,
+    block: &Mutex<Vec<T>>,
+    rows: &[usize],
+    r: &DMat<S>,
+    lower: impl Fn(S) -> T,
+) {
+    let mut block = block.lock().expect("no panic under the block lock");
+    block.resize(rows.len() * r.ncols(), T::zero());
+    pack(&mut block, rows.len(), |k, c| lower(r.col(c)[rows[k]]));
+    solver.solve_packed(&mut block);
+}
+
+/// `z[rows] += weights · raise(block)`, reading the packed solution.
+fn scatter_add<S: Scalar, T: Scalar>(
+    block: &Mutex<Vec<T>>,
+    rows: &[usize],
+    weights: &[f64],
+    z: &mut DMat<S>,
+    raise: impl Fn(T) -> S,
+) {
+    let block = block.lock().expect("no panic under the block lock");
+    unpack(&block, rows.len(), |k, c, v| {
+        z.col_mut(c)[rows[k]] += S::from_f64(weights[k]) * raise(v);
+    });
 }
 
 /// The assembled Schwarz preconditioner.
@@ -193,7 +203,7 @@ impl<S: Demote> Schwarz<S> {
                     SparseDirect::factor(&local_lo.shift_diag(shift))
                         .expect("regularized local factor")
                 });
-                SubSolver::Low(f, Mutex::new((DMat::zeros(0, 0), DMat::zeros(0, 0))))
+                SubSolver::Low(f, Mutex::new(Vec::new()))
             } else {
                 let f = SparseDirect::factor(&local).unwrap_or_else(|| {
                     // Local singular operator (can happen for ASM on pure
@@ -202,22 +212,21 @@ impl<S: Demote> Schwarz<S> {
                     SparseDirect::factor(&local.shift_diag(shift))
                         .expect("regularized local factor")
                 });
-                SubSolver::Full(f, Mutex::new((DMat::zeros(0, 0), DMat::zeros(0, 0))))
+                SubSolver::Full(f, Mutex::new(Vec::new()))
+            };
+            let perm = match &solver {
+                SubSolver::Full(f, _) => f.perm(),
+                SubSolver::Low(f, _) => f.perm(),
             };
             Subdomain {
-                set,
-                weights: w,
+                rows: perm.iter().map(|&k| set[k]).collect(),
+                weights: perm.iter().map(|&k| w[k]).collect(),
                 solver,
             }
         });
-        let flops_per_rhs = subs
-            .iter()
-            .map(|s| {
-                let bw = s.solver.bandwidth();
-                let scale = if S::is_complex() { 4 } else { 1 };
-                2 * (2 * bw + 1) * s.solver.n() * scale
-            })
-            .sum();
+        // One multiply-add per factor entry streamed.
+        let scale = if S::is_complex() { 4 } else { 1 };
+        let flops_per_rhs = subs.iter().map(|s| 2 * s.solver.factor_len() * scale).sum();
         Self {
             subs,
             n,
@@ -266,7 +275,7 @@ impl<S: Demote> Schwarz<S> {
 
     /// Size of the largest overlapping subdomain.
     pub fn max_local_size(&self) -> usize {
-        self.subs.iter().map(|s| s.set.len()).max().unwrap_or(0)
+        self.subs.iter().map(|s| s.rows.len()).max().unwrap_or(0)
     }
 }
 
@@ -301,76 +310,32 @@ impl<S: Demote> PrecondOp<S> for Schwarz<S> {
             // conservative aggregate plus the solve flops.
             stats.record_p2p(
                 2 * self.subs.len(),
-                2 * self.subs.iter().map(|s| s.set.len()).sum::<usize>()
+                2 * self.subs.iter().map(|s| s.rows.len()).sum::<usize>()
                     * p
                     * S::real_words()
                     * std::mem::size_of::<f64>(),
             );
             stats.record_flops(self.flops_per_rhs * p);
         }
-        // Solve every subdomain in parallel (gather → in-place banded solve
-        // in the subdomain's persistent buffers), then apply the weighted
-        // scatter-adds serially in subdomain order — the accumulation order
-        // is fixed regardless of thread count, so traces stay deterministic.
+        // Solve every subdomain in parallel (gather into the subdomain's
+        // persistent packed block, solve in place there), then apply the
+        // weighted scatter-adds serially in subdomain order — the
+        // accumulation order is fixed regardless of thread count, so traces
+        // stay deterministic.
         for_each_range(self.subs.len(), 0, |lo, hi| {
             for sub in &self.subs[lo..hi] {
-                let ni = sub.set.len();
                 match &sub.solver {
-                    SubSolver::Full(solver, bufs) => {
-                        let mut guard = bufs.lock().unwrap();
-                        let (local, scratch) = &mut *guard;
-                        reshape(local, ni, p);
-                        reshape(scratch, ni, p);
-                        for c in 0..p {
-                            let rc = r.col(c);
-                            let lc = local.col_mut(c);
-                            for (li, &g) in sub.set.iter().enumerate() {
-                                lc[li] = rc[g];
-                            }
-                        }
-                        solver.solve_in_place_ws(local, scratch, 8, 1);
-                    }
-                    SubSolver::Low(solver, bufs) => {
-                        let mut guard = bufs.lock().unwrap();
-                        let (local, scratch) = &mut *guard;
-                        reshape(local, ni, p);
-                        reshape(scratch, ni, p);
-                        for c in 0..p {
-                            let rc = r.col(c);
-                            let lc = local.col_mut(c);
-                            for (li, &g) in sub.set.iter().enumerate() {
-                                lc[li] = rc[g].demote();
-                            }
-                        }
-                        solver.solve_in_place_ws(local, scratch, 8, 1);
-                    }
+                    SubSolver::Full(f, block) => gather_solve(f, block, &sub.rows, r, |v| v),
+                    SubSolver::Low(f, block) => gather_solve(f, block, &sub.rows, r, S::demote),
                 }
             }
         });
         z.set_zero();
         for sub in &self.subs {
             match &sub.solver {
-                SubSolver::Full(_, bufs) => {
-                    let guard = bufs.lock().unwrap();
-                    let sol = &guard.0;
-                    for c in 0..p {
-                        let ac = z.col_mut(c);
-                        let sc = sol.col(c);
-                        for (li, &g) in sub.set.iter().enumerate() {
-                            ac[g] += S::from_f64(sub.weights[li]) * sc[li];
-                        }
-                    }
-                }
-                SubSolver::Low(_, bufs) => {
-                    let guard = bufs.lock().unwrap();
-                    let sol = &guard.0;
-                    for c in 0..p {
-                        let ac = z.col_mut(c);
-                        let sc = sol.col(c);
-                        for (li, &g) in sub.set.iter().enumerate() {
-                            ac[g] += S::from_f64(sub.weights[li]) * S::promote_lo(sc[li]);
-                        }
-                    }
+                SubSolver::Full(_, block) => scatter_add(block, &sub.rows, &sub.weights, z, |v| v),
+                SubSolver::Low(_, block) => {
+                    scatter_add(block, &sub.rows, &sub.weights, z, S::promote_lo)
                 }
             }
         }
@@ -388,8 +353,9 @@ impl<S: Demote> PrecondOp<S> for Schwarz<S> {
         self.precision
     }
 
-    /// Banded-factor bytes streamed by one single-column application (sum
-    /// over subdomains); excludes gather/scatter vector traffic.
+    /// Factor bytes streamed by one single-column application (sum over
+    /// subdomains of the stored profile); excludes gather/scatter vector
+    /// traffic.
     fn bytes_per_apply(&self) -> Option<usize> {
         Some(self.subs.iter().map(|s| s.solver.factor_bytes()).sum())
     }
@@ -547,13 +513,46 @@ mod tests {
         diff.axpy(-1.0, &zf);
         let rel = diff.fro_norm() / zf.fro_norm();
         assert!(rel < 1e-5, "f32 subdomain solves drifted: rel {rel:.3e}");
-        // Factor bytes exactly halve: same bands, f32 vs f64 entries.
+        // Factor bytes exactly halve: same profiles, f32 vs f64 entries.
         let bf = full.bytes_per_apply().unwrap();
         let bl = lo.bytes_per_apply().unwrap();
         assert_eq!(bl * 2, bf, "factor bytes {bl} vs {bf}");
+        // SPD Poisson never pivots, so no local solve reads fill padding:
+        // at most the `2·bw + 1` in-band entries per row.
+        let in_band: usize = full
+            .subs
+            .iter()
+            .map(|s| match &s.solver {
+                SubSolver::Full(f, _) => f.n() * (2 * f.bandwidth() + 1),
+                SubSolver::Low(..) => unreachable!("full-precision factors"),
+            })
+            .sum();
+        assert!(bf <= in_band * std::mem::size_of::<f64>());
         // Richardson with the low factors still converges on SPD Poisson.
         let rel_final = richardson_converges(&p.a, &lo, 30);
         assert!(rel_final < 1e-3, "lo RAS Richardson: {rel_final:.3e}");
+    }
+
+    #[test]
+    fn traffic_counts_are_the_entries_the_kernel_reads() {
+        // One subdomain on a 1-D Laplacian: the factors are bidiagonal, so a
+        // solve reads n − 1 entries of L, n − 1 of U and n reciprocal pivots.
+        let n = 50;
+        let p = poisson2d::<f64>(n, 1);
+        let part = partition_rcb(&p.coords, 1);
+        let stats = CommStats::new_shared();
+        let m = Schwarz::new(&p.a, &part, &SchwarzOpts::default()).with_stats(Arc::clone(&stats));
+        let entries = 3 * n - 2;
+        assert_eq!(m.bytes_per_apply(), Some(entries * 8));
+        let _ = m.apply_new(&DMat::from_fn(n, 3, |i, j| (i + j) as f64));
+        assert_eq!(stats.snapshot().flops, (2 * entries * 3) as u64);
+        let lo = Schwarz::with_precision(
+            &p.a,
+            &part,
+            &SchwarzOpts::default(),
+            PrecondPrecision::Single,
+        );
+        assert_eq!(lo.bytes_per_apply(), Some(entries * 4));
     }
 
     #[test]

@@ -1,21 +1,21 @@
 //! Sparse direct solver: RCM reordering + banded LU.
 //!
 //! The workspace's stand-in for PARDISO (paper §V-B3). The factorization is
-//! computed once; solves accept blocks of right-hand sides and exploit the
-//! banded kernels' tile-blocked forward/backward substitution, reproducing
-//! the multi-RHS efficiency behaviour of Fig. 6.
+//! computed once; solves accept blocks of right-hand sides and run the
+//! banded kernel's right-hand-side-interleaved forward/backward
+//! substitution, reproducing the multi-RHS efficiency behaviour of Fig. 6.
 
-use crate::band::{BandLu, BandMat};
+use crate::band::{pack, unpack, BandLu, BandMat};
 use crate::order;
 use crate::Csr;
 use kryst_dense::DMat;
+use kryst_rt::par::for_each_chunk_mut;
 use kryst_scalar::Scalar;
 
 /// A factored sparse matrix ready for (multi-RHS) solves.
 pub struct SparseDirect<S> {
     lu: BandLu<S>,
     perm: Vec<usize>,
-    n: usize,
     bandwidth: usize,
 }
 
@@ -35,21 +35,16 @@ impl<S: Scalar> SparseDirect<S> {
                 band.set(i, j, ap.row_values(i)[k]);
             }
         }
-        let lu = BandLu::factor(band);
-        if lu.is_singular() {
-            return None;
-        }
         Some(Self {
-            lu,
+            lu: BandLu::factor(band)?,
             perm,
-            n,
             bandwidth: bw,
         })
     }
 
     /// Matrix dimension.
     pub fn n(&self) -> usize {
-        self.n
+        self.perm.len()
     }
 
     /// Bandwidth after reordering (determines factor cost and memory).
@@ -57,50 +52,38 @@ impl<S: Scalar> SparseDirect<S> {
         self.bandwidth
     }
 
+    /// Factor entries one solve reads per tile of right-hand sides
+    /// ([`BandLu::factor_len`]).
+    pub fn factor_len(&self) -> usize {
+        self.lu.factor_len()
+    }
+
+    /// The fill-reducing ordering: row `k` of a packed block
+    /// ([`SparseDirect::solve_packed`]) is row `perm()[k]` of the matrix.
+    pub fn perm(&self) -> &[usize] {
+        &self.perm
+    }
+
+    /// In-place solve on a block the caller has already gathered into the
+    /// factor's ordering with [`pack`]; the solution comes back in the same
+    /// layout, for [`unpack`].
+    pub fn solve_packed(&self, b: &mut [S]) {
+        self.lu.solve_packed(b);
+    }
+
     /// Solve `A·x = b` for one right-hand side.
     pub fn solve_one(&self, b: &[S]) -> Vec<S> {
         let mut pb = order::permute_vec(b, &self.perm);
-        self.lu.solve_one(&mut pb);
+        self.lu.solve_packed(&mut pb);
         order::unpermute_vec(&pb, &self.perm)
     }
 
-    /// Solve `A·X = B` for a block of right-hand sides with the given RHS
-    /// tile width and rayon thread cap (`0` = default pool).
-    pub fn solve_multi(&self, b: &DMat<S>, tile: usize, threads: usize) -> DMat<S> {
-        assert_eq!(b.nrows(), self.n);
-        let p = b.ncols();
-        let mut pb = DMat::zeros(self.n, p);
-        for c in 0..p {
-            let src = b.col(c);
-            let dst = pb.col_mut(c);
-            for (k, &pi) in self.perm.iter().enumerate() {
-                dst[k] = src[pi];
-            }
-        }
-        self.lu.solve_multi(&mut pb, tile, threads);
-        let mut out = DMat::zeros(self.n, p);
-        for c in 0..p {
-            let src = pb.col(c);
-            let dst = out.col_mut(c);
-            for (k, &pi) in self.perm.iter().enumerate() {
-                dst[pi] = src[k];
-            }
-        }
-        out
-    }
-
-    /// In-place block solve with default tiling (width 8).
-    pub fn solve_in_place(&self, b: &mut DMat<S>) {
-        let out = self.solve_multi(b, 8, 1);
-        b.copy_from(&out);
-    }
-
-    /// Allocation-free in-place block solve: permutes `b` into `scratch`
-    /// (`n × p`, fully overwritten), runs the in-place banded solve there,
-    /// and unpermutes back into `b`. Bit-identical to [`solve_multi`]
-    /// (same permute → banded solve → unpermute element order).
-    ///
-    /// [`solve_multi`]: SparseDirect::solve_multi
+    /// Allocation-free in-place block solve: gathers `b` into `scratch`
+    /// (`n × p`, fully overwritten) in the factor's ordering and packed
+    /// layout, solves there, and scatters the solution back into `b`.
+    /// Columns are handed out in groups of `tile`, spread over at most
+    /// `threads` pool threads (`0` = the pool's default cap); a column's
+    /// result does not depend on either.
     pub fn solve_in_place_ws(
         &self,
         b: &mut DMat<S>,
@@ -108,56 +91,22 @@ impl<S: Scalar> SparseDirect<S> {
         tile: usize,
         threads: usize,
     ) {
-        assert_eq!(b.nrows(), self.n);
-        let p = b.ncols();
-        assert_eq!((scratch.nrows(), scratch.ncols()), (self.n, p));
-        for c in 0..p {
-            let src = b.col(c);
-            let dst = scratch.col_mut(c);
-            for (k, &pi) in self.perm.iter().enumerate() {
-                dst[k] = src[pi];
-            }
+        let (n, p) = (self.n(), b.ncols());
+        assert_eq!(b.nrows(), n);
+        assert_eq!((scratch.nrows(), scratch.ncols()), (n, p));
+        if n == 0 {
+            return;
         }
-        self.lu.solve_multi(scratch, tile, threads);
-        for c in 0..p {
-            let src = scratch.col(c);
-            let dst = b.col_mut(c);
-            for (k, &pi) in self.perm.iter().enumerate() {
-                dst[pi] = src[k];
-            }
+        let group = tile.max(1);
+        let (x, packed) = (b.as_mut_slice(), scratch.as_mut_slice());
+        for (g, cols) in packed.chunks_mut(n * group).enumerate() {
+            pack(cols, n, |k, c| x[(g * group + c) * n + self.perm[k]]);
         }
-    }
-
-    /// Allocation-free variant of [`SparseDirect::solve_multi`]: permutes
-    /// `b` into `scratch`, runs the in-place banded solve there, and
-    /// unpermutes into `out` (both must be `n × p`). Bit-identical to
-    /// `solve_multi`.
-    pub fn solve_multi_into(
-        &self,
-        b: &DMat<S>,
-        out: &mut DMat<S>,
-        scratch: &mut DMat<S>,
-        tile: usize,
-        threads: usize,
-    ) {
-        assert_eq!(b.nrows(), self.n);
-        let p = b.ncols();
-        assert_eq!((out.nrows(), out.ncols()), (self.n, p));
-        assert_eq!((scratch.nrows(), scratch.ncols()), (self.n, p));
-        for c in 0..p {
-            let src = b.col(c);
-            let dst = scratch.col_mut(c);
-            for (k, &pi) in self.perm.iter().enumerate() {
-                dst[k] = src[pi];
-            }
-        }
-        self.lu.solve_multi(scratch, tile, threads);
-        for c in 0..p {
-            let src = scratch.col(c);
-            let dst = out.col_mut(c);
-            for (k, &pi) in self.perm.iter().enumerate() {
-                dst[pi] = src[k];
-            }
+        for_each_chunk_mut(packed, n * group, threads, |_, cols| {
+            self.lu.solve_packed(cols)
+        });
+        for (g, cols) in packed.chunks(n * group).enumerate() {
+            unpack(cols, n, |k, c, v| x[(g * group + c) * n + self.perm[k]] = v);
         }
     }
 }
@@ -214,8 +163,10 @@ mod tests {
         let f = SparseDirect::factor(&a).unwrap();
         let x_true = DMat::from_fn(n, 5, |i, j| ((i * 3 + j * 11) % 17) as f64 - 8.0);
         let b = a.apply(&x_true);
+        let mut scratch = DMat::zeros(n, 5);
         for (tile, threads) in [(1, 1), (4, 1), (2, 0), (8, 2)] {
-            let x = f.solve_multi(&b, tile, threads);
+            let mut x = b.clone();
+            f.solve_in_place_ws(&mut x, &mut scratch, tile, threads);
             for i in 0..n {
                 for j in 0..5 {
                     assert!(
