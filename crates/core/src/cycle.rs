@@ -55,9 +55,7 @@ impl<'a, S: Scalar> PrecondMode<'a, S> {
         ws: &mut SpmmWorkspace<S>,
     ) -> DMat<S> {
         let mut r = ws.take(b.nrows(), b.ncols());
-        a.apply(x, &mut r);
-        r.scale(-S::one());
-        r.axpy(S::one(), b);
+        a.residual(b, x, &mut r);
         match self {
             PrecondMode::Left(m) => {
                 let mut z = ws.take(r.nrows(), r.ncols());

@@ -50,6 +50,21 @@ pub fn householder_reflector<S: Scalar>(x: &mut [S]) -> S {
     tau
 }
 
+/// Apply `H = I − t·v·vᴴ` to rows `r0..` of one column; `v` has an implicit
+/// leading 1 followed by `vtail`.
+fn reflect_col<S: Scalar>(col: &mut [S], r0: usize, vtail: &[S], t: S) {
+    // w = vᴴ·col = col[r0] + Σ conj(vtail)·col[r0+1..]
+    let mut w = col[r0];
+    for (i, &vi) in vtail.iter().enumerate() {
+        w += vi.conj() * col[r0 + 1 + i];
+    }
+    w *= t;
+    col[r0] -= w;
+    for (i, &vi) in vtail.iter().enumerate() {
+        col[r0 + 1 + i] -= vi * w;
+    }
+}
+
 /// Apply `H = I − tau·v·vᴴ` (or its adjoint) to rows `r0..r0+len` of the
 /// columns `cols` of `m`. `v` has implicit leading 1 followed by `vtail`.
 fn apply_reflector<S: Scalar>(
@@ -65,17 +80,25 @@ fn apply_reflector<S: Scalar>(
     }
     let t = if adjoint { tau.conj() } else { tau };
     for j in col_range {
-        let col = m.col_mut(j);
-        // w = vᴴ·col = col[r0] + Σ conj(vtail)·col[r0+1..]
-        let mut w = col[r0];
-        for (i, &vi) in vtail.iter().enumerate() {
-            w += vi.conj() * col[r0 + 1 + i];
-        }
-        w *= t;
-        col[r0] -= w;
-        for (i, &vi) in vtail.iter().enumerate() {
-            col[r0 + 1 + i] -= vi * w;
-        }
+        reflect_col(m.col_mut(j), r0, vtail, t);
+    }
+}
+
+/// Apply the adjoint of the reflector stored in column `k` of `m` (rows
+/// `k+1..row_end` hold its tail) to other columns `cols` of `m` itself.
+fn apply_stored_reflector<S: Scalar>(
+    m: &mut DMat<S>,
+    k: usize,
+    row_end: usize,
+    tau: S,
+    cols: std::ops::Range<usize>,
+) {
+    if tau == S::zero() {
+        return;
+    }
+    for j in cols {
+        let (col, refl) = m.two_cols_mut(j, k);
+        reflect_col(col, k, &refl[k + 1..row_end], tau.conj());
     }
 }
 
@@ -246,8 +269,13 @@ impl<S: Scalar> IncrementalQr<S> {
         self.fac.set_block(0, c0, cols);
         // Reduce by existing reflectors.
         for k in 0..c0 {
-            let vtail = self.fac.col(k)[k + 1..self.row_end[k]].to_vec();
-            apply_reflector(&mut self.fac, k, &vtail, self.tau[k], true, c0..c0 + self.p);
+            apply_stored_reflector(
+                &mut self.fac,
+                k,
+                self.row_end[k],
+                self.tau[k],
+                c0..c0 + self.p,
+            );
         }
         // Create new reflectors for the p new columns.
         for t in 0..self.p {
@@ -258,11 +286,11 @@ impl<S: Scalar> IncrementalQr<S> {
             };
             self.tau.push(tau);
             self.row_end.push(new_rows);
-            let vtail = self.fac.col(k)[k + 1..new_rows].to_vec();
             // Reduce the remaining new columns …
-            apply_reflector(&mut self.fac, k, &vtail, tau, true, k + 1..c0 + self.p);
+            apply_stored_reflector(&mut self.fac, k, new_rows, tau, k + 1..c0 + self.p);
             // … and the transformed right-hand side.
-            apply_reflector(&mut self.g, k, &vtail, tau, true, 0..self.p);
+            let vtail = &self.fac.col(k)[k + 1..new_rows];
+            apply_reflector(&mut self.g, k, vtail, tau, true, 0..self.p);
         }
         self.ncols += self.p;
         self.nrows = new_rows;
@@ -285,9 +313,19 @@ impl<S: Scalar> IncrementalQr<S> {
 
     /// Solve for the least-squares coefficients `Y` (`ncols × p`).
     pub fn solve_y(&self) -> DMat<S> {
-        let mut y = self.g.block(0, 0, self.ncols, self.p);
-        tri::solve_upper_in_place(&self.fac, self.ncols, &mut y);
+        let mut y = DMat::zeros(self.ncols, self.p);
+        self.solve_y_into(&mut y);
         y
+    }
+
+    /// [`IncrementalQr::solve_y`] into the leading `ncols` rows of `y`
+    /// (`≥ ncols` rows, `p` columns); allocates nothing.
+    pub fn solve_y_into(&self, y: &mut DMat<S>) {
+        assert!(y.nrows() >= self.ncols && y.ncols() == self.p);
+        for l in 0..self.p {
+            y.col_mut(l)[..self.ncols].copy_from_slice(&self.g.col(l)[..self.ncols]);
+        }
+        tri::solve_upper_in_place(&self.fac, self.ncols, y);
     }
 
     /// The current `R` factor (`ncols × ncols` upper triangle).

@@ -59,6 +59,14 @@ pub trait LinOp<S: Scalar>: Send + Sync {
     fn nrows(&self) -> usize;
     /// `y ⟵ A·x` where `x` and `y` are `n × p`.
     fn apply(&self, x: &DMat<S>, y: &mut DMat<S>);
+    /// `r ⟵ b − A·x`, rounded as `−(A·x) + b`. Operators that can form it
+    /// in one sweep override this; the rounding is part of the contract, so
+    /// a solve does not depend on which operator type carries the matrix.
+    fn residual(&self, b: &DMat<S>, x: &DMat<S>, r: &mut DMat<S>) {
+        self.apply(x, r);
+        r.scale(-S::one());
+        r.axpy(S::one(), b);
+    }
     /// Allocating convenience wrapper.
     fn apply_new(&self, x: &DMat<S>) -> DMat<S> {
         let mut y = DMat::zeros(self.nrows(), x.ncols());
@@ -146,6 +154,10 @@ impl<S: Scalar> LinOp<S> for Csr<S> {
     fn apply(&self, x: &DMat<S>, y: &mut DMat<S>) {
         let _t = profile(Phase::Spmv);
         self.spmm(x, y);
+    }
+    fn residual(&self, b: &DMat<S>, x: &DMat<S>, r: &mut DMat<S>) {
+        let _t = profile(Phase::Spmv);
+        Csr::residual(self, b, x, r);
     }
     fn bytes_per_apply(&self) -> Option<usize> {
         Some(ApplyRows::<S>::bytes_streamed(self))

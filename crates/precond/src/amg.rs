@@ -12,7 +12,7 @@
 
 use crate::chebyshev::Chebyshev;
 use crate::jacobi::Jacobi;
-use crate::smoother;
+use crate::smoother::{self, KrylovScratch};
 use kryst_dense::{qr::HouseholderQr, DMat};
 use kryst_obs::{Event, PrecondApplyEvent, Recorder};
 use kryst_par::collective::{redistribute, subset_layout};
@@ -144,9 +144,17 @@ pub struct Amg<S: Demote> {
     /// [`Amg::coarse_agglom`].
     agglom_rows_per_rank: usize,
     recorder: Option<Arc<dyn Recorder>>,
-    /// Per-level scratch pool: after one warm-up cycle every V-cycle apply
-    /// draws all its level vectors from here and allocates nothing.
-    ws: Mutex<PrecondWorkspace<S>>,
+    /// After one warm-up cycle every V-cycle apply draws all its level
+    /// vectors from here and allocates nothing.
+    ws: Mutex<CycleScratch<S>>,
+}
+
+/// What a V-cycle draws its temporaries from: the per-level vector pool and
+/// the one Krylov-smoother scratch all levels share (empty for the linear
+/// smoothers).
+struct CycleScratch<S> {
+    pool: PrecondWorkspace<S>,
+    krylov: KrylovScratch<S>,
 }
 
 /// Coarse-level direct solve, fully resolved at setup: the factor to use
@@ -326,7 +334,14 @@ impl<S: Demote> Amg<S> {
             n,
             agglom_rows_per_rank: opts.agglom_rows_per_rank,
             recorder: None,
-            ws: Mutex::new(PrecondWorkspace::new()),
+            ws: Mutex::new(CycleScratch {
+                pool: PrecondWorkspace::new(),
+                krylov: match opts.smoother {
+                    SmootherKind::Gmres { iters } => KrylovScratch::gmres(n, iters),
+                    SmootherKind::Cg { .. } => KrylovScratch::cg(n),
+                    _ => KrylovScratch::gmres(0, 0),
+                },
+            }),
         };
         if precision == PrecondPrecision::Single && S::LOSSY && !variable {
             this.lo_levels = Some(
@@ -457,48 +472,50 @@ impl<S: Demote> Amg<S> {
         })
     }
 
-    fn smooth_ws(&self, l: usize, b: &DMat<S>, x: &mut DMat<S>, ws: &mut PrecondWorkspace<S>) {
+    /// One smoothing of `A_l·x = b`. `x_zero` promises that `x` is all
+    /// `+0`, which spares a Krylov smoother the operator pass of `b − A·x`.
+    fn smooth_ws(
+        &self,
+        l: usize,
+        b: &DMat<S>,
+        x: &mut DMat<S>,
+        x_zero: bool,
+        ws: &mut CycleScratch<S>,
+    ) {
         let level = &self.levels[l];
-        match &level.smoother {
+        let (pool, ks) = (&mut ws.pool, &mut ws.krylov);
+        type Krylov<S> = fn(&Csr<S>, &mut DMat<S>, &mut DMat<S>, usize, &mut KrylovScratch<S>);
+        let (krylov, iters): (Krylov<S>, usize) = match &level.smoother {
             LevelSmoother::Jacobi(j, iters) => {
-                let mut r = ws.take(b.nrows(), b.ncols());
+                let mut r = pool.take(b.nrows(), b.ncols());
                 j.smooth_with(&level.a, b, x, *iters, &mut r);
-                ws.put(r);
+                pool.put(r);
+                return;
             }
-            LevelSmoother::Chebyshev(c) => c.smooth_ws(b, x, ws),
-            LevelSmoother::Gmres(iters) => {
-                // z = GMRES_s(A, b − A x); x += z
-                let mut r = ws.take(b.nrows(), b.ncols());
-                level.a.spmm(x, &mut r);
-                r.scale(-S::one());
-                r.axpy(S::one(), b);
-                let mut z = ws.take(r.nrows(), r.ncols());
-                smoother::gmres_smooth(&level.a, &r, &mut z, *iters);
-                x.axpy(S::one(), &z);
-                ws.put(r);
-                ws.put(z);
-            }
-            LevelSmoother::Cg(iters) => {
-                let mut r = ws.take(b.nrows(), b.ncols());
-                level.a.spmm(x, &mut r);
-                r.scale(-S::one());
-                r.axpy(S::one(), b);
-                let mut z = ws.take(r.nrows(), r.ncols());
-                smoother::cg_smooth(&level.a, &r, &mut z, *iters);
-                x.axpy(S::one(), &z);
-                ws.put(r);
-                ws.put(z);
-            }
+            LevelSmoother::Chebyshev(c) => return c.smooth_ws(b, x, pool),
+            LevelSmoother::Gmres(iters) => (smoother::gmres_smooth, *iters),
+            LevelSmoother::Cg(iters) => (smoother::cg_smooth, *iters),
+        };
+        // x += K_s(A, b − A·x). From the zero iterate b − A·0 is b bit for
+        // bit, so a copy stands in for the pass over the operator.
+        let mut r = pool.take(b.nrows(), b.ncols());
+        if x_zero {
+            r.copy_from(b);
+        } else {
+            level.a.residual(b, x, &mut r);
         }
+        krylov(&level.a, &mut r, x, iters, ks);
+        pool.put(r);
     }
 
-    /// One V-cycle with every level vector drawn from the pool. All `p`
-    /// columns of `b`/`x` stream through each smoothing, restriction, and
-    /// prolongation sweep together; arithmetic per column is identical to
-    /// the single-column cycle.
-    fn vcycle_ws(&self, l: usize, b: &DMat<S>, x: &mut DMat<S>, ws: &mut PrecondWorkspace<S>) {
+    /// One V-cycle on `A_l·x = b` from `x = 0` (the caller zeroes `x`), with
+    /// every level vector drawn from the pool. All `p` columns of `b`/`x`
+    /// stream through each smoothing, restriction, and prolongation sweep
+    /// together; arithmetic per column is identical to the single-column
+    /// cycle.
+    fn vcycle_ws(&self, l: usize, b: &DMat<S>, x: &mut DMat<S>, ws: &mut CycleScratch<S>) {
         if l + 1 == self.levels.len() {
-            self.coarse_solve_ws(l, b, x, ws);
+            self.coarse_solve_ws(l, b, x, &mut ws.pool);
             return;
         }
         let level = &self.levels[l];
@@ -506,28 +523,26 @@ impl<S: Demote> Amg<S> {
         // around the recursive descent so nested levels don't double-count.
         let down = kryst_obs::Profiler::global().timed(kryst_obs::Phase::PrecondLevel(l));
         // Pre-smooth.
-        self.smooth_ws(l, b, x, ws);
+        self.smooth_ws(l, b, x, true, ws);
         // Residual and restriction.
         let p = b.ncols();
-        let mut r = ws.take(level.a.nrows(), p);
-        level.a.spmm(x, &mut r);
-        r.scale(-S::one());
-        r.axpy(S::one(), b);
+        let mut r = ws.pool.take(level.a.nrows(), p);
+        level.a.residual(b, x, &mut r);
         let pt = level.pt.as_ref().unwrap();
-        let mut rc = ws.take(pt.nrows(), p);
+        let mut rc = ws.pool.take(pt.nrows(), p);
         pt.spmm(&r, &mut rc);
-        let mut xc = ws.take(pt.nrows(), p);
+        let mut xc = ws.pool.take(pt.nrows(), p);
         drop(down);
         self.vcycle_ws(l + 1, &rc, &mut xc, ws);
         let _up = kryst_obs::profile(kryst_obs::Phase::PrecondLevel(l));
         // Prolongate (reusing the residual buffer) and correct.
         level.p.as_ref().unwrap().spmm(&xc, &mut r);
         x.axpy(S::one(), &r);
-        ws.put(rc);
-        ws.put(xc);
-        ws.put(r);
+        ws.pool.put(rc);
+        ws.pool.put(xc);
+        ws.pool.put(r);
         // Post-smooth.
-        self.smooth_ws(l, b, x, ws);
+        self.smooth_ws(l, b, x, false, ws);
     }
 
     /// Low-precision smoothing sweep: matrix entries and diagonals stream
@@ -706,7 +721,7 @@ impl<S: Demote> PrecondOp<S> for Amg<S> {
             match &self.lo_levels {
                 Some(lo) => {
                     let _lp = kryst_obs::profile(kryst_obs::Phase::PrecondLp);
-                    self.vcycle_lo_ws(lo, 0, r, z, &mut ws);
+                    self.vcycle_lo_ws(lo, 0, r, z, &mut ws.pool);
                 }
                 None => self.vcycle_ws(0, r, z, &mut ws),
             }
@@ -726,20 +741,24 @@ impl<S: Demote> PrecondOp<S> for Amg<S> {
     fn precision(&self) -> PrecondPrecision {
         self.precision
     }
-    /// Matrix bytes streamed by one single-column V-cycle: per non-coarsest
-    /// level, `2·sweeps + 1` operator passes (pre/post smoothing plus the
-    /// residual) and one pass over each grid transfer. Excludes the coarse
-    /// direct solve and all vector traffic.
+    /// Matrix bytes one single-column V-cycle reads. Per non-coarsest level:
+    /// one pass over the level operator for every smoothing product and
+    /// residual — `2·sweeps + 1` with Jacobi or Chebyshev, `2·s + 2` with a
+    /// Krylov smoother (`s` products from the zero iterate going down, the
+    /// cycle's residual, then a residual and `s` products coming up; a
+    /// smoother that breaks down early reads less) — and one pass over each
+    /// grid transfer. Then the stored entries of the coarse factor. Vector
+    /// traffic is not counted.
     fn bytes_per_apply(&self) -> Option<usize> {
-        let mut total = 0usize;
+        let mut total = self.coarse.f.factor_len() * std::mem::size_of::<S>();
         for (l, level) in self.levels.iter().enumerate() {
             if l + 1 == self.levels.len() {
                 break;
             }
-            let sweeps = match &level.smoother {
-                LevelSmoother::Jacobi(_, iters) => *iters,
-                LevelSmoother::Chebyshev(c) => c.degree(),
-                LevelSmoother::Gmres(iters) | LevelSmoother::Cg(iters) => *iters,
+            let passes = match &level.smoother {
+                LevelSmoother::Jacobi(_, iters) => 2 * iters + 1,
+                LevelSmoother::Chebyshev(c) => 2 * c.degree() + 1,
+                LevelSmoother::Gmres(iters) | LevelSmoother::Cg(iters) => 2 * iters + 2,
             };
             let (a_b, p_b, pt_b) = match self.lo_levels.as_deref() {
                 Some(lo) => (
@@ -753,7 +772,7 @@ impl<S: Demote> PrecondOp<S> for Amg<S> {
                     level.pt.as_ref().unwrap().bytes_streamed(),
                 ),
             };
-            total += (2 * sweeps + 1) * a_b + p_b + pt_b;
+            total += passes * a_b + p_b + pt_b;
         }
         Some(total)
     }
@@ -1111,6 +1130,100 @@ mod tests {
             x.axpy(1.0, &z);
         }
         assert!(residual_norm(&p.a, &b, &x) < 1e-6 * b.fro_norm());
+    }
+
+    /// FNV-1a over the bits of one apply to a fixed `n × p` input.
+    fn apply_hash(amg: &Amg<f64>, p: usize) -> u64 {
+        let r = DMat::from_fn(amg.n, p, |i, j| (((i * 7 + j * 13) % 19) as f64) - 9.0);
+        let z = amg.apply_new(&r);
+        z.as_slice().iter().fold(0xcbf29ce484222325u64, |h, v| {
+            (h ^ v.to_bits()).wrapping_mul(0x100000001b3)
+        })
+    }
+
+    #[test]
+    fn krylov_smoothed_cycle_keeps_its_bits() {
+        // Hashes printed by the column-at-a-time smoothers and the
+        // three-pass residual this cycle replaced (commit d44226e), at
+        // KRYST_THREADS 1 and 4 alike. The fine level has 4608 rows, so
+        // under KRYST_THREADS=4 its products run on the pool.
+        let prob = poisson2d::<f64>(72, 64);
+        for (smoother, p1, p3) in [
+            (
+                SmootherKind::Gmres { iters: 3 },
+                0xc7cf509a66df57b1u64,
+                0x78be0563862dde77u64,
+            ),
+            (
+                SmootherKind::Cg { iters: 4 },
+                0x7eb8962ac94660e2,
+                0x0a83420f86d97b54,
+            ),
+        ] {
+            let amg = Amg::new(
+                &prob.a,
+                prob.near_nullspace.as_ref(),
+                &AmgOpts {
+                    smoother,
+                    ..Default::default()
+                },
+            );
+            assert_eq!(amg.level_sizes(), [4608, 784, 91, 12]);
+            assert_eq!(apply_hash(&amg, 1), p1, "{smoother:?} p=1");
+            assert_eq!(apply_hash(&amg, 3), p3, "{smoother:?} p=3");
+            // The pooled scratch is dirty now: a second apply must not see it.
+            assert_eq!(apply_hash(&amg, 1), p1, "{smoother:?} p=1 again");
+        }
+    }
+
+    #[test]
+    fn bytes_per_apply_counts_the_passes_the_cycle_makes() {
+        // 1-D Laplacian on 6 points, two levels. Aggregation visits 0 → {0,1},
+        // 3 → {2,3,4}, and 5 joins its neighbour's aggregate: 2 coarse points.
+        // A: 16 entries in 6 rows. P = (I − ωD⁻¹A)·P̂ widens each aggregate by
+        // one row per side: 3 + 5 = 8 entries in 6 rows; Pᵀ the same in 2 rows.
+        // The 2 × 2 coarse factor stores one entry of L, one of U, two pivots.
+        let mut coo = Coo::new(6, 6);
+        for i in 0..6 {
+            coo.push(i, i, 2.0);
+            if i > 0 {
+                coo.push(i, i - 1, -1.0);
+                coo.push(i - 1, i, -1.0);
+            }
+        }
+        let a: Csr<f64> = coo.to_csr();
+        let (idx, val) = (std::mem::size_of::<usize>(), std::mem::size_of::<f64>());
+        let csr = |nnz: usize, rows: usize| nnz * (idx + val) + (rows + 1) * idx;
+        let (a_b, p_b, pt_b, coarse_b) = (csr(16, 6), csr(8, 6), csr(8, 2), 4 * val);
+        let build = |smoother| {
+            let amg = Amg::new(
+                &a,
+                None,
+                &AmgOpts {
+                    smoother,
+                    coarse_size: 2,
+                    max_levels: 2,
+                    ..Default::default()
+                },
+            );
+            assert_eq!(amg.level_sizes(), [6, 2]);
+            amg.bytes_per_apply().unwrap()
+        };
+        let fixed = p_b + pt_b + coarse_b;
+        // Krylov: s products down (no residual from the zero iterate), the
+        // cycle residual, one residual and s products up.
+        assert_eq!(build(SmootherKind::Gmres { iters: 3 }), 8 * a_b + fixed);
+        assert_eq!(build(SmootherKind::Cg { iters: 4 }), 10 * a_b + fixed);
+        // Linear smoothers: one product per sweep each way, plus the residual.
+        let jacobi = SmootherKind::Jacobi {
+            omega: 0.67,
+            iters: 2,
+        };
+        assert_eq!(build(jacobi), 5 * a_b + fixed);
+        assert_eq!(
+            build(SmootherKind::Chebyshev { degree: 3 }),
+            7 * a_b + fixed
+        );
     }
 
     #[test]

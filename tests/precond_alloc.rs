@@ -39,7 +39,9 @@ use kryst_par::{LinOp, PrecondOp, PrecondPrecision};
 use kryst_pde::elasticity::ElasticityOpts;
 use kryst_pde::poisson::poisson2d;
 use kryst_pde::stencil::{ElasticityStencil, PoissonStencil};
-use kryst_precond::{Amg, AmgOpts, Chebyshev, Ilu0, Jacobi, Schwarz, SchwarzOpts, SchwarzVariant};
+use kryst_precond::{
+    Amg, AmgOpts, Chebyshev, Ilu0, Jacobi, Schwarz, SchwarzOpts, SchwarzVariant, SmootherKind,
+};
 use kryst_sparse::partition::partition_rcb;
 
 fn assert_zero_alloc_linop(op: &dyn LinOp<f64>, p: usize, what: &str) {
@@ -92,6 +94,20 @@ fn steady_state_applies_do_not_allocate() {
     let chebyshev = Chebyshev::new(a, 3, 30.0);
     let ilu = Ilu0::new(a).expect("factorizable");
     let amg = Amg::new(a, prob.near_nullspace.as_ref(), &AmgOpts::default());
+    // Inner Krylov smoothers: the Arnoldi basis, the small QR and the CG
+    // vectors all live in the hierarchy's scratch.
+    let krylov_amg = |smoother| {
+        Amg::new(
+            a,
+            prob.near_nullspace.as_ref(),
+            &AmgOpts {
+                smoother,
+                ..Default::default()
+            },
+        )
+    };
+    let amg_gmres = krylov_amg(SmootherKind::Gmres { iters: 3 });
+    let amg_cg = krylov_amg(SmootherKind::Cg { iters: 4 });
     let part = partition_rcb(&prob.coords, 8);
     let asm = Schwarz::new(
         a,
@@ -146,6 +162,8 @@ fn steady_state_applies_do_not_allocate() {
         assert_zero_alloc(&chebyshev, p, "chebyshev");
         assert_zero_alloc(&ilu, p, "ilu0");
         assert_zero_alloc(&amg, p, "amg");
+        assert_zero_alloc(&amg_gmres, p, "amg/gmres(3)");
+        assert_zero_alloc(&amg_cg, p, "amg/cg(4)");
         assert_zero_alloc(&asm, p, "schwarz/asm");
         assert_zero_alloc(&ras, p, "schwarz/ras");
         assert_zero_alloc(&ilu_lp, p, "ilu0/f32");
