@@ -10,7 +10,8 @@
 
 use crate::opts::{OrthPath, PrecondSide};
 use kryst_dense::chol;
-use kryst_dense::gs::{fused_orthogonalize_block, orthogonalize_block, OrthScheme};
+use kryst_dense::fused::ColsRef;
+use kryst_dense::gs::{fused_orthogonalize_cols, orthogonalize_block, OrthScheme};
 use kryst_dense::qr::IncrementalQr;
 use kryst_dense::{blas, tri, DMat};
 use kryst_par::{CommStats, LinOp, PrecondOp, PrecondPrecision};
@@ -54,11 +55,11 @@ impl<'a, S: Scalar> PrecondMode<'a, S> {
         x: &DMat<S>,
         ws: &mut SpmmWorkspace<S>,
     ) -> DMat<S> {
-        let mut r = ws.take(b.nrows(), b.ncols());
+        let mut r = ws.take_stale(b.nrows(), b.ncols());
         a.residual(b, x, &mut r);
         match self {
             PrecondMode::Left(m) => {
-                let mut z = ws.take(r.nrows(), r.ncols());
+                let mut z = ws.take_stale(r.nrows(), r.ncols());
                 m.apply(&r, &mut z);
                 ws.put(r);
                 z
@@ -80,7 +81,7 @@ impl<'a, S: Scalar> PrecondMode<'a, S> {
     ///
     /// [`to_solution`]: PrecondMode::to_solution
     pub fn to_solution_ws(&self, v: &DMat<S>, ws: &mut SpmmWorkspace<S>) -> DMat<S> {
-        let mut out = ws.take(v.nrows(), v.ncols());
+        let mut out = ws.take_stale(v.nrows(), v.ncols());
         match self {
             PrecondMode::Right(m) => m.apply(v, &mut out),
             _ => out.copy_from(v),
@@ -117,11 +118,11 @@ impl<'a, S: Scalar> PrecondMode<'a, S> {
     ///
     /// [`apply_op`]: PrecondMode::apply_op
     pub fn apply_op_ws(&self, a: &dyn LinOp<S>, d: &DMat<S>, ws: &mut SpmmWorkspace<S>) -> DMat<S> {
-        let mut w = ws.take(d.nrows(), d.ncols());
+        let mut w = ws.take_stale(d.nrows(), d.ncols());
         a.apply(d, &mut w);
         match self {
             PrecondMode::Left(m) => {
-                let mut z = ws.take(w.nrows(), w.ncols());
+                let mut z = ws.take_stale(w.nrows(), w.ncols());
                 m.apply(&w, &mut z);
                 ws.put(w);
                 z
@@ -131,23 +132,141 @@ impl<'a, S: Scalar> PrecondMode<'a, S> {
     }
 }
 
+/// What the restart cycles of one solve hand on to each other: the storage
+/// of [`BlockArnoldi`] (basis, directions, Hessenberg matrix, its QR, the
+/// recycle couplings) and the pool of `n × p` temporaries. A block of the
+/// basis is allocated the first time a cycle of the solve reaches it and
+/// reused by every later cycle ([`BlockArnoldi::with_buffers`] /
+/// [`BlockArnoldi::into_buffers`]); blocks no cycle reaches cost nothing.
+pub struct CycleBuffers<S: Scalar> {
+    /// Pool for `n × p` temporaries — the cycle's own and, between cycles,
+    /// the solver's (residuals, recycle-space products).
+    pub ws: SpmmWorkspace<S>,
+    /// Shape `(n, p)` of a block and the longest cycle (in blocks) the
+    /// Hessenberg storage holds.
+    shape: (usize, usize),
+    cap: usize,
+    /// Iteration-space basis `V`, one `n × p` matrix per Krylov block: the
+    /// operator writes block `j+1` where it lives.
+    v: Vec<DMat<S>>,
+    /// Solution-space directions `Z_j = M⁻¹·V_j`, one matrix per block, when
+    /// right/flexible preconditioned (`right`); `Z_j` is `V_j` otherwise.
+    z: Vec<DMat<S>>,
+    right: bool,
+    /// Raw block Hessenberg `H̄`.
+    hraw: DMat<S>,
+    /// Incremental QR of `H̄` with the least-squares right-hand side.
+    qr: IncrementalQr<S>,
+    /// Coupling coefficients `E = Cᴴ·A·Z`.
+    e: DMat<S>,
+    /// Pipelined path only: raw operator images `U_i = B·V_i` (`B` the
+    /// iteration-space operator, before any recycle projection), one block
+    /// per completed step — the history the depth-1 recurrence draws on.
+    u_hist: DMat<S>,
+}
+
+impl<S: Scalar> Default for CycleBuffers<S> {
+    fn default() -> Self {
+        Self {
+            ws: SpmmWorkspace::new(),
+            shape: (0, 0),
+            cap: 0,
+            v: Vec::new(),
+            z: Vec::new(),
+            right: false,
+            hraw: DMat::zeros(0, 0),
+            qr: IncrementalQr::new(0, 0),
+            e: DMat::zeros(0, 0),
+            u_hist: DMat::zeros(0, 0),
+        }
+    }
+}
+
+impl<S: Scalar> CycleBuffers<S> {
+    /// Basis blocks `V_0 … V_j` of the last cycle run in these buffers.
+    pub fn basis(&self, j: usize) -> &[DMat<S>] {
+        &self.v[..=j]
+    }
+
+    /// Direction blocks `Z_0 … Z_{j−1}` of that cycle: their own storage
+    /// when it was right/flexible preconditioned, the basis blocks otherwise
+    /// (`Z_j = V_j` then).
+    pub fn directions(&self, j: usize) -> &[DMat<S>] {
+        let blocks = if self.right { &self.z } else { &self.v };
+        &blocks[..j]
+    }
+
+    /// Make room for a cycle of `m` blocks of `n × p` and `kc` recycled
+    /// columns. Storage of that block shape that holds `m` blocks is kept
+    /// as it is (stale contents: every entry is written before it is read).
+    fn ensure(&mut self, n: usize, p: usize, m: usize, kc: usize, right: bool, pipelined: bool) {
+        if self.shape != (n, p) {
+            *self = Self {
+                ws: std::mem::take(&mut self.ws),
+                shape: (n, p),
+                ..Self::default()
+            };
+        }
+        if self.cap < m {
+            self.cap = m;
+            self.hraw = DMat::zeros((m + 1) * p, m * p);
+            self.qr = IncrementalQr::new(m, p);
+        }
+        self.right = right;
+        let cols = self.cap * p;
+        if (self.e.nrows(), self.e.ncols()) != (kc, cols) {
+            self.e = DMat::zeros(kc, cols);
+        }
+        if pipelined && (self.u_hist.nrows(), self.u_hist.ncols()) != (n, cols) {
+            self.u_hist = DMat::zeros(n, cols);
+        }
+    }
+
+    /// Block `j` of `list` (the basis or the directions), allocated now if
+    /// no cycle has reached it before; blocks fill in order.
+    fn block(list: &mut Vec<DMat<S>>, (n, p): (usize, usize), j: usize) -> &mut DMat<S> {
+        if list.len() == j {
+            list.push(DMat::zeros(n, p));
+        }
+        &mut list[j]
+    }
+}
+
+/// `[head, blocks…]` side by side in one new matrix of `n` rows.
+pub(crate) fn hcat_blocks<S: Scalar>(
+    n: usize,
+    head: Option<&DMat<S>>,
+    blocks: &[DMat<S>],
+) -> DMat<S> {
+    let parts = || head.into_iter().chain(blocks);
+    let ncols = parts().map(|m| m.ncols()).sum();
+    let mut data = Vec::with_capacity(n * ncols);
+    for m in parts() {
+        assert_eq!(m.nrows(), n);
+        data.extend_from_slice(m.as_slice());
+    }
+    DMat::from_col_major(n, ncols, data)
+}
+
+/// The columns of `blocks` side by side in `out` (`n × blocks.len()·p`).
+fn gather<S: Scalar>(blocks: &[DMat<S>], out: &mut DMat<S>) {
+    let mut at = 0;
+    for b in blocks {
+        let len = b.as_slice().len();
+        out.as_mut_slice()[at..at + len].copy_from_slice(b.as_slice());
+        at += len;
+    }
+    assert_eq!(at, out.as_slice().len());
+}
+
 /// One restart cycle of the block Arnoldi process.
 pub struct BlockArnoldi<'a, S: Scalar> {
     a: &'a dyn LinOp<S>,
     mode: &'a PrecondMode<'a, S>,
-    /// Iteration-space basis `V` (n × (m+1)·p).
-    pub v: DMat<S>,
-    /// Solution-space directions `Z` (n × m·p); equals `V`'s leading columns
-    /// when unpreconditioned or left-preconditioned.
-    pub z: DMat<S>,
-    /// Raw block Hessenberg `H̄` ((m+1)·p × m·p).
-    pub hraw: DMat<S>,
-    /// Incremental QR of `H̄` with the least-squares right-hand side.
-    pub qr: IncrementalQr<S>,
+    /// Basis, directions, `H̄`, its QR and `E`; see [`CycleBuffers`].
+    buf: CycleBuffers<S>,
     /// Recycled block to orthogonalize against (GCRO-DR inner cycles).
     pub c_proj: Option<&'a DMat<S>>,
-    /// Coupling coefficients `E = Cᴴ·A·Z` (kc × m·p), filled per iteration.
-    pub e: DMat<S>,
     j: usize,
     m: usize,
     p: usize,
@@ -172,13 +291,6 @@ pub struct BlockArnoldi<'a, S: Scalar> {
     /// Numerical rank of the block produced by the most recent [`Self::step`]
     /// (equals the block width while no breakdown occurs).
     pub last_step_rank: usize,
-    /// Buffer pool for the per-step `n × p` temporaries (`V_j`, `Z_j`, `W`).
-    ws: SpmmWorkspace<S>,
-    /// Pipelined path only: raw operator images `U_i = B·V_i` (`B` the
-    /// iteration-space operator, before any recycle projection), one block
-    /// per completed step — the history the depth-1 recurrence draws on.
-    /// Empty (0×0) on the other paths.
-    u_hist: DMat<S>,
     /// Pipelined path only: the next step's operator image `W_{j+1} =
     /// B·V_{j+1}`, reconstructed by the recurrence from the lagged apply —
     /// `None` after a fallback (the next step re-primes synchronously).
@@ -200,7 +312,8 @@ pub struct BlockArnoldi<'a, S: Scalar> {
 }
 
 impl<'a, S: Scalar> BlockArnoldi<'a, S> {
-    /// Allocate a cycle of at most `m` block iterations of width `p`.
+    /// A cycle of at most `m` block iterations of width `p`. Storage comes
+    /// from [`Self::with_buffers`] or is allocated by [`Self::start`].
     pub fn new(
         a: &'a dyn LinOp<S>,
         mode: &'a PrecondMode<'a, S>,
@@ -210,17 +323,11 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
         c_proj: Option<&'a DMat<S>>,
         stats: Option<&'a CommStats>,
     ) -> Self {
-        let n = a.nrows();
-        let kc = c_proj.map(|c| c.ncols()).unwrap_or(0);
         Self {
             a,
             mode,
-            v: DMat::zeros(n, (m + 1) * p),
-            z: DMat::zeros(n, m * p),
-            hraw: DMat::zeros((m + 1) * p, m * p),
-            qr: IncrementalQr::new(m, p),
+            buf: CycleBuffers::default(),
             c_proj,
-            e: DMat::zeros(kc, m * p),
             j: 0,
             m,
             p,
@@ -233,8 +340,6 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
             stats,
             initial_rank: p,
             last_step_rank: p,
-            ws: SpmmWorkspace::new(),
-            u_hist: DMat::zeros(0, 0),
             w_next: None,
             z_next: None,
             e_next: None,
@@ -243,10 +348,10 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
         }
     }
 
-    /// Seed the cycle's buffer pool with a workspace carried over from a
-    /// previous cycle, so restarts reuse the same `n × p` allocations.
-    pub fn with_workspace(mut self, ws: SpmmWorkspace<S>) -> Self {
-        self.ws = ws;
+    /// Run the cycle in the storage a previous cycle of the solve left
+    /// behind, so restarts allocate nothing.
+    pub fn with_buffers(mut self, buf: CycleBuffers<S>) -> Self {
+        self.buf = buf;
         self
     }
 
@@ -259,28 +364,39 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
     /// f32-storage applies would have their rounding compounded by the
     /// lagged reconstruction instead of reset by a fresh apply.
     pub fn with_path(mut self, path: OrthPath) -> Self {
-        let path = if path == OrthPath::Pipelined && !self.mode.recurrence_safe() {
+        self.path = if path == OrthPath::Pipelined && !self.mode.recurrence_safe() {
             OrthPath::Fused
         } else {
             path
         };
-        self.path = path;
-        if path == OrthPath::Pipelined && self.u_hist.nrows() == 0 {
-            self.u_hist = DMat::zeros(self.v.nrows(), self.m * self.p);
-        }
         self
     }
 
-    /// Recover the buffer pool to hand to the next cycle.
-    pub fn into_workspace(self) -> SpmmWorkspace<S> {
-        self.ws
+    /// Recover the storage to hand to the next cycle.
+    pub fn into_buffers(self) -> CycleBuffers<S> {
+        self.buf
+    }
+
+    /// The pool of `n × p` temporaries, for the solver's own residuals
+    /// while the cycle holds the buffers.
+    pub fn workspace(&mut self) -> &mut SpmmWorkspace<S> {
+        &mut self.buf.ws
     }
 
     /// Start the cycle from the residual block `r0` (rank-revealing CholQR —
     /// the paper's breakdown detection at each restart, §V-C).
     pub fn start(&mut self, r0: &DMat<S>) {
         assert_eq!(r0.ncols(), self.p);
-        let mut q = r0.clone();
+        self.buf.ensure(
+            self.a.nrows(),
+            self.p,
+            self.m,
+            self.c_proj.map_or(0, |c| c.ncols()),
+            matches!(self.mode, PrecondMode::Right(_)),
+            self.path == OrthPath::Pipelined,
+        );
+        let q = CycleBuffers::block(&mut self.buf.v, self.buf.shape, 0);
+        q.copy_from(r0);
         // On the fused path the breakdown fixup must keep replacement
         // columns orthogonal to the recycled block C: the fused Gram
         // downdate of every later step assumes basis ⊥ C. The pipelined
@@ -289,20 +405,15 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
         // explicitly each step, and its traces must stay bit-identical to
         // the pre-fusion solver.
         let out = if matches!(self.path, OrthPath::Fused | OrthPath::Pipelined) {
-            let ext: Vec<(&DMat<S>, usize)> = match self.c_proj {
-                Some(cm) => vec![(cm, cm.ncols())],
-                None => Vec::new(),
-            };
-            chol::cholqr_within(&mut q, &ext)
+            chol::cholqr_within(q, self.c_proj.map(ColsRef::whole).as_slice())
         } else {
-            chol::cholqr(&mut q)
+            chol::cholqr(q)
         };
         self.initial_rank = out.rank;
         if let Some(st) = self.stats {
             st.record_reduction(self.p * self.p * std::mem::size_of::<S>());
         }
-        self.v.set_block(0, 0, &q);
-        self.qr.reset(&out.r);
+        self.buf.qr.reset(&out.r);
         self.j = 0;
         self.fused_loss = f64::EPSILON;
         self.w_next = None;
@@ -322,6 +433,10 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
 
     /// One block Arnoldi step; returns the per-RHS least-squares residual
     /// estimates after the step.
+    ///
+    /// The step works in place: the operator writes `W` into the storage of
+    /// basis block `j+1`, where it is orthogonalized and normalised, and a
+    /// right preconditioner writes `Z_j` into its block of the directions.
     pub fn step(&mut self) -> Vec<f64> {
         assert!(self.can_step());
         // The depth-1 pipelined path needs a *linear* operator composition:
@@ -337,34 +452,27 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
         }
         let j = self.j;
         let p = self.p;
-        let n = self.v.nrows();
-        // Current basis block V_j (columns j·p .. (j+1)·p are contiguous).
-        let mut vj = self.ws.take(n, p);
-        vj.as_mut_slice()
-            .copy_from_slice(&self.v.as_slice()[j * p * n..(j + 1) * p * n]);
-        // Solution-space direction: Z_j = M⁻¹·V_j (right), else V_j itself.
-        let zj = match self.mode {
-            PrecondMode::Right(m) => {
-                let mut zj = self.ws.take(n, p);
-                m.apply(&vj, &mut zj);
-                self.ws.put(vj);
-                zj
-            }
-            _ => vj,
-        };
-        // Operator application: W = A·Z_j (left: M⁻¹·A·Z_j).
-        let mut w = self.ws.take(n, p);
+        let buf = &mut self.buf;
+        // The blocks built so far, and the next one, which receives W.
+        CycleBuffers::block(&mut buf.v, buf.shape, j + 1);
+        let (built, rest) = buf.v.split_at_mut(j + 1);
+        let (vj, w) = (&built[j], &mut rest[0]);
+        // Solution-space direction Z_j = M⁻¹·V_j (right), else V_j itself;
+        // then W = A·Z_j (left: M⁻¹·A·Z_j).
         match self.mode {
-            PrecondMode::Left(m) => {
-                let mut t = self.ws.take(n, p);
-                self.a.apply(&zj, &mut t);
-                m.apply(&t, &mut w);
-                self.ws.put(t);
+            PrecondMode::Right(m) => {
+                let zj = CycleBuffers::block(&mut buf.z, buf.shape, j);
+                m.apply(vj, zj);
+                self.a.apply(zj, w);
             }
-            _ => self.a.apply(&zj, &mut w),
+            PrecondMode::Left(m) => {
+                let mut t = buf.ws.take_stale(vj.nrows(), p);
+                self.a.apply(vj, &mut t);
+                m.apply(&t, w);
+                buf.ws.put(t);
+            }
+            PrecondMode::None => self.a.apply(vj, w),
         }
-        self.z.set_block(0, j * p, &zj);
-        self.ws.put(zj);
         // Orthogonalize against the recycled block C (if any) and the basis
         // built so far. The fused path folds both projections and the Gram
         // matrix into a single reduction per pass (§III-D); the classic path
@@ -372,11 +480,10 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
         let fused_path = matches!(self.path, OrthPath::Fused | OrthPath::Pipelined)
             && matches!(self.orth, OrthScheme::Cgs | OrthScheme::CholQr);
         let (coeffs, rfac) = if fused_path {
-            let out = fused_orthogonalize_block(
+            let out = fused_orthogonalize_cols(
                 self.c_proj,
-                &self.v,
-                (j + 1) * p,
-                &mut w,
+                ColsRef::blocks(built),
+                w,
                 self.orth == OrthScheme::Cgs,
                 self.fused_loss,
             );
@@ -395,14 +502,14 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
                 );
             }
             if let Some(ec) = &out.c_coeffs {
-                self.e.set_block(0, j * p, ec);
+                buf.e.set_block(0, j * p, ec);
             }
             (out.coeffs, out.r)
         } else {
             // Inner orthogonalization against the recycled block C (one
             // reduction — the extra communication of recycling, §III-D).
             if let Some(c) = self.c_proj {
-                let ecol = blas::adjoint_times(c, &w);
+                let ecol = blas::adjoint_times(c, w);
                 if let Some(st) = self.stats {
                     st.record_reduction(std::mem::size_of_val(ecol.as_slice()));
                 }
@@ -413,11 +520,15 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
                     &ecol,
                     blas::Op::None,
                     S::one(),
-                    &mut w,
+                    w,
                 );
-                self.e.set_block(0, j * p, &ecol);
+                buf.e.set_block(0, j * p, &ecol);
             }
-            let out = orthogonalize_block(&self.v, (j + 1) * p, &mut w, self.orth);
+            // The classic kernels take the basis as one matrix.
+            let mut vcat = buf.ws.take_stale(vj.nrows(), (j + 1) * p);
+            gather(built, &mut vcat);
+            let out = orthogonalize_block(&vcat, (j + 1) * p, w, self.orth);
+            buf.ws.put(vcat);
             self.last_step_rank = out.rank;
             self.last_passes = 1;
             self.last_amp = 1.0;
@@ -430,16 +541,27 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
             }
             (out.coeffs, out.r)
         };
-        // Assemble the new Hessenberg block column [coeffs; r].
+        self.push_hessenberg_column(&coeffs, &rfac)
+    }
+
+    /// Closes a step: the new Hessenberg block column `[coeffs; r]` goes
+    /// into `H̄` and the QR; returns the least-squares residual estimates.
+    fn push_hessenberg_column(&mut self, coeffs: &DMat<S>, rfac: &DMat<S>) -> Vec<f64> {
+        let (j, p) = (self.j, self.p);
         let mut hcol = DMat::zeros((j + 2) * p, p);
-        hcol.set_block(0, 0, &coeffs);
-        hcol.set_block((j + 1) * p, 0, &rfac);
-        self.hraw.set_block(0, j * p, &hcol);
-        self.qr.push_block(&hcol);
-        self.v.set_block(0, (j + 1) * p, &w);
-        self.ws.put(w);
+        hcol.set_block(0, 0, coeffs);
+        hcol.set_block((j + 1) * p, 0, rfac);
+        // Whole columns: what an earlier, longer cycle left below is cleared.
+        for l in 0..p {
+            let col = self.buf.hraw.col_mut(j * p + l);
+            let (head, below) = col.split_at_mut((j + 2) * p);
+            head.copy_from_slice(hcol.col(l));
+            below.fill(S::zero());
+        }
+        self.buf.qr.push_block(&hcol);
         self.j += 1;
-        self.qr
+        self.buf
+            .qr
             .residual_norms()
             .iter()
             .map(|r| r.to_f64())
@@ -471,48 +593,39 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
     fn step_pipelined(&mut self) -> Vec<f64> {
         let j = self.j;
         let p = self.p;
-        let n = self.v.nrows();
+        let n = self.a.nrows();
         let sz = std::mem::size_of::<S>();
-        // Solution-space direction Z_j: recurrence result, or M⁻¹·V_j.
-        let zj = match self.z_next.take() {
-            Some(z) => z,
-            None => {
-                let mut vj = self.ws.take(n, p);
-                vj.as_mut_slice()
-                    .copy_from_slice(&self.v.as_slice()[j * p * n..(j + 1) * p * n]);
-                match self.mode {
-                    PrecondMode::Right(m) => {
-                        let mut zj = self.ws.take(n, p);
-                        m.apply(&vj, &mut zj);
-                        self.ws.put(vj);
-                        zj
-                    }
-                    _ => vj,
-                }
+        let buf = &mut self.buf;
+        // Solution-space direction Z_j: recurrence result, or M⁻¹·V_j
+        // (right); V_j itself otherwise.
+        if let PrecondMode::Right(m) = self.mode {
+            match (self.z_next.take(), buf.z.get_mut(j)) {
+                (Some(z), Some(slot)) => buf.ws.put(std::mem::replace(slot, z)),
+                (Some(z), None) => buf.z.push(z),
+                (None, _) => m.apply(&buf.v[j], CycleBuffers::block(&mut buf.z, buf.shape, j)),
             }
-        };
+        }
+        let zj = if buf.right { &buf.z[j] } else { &buf.v[j] };
         // Raw operator image W_j = B·V_j: recurrence result, or priming
         // synchronous apply (cycle start / after a fallback).
         let mut w = match self.w_next.take() {
             Some(w) => w,
             None => {
-                let mut w = self.ws.take(n, p);
+                let mut w = buf.ws.take_stale(n, p);
                 match self.mode {
                     PrecondMode::Left(m) => {
-                        let mut t = self.ws.take(n, p);
-                        self.a.apply(&zj, &mut t);
+                        let mut t = buf.ws.take_stale(n, p);
+                        self.a.apply(zj, &mut t);
                         m.apply(&t, &mut w);
-                        self.ws.put(t);
+                        buf.ws.put(t);
                     }
-                    _ => self.a.apply(&zj, &mut w),
+                    _ => self.a.apply(zj, &mut w),
                 }
                 w
             }
         };
-        self.z.set_block(0, j * p, &zj);
-        self.ws.put(zj);
         // History for the recurrence: U_j = B·V_j before any projection.
-        self.u_hist.set_block(0, j * p, &w);
+        buf.u_hist.set_block(0, j * p, &w);
         // Recycle projection. On recurrence steps the coefficients
         // `E_j = Cᴴ·W_j` were already reconstructed from last step's lagged
         // `Cᴴ·û` reduction (overlapped — no synchronous reduction here); a
@@ -539,7 +652,7 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
                 S::one(),
                 &mut w,
             );
-            self.e.set_block(0, j * p, &ecol);
+            buf.e.set_block(0, j * p, &ecol);
         }
         // Depth-1 lag: apply the operator chain to the projected block NOW —
         // in a distributed run this work executes between `ireduce_start`
@@ -551,22 +664,22 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
             let before = self.stats.map(CommStats::snapshot);
             let pair = match self.mode {
                 PrecondMode::Right(m) => {
-                    let mut t = self.ws.take(n, p);
+                    let mut t = buf.ws.take_stale(n, p);
                     m.apply(&w, &mut t);
-                    let mut uhat = self.ws.take(n, p);
+                    let mut uhat = buf.ws.take_stale(n, p);
                     self.a.apply(&t, &mut uhat);
                     (uhat, Some(t))
                 }
                 PrecondMode::Left(m) => {
-                    let mut t = self.ws.take(n, p);
+                    let mut t = buf.ws.take_stale(n, p);
                     self.a.apply(&w, &mut t);
-                    let mut uhat = self.ws.take(n, p);
+                    let mut uhat = buf.ws.take_stale(n, p);
                     m.apply(&t, &mut uhat);
-                    self.ws.put(t);
+                    buf.ws.put(t);
                     (uhat, None)
                 }
                 PrecondMode::None => {
-                    let mut uhat = self.ws.take(n, p);
+                    let mut uhat = buf.ws.take_stale(n, p);
                     self.a.apply(&w, &mut uhat);
                     (uhat, None)
                 }
@@ -591,10 +704,9 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
         };
         // Fused orthogonalization against the basis (C already removed).
         let ncols = (j + 1) * p;
-        let out = fused_orthogonalize_block(
+        let out = fused_orthogonalize_cols(
             None,
-            &self.v,
-            ncols,
+            ColsRef::blocks(&buf.v[..=j]),
             &mut w,
             self.orth == OrthScheme::Cgs,
             self.fused_loss,
@@ -636,7 +748,7 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
         // recurrence must fall back to a synchronous apply.
         if let Some((mut uhat, t, cu)) = lagged {
             if !out.refreshed && out.rank == p {
-                let u_active = self.u_hist.cols(0, ncols);
+                let u_active = buf.u_hist.cols(0, ncols);
                 blas::gemm(
                     -S::one(),
                     &u_active,
@@ -652,7 +764,7 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
                     // E_{j+1} = (Cᴴû − E·Sᵥ)·R⁻¹: the stored E columns are
                     // exactly Cᴴ·U, so the projection coefficients follow
                     // the same recurrence as the operator image.
-                    let e_active = self.e.cols(0, ncols);
+                    let e_active = buf.e.cols(0, ncols);
                     blas::gemm(
                         -S::one(),
                         &e_active,
@@ -666,7 +778,8 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
                     self.e_next = Some(cu);
                 }
                 if let Some(mut t) = t {
-                    let z_active = self.z.cols(0, ncols);
+                    let mut z_active = buf.ws.take_stale(n, ncols);
+                    gather(&buf.z[..=j], &mut z_active);
                     blas::gemm(
                         -S::one(),
                         &z_active,
@@ -676,32 +789,26 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
                         S::one(),
                         &mut t,
                     );
+                    buf.ws.put(z_active);
                     tri::right_solve_upper(&mut t, &out.r);
                     self.z_next = Some(t);
                 }
                 self.pipeline_overlapped += 1;
             } else {
-                self.ws.put(uhat);
+                buf.ws.put(uhat);
                 if let Some(t) = t {
-                    self.ws.put(t);
+                    buf.ws.put(t);
                 }
                 self.pipeline_fallbacks += 1;
             }
         }
-        // Hessenberg assembly and basis append, identical to the other paths.
-        let mut hcol = DMat::zeros((j + 2) * p, p);
-        hcol.set_block(0, 0, &out.coeffs);
-        hcol.set_block((j + 1) * p, 0, &out.r);
-        self.hraw.set_block(0, j * p, &hcol);
-        self.qr.push_block(&hcol);
-        self.v.set_block(0, (j + 1) * p, &w);
-        self.ws.put(w);
-        self.j += 1;
-        self.qr
-            .residual_norms()
-            .iter()
-            .map(|r| r.to_f64())
-            .collect()
+        // The orthonormal block takes its place in the basis; the storage
+        // it displaces goes back to the pool.
+        match buf.v.get_mut(j + 1) {
+            Some(slot) => buf.ws.put(std::mem::replace(slot, w)),
+            None => buf.v.push(w),
+        }
+        self.push_hessenberg_column(&out.coeffs, &out.r)
     }
 
     /// Steps whose Gram reduction overlapped a lagged operator apply (the
@@ -718,14 +825,14 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
 
     /// Least-squares coefficients for the completed iterations.
     pub fn solve_y(&self) -> DMat<S> {
-        self.qr.solve_y()
+        self.buf.qr.solve_y()
     }
 
     /// Apply the correction: `x += Z·y` for right/flexible (`V·y` coincides
-    /// with `Z·y` in the other modes because `Z` stores `V` then).
+    /// with `Z·y` in the other modes because `Z_j` is `V_j` then).
     pub fn update_solution(&self, y: &DMat<S>, x: &mut DMat<S>) {
-        let cols = self.j * self.p;
-        let zm = self.z.cols(0, cols);
+        // One product over all of Z, as `gemm` blocks and rounds it.
+        let zm = self.z_active();
         blas::gemm(
             S::one(),
             &zm,
@@ -737,26 +844,33 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
         );
     }
 
-    /// The leading `(j+1)·p` columns of the basis `V`.
+    /// The leading `(j+1)·p` columns of the basis `V`, as one matrix.
     pub fn v_active(&self) -> DMat<S> {
-        self.v.cols(0, (self.j + 1) * self.p)
+        hcat_blocks(self.a.nrows(), None, self.buf.basis(self.j))
     }
 
-    /// The leading `j·p` columns of `Z`.
+    /// The leading `j·p` columns of `Z`, as one matrix.
     pub fn z_active(&self) -> DMat<S> {
-        self.z.cols(0, self.j * self.p)
+        hcat_blocks(self.a.nrows(), None, self.buf.directions(self.j))
+    }
+
+    /// The raw block Hessenberg `H̄` in its storage; the completed
+    /// iterations fill the leading `(j+1)·p × j·p` block.
+    pub fn hraw(&self) -> &DMat<S> {
+        &self.buf.hraw
     }
 
     /// Raw Hessenberg restricted to the completed iterations
     /// ((j+1)·p × j·p).
     pub fn hraw_active(&self) -> DMat<S> {
-        self.hraw
+        self.buf
+            .hraw
             .block(0, 0, (self.j + 1) * self.p, self.j * self.p)
     }
 
     /// Captured `E` coefficients ((kc) × j·p).
     pub fn e_active(&self) -> DMat<S> {
-        self.e.block(0, 0, self.e.nrows(), self.j * self.p)
+        self.buf.e.block(0, 0, self.buf.e.nrows(), self.j * self.p)
     }
 
     /// Block width.

@@ -21,7 +21,7 @@
 //!   same code handle right, left, and **flexible** preconditioning
 //!   (FGCRO-DR) uniformly.
 
-use crate::cycle::{any_above, rhs_norms, BlockArnoldi, PrecondMode};
+use crate::cycle::{any_above, hcat_blocks, rhs_norms, BlockArnoldi, CycleBuffers, PrecondMode};
 use crate::opts::{RecycleStrategy, SolveOpts, SolveResult};
 use crate::trace::SolveTracer;
 use kryst_dense::eig::{self, EigDecomp};
@@ -90,8 +90,8 @@ pub fn solve<S: Scalar>(
     let orth_name = opts.orth.name();
     let mut cycle = 0usize;
     let mut iters = 0usize;
-    // Buffer pool shared by every Arnoldi cycle of this solve.
-    let mut ws = kryst_sparse::SpmmWorkspace::new();
+    // Storage shared by every Arnoldi cycle of this solve.
+    let mut bufs = CycleBuffers::default();
 
     // The paper's Fig. 1 guards the refresh work with `A_i ≠ A_{i−1}`: for
     // the very first system in a sequence that condition is vacuously true,
@@ -99,7 +99,7 @@ pub fn solve<S: Scalar>(
     // caller declares a non-variable sequence.
     let first_solve = ctx.solves == 0;
     let refresh_allowed = !opts.same_system || first_solve;
-    let mut r = mode.residual_ws(a, b, x, &mut ws);
+    let mut r = mode.residual_ws(a, b, x, &mut bufs.ws);
     {
         let r0: Vec<f64> = r.col_norms().iter().map(|v| v.to_f64()).collect();
         if !any_above(&r0, &bnorms, opts.rtol) {
@@ -123,7 +123,7 @@ pub fn solve<S: Scalar>(
         if rec.u.nrows() == n && rec.u.ncols() >= 1 {
             if !opts.same_system {
                 // Lines 4–6: [Q,R] = distributed_qr(A·U); C ⟵ Q; U ⟵ U·R⁻¹.
-                let mut w = mode.apply_op_ws(a, &rec.u, &mut ws);
+                let mut w = mode.apply_op_ws(a, &rec.u, &mut bufs.ws);
                 let out = chol::cholqr(&mut w);
                 if let Some(st) = stats {
                     st.record_reduction(std::mem::size_of_val(out.r.as_slice()));
@@ -165,7 +165,7 @@ pub fn solve<S: Scalar>(
         let cyc_probe = tracer.span_start();
         let mut arn = BlockArnoldi::new(a, &mode, m, p, opts.orth, None, stats)
             .with_path(opts.ortho)
-            .with_workspace(std::mem::take(&mut ws));
+            .with_buffers(std::mem::take(&mut bufs));
         arn.start(&r);
         let mut done = false;
         let mut first = true;
@@ -192,20 +192,20 @@ pub fn solve<S: Scalar>(
         tracer.span_end(cyc_probe, SpanKind::Cycle, cycle);
         let y = arn.solve_y();
         arn.update_solution(&y, x);
-        ws.put(r);
-        r = mode.residual_ws(a, b, x, &mut ws);
+        arn.workspace().put(r);
+        r = mode.residual_ws(a, b, x, arn.workspace());
         // Lines 16–20: harmonic Ritz via eq. (2), then C/U extraction.
         let eig_probe = tracer.span_start();
         let j = arn.iterations();
         if j >= 1 {
             let kc = kc_target.min(j * p.max(1)).max(1);
             let jp = j * p;
-            let hm = arn.hraw.block(0, 0, jp, jp);
+            let hm = arn.hraw().block(0, 0, jp, jp);
             // M = [0; h̄ᴴ·h̄] — only the last p columns are nonzero, so the
             // harmonic-Ritz left-hand side H = H_m + H_m⁻ᴴ·M (equivalent to
             // the paper's eq. (2) formulation) needs one p-column solve with
             // H_mᴴ.
-            let hlast = arn.hraw.block(jp, (j - 1) * p, p, p);
+            let hlast = arn.hraw().block(jp, (j - 1) * p, p, p);
             let mut mcols = DMat::zeros(jp, p);
             let hh = blas::matmul(&hlast, blas::Op::ConjTrans, &hlast, blas::Op::None);
             mcols.set_block(jp - p, 0, &hh);
@@ -243,7 +243,7 @@ pub fn solve<S: Scalar>(
             }
         }
         tracer.span_end(eig_probe, SpanKind::Eigensolve, cycle);
-        ws = arn.into_workspace();
+        bufs = arn.into_buffers();
         cycle += 1;
         let _ = done;
         if !any_above(
@@ -280,7 +280,7 @@ pub fn solve<S: Scalar>(
         let cyc_probe = tracer.span_start();
         let mut arn = BlockArnoldi::new(a, &mode, m_inner, p, opts.orth, Some(&rec.c), stats)
             .with_path(opts.ortho)
-            .with_workspace(std::mem::take(&mut ws));
+            .with_buffers(std::mem::take(&mut bufs));
         arn.start(&r);
         let mut done = false;
         let mut first = true;
@@ -332,8 +332,8 @@ pub fn solve<S: Scalar>(
             x,
         );
         arn.update_solution(&y, x);
-        ws.put(r);
-        r = mode.residual_ws(a, b, x, &mut ws);
+        arn.workspace().put(r);
+        r = mode.residual_ws(a, b, x, arn.workspace());
         tracer.span_end(restart_probe, SpanKind::Restart, cycle);
         let rn: Vec<f64> = r.col_norms().iter().map(|v| v.to_f64()).collect();
         // Convergence is decided on the TRUE residual; the in-cycle estimate
@@ -346,15 +346,18 @@ pub fn solve<S: Scalar>(
         // Lines 31–38: refresh the recycle space (skipped for non-variable
         // sequences after the first solve — §III-B — and once converged).
         if refresh_allowed && !converged && arn.iterations() > 0 {
+            let (e, h, j) = (arn.e_active(), arn.hraw_active(), arn.iterations());
+            // Handing the buffers back ends the cycle's borrow of `C`; the
+            // refresh reads `V` and `Z` where the cycle left them.
+            bufs = arn.into_buffers();
             let parts = CycleParts {
-                e: arn.e_active(),
-                h: arn.hraw_active(),
-                v: arn.v_active(),
-                z: arn.z_active(),
-                j: arn.iterations(),
+                e,
+                h,
+                v: bufs.basis(j),
+                z: bufs.directions(j),
+                j,
                 p,
             };
-            ws = arn.into_workspace();
             let refresh_probe = tracer.span_start();
             let refresh_timer = profile(Phase::RecycleSetup);
             space = Some(refresh_recycle_space(
@@ -363,7 +366,7 @@ pub fn solve<S: Scalar>(
             drop(refresh_timer);
             tracer.span_end(refresh_probe, SpanKind::RecycleRefresh, cycle);
         } else {
-            ws = arn.into_workspace();
+            bufs = arn.into_buffers();
             space = Some(rec);
         }
         cycle += 1;
@@ -374,8 +377,8 @@ pub fn solve<S: Scalar>(
 
     ctx.recycle = space;
     ctx.solves += 1;
-    ws.put(r);
-    let rfin = mode.residual_ws(a, b, x, &mut ws);
+    bufs.ws.put(r);
+    let rfin = mode.residual_ws(a, b, x, &mut bufs.ws);
     let final_relres: Vec<f64> = rfin
         .col_norms()
         .iter()
@@ -392,13 +395,14 @@ pub fn solve<S: Scalar>(
     }
 }
 
-/// The cycle data the recycle-space refresh consumes (extracted from the
-/// Arnoldi driver so the borrow of `C` can end first).
-struct CycleParts<S> {
+/// The cycle data the recycle-space refresh consumes: `E` and `H̄` copied
+/// out of the Arnoldi driver (so its borrow of `C` can end first), `V` and
+/// `Z` as the blocks the cycle left in its buffers.
+struct CycleParts<'b, S> {
     e: DMat<S>,
     h: DMat<S>,
-    v: DMat<S>,
-    z: DMat<S>,
+    v: &'b [DMat<S>],
+    z: &'b [DMat<S>],
     j: usize,
     p: usize,
 }
@@ -406,7 +410,7 @@ struct CycleParts<S> {
 /// Lines 31–38 of Fig. 1: generalized harmonic-Ritz refresh of `(U, C)`.
 fn refresh_recycle_space<S: Scalar>(
     mut rec: RecycleSpace<S>,
-    parts: CycleParts<S>,
+    parts: CycleParts<'_, S>,
     kc: usize,
     opts: &SolveOpts,
     stats: Option<&kryst_par::CommStats>,
@@ -416,6 +420,7 @@ fn refresh_recycle_space<S: Scalar>(
     let p = parts.p;
     let j = parts.j;
     let jp = j * p;
+    let n = rec.u.nrows();
     // Line 32: scale the columns of U to unit norm; D holds the scalings.
     let mut d = DMat::<S>::zeros(kc, kc);
     for i in 0..kc {
@@ -445,7 +450,7 @@ fn refresh_recycle_space<S: Scalar>(
         RecycleStrategy::A => {
             // J = [[CᴴU, 0], [VᴴU, I]] — one extra fused reduction.
             let cu = blas::adjoint_times(&rec.c, &rec.u);
-            let vu = blas::adjoint_times(&parts.v, &rec.u);
+            let vu = blas::adjoint_times(&hcat_blocks(n, None, parts.v), &rec.u);
             if let Some(st) = stats {
                 st.record_reduction(
                     (cu.as_slice().len() + vu.as_slice().len()) * std::mem::size_of::<S>(),
@@ -485,9 +490,12 @@ fn refresh_recycle_space<S: Scalar>(
     let f = HouseholderQr::factor(gp);
     let q = f.q_thin();
     let rfac = f.r();
-    let cv = rec.c.hcat(&parts.v);
+    // `[C V]` is dropped before `[U Z]` is put together: the cycle's blocks
+    // stay allocated underneath, so one wide copy at a time.
+    let cv = hcat_blocks(n, Some(&rec.c), parts.v);
     let c_new = blas::matmul(&cv, blas::Op::None, &q, blas::Op::None);
-    let uz = rec.u.hcat(&parts.z);
+    drop(cv);
+    let uz = hcat_blocks(n, Some(&rec.u), parts.z);
     let mut u_new = blas::matmul(&uz, blas::Op::None, &pk, blas::Op::None);
     safe_right_solve(&mut u_new, &rfac);
     RecycleSpace { u: u_new, c: c_new }

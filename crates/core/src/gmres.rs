@@ -7,7 +7,7 @@
 //! gives FGMRES — the directions `Z_m = M⁻¹·V_m` are stored and used for the
 //! solution update, so the preconditioner may change between applications.
 
-use crate::cycle::{any_above, rhs_norms, BlockArnoldi, PrecondMode};
+use crate::cycle::{any_above, rhs_norms, BlockArnoldi, CycleBuffers, PrecondMode};
 use crate::opts::{PrecondSide, SolveOpts, SolveResult};
 use crate::trace::SolveTracer;
 use kryst_dense::DMat;
@@ -44,10 +44,10 @@ pub fn solve<S: Scalar>(
         tracer.diag(0, 0, kryst_obs::DiagKind::MixedPrecision, 0.0, 0);
     }
 
-    // Buffer pool shared by every restart cycle: the per-step n × p
-    // temporaries are allocated once and reused for the whole solve.
-    let mut ws = kryst_sparse::SpmmWorkspace::new();
-    let mut r = mode.residual_ws(a, b, x, &mut ws);
+    // Storage shared by every restart cycle: basis, directions, Hessenberg
+    // matrix and the n × p temporaries are allocated once per solve.
+    let mut bufs = CycleBuffers::default();
+    let mut r = mode.residual_ws(a, b, x, &mut bufs.ws);
     let r0: Vec<f64> = r.col_norms().iter().map(|v| v.to_f64()).collect();
     if !any_above(&r0, &bnorms, opts.rtol) {
         let final_relres: Vec<f64> = r0.iter().zip(&bnorms).map(|(r, b)| r / b).collect();
@@ -65,7 +65,7 @@ pub fn solve<S: Scalar>(
         let cyc = tracer.span_start();
         let mut arn = BlockArnoldi::new(a, &mode, m, p, opts.orth, None, opts.stats.as_deref())
             .with_path(opts.ortho)
-            .with_workspace(std::mem::take(&mut ws));
+            .with_buffers(std::mem::take(&mut bufs));
         arn.start(&r);
         let mut first = true;
         while arn.can_step() && iters < opts.max_iters {
@@ -97,9 +97,9 @@ pub fn solve<S: Scalar>(
         let restart = tracer.span_start();
         let y = arn.solve_y();
         arn.update_solution(&y, x);
-        ws = arn.into_workspace();
-        ws.put(r);
-        r = mode.residual_ws(a, b, x, &mut ws);
+        bufs = arn.into_buffers();
+        bufs.ws.put(r);
+        r = mode.residual_ws(a, b, x, &mut bufs.ws);
         tracer.span_end(restart, SpanKind::Restart, cycle);
         cycle += 1;
         let rn: Vec<f64> = r.col_norms().iter().map(|v| v.to_f64()).collect();
@@ -109,8 +109,8 @@ pub fn solve<S: Scalar>(
         }
     }
 
-    ws.put(r);
-    let rfin = mode.residual_ws(a, b, x, &mut ws);
+    bufs.ws.put(r);
+    let rfin = mode.residual_ws(a, b, x, &mut bufs.ws);
     let final_relres: Vec<f64> = rfin
         .col_norms()
         .iter()

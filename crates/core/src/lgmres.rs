@@ -8,7 +8,7 @@
 //! deflation and cannot be reused across systems — which is exactly the gap
 //! the paper exploits (Fig. 3c/3d: 269 LGMRES vs 173 GCRO-DR iterations).
 
-use crate::cycle::{rhs_norms, BlockArnoldi, PrecondMode};
+use crate::cycle::{rhs_norms, BlockArnoldi, CycleBuffers, PrecondMode};
 use crate::opts::{SolveOpts, SolveResult};
 use crate::trace::SolveTracer;
 use kryst_dense::{blas, chol, DMat};
@@ -40,10 +40,10 @@ pub fn solve<S: Scalar>(
     // Stored (z, A·z) pairs from previous cycles.
     let mut aug: VecDeque<(DMat<S>, DMat<S>)> = VecDeque::new();
 
-    // Buffer pool shared by every cycle: residuals and the per-step n × p
-    // Arnoldi temporaries reuse the same allocations for the whole solve.
-    let mut ws = kryst_sparse::SpmmWorkspace::new();
-    let mut r = mode.residual_ws(a, b, x, &mut ws);
+    // Storage shared by every cycle: residuals and the Arnoldi basis reuse
+    // the same allocations for the whole solve.
+    let mut bufs = CycleBuffers::default();
+    let mut r = mode.residual_ws(a, b, x, &mut bufs.ws);
     'outer: while iters < opts.max_iters {
         let rn = r.col_norm(0).to_f64();
         if rn <= opts.rtol * bnorms[0] {
@@ -62,7 +62,7 @@ pub fn solve<S: Scalar>(
             opts.stats.as_deref(),
         )
         .with_path(opts.ortho)
-        .with_workspace(std::mem::take(&mut ws));
+        .with_buffers(std::mem::take(&mut bufs));
         arn.start(&r);
         let mut first = true;
         while arn.can_step() && iters < opts.max_iters {
@@ -80,7 +80,7 @@ pub fn solve<S: Scalar>(
                 // Converged inside the Krylov phase: plain GMRES update.
                 let y = arn.solve_y();
                 arn.update_solution(&y, x);
-                ws = arn.into_workspace();
+                bufs = arn.into_buffers();
                 converged = true;
                 tracer.span_end(cyc, SpanKind::Cycle, cycle);
                 break 'outer;
@@ -94,7 +94,7 @@ pub fn solve<S: Scalar>(
         let zarn = arn.z_active();
         let varn = arn.v_active();
         let vh = blas::matmul(&varn, blas::Op::None, &arn.hraw_active(), blas::Op::None);
-        ws = arn.into_workspace();
+        bufs = arn.into_buffers();
         let mut dmat = zarn;
         let mut gmat = vh;
         for (z, az) in &aug {
@@ -138,8 +138,8 @@ pub fn solve<S: Scalar>(
         let znew = blas::matmul(&dmat, blas::Op::None, &y, blas::Op::None);
         let aznew = blas::matmul(&gmat, blas::Op::None, &y, blas::Op::None);
         x.axpy(S::one(), &znew);
-        ws.put(r);
-        r = mode.residual_ws(a, b, x, &mut ws);
+        bufs.ws.put(r);
+        r = mode.residual_ws(a, b, x, &mut bufs.ws);
         // Count the augmented directions as iterations (they are extra
         // minimization dimensions, matching PETSc's per-cycle work).
         let rel = r.col_norm(0).to_f64() / bnorms[0];
@@ -170,8 +170,8 @@ pub fn solve<S: Scalar>(
         }
     }
 
-    ws.put(r);
-    let rfin = mode.residual_ws(a, b, x, &mut ws);
+    bufs.ws.put(r);
+    let rfin = mode.residual_ws(a, b, x, &mut bufs.ws);
     let final_relres = vec![rfin.col_norm(0).to_f64() / bnorms[0]];
     let converged = converged && final_relres[0] <= opts.rtol * 10.0;
     let history = tracer.finish(converged, &final_relres);

@@ -8,6 +8,7 @@
 //! breakdowns at each restart" of the block methods.
 
 use crate::blas;
+use crate::fused::ColsRef;
 use crate::tri;
 use crate::DMat;
 use kryst_scalar::{Real, Scalar};
@@ -133,15 +134,15 @@ pub fn cholqr<S: Scalar>(v: &mut DMat<S>) -> CholQr<S> {
 /// [`cholqr`] with replacement columns kept orthogonal to external bases.
 ///
 /// On the breakdown path the deficient columns are replaced by
-/// re-orthogonalized canonical directions; each `(block, ncols)` pair in
-/// `ext` names an orthonormal block the replacements must ALSO be
+/// re-orthogonalized canonical directions; each column view in `ext`
+/// names an orthonormal block the replacements must ALSO be
 /// orthogonal to (the recycled space `C` and the Arnoldi basis `V`). The
 /// fused communication-avoiding path needs this: its Gram downdate assumes
 /// every basis column is orthogonal to `C` and the earlier `V` columns, an
 /// invariant a plain canonical-vector fixup silently breaks. With `ext`
 /// empty this is exactly [`cholqr`]; the well-conditioned fast path never
 /// looks at `ext` at all.
-pub fn cholqr_within<S: Scalar>(v: &mut DMat<S>, ext: &[(&DMat<S>, usize)]) -> CholQr<S> {
+pub fn cholqr_within<S: Scalar>(v: &mut DMat<S>, ext: &[ColsRef<'_, S>]) -> CholQr<S> {
     let p = v.ncols();
     let gram = blas::adjoint_times(v, v);
     if let Some(r) = cholesky(&gram) {
@@ -177,7 +178,7 @@ pub fn cholqr_within<S: Scalar>(v: &mut DMat<S>, ext: &[(&DMat<S>, usize)]) -> C
 fn rank_revealing_fixup<S: Scalar>(
     v: &mut DMat<S>,
     piv: PivotedCholesky<S>,
-    ext: &[(&DMat<S>, usize)],
+    ext: &[ColsRef<'_, S>],
 ) -> CholQr<S> {
     let p = v.ncols();
     let rank = piv.rank.max(1).min(p);
@@ -200,8 +201,8 @@ fn rank_revealing_fixup<S: Scalar>(
         // earlier replacement columns. The replacements multiply zero rows
         // of R, so reshaping them never perturbs the factorization V = Q·R.
         for _pass in 0..2 {
-            for (m, nc) in ext {
-                for j in 0..*nc {
+            for m in ext {
+                for j in 0..m.ncols() {
                     let mj = m.col(j);
                     let mut dot = S::zero();
                     for (qi, ei) in mj.iter().zip(e.iter()) {

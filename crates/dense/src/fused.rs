@@ -3,36 +3,93 @@
 //!
 //! The classic block-Arnoldi step issues one reduction per product: `CᴴW`
 //! (recycle projection), `VᴴW` (Hessenberg projection), `WᴴW` (CholQR Gram).
-//! [`fused_gram`] computes the stacked product `[B₀ B₁ …]ᴴ·W` for a list of
-//! column-major source panels in a single depth-blocked sweep: each `KB × p`
-//! panel of `W` is loaded once and reused across *every* source column, so
-//! all the partial products advance together in one pass over memory — and,
-//! in a distributed run, the stacked result is **one** all-reduce where the
+//! [`fused_gram`] computes the stacked product `[B₀ B₁ … W]ᴴ·W` for a list of
+//! column-major source panels in a single sweep over the rows, so all the
+//! partial products advance together in one pass over memory — and, in a
+//! distributed run, the stacked result is **one** all-reduce where the
 //! classic path pays one per panel (the §III-D latency the paper counts).
 //!
 //! [`fused_update`] is the matching projection update `W ⟵ W − Σ B_b·C_b`,
-//! again one depth-blocked sweep of `W` for all panels.
+//! and [`fused_update_gram`] applies that update and takes the Gram product
+//! of the updated `W` while each row chunk is still in cache — a second
+//! orthogonalization pass brings the basis in from memory once for both.
 //!
 //! Panels are borrowed views ([`ColsRef`]), so the leading columns of a
-//! pre-allocated basis enter the product without being copied out first.
+//! pre-allocated basis, or the blocks of a basis stored one matrix per
+//! Krylov block, enter the product without being copied out first.
+//!
+//! # Blocking
+//!
+//! Rows are cut into chunks of [`KB`]` = 512`, and within a chunk the
+//! kernels take **four source columns at a time**: one load of a `W` entry
+//! feeds four multiply–adds, and the sixteen running sums of a 4-column dot
+//! (four interleaved lanes per column) stay in registers.
+//!
+//! What a sweep keeps in L1, and what it does not:
+//!
+//! * **Gram product.** Resident are one group of four source chunks and one
+//!   column of `W`: `5 · 512 · size_of::<S>()` bytes — 10 KB for `f32`,
+//!   20 KB for `f64`/`C32`, 40 KB for `C64` — whatever the block width `p`.
+//!   The whole `512 × p` chunk of `W` is 4 KB at `f64`, `p = 1` but 64 KB at
+//!   `C64`, `p = 8`, more than an L1; so the `p` columns of `W` stream past
+//!   the resident group, and each source chunk is fetched once and used `p`
+//!   times.
+//! * **Update.** No reduction has to keep its order, so the chunk is cut
+//!   further, to `512 / p` rows (at least 64): all `p` columns of that
+//!   sub-chunk (≤ `512 · size_of::<S>()` bytes, 8 KB for `C64`) stay
+//!   resident while every source column streams past them once, four at a
+//!   time.
+//! * **Update + Gram.** Chunk by chunk: the update of rows `k0..k1`, then
+//!   their Gram product. The chunk of *all* source columns
+//!   (`ncols · 512 · size_of::<S>()`: 120 KB for 30 `f64` columns) does not
+//!   fit an L1, so it is read twice, but the second time from L2. That
+//!   saves a pass over memory when the basis is larger than L2; a basis that
+//!   lives in L2 gains nothing, the two sweeps being bound by arithmetic
+//!   (no FMA) and by L2 bandwidth already.
+//!
+//! # Rounding
+//!
+//! Every output entry is computed by the same sequence of floating-point
+//! operations as the scalar loops the module started with (kept below as the
+//! `#[cfg(test)]` references): a dot over a chunk runs four interleaved
+//! accumulators combined as `(a0 + a1) + (a2 + a3)` plus a tail, chunk sums
+//! are added in row order, and the update subtracts `c · b` column by column
+//! in panel order, skipping exact-zero coefficients. Products and sums are
+//! never contracted into fused multiply–adds. On x86-64 the same body is
+//! compiled a second time with AVX2 enabled and picked at run time; wider
+//! registers change how many entries move per instruction, not one bit of
+//! the result.
 
 use crate::DMat;
 use kryst_scalar::Scalar;
 
-/// A borrowed column-major panel (`nrows × ncols`) — e.g. the leading
-/// columns of a wider basis matrix, viewed without copying.
+/// Borrowed columns of equal height — e.g. the leading columns of a wider
+/// basis matrix, or the blocks of a Krylov basis kept one matrix per block,
+/// viewed without copying.
 #[derive(Clone, Copy)]
 pub struct ColsRef<'a, S> {
-    data: &'a [S],
+    src: Src<'a, S>,
     nrows: usize,
     ncols: usize,
+}
+
+#[derive(Clone, Copy)]
+enum Src<'a, S> {
+    /// One column-major slice.
+    Flat(&'a [S]),
+    /// Equally shaped matrices side by side.
+    Blocks(&'a [DMat<S>]),
 }
 
 impl<'a, S: Scalar> ColsRef<'a, S> {
     /// View over a raw column-major slice of shape `nrows × ncols`.
     pub fn new(data: &'a [S], nrows: usize, ncols: usize) -> Self {
         assert_eq!(data.len(), nrows * ncols);
-        Self { data, nrows, ncols }
+        Self {
+            src: Src::Flat(data),
+            nrows,
+            ncols,
+        }
     }
 
     /// The leading `ncols` columns of `m`, borrowed (columns are contiguous
@@ -47,6 +104,20 @@ impl<'a, S: Scalar> ColsRef<'a, S> {
         Self::new(m.as_slice(), m.nrows(), m.ncols())
     }
 
+    /// The columns of equally shaped matrices, side by side in list order.
+    pub fn blocks(blocks: &'a [DMat<S>]) -> Self {
+        let (nrows, p) = blocks.first().map_or((0, 0), |b| (b.nrows(), b.ncols()));
+        assert!(
+            blocks.iter().all(|b| (b.nrows(), b.ncols()) == (nrows, p)),
+            "blocks must share one shape"
+        );
+        Self {
+            src: Src::Blocks(blocks),
+            nrows,
+            ncols: blocks.len() * p,
+        }
+    }
+
     /// Panel column count.
     pub fn ncols(&self) -> usize {
         self.ncols
@@ -57,105 +128,551 @@ impl<'a, S: Scalar> ColsRef<'a, S> {
         self.nrows
     }
 
+    /// Column `j` of the panel.
     #[inline]
-    fn col(&self, j: usize) -> &'a [S] {
-        &self.data[j * self.nrows..(j + 1) * self.nrows]
+    pub(crate) fn col(&self, j: usize) -> &'a [S] {
+        match self.src {
+            Src::Flat(data) => &data[j * self.nrows..(j + 1) * self.nrows],
+            Src::Blocks(blocks) => {
+                let p = blocks[0].ncols();
+                blocks[j / p].col(j % p)
+            }
+        }
     }
 }
 
-/// Depth (row) blocking for the fused sweeps: a `KB × p` panel of `W` stays
-/// resident in cache while every source column is streamed against it.
+/// Rows per chunk of the fused sweeps. A chunk is the unit the Gram partial
+/// sums are formed over, so the value is part of the rounding; what it keeps
+/// in cache is set out in the module documentation.
 const KB: usize = 512;
 
-/// Conjugated dot product over equal-length slices, split across four
-/// accumulators to break the FMA dependence chain.
-#[inline]
-fn dot_conj<S: Scalar>(a: &[S], b: &[S]) -> S {
-    let n = a.len();
-    let n4 = n & !3;
-    let mut acc = [S::zero(); 4];
-    let mut i = 0;
-    while i < n4 {
-        acc[0] += a[i].conj() * b[i];
-        acc[1] += a[i + 1].conj() * b[i + 1];
-        acc[2] += a[i + 2].conj() * b[i + 2];
-        acc[3] += a[i + 3].conj() * b[i + 3];
-        i += 4;
+/// Source columns taken per sweep of a `W` chunk.
+const GROUP: usize = 4;
+
+/// The four interleaved running sums of one conjugated dot product: lane
+/// `t` holds the sum over rows `4q + t` of the current chunk.
+type Lanes<S> = [S; 4];
+
+/// Advances the running sums of `N` dots `b[s]ᴴ·w` over rows whose count is
+/// a multiple of four, sharing each load of `w`.
+#[inline(always)]
+fn dots<S: Scalar, const N: usize>(acc: &mut [Lanes<S>; N], b: [&[S]; N], w: &[S]) {
+    let (wq, tail) = w.as_chunks::<4>();
+    debug_assert!(tail.is_empty());
+    let bq = b.map(|c| c[..w.len()].as_chunks::<4>().0);
+    for (k, wv) in wq.iter().enumerate() {
+        for s in 0..N {
+            let bv = &bq[s][k];
+            for t in 0..4 {
+                acc[s][t] += bv[t].conj() * wv[t];
+            }
+        }
     }
-    let mut s = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-    while i < n {
-        s += a[i].conj() * b[i];
-        i += 1;
-    }
-    s
 }
 
-/// Stacked adjoint product `[B₀; B₁; …] = [B₀ B₁ …]ᴴ · W`, one depth-blocked
-/// pass over `W`. The output is `(Σ ncols) × p` with panel `b`'s rows
-/// starting at `Σ_{a<b} ncols_a`. All panels must share `W`'s row count.
-pub fn fused_gram<S: Scalar>(blocks: &[ColsRef<'_, S>], w: &DMat<S>) -> DMat<S> {
-    let n = w.nrows();
+/// `w ⟵ w − c₀·b₀ − … − c_{N−1}·b_{N−1}`, subtracted in that order, one
+/// load and one store of `w` for all `N` columns.
+#[inline(always)]
+fn axpys<S: Scalar, const N: usize>(w: &mut [S], b: [&[S]; N], c: [S; N]) {
+    let b = b.map(|col| &col[..w.len()]);
+    for (k, wk) in w.iter_mut().enumerate() {
+        let mut x = *wk;
+        for s in 0..N {
+            x -= c[s] * b[s][k];
+        }
+        *wk = x;
+    }
+}
+
+/// Panel and column of source column `g` in the concatenation of `blocks`;
+/// indices past the last panel come back as `(blocks.len(), g − Σ ncols)`.
+#[inline(always)]
+fn locate<S>(blocks: &[ColsRef<'_, S>], mut g: usize) -> (usize, usize) {
+    for (b, blk) in blocks.iter().enumerate() {
+        if g < blk.ncols {
+            return (b, g);
+        }
+        g -= blk.ncols;
+    }
+    (blocks.len(), g)
+}
+
+/// Calls `$f::<S, N>($args)` for groups of [`GROUP`] source columns from
+/// column 0 on, then once for the `N < GROUP` columns left over.
+macro_rules! for_groups {
+    ($total:expr, $f:ident, $($arg:expr),*) => {{
+        let total = $total;
+        let mut g = 0;
+        while g + GROUP <= total {
+            $f::<S, GROUP>($($arg,)* g);
+            g += GROUP;
+        }
+        match total - g {
+            3 => $f::<S, 3>($($arg,)* g),
+            2 => $f::<S, 2>($($arg,)* g),
+            1 => $f::<S, 1>($($arg,)* g),
+            _ => {}
+        }
+    }};
+}
+
+/// Source column `g` of the Gram sweep: the panels' columns in order, then
+/// `W`'s own (the `WᴴW` part). Returns its output slot as well.
+#[inline(always)]
+fn gram_source<'a, S: Scalar>(
+    blocks: &[ColsRef<'a, S>],
+    w: &'a DMat<S>,
+    g: usize,
+) -> (&'a [S], (usize, usize)) {
+    let (b, i) = locate(blocks, g);
+    let col = if b < blocks.len() {
+        blocks[b].col(i)
+    } else {
+        w.col(i)
+    };
+    (col, (b, i))
+}
+
+/// Rows `r0..r1` (a multiple of four) of source columns `g..g + N` against
+/// every column of `W`, added to the running sums `acc[(g + t)·p + l]`.
+#[inline(always)]
+fn gram_group<S: Scalar, const N: usize>(
+    blocks: &[ColsRef<'_, S>],
+    w: &DMat<S>,
+    acc: &mut [Lanes<S>],
+    (r0, r1): (usize, usize),
+    g: usize,
+) {
     let p = w.ncols();
+    let cols: [&[S]; N] = std::array::from_fn(|t| &gram_source(blocks, w, g + t).0[r0..r1]);
+    for l in 0..p {
+        // The sums travel through `acc` in memory, lane by lane, which is
+        // also what makes the vectoriser pack the four lanes of a column
+        // into one register and not one lane of four columns.
+        let mut a: [Lanes<S>; N] = std::array::from_fn(|t| acc[(g + t) * p + l]);
+        dots(&mut a, cols, &w.col(l)[r0..r1]);
+        for (t, at) in a.iter().enumerate() {
+            acc[(g + t) * p + l] = *at;
+        }
+    }
+}
+
+/// Rows `k0..k1` of `outs ⟸ outs + [B₀ B₁ … W]ᴴ·W`: rows `k0..t0` (a
+/// multiple of four) through the lanes of `acc`, one per dot, then each
+/// dot's lanes combined as `(a0 + a1) + (a2 + a3)`, the last `k1 − t0 < 4`
+/// rows added in order, the sum added to `outs` and the lanes cleared.
+#[inline(always)]
+fn gram_chunk<S: Scalar>(
+    blocks: &[ColsRef<'_, S>],
+    w: &DMat<S>,
+    acc: &mut [Lanes<S>],
+    outs: &mut [DMat<S>],
+    (k0, t0, k1): (usize, usize, usize),
+) {
+    let p = w.ncols();
+    for_groups!(acc.len() / p, gram_group, blocks, w, acc, (k0, t0));
+    for (g, lanes) in acc.chunks_exact_mut(p).enumerate() {
+        let (col, (b, i)) = gram_source(blocks, w, g);
+        for (l, a) in lanes.iter_mut().enumerate() {
+            let mut sum = (a[0] + a[1]) + (a[2] + a[3]);
+            for (x, y) in col[t0..k1].iter().zip(&w.col(l)[t0..k1]) {
+                sum += x.conj() * *y;
+            }
+            outs[b][(i, l)] += sum;
+            *a = [S::zero(); 4];
+        }
+    }
+}
+
+/// Rows `r0..r1` of every column of `W`, less source columns `g..g + N`
+/// times their coefficients.
+#[inline(always)]
+fn update_group<S: Scalar, const N: usize>(
+    blocks: &[ColsRef<'_, S>],
+    coeffs: &[DMat<S>],
+    w: &mut DMat<S>,
+    (r0, r1): (usize, usize),
+    g: usize,
+) {
+    let at: [(usize, usize); N] = std::array::from_fn(|t| locate(blocks, g + t));
+    let cols = at.map(|(b, i)| &blocks[b].col(i)[r0..r1]);
+    for l in 0..w.ncols() {
+        let c = at.map(|(b, i)| coeffs[b][(i, l)]);
+        let wl = &mut w.col_mut(l)[r0..r1];
+        if c.iter().all(|x| *x != S::zero()) {
+            axpys(wl, cols, c);
+        } else {
+            // An exact-zero coefficient skips its column (`0·b` is not `0`
+            // for a non-finite `b`, and `−0.0 − 0.0·b` is not `−0.0`), so
+            // this group goes column by column.
+            for t in 0..N {
+                if c[t] != S::zero() {
+                    axpys(wl, [cols[t]], [c[t]]);
+                }
+            }
+        }
+    }
+}
+
+/// Rows `k0..k1` of `W ⟵ W − Σ_b B_b·C_b`.
+#[inline(always)]
+fn update_rows<S: Scalar>(
+    blocks: &[ColsRef<'_, S>],
+    coeffs: &[DMat<S>],
+    w: &mut DMat<S>,
+    (k0, k1): (usize, usize),
+) {
     let total: usize = blocks.iter().map(|b| b.ncols).sum();
-    let mut out = DMat::zeros(total, p);
-    let od = out.as_mut_slice();
-    let mut k0 = 0;
-    while k0 < n {
-        let k1 = (k0 + KB).min(n);
-        let mut row0 = 0;
-        for b in blocks {
-            assert_eq!(b.nrows, n, "panel row count must match W");
-            for i in 0..b.ncols {
-                let bi = &b.col(i)[k0..k1];
-                for l in 0..p {
-                    od[l * total + row0 + i] += dot_conj(bi, &w.col(l)[k0..k1]);
-                }
-            }
-            row0 += b.ncols;
-        }
-        k0 = k1;
+    let step = (KB / w.ncols().max(1)).max(64);
+    for r0 in (k0..k1).step_by(step) {
+        let rows = (r0, (r0 + step).min(k1));
+        for_groups!(total, update_group, blocks, coeffs, w, rows);
     }
-    out
 }
 
-/// Fused projection update `W ⟵ W − Σ_b B_b·C_b`, one depth-blocked sweep
-/// of `W` for all panels. `coeffs[b]` must be `blocks[b].ncols × p`.
-pub fn fused_update<S: Scalar>(blocks: &[ColsRef<'_, S>], coeffs: &[&DMat<S>], w: &mut DMat<S>) {
-    assert_eq!(blocks.len(), coeffs.len());
-    let n = w.nrows();
-    let p = w.ncols();
-    for (b, c) in blocks.iter().zip(coeffs) {
-        assert_eq!(b.nrows, n, "panel row count must match W");
-        assert_eq!(c.nrows(), b.ncols, "coefficient rows must match panel");
-        assert_eq!(c.ncols(), p, "coefficient columns must match W");
+/// One sweep over the rows of `W`.
+enum Sweep<'x, S> {
+    Gram {
+        w: &'x DMat<S>,
+        outs: &'x mut [DMat<S>],
+    },
+    Update {
+        coeffs: &'x [DMat<S>],
+        w: &'x mut DMat<S>,
+    },
+    UpdateGram {
+        coeffs: &'x [DMat<S>],
+        w: &'x mut DMat<S>,
+        outs: &'x mut [DMat<S>],
+    },
+}
+
+#[inline(always)]
+fn sweep_body<S: Scalar>(blocks: &[ColsRef<'_, S>], job: Sweep<'_, S>) {
+    let (n, p) = match &job {
+        Sweep::Gram { w, .. } => (w.nrows(), w.ncols()),
+        Sweep::Update { w, .. } | Sweep::UpdateGram { w, .. } => (w.nrows(), w.ncols()),
+    };
+    if p == 0 {
+        return;
     }
-    let mut k0 = 0;
-    while k0 < n {
+    let total = blocks.iter().map(|b| b.ncols).sum::<usize>() + p;
+    // Chunks as `(k0, t0, k1)`: rows `k0..t0` in fours, `t0..k1` the rest.
+    let chunks = (0..n).step_by(KB).map(|k0| {
         let k1 = (k0 + KB).min(n);
-        for l in 0..p {
-            let wl = &mut w.col_mut(l)[k0..k1];
-            for (b, c) in blocks.iter().zip(coeffs) {
-                for i in 0..b.ncols {
-                    let cil = c[(i, l)];
-                    if cil == S::zero() {
-                        continue;
-                    }
-                    let bi = &b.col(i)[k0..k1];
-                    for (wk, bk) in wl.iter_mut().zip(bi) {
-                        *wk -= cil * *bk;
-                    }
-                }
+        (k0, k0 + ((k1 - k0) & !3), k1)
+    });
+    let lanes = || vec![[S::zero(); 4]; total * p];
+    match job {
+        Sweep::Gram { w, outs } => {
+            let mut acc = lanes();
+            for rows in chunks {
+                gram_chunk(blocks, w, &mut acc, outs, rows);
             }
         }
-        k0 = k1;
+        Sweep::Update { coeffs, w } => {
+            for (k0, _, k1) in chunks {
+                update_rows(blocks, coeffs, w, (k0, k1));
+            }
+        }
+        Sweep::UpdateGram { coeffs, w, outs } => {
+            let mut acc = lanes();
+            for rows in chunks {
+                update_rows(blocks, coeffs, w, (rows.0, rows.2));
+                gram_chunk(blocks, w, &mut acc, outs, rows);
+            }
+        }
     }
+}
+
+/// [`sweep_body`] compiled with 256-bit vectors. AVX2 alone: FMA stays off,
+/// so the result is the same bits as the baseline build of the body.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn sweep_avx2<S: Scalar>(blocks: &[ColsRef<'_, S>], job: Sweep<'_, S>) {
+    sweep_body(blocks, job)
+}
+
+fn sweep<S: Scalar>(blocks: &[ColsRef<'_, S>], job: Sweep<'_, S>) {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx2") {
+        // SAFETY: the CPU this runs on reports AVX2, the one feature
+        // `sweep_avx2` is compiled with.
+        return unsafe { sweep_avx2(blocks, job) };
+    }
+    sweep_body(blocks, job)
+}
+
+/// Shape checks shared by the three entry points: every panel as tall as
+/// `W`, and one `ncols_b × p` matrix per panel in `mats` (for the Gram
+/// output, a trailing `p × p` one for `WᴴW` as well).
+fn check<S: Scalar>(blocks: &[ColsRef<'_, S>], w: &DMat<S>, mats: &[DMat<S>], with_self: bool) {
+    assert_eq!(mats.len(), blocks.len() + usize::from(with_self));
+    for (b, m) in blocks.iter().zip(mats) {
+        assert!(
+            b.ncols == 0 || b.nrows == w.nrows(),
+            "panel row count must match W"
+        );
+        assert_eq!(
+            (m.nrows(), m.ncols()),
+            (b.ncols, w.ncols()),
+            "one ncols × p matrix per panel"
+        );
+    }
+    if with_self {
+        let g = &mats[blocks.len()];
+        assert_eq!((g.nrows(), g.ncols()), (w.ncols(), w.ncols()));
+    }
+}
+
+/// Stacked adjoint product `[B₀ B₁ … W]ᴴ·W` in one sweep: `outs[b]` receives
+/// `B_bᴴ·W` (`ncols_b × p`) and the last entry of `outs` the Gram matrix
+/// `WᴴW` (`p × p`). All panels must share `W`'s row count.
+pub fn fused_gram<S: Scalar>(blocks: &[ColsRef<'_, S>], w: &DMat<S>, outs: &mut [DMat<S>]) {
+    check(blocks, w, outs, true);
+    outs.iter_mut().for_each(DMat::set_zero);
+    sweep(blocks, Sweep::Gram { w, outs });
+}
+
+/// Fused projection update `W ⟵ W − Σ_b B_b·C_b`, one sweep of `W` for all
+/// panels. `coeffs[b]` must be `blocks[b].ncols × p`.
+pub fn fused_update<S: Scalar>(blocks: &[ColsRef<'_, S>], coeffs: &[DMat<S>], w: &mut DMat<S>) {
+    check(blocks, w, coeffs, false);
+    sweep(blocks, Sweep::Update { coeffs, w });
+}
+
+/// [`fused_update`] followed by [`fused_gram`] of the updated `W`, row chunk
+/// by row chunk: each chunk of the panels is read once for both.
+pub fn fused_update_gram<S: Scalar>(
+    blocks: &[ColsRef<'_, S>],
+    coeffs: &[DMat<S>],
+    w: &mut DMat<S>,
+    outs: &mut [DMat<S>],
+) {
+    check(blocks, w, coeffs, false);
+    check(blocks, w, outs, true);
+    outs.iter_mut().for_each(DMat::set_zero);
+    sweep(blocks, Sweep::UpdateGram { coeffs, w, outs });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::blas::{self, Op};
-    use kryst_scalar::C64;
+    use crate::mat::bits;
+    use kryst_scalar::{Complex, C64};
+
+    type C32 = Complex<f32>;
+
+    /// The scalar dot the module started with: four accumulators, a tail.
+    fn dot_conj_ref<S: Scalar>(a: &[S], b: &[S]) -> S {
+        let n = a.len();
+        let n4 = n & !3;
+        let mut acc = [S::zero(); 4];
+        let mut i = 0;
+        while i < n4 {
+            acc[0] += a[i].conj() * b[i];
+            acc[1] += a[i + 1].conj() * b[i + 1];
+            acc[2] += a[i + 2].conj() * b[i + 2];
+            acc[3] += a[i + 3].conj() * b[i + 3];
+            i += 4;
+        }
+        let mut s = (acc[0] + acc[1]) + (acc[2] + acc[3]);
+        while i < n {
+            s += a[i].conj() * b[i];
+            i += 1;
+        }
+        s
+    }
+
+    /// Reference Gram sweep: one dot per (column, rhs) pair per row chunk.
+    fn gram_ref<S: Scalar>(blocks: &[ColsRef<'_, S>], w: &DMat<S>) -> Vec<DMat<S>> {
+        let (n, p) = (w.nrows(), w.ncols());
+        let mut srcs = blocks.to_vec();
+        srcs.push(ColsRef::whole(w));
+        let mut outs: Vec<DMat<S>> = srcs.iter().map(|b| DMat::zeros(b.ncols, p)).collect();
+        let mut k0 = 0;
+        while k0 < n {
+            let k1 = (k0 + KB).min(n);
+            for (b, out) in srcs.iter().zip(&mut outs) {
+                for i in 0..b.ncols {
+                    for l in 0..p {
+                        out[(i, l)] += dot_conj_ref(&b.col(i)[k0..k1], &w.col(l)[k0..k1]);
+                    }
+                }
+            }
+            k0 = k1;
+        }
+        outs
+    }
+
+    /// Reference update: one axpy per source column, zero coefficients
+    /// skipped.
+    fn update_ref<S: Scalar>(blocks: &[ColsRef<'_, S>], coeffs: &[DMat<S>], w: &mut DMat<S>) {
+        for l in 0..w.ncols() {
+            let wl = w.col_mut(l);
+            for (b, c) in blocks.iter().zip(coeffs) {
+                for i in 0..b.ncols {
+                    let cil = c[(i, l)];
+                    if cil == S::zero() {
+                        continue;
+                    }
+                    for (wk, bk) in wl.iter_mut().zip(b.col(i)) {
+                        *wk -= cil * *bk;
+                    }
+                }
+            }
+        }
+    }
+
+    fn rnd(i: usize, j: usize, salt: usize) -> f64 {
+        let h = (i.wrapping_mul(2654435761) ^ j.wrapping_mul(40503) ^ salt.wrapping_mul(69069))
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        ((h >> 11) % 20011) as f64 / 10005.5 - 1.0
+    }
+
+    fn mat<S: Scalar>(n: usize, k: usize, salt: usize) -> DMat<S> {
+        DMat::from_fn(n, k, |i, j| {
+            S::from_parts(rnd(i, j, salt), rnd(i, j, salt + 7))
+        })
+    }
+
+    type SweepFn<S> = for<'a, 'x> fn(&[ColsRef<'a, S>], Sweep<'x, S>);
+
+    /// Both compiled variants of the sweep, where the second exists.
+    fn variants<S: Scalar>() -> Vec<SweepFn<S>> {
+        let mut v: Vec<SweepFn<S>> = vec![|b, j| sweep_body(b, j)];
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 was detected on the line above.
+            v.push(|b, j| unsafe { sweep_avx2(b, j) });
+        }
+        v
+    }
+
+    fn property<S: Scalar>() {
+        for n in [1usize, 3, 511, 512, 513, 4099] {
+            for k in [0usize, 1, 3, 4, 5, 17] {
+                for p in [1usize, 2, 3, 8, 9] {
+                    for with_c in [false, true] {
+                        one_case::<S>(n, k, p, with_c);
+                    }
+                }
+            }
+        }
+    }
+
+    fn one_case<S: Scalar>(n: usize, k: usize, p: usize, with_c: bool) {
+        let case = format!("n={n} k={k} p={p} c={with_c}");
+        let cm: DMat<S> = mat(n, 3, 11);
+        let mut vm: DMat<S> = mat(n, k, 23);
+        if k >= 3 {
+            // A non-finite source column: `0·NaN` must stay skipped.
+            vm.col_mut(2)[n / 2] = S::from_parts(f64::NAN, 0.0);
+        }
+        let w0: DMat<S> = mat(n, p, 37);
+        let mut blocks = Vec::new();
+        if with_c {
+            blocks.push(ColsRef::whole(&cm));
+        }
+        blocks.push(ColsRef::whole(&vm));
+        // Coefficients with exact zeros of both signs in every position of
+        // a group of four, and in the remainder columns.
+        let coeffs: Vec<DMat<S>> = blocks
+            .iter()
+            .map(|b| {
+                DMat::from_fn(b.ncols, p, |i, l| match (i + 2 * l) % 7 {
+                    2 if k >= 3 && i == 2 => S::zero(),
+                    3 => S::zero(),
+                    5 => S::from_parts(-0.0, 0.0),
+                    _ => S::from_parts(rnd(i, l, 41), rnd(i, l, 43)),
+                })
+            })
+            .collect();
+        let want_gram = gram_ref(&blocks, &w0);
+        let mut want_w = w0.clone();
+        update_ref(&blocks, &coeffs, &mut want_w);
+        let want_gram2 = gram_ref(&blocks, &want_w);
+
+        for run in variants::<S>() {
+            let mut outs: Vec<DMat<S>> = want_gram
+                .iter()
+                .map(|m| DMat::zeros(m.nrows(), p))
+                .collect();
+            run(
+                &blocks,
+                Sweep::Gram {
+                    w: &w0,
+                    outs: &mut outs,
+                },
+            );
+            for (got, want) in outs.iter().zip(&want_gram) {
+                assert_eq!(bits(got), bits(want), "gram {case}");
+            }
+            let mut w = w0.clone();
+            run(
+                &blocks,
+                Sweep::Update {
+                    coeffs: &coeffs,
+                    w: &mut w,
+                },
+            );
+            assert_eq!(bits(&w), bits(&want_w), "update {case}");
+            let mut w = w0.clone();
+            outs.iter_mut().for_each(DMat::set_zero);
+            run(
+                &blocks,
+                Sweep::UpdateGram {
+                    coeffs: &coeffs,
+                    w: &mut w,
+                    outs: &mut outs,
+                },
+            );
+            assert_eq!(bits(&w), bits(&want_w), "update+gram W {case}");
+            for (got, want) in outs.iter().zip(&want_gram2) {
+                assert_eq!(bits(got), bits(want), "update+gram S {case}");
+            }
+        }
+    }
+
+    #[test]
+    fn kernels_match_reference_bitwise_f64() {
+        property::<f64>();
+    }
+
+    #[test]
+    fn kernels_match_reference_bitwise_c64() {
+        property::<C64>();
+    }
+
+    #[test]
+    fn kernels_match_reference_bitwise_f32() {
+        property::<f32>();
+    }
+
+    #[test]
+    fn kernels_match_reference_bitwise_c32() {
+        property::<C32>();
+    }
+
+    #[test]
+    fn block_list_view_equals_flat_view() {
+        // A basis kept one matrix per block gives the same bits as the same
+        // columns in one matrix.
+        let (n, p, nb) = (700, 2, 5);
+        let flat: DMat<f64> = mat(n, nb * p, 3);
+        let list: Vec<DMat<f64>> = (0..nb).map(|b| flat.cols(b * p, p)).collect();
+        let w: DMat<f64> = mat(n, p, 5);
+        let run = |blocks: &[ColsRef<'_, f64>]| {
+            let mut outs = vec![DMat::zeros(nb * p, p), DMat::zeros(p, p)];
+            fused_gram(blocks, &w, &mut outs);
+            let mut w2 = w.clone();
+            fused_update(blocks, &outs[..1], &mut w2);
+            (bits(&outs[0]), bits(&outs[1]), bits(&w2))
+        };
+        assert!(run(&[ColsRef::whole(&flat)]) == run(&[ColsRef::blocks(&list)]));
+        assert_eq!(ColsRef::<f64>::blocks(&[]).ncols(), 0);
+    }
 
     #[test]
     fn fused_gram_matches_separate_products() {
@@ -163,24 +680,19 @@ mod tests {
         let a = DMat::from_fn(n, 3, |i, j| ((i * 3 + j * 7) % 11) as f64 - 5.0);
         let v = DMat::from_fn(n, 5, |i, j| ((i + j * 13) % 17) as f64 - 8.0);
         let w = DMat::from_fn(n, 2, |i, j| ((i * 2 + j) % 9) as f64 - 4.0);
-        let s = fused_gram(
-            &[ColsRef::whole(&a), ColsRef::whole(&v), ColsRef::whole(&w)],
-            &w,
-        );
-        assert_eq!(s.nrows(), 10);
-        assert_eq!(s.ncols(), 2);
-        let aw = blas::adjoint_times(&a, &w);
-        let vw = blas::adjoint_times(&v, &w);
-        let ww = blas::adjoint_times(&w, &w);
-        for l in 0..2 {
-            for i in 0..3 {
-                assert!((s[(i, l)] - aw[(i, l)]).abs() < 1e-9 * aw[(i, l)].abs().max(1.0));
-            }
-            for i in 0..5 {
-                assert!((s[(3 + i, l)] - vw[(i, l)]).abs() < 1e-9 * vw[(i, l)].abs().max(1.0));
-            }
-            for i in 0..2 {
-                assert!((s[(8 + i, l)] - ww[(i, l)]).abs() < 1e-9 * ww[(i, l)].abs().max(1.0));
+        let mut s = vec![DMat::zeros(3, 2), DMat::zeros(5, 2), DMat::zeros(2, 2)];
+        fused_gram(&[ColsRef::whole(&a), ColsRef::whole(&v)], &w, &mut s);
+        let want = [
+            blas::adjoint_times(&a, &w),
+            blas::adjoint_times(&v, &w),
+            blas::adjoint_times(&w, &w),
+        ];
+        for (got, want) in s.iter().zip(&want) {
+            for l in 0..2 {
+                for i in 0..want.nrows() {
+                    let tol = 1e-9 * want[(i, l)].abs().max(1.0);
+                    assert!((got[(i, l)] - want[(i, l)]).abs() < tol);
+                }
             }
         }
     }
@@ -189,12 +701,13 @@ mod tests {
     fn leading_view_borrows_prefix_columns() {
         let v = DMat::from_fn(40, 6, |i, j| (i * 6 + j) as f64);
         let w = DMat::from_fn(40, 2, |i, j| ((i + j) % 5) as f64 - 2.0);
-        let s = fused_gram(&[ColsRef::leading(&v, 4)], &w);
+        let mut s = vec![DMat::zeros(4, 2), DMat::zeros(2, 2)];
+        fused_gram(&[ColsRef::leading(&v, 4)], &w, &mut s);
         let vlead = v.cols(0, 4);
         let want = blas::adjoint_times(&vlead, &w);
         for i in 0..4 {
             for l in 0..2 {
-                assert!((s[(i, l)] - want[(i, l)]).abs() < 1e-10);
+                assert!((s[0][(i, l)] - want[(i, l)]).abs() < 1e-10);
             }
         }
     }
@@ -206,7 +719,7 @@ mod tests {
         let c = DMat::from_fn(4, 3, |i, j| (i as f64 - j as f64) * 0.5);
         let w0 = DMat::from_fn(n, 3, |i, j| ((i + 2 * j) % 7) as f64 - 3.0);
         let mut w = w0.clone();
-        fused_update(&[ColsRef::whole(&v)], &[&c], &mut w);
+        fused_update(&[ColsRef::whole(&v)], std::slice::from_ref(&c), &mut w);
         let mut want = w0.clone();
         blas::gemm(-1.0, &v, Op::None, &c, Op::None, 1.0, &mut want);
         for i in 0..n {
@@ -225,11 +738,12 @@ mod tests {
         let w = DMat::<C64>::from_fn(n, 2, |i, j| {
             C64::from_parts(((i + j) % 3) as f64 - 1.0, (i % 4) as f64)
         });
-        let s = fused_gram(&[ColsRef::whole(&a)], &w);
+        let mut s = vec![DMat::zeros(2, 2), DMat::zeros(2, 2)];
+        fused_gram(&[ColsRef::whole(&a)], &w, &mut s);
         let want = blas::adjoint_times(&a, &w);
         for i in 0..2 {
             for l in 0..2 {
-                assert!((s[(i, l)] - want[(i, l)]).abs() < 1e-10);
+                assert!((s[0][(i, l)] - want[(i, l)]).abs() < 1e-10);
             }
         }
     }

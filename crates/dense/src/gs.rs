@@ -82,14 +82,18 @@ pub fn orthogonalize_block<S: Scalar>(
     let mut elems = 0;
 
     match scheme {
-        OrthScheme::Cgs => {
-            for _pass in 0..2 {
-                if ncols > 0 {
-                    let vlead = v.cols(0, ncols);
-                    let c = blas::adjoint_times(&vlead, w); // one fused reduction
+        // Projection by CGS passes (one fused reduction each), repeated
+        // twice for stability; CholQR differs in the intra-block step only.
+        OrthScheme::Cgs | OrthScheme::CholQr => {
+            if ncols > 0 {
+                // A basis handed over at its exact width is used as it is.
+                let lead = (ncols < v.ncols()).then(|| v.cols(0, ncols));
+                let vlead = lead.as_ref().unwrap_or(v);
+                for _pass in 0..2 {
+                    let c = blas::adjoint_times(vlead, w);
                     reductions += 1;
                     elems += ncols * p;
-                    blas::gemm(-S::one(), &vlead, Op::None, &c, Op::None, S::one(), w);
+                    blas::gemm(-S::one(), vlead, Op::None, &c, Op::None, S::one(), w);
                     coeffs.axpy(S::one(), &c);
                 }
             }
@@ -112,19 +116,6 @@ pub fn orthogonalize_block<S: Scalar>(
                     }
                     reductions += 1; // one reduction per basis column (dots fused over l)
                     elems += p;
-                }
-            }
-        }
-        OrthScheme::CholQr => {
-            // Projection uses one CGS pass (fused), repeated twice for stability.
-            for _pass in 0..2 {
-                if ncols > 0 {
-                    let vlead = v.cols(0, ncols);
-                    let c = blas::adjoint_times(&vlead, w);
-                    reductions += 1;
-                    elems += ncols * p;
-                    blas::gemm(-S::one(), &vlead, Op::None, &c, Op::None, S::one(), w);
-                    coeffs.axpy(S::one(), &c);
                 }
             }
         }
@@ -250,135 +241,116 @@ pub fn fused_orthogonalize_block<S: Scalar>(
     reorth: bool,
     loss: f64,
 ) -> FusedOrth<S> {
+    fused_orthogonalize_cols(c, ColsRef::leading(v, ncols), w, reorth, loss)
+}
+
+/// [`fused_orthogonalize_block`] against any column view of the basis — the
+/// form the Arnoldi cycle calls, whose basis is one matrix per Krylov block
+/// ([`ColsRef::blocks`]) so that `w` can be the next block itself.
+///
+/// A step that needs the second pass reads the basis three times, not four:
+/// the Gram product of pass 1, then pass 1's update fused with pass 2's Gram
+/// product row chunk by row chunk ([`fused::fused_update_gram`]), then pass
+/// 2's update. The decision to take the second pass depends only on pass 1's
+/// Gram product, so it is made before `w` is touched.
+pub fn fused_orthogonalize_cols<S: Scalar>(
+    c: Option<&DMat<S>>,
+    v: ColsRef<'_, S>,
+    w: &mut DMat<S>,
+    reorth: bool,
+    loss: f64,
+) -> FusedOrth<S> {
     let _t = kryst_obs::profile(kryst_obs::Phase::OrthGram);
-    assert!(ncols <= v.ncols());
-    assert_eq!(v.nrows(), w.nrows());
+    let ncols = v.ncols();
+    assert!(ncols == 0 || v.nrows() == w.nrows());
     let p = w.ncols();
     let kc = c.map_or(0, |m| m.ncols());
     if let Some(cm) = c {
         assert_eq!(cm.nrows(), w.nrows());
     }
+    // Panels `[C, V]` and their products `[Sᴄ, Sᵥ, G]`; without a projector
+    // the `C` slot is skipped by slicing both from `lo`.
+    let panels = [c.map_or(v, ColsRef::whole), v];
+    let lo = usize::from(c.is_none());
+    let blocks = &panels[lo..];
+    let stack = || [DMat::zeros(kc, p), DMat::zeros(ncols, p), DMat::zeros(p, p)];
     let mut coeffs = DMat::zeros(ncols, p);
     let mut c_coeffs = c.map(|_| DMat::zeros(kc, p));
-    let mut reductions = 0usize;
-    let mut parts = 0usize;
-    let mut elems = 0usize;
-    let mut passes = 0usize;
-    let mut amp = 1.0f64;
-    let mut gdown;
-
-    loop {
-        passes += 1;
-        // One fused product: [CᴴW; VᴴW; WᴴW] in a single sweep/reduction.
-        let s = {
-            let mut blocks: Vec<ColsRef<'_, S>> = Vec::with_capacity(3);
-            if let Some(cm) = c {
-                blocks.push(ColsRef::whole(cm));
-            }
-            if ncols > 0 {
-                blocks.push(ColsRef::leading(v, ncols));
-            }
-            blocks.push(ColsRef::whole(w));
-            fused::fused_gram(&blocks, w)
-        };
-        reductions += 1;
-        parts += 1 + usize::from(ncols > 0) + usize::from(kc > 0);
-        elems += (kc + ncols + p) * p;
-
-        let sc = s.block(0, 0, kc, p);
-        let sv = s.block(kc, 0, ncols, p);
-        let g = s.block(kc + ncols, 0, p, p);
-
-        // Projection update W ⟵ W − C·Sᴄ − V·Sᵥ in one fused sweep.
-        {
-            let mut blocks: Vec<ColsRef<'_, S>> = Vec::with_capacity(2);
-            let mut cs: Vec<&DMat<S>> = Vec::with_capacity(2);
-            if let Some(cm) = c {
-                blocks.push(ColsRef::whole(cm));
-                cs.push(&sc);
-            }
-            if ncols > 0 {
-                blocks.push(ColsRef::leading(v, ncols));
-                cs.push(&sv);
-            }
-            if !blocks.is_empty() {
-                fused::fused_update(&blocks, &cs, w);
+    let mut gdown = DMat::zeros(p, p);
+    // Gram downdate W'ᴴW' = WᴴW − SᴄᴴSᴄ − SᵥᴴSᵥ (all local) into `gdown`,
+    // and the pass's coefficients added to the running totals.
+    let mut absorb = |s: &[DMat<S>; 3], gdown: &mut DMat<S>| {
+        gdown.copy_from(&s[2]);
+        for sb in &s[..2] {
+            if sb.nrows() > 0 {
+                blas::gemm(-S::one(), sb, Op::ConjTrans, sb, Op::None, S::one(), gdown);
             }
         }
-
-        // Gram downdate: W'ᴴW' = WᴴW − SᴄᴴSᴄ − SᵥᴴSᵥ, all local.
-        gdown = g.clone();
-        if kc > 0 {
-            blas::gemm(
-                -S::one(),
-                &sc,
-                Op::ConjTrans,
-                &sc,
-                Op::None,
-                S::one(),
-                &mut gdown,
-            );
-        }
-        if ncols > 0 {
-            blas::gemm(
-                -S::one(),
-                &sv,
-                Op::ConjTrans,
-                &sv,
-                Op::None,
-                S::one(),
-                &mut gdown,
-            );
-        }
-
         if let Some(cc) = c_coeffs.as_mut() {
-            cc.axpy(S::one(), &sc);
+            cc.axpy(S::one(), &s[0]);
         }
         if ncols > 0 {
-            coeffs.axpy(S::one(), &sv);
+            coeffs.axpy(S::one(), &s[1]);
         }
+    };
+    // Per fused product: [CᴴW; VᴴW; WᴴW] in a single sweep/reduction.
+    let parts = 1 + usize::from(ncols > 0) + usize::from(kc > 0);
+    let elems = (kc + ncols + p) * p;
 
-        if passes >= 2 {
-            break;
-        }
-        // First-pass cancellation amplification: max over columns of
-        // √(g_ll / g'_ll), clamped to ≥ 1; non-positive downdated diagonals
-        // count as infinite cancellation.
+    let mut s = stack();
+    fused::fused_gram(blocks, w, &mut s[lo..]);
+    absorb(&s, &mut gdown);
+    let mut passes = 1usize;
+
+    // First-pass cancellation amplification: max over columns of
+    // √(g_ll / g'_ll), clamped to ≥ 1; non-positive downdated diagonals
+    // count as infinite cancellation.
+    let mut amp = 1.0f64;
+    for l in 0..p {
+        let gl = s[2][(l, l)].re().to_f64();
+        let dl = gdown[(l, l)].re().to_f64();
+        amp = if dl > 0.0 {
+            amp.max((gl / dl).max(1.0).sqrt())
+        } else {
+            f64::INFINITY
+        };
+    }
+    // Second pass when requested, when the downdate retains too small a
+    // fraction of some column's squared mass for the free CholQR factor
+    // to be accurate (below ε^(1/4)), or when the accumulated basis loss
+    // amplified by this pass would cross the ε^(5/8) orthogonality
+    // budget (≈1.6e-10 in f64 — comfortably under solver tolerances).
+    let mut need = reorth && (ncols > 0 || kc > 0);
+    if !need && (ncols > 0 || kc > 0) {
+        let eps = S::Real::epsilon().to_f64();
+        let dd_cut = eps.sqrt().sqrt();
+        let loss_cut = eps.sqrt() * eps.sqrt().sqrt().sqrt();
         for l in 0..p {
-            let gl = g[(l, l)].re().to_f64();
+            let gl = s[2][(l, l)].re().to_f64();
             let dl = gdown[(l, l)].re().to_f64();
-            amp = if dl > 0.0 {
-                amp.max((gl / dl).max(1.0).sqrt())
-            } else {
-                f64::INFINITY
-            };
-        }
-        // Second pass when requested, when the downdate retains too small a
-        // fraction of some column's squared mass for the free CholQR factor
-        // to be accurate (below ε^(1/4)), or when the accumulated basis loss
-        // amplified by this pass would cross the ε^(5/8) orthogonality
-        // budget (≈1.6e-10 in f64 — comfortably under solver tolerances).
-        let mut need = reorth && (ncols > 0 || kc > 0);
-        if !need && (ncols > 0 || kc > 0) {
-            let eps = S::Real::epsilon().to_f64();
-            let dd_cut = eps.sqrt().sqrt();
-            let loss_cut = eps.sqrt() * eps.sqrt().sqrt().sqrt();
-            for l in 0..p {
-                let gl = g[(l, l)].re().to_f64();
-                let dl = gdown[(l, l)].re().to_f64();
-                if dl < dd_cut * gl {
-                    need = true;
-                    break;
-                }
-            }
-            if loss.max(eps) * amp * amp > loss_cut {
+            if dl < dd_cut * gl {
                 need = true;
+                break;
             }
         }
-        if !need {
-            break;
+        if loss.max(eps) * amp * amp > loss_cut {
+            need = true;
         }
     }
+    if need {
+        // Projection update W ⟵ W − C·Sᴄ − V·Sᵥ of pass 1 and the fused
+        // product of pass 2, one sweep.
+        let mut s2 = stack();
+        fused::fused_update_gram(blocks, &s[lo..2], w, &mut s2[lo..]);
+        absorb(&s2, &mut gdown);
+        passes = 2;
+        s = s2;
+    }
+    // The last pass's projection update.
+    fused::fused_update(blocks, &s[lo..2], w);
+    let reductions = passes;
+    let parts = passes * parts;
+    let elems = passes * elems;
 
     // The downdated Gram already *is* the Gram of the projected block, so the
     // CholQR factor is free: no extra reduction unless we must refresh.
@@ -420,14 +392,7 @@ pub fn fused_orthogonalize_block<S: Scalar>(
             // breakdown fixup injects must stay orthogonal to C and the
             // Arnoldi basis: the fused Gram downdate assumes that invariant
             // on every later step of the cycle.
-            let mut ext: Vec<(&DMat<S>, usize)> = Vec::with_capacity(2);
-            if let Some(cm) = c {
-                ext.push((cm, kc));
-            }
-            if ncols > 0 {
-                ext.push((v, ncols));
-            }
-            let out = chol::cholqr_within(w, &ext);
+            let out = chol::cholqr_within(w, blocks);
             FusedOrth {
                 c_coeffs,
                 coeffs,
@@ -448,6 +413,7 @@ pub fn fused_orthogonalize_block<S: Scalar>(
 mod tests {
     use super::*;
     use crate::blas::matmul;
+    use crate::mat::bits;
     use kryst_scalar::C64;
 
     fn basis(n: usize, k: usize) -> DMat<f64> {
@@ -638,6 +604,127 @@ mod tests {
                 assert!((g[(i, j)] - e).abs() < 1e-8, "Gram ({i},{j})");
             }
         }
+    }
+
+    /// The orthogonalization as separate sweeps — Gram product, update,
+    /// downdate, once per pass — which the fused sequence must reproduce bit
+    /// for bit. Returns `(c_coeffs, coeffs, gdown, amp)` after `passes`.
+    fn unfused_passes<S: Scalar>(
+        c: &DMat<S>,
+        v: &DMat<S>,
+        w: &mut DMat<S>,
+        passes: usize,
+    ) -> (DMat<S>, DMat<S>, DMat<S>, f64) {
+        let (kc, ncols, p) = (c.ncols(), v.ncols(), w.ncols());
+        let blocks = [ColsRef::whole(c), ColsRef::whole(v)];
+        let mut c_coeffs = DMat::zeros(kc, p);
+        let mut coeffs = DMat::zeros(ncols, p);
+        let mut gdown = DMat::zeros(p, p);
+        let mut amp = 1.0f64;
+        for pass in 0..passes {
+            let mut s = vec![DMat::zeros(kc, p), DMat::zeros(ncols, p), DMat::zeros(p, p)];
+            fused::fused_gram(&blocks, w, &mut s);
+            fused::fused_update(&blocks, &s[..2], w);
+            gdown = s[2].clone();
+            for sb in &s[..2] {
+                blas::gemm(
+                    -S::one(),
+                    sb,
+                    Op::ConjTrans,
+                    sb,
+                    Op::None,
+                    S::one(),
+                    &mut gdown,
+                );
+            }
+            c_coeffs.axpy(S::one(), &s[0]);
+            coeffs.axpy(S::one(), &s[1]);
+            if pass == 0 {
+                for l in 0..p {
+                    let gl = s[2][(l, l)].re().to_f64();
+                    let dl = gdown[(l, l)].re().to_f64();
+                    amp = if dl > 0.0 {
+                        amp.max((gl / dl).max(1.0).sqrt())
+                    } else {
+                        f64::INFINITY
+                    };
+                }
+            }
+        }
+        (c_coeffs, coeffs, gdown, amp)
+    }
+
+    fn two_pass_matches_unfused<S: Scalar>(n: usize, p: usize) {
+        // Orthonormal C ⟂ V, and a block that lies in their span up to a
+        // 1e-5 perturbation: the downdate keeps ~1e-10 of each column's
+        // squared mass, far below the ε^(1/4) cut, so the second pass fires.
+        let mut cv = DMat::<S>::from_fn(n, 9, |i, j| {
+            S::from_parts(
+                ((i * 7 + j * 13) % 19) as f64 - 9.0,
+                ((i * 5 + j * 3) % 11) as f64 - 5.0,
+            )
+        });
+        let _ = chol::cholqr(&mut cv);
+        let c = cv.cols(0, 3);
+        let v = cv.cols(3, 6);
+        let mix = DMat::<S>::from_fn(9, p, |i, j| S::from_parts((i + 2 * j + 1) as f64, 0.5));
+        let mut w0 = matmul(&cv, Op::None, &mix, Op::None);
+        for j in 0..p {
+            for i in 0..n {
+                w0[(i, j)] += S::from_f64(1e-5 * (((i * 31 + j * 17 + 7) % 29) as f64 - 14.0));
+            }
+        }
+        let mut w = w0.clone();
+        let out = fused_orthogonalize_block(Some(&c), &v, 6, &mut w, false, 0.0);
+        assert_eq!(out.passes, 2, "cancellation must force the second pass");
+        assert!(!out.refreshed);
+        let mut wr = w0.clone();
+        let (cc, cf, gdown, amp) = unfused_passes(&c, &v, &mut wr, 2);
+        let r = chol::cholesky(&gdown).expect("downdated Gram is positive definite");
+        tri::right_solve_upper(&mut wr, &r);
+        assert_eq!(bits(out.c_coeffs.as_ref().unwrap()), bits(&cc));
+        assert_eq!(bits(&out.coeffs), bits(&cf));
+        assert_eq!(bits(&out.r), bits(&r));
+        assert_eq!(bits(&w), bits(&wr));
+        assert_eq!(out.amp.to_bits(), amp.to_bits());
+        assert_eq!(out.reductions, 2);
+        assert_eq!(out.reduction_parts, 6);
+        assert_eq!(out.reduction_elems, 2 * (3 + 6 + p) * p);
+    }
+
+    #[test]
+    fn fused_two_pass_step_is_bitwise_the_unfused_sequence() {
+        // 1100 rows cross two chunk boundaries of the fused sweeps.
+        two_pass_matches_unfused::<f64>(1100, 1);
+        two_pass_matches_unfused::<f64>(1100, 3);
+        two_pass_matches_unfused::<C64>(700, 2);
+    }
+
+    #[test]
+    fn fused_refresh_after_two_passes_is_bitwise_the_unfused_sequence() {
+        // Two identical columns: after both passes the downdated Gram is
+        // singular, the Cholesky is rejected and the rank-revealing refresh
+        // runs on the twice-projected block.
+        let n = 600;
+        let mut cv = DMat::from_fn(n, 7, |i, j| ((i * 7 + j * 13) % 19) as f64 - 9.0);
+        let _ = chol::cholqr(&mut cv);
+        let c = cv.cols(0, 3);
+        let v = cv.cols(3, 4);
+        let w0 = DMat::from_fn(n, 2, |i, _| ((i * 3) % 23) as f64 - 11.0);
+        let mut w = w0.clone();
+        let out = fused_orthogonalize_block(Some(&c), &v, 4, &mut w, true, 0.0);
+        assert_eq!(out.passes, 2);
+        assert!(out.refreshed);
+        assert_eq!(out.rank, 1);
+        let mut wr = w0.clone();
+        let (cc, cf, _, amp) = unfused_passes(&c, &v, &mut wr, 2);
+        let fix = chol::cholqr_within(&mut wr, &[ColsRef::whole(&c), ColsRef::whole(&v)]);
+        assert_eq!(bits(out.c_coeffs.as_ref().unwrap()), bits(&cc));
+        assert_eq!(bits(&out.coeffs), bits(&cf));
+        assert_eq!(bits(&out.r), bits(&fix.r));
+        assert_eq!(bits(&w), bits(&wr));
+        assert_eq!(out.amp.to_bits(), amp.to_bits());
+        assert_eq!(out.reductions, 3);
     }
 
     #[test]

@@ -297,6 +297,17 @@ impl<S: Scalar> fmt::Debug for DMat<S> {
     }
 }
 
+/// Exact bit patterns of a matrix's entries (two words per entry, real and
+/// imaginary part), so that tests can compare NaNs and signed zeros.
+#[cfg(test)]
+pub(crate) fn bits<S: Scalar>(m: &DMat<S>) -> Vec<u64> {
+    use kryst_scalar::Real;
+    m.as_slice()
+        .iter()
+        .flat_map(|x| [x.re().to_f64().to_bits(), x.im().to_f64().to_bits()])
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -57,7 +57,8 @@ impl PrecondPrecision {
 pub trait LinOp<S: Scalar>: Send + Sync {
     /// Number of rows (= columns; operators here are square).
     fn nrows(&self) -> usize;
-    /// `y ⟵ A·x` where `x` and `y` are `n × p`.
+    /// `y ⟵ A·x` where `x` and `y` are `n × p`. Every entry of `y` is
+    /// written and none is read: solvers pass storage with stale contents.
     fn apply(&self, x: &DMat<S>, y: &mut DMat<S>);
     /// `r ⟵ b − A·x`, rounded as `−(A·x) + b`. Operators that can form it
     /// in one sweep override this; the rounding is part of the contract, so
@@ -86,7 +87,8 @@ pub trait LinOp<S: Scalar>: Send + Sync {
 pub trait PrecondOp<S: Scalar>: Send + Sync {
     /// Problem size.
     fn nrows(&self) -> usize;
-    /// `z ⟵ M⁻¹·r`.
+    /// `z ⟵ M⁻¹·r`. Every entry of `z` is written and its old contents do
+    /// not matter: solvers pass storage with stale contents.
     fn apply(&self, r: &DMat<S>, z: &mut DMat<S>);
     /// True when the preconditioner is nonlinear / nondeterministic (e.g. an
     /// inner Krylov smoother), which forces the flexible solver variants —

@@ -498,7 +498,7 @@ impl<S: Demote> Amg<S> {
         };
         // x += K_s(A, b − A·x). From the zero iterate b − A·0 is b bit for
         // bit, so a copy stands in for the pass over the operator.
-        let mut r = pool.take(b.nrows(), b.ncols());
+        let mut r = pool.take_stale(b.nrows(), b.ncols());
         if x_zero {
             r.copy_from(b);
         } else {
@@ -526,7 +526,7 @@ impl<S: Demote> Amg<S> {
         self.smooth_ws(l, b, x, true, ws);
         // Residual and restriction.
         let p = b.ncols();
-        let mut r = ws.pool.take(level.a.nrows(), p);
+        let mut r = ws.pool.take_stale(level.a.nrows(), p);
         level.a.residual(b, x, &mut r);
         let pt = level.pt.as_ref().unwrap();
         let mut rc = ws.pool.take(pt.nrows(), p);

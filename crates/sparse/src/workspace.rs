@@ -5,8 +5,10 @@
 //! and GEMM kernels overwriting their output in place, a small buffer pool
 //! threaded through the solver iteration state removes those allocations
 //! entirely after the first iteration: [`SpmmWorkspace::take`] hands out a
-//! zeroed `DMat` backed by a recycled allocation and [`SpmmWorkspace::put`]
-//! returns it once the iteration is done with it.
+//! zeroed `DMat` backed by a recycled allocation
+//! ([`SpmmWorkspace::take_stale`] one that is not filled, for outputs that
+//! are overwritten whole) and [`SpmmWorkspace::put`] returns it once the
+//! iteration is done with it.
 
 use kryst_dense::DMat;
 use kryst_scalar::Scalar;
@@ -29,10 +31,9 @@ impl<S: Scalar> SpmmWorkspace<S> {
         Self { free: Vec::new() }
     }
 
-    /// A zeroed `nrows × ncols` matrix, reusing a pooled allocation when one
-    /// with sufficient capacity is available.
-    pub fn take(&mut self, nrows: usize, ncols: usize) -> DMat<S> {
-        let len = nrows * ncols;
+    /// A pooled buffer for `len` entries (or a new, empty one), contents
+    /// as they were left.
+    fn pick(&mut self, len: usize) -> Vec<S> {
         // Prefer the free buffer with the largest capacity (LIFO would churn
         // between differently-sized requests).
         let pick = self
@@ -49,12 +50,28 @@ impl<S: Scalar> SpmmWorkspace<S> {
                     Some(self.free.len() - 1)
                 }
             });
-        let mut data = match pick {
+        match pick {
             Some(i) => self.free.swap_remove(i),
             None => Vec::with_capacity(len),
-        };
+        }
+    }
+
+    /// A zeroed `nrows × ncols` matrix, reusing a pooled allocation when one
+    /// with sufficient capacity is available.
+    pub fn take(&mut self, nrows: usize, ncols: usize) -> DMat<S> {
+        let mut data = self.pick(nrows * ncols);
         data.clear();
-        data.resize(len, S::zero());
+        data.resize(nrows * ncols, S::zero());
+        DMat::from_col_major(nrows, ncols, data)
+    }
+
+    /// [`Self::take`] without the fill, for a matrix whose every entry the
+    /// caller writes before reading any (an operator or preconditioner
+    /// apply, a residual, a copy): the entries hold whatever the buffer's
+    /// last user left, or zeros where it grows.
+    pub fn take_stale(&mut self, nrows: usize, ncols: usize) -> DMat<S> {
+        let mut data = self.pick(nrows * ncols);
+        data.resize(nrows * ncols, S::zero());
         DMat::from_col_major(nrows, ncols, data)
     }
 
@@ -92,10 +109,9 @@ impl<S: Scalar> PrecondWorkspace<S> {
         Self { free: Vec::new() }
     }
 
-    /// A zeroed `nrows × ncols` matrix, reusing the best-fitting pooled
-    /// allocation when one is available.
-    pub fn take(&mut self, nrows: usize, ncols: usize) -> DMat<S> {
-        let len = nrows * ncols;
+    /// The best-fitting pooled buffer for `len` entries (or a new, empty
+    /// one), contents as they were left.
+    fn pick(&mut self, len: usize) -> Vec<S> {
         // Best fit: smallest capacity that still holds `len`.
         let pick = self
             .free
@@ -113,12 +129,27 @@ impl<S: Scalar> PrecondWorkspace<S> {
                     .max_by_key(|(_, v)| v.capacity())
                     .map(|(i, _)| i)
             });
-        let mut data = match pick {
+        match pick {
             Some(i) => self.free.swap_remove(i),
             None => Vec::with_capacity(len),
-        };
+        }
+    }
+
+    /// A zeroed `nrows × ncols` matrix, reusing the best-fitting pooled
+    /// allocation when one is available.
+    pub fn take(&mut self, nrows: usize, ncols: usize) -> DMat<S> {
+        let mut data = self.pick(nrows * ncols);
         data.clear();
-        data.resize(len, S::zero());
+        data.resize(nrows * ncols, S::zero());
+        DMat::from_col_major(nrows, ncols, data)
+    }
+
+    /// [`Self::take`] without the fill, for a matrix whose every entry the
+    /// caller writes before reading any: the entries hold whatever the
+    /// buffer's last user left, or zeros where it grows.
+    pub fn take_stale(&mut self, nrows: usize, ncols: usize) -> DMat<S> {
+        let mut data = self.pick(nrows * ncols);
+        data.resize(nrows * ncols, S::zero());
         DMat::from_col_major(nrows, ncols, data)
     }
 
@@ -158,6 +189,28 @@ mod tests {
         ws.put(a);
         let b = ws.take(8, 2);
         assert!(b.as_slice().iter().all(|&x| x == 0.0));
+    }
+
+    #[test]
+    fn take_stale_keeps_contents_and_zeroes_growth() {
+        let mut ws = SpmmWorkspace::<f64>::new();
+        let mut a = ws.take_stale(4, 2);
+        assert!(a.as_slice().iter().all(|&x| x == 0.0), "new memory is zero");
+        a.fill(3.5);
+        let ptr = a.as_slice().as_ptr();
+        ws.put(a);
+        let b = ws.take_stale(3, 2); // shrinks: stale entries, same buffer
+        assert_eq!(b.as_slice().as_ptr(), ptr);
+        assert_eq!(b.as_slice(), &[3.5; 6]);
+        ws.put(b);
+        let c = ws.take_stale(5, 2); // grows past the stale length
+        assert_eq!(&c.as_slice()[..6], &[3.5; 6]);
+        assert_eq!(&c.as_slice()[6..], &[0.0; 4]);
+        let mut pw = PrecondWorkspace::<f64>::new();
+        let mut d = pw.take_stale(4, 1);
+        d.fill(-1.0);
+        pw.put(d);
+        assert_eq!(pw.take_stale(2, 1).as_slice(), &[-1.0; 2]);
     }
 
     #[test]

@@ -1,0 +1,128 @@
+//! After its first cycle, a solve's Arnoldi process allocates **nothing of
+//! the size of a vector**.
+//!
+//! `BlockArnoldi::step` works in place — the operator writes where the next
+//! basis block lives, a right preconditioner where its direction block
+//! lives — and the basis, the directions, the Hessenberg matrix and its QR
+//! are handed from cycle to cycle in `CycleBuffers`. A counting global
+//! allocator records every allocation of `n · size_of::<f64>()` bytes or
+//! more; across a restart and a whole second cycle there must be none.
+//! (Small allocations remain: the `p × p` factors, one Hessenberg column,
+//! the residual-norm vector. The contiguous copies a cycle *end* makes —
+//! `update_solution`, `v_active` — are outside the step and not covered.)
+//!
+//! Everything lives in a single `#[test]`: the counter is process-wide.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+struct CountingAlloc;
+
+/// Allocations of at least this many bytes are counted (`usize::MAX`: off).
+static THRESHOLD: AtomicUsize = AtomicUsize::new(usize::MAX);
+static BIG_ALLOCS: AtomicUsize = AtomicUsize::new(0);
+
+fn note(size: usize) {
+    if size >= THRESHOLD.load(Ordering::Relaxed) {
+        BIG_ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static COUNTER: CountingAlloc = CountingAlloc;
+
+use kryst_core::cycle::{BlockArnoldi, CycleBuffers, PrecondMode};
+use kryst_core::{OrthPath, OrthScheme, PrecondSide};
+use kryst_dense::{blas, chol, DMat};
+use kryst_precond::Jacobi;
+use kryst_sparse::{Coo, Csr};
+
+fn laplace1d(n: usize) -> Csr<f64> {
+    let mut c = Coo::new(n, n);
+    for i in 0..n {
+        c.push(i, i, 2.0 + (i % 5) as f64 * 0.1);
+        if i > 0 {
+            c.push(i, i - 1, -1.0);
+            c.push(i - 1, i, -1.0);
+        }
+    }
+    c.to_csr()
+}
+
+/// Big allocations made by `f`.
+fn big_allocs(n: usize, f: impl FnOnce()) -> usize {
+    let before = BIG_ALLOCS.load(Ordering::Relaxed);
+    THRESHOLD.store(n * std::mem::size_of::<f64>(), Ordering::Relaxed);
+    f();
+    THRESHOLD.store(usize::MAX, Ordering::Relaxed);
+    BIG_ALLOCS.load(Ordering::Relaxed) - before
+}
+
+#[test]
+fn step_and_restart_allocate_no_vector_after_the_first_cycle() {
+    std::env::set_var("KRYST_THREADS", "1");
+    let n = 3000;
+    let m = 5;
+    let a = laplace1d(n);
+    let jac = Jacobi::new(&a, 1.0);
+    let mut c = DMat::from_fn(n, 3, |i, j| ((i * 7 + j * 3) % 13) as f64 - 6.0);
+    let _ = chol::cholqr(&mut c);
+    for p in [1usize, 8] {
+        for with_c in [false, true] {
+            for side in [PrecondSide::Right, PrecondSide::Flexible] {
+                let case = format!("p={p} recycle={with_c} side={side:?}");
+                let mode = PrecondMode::new(&jac, side);
+                let c_proj = with_c.then_some(&c);
+                // Two residual blocks, projected off C like GCRO-DR does.
+                let residual = |salt: usize| {
+                    let mut r =
+                        DMat::from_fn(n, p, |i, j| ((i * 3 + j * 7 + salt) % 11) as f64 - 5.0);
+                    if let Some(c) = c_proj {
+                        let coef = blas::adjoint_times(c, &r);
+                        blas::gemm(-1.0, c, blas::Op::None, &coef, blas::Op::None, 1.0, &mut r);
+                    }
+                    r
+                };
+                let (r0, r1) = (residual(0), residual(4));
+                let cycle = |r: &DMat<f64>, bufs: CycleBuffers<f64>| {
+                    let mut arn =
+                        BlockArnoldi::new(&a, &mode, m, p, OrthScheme::CholQr, c_proj, None)
+                            .with_path(OrthPath::Fused)
+                            .with_buffers(bufs);
+                    arn.start(r);
+                    let mut last = Vec::new();
+                    while arn.can_step() {
+                        last = arn.step();
+                    }
+                    (last, arn.into_buffers())
+                };
+                let mut bufs = CycleBuffers::default();
+                let first = big_allocs(n, || (_, bufs) = cycle(&r0, std::mem::take(&mut bufs)));
+                assert!(first > m, "{case}: the first cycle allocates its storage");
+                let mut res = Vec::new();
+                let again = big_allocs(n, || (res, bufs) = cycle(&r1, std::mem::take(&mut bufs)));
+                assert_eq!(again, 0, "{case}: restart + {m} steps allocated a vector");
+                assert!(res.iter().all(|r| r.is_finite()), "{case}");
+                drop(bufs);
+            }
+        }
+    }
+}
