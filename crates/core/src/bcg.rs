@@ -12,7 +12,8 @@
 use crate::cycle::{any_above, rhs_norms};
 use crate::opts::{SolveOpts, SolveResult};
 use crate::trace::SolveTracer;
-use kryst_dense::{blas, lu::Lu, DMat};
+use kryst_dense::fused::{self, ColsRef};
+use kryst_dense::{lu::Lu, DMat};
 use kryst_par::{LinOp, PrecondOp};
 use kryst_scalar::{Real, Scalar};
 use kryst_sparse::SpmmWorkspace;
@@ -34,7 +35,7 @@ pub fn solve<S: Scalar>(
     let mut z = pc.apply_new(&r);
     let mut d = z.clone();
     // S_rz = Rᴴ·Z (p × p).
-    let mut s_rz = blas::adjoint_times(&r, &z);
+    let mut s_rz = fused::adjoint_times(ColsRef::whole(&r), &z);
     let mut tracer = SolveTracer::begin(opts, "bcg", 0, a.nrows(), p);
     let mut iters = 0usize;
     // Buffer pool for the per-iteration n × p temporaries (A·D, M⁻¹·R, the
@@ -53,34 +54,20 @@ pub fn solve<S: Scalar>(
             st.record_reductions(2, 2 * p * p * std::mem::size_of::<S>());
         }
         // α solves (Dᴴ·A·D)·α = Rᴴ·Z.
-        let dad = blas::adjoint_times(&d, &ad);
+        let dad = fused::adjoint_times(ColsRef::whole(&d), &ad);
         let alpha = match solve_small(&dad, &s_rz) {
             Some(v) => v,
             None => break, // block breakdown: D lost rank; residuals are tiny
         };
-        blas::gemm(
-            S::one(),
-            &d,
-            blas::Op::None,
-            &alpha,
-            blas::Op::None,
-            S::one(),
-            x,
-        );
-        blas::gemm(
-            -S::one(),
-            &ad,
-            blas::Op::None,
-            &alpha,
-            blas::Op::None,
-            S::one(),
-            &mut r,
-        );
+        // X ⟵ X + D·α; R ⟵ R − A·D·α.
+        let alpha = std::slice::from_ref(&alpha);
+        fused::fused_accumulate(&[ColsRef::whole(&d)], alpha, x);
+        fused::fused_update(&[ColsRef::whole(&ad)], alpha, &mut r);
         ws.put(ad);
         let mut znew = ws.take(a.nrows(), p);
         pc.apply(&r, &mut znew);
         ws.put(std::mem::replace(&mut z, znew));
-        let s_new = blas::adjoint_times(&r, &z);
+        let s_new = fused::adjoint_times(ColsRef::whole(&r), &z);
         // β solves (old RᴴZ)·β = new RᴴZ.
         let beta = match solve_small(&s_rz, &s_new) {
             Some(v) => v,
@@ -89,15 +76,7 @@ pub fn solve<S: Scalar>(
         // D ⟵ Z + D·β.
         let mut d_next = ws.take(a.nrows(), p);
         d_next.copy_from(&z);
-        blas::gemm(
-            S::one(),
-            &d,
-            blas::Op::None,
-            &beta,
-            blas::Op::None,
-            S::one(),
-            &mut d_next,
-        );
+        fused::fused_accumulate(&[ColsRef::whole(&d)], &[beta], &mut d_next);
         ws.put(std::mem::replace(&mut d, d_next));
         s_rz = s_new;
         iters += 1;

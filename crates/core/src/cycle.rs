@@ -10,7 +10,7 @@
 
 use crate::opts::{OrthPath, PrecondSide};
 use kryst_dense::chol;
-use kryst_dense::fused::ColsRef;
+use kryst_dense::fused::{self, ColsRef};
 use kryst_dense::gs::{fused_orthogonalize_cols, orthogonalize_block, OrthScheme};
 use kryst_dense::qr::IncrementalQr;
 use kryst_dense::{blas, tri, DMat};
@@ -196,6 +196,19 @@ impl<S: Scalar> CycleBuffers<S> {
         &blocks[..j]
     }
 
+    /// The raw block Hessenberg `H̄` in its storage; a cycle of `j`
+    /// iterations fills the leading `(j+1)·p × j·p` block, and the rest of
+    /// those columns is zero.
+    pub fn hraw(&self) -> &DMat<S> {
+        &self.hraw
+    }
+
+    /// The couplings `E = Cᴴ·A·Z` in their storage (`kc` rows); a cycle of
+    /// `j` iterations fills the leading `j·p` columns.
+    pub fn couplings(&self) -> &DMat<S> {
+        &self.e
+    }
+
     /// Make room for a cycle of `m` blocks of `n × p` and `kc` recycled
     /// columns. Storage of that block shape that holds `m` blocks is kept
     /// as it is (stale contents: every entry is written before it is read).
@@ -232,22 +245,6 @@ impl<S: Scalar> CycleBuffers<S> {
     }
 }
 
-/// `[head, blocks…]` side by side in one new matrix of `n` rows.
-pub(crate) fn hcat_blocks<S: Scalar>(
-    n: usize,
-    head: Option<&DMat<S>>,
-    blocks: &[DMat<S>],
-) -> DMat<S> {
-    let parts = || head.into_iter().chain(blocks);
-    let ncols = parts().map(|m| m.ncols()).sum();
-    let mut data = Vec::with_capacity(n * ncols);
-    for m in parts() {
-        assert_eq!(m.nrows(), n);
-        data.extend_from_slice(m.as_slice());
-    }
-    DMat::from_col_major(n, ncols, data)
-}
-
 /// The columns of `blocks` side by side in `out` (`n × blocks.len()·p`).
 fn gather<S: Scalar>(blocks: &[DMat<S>], out: &mut DMat<S>) {
     let mut at = 0;
@@ -268,6 +265,9 @@ pub struct BlockArnoldi<'a, S: Scalar> {
     /// Recycled block to orthogonalize against (GCRO-DR inner cycles).
     pub c_proj: Option<&'a DMat<S>>,
     j: usize,
+    /// How many of the `j` steps took their image from the caller
+    /// ([`Self::step_with_image`]); they come last.
+    given: usize,
     m: usize,
     p: usize,
     orth: OrthScheme,
@@ -329,6 +329,7 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
             buf: CycleBuffers::default(),
             c_proj,
             j: 0,
+            given: 0,
             m,
             p,
             orth,
@@ -386,6 +387,7 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
     /// Start the cycle from the residual block `r0` (rank-revealing CholQR —
     /// the paper's breakdown detection at each restart, §V-C).
     pub fn start(&mut self, r0: &DMat<S>) {
+        let _t = kryst_obs::profile(kryst_obs::Phase::OrthGram);
         assert_eq!(r0.ncols(), self.p);
         self.buf.ensure(
             self.a.nrows(),
@@ -404,17 +406,35 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
         // classic path keeps the plain fixup — it re-projects against C
         // explicitly each step, and its traces must stay bit-identical to
         // the pre-fusion solver.
-        let out = if matches!(self.path, OrthPath::Fused | OrthPath::Pipelined) {
-            chol::cholqr_within(q, self.c_proj.map(ColsRef::whole).as_slice())
+        let ext = self.c_proj.map(ColsRef::whole);
+        let ext = if matches!(self.path, OrthPath::Fused | OrthPath::Pipelined) {
+            ext.as_slice()
         } else {
-            chol::cholqr(q)
+            &[]
         };
+        let mut out = chol::cholqr_within(q, ext);
+        let mut reductions = 1;
+        // CholQR leaves `QᴴQ − I` of the order of ε·κ(R)². A residual block
+        // whose columns have converged unevenly is far from well
+        // conditioned, and what the first block lacks in orthonormality every
+        // later step and the refreshed `C` inherit: such a block gets a
+        // second pass, `R ⟵ R₂·R₁`.
+        let eps = S::Real::epsilon().to_f64();
+        if out.rank == self.p && out.cond_estimate.to_f64() < eps.sqrt().sqrt().sqrt() {
+            let again = chol::cholqr_within(q, ext);
+            out.r = blas::matmul(&again.r, blas::Op::None, &out.r, blas::Op::None);
+            reductions = 2;
+        }
         self.initial_rank = out.rank;
         if let Some(st) = self.stats {
-            st.record_reduction(self.p * self.p * std::mem::size_of::<S>());
+            st.record_reductions(
+                reductions,
+                reductions * self.p * self.p * std::mem::size_of::<S>(),
+            );
         }
         self.buf.qr.reset(&out.r);
         self.j = 0;
+        self.given = 0;
         self.fused_loss = f64::EPSILON;
         self.w_next = None;
         self.z_next = None;
@@ -473,6 +493,38 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
             }
             PrecondMode::None => self.a.apply(vj, w),
         }
+        self.orthogonalize_next()
+    }
+
+    /// A step whose operator image the caller hands in: `image` is `A·D`
+    /// (left: `M⁻¹·A·D`), column-major `n × p`, for a direction block `D` the
+    /// caller keeps, as the stored pairs of LGMRES are. The image is
+    /// orthogonalized and enters `H̄` like any other; the direction does not
+    /// enter this cycle's storage, so such steps come after the cycle's own
+    /// and the caller forms the correction ([`Self::update_solution`] covers
+    /// none of it).
+    pub fn step_with_image(&mut self, image: &[S]) -> Vec<f64> {
+        assert!(self.can_step());
+        let buf = &mut self.buf;
+        CycleBuffers::block(&mut buf.v, buf.shape, self.j + 1)
+            .as_mut_slice()
+            .copy_from_slice(image);
+        // What the pipelined path prepared for a step of its own is void.
+        for lagged in [&mut self.w_next, &mut self.z_next, &mut self.e_next] {
+            if let Some(m) = lagged.take() {
+                buf.ws.put(m);
+            }
+        }
+        self.given += 1;
+        self.orthogonalize_next()
+    }
+
+    /// The second half of a step: block `j+1` holds the operator image `W`.
+    fn orthogonalize_next(&mut self) -> Vec<f64> {
+        let (j, p) = (self.j, self.p);
+        let buf = &mut self.buf;
+        let (built, rest) = buf.v.split_at_mut(j + 1);
+        let w = &mut rest[0];
         // Orthogonalize against the recycled block C (if any) and the basis
         // built so far. The fused path folds both projections and the Gram
         // matrix into a single reduction per pass (§III-D); the classic path
@@ -509,23 +561,15 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
             // Inner orthogonalization against the recycled block C (one
             // reduction — the extra communication of recycling, §III-D).
             if let Some(c) = self.c_proj {
-                let ecol = blas::adjoint_times(c, w);
+                let ecol = fused::adjoint_times(ColsRef::whole(c), w);
                 if let Some(st) = self.stats {
                     st.record_reduction(std::mem::size_of_val(ecol.as_slice()));
                 }
-                blas::gemm(
-                    -S::one(),
-                    c,
-                    blas::Op::None,
-                    &ecol,
-                    blas::Op::None,
-                    S::one(),
-                    w,
-                );
+                fused::fused_update(&[ColsRef::whole(c)], std::slice::from_ref(&ecol), w);
                 buf.e.set_block(0, j * p, &ecol);
             }
             // The classic kernels take the basis as one matrix.
-            let mut vcat = buf.ws.take_stale(vj.nrows(), (j + 1) * p);
+            let mut vcat = buf.ws.take_stale(w.nrows(), (j + 1) * p);
             gather(built, &mut vcat);
             let out = orthogonalize_block(&vcat, (j + 1) * p, w, self.orth);
             buf.ws.put(vcat);
@@ -547,6 +591,7 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
     /// Closes a step: the new Hessenberg block column `[coeffs; r]` goes
     /// into `H̄` and the QR; returns the least-squares residual estimates.
     fn push_hessenberg_column(&mut self, coeffs: &DMat<S>, rfac: &DMat<S>) -> Vec<f64> {
+        let _t = kryst_obs::profile(kryst_obs::Phase::SmallDense);
         let (j, p) = (self.j, self.p);
         let mut hcol = DMat::zeros((j + 2) * p, p);
         hcol.set_block(0, 0, coeffs);
@@ -636,22 +681,14 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
             let ecol = match self.e_next.take() {
                 Some(e) => e,
                 None => {
-                    let ecol = blas::adjoint_times(c, &w);
+                    let ecol = fused::adjoint_times(ColsRef::whole(c), &w);
                     if let Some(st) = self.stats {
                         st.record_reduction(std::mem::size_of_val(ecol.as_slice()));
                     }
                     ecol
                 }
             };
-            blas::gemm(
-                -S::one(),
-                c,
-                blas::Op::None,
-                &ecol,
-                blas::Op::None,
-                S::one(),
-                &mut w,
-            );
+            fused::fused_update(&[ColsRef::whole(c)], std::slice::from_ref(&ecol), &mut w);
             buf.e.set_block(0, j * p, &ecol);
         }
         // Depth-1 lag: apply the operator chain to the projected block NOW —
@@ -688,7 +725,7 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
             // need `Cᴴ·û` — computed here so its reduction is in flight
             // during the same overlap window as the Gram reduction.
             let cu = self.c_proj.map(|c| {
-                let cu = blas::adjoint_times(c, &pair.0);
+                let cu = fused::adjoint_times(ColsRef::whole(c), &pair.0);
                 if let Some(st) = self.stats {
                     st.record_overlapped_reduction(1, std::mem::size_of_val(cu.as_slice()));
                 }
@@ -748,48 +785,20 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
         // recurrence must fall back to a synchronous apply.
         if let Some((mut uhat, t, cu)) = lagged {
             if !out.refreshed && out.rank == p {
-                let u_active = buf.u_hist.cols(0, ncols);
-                blas::gemm(
-                    -S::one(),
-                    &u_active,
-                    blas::Op::None,
-                    &out.coeffs,
-                    blas::Op::None,
-                    S::one(),
-                    &mut uhat,
-                );
+                let coeffs = std::slice::from_ref(&out.coeffs);
+                fused::fused_update(&[ColsRef::leading(&buf.u_hist, ncols)], coeffs, &mut uhat);
                 tri::right_solve_upper(&mut uhat, &out.r);
                 self.w_next = Some(uhat);
                 if let Some(mut cu) = cu {
                     // E_{j+1} = (Cᴴû − E·Sᵥ)·R⁻¹: the stored E columns are
                     // exactly Cᴴ·U, so the projection coefficients follow
                     // the same recurrence as the operator image.
-                    let e_active = buf.e.cols(0, ncols);
-                    blas::gemm(
-                        -S::one(),
-                        &e_active,
-                        blas::Op::None,
-                        &out.coeffs,
-                        blas::Op::None,
-                        S::one(),
-                        &mut cu,
-                    );
+                    fused::fused_update(&[ColsRef::leading(&buf.e, ncols)], coeffs, &mut cu);
                     tri::right_solve_upper(&mut cu, &out.r);
                     self.e_next = Some(cu);
                 }
                 if let Some(mut t) = t {
-                    let mut z_active = buf.ws.take_stale(n, ncols);
-                    gather(&buf.z[..=j], &mut z_active);
-                    blas::gemm(
-                        -S::one(),
-                        &z_active,
-                        blas::Op::None,
-                        &out.coeffs,
-                        blas::Op::None,
-                        S::one(),
-                        &mut t,
-                    );
-                    buf.ws.put(z_active);
+                    fused::fused_update(&[ColsRef::blocks(&buf.z[..=j])], coeffs, &mut t);
                     tri::right_solve_upper(&mut t, &out.r);
                     self.z_next = Some(t);
                 }
@@ -831,46 +840,34 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
     /// Apply the correction: `x += Z·y` for right/flexible (`V·y` coincides
     /// with `Z·y` in the other modes because `Z_j` is `V_j` then).
     pub fn update_solution(&self, y: &DMat<S>, x: &mut DMat<S>) {
-        // One product over all of Z, as `gemm` blocks and rounds it.
-        let zm = self.z_active();
-        blas::gemm(
-            S::one(),
-            &zm,
-            blas::Op::None,
-            y,
-            blas::Op::None,
-            S::one(),
+        assert_eq!(self.given, 0, "the caller keeps those directions");
+        fused::fused_accumulate(
+            &[ColsRef::blocks(self.directions())],
+            std::slice::from_ref(y),
             x,
         );
     }
 
-    /// The leading `(j+1)·p` columns of the basis `V`, as one matrix.
-    pub fn v_active(&self) -> DMat<S> {
-        hcat_blocks(self.a.nrows(), None, self.buf.basis(self.j))
+    /// The basis blocks `V_0 … V_j` built so far, where the cycle keeps them.
+    pub fn basis(&self) -> &[DMat<S>] {
+        self.buf.basis(self.j)
     }
 
-    /// The leading `j·p` columns of `Z`, as one matrix.
-    pub fn z_active(&self) -> DMat<S> {
-        hcat_blocks(self.a.nrows(), None, self.buf.directions(self.j))
+    /// The direction blocks `Z_0 … Z_{j−1}` of the cycle's own steps (the
+    /// basis blocks themselves unless right/flexible preconditioned).
+    pub fn directions(&self) -> &[DMat<S>] {
+        self.buf.directions(self.j - self.given)
     }
 
-    /// The raw block Hessenberg `H̄` in its storage; the completed
-    /// iterations fill the leading `(j+1)·p × j·p` block.
+    /// The raw block Hessenberg `H̄` in its storage; see
+    /// [`CycleBuffers::hraw`].
     pub fn hraw(&self) -> &DMat<S> {
         &self.buf.hraw
     }
 
-    /// Raw Hessenberg restricted to the completed iterations
-    /// ((j+1)·p × j·p).
-    pub fn hraw_active(&self) -> DMat<S> {
-        self.buf
-            .hraw
-            .block(0, 0, (self.j + 1) * self.p, self.j * self.p)
-    }
-
-    /// Captured `E` coefficients ((kc) × j·p).
-    pub fn e_active(&self) -> DMat<S> {
-        self.buf.e.block(0, 0, self.buf.e.nrows(), self.j * self.p)
+    /// The couplings `E` in their storage; see [`CycleBuffers::couplings`].
+    pub fn couplings(&self) -> &DMat<S> {
+        &self.buf.e
     }
 
     /// Block width.
@@ -939,8 +936,27 @@ pub fn rhs_norms<S: Scalar>(b: &DMat<S>) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kryst_dense::blas;
     use kryst_par::IdentityPrecond;
     use kryst_sparse::{Coo, Csr};
+
+    /// The blocks side by side in one matrix.
+    fn cat(blocks: &[DMat<f64>]) -> DMat<f64> {
+        let mut out = DMat::zeros(blocks[0].nrows(), blocks.len() * blocks[0].ncols());
+        gather(blocks, &mut out);
+        out
+    }
+
+    /// `H̄` and `E` of the completed iterations.
+    fn hbar(arn: &BlockArnoldi<'_, f64>) -> DMat<f64> {
+        let (j, p) = (arn.iterations(), arn.p());
+        arn.hraw().block(0, 0, (j + 1) * p, j * p)
+    }
+
+    fn couplings(arn: &BlockArnoldi<'_, f64>) -> DMat<f64> {
+        let e = arn.couplings();
+        e.block(0, 0, e.nrows(), arn.iterations() * arn.p())
+    }
 
     fn laplace1d(n: usize) -> Csr<f64> {
         let mut c = Coo::new(n, n);
@@ -968,11 +984,11 @@ mod tests {
         for _ in 0..6 {
             arn.step();
         }
-        let az = a.apply(&arn.z_active());
+        let az = a.apply(&cat(arn.directions()));
         let vh = blas::matmul(
-            &arn.v_active(),
+            &cat(arn.basis()),
             blas::Op::None,
-            &arn.hraw_active(),
+            &hbar(&arn),
             blas::Op::None,
         );
         let mut diff = az.clone();
@@ -983,7 +999,7 @@ mod tests {
             diff.max_abs()
         );
         // Basis orthonormality.
-        let g = blas::adjoint_times(&arn.v_active(), &arn.v_active());
+        let g = blas::adjoint_times(&cat(arn.basis()), &cat(arn.basis()));
         for i in 0..g.nrows() {
             for j in 0..g.ncols() {
                 let e = if i == j { 1.0 } else { 0.0 };
@@ -1018,15 +1034,15 @@ mod tests {
         for _ in 0..5 {
             arn.step();
         }
-        let g = blas::adjoint_times(&c, &arn.v_active());
+        let g = blas::adjoint_times(&c, &cat(arn.basis()));
         assert!(g.max_abs() < 1e-10, "CᴴV = {}", g.max_abs());
         // Verify the captured E: A·Z = C·E + V·H̄.
-        let az = a.apply(&arn.z_active());
-        let mut rhs = blas::matmul(&c, blas::Op::None, &arn.e_active(), blas::Op::None);
+        let az = a.apply(&cat(arn.directions()));
+        let mut rhs = blas::matmul(&c, blas::Op::None, &couplings(&arn), blas::Op::None);
         let vh = blas::matmul(
-            &arn.v_active(),
+            &cat(arn.basis()),
             blas::Op::None,
-            &arn.hraw_active(),
+            &hbar(&arn),
             blas::Op::None,
         );
         rhs.axpy(1.0, &vh);
@@ -1069,13 +1085,13 @@ mod tests {
             // Iteration-space relation: B·Z = V·H̄ with B = A (right: Z holds
             // M⁻¹V) or B = M⁻¹·A (left: Z holds V).
             let az = match side {
-                PrecondSide::Left => jac.apply_new(&a.apply(&arn.z_active())),
-                _ => a.apply(&arn.z_active()),
+                PrecondSide::Left => jac.apply_new(&a.apply(&cat(arn.directions()))),
+                _ => a.apply(&cat(arn.directions())),
             };
             let vh = blas::matmul(
-                &arn.v_active(),
+                &cat(arn.basis()),
                 blas::Op::None,
-                &arn.hraw_active(),
+                &hbar(&arn),
                 blas::Op::None,
             );
             let mut diff = az.clone();
@@ -1085,7 +1101,7 @@ mod tests {
                 "pipelined Arnoldi relation violated ({side:?}): {}",
                 diff.max_abs()
             );
-            let g = blas::adjoint_times(&arn.v_active(), &arn.v_active());
+            let g = blas::adjoint_times(&cat(arn.basis()), &cat(arn.basis()));
             for i in 0..g.nrows() {
                 for j in 0..g.ncols() {
                     let e = if i == j { 1.0 } else { 0.0 };
@@ -1123,15 +1139,15 @@ mod tests {
         for _ in 0..5 {
             arn.step();
         }
-        let g = blas::adjoint_times(&c, &arn.v_active());
+        let g = blas::adjoint_times(&c, &cat(arn.basis()));
         assert!(g.max_abs() < 1e-9, "CᴴV = {}", g.max_abs());
         // The captured E stays exact: A·Z = C·E + V·H̄.
-        let az = a.apply(&arn.z_active());
-        let mut rhs = blas::matmul(&c, blas::Op::None, &arn.e_active(), blas::Op::None);
+        let az = a.apply(&cat(arn.directions()));
+        let mut rhs = blas::matmul(&c, blas::Op::None, &couplings(&arn), blas::Op::None);
         let vh = blas::matmul(
-            &arn.v_active(),
+            &cat(arn.basis()),
             blas::Op::None,
-            &arn.hraw_active(),
+            &hbar(&arn),
             blas::Op::None,
         );
         rhs.axpy(1.0, &vh);

@@ -21,15 +21,17 @@
 //!   same code handle right, left, and **flexible** preconditioning
 //!   (FGCRO-DR) uniformly.
 
-use crate::cycle::{any_above, hcat_blocks, rhs_norms, BlockArnoldi, CycleBuffers, PrecondMode};
+use crate::cycle::{any_above, rhs_norms, BlockArnoldi, CycleBuffers, PrecondMode};
 use crate::opts::{RecycleStrategy, SolveOpts, SolveResult};
 use crate::trace::SolveTracer;
 use kryst_dense::eig::{self, EigDecomp};
+use kryst_dense::fused::{self, ColsRef};
 use kryst_dense::qr::HouseholderQr;
 use kryst_dense::{blas, chol, tri, DMat};
 use kryst_obs::{profile, DiagKind, Phase, SpanKind};
 use kryst_par::{LinOp, PrecondOp};
 use kryst_scalar::{Real, Scalar};
+use std::slice::from_ref;
 
 /// The recycled subspace pair.
 pub struct RecycleSpace<S: Scalar> {
@@ -69,6 +71,70 @@ impl<S: Scalar> SolverContext<S> {
     }
 }
 
+/// Column norms of a residual block.
+fn norms<S: Scalar>(r: &DMat<S>) -> Vec<f64> {
+    r.col_norms().iter().map(|v| v.to_f64()).collect()
+}
+
+/// Residual norms relative to the right-hand sides'.
+fn relative(rn: &[f64], bnorms: &[f64]) -> Vec<f64> {
+    rn.iter().zip(bnorms).map(|(r, b)| r / b).collect()
+}
+
+/// Closes the solve's trace and reports it.
+fn finish(
+    tracer: SolveTracer,
+    iterations: usize,
+    converged: bool,
+    final_relres: Vec<f64>,
+) -> SolveResult {
+    let history = tracer.finish(converged, &final_relres);
+    SolveResult {
+        iterations,
+        converged,
+        history,
+        final_relres,
+    }
+}
+
+/// Steps the cycle `arn` was started on until it is full, its least-squares
+/// estimates meet the tolerance (the true residual decides afterwards) or
+/// `max_iters` is reached.
+fn run_cycle<S: Scalar>(
+    arn: &mut BlockArnoldi<'_, S>,
+    tracer: &mut SolveTracer,
+    iters: &mut usize,
+    cycle: usize,
+    bnorms: &[f64],
+    opts: &SolveOpts,
+) {
+    while arn.can_step() && *iters < opts.max_iters {
+        let first = arn.iterations() == 0;
+        let res = arn.step();
+        *iters += 1;
+        let rank = arn.breakdown_rank(first);
+        tracer.iteration(
+            cycle,
+            *iters - 1,
+            relative(&res, bnorms),
+            opts.orth.name(),
+            rank,
+        );
+        if arn.last_orth_passes() > 1 || arn.last_orth_refreshed() {
+            tracer.diag(
+                cycle,
+                *iters - 1,
+                DiagKind::OrthLoss,
+                arn.fused_loss(),
+                arn.last_orth_passes(),
+            );
+        }
+        if !any_above(&res, bnorms, opts.rtol) {
+            break;
+        }
+    }
+}
+
 /// Solve `A·X = B` with (block) GCRO-DR, recycling through `ctx`.
 pub fn solve<S: Scalar>(
     a: &dyn LinOp<S>,
@@ -87,7 +153,6 @@ pub fn solve<S: Scalar>(
     let bnorms = rhs_norms(b);
     let stats = opts.stats.as_deref();
     let mut tracer = SolveTracer::begin(opts, "gcrodr", ctx.solves, n, p);
-    let orth_name = opts.orth.name();
     let mut cycle = 0usize;
     let mut iters = 0usize;
     // Storage shared by every Arnoldi cycle of this solve.
@@ -100,19 +165,10 @@ pub fn solve<S: Scalar>(
     let first_solve = ctx.solves == 0;
     let refresh_allowed = !opts.same_system || first_solve;
     let mut r = mode.residual_ws(a, b, x, &mut bufs.ws);
-    {
-        let r0: Vec<f64> = r.col_norms().iter().map(|v| v.to_f64()).collect();
-        if !any_above(&r0, &bnorms, opts.rtol) {
-            ctx.solves += 1;
-            let final_relres: Vec<f64> = r0.iter().zip(&bnorms).map(|(r, b)| r / b).collect();
-            let history = tracer.finish(true, &final_relres);
-            return SolveResult {
-                iterations: 0,
-                converged: true,
-                history,
-                final_relres,
-            };
-        }
+    let r0 = norms(&r);
+    if !any_above(&r0, &bnorms, opts.rtol) {
+        ctx.solves += 1;
+        return finish(tracer, 0, true, relative(&r0, &bnorms));
     }
 
     // ---- Lines 2–9: reuse a previous recycle space. --------------------
@@ -132,28 +188,12 @@ pub fn solve<S: Scalar>(
                 rec.c = w;
             }
             // Lines 8–9: X ⟵ X + U·CᴴR; R ⟵ R − C·CᴴR.
-            let coef = blas::adjoint_times(&rec.c, &r);
+            let coef = fused::adjoint_times(ColsRef::whole(&rec.c), &r);
             if let Some(st) = stats {
                 st.record_reduction(std::mem::size_of_val(coef.as_slice()));
             }
-            blas::gemm(
-                S::one(),
-                &rec.u,
-                blas::Op::None,
-                &coef,
-                blas::Op::None,
-                S::one(),
-                x,
-            );
-            blas::gemm(
-                -S::one(),
-                &rec.c,
-                blas::Op::None,
-                &coef,
-                blas::Op::None,
-                S::one(),
-                &mut r,
-            );
+            fused::fused_accumulate(&[ColsRef::whole(&rec.u)], from_ref(&coef), x);
+            fused::fused_update(&[ColsRef::whole(&rec.c)], from_ref(&coef), &mut r);
             space = Some(rec);
         }
     }
@@ -167,31 +207,12 @@ pub fn solve<S: Scalar>(
             .with_path(opts.ortho)
             .with_buffers(std::mem::take(&mut bufs));
         arn.start(&r);
-        let mut done = false;
-        let mut first = true;
-        while arn.can_step() && iters < opts.max_iters {
-            let res = arn.step();
-            iters += 1;
-            let rel: Vec<f64> = res.iter().zip(&bnorms).map(|(rr, bb)| rr / bb).collect();
-            tracer.iteration(cycle, iters - 1, rel, orth_name, arn.breakdown_rank(first));
-            if arn.last_orth_passes() > 1 || arn.last_orth_refreshed() {
-                tracer.diag(
-                    cycle,
-                    iters - 1,
-                    DiagKind::OrthLoss,
-                    arn.fused_loss(),
-                    arn.last_orth_passes(),
-                );
-            }
-            first = false;
-            if !any_above(&res, &bnorms, opts.rtol) {
-                done = true;
-                break;
-            }
-        }
+        run_cycle(&mut arn, &mut tracer, &mut iters, cycle, &bnorms, opts);
         tracer.span_end(cyc_probe, SpanKind::Cycle, cycle);
+        let restart_timer = profile(Phase::Restart);
         let y = arn.solve_y();
         arn.update_solution(&y, x);
+        drop(restart_timer);
         arn.workspace().put(r);
         r = mode.residual_ws(a, b, x, arn.workspace());
         // Lines 16–20: harmonic Ritz via eq. (2), then C/U extraction.
@@ -221,154 +242,100 @@ pub fn solve<S: Scalar>(
                 }
             }
             let decomp = eig::eig(&hmod);
-            let pk = select_smallest::<S>(&decomp, kc);
-            let kc = pk.ncols();
-            if kc >= 1 {
+            let mut pk = select_smallest::<S>(&decomp, kc);
+            if pk.ncols() >= 1 {
                 tracer.diag(
                     cycle,
                     iters.saturating_sub(1),
                     DiagKind::RitzQuality,
                     min_ritz_magnitude(&decomp),
-                    kc,
+                    pk.ncols(),
                 );
-                // [Q,R] = qr(H̄·P); C = V·Q; U = Z·P·R⁻¹.
-                let hp = blas::matmul(&arn.hraw_active(), blas::Op::None, &pk, blas::Op::None);
-                let f = HouseholderQr::factor(hp);
-                let q = f.q_thin();
-                let rfac = f.r();
-                let c = blas::matmul(&arn.v_active(), blas::Op::None, &q, blas::Op::None);
-                let mut u = blas::matmul(&arn.z_active(), blas::Op::None, &pk, blas::Op::None);
-                safe_right_solve(&mut u, &rfac);
-                space = Some(RecycleSpace { u, c });
+                // [Q,R] = qr(H̄·P); C = V·Q; U = Z·(P·R⁻¹), read from the
+                // blocks of V and Z where the cycle left them.
+                let hbar = arn.hraw().block(0, 0, jp + p, jp);
+                let f =
+                    HouseholderQr::factor(blas::matmul(&hbar, blas::Op::None, &pk, blas::Op::None));
+                safe_right_solve(&mut pk, &f.r());
+                let mut rec = RecycleSpace {
+                    u: DMat::zeros(n, pk.ncols()),
+                    c: DMat::zeros(n, pk.ncols()),
+                };
+                fused::fused_accumulate(&[ColsRef::blocks(arn.basis())], &[f.q_thin()], &mut rec.c);
+                fused::fused_accumulate(&[ColsRef::blocks(arn.directions())], &[pk], &mut rec.u);
+                space = Some(rec);
             }
         }
         tracer.span_end(eig_probe, SpanKind::Eigensolve, cycle);
         bufs = arn.into_buffers();
         cycle += 1;
-        let _ = done;
-        if !any_above(
-            &r.col_norms().iter().map(|v| v.to_f64()).collect::<Vec<_>>(),
-            &bnorms,
-            opts.rtol,
-        ) {
+        let rn = norms(&r);
+        if !any_above(&rn, &bnorms, opts.rtol) {
             ctx.recycle = space;
             ctx.solves += 1;
-            let final_relres: Vec<f64> = r
-                .col_norms()
-                .iter()
-                .zip(&bnorms)
-                .map(|(rr, bb)| rr.to_f64() / bb)
-                .collect();
+            let final_relres = relative(&rn, &bnorms);
             let converged = final_relres.iter().all(|&v| v <= opts.rtol * 10.0);
-            let history = tracer.finish(converged, &final_relres);
-            return SolveResult {
-                iterations: iters,
-                converged,
-                history,
-                final_relres,
-            };
+            return finish(tracer, iters, converged, final_relres);
         }
     }
 
     // ---- Lines 22–39: deflated cycles with the projected operator. ------
     let mut converged = false;
+    // The pair a refresh replaced: the next refresh builds `(U, C)` in it.
+    let mut spare: Option<RecycleSpace<S>> = None;
     while iters < opts.max_iters && space.is_some() {
-        let rec = space.take().unwrap();
+        let mut rec = space.take().unwrap();
         let kc = rec.u.ncols();
         let k_blocks = kc.div_ceil(p);
         let m_inner = (m - k_blocks.min(m - 1)).max(1);
         let cyc_probe = tracer.span_start();
+        // `R = B − A·X` is orthogonal to `C` only up to its own rounding,
+        // which near convergence is not small beside `‖R‖`. `C`'s share goes
+        // to the update below and out of `R`: the cycle's basis starts
+        // orthogonal to `C`, which is what keeps `[C V]·Q` orthonormal.
+        let cr = fused::adjoint_times(ColsRef::whole(&rec.c), &r);
+        if let Some(st) = stats {
+            st.record_reduction(std::mem::size_of_val(cr.as_slice()));
+        }
+        fused::fused_update(&[ColsRef::whole(&rec.c)], from_ref(&cr), &mut r);
         let mut arn = BlockArnoldi::new(a, &mode, m_inner, p, opts.orth, Some(&rec.c), stats)
             .with_path(opts.ortho)
             .with_buffers(std::mem::take(&mut bufs));
         arn.start(&r);
-        let mut done = false;
-        let mut first = true;
-        while arn.can_step() && iters < opts.max_iters {
-            let res = arn.step();
-            iters += 1;
-            let rel: Vec<f64> = res.iter().zip(&bnorms).map(|(rr, bb)| rr / bb).collect();
-            tracer.iteration(cycle, iters - 1, rel, orth_name, arn.breakdown_rank(first));
-            if arn.last_orth_passes() > 1 || arn.last_orth_refreshed() {
-                tracer.diag(
-                    cycle,
-                    iters - 1,
-                    DiagKind::OrthLoss,
-                    arn.fused_loss(),
-                    arn.last_orth_passes(),
-                );
-            }
-            first = false;
-            if !any_above(&res, &bnorms, opts.rtol) {
-                done = true;
-                break;
-            }
-        }
+        run_cycle(&mut arn, &mut tracer, &mut iters, cycle, &bnorms, opts);
         tracer.span_end(cyc_probe, SpanKind::Cycle, cycle);
-        // Lines 27–29: solution update with both U and Z contributions.
+        // Lines 27–29: solution update with both U and Z contributions,
+        // `y_k = CᴴR − E·y`.
         let restart_probe = tracer.span_start();
+        let restart_timer = profile(Phase::Restart);
         let y = arn.solve_y();
-        let cr = blas::adjoint_times(&rec.c, &r);
-        if let Some(st) = stats {
-            st.record_reduction(std::mem::size_of_val(cr.as_slice()));
-        }
         let mut yk = cr;
-        blas::gemm(
-            -S::one(),
-            &arn.e_active(),
-            blas::Op::None,
-            &y,
-            blas::Op::None,
-            S::one(),
-            &mut yk,
-        );
-        blas::gemm(
-            S::one(),
-            &rec.u,
-            blas::Op::None,
-            &yk,
-            blas::Op::None,
-            S::one(),
-            x,
-        );
+        let e = ColsRef::leading(arn.couplings(), y.nrows());
+        fused::fused_update(&[e], from_ref(&y), &mut yk);
+        fused::fused_accumulate(&[ColsRef::whole(&rec.u)], from_ref(&yk), x);
         arn.update_solution(&y, x);
+        drop(restart_timer);
         arn.workspace().put(r);
         r = mode.residual_ws(a, b, x, arn.workspace());
         tracer.span_end(restart_probe, SpanKind::Restart, cycle);
-        let rn: Vec<f64> = r.col_norms().iter().map(|v| v.to_f64()).collect();
         // Convergence is decided on the TRUE residual; the in-cycle estimate
-        // (`done`) only ends the cycle early.
-        let _ = done;
-        if !any_above(&rn, &bnorms, opts.rtol) {
-            converged = true;
-        }
+        // only ends the cycle early.
+        converged = !any_above(&norms(&r), &bnorms, opts.rtol);
 
         // Lines 31–38: refresh the recycle space (skipped for non-variable
         // sequences after the first solve — §III-B — and once converged).
-        if refresh_allowed && !converged && arn.iterations() > 0 {
-            let (e, h, j) = (arn.e_active(), arn.hraw_active(), arn.iterations());
-            // Handing the buffers back ends the cycle's borrow of `C`; the
-            // refresh reads `V` and `Z` where the cycle left them.
-            bufs = arn.into_buffers();
-            let parts = CycleParts {
-                e,
-                h,
-                v: bufs.basis(j),
-                z: bufs.directions(j),
-                j,
-                p,
-            };
+        let j = arn.iterations();
+        // Handing the buffers back ends the cycle's borrow of `C`; the
+        // refresh reads `V`, `Z`, `E` and `H̄` where the cycle left them.
+        bufs = arn.into_buffers();
+        if refresh_allowed && !converged && j > 0 {
             let refresh_probe = tracer.span_start();
             let refresh_timer = profile(Phase::RecycleSetup);
-            space = Some(refresh_recycle_space(
-                rec, parts, kc, opts, stats, &tracer, cycle,
-            ));
+            refresh_recycle_space(&mut rec, &mut spare, &bufs, (j, p), opts, &tracer, cycle);
             drop(refresh_timer);
             tracer.span_end(refresh_probe, SpanKind::RecycleRefresh, cycle);
-        } else {
-            bufs = arn.into_buffers();
-            space = Some(rec);
         }
+        space = Some(rec);
         cycle += 1;
         if converged {
             break;
@@ -379,48 +346,28 @@ pub fn solve<S: Scalar>(
     ctx.solves += 1;
     bufs.ws.put(r);
     let rfin = mode.residual_ws(a, b, x, &mut bufs.ws);
-    let final_relres: Vec<f64> = rfin
-        .col_norms()
-        .iter()
-        .zip(&bnorms)
-        .map(|(rr, bb)| rr.to_f64() / bb)
-        .collect();
+    let final_relres = relative(&norms(&rfin), &bnorms);
     let converged = converged && final_relres.iter().all(|&v| v <= opts.rtol * 10.0);
-    let history = tracer.finish(converged, &final_relres);
-    SolveResult {
-        iterations: iters,
-        converged,
-        history,
-        final_relres,
-    }
+    finish(tracer, iters, converged, final_relres)
 }
 
-/// The cycle data the recycle-space refresh consumes: `E` and `H̄` copied
-/// out of the Arnoldi driver (so its borrow of `C` can end first), `V` and
-/// `Z` as the blocks the cycle left in its buffers.
-struct CycleParts<'b, S> {
-    e: DMat<S>,
-    h: DMat<S>,
-    v: &'b [DMat<S>],
-    z: &'b [DMat<S>],
-    j: usize,
-    p: usize,
-}
-
-/// Lines 31–38 of Fig. 1: generalized harmonic-Ritz refresh of `(U, C)`.
+/// Lines 31–38 of Fig. 1: generalized harmonic-Ritz refresh of `(U, C)`
+/// from a cycle of `j` iterations of width `p` whose `V`, `Z`, `E` and `H̄`
+/// are read in `bufs`. The new pair is built in `spare` (or new storage of
+/// the right shape) and the pair it replaces is left there.
 fn refresh_recycle_space<S: Scalar>(
-    mut rec: RecycleSpace<S>,
-    parts: CycleParts<'_, S>,
-    kc: usize,
+    rec: &mut RecycleSpace<S>,
+    spare: &mut Option<RecycleSpace<S>>,
+    bufs: &CycleBuffers<S>,
+    (j, p): (usize, usize),
     opts: &SolveOpts,
-    stats: Option<&kryst_par::CommStats>,
     tracer: &SolveTracer,
     cycle: usize,
-) -> RecycleSpace<S> {
-    let p = parts.p;
-    let j = parts.j;
+) {
+    let stats = opts.stats.as_deref();
     let jp = j * p;
-    let n = rec.u.nrows();
+    let (n, kc) = (rec.u.nrows(), rec.u.ncols());
+    let (v, z) = (bufs.basis(j), bufs.directions(j));
     // Line 32: scale the columns of U to unit norm; D holds the scalings.
     let mut d = DMat::<S>::zeros(kc, kc);
     for i in 0..kc {
@@ -442,23 +389,31 @@ fn refresh_recycle_space<S: Scalar>(
     let cols = kc + jp;
     let mut g = DMat::<S>::zeros(rows, cols);
     g.set_block(0, 0, &d);
-    g.set_block(0, kc, &parts.e);
-    g.set_block(kc, kc, &parts.h);
+    for c in 0..jp {
+        let gcol = g.col_mut(kc + c);
+        gcol[..kc].copy_from_slice(bufs.couplings().col(c));
+        gcol[kc..].copy_from_slice(&bufs.hraw().col(c)[..(j + 1) * p]);
+    }
     let t = blas::matmul(&g, blas::Op::ConjTrans, &g, blas::Op::None);
     // Right-hand side W per eq. (3a)/(3b).
     let w = match opts.recycle_strategy {
         RecycleStrategy::A => {
-            // J = [[CᴴU, 0], [VᴴU, I]] — one extra fused reduction.
-            let cu = blas::adjoint_times(&rec.c, &rec.u);
-            let vu = blas::adjoint_times(&hcat_blocks(n, None, parts.v), &rec.u);
+            // J = [[CᴴU, 0], [VᴴU, I]] — one extra fused reduction, and one
+            // sweep over `U` for both products.
+            let mut cvu = [DMat::zeros(kc, kc), DMat::zeros((j + 1) * p, kc)];
+            fused::fused_adjoint_times(
+                &[ColsRef::whole(&rec.c), ColsRef::blocks(v)],
+                &rec.u,
+                &mut cvu,
+            );
             if let Some(st) = stats {
                 st.record_reduction(
-                    (cu.as_slice().len() + vu.as_slice().len()) * std::mem::size_of::<S>(),
+                    (cvu[0].as_slice().len() + cvu[1].as_slice().len()) * std::mem::size_of::<S>(),
                 );
             }
             let mut jmat = DMat::<S>::zeros(rows, cols);
-            jmat.set_block(0, 0, &cu);
-            jmat.set_block(kc, 0, &vu);
+            jmat.set_block(0, 0, &cvu[0]);
+            jmat.set_block(kc, 0, &cvu[1]);
             for i in 0..jp {
                 jmat[(kc + i, kc + i)] = S::one();
             }
@@ -473,32 +428,44 @@ fn refresh_recycle_space<S: Scalar>(
     };
     let eig_probe = tracer.span_start();
     let decomp = eig::eig_generalized(&t, &w);
-    let pk = select_smallest::<S>(&decomp, kc);
+    let mut pk = select_smallest::<S>(&decomp, kc);
     tracer.span_end(eig_probe, SpanKind::Eigensolve, cycle);
-    if pk.ncols() == 0 {
-        return rec;
+    let kn = pk.ncols();
+    if kn == 0 {
+        return;
     }
     tracer.diag(
         cycle,
         tracer.iterations().saturating_sub(1),
         DiagKind::RitzQuality,
         min_ritz_magnitude(&decomp),
-        pk.ncols(),
+        kn,
     );
-    // Lines 35–37: [Q,R] = qr(G·P); C ⟵ [C V]·Q; U ⟵ [U Z]·P·R⁻¹.
-    let gp = blas::matmul(&g, blas::Op::None, &pk, blas::Op::None);
-    let f = HouseholderQr::factor(gp);
+    // Lines 35–37: [Q,R] = qr(G·P); C ⟵ [C V]·Q; U ⟵ [U Z]·(P·R⁻¹) — each
+    // one sweep over the old pair and the cycle's blocks into a zeroed panel.
+    let f = HouseholderQr::factor(blas::matmul(&g, blas::Op::None, &pk, blas::Op::None));
     let q = f.q_thin();
-    let rfac = f.r();
-    // `[C V]` is dropped before `[U Z]` is put together: the cycle's blocks
-    // stay allocated underneath, so one wide copy at a time.
-    let cv = hcat_blocks(n, Some(&rec.c), parts.v);
-    let c_new = blas::matmul(&cv, blas::Op::None, &q, blas::Op::None);
-    drop(cv);
-    let uz = hcat_blocks(n, Some(&rec.u), parts.z);
-    let mut u_new = blas::matmul(&uz, blas::Op::None, &pk, blas::Op::None);
-    safe_right_solve(&mut u_new, &rfac);
-    RecycleSpace { u: u_new, c: c_new }
+    safe_right_solve(&mut pk, &f.r());
+    let mut new = match spare.take() {
+        Some(s) if s.u.ncols() == kn => s,
+        _ => RecycleSpace {
+            u: DMat::zeros(n, kn),
+            c: DMat::zeros(n, kn),
+        },
+    };
+    new.c.set_zero();
+    fused::fused_accumulate(
+        &[ColsRef::whole(&rec.c), ColsRef::blocks(v)],
+        &[q.block(0, 0, kc, kn), q.block(kc, 0, rows - kc, kn)],
+        &mut new.c,
+    );
+    new.u.set_zero();
+    fused::fused_accumulate(
+        &[ColsRef::whole(&rec.u), ColsRef::blocks(z)],
+        &[pk.block(0, 0, kc, kn), pk.block(kc, 0, jp, kn)],
+        &mut new.u,
+    );
+    *spare = Some(std::mem::replace(rec, new));
 }
 
 /// Smallest harmonic-Ritz magnitude of a deflation eigenproblem — the

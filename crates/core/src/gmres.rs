@@ -95,8 +95,10 @@ pub fn solve<S: Scalar>(
         tracer.span_end(cyc, SpanKind::Cycle, cycle);
         // Apply the correction, recompute the true residual.
         let restart = tracer.span_start();
+        let restart_timer = kryst_obs::profile(kryst_obs::Phase::Restart);
         let y = arn.solve_y();
         arn.update_solution(&y, x);
+        drop(restart_timer);
         bufs = arn.into_buffers();
         bufs.ws.put(r);
         r = mode.residual_ws(a, b, x, &mut bufs.ws);

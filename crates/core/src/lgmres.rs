@@ -7,15 +7,56 @@
 //! Manteuffel). Unlike GCRO-DR the augmentation vectors carry no spectral
 //! deflation and cannot be reused across systems — which is exactly the gap
 //! the paper exploits (Fig. 3c/3d: 269 LGMRES vs 173 GCRO-DR iterations).
+//!
+//! A cycle is one Arnoldi process ([`BlockArnoldi`]): `m − k` steps on the
+//! current residual, then one step per stored pair `(z_i, A·z_i)` whose
+//! operator image is the stored `A·z_i` — no operator apply, and the
+//! least-squares problem over `[Z, z_1 … z_k]` is the cycle's own `H̄`.
 
 use crate::cycle::{rhs_norms, BlockArnoldi, CycleBuffers, PrecondMode};
 use crate::opts::{SolveOpts, SolveResult};
 use crate::trace::SolveTracer;
-use kryst_dense::{blas, chol, DMat};
-use kryst_obs::SpanKind;
+use kryst_dense::fused::{self, ColsRef};
+use kryst_dense::DMat;
+use kryst_obs::{profile, Phase, SpanKind};
 use kryst_par::{LinOp, PrecondOp};
 use kryst_scalar::{Real, Scalar};
-use std::collections::VecDeque;
+
+/// The most recent error approximations `z_i` and their images `A·z_i`,
+/// scaled to `‖A·z_i‖ = 1` (the direction is what matters, and the columns
+/// of `H̄` stay O(1) as the residual shrinks). Column `i` holds the pair
+/// stored `i` restarts ago; the storage for all `k` is allocated with the
+/// first pair.
+struct Pairs<S> {
+    z: DMat<S>,
+    az: DMat<S>,
+    k: usize,
+    len: usize,
+}
+
+impl<S: Scalar> Pairs<S> {
+    /// Store `(z, az)` in front, dropping the oldest of `k` pairs; a
+    /// degenerate pair (`A·z = 0`) is not stored.
+    fn push(&mut self, z: &DMat<S>, az: &DMat<S>) {
+        let norm = az.fro_norm().to_f64();
+        if norm <= 1e-300 {
+            return;
+        }
+        let n = z.nrows();
+        if self.z.is_empty() {
+            self.z = DMat::zeros(n, self.k);
+            self.az = DMat::zeros(n, self.k);
+        }
+        let inv = S::from_f64(1.0 / norm);
+        for (dst, src) in [(&mut self.z, z), (&mut self.az, az)] {
+            dst.as_mut_slice().copy_within(..(self.k - 1) * n, n);
+            for (d, s) in dst.col_mut(0).iter_mut().zip(src.col(0)) {
+                *d = *s * inv;
+            }
+        }
+        self.len = (self.len + 1).min(self.k);
+    }
+}
 
 /// Solve `A·x = b` (single RHS) with LGMRES(m, k); `opts.restart` is `m`,
 /// `opts.recycle` is the augmentation count `k`.
@@ -27,147 +68,103 @@ pub fn solve<S: Scalar>(
     opts: &SolveOpts,
 ) -> SolveResult {
     assert_eq!(b.ncols(), 1, "LGMRES is a single-RHS method");
+    let n = a.nrows();
     let m = opts.restart.max(2);
     let k = opts.recycle.clamp(1, m - 1);
     let m_arnoldi = m - k;
     let mode = PrecondMode::new(pc, opts.side);
     let bnorms = rhs_norms(b);
-    let mut tracer = SolveTracer::begin(opts, "lgmres", 0, a.nrows(), 1);
+    let tol = opts.rtol * bnorms[0];
+    let mut tracer = SolveTracer::begin(opts, "lgmres", 0, n, 1);
     let orth_name = opts.orth.name();
     let mut cycle = 0usize;
     let mut iters = 0usize;
     let mut converged = false;
-    // Stored (z, A·z) pairs from previous cycles.
-    let mut aug: VecDeque<(DMat<S>, DMat<S>)> = VecDeque::new();
+    let mut pairs = Pairs {
+        z: DMat::zeros(0, 0),
+        az: DMat::zeros(0, 0),
+        k,
+        len: 0,
+    };
 
-    // Storage shared by every cycle: residuals and the Arnoldi basis reuse
-    // the same allocations for the whole solve.
+    // Storage shared by every cycle: residuals, the Arnoldi basis and the
+    // restart's two vectors reuse the same allocations for the whole solve.
     let mut bufs = CycleBuffers::default();
     let mut r = mode.residual_ws(a, b, x, &mut bufs.ws);
-    'outer: while iters < opts.max_iters {
-        let rn = r.col_norm(0).to_f64();
-        if rn <= opts.rtol * bnorms[0] {
+    loop {
+        if r.col_norm(0).to_f64() <= tol {
             converged = true;
             break;
         }
+        if iters >= opts.max_iters {
+            break;
+        }
         let cyc = tracer.span_start();
-        // Arnoldi phase: m−k steps on the current residual.
-        let mut arn = BlockArnoldi::new(
-            a,
-            &mode,
-            m_arnoldi,
-            1,
-            opts.orth,
-            None,
-            opts.stats.as_deref(),
-        )
-        .with_path(opts.ortho)
-        .with_buffers(std::mem::take(&mut bufs));
+        let mut arn = BlockArnoldi::new(a, &mode, m, 1, opts.orth, None, opts.stats.as_deref())
+            .with_path(opts.ortho)
+            .with_buffers(std::mem::take(&mut bufs));
         arn.start(&r);
-        let mut first = true;
-        while arn.can_step() && iters < opts.max_iters {
-            let res = arn.step();
+        // m−k Arnoldi steps on the current residual, then the stored pairs,
+        // the latest first. Every step is an iteration, `max_iters` bounds
+        // them all, and the estimate can end the cycle at any of them.
+        let steps = m_arnoldi + pairs.len;
+        let mut done = false;
+        while !done && arn.iterations() < steps && iters < opts.max_iters {
+            let s = arn.iterations();
+            let res = if s < m_arnoldi {
+                arn.step()
+            } else {
+                arn.step_with_image(pairs.az.col(s - m_arnoldi))
+            };
             iters += 1;
             tracer.iteration(
                 cycle,
                 iters - 1,
                 vec![res[0] / bnorms[0]],
                 orth_name,
-                arn.breakdown_rank(first),
+                arn.breakdown_rank(s == 0),
             );
-            first = false;
-            if res[0] <= opts.rtol * bnorms[0] {
-                // Converged inside the Krylov phase: plain GMRES update.
-                let y = arn.solve_y();
-                arn.update_solution(&y, x);
-                bufs = arn.into_buffers();
-                converged = true;
-                tracer.span_end(cyc, SpanKind::Cycle, cycle);
-                break 'outer;
-            }
+            done = res[0] <= tol;
         }
         tracer.span_end(cyc, SpanKind::Cycle, cycle);
         let restart_probe = tracer.span_start();
-        // Augmented minimization: directions D = [Z_arnoldi, z_prev…],
-        // images G = [V·H̄, A·z_prev…]; minimize ‖r − G·y‖ exactly.
-        let q = aug.len();
-        let zarn = arn.z_active();
-        let varn = arn.v_active();
-        let vh = blas::matmul(&varn, blas::Op::None, &arn.hraw_active(), blas::Op::None);
+        let restart_timer = profile(Phase::Restart);
+        // The error approximation z = [Z, z_1 …]·y, one sweep over the
+        // cycle's directions and the stored ones; x += z.
+        let j = arn.iterations();
+        let own = j.min(m_arnoldi);
+        let y = arn.solve_y();
         bufs = arn.into_buffers();
-        let mut dmat = zarn;
-        let mut gmat = vh;
-        for (z, az) in &aug {
-            dmat = dmat.hcat(z);
-            gmat = gmat.hcat(az);
+        let mut y_pairs = DMat::zeros(pairs.len, 1);
+        y_pairs.col_mut(0)[..j - own].copy_from_slice(&y.col(0)[own..]);
+        let mut z = bufs.ws.take(n, 1);
+        fused::fused_accumulate(
+            &[
+                ColsRef::blocks(bufs.directions(own)),
+                ColsRef::leading(&pairs.z, pairs.len),
+            ],
+            &[y.block(0, 0, own, 1), y_pairs],
+            &mut z,
+        );
+        x.axpy(S::one(), &z);
+        if !done {
+            // Its image is A·z = V·(H̄·y): the new pair costs no operator
+            // apply either.
+            let h = bufs.hraw();
+            let hy = DMat::from_fn(j + 1, 1, |i, _| {
+                (0..j).fold(S::zero(), |acc, c| acc + h[(i, c)] * y[(c, 0)])
+            });
+            let mut az = bufs.ws.take(n, 1);
+            fused::fused_accumulate(&[ColsRef::blocks(bufs.basis(j))], &[hy], &mut az);
+            pairs.push(&z, &az);
+            bufs.ws.put(az);
         }
-        // Least squares via CholQR of G (one fused reduction). Clamp tiny
-        // pivots: once nearly converged the augmented directions become
-        // dependent and an unguarded solve would inject NaNs.
-        let mut qg = gmat.clone();
-        let out = chol::cholqr(&mut qg);
-        if let Some(st) = &opts.stats {
-            st.record_reduction(std::mem::size_of_val(out.r.as_slice()));
-        }
-        let rfac = out.r;
-        let mut rmax = 0.0f64;
-        for i in 0..rfac.nrows() {
-            rmax = rmax.max(rfac[(i, i)].abs().to_f64());
-        }
-        let floor = rmax.max(f64::EPSILON) * 1e-10;
-        let mut y = blas::adjoint_times(&qg, &r);
-        // Truncating back-substitution: directions with a negligible pivot
-        // carry no new information and are dropped (y_i = 0) rather than
-        // amplified.
-        {
-            let nr = rfac.nrows();
-            let ycol = y.col_mut(0);
-            for i in (0..nr).rev() {
-                if rfac[(i, i)].abs().to_f64() < floor {
-                    ycol[i] = S::zero();
-                    continue;
-                }
-                let mut acc = ycol[i];
-                for jj in i + 1..nr {
-                    acc -= rfac[(i, jj)] * ycol[jj];
-                }
-                ycol[i] = acc / rfac[(i, i)];
-            }
-        }
-        // Update: x += D·y; store the new error approximation pair.
-        let znew = blas::matmul(&dmat, blas::Op::None, &y, blas::Op::None);
-        let aznew = blas::matmul(&gmat, blas::Op::None, &y, blas::Op::None);
-        x.axpy(S::one(), &znew);
+        bufs.ws.put(z);
+        drop(restart_timer);
         bufs.ws.put(r);
         r = mode.residual_ws(a, b, x, &mut bufs.ws);
-        // Count the augmented directions as iterations (they are extra
-        // minimization dimensions, matching PETSc's per-cycle work).
-        let rel = r.col_norm(0).to_f64() / bnorms[0];
-        for _ in 0..q {
-            iters += 1;
-            tracer.iteration(cycle, iters - 1, vec![rel], orth_name, None);
-        }
-        if q == k {
-            aug.pop_front();
-        }
-        // Normalize the stored pair (the direction is what matters) so the
-        // augmented least-squares matrix keeps O(1) columns as the residual
-        // shrinks; drop degenerate pairs.
-        let aznorm = aznew.fro_norm().to_f64();
-        if aznorm > 1e-300 {
-            let mut zsc = znew;
-            let mut azsc = aznew;
-            let inv = S::from_f64(1.0 / aznorm);
-            zsc.scale(inv);
-            azsc.scale(inv);
-            aug.push_back((zsc, azsc));
-        }
         tracer.span_end(restart_probe, SpanKind::Restart, cycle);
         cycle += 1;
-        if rel <= opts.rtol {
-            converged = true;
-            break;
-        }
     }
 
     bufs.ws.put(r);
@@ -237,6 +234,34 @@ mod tests {
             lg.iterations,
             gm.iterations
         );
+    }
+
+    #[test]
+    fn stored_pairs_count_against_max_iters() {
+        // LGMRES(12, 3): cycles of 9 steps plus 0, 1, 2, 3 stored pairs end
+        // at 9, 19, 30 and 42 iterations, so a cap of 41 falls inside the
+        // fourth cycle's pairs.
+        let prob = poisson2d::<f64>(24, 24);
+        let n = prob.a.nrows();
+        let id = IdentityPrecond::new(n);
+        let b = DMat::from_fn(n, 1, |i, _| (((i * 7) % 11) as f64) - 5.0);
+        let opts = SolveOpts {
+            rtol: 1e-14,
+            restart: 12,
+            recycle: 3,
+            max_iters: 41,
+            ..Default::default()
+        };
+        let mut x = DMat::zeros(n, 1);
+        let res = solve(&prob.a, &id, &b, &mut x, &opts);
+        assert!(!res.converged);
+        assert_eq!(res.iterations, 41);
+        assert_eq!(res.history.len(), 41);
+        // The capped cycle still applied its correction.
+        let mut r = prob.a.apply(&x);
+        r.axpy(-1.0, &b);
+        assert!((r.fro_norm() / b.fro_norm() - res.final_relres[0]).abs() < 1e-12);
+        assert!(res.final_relres[0] < *res.history[29].first().unwrap());
     }
 
     #[test]

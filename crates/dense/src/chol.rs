@@ -7,8 +7,7 @@
 //! (pivoted Cholesky with a drop tolerance) is what §V-C uses "for detecting
 //! breakdowns at each restart" of the block methods.
 
-use crate::blas;
-use crate::fused::ColsRef;
+use crate::fused::{self, ColsRef};
 use crate::tri;
 use crate::DMat;
 use kryst_scalar::{Real, Scalar};
@@ -144,32 +143,38 @@ pub fn cholqr<S: Scalar>(v: &mut DMat<S>) -> CholQr<S> {
 /// looks at `ext` at all.
 pub fn cholqr_within<S: Scalar>(v: &mut DMat<S>, ext: &[ColsRef<'_, S>]) -> CholQr<S> {
     let p = v.ncols();
-    let gram = blas::adjoint_times(v, v);
-    if let Some(r) = cholesky(&gram) {
-        let mut dmin = S::Real::max_value();
-        let mut dmax = S::Real::zero();
-        for j in 0..p {
-            let d = r[(j, j)].re();
-            dmin = dmin.min(d);
-            dmax = dmax.max(d);
-        }
-        // Well-conditioned: accept the plain factorization. The margin sits
-        // well above the √eps-level diagonal a rounded-to-positive singular
-        // Gram produces, so exact rank deficiency always takes the
-        // rank-revealing path instead of flipping a coin on rounding noise.
-        let eps_cut = S::Real::epsilon().sqrt() * S::Real::from_f64(32.0);
-        if dmax > S::Real::zero() && dmin > dmax * eps_cut {
-            tri::right_solve_upper(v, &r);
-            return CholQr {
-                r,
-                rank: p,
-                cond_estimate: dmin / dmax,
-            };
-        }
+    let mut gram = DMat::zeros(p, p);
+    fused::fused_gram(&[], v, std::slice::from_mut(&mut gram));
+    if let Some((r, cond_estimate)) = well_conditioned_cholesky(&gram) {
+        tri::right_solve_upper(v, &r);
+        return CholQr {
+            r,
+            rank: p,
+            cond_estimate,
+        };
     }
     // Breakdown path: rank-revealing factorization of the Gram matrix.
     let piv = pivoted_cholesky(&gram, S::Real::epsilon() * S::Real::from_f64(256.0));
     rank_revealing_fixup(v, piv, ext)
+}
+
+/// The Cholesky factor of a Gram matrix that is safely positive definite,
+/// with its smallest/largest diagonal ratio; `None` sends the caller down
+/// the rank-revealing path. The margin sits well above the √eps-level
+/// diagonal a rounded-to-positive singular Gram produces, so exact rank
+/// deficiency always takes that path instead of flipping a coin on rounding
+/// noise.
+pub(crate) fn well_conditioned_cholesky<S: Scalar>(gram: &DMat<S>) -> Option<(DMat<S>, S::Real)> {
+    let r = cholesky(gram)?;
+    let mut dmin = S::Real::max_value();
+    let mut dmax = S::Real::zero();
+    for j in 0..r.ncols() {
+        let d = r[(j, j)].re();
+        dmin = dmin.min(d);
+        dmax = dmax.max(d);
+    }
+    let eps_cut = S::Real::epsilon().sqrt() * S::Real::from_f64(32.0);
+    (dmax > S::Real::zero() && dmin > dmax * eps_cut).then(|| (r, dmin / dmax))
 }
 
 /// Apply the pivoted-Cholesky factor to produce an orthonormal `Q` spanning
@@ -355,6 +360,61 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// `cholqr` takes `WᴴW` from the panel sweep, not from `gemm`: the two
+    /// agree to `4·ε·n` of the columns' norms, and a block goes down the
+    /// rank-revealing path from the one exactly when it does from the other.
+    fn sweep_gram_matches_gemm_gram<S: Scalar>() {
+        let eps = S::Real::epsilon().to_f64();
+        for n in [1usize, 511, 513, 4099] {
+            for p in [1usize, 8, 30] {
+                for duplicate in [false, true] {
+                    let case = format!("n={n} p={p} duplicate={duplicate}");
+                    let mut w = DMat::<S>::from_fn(n, p, |i, j| {
+                        let h =
+                            (i * 2654435761 + j * 40503 + 17).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                        let part = |s: u32| ((h >> s) % 2001) as f64 / 1000.0 - 1.0;
+                        S::from_parts(part(11), part(29))
+                    });
+                    if duplicate && p > 1 {
+                        let first = w.col(0).to_vec();
+                        w.col_mut(p - 1).copy_from_slice(&first);
+                    }
+                    let mut sweep = DMat::zeros(p, p);
+                    fused::fused_gram(&[], &w, std::slice::from_mut(&mut sweep));
+                    let gemm = matmul(&w, Op::ConjTrans, &w, Op::None);
+                    for i in 0..p {
+                        for l in 0..p {
+                            let scale = (w.col_norm(i) * w.col_norm(l)).to_f64();
+                            let diff = (sweep[(i, l)] - gemm[(i, l)]).abs().to_f64();
+                            assert!(diff <= 4.0 * eps * n as f64 * scale, "{case} ({i},{l})");
+                        }
+                    }
+                    let want = match well_conditioned_cholesky(&gemm) {
+                        Some(_) => p,
+                        None => {
+                            let tol = S::Real::epsilon() * S::Real::from_f64(256.0);
+                            pivoted_cholesky(&gemm, tol).rank.clamp(1, p)
+                        }
+                    };
+                    assert_eq!(
+                        well_conditioned_cholesky(&sweep).is_some(),
+                        want == p,
+                        "{case}: branch"
+                    );
+                    assert_eq!(cholqr(&mut w).rank, want, "{case}: rank");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cholqr_gram_from_the_sweep_agrees_with_gemm() {
+        sweep_gram_matches_gemm_gram::<f64>();
+        sweep_gram_matches_gemm_gram::<C64>();
+        sweep_gram_matches_gemm_gram::<f32>();
+        sweep_gram_matches_gemm_gram::<kryst_scalar::Complex<f32>>();
     }
 
     #[test]

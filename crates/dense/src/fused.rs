@@ -13,6 +13,10 @@
 //! and [`fused_update_gram`] applies that update and takes the Gram product
 //! of the updated `W` while each row chunk is still in cache — a second
 //! orthogonalization pass brings the basis in from memory once for both.
+//! [`fused_adjoint_times`] (the projections without `WᴴW`) and
+//! [`fused_accumulate`] (`W ⟵ W + Σ B_b·C_b`) are the same two sweeps for
+//! what a solver does between its cycles: every product of a tall panel
+//! with a small matrix goes through this module.
 //!
 //! Panels are borrowed views ([`ColsRef`]), so the leading columns of a
 //! pre-allocated basis, or the blocks of a basis stored one matrix per
@@ -356,16 +360,21 @@ fn sweep_body<S: Scalar>(blocks: &[ColsRef<'_, S>], job: Sweep<'_, S>) {
     if p == 0 {
         return;
     }
-    let total = blocks.iter().map(|b| b.ncols).sum::<usize>() + p;
     // Chunks as `(k0, t0, k1)`: rows `k0..t0` in fours, `t0..k1` the rest.
     let chunks = (0..n).step_by(KB).map(|k0| {
         let k1 = (k0 + KB).min(n);
         (k0, k0 + ((k1 - k0) & !3), k1)
     });
-    let lanes = || vec![[S::zero(); 4]; total * p];
+    // One set of lanes per source column and column of `W`; the sources of
+    // a Gram sweep are the panels' columns, then `W`'s own when `outs` has
+    // the slot for `WᴴW`.
+    let lanes = |outs: &[DMat<S>]| {
+        let own = if outs.len() > blocks.len() { p } else { 0 };
+        vec![[S::zero(); 4]; (blocks.iter().map(|b| b.ncols).sum::<usize>() + own) * p]
+    };
     match job {
         Sweep::Gram { w, outs } => {
-            let mut acc = lanes();
+            let mut acc = lanes(outs);
             for rows in chunks {
                 gram_chunk(blocks, w, &mut acc, outs, rows);
             }
@@ -376,7 +385,7 @@ fn sweep_body<S: Scalar>(blocks: &[ColsRef<'_, S>], job: Sweep<'_, S>) {
             }
         }
         Sweep::UpdateGram { coeffs, w, outs } => {
-            let mut acc = lanes();
+            let mut acc = lanes(outs);
             for rows in chunks {
                 update_rows(blocks, coeffs, w, (rows.0, rows.2));
                 gram_chunk(blocks, w, &mut acc, outs, rows);
@@ -434,11 +443,41 @@ pub fn fused_gram<S: Scalar>(blocks: &[ColsRef<'_, S>], w: &DMat<S>, outs: &mut 
     sweep(blocks, Sweep::Gram { w, outs });
 }
 
+/// The projections of [`fused_gram`] without the Gram matrix: `outs[b]`
+/// receives `B_bᴴ·W`, one entry per panel — for a `W` that is not about to
+/// be orthonormalised (a residual against the recycle space, `[C V]ᴴ·U`).
+pub fn fused_adjoint_times<S: Scalar>(
+    blocks: &[ColsRef<'_, S>],
+    w: &DMat<S>,
+    outs: &mut [DMat<S>],
+) {
+    check(blocks, w, outs, false);
+    outs.iter_mut().for_each(DMat::set_zero);
+    sweep(blocks, Sweep::Gram { w, outs });
+}
+
+/// [`fused_adjoint_times`] for a single panel: `Bᴴ·W` as a new matrix.
+pub fn adjoint_times<S: Scalar>(b: ColsRef<'_, S>, w: &DMat<S>) -> DMat<S> {
+    let mut out = DMat::zeros(b.ncols, w.ncols());
+    fused_adjoint_times(&[b], w, std::slice::from_mut(&mut out));
+    out
+}
+
 /// Fused projection update `W ⟵ W − Σ_b B_b·C_b`, one sweep of `W` for all
 /// panels. `coeffs[b]` must be `blocks[b].ncols × p`.
 pub fn fused_update<S: Scalar>(blocks: &[ColsRef<'_, S>], coeffs: &[DMat<S>], w: &mut DMat<S>) {
     check(blocks, w, coeffs, false);
     sweep(blocks, Sweep::Update { coeffs, w });
+}
+
+/// `W ⟵ W + Σ_b B_b·C_b`: [`fused_update`] with the coefficients negated,
+/// which is exact. Into a zeroed `W` this is the product `[B₀ B₁ …]·C`.
+pub fn fused_accumulate<S: Scalar>(blocks: &[ColsRef<'_, S>], coeffs: &[DMat<S>], w: &mut DMat<S>) {
+    let neg: Vec<DMat<S>> = coeffs
+        .iter()
+        .map(|c| DMat::from_fn(c.nrows(), c.ncols(), |i, j| -c[(i, j)]))
+        .collect();
+    fused_update(blocks, &neg, w);
 }
 
 /// [`fused_update`] followed by [`fused_gram`] of the updated `W`, row chunk
@@ -672,6 +711,41 @@ mod tests {
         };
         assert!(run(&[ColsRef::whole(&flat)]) == run(&[ColsRef::blocks(&list)]));
         assert_eq!(ColsRef::<f64>::blocks(&[]).ncols(), 0);
+    }
+
+    #[test]
+    fn projections_and_accumulation_are_the_same_sweeps() {
+        // `fused_adjoint_times` is `fused_gram` less its last output, and
+        // `fused_accumulate` undoes `fused_update`, bit for bit.
+        let (n, p) = (1100, 3);
+        let a: DMat<C64> = mat(n, 2, 3);
+        let list: Vec<DMat<C64>> = (0..4).map(|b| mat(n, p, 5 + b)).collect();
+        let w: DMat<C64> = mat(n, p, 11);
+        let blocks = [ColsRef::whole(&a), ColsRef::blocks(&list)];
+        let mut with_gram = vec![DMat::zeros(2, p), DMat::zeros(4 * p, p), DMat::zeros(p, p)];
+        fused_gram(&blocks, &w, &mut with_gram);
+        let mut without = vec![DMat::zeros(2, p), DMat::zeros(4 * p, p)];
+        fused_adjoint_times(&blocks, &w, &mut without);
+        assert!(bits(&without[0]) == bits(&with_gram[0]));
+        assert!(bits(&without[1]) == bits(&with_gram[1]));
+        assert!(bits(&adjoint_times(blocks[1], &w)) == bits(&with_gram[1]));
+
+        let coeffs = [mat::<C64>(2, p, 13), mat::<C64>(4 * p, p, 17)];
+        let neg: Vec<DMat<C64>> = coeffs
+            .iter()
+            .map(|c| DMat::from_fn(c.nrows(), c.ncols(), |i, j| -c[(i, j)]))
+            .collect();
+        let (mut plus, mut minus) = (w.clone(), w.clone());
+        fused_accumulate(&blocks, &coeffs, &mut plus);
+        fused_update(&blocks, &neg, &mut minus);
+        assert!(bits(&plus) == bits(&minus));
+        // Into a zeroed panel: the product itself.
+        let mut prod = DMat::zeros(n, p);
+        fused_accumulate(&blocks[..1], &coeffs[..1], &mut prod);
+        let want = blas::matmul(&a, Op::None, &coeffs[0], Op::None);
+        for (got, want) in prod.as_slice().iter().zip(want.as_slice()) {
+            assert!((*got - *want).abs() < 1e-12);
+        }
     }
 
     #[test]

@@ -354,21 +354,7 @@ pub fn fused_orthogonalize_cols<S: Scalar>(
 
     // The downdated Gram already *is* the Gram of the projected block, so the
     // CholQR factor is free: no extra reduction unless we must refresh.
-    let accepted = chol::cholesky(&gdown).and_then(|r| {
-        let mut dmin = S::Real::max_value();
-        let mut dmax = S::Real::zero();
-        for j in 0..p {
-            let d = r[(j, j)].re();
-            dmin = dmin.min(d);
-            dmax = dmax.max(d);
-        }
-        let eps_cut = S::Real::epsilon().sqrt() * S::Real::from_f64(32.0);
-        if dmax > S::Real::zero() && dmin > dmax * eps_cut {
-            Some(r)
-        } else {
-            None
-        }
-    });
+    let accepted = chol::well_conditioned_cholesky(&gdown).map(|(r, _)| r);
     match accepted {
         Some(r) => {
             tri::right_solve_upper(w, &r);

@@ -40,7 +40,7 @@ pub const HIST_BUCKETS: usize = 32;
 /// fold into the last per-level slot.
 pub const MAX_PRECOND_LEVELS: usize = 8;
 
-const NUM_SLOTS: usize = 11 + MAX_PRECOND_LEVELS;
+const NUM_SLOTS: usize = 12 + MAX_PRECOND_LEVELS;
 
 /// A solver phase the profiler attributes time to.
 ///
@@ -76,6 +76,11 @@ pub enum Phase {
     /// Agglomerated AMG coarse solve: the coarse-grid direct solve executed
     /// on a rank subset (plus the modeled gather/scatter around it).
     CoarseAgglom,
+    /// What a solver does between two cycles, short of the new residual
+    /// (which is under [`Phase::Spmv`] and [`Phase::Precond`]): the
+    /// least-squares solve, the solution update, and the bookkeeping of
+    /// LGMRES' stored pairs or GCRO-DR's `U`-side correction.
+    Restart,
     /// Per-level AMG cycle work (smoother + residual/transfer at level `l`).
     PrecondLevel(usize),
 }
@@ -94,7 +99,8 @@ impl Phase {
             Phase::PrecondLp => 8,
             Phase::ReductionOverlap => 9,
             Phase::CoarseAgglom => 10,
-            Phase::PrecondLevel(l) => 11 + l.min(MAX_PRECOND_LEVELS - 1),
+            Phase::Restart => 11,
+            Phase::PrecondLevel(l) => 12 + l.min(MAX_PRECOND_LEVELS - 1),
         }
     }
 
@@ -111,7 +117,8 @@ impl Phase {
             8 => Phase::PrecondLp,
             9 => Phase::ReductionOverlap,
             10 => Phase::CoarseAgglom,
-            l => Phase::PrecondLevel(l - 11),
+            11 => Phase::Restart,
+            l => Phase::PrecondLevel(l - 12),
         }
     }
 
@@ -129,6 +136,7 @@ impl Phase {
             Phase::PrecondLp => "precond_lp".to_string(),
             Phase::ReductionOverlap => "reduction_overlap".to_string(),
             Phase::CoarseAgglom => "coarse_agglom".to_string(),
+            Phase::Restart => "restart".to_string(),
             Phase::PrecondLevel(l) => format!("precond/l{}", l.min(MAX_PRECOND_LEVELS - 1)),
         }
     }

@@ -8,8 +8,14 @@
 //! allocator records every allocation of `n · size_of::<f64>()` bytes or
 //! more; across a restart and a whole second cycle there must be none.
 //! (Small allocations remain: the `p × p` factors, one Hessenberg column,
-//! the residual-norm vector. The contiguous copies a cycle *end* makes —
-//! `update_solution`, `v_active` — are outside the step and not covered.)
+//! the residual-norm vector.)
+//!
+//! The same holds for what the drivers do *between* two cycles, which reads
+//! the basis blocks where the cycle left them: an LGMRES restart allocates
+//! the storage of its pairs once, a GCRO-DR restart and refresh the pair the
+//! first refresh of a solve builds (every later one reuses the pair it
+//! replaced), and nothing of that size after. The windows are cut out of a
+//! whole solve by a recorder that notes the counter at every span event.
 //!
 //! Everything lives in a single `#[test]`: the counter is process-wide.
 
@@ -50,10 +56,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static COUNTER: CountingAlloc = CountingAlloc;
 
 use kryst_core::cycle::{BlockArnoldi, CycleBuffers, PrecondMode};
-use kryst_core::{OrthPath, OrthScheme, PrecondSide};
+use kryst_core::{gcrodr, lgmres, OrthPath, OrthScheme, PrecondSide, SolveOpts, SolverContext};
 use kryst_dense::{blas, chol, DMat};
+use kryst_obs::{Event, Recorder, SpanKind};
 use kryst_precond::Jacobi;
 use kryst_sparse::{Coo, Csr};
+use std::sync::{Arc, Mutex};
 
 fn laplace1d(n: usize) -> Csr<f64> {
     let mut c = Coo::new(n, n);
@@ -76,9 +84,100 @@ fn big_allocs(n: usize, f: impl FnOnce()) -> usize {
     BIG_ALLOCS.load(Ordering::Relaxed) - before
 }
 
+/// Notes the big-allocation counter at the end of every span of a solve.
+#[derive(Default)]
+struct SpanMarks(Mutex<Vec<(SpanKind, usize)>>);
+
+impl Recorder for SpanMarks {
+    fn record(&self, ev: &Event) {
+        if let Event::Span(span) = ev {
+            let mark = (span.kind, BIG_ALLOCS.load(Ordering::Relaxed));
+            self.0.lock().expect("no panic under the lock").push(mark);
+        }
+    }
+}
+
+impl SpanMarks {
+    /// Big allocations between the end of each cycle and the end of the
+    /// restart (and recycle refresh, where one follows) after it.
+    fn between_cycles(&self) -> Vec<usize> {
+        let marks = self.0.lock().expect("no panic under the lock");
+        let ends: Vec<usize> = (0..marks.len())
+            .filter(|&i| marks[i].0 == SpanKind::Cycle)
+            .chain([marks.len()])
+            .collect();
+        ends.windows(2)
+            .filter_map(|w| {
+                let last = marks[w[0]..w[1]]
+                    .iter()
+                    .rfind(|m| matches!(m.0, SpanKind::Restart | SpanKind::RecycleRefresh))?;
+                Some(last.1 - marks[w[0]].1)
+            })
+            .collect()
+    }
+}
+
+/// The restart path of the drivers: LGMRES(6, 2) and GCRO-DR(6, 2) on a
+/// problem large enough that the refresh's small dense matrices stay under
+/// the size of a vector.
+fn restarts_allocate_their_storage_once() {
+    let n = 20_000;
+    let a = laplace1d(n);
+    let jac = Jacobi::new(&a, 1.0);
+    let opts = |max_iters, marks: &Arc<SpanMarks>| SolveOpts {
+        rtol: 1e-14,
+        restart: 6,
+        recycle: 2,
+        max_iters,
+        side: PrecondSide::Right,
+        ortho: OrthPath::Fused,
+        recorder: Some(marks.clone() as Arc<dyn Recorder>),
+        ..Default::default()
+    };
+    let rhs = |p: usize| DMat::from_fn(n, p, |i, j| ((i * 3 + j * 7) % 11) as f64 - 5.0);
+
+    let marks = Arc::new(SpanMarks::default());
+    let (b, mut x) = (rhs(1), DMat::zeros(n, 1));
+    big_allocs(n, || {
+        lgmres::solve(&a, &jac, &b, &mut x, &opts(30, &marks));
+    });
+    let restarts = marks.between_cycles();
+    assert!(restarts.len() >= 4, "LGMRES restarts seen: {restarts:?}");
+    assert!(
+        restarts[0] >= 2,
+        "the first restart makes room for the pairs"
+    );
+    assert!(
+        restarts[1..].iter().all(|&big| big == 0),
+        "LGMRES restarts after the first allocated a vector: {restarts:?}"
+    );
+
+    for p in [1usize, 8] {
+        let marks = Arc::new(SpanMarks::default());
+        let (b, mut x) = (rhs(p), DMat::zeros(n, p));
+        let mut ctx = SolverContext::new();
+        big_allocs(n, || {
+            gcrodr::solve(&a, &jac, &b, &mut x, &opts(22, &marks), &mut ctx);
+        });
+        // The first cycle (plain GMRES, no restart span) is not a window;
+        // the deflated cycles after it are.
+        let refreshes = marks.between_cycles();
+        assert!(refreshes.len() >= 3, "p={p}: refreshes seen: {refreshes:?}");
+        assert_eq!(
+            refreshes[0], 2,
+            "p={p}: the first refresh builds one new pair"
+        );
+        assert!(
+            refreshes[1..].iter().all(|&big| big == 0),
+            "p={p}: GCRO-DR restart + refresh allocated a vector: {refreshes:?}"
+        );
+    }
+}
+
 #[test]
 fn step_and_restart_allocate_no_vector_after_the_first_cycle() {
     std::env::set_var("KRYST_THREADS", "1");
+    restarts_allocate_their_storage_once();
     let n = 3000;
     let m = 5;
     let a = laplace1d(n);

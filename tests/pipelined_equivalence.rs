@@ -229,7 +229,10 @@ fn depth1_lag_falls_back_on_rank_deficiency_and_keeps_basis_orthonormal() {
     assert_eq!(arn.pipeline_overlapped_steps(), 0);
     // The refresh's replacement columns keep the whole active basis
     // orthonormal — the invariant every later fused downdate relies on.
-    let v = arn.v_active();
+    let v = arn
+        .basis()
+        .iter()
+        .fold(DMat::zeros(n, 0), |acc, block| acc.hcat(block));
     let g = blas::adjoint_times(&v, &v);
     for i in 0..g.nrows() {
         for j in 0..g.ncols() {

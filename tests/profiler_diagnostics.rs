@@ -1,6 +1,6 @@
 //! Profiler determinism and convergence-diagnostics integration tests.
 //!
-//! Three guarantees are pinned here:
+//! Four guarantees are pinned here:
 //!
 //! 1. **Determinism** — enabling the phase profiler must not perturb a solve
 //!    in any observable way: the full iteration trace (residuals bit for
@@ -14,19 +14,31 @@
 //!    golden stagnating case (GMRES(30) on the 1-D Laplacian) and stays
 //!    silent on a converging run longer than its window; CholQR rank
 //!    collapse is reported on a duplicate-column block RHS.
-//! 3. **Per-rank reconciliation** — splitting the global communication
+//! 3. **Coverage** — the phases of an LGMRES solve (operator, preconditioner,
+//!    orthogonalization, the QR of `H̄`, restart) are disjoint and add up to at least 95 % of
+//!    its wall time: no part of a driver is left out of the phase table.
+//! 4. **Per-rank reconciliation** — splitting the global communication
 //!    counters over ranks via the halo plan reproduces the totals exactly
 //!    at P ∈ {2, 4, 8}, and the published imbalance gauges match.
 
-use kryst_core::{gcrodr, gmres, SolveOpts, SolverContext};
+use kryst_core::{gcrodr, gmres, lgmres, OrthPath, SolveOpts, SolverContext};
 use kryst_dense::DMat;
 use kryst_obs::{
-    diags_of, iteration_events, DiagKind, Event, MetricsRegistry, Profiler, Recorder, RingRecorder,
+    diags_of, iteration_events, DiagKind, Event, MetricsRegistry, Phase, Profiler, Recorder,
+    RingRecorder,
 };
 use kryst_par::{per_rank_comm, publish_imbalance, CommStats, DistOp, IdentityPrecond};
+use kryst_precond::Jacobi;
 use kryst_rt::rng::Rng64;
 use kryst_sparse::{Coo, Csr};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
+
+/// The profiler is one per process: tests that switch it on, or that run a
+/// solve another test's profile would pick up, take turns.
+fn profiler_turn() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn laplace1d(n: usize) -> Csr<f64> {
     let mut c = Coo::new(n, n);
@@ -110,6 +122,7 @@ fn trace_fingerprint(events: &[Event], x: &DMat<f64>) -> Vec<u64> {
 /// with the profiler off and on: the profiler only ever reads the clock.
 #[test]
 fn profiler_on_off_traces_bit_identical() {
+    let _turn = profiler_turn();
     let n = 400;
     let a = laplace1d(n);
     let b = pinned_rhs(n, 42);
@@ -177,10 +190,64 @@ fn profiler_on_off_traces_bit_identical() {
     }
 }
 
+/// Every part of an LGMRES solve is under a phase: the operator and the
+/// preconditioner, the orthogonalization of each step (the stored pairs'
+/// included), the QR update of `H̄`, and — between two cycles — the restart.
+/// The five do not nest, so their sum is the attributed share of the wall
+/// time.
+#[test]
+fn phases_cover_an_lgmres_solve() {
+    let _turn = profiler_turn();
+    let a = convdiff2d(96, 0.01, 1.0, 0.3);
+    let n = a.nrows();
+    let jac = Jacobi::new(&a, 1.0);
+    let b = pinned_rhs(n, 11);
+    let opts = SolveOpts {
+        rtol: 1e-10,
+        restart: 30,
+        recycle: 10,
+        max_iters: 3000,
+        // The path every figure runs; the pipelined one books its lagged
+        // applies under a phase of its own, around these.
+        ortho: OrthPath::Fused,
+        ..Default::default()
+    };
+    let mut x = DMat::zeros(n, 1);
+    let prof = Profiler::global();
+    prof.set_enabled(true);
+    prof.reset();
+    let t0 = std::time::Instant::now();
+    let res = lgmres::solve(&a, &jac, &b, &mut x, &opts);
+    let wall = t0.elapsed().as_nanos() as f64;
+    prof.set_enabled(false);
+    assert!(res.converged && res.iterations > 90, "{}", res.iterations);
+    let snap = prof.snapshot();
+    let phases = [
+        Phase::Spmv,
+        Phase::Precond,
+        Phase::OrthGram,
+        Phase::SmallDense,
+        Phase::Restart,
+    ];
+    let covered: u64 = phases
+        .iter()
+        .map(|&ph| snap.phase(ph).map_or(0, |p| p.total_ns))
+        .sum();
+    assert!(snap.phase(Phase::Restart).is_some_and(|p| p.count >= 3));
+    let share = covered as f64 / wall;
+    assert!(
+        (0.95..=1.0).contains(&share),
+        "phases cover {:.1} % of the solve:\n{}",
+        100.0 * share,
+        snap.to_text()
+    );
+}
+
 /// The stagnation detector fires exactly once (latched) on the golden
 /// stagnating case: unpreconditioned GMRES(30) on the 1-D Laplacian.
 #[test]
 fn stagnation_diag_fires_on_gmres30_laplace400() {
+    let _turn = profiler_turn();
     let n = 400;
     let a = laplace1d(n);
     let b = pinned_rhs(n, 42);
@@ -222,6 +289,7 @@ fn stagnation_diag_fires_on_gmres30_laplace400() {
 /// ~144 iterations with a monotone-enough residual.
 #[test]
 fn no_stagnation_diag_on_converging_convdiff() {
+    let _turn = profiler_turn();
     let a = convdiff2d(32, 0.001, 1.0, 0.3);
     let n = a.nrows();
     let id = IdentityPrecond::new(n);
@@ -255,6 +323,7 @@ fn no_stagnation_diag_on_converging_convdiff() {
 /// affected cycle and still converge via the pseudo-block fallback.
 #[test]
 fn rank_collapse_diag_fires_on_duplicate_rhs_gcrodr() {
+    let _turn = profiler_turn();
     let n = 200;
     let a = laplace1d(n);
     let id = IdentityPrecond::new(n);
@@ -296,6 +365,7 @@ fn rank_collapse_diag_fires_on_duplicate_rhs_gcrodr() {
 /// agree with the per-rank extrema.
 #[test]
 fn per_rank_imbalance_reconciles_with_comm_snapshot() {
+    let _turn = profiler_turn();
     let n = 400;
     let a = laplace1d(n);
     let b = pinned_rhs(n, 42);
