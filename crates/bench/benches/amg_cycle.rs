@@ -1,5 +1,7 @@
-//! Preconditioner setup and apply cost — AMG threshold trade-off (§IV-B)
-//! plus the multi-RHS apply benchmarks gated by `BENCH_precond.json`:
+//! Preconditioner setup and apply cost — AMG threshold trade-off (§IV-B),
+//! the set-up shapes of the repository benchmark's two AMG workloads
+//! (assembly and hierarchy; not gated, no record), and the multi-RHS apply
+//! benchmarks gated by `BENCH_precond.json`:
 //! blocked (all p columns per sweep) vs column-at-a-time applies for the
 //! AMG V-cycle, level-scheduled ILU(0), and Schwarz/RAS.
 
@@ -7,7 +9,7 @@ use kryst_bench::harness::{BenchmarkId, Criterion};
 use kryst_bench::{criterion_group, criterion_main};
 use kryst_dense::DMat;
 use kryst_par::PrecondOp;
-use kryst_pde::elasticity::{elasticity3d, ElasticityOpts};
+use kryst_pde::elasticity::{elasticity3d, ElasticityOpts, PAPER_INCLUSIONS};
 use kryst_pde::poisson::poisson2d;
 use kryst_precond::{Amg, AmgOpts, Ilu0, Schwarz, SchwarzOpts, SchwarzVariant, SmootherKind};
 use kryst_sparse::partition::partition_rcb;
@@ -92,6 +94,44 @@ fn bench_amg(c: &mut Criterion) {
     g.finish();
 }
 
+/// What `elasticity_varying_seq` and `poisson_amg_seq` pay per system before
+/// the first iteration: Fig. 3's assembly and CG(4)-smoothed hierarchy at
+/// `ne = 14`, Fig. 2's GMRES(3)-smoothed hierarchy at 384².
+fn bench_setup(c: &mut Criterion) {
+    let opts = ElasticityOpts {
+        ne: 14,
+        inclusion: Some(PAPER_INCLUSIONS[0]),
+        ..Default::default()
+    };
+    let elasticity = elasticity3d::<f64>(&opts).problem;
+    let poisson = poisson2d::<f64>(384, 384);
+    let mut g = c.benchmark_group("setup");
+    g.bench_function("elasticity14_assemble", |bch| {
+        bch.iter(|| elasticity3d::<f64>(&opts))
+    });
+    for (name, prob, smoother) in [
+        (
+            "elasticity14_amg_cg4",
+            &elasticity,
+            SmootherKind::Cg { iters: 4 },
+        ),
+        (
+            "poisson384_amg_gmres3",
+            &poisson,
+            SmootherKind::Gmres { iters: 3 },
+        ),
+    ] {
+        let amg_opts = AmgOpts {
+            smoother,
+            ..Default::default()
+        };
+        g.bench_function(name, |bch| {
+            bch.iter(|| Amg::new(&prob.a, prob.near_nullspace.as_ref(), &amg_opts))
+        });
+    }
+    g.finish();
+}
+
 fn bench_ilu(c: &mut Criterion) {
     // 3-D elasticity: ~81 nonzeros per row gives the level schedule real
     // rows per level, unlike a 5-point stencil.
@@ -135,6 +175,6 @@ fn bench_schwarz(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(2));
-    targets = bench_amg, bench_ilu, bench_schwarz
+    targets = bench_amg, bench_setup, bench_ilu, bench_schwarz
 }
 criterion_main!(benches);

@@ -467,6 +467,10 @@ fn amg_demo(dir: &Path, reg: &MetricsRegistry) {
     let nx = 180;
     let prob = poisson2d::<f64>(nx, nx);
     let n = prob.a.nrows();
+    // The profile starts before the hierarchy is built: its `precond_setup`
+    // row is this demo's set-up beside its solve.
+    let prof = Profiler::global();
+    prof.reset();
     // Two-level hierarchy with a ~5.4k-row coarse level (capped coarsening)
     // and a damped-Jacobi smoother (unconditionally contractive — the
     // Chebyshev interval estimate is unreliable at this operator size).
@@ -499,8 +503,6 @@ fn amg_demo(dir: &Path, reg: &MetricsRegistry) {
     };
     let mut rng = Rng64::seed_from_u64(44);
     let b = DMat::from_fn(n, 1, |_, _| rng.gen_range(-1.0, 1.0));
-    let prof = Profiler::global();
-    prof.reset();
     let mut x = DMat::zeros(n, 1);
     let r = gmres::solve(&dist, &amg, &b, &mut x, &opts);
     assert!(r.converged, "{label} did not converge");

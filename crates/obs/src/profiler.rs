@@ -40,7 +40,7 @@ pub const HIST_BUCKETS: usize = 32;
 /// fold into the last per-level slot.
 pub const MAX_PRECOND_LEVELS: usize = 8;
 
-const NUM_SLOTS: usize = 12 + MAX_PRECOND_LEVELS;
+const NUM_SLOTS: usize = 13 + MAX_PRECOND_LEVELS;
 
 /// A solver phase the profiler attributes time to.
 ///
@@ -81,6 +81,10 @@ pub enum Phase {
     /// least-squares solve, the solution update, and the bookkeeping of
     /// LGMRES' stored pairs or GCRO-DR's `U`-side correction.
     Restart,
+    /// Building a preconditioner from the operator: the AMG hierarchy, the
+    /// Schwarz subdomain factors, an incomplete factorization. Outside every
+    /// solve, so beside — never inside — the phases above.
+    PrecondSetup,
     /// Per-level AMG cycle work (smoother + residual/transfer at level `l`).
     PrecondLevel(usize),
 }
@@ -100,7 +104,8 @@ impl Phase {
             Phase::ReductionOverlap => 9,
             Phase::CoarseAgglom => 10,
             Phase::Restart => 11,
-            Phase::PrecondLevel(l) => 12 + l.min(MAX_PRECOND_LEVELS - 1),
+            Phase::PrecondSetup => 12,
+            Phase::PrecondLevel(l) => 13 + l.min(MAX_PRECOND_LEVELS - 1),
         }
     }
 
@@ -118,7 +123,8 @@ impl Phase {
             9 => Phase::ReductionOverlap,
             10 => Phase::CoarseAgglom,
             11 => Phase::Restart,
-            l => Phase::PrecondLevel(l - 12),
+            12 => Phase::PrecondSetup,
+            l => Phase::PrecondLevel(l - 13),
         }
     }
 
@@ -137,6 +143,7 @@ impl Phase {
             Phase::ReductionOverlap => "reduction_overlap".to_string(),
             Phase::CoarseAgglom => "coarse_agglom".to_string(),
             Phase::Restart => "restart".to_string(),
+            Phase::PrecondSetup => "precond_setup".to_string(),
             Phase::PrecondLevel(l) => format!("precond/l{}", l.min(MAX_PRECOND_LEVELS - 1)),
         }
     }

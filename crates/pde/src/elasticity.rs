@@ -10,7 +10,7 @@
 use crate::Problem;
 use kryst_dense::DMat;
 use kryst_scalar::Scalar;
-use kryst_sparse::Coo;
+use kryst_sparse::Csr;
 
 /// A spherical soft/hard inclusion: inside the sphere the Young modulus is
 /// `E / stiffness_ratio`.
@@ -144,6 +144,126 @@ pub(crate) fn element_stiffness(h: f64) -> (ElementMatrix, ElementMatrix) {
     (k_lam, k_mu)
 }
 
+/// `(λ, μ)` of every element, `ex` fastest: Lamé parameters from `(E, ν)`
+/// with `E` divided by the stiffness ratio where the element's centre lies
+/// inside the inclusion.
+fn element_lame(opts: &ElasticityOpts) -> Vec<(f64, f64)> {
+    let ne = opts.ne;
+    let h = 1.0 / ne as f64;
+    let nu = opts.poisson;
+    let lam_unit = nu / ((1.0 + nu) * (1.0 - 2.0 * nu));
+    let mu_unit = 1.0 / (2.0 * (1.0 + nu));
+    let centre = |e: usize| (e as f64 + 0.5) * h;
+    let mut lame = Vec::with_capacity(ne * ne * ne);
+    for ez in 0..ne {
+        for ey in 0..ne {
+            for ex in 0..ne {
+                let inside = |inc: &Inclusion| {
+                    let dx = centre(ex) - inc.center[0];
+                    let dy = centre(ey) - inc.center[1];
+                    let dz = centre(ez) - inc.center[2];
+                    dx * dx + dy * dy + dz * dz < inc.r * inc.r
+                };
+                let e_scale = match opts.inclusion.filter(inside) {
+                    Some(inc) => opts.e_modulus / inc.stiffness_ratio,
+                    None => opts.e_modulus,
+                };
+                lame.push((lam_unit * e_scale, mu_unit * e_scale));
+            }
+        }
+    }
+    lame
+}
+
+/// Slot of an element's corner `b` (bit 0 = x, 1 = y, 2 = z) past that of
+/// its corner 0, among the 27 neighbour slots `(oz·3 + oy)·3 + ox` of a node.
+const CORNER_SLOT: [usize; 8] = [0, 1, 3, 4, 9, 10, 12, 13];
+
+/// The operator on the free dofs and the lumped gravity load, row by row.
+///
+/// The three rows of a free node are gathered from its ≤ 8 incident
+/// elements, visited in element order, into 27 neighbour slots of 3
+/// components each, and written in ascending column order straight into the
+/// CSR arrays; entries that sum to exactly zero are not stored. `dofmap`
+/// numbers the free dofs in node order and holds `usize::MAX` for a clamped
+/// one.
+fn assemble_rows<S: Scalar>(opts: &ElasticityOpts, dofmap: &[usize]) -> (Csr<S>, Vec<S>) {
+    let ne = opts.ne;
+    let nn = ne + 1;
+    let h = 1.0 / ne as f64;
+    let free = dofmap.iter().filter(|&&d| d != usize::MAX).count();
+    let (k_lam, k_mu) = element_stiffness(h);
+    let lame = element_lame(opts);
+    let grav = S::from_f64(-(h * h * h) / 8.0); // lumped gravity load per element node
+
+    let mut indptr = Vec::with_capacity(free + 1);
+    let mut indices = Vec::with_capacity(81 * free);
+    let mut data = Vec::with_capacity(81 * free);
+    let mut rhs = vec![S::zero(); free];
+    indptr.push(0);
+    // The elements along one axis that hold node coordinate `c`.
+    let around = |c: usize| c.saturating_sub(1)..(c + 1).min(ne);
+    for z in 0..nn {
+        for y in 0..nn {
+            for x in 0..nn {
+                let row0 = dofmap[3 * ((z * nn + y) * nn + x)];
+                if row0 == usize::MAX {
+                    continue;
+                }
+                // Neighbour `(x + ox − 1, y + oy − 1, z + oz − 1)` has slot
+                // `(oz·3 + oy)·3 + ox`: ascending slots are ascending nodes.
+                // Its first free dof, `usize::MAX` off the mesh or clamped:
+                let col0: [usize; 27] = std::array::from_fn(|slot| {
+                    let (nx, ny, nz) = (x + slot % 3, y + slot / 3 % 3, z + slot / 9);
+                    if [nx, ny, nz].iter().any(|&c| c == 0 || c > nn) {
+                        return usize::MAX;
+                    }
+                    dofmap[3 * (((nz - 1) * nn + ny - 1) * nn + nx - 1)]
+                });
+                let mut rows = [[0.0f64; 81]; 3];
+                for ez in around(z) {
+                    for ey in around(y) {
+                        for ex in around(x) {
+                            let (lam, mu) = lame[(ez * ne + ey) * ne + ex];
+                            // This node is corner `a` of the element, whose
+                            // corner 0 has slot `slot0`.
+                            let a = (z - ez) * 4 + (y - ey) * 2 + (x - ex);
+                            let slot0 = ((ez + 1 - z) * 3 + ey + 1 - y) * 3 + ex + 1 - x;
+                            rhs[row0 + 2] += grav;
+                            for (b, off) in CORNER_SLOT.iter().enumerate() {
+                                let at = 3 * (slot0 + off);
+                                for (i, row) in rows.iter_mut().enumerate() {
+                                    for j in 0..3 {
+                                        row[at + j] += lam * k_lam[3 * a + i][3 * b + j]
+                                            + mu * k_mu[3 * a + i][3 * b + j];
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+                for row in &rows {
+                    for (vals, &c0) in row.chunks_exact(3).zip(&col0) {
+                        for (j, &v) in vals.iter().enumerate() {
+                            let v = S::from_f64(v);
+                            if c0 != usize::MAX && v != S::zero() {
+                                indices.push(c0 + j);
+                                data.push(v);
+                            }
+                        }
+                    }
+                    indptr.push(indices.len());
+                }
+            }
+        }
+    }
+    // Boundary rows and cancelled sums leave a quarter of the reservation
+    // unused, and the caller keeps the matrix.
+    indices.shrink_to_fit();
+    data.shrink_to_fit();
+    (Csr::from_raw(free, free, indptr, indices, data), rhs)
+}
+
 /// Assemble the Q1 elasticity operator.
 pub fn elasticity3d<S: Scalar>(opts: &ElasticityOpts) -> ElasticityProblem<S> {
     let ne = opts.ne;
@@ -151,24 +271,6 @@ pub fn elasticity3d<S: Scalar>(opts: &ElasticityOpts) -> ElasticityProblem<S> {
     let nnodes = nn * nn * nn;
     let h = 1.0 / ne as f64;
     let node = |x: usize, y: usize, z: usize| (z * nn + y) * nn + x;
-
-    // Lamé parameters from (E, ν); E is rescaled per element for inclusions.
-    let nu = opts.poisson;
-    let lam_unit = nu / ((1.0 + nu) * (1.0 - 2.0 * nu));
-    let mu_unit = 1.0 / (2.0 * (1.0 + nu));
-
-    let (k_lam, k_mu) = element_stiffness(h);
-
-    let inside = |cx: f64, cy: f64, cz: f64| -> bool {
-        if let Some(inc) = &opts.inclusion {
-            let dx = cx - inc.center[0];
-            let dy = cy - inc.center[1];
-            let dz = cz - inc.center[2];
-            dx * dx + dy * dy + dz * dz < inc.r * inc.r
-        } else {
-            false
-        }
-    };
 
     // Free-dof numbering (eliminate clamped dofs).
     let ndof = 3 * nnodes;
@@ -191,61 +293,7 @@ pub fn elasticity3d<S: Scalar>(opts: &ElasticityOpts) -> ElasticityProblem<S> {
         }
     }
 
-    let mut coo = Coo::with_capacity(free, free, 24 * 24 * ne * ne * ne / 2);
-    let mut rhs = vec![S::zero(); free];
-    let grav = -(h * h * h) / 8.0; // lumped gravity load per element node
-    for ez in 0..ne {
-        for ey in 0..ne {
-            for ex in 0..ne {
-                let cx = (ex as f64 + 0.5) * h;
-                let cy = (ey as f64 + 0.5) * h;
-                let cz = (ez as f64 + 0.5) * h;
-                let e_scale = if inside(cx, cy, cz) {
-                    opts.e_modulus / opts.inclusion.as_ref().unwrap().stiffness_ratio
-                } else {
-                    opts.e_modulus
-                };
-                let lam = lam_unit * e_scale;
-                let mu = mu_unit * e_scale;
-                // Element nodes in the same order as `corners`.
-                let nodes = [
-                    node(ex, ey, ez),
-                    node(ex + 1, ey, ez),
-                    node(ex, ey + 1, ez),
-                    node(ex + 1, ey + 1, ez),
-                    node(ex, ey, ez + 1),
-                    node(ex + 1, ey, ez + 1),
-                    node(ex, ey + 1, ez + 1),
-                    node(ex + 1, ey + 1, ez + 1),
-                ];
-                for (a, &na) in nodes.iter().enumerate() {
-                    for i in 0..3 {
-                        let ga = dofmap[3 * na + i];
-                        if ga == usize::MAX {
-                            continue;
-                        }
-                        if i == 2 {
-                            rhs[ga] += S::from_f64(grav);
-                        }
-                        for (b, &nb) in nodes.iter().enumerate() {
-                            for j in 0..3 {
-                                let gb = dofmap[3 * nb + j];
-                                if gb == usize::MAX {
-                                    continue;
-                                }
-                                let v = lam * k_lam[3 * a + i][3 * b + j]
-                                    + mu * k_mu[3 * a + i][3 * b + j];
-                                if v != 0.0 {
-                                    coo.push(ga, gb, S::from_f64(v));
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    let a = coo.to_csr();
+    let (a, rhs) = assemble_rows(opts, &dofmap);
 
     // Rigid-body near-nullspace on the free dofs.
     let mut ns = DMat::zeros(free, 6);
@@ -303,6 +351,142 @@ pub fn paper_sequence<S: Scalar>(ne: usize) -> Vec<ElasticityProblem<S>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kryst_sparse::Coo;
+
+    /// The element loop this module assembled with before the row gather:
+    /// every element pushes its 24 × 24 triplets and `Coo::to_csr` counts,
+    /// sorts and sums them.
+    fn assemble_triplets(opts: &ElasticityOpts, dofmap: &[usize]) -> (Csr<f64>, Vec<f64>) {
+        let ne = opts.ne;
+        let nn = ne + 1;
+        let h = 1.0 / ne as f64;
+        let node = |x: usize, y: usize, z: usize| (z * nn + y) * nn + x;
+        let free = dofmap.iter().filter(|&&d| d != usize::MAX).count();
+        let (k_lam, k_mu) = element_stiffness(h);
+        let lame = element_lame(opts);
+        let mut coo = Coo::new(free, free);
+        let mut rhs = vec![0.0; free];
+        let grav = -(h * h * h) / 8.0;
+        for ez in 0..ne {
+            for ey in 0..ne {
+                for ex in 0..ne {
+                    let (lam, mu) = lame[(ez * ne + ey) * ne + ex];
+                    // Element nodes in the same order as `corners`.
+                    let nodes = [
+                        node(ex, ey, ez),
+                        node(ex + 1, ey, ez),
+                        node(ex, ey + 1, ez),
+                        node(ex + 1, ey + 1, ez),
+                        node(ex, ey, ez + 1),
+                        node(ex + 1, ey, ez + 1),
+                        node(ex, ey + 1, ez + 1),
+                        node(ex + 1, ey + 1, ez + 1),
+                    ];
+                    for (a, &na) in nodes.iter().enumerate() {
+                        for i in 0..3 {
+                            let ga = dofmap[3 * na + i];
+                            if ga == usize::MAX {
+                                continue;
+                            }
+                            if i == 2 {
+                                rhs[ga] += grav;
+                            }
+                            for (b, &nb) in nodes.iter().enumerate() {
+                                for j in 0..3 {
+                                    let gb = dofmap[3 * nb + j];
+                                    if gb == usize::MAX {
+                                        continue;
+                                    }
+                                    let v = lam * k_lam[3 * a + i][3 * b + j]
+                                        + mu * k_mu[3 * a + i][3 * b + j];
+                                    coo.push(ga, gb, v);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        (coo.to_csr(), rhs)
+    }
+
+    /// The row gather against the triplet loop: same shape, strictly sorted
+    /// rows, the load bit for bit, entries to a few roundings of the largest
+    /// one (the two sum an entry's ≤ 8 element contributions in different
+    /// orders), and nearly the same pattern — a sum may cancel to exactly
+    /// zero in one order and to 1e-17 in the other. Centres on and off an
+    /// element boundary move which elements the inclusion claims.
+    #[test]
+    fn row_gather_matches_the_triplet_assembly() {
+        let inclusions = [
+            None,
+            Some(Inclusion {
+                stiffness_ratio: 30.0,
+                r: 0.5,
+                center: [0.5, 0.5, 0.5],
+            }),
+            Some(Inclusion {
+                stiffness_ratio: 0.1,
+                r: 0.45,
+                center: [0.4, 0.5, 0.45],
+            }),
+        ];
+        for ne in [1usize, 2, 3, 6] {
+            for clamp_bottom in [true, false] {
+                for inclusion in inclusions {
+                    let opts = ElasticityOpts {
+                        ne,
+                        inclusion,
+                        clamp_bottom,
+                        ..Default::default()
+                    };
+                    let what = format!("ne {ne}, clamped {clamp_bottom}, {inclusion:?}");
+                    let prob = elasticity3d::<f64>(&opts);
+                    let a = &prob.problem.a;
+                    let nn = ne + 1;
+                    let clamped = if clamp_bottom { 3 * nn * nn } else { 0 };
+                    let dofmap: Vec<usize> = (0..3 * nn * nn * nn)
+                        .map(|d| d.checked_sub(clamped).unwrap_or(usize::MAX))
+                        .collect();
+                    let (want, want_rhs) = assemble_triplets(&opts, &dofmap);
+                    assert_eq!(
+                        (a.nrows(), a.ncols()),
+                        (want.nrows(), want.ncols()),
+                        "{what}"
+                    );
+                    assert_eq!(
+                        prob.rhs.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                        want_rhs.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                        "{what}: rhs"
+                    );
+                    let largest = (0..a.nrows())
+                        .flat_map(|i| want.row_values(i))
+                        .fold(0.0f64, |m, v| m.max(v.abs()));
+                    let tol = 4.0 * f64::EPSILON * largest;
+                    for i in 0..a.nrows() {
+                        let cols = a.row_indices(i);
+                        assert!(cols.windows(2).all(|w| w[0] < w[1]), "{what}: row {i}");
+                        for &j in cols.iter().chain(want.row_indices(i)) {
+                            let d = (a.get(i, j) - want.get(i, j)).abs();
+                            assert!(d <= tol, "{what}: ({i},{j}) differs by {d:e}");
+                        }
+                    }
+                    let dn = a.nnz().abs_diff(want.nnz());
+                    assert!(
+                        200 * dn <= want.nnz(),
+                        "{what}: nnz {} vs {}",
+                        a.nnz(),
+                        want.nnz()
+                    );
+                    if !clamp_bottom {
+                        let ns = prob.problem.near_nullspace.as_ref().unwrap();
+                        let r = a.apply(ns).max_abs();
+                        assert!(r <= 1e-12 * a.inf_norm(), "{what}: ‖A·RBM‖∞ = {r:e}");
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn matrix_is_symmetric() {

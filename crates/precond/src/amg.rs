@@ -19,7 +19,7 @@ use kryst_par::collective::{redistribute, subset_layout};
 use kryst_par::{Layout, PrecondOp, PrecondPrecision, Transport, TransportError};
 use kryst_rt::par::{for_each_range, map_range, max_threads};
 use kryst_scalar::{Demote, Real, Scalar};
-use kryst_sparse::{ops, Coo, Csr, CsrLo, PrecondWorkspace, SparseDirect};
+use kryst_sparse::{ops, Csr, CsrLo, PrecondWorkspace, SparseDirect};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -268,6 +268,7 @@ impl<S: Demote> Amg<S> {
         opts: &AmgOpts,
         precision: PrecondPrecision,
     ) -> Self {
+        let _t = kryst_obs::profile(kryst_obs::Phase::PrecondSetup);
         let n = a.nrows();
         let default_ns = DMat::from_fn(n, 1, |_, _| S::one());
         let mut b = near_nullspace.cloned().unwrap_or(default_ns);
@@ -282,12 +283,13 @@ impl<S: Demote> Amg<S> {
                 break; // aggregation stalled
             }
             let p = smooth_prolongator(&acur, &ptent, opts.damping, &diag);
-            let ac = ops::galerkin_rap(&acur, &p);
+            let pt = p.transpose();
+            let ac = ops::galerkin_rap(&acur, &p, &pt);
             let smoother_impl = make_smoother(&acur, &diag, &opts.smoother);
             levels.push(Level {
                 a: acur,
-                p: Some(p.clone()),
-                pt: Some(p.transpose()),
+                p: Some(p),
+                pt: Some(pt),
                 smoother: smoother_impl,
             });
             acur = ac;
@@ -778,22 +780,18 @@ impl<S: Demote> PrecondOp<S> for Amg<S> {
     }
 }
 
-/// Greedy strength-based aggregation + nullspace-preserving tentative
-/// prolongator. Returns `(P̂, B_coarse)`. `diag` is the precomputed diagonal
-/// of `a` (one scan per level, shared with the other setup passes).
-fn tentative_prolongator<S: Scalar>(
-    a: &Csr<S>,
-    b: &DMat<S>,
-    threshold: f64,
-    diag: &[S],
-) -> (Csr<S>, DMat<S>) {
+/// Greedy strength-based aggregation: the members of every aggregate, each
+/// in ascending row order, aggregates of fewer than `nv` rows merged into a
+/// neighbour where there is one. `diag` is the precomputed diagonal of `a`
+/// (one scan per level, shared with the other setup passes).
+fn aggregates<S: Scalar>(a: &Csr<S>, nv: usize, threshold: f64, diag: &[S]) -> Vec<Vec<usize>> {
     let n = a.nrows();
-    let nv = b.ncols();
     // Strength test |a_ij| > θ·√(|a_ii|·|a_jj|), evaluated for every
     // nonzero up front in parallel (rows are disjoint flag ranges); the
     // greedy aggregation below then only reads precomputed booleans, so
     // its sequential visit order — and hence the hierarchy — is unchanged.
-    let (strong_flags, row_off) = strength_flags(a, threshold, diag);
+    let strong_flags = strength_flags(a, threshold, diag);
+    let row_off = a.indptr();
     let strong = |i: usize, k: usize| -> bool { strong_flags[row_off[i] + k] };
 
     let mut agg = vec![usize::MAX; n];
@@ -879,62 +877,78 @@ fn tentative_prolongator<S: Scalar>(
     for (i, &g) in agg.iter().enumerate() {
         members[remap[g]].push(i);
     }
+    members
+}
 
-    // Per-aggregate QR of the nullspace block — aggregates are independent,
-    // so the factorizations run across the worker pool; assembly into the
-    // prolongator stays serial in aggregate order (deterministic layout).
-    let ncoarse = ncoarse_agg * nv;
-    let mut pcoo = Coo::with_capacity(n, ncoarse, n * nv);
-    let mut bc = DMat::zeros(ncoarse, nv);
-    let blocks = map_range(ncoarse_agg, |g| {
+/// Thin QR `(Q, R)` of the near-nullspace rows of every aggregate —
+/// aggregates are independent, so the factorizations run across the worker
+/// pool. A degenerate tiny component (fewer rows than vectors) gets the
+/// identity on as many columns as it has rows.
+fn nullspace_blocks<S: Scalar>(members: &[Vec<usize>], b: &DMat<S>) -> Vec<(DMat<S>, DMat<S>)> {
+    let nv = b.ncols();
+    map_range(members.len(), |g| {
         let rows = &members[g];
         let m = rows.len();
         if m >= nv {
             let local = DMat::from_fn(m, nv, |i, j| b[(rows[i], j)]);
             let f = HouseholderQr::factor(local);
-            Some((f.q_thin(), f.r()))
+            (f.q_thin(), f.r())
         } else {
-            None
+            let eye = |i: usize, j: usize| if i == j && i < m { S::one() } else { S::zero() };
+            (DMat::from_fn(m, nv, eye), DMat::from_fn(nv, nv, eye))
         }
-    });
-    for (g, (rows, block)) in members.iter().zip(&blocks).enumerate() {
-        match block {
-            Some((q, r)) => {
-                for (li, &gi) in rows.iter().enumerate() {
-                    for c in 0..nv {
-                        pcoo.push(gi, g * nv + c, q[(li, c)]);
-                    }
-                }
-                for i in 0..nv {
-                    for j in 0..nv {
-                        bc[(g * nv + i, j)] = r[(i, j)];
-                    }
-                }
-            }
-            None => {
-                // Degenerate tiny component: inject identity on as many
-                // columns as there are rows.
-                for (li, &gi) in rows.iter().enumerate() {
-                    pcoo.push(gi, g * nv + li, S::one());
-                    bc[(g * nv + li, li)] = S::one();
-                }
-            }
-        }
-    }
-    (pcoo.to_csr(), bc)
+    })
 }
 
-/// Evaluate the strength test for every stored nonzero of `a` in parallel.
-/// Returns a flat CSR-aligned flag array plus per-row offsets into it.
-fn strength_flags<S: Scalar>(a: &Csr<S>, threshold: f64, diag: &[S]) -> (Vec<bool>, Vec<usize>) {
+/// Aggregation + nullspace-preserving tentative prolongator. Returns
+/// `(P̂, B_coarse)`.
+fn tentative_prolongator<S: Scalar>(
+    a: &Csr<S>,
+    b: &DMat<S>,
+    threshold: f64,
+    diag: &[S],
+) -> (Csr<S>, DMat<S>) {
     let n = a.nrows();
-    let mut row_off = Vec::with_capacity(n + 1);
-    row_off.push(0usize);
-    for i in 0..n {
-        row_off.push(row_off[i] + a.row_indices(i).len());
+    let nv = b.ncols();
+    let members = aggregates(a, nv, threshold, diag);
+    let blocks = nullspace_blocks(&members, b);
+    let mut bc = DMat::zeros(members.len() * nv, nv);
+    // Row `gi` of P̂ is row `li` of its aggregate's Q, in that aggregate's
+    // `nv` columns: written in row order, exact zeros skipped.
+    let mut place = vec![(0usize, 0usize); n];
+    for (g, (rows, (_, r))) in members.iter().zip(&blocks).enumerate() {
+        for (li, &gi) in rows.iter().enumerate() {
+            place[gi] = (g, li);
+        }
+        for i in 0..nv {
+            for j in 0..nv {
+                bc[(g * nv + i, j)] = r[(i, j)];
+            }
+        }
     }
-    let nnz = row_off[n];
-    let mut flags = vec![false; nnz];
+    let mut indptr = Vec::with_capacity(n + 1);
+    let mut indices = Vec::with_capacity(n * nv);
+    let mut data = Vec::with_capacity(n * nv);
+    indptr.push(0);
+    for &(g, li) in &place {
+        for c in 0..nv {
+            let v = blocks[g].0[(li, c)];
+            if v != S::zero() {
+                indices.push(g * nv + c);
+                data.push(v);
+            }
+        }
+        indptr.push(indices.len());
+    }
+    (Csr::from_raw(n, bc.nrows(), indptr, indices, data), bc)
+}
+
+/// Evaluate the strength test for every stored nonzero of `a` in parallel:
+/// a flat array of flags aligned with the entries, row `i` at `a.indptr()[i]`.
+fn strength_flags<S: Scalar>(a: &Csr<S>, threshold: f64, diag: &[S]) -> Vec<bool> {
+    let n = a.nrows();
+    let row_off = a.indptr();
+    let mut flags = vec![false; a.nnz()];
     let base = kryst_rt::par::SendPtr::new(flags.as_mut_ptr());
     let fill = |lo: usize, hi: usize| {
         // SAFETY: each row writes only flags[row_off[i]..row_off[i+1]] and
@@ -958,11 +972,12 @@ fn strength_flags<S: Scalar>(a: &Csr<S>, threshold: f64, diag: &[S]) -> (Vec<boo
     } else {
         fill(0, n);
     }
-    (flags, row_off)
+    flags
 }
 
-/// `P = (I − ω·D⁻¹·A)·P̂` with `ω = damping / λ_max(D⁻¹A)`.
-fn smooth_prolongator<S: Scalar>(a: &Csr<S>, ptent: &Csr<S>, damping: f64, diag: &[S]) -> Csr<S> {
+/// The row scaling `−ω·D⁻¹` of the prolongator smoothing, with
+/// `ω = damping / λ_max(D⁻¹A)`.
+fn damping_scale<S: Scalar>(a: &Csr<S>, damping: f64, diag: &[S]) -> Vec<S> {
     let inv_diag: Vec<S> = diag
         .iter()
         .map(|&d| {
@@ -975,9 +990,17 @@ fn smooth_prolongator<S: Scalar>(a: &Csr<S>, ptent: &Csr<S>, damping: f64, diag:
         .collect();
     let lmax = estimate_lmax_dinva(a, &inv_diag).max(1e-12);
     let omega = damping / lmax;
-    let ap = ops::spgemm(a, ptent);
-    let scale: Vec<S> = inv_diag.iter().map(|&d| d * S::from_f64(-omega)).collect();
-    let damped = ops::scale_rows(&scale, &ap);
+    inv_diag.iter().map(|&d| d * S::from_f64(-omega)).collect()
+}
+
+/// `P = (I − ω·D⁻¹·A)·P̂`.
+fn smooth_prolongator<S: Scalar>(a: &Csr<S>, ptent: &Csr<S>, damping: f64, diag: &[S]) -> Csr<S> {
+    let mut damped = ops::spgemm(a, ptent);
+    for (i, &s) in damping_scale(a, damping, diag).iter().enumerate() {
+        for v in damped.row_values_mut(i) {
+            *v *= s;
+        }
+    }
     ops::add(ptent, &damped)
 }
 
@@ -1012,6 +1035,7 @@ fn estimate_lmax_dinva<S: Scalar>(a: &Csr<S>, inv_diag: &[S]) -> f64 {
 mod tests {
     use super::*;
     use kryst_pde::poisson::poisson2d;
+    use kryst_sparse::Coo;
 
     fn residual_norm(a: &Csr<f64>, b: &DMat<f64>, x: &DMat<f64>) -> f64 {
         let mut r = a.apply(x);
@@ -1173,6 +1197,150 @@ mod tests {
             assert_eq!(apply_hash(&amg, 3), p3, "{smoother:?} p=3");
             // The pooled scratch is dirty now: a second apply must not see it.
             assert_eq!(apply_hash(&amg, 1), p1, "{smoother:?} p=1 again");
+        }
+    }
+
+    /// `A·B` as `ops::spgemm` computed it before it chose an accumulator
+    /// per row: serial, a stamp test on every multiply-add.
+    fn spgemm_ref(a: &Csr<f64>, b: &Csr<f64>) -> Csr<f64> {
+        let mut coo = Coo::new(a.nrows(), b.ncols());
+        let mut acc = vec![0.0; b.ncols()];
+        let mut stamp = vec![usize::MAX; b.ncols()];
+        let mut touched: Vec<usize> = Vec::new();
+        for i in 0..a.nrows() {
+            touched.clear();
+            for (&ac, &av) in a.row_indices(i).iter().zip(a.row_values(i)) {
+                for (&bc, &bv) in b.row_indices(ac).iter().zip(b.row_values(ac)) {
+                    if stamp[bc] != i {
+                        stamp[bc] = i;
+                        acc[bc] = 0.0;
+                        touched.push(bc);
+                    }
+                    acc[bc] += av * bv;
+                }
+            }
+            // One triplet per entry: `to_csr` only sorts them.
+            touched.iter().for_each(|&c| coo.push(i, c, acc[c]));
+        }
+        coo.to_csr()
+    }
+
+    /// `A + B` through the triplet builder, as `ops::add` was written.
+    fn add_ref(a: &Csr<f64>, b: &Csr<f64>) -> Csr<f64> {
+        let mut coo = Coo::new(a.nrows(), a.ncols());
+        for m in [a, b] {
+            for i in 0..m.nrows() {
+                for (&c, &v) in m.row_indices(i).iter().zip(m.row_values(i)) {
+                    coo.push(i, c, v);
+                }
+            }
+        }
+        coo.to_csr()
+    }
+
+    /// The set-up loop of `Amg::with_precision` on the operations it used
+    /// before they were rewritten: P̂ pushed as triplets in aggregate order,
+    /// a scaled copy of `A·P̂` added through the triplet builder, the
+    /// stamped products, `Pᵀ` transposed for the product and again for the
+    /// level. `(A_l, P_l, P_lᵀ)` per level, the transfers absent on the last.
+    #[allow(clippy::type_complexity)]
+    fn reference_hierarchy(
+        a: &Csr<f64>,
+        b: &DMat<f64>,
+        opts: &AmgOpts,
+    ) -> Vec<(Csr<f64>, Option<Csr<f64>>, Option<Csr<f64>>)> {
+        let (mut acur, mut b) = (a.clone(), b.clone());
+        let mut levels = Vec::new();
+        while levels.len() + 1 < opts.max_levels && acur.nrows() > opts.coarse_size {
+            let diag = acur.diag();
+            let nv = b.ncols();
+            let members = aggregates(&acur, nv, opts.threshold, &diag);
+            let mut pcoo = Coo::new(acur.nrows(), members.len() * nv);
+            let mut bc = DMat::zeros(members.len() * nv, nv);
+            for (g, (rows, (q, r))) in members
+                .iter()
+                .zip(nullspace_blocks(&members, &b))
+                .enumerate()
+            {
+                for (li, &gi) in rows.iter().enumerate() {
+                    (0..nv).for_each(|c| pcoo.push(gi, g * nv + c, q[(li, c)]));
+                }
+                for i in 0..nv {
+                    (0..nv).for_each(|j| bc[(g * nv + i, j)] = r[(i, j)]);
+                }
+            }
+            let ptent = pcoo.to_csr();
+            let mut damped = spgemm_ref(&acur, &ptent);
+            for (i, &s) in damping_scale(&acur, opts.damping, &diag).iter().enumerate() {
+                damped.row_values_mut(i).iter_mut().for_each(|v| *v *= s);
+            }
+            let p = add_ref(&ptent, &damped);
+            let ac = spgemm_ref(&p.transpose(), &spgemm_ref(&acur, &p));
+            let pt = p.transpose();
+            levels.push((acur, Some(p), Some(pt)));
+            (acur, b) = (ac, bc);
+        }
+        levels.push((acur, None, None));
+        levels
+    }
+
+    /// Every level the fast set-up path builds — direct P̂ rows, in-place
+    /// scaling, merge-add, per-row accumulators, one transpose — is the one
+    /// the reference operations build, bit for bit.
+    #[test]
+    fn hierarchy_equals_the_reference_operations_bitwise() {
+        use kryst_pde::elasticity::{elasticity3d, ElasticityOpts};
+        let poisson = poisson2d::<f64>(24, 24);
+        let elasticity = elasticity3d::<f64>(&ElasticityOpts {
+            ne: 4,
+            ..Default::default()
+        })
+        .problem;
+        let bits = |m: &Csr<f64>| -> Vec<u64> {
+            (0..m.nrows())
+                .flat_map(|i| m.row_values(i))
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        for (name, prob, min_levels) in [("poisson", &poisson, 3), ("elasticity", &elasticity, 2)] {
+            let opts = AmgOpts::default();
+            let ns = prob.near_nullspace.as_ref().unwrap();
+            let amg = Amg::new(&prob.a, Some(ns), &opts);
+            let want = reference_hierarchy(&prob.a, ns, &opts);
+            assert!(
+                amg.nlevels() >= min_levels,
+                "{name}: {:?}",
+                amg.level_sizes()
+            );
+            assert_eq!(amg.nlevels(), want.len(), "{name}");
+            for (l, (level, (a, p, pt))) in amg.levels.iter().zip(&want).enumerate() {
+                let pairs = [
+                    (Some(&level.a), Some(a), "A"),
+                    (level.p.as_ref(), p.as_ref(), "P"),
+                    (level.pt.as_ref(), pt.as_ref(), "Pt"),
+                ];
+                for (got, want, what) in pairs {
+                    assert_eq!(got.is_some(), want.is_some(), "{name} level {l}: {what}");
+                    if let (Some(got), Some(want)) = (got, want) {
+                        assert_eq!(got, want, "{name} level {l}: {what}");
+                        assert_eq!(bits(got), bits(want), "{name} level {l}: {what} bits");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tiny_components_get_the_identity() {
+        // Three isolated rows, two near-nullspace vectors: no aggregate is
+        // large enough for a QR, each injects its one row on its first column.
+        let a = Csr::from_diag(&[2.0, 3.0, 4.0]);
+        let b = DMat::from_fn(3, 2, |i, j| (i + j) as f64 + 1.0);
+        let (ptent, bc) = tentative_prolongator(&a, &b, 0.0, &a.diag());
+        assert_eq!((ptent.nrows(), ptent.ncols(), ptent.nnz()), (3, 6, 3));
+        for i in 0..3 {
+            assert_eq!(ptent.get(i, 2 * i), 1.0);
+            assert_eq!((bc[(2 * i, 0)], bc[(2 * i + 1, 1)]), (1.0, 0.0));
         }
     }
 

@@ -111,6 +111,7 @@ impl<S: Demote> Ilu0<S> {
     /// the result back — the preconditioner is inexact by construction and
     /// flexible outer methods absorb the single-precision rounding.
     pub fn with_precision(a: &Csr<S>, precision: PrecondPrecision) -> Option<Self> {
+        let _t = kryst_obs::profile(kryst_obs::Phase::PrecondSetup);
         let mut ilu = Self::factor(a)?;
         if precision == PrecondPrecision::Single {
             ilu.lo = Some(LoFactors::build(&ilu.factors));

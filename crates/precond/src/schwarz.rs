@@ -162,6 +162,7 @@ impl<S: Demote> Schwarz<S> {
         opts: &SchwarzOpts,
         precision: PrecondPrecision,
     ) -> Self {
+        let _t = kryst_obs::profile(kryst_obs::Phase::PrecondSetup);
         let n = a.nrows();
         let low = precision == PrecondPrecision::Single && S::LOSSY;
         let overlapping = grow_overlap(a, partition, opts.overlap);

@@ -21,6 +21,17 @@ const PAR_ROWS: usize = 4096;
 /// are streamed once per block of this many right-hand sides.
 const SPMM_COLS: usize = 8;
 
+/// Flat positions `k` at which `indices[k - 1] < indices[k]` fails and `k`
+/// starts a row. Every other such position is inside a row, whose column
+/// indices must strictly increase. `indptr` is non-decreasing from 0 to
+/// `indices.len()`, so the starts of the non-empty rows are distinct.
+fn row_start_descents(indptr: &[usize], indices: &[usize]) -> usize {
+    indptr
+        .windows(2)
+        .filter(|w| 0 < w[0] && w[0] < w[1] && indices[w[0] - 1] >= indices[w[0]])
+        .count()
+}
+
 /// The panic of [`Csr::from_raw`], naming the first offending row.
 #[cold]
 #[inline(never)]
@@ -32,22 +43,34 @@ fn invalid_csr(ncols: usize, indptr: &[usize], indices: &[usize]) -> ! {
             indptr[i + 1]
         );
     }
-    let k = indices
-        .iter()
-        .position(|&c| c >= ncols)
+    if let Some(k) = indices.iter().position(|&c| c >= ncols) {
+        let i = indptr.partition_point(|&p| p <= k) - 1;
+        panic!(
+            "Csr::from_raw: row {i} has column index {}, matrix has {ncols} columns",
+            indices[k]
+        );
+    }
+    let (i, w) = indptr
+        .windows(2)
+        .enumerate()
+        .find_map(|(i, r)| {
+            let row = &indices[r[0]..r[1]];
+            row.windows(2).find(|w| w[0] >= w[1]).map(|w| (i, w))
+        })
         .expect("called for an invalid matrix");
-    let i = indptr.partition_point(|&p| p <= k) - 1;
     panic!(
-        "Csr::from_raw: row {i} has column index {}, matrix has {ncols} columns",
-        indices[k]
+        "Csr::from_raw: row {i} has column index {} after {}: \
+         column indices must strictly increase within a row",
+        w[1], w[0]
     );
 }
 
 impl<S: Scalar> Csr<S> {
     /// Build from raw CSR arrays. Panics unless `indptr` is non-decreasing
-    /// from row to row and every column index is `< ncols` — checked in
-    /// every build profile, because the kernels index `x` and the value
-    /// arrays by these numbers.
+    /// from row to row, every column index is `< ncols` and the column
+    /// indices of a row strictly increase — checked in every build profile,
+    /// because the kernels index `x` and the value arrays by these numbers
+    /// and [`Csr::get`] and [`Csr::diag`] search the sorted rows.
     pub fn from_raw(
         nrows: usize,
         ncols: usize,
@@ -57,12 +80,13 @@ impl<S: Scalar> Csr<S> {
     ) -> Self {
         assert_eq!(indptr.len(), nrows + 1);
         assert_eq!(indices.len(), data.len());
-        assert_eq!(*indptr.last().unwrap(), indices.len());
-        // Two flat, branch-free scans; the offending row is looked up only
-        // to word the panic.
+        assert_eq!((indptr[0], indptr[nrows]), (0, indices.len()));
+        // Three flat, branch-free scans (and one look at each row start);
+        // the offending row is looked up only to word the panic.
         let decreasing = indptr.windows(2).filter(|w| w[0] > w[1]).count();
         let out_of_range = indices.iter().filter(|&&c| c >= ncols).count();
-        if decreasing + out_of_range > 0 {
+        let descents = indices.windows(2).filter(|w| w[0] >= w[1]).count();
+        if decreasing + out_of_range > 0 || descents > row_start_descents(&indptr, &indices) {
             invalid_csr(ncols, &indptr, &indices);
         }
         Self {
@@ -418,17 +442,12 @@ impl<S: Scalar> Csr<S> {
         Self::from_raw(rows.len(), rows.len(), indptr, indices, data)
     }
 
-    /// `A + α·I` (square matrices).
+    /// `A + α·I` (square matrices); stored zeros and a diagonal that
+    /// cancels to exactly zero are dropped, as [`crate::ops::add`] drops
+    /// them.
     pub fn shift_diag(&self, alpha: S) -> Self {
         assert_eq!(self.nrows, self.ncols);
-        let mut coo = crate::Coo::with_capacity(self.nrows, self.ncols, self.nnz() + self.nrows);
-        for i in 0..self.nrows {
-            for (k, &c) in self.row_indices(i).iter().enumerate() {
-                coo.push(i, c, self.row_values(i)[k]);
-            }
-            coo.push(i, i, alpha);
-        }
-        coo.to_csr()
+        crate::ops::add(self, &Self::from_diag(&vec![alpha; self.nrows]))
     }
 
     /// Infinity norm (max absolute row sum).
@@ -639,6 +658,33 @@ mod tests {
     #[should_panic(expected = "row 1 has column index 3, matrix has 3 columns")]
     fn from_raw_rejects_a_column_index_out_of_range() {
         Csr::from_raw(2, 3, vec![0, 1, 3], vec![0, 1, 3], vec![1.0f64; 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "row 1 has column index 0 after 2")]
+    fn from_raw_rejects_an_unsorted_row() {
+        // Row 0 ends on column 2 and row 1 starts on column 2: a descent at
+        // a row start is fine, the one inside row 1 is not.
+        Csr::from_raw(2, 3, vec![0, 2, 4], vec![0, 2, 2, 0], vec![1.0f64; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "row 2 has column index 1 after 1")]
+    fn from_raw_rejects_a_duplicate_column_after_empty_rows() {
+        Csr::from_raw(3, 3, vec![0, 0, 0, 2], vec![1, 1], vec![1.0f64; 2]);
+    }
+
+    #[test]
+    fn from_raw_accepts_descents_at_row_starts_only() {
+        // Every row start descends or repeats; empty rows in between.
+        let a = Csr::from_raw(
+            5,
+            4,
+            vec![0, 2, 2, 3, 3, 5],
+            vec![2, 3, 3, 0, 1],
+            vec![1.0f64; 5],
+        );
+        assert_eq!(a.get(2, 3), 1.0);
     }
 
     #[test]

@@ -17,18 +17,21 @@
 //! 3. **Coverage** — the phases of an LGMRES solve (operator, preconditioner,
 //!    orthogonalization, the QR of `H̄`, restart) are disjoint and add up to at least 95 % of
 //!    its wall time: no part of a driver is left out of the phase table.
+//!    Set-up has a phase of its own, outside every solve: a Fig. 3 run
+//!    reports it non-zero and below the time of its solves.
 //! 4. **Per-rank reconciliation** — splitting the global communication
 //!    counters over ranks via the halo plan reproduces the totals exactly
 //!    at P ∈ {2, 4, 8}, and the published imbalance gauges match.
 
-use kryst_core::{gcrodr, gmres, lgmres, OrthPath, SolveOpts, SolverContext};
+use kryst_core::{gcrodr, gmres, lgmres, OrthPath, PrecondSide, SolveOpts, SolverContext};
 use kryst_dense::DMat;
 use kryst_obs::{
     diags_of, iteration_events, DiagKind, Event, MetricsRegistry, Phase, Profiler, Recorder,
     RingRecorder,
 };
 use kryst_par::{per_rank_comm, publish_imbalance, CommStats, DistOp, IdentityPrecond};
-use kryst_precond::Jacobi;
+use kryst_pde::elasticity::paper_sequence;
+use kryst_precond::{Amg, AmgOpts, Jacobi, SmootherKind};
 use kryst_rt::rng::Rng64;
 use kryst_sparse::{Coo, Csr};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -240,6 +243,62 @@ fn phases_cover_an_lgmres_solve() {
         "phases cover {:.1} % of the solve:\n{}",
         100.0 * share,
         snap.to_text()
+    );
+}
+
+/// Set-up is a phase: a Fig. 3 run — four elasticity systems with a moving
+/// inclusion, a CG(4)-smoothed AMG hierarchy built for each and FGCRO-DR
+/// across them, then LGMRES under point Jacobi — books one `precond_setup`
+/// per hierarchy, outside every solve and below what the solves take.
+#[test]
+fn setup_phase_of_a_fig3_run_is_nonzero_and_below_the_solve() {
+    let _turn = profiler_turn();
+    let systems = paper_sequence::<f64>(5);
+    let n = systems[0].problem.a.nrows();
+    let flexible = SolveOpts {
+        rtol: 1e-8,
+        restart: 30,
+        recycle: 10,
+        side: PrecondSide::Flexible,
+        same_system: false,
+        ..Default::default()
+    };
+    let right = SolveOpts {
+        side: PrecondSide::Right,
+        max_iters: 20000,
+        ..flexible.clone()
+    };
+    let amg_opts = AmgOpts {
+        smoother: SmootherKind::Cg { iters: 4 },
+        ..Default::default()
+    };
+    let prof = Profiler::global();
+    prof.set_enabled(true);
+    prof.reset();
+    let mut ctx = SolverContext::new();
+    let mut solve_ns = 0u128;
+    for sys in &systems {
+        let near = sys.problem.near_nullspace.as_ref();
+        let amg = Amg::new(&sys.problem.a, near, &amg_opts);
+        let jac = Jacobi::new(&sys.problem.a, 1.0);
+        let b = DMat::from_col_major(n, 1, sys.rhs.clone());
+        let t0 = std::time::Instant::now();
+        let mut x = DMat::zeros(n, 1);
+        let res = gcrodr::solve(&sys.problem.a, &amg, &b, &mut x, &flexible, &mut ctx);
+        assert!(res.converged);
+        let mut x = DMat::zeros(n, 1);
+        let res = lgmres::solve(&sys.problem.a, &jac, &b, &mut x, &right);
+        assert!(res.converged);
+        solve_ns += t0.elapsed().as_nanos();
+    }
+    prof.set_enabled(false);
+    let snap = prof.snapshot();
+    let setup = snap.phase(Phase::PrecondSetup).expect("set-up has a phase");
+    assert_eq!(setup.count, 4, "one per hierarchy; Jacobi books none");
+    assert!(
+        0 < setup.total_ns && (setup.total_ns as u128) < solve_ns,
+        "set-up {} ns, solves {solve_ns} ns",
+        setup.total_ns
     );
 }
 
