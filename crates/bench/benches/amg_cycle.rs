@@ -1,7 +1,6 @@
 //! Preconditioner setup and apply cost — AMG threshold trade-off (§IV-B),
 //! the set-up shapes of the repository benchmark's two AMG workloads
-//! (assembly and hierarchy; not gated, no record), and the multi-RHS apply
-//! benchmarks gated by `BENCH_precond.json`:
+//! (assembly and hierarchy), and the multi-RHS apply benchmarks:
 //! blocked (all p columns per sweep) vs column-at-a-time applies for the
 //! AMG V-cycle, level-scheduled ILU(0), and Schwarz/RAS.
 

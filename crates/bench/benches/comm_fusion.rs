@@ -3,12 +3,11 @@
 //! end-to-end solver wall time on both paths.
 //!
 //! The latency win of the fused path is a *distributed* effect (fewer
-//! synchronizations), modeled deterministically in `tests/comm_model.rs`
-//! and recorded in `BENCH_comm.json`. What a single node can measure — and
-//! what this bench gates — is that fusing the projection, the Gram product,
-//! and the CholQR downdate into one sweep is also no slower in raw
-//! arithmetic: one fused pass reads `V` once where the classic step reads
-//! it three times.
+//! synchronizations), modeled deterministically in `tests/comm_model.rs`.
+//! What a single node can measure — and what this bench shows — is that
+//! fusing the projection, the Gram product, and the CholQR downdate into one
+//! sweep is also no slower in raw arithmetic: one fused pass reads `V` once
+//! where the classic step reads it three times.
 
 use kryst_bench::harness::Criterion;
 use kryst_bench::{criterion_group, criterion_main};

@@ -1,5 +1,4 @@
-//! Memory-traffic benches for the mixed-precision / matrix-free PR, gated
-//! by `BENCH_mixed.json`:
+//! Memory-traffic benches for the mixed-precision / matrix-free PR:
 //!
 //! * assembled CSR SpMM vs the matrix-free stencil appliers (Poisson 2-D
 //!   and Q1 elasticity) at block width p = 8,

@@ -6,8 +6,7 @@
 //! read. These legs pin that down at two granularities — the raw guard
 //! construction in a tight loop, and an end-to-end GMRES(30) solve run with
 //! the profiler off vs on. The solve pair must stay within run-to-run noise
-//! of each other; `bench_compare` gates each leg against the checked-in
-//! record in `BENCH_obs.json`.
+//! of each other.
 
 use kryst_bench::harness::{black_box, Criterion};
 use kryst_bench::{criterion_group, criterion_main};

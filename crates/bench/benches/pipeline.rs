@@ -1,17 +1,15 @@
 //! Latency-hiding path benchmarks: the depth-1 pipelined orthogonalization
-//! (reduction overlap) and the agglomerated AMG coarse-solve model, gated by
-//! `BENCH_pipeline.json`.
+//! (reduction overlap) and the agglomerated AMG coarse-solve model.
 //!
 //! The latency win of the pipelined path is a *distributed* effect (Gram
 //! and recycle-projection reductions overlap the lagged operator apply),
-//! modeled deterministically in `tests/pipelined_equivalence.rs` and
-//! recorded in the modeled rows of `BENCH_pipeline.json`. What a single
-//! node can measure — and what this bench gates — is that the recurrence
-//! bookkeeping (the `(û − U·Sᵥ)·R⁻¹` reconstruction, two tall-skinny GEMMs
-//! plus a triangular solve per step) stays a small overhead next to the
-//! operator and orthogonalization work it rides along with, and that the
-//! coarse-agglomeration model itself is cheap enough to evaluate at setup
-//! for thousands of ranks.
+//! modeled deterministically in `tests/pipelined_equivalence.rs`. What a
+//! single node can measure — and what this bench shows — is that the
+//! recurrence bookkeeping (the `(û − U·Sᵥ)·R⁻¹` reconstruction, two
+//! tall-skinny GEMMs plus a triangular solve per step) stays a small
+//! overhead next to the operator and orthogonalization work it rides along
+//! with, and that the coarse-agglomeration model itself is cheap enough to
+//! evaluate at setup for thousands of ranks.
 
 use kryst_bench::harness::Criterion;
 use kryst_bench::{criterion_group, criterion_main};

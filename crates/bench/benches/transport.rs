@@ -1,11 +1,10 @@
 //! Transport-layer microbenchmarks: ping-pong latency and butterfly
-//! all-reduce time on both backends, gated by `BENCH_transport.json`.
+//! all-reduce time on both backends.
 //!
 //! Each measurement drives a persistent [`SpmdWorld`] — worker ranks stay
 //! alive between samples, so the socket numbers measure the wire, not
 //! process spawning. One `iter` call batches [`REPS`] primitive round
-//! trips; the checked-in baseline was produced the same way, so the
-//! `bench_compare` ratios are like-for-like.
+//! trips.
 //!
 //! The bench binary doubles as its own socket worker: `main` hands control
 //! to [`kryst_par::maybe_primitive_worker`] before any group runs, so the

@@ -18,10 +18,6 @@
 //!
 //! With no mode argument it runs `demo` then `report` on
 //! `target/kryst-prof` (or the directory given as the only argument).
-//!
-//! The demo honors `KRYST_PRECOND_F32=1`: the ILU(0) preconditioner of both
-//! solves is then stored in compact single precision (`u32` indices + `f32`
-//! values), so the profile grows a `precond_lp` phase.
 
 use kryst_core::{gcrodr, gmres, OrthPath, SolveOpts, SolverContext};
 use kryst_dense::DMat;
@@ -147,9 +143,7 @@ fn demo(dir: &Path) {
     std::fs::create_dir_all(dir).expect("create profile dir");
     let a = convdiff2d(32, 0.001, 1.0, 0.3);
     let n = a.nrows();
-    // Default (env unset) stays the all-f64 golden path; KRYST_PRECOND_F32=1
-    // switches both solves to the compact single-precision factors.
-    let ilu = Ilu0::with_precision(&a, PrecondPrecision::from_env()).expect("ILU(0) on convdiff");
+    let ilu = Ilu0::new(&a).expect("ILU(0) on convdiff");
     let plan = HaloPlan::build(&a, &Layout::even(n, DEMO_RANKS));
     let reg = MetricsRegistry::global();
     reg.reset();
@@ -206,13 +200,13 @@ fn demo(dir: &Path) {
         publish_imbalance(reg, label, &per_rank_comm(&plan, &snap, DEMO_RANKS));
         eprintln!("  [demo] {label}: {iters} iterations");
     };
-    // Base labels honor the environment (`KRYST_FUSE` / `KRYST_PIPELINE`)
-    // exactly as before; the suffixed variants pin the path so the report
-    // can print classic-vs-fused-vs-pipelined curves from one demo run.
-    run("gmres30_ilu0", 0, OrthPath::default());
+    // One leg per path, so the report can print classic-vs-fused-vs-
+    // pipelined curves from one demo run; the base labels are the fused
+    // default.
+    run("gmres30_ilu0", 0, OrthPath::Fused);
     run("gmres30_ilu0_classic", 0, OrthPath::Classic);
     run("gmres30_ilu0_pipelined", 0, OrthPath::Pipelined);
-    run("gcrodr30_10_ilu0", 10, OrthPath::default());
+    run("gcrodr30_10_ilu0", 10, OrthPath::Fused);
     run("gcrodr30_10_ilu0_pipelined", 10, OrthPath::Pipelined);
     amg_demo(dir, reg);
     transport_demo(dir, &a, reg);

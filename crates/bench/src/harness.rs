@@ -12,13 +12,10 @@
 //! sample times a batch of calls and the report prints the minimum, median,
 //! and mean per-call time (plus element throughput when declared).
 //! `KRYST_BENCH_FAST=1` caps every bench at one sample × one iteration —
-//! CI smoke mode. `KRYST_BENCH_JSON=<path>` additionally appends one JSON
-//! object per benchmark (`{"name","min_s","median_s","mean_s","samples",
-//! "iters"}`, group-qualified names like `"spmm/8"`) — the input format of
-//! the `bench_compare` regression gate.
+//! CI smoke mode. Regressions are judged by the repository benchmark
+//! (`benchmark/`, `bash benchmark/run.sh compare`), not from these numbers.
 
 use std::fmt::Display;
-use std::io::Write as _;
 use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;
@@ -55,7 +52,6 @@ impl Criterion {
     pub fn benchmark_group(&mut self, name: impl Display) -> BenchmarkGroup {
         println!("\n== {name} ==");
         BenchmarkGroup {
-            prefix: name.to_string(),
             samples: self.samples,
             measurement: self.measurement,
             throughput: None,
@@ -66,7 +62,6 @@ impl Criterion {
     pub fn bench_function(&mut self, id: impl Display, mut f: impl FnMut(&mut Bencher)) {
         run_one(
             &id.to_string(),
-            None,
             self.samples,
             self.measurement,
             None,
@@ -100,7 +95,6 @@ impl Display for BenchmarkId {
 
 /// A group of benchmarks sharing configuration and throughput.
 pub struct BenchmarkGroup {
-    prefix: String,
     samples: usize,
     measurement: Duration,
     throughput: Option<Throughput>,
@@ -116,7 +110,6 @@ impl BenchmarkGroup {
     pub fn bench_function(&mut self, id: impl Display, mut f: impl FnMut(&mut Bencher)) {
         run_one(
             &id.to_string(),
-            Some(&self.prefix),
             self.samples,
             self.measurement,
             self.throughput,
@@ -133,7 +126,6 @@ impl BenchmarkGroup {
     ) {
         run_one(
             &id.0,
-            Some(&self.prefix),
             self.samples,
             self.measurement,
             self.throughput,
@@ -168,7 +160,6 @@ fn fast_mode() -> bool {
 
 fn run_one(
     name: &str,
-    group: Option<&str>,
     samples: usize,
     measurement: Duration,
     throughput: Option<Throughput>,
@@ -214,24 +205,6 @@ fn run_one(
         fmt_time(median),
         fmt_time(mean),
     );
-    if let Some(path) = std::env::var_os("KRYST_BENCH_JSON") {
-        let full = match group {
-            Some(g) => format!("{g}/{name}"),
-            None => name.to_string(),
-        };
-        let line = format!(
-            "{{\"name\":\"{full}\",\"min_s\":{min:e},\"median_s\":{median:e},\
-             \"mean_s\":{mean:e},\"samples\":{samples},\"iters\":{iters}}}\n"
-        );
-        let res = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .and_then(|mut fh| fh.write_all(line.as_bytes()));
-        if let Err(e) = res {
-            eprintln!("KRYST_BENCH_JSON: cannot append to {path:?}: {e}");
-        }
-    }
 }
 
 fn fmt_time(s: f64) -> String {

@@ -1,7 +1,7 @@
-//! The shared (block) Arnoldi cycle driver.
+//! The (block) Arnoldi process of one restart cycle.
 //!
-//! Both GMRES and GCRO-DR build their restart cycles on [`BlockArnoldi`]:
-//! it advances `p` right-hand sides together (block width `p`), supports
+//! The restarted solve under GMRES, LGMRES and GCRO-DR runs every cycle on
+//! one [`BlockArnoldi`]: it advances `p` right-hand sides together (block width `p`), supports
 //! right / left / flexible preconditioning via [`PrecondMode`], optionally
 //! orthogonalizes the operator output against a recycled block `C` while
 //! capturing the coupling coefficients `E_k = Cᴴ·A·Z` (Fig. 1 line 26), and
@@ -37,17 +37,10 @@ impl<'a, S: Scalar> PrecondMode<'a, S> {
         }
     }
 
-    /// Iteration-space residual `r = b − A·x` (left: `M⁻¹·(b − A·x)`).
-    pub fn residual(&self, a: &dyn LinOp<S>, b: &DMat<S>, x: &DMat<S>) -> DMat<S> {
-        let mut ws = SpmmWorkspace::new();
-        self.residual_ws(a, b, x, &mut ws)
-    }
-
-    /// Pooled variant of [`residual`]: all temporaries (and the returned
-    /// matrix) come from `ws`; callers `put` the result back once consumed,
-    /// so steady-state restart cycles allocate nothing here.
-    ///
-    /// [`residual`]: PrecondMode::residual
+    /// Iteration-space residual `r = b − A·x` (left: `M⁻¹·(b − A·x)`). All
+    /// temporaries (and the returned matrix) come from `ws`; callers `put`
+    /// the result back once consumed, so steady-state restart cycles
+    /// allocate nothing here.
     pub fn residual_ws(
         &self,
         a: &dyn LinOp<S>,
@@ -68,27 +61,6 @@ impl<'a, S: Scalar> PrecondMode<'a, S> {
         }
     }
 
-    /// Solution-space direction from an iteration-space basis vector.
-    pub fn to_solution(&self, v: &DMat<S>) -> DMat<S> {
-        match self {
-            PrecondMode::Right(m) => m.apply_new(v),
-            _ => v.clone(),
-        }
-    }
-
-    /// Pooled variant of [`to_solution`]; the returned matrix comes from
-    /// `ws` (callers `put` it back once consumed).
-    ///
-    /// [`to_solution`]: PrecondMode::to_solution
-    pub fn to_solution_ws(&self, v: &DMat<S>, ws: &mut SpmmWorkspace<S>) -> DMat<S> {
-        let mut out = ws.take_stale(v.nrows(), v.ncols());
-        match self {
-            PrecondMode::Right(m) => m.apply(v, &mut out),
-            _ => out.copy_from(v),
-        }
-        out
-    }
-
     /// Whether the preconditioner apply is exact enough for the pipelined
     /// recurrence. The depth-1 lag reconstructs preconditioned directions by
     /// a linear recurrence instead of a fresh apply, which assumes `M⁻¹` is
@@ -106,17 +78,9 @@ impl<'a, S: Scalar> PrecondMode<'a, S> {
         }
     }
 
-    /// Iteration-space image of a solution-space direction:
-    /// `w = A·d` (left: `M⁻¹·A·d`).
-    pub fn apply_op(&self, a: &dyn LinOp<S>, d: &DMat<S>) -> DMat<S> {
-        let mut ws = SpmmWorkspace::new();
-        self.apply_op_ws(a, d, &mut ws)
-    }
-
-    /// Pooled variant of [`apply_op`]; the returned matrix comes from `ws`
-    /// (callers `put` it back once consumed).
-    ///
-    /// [`apply_op`]: PrecondMode::apply_op
+    /// Iteration-space image of a solution-space direction: `w = A·d`
+    /// (left: `M⁻¹·A·d`). The returned matrix comes from `ws` (callers `put`
+    /// it back once consumed).
     pub fn apply_op_ws(&self, a: &dyn LinOp<S>, d: &DMat<S>, ws: &mut SpmmWorkspace<S>) -> DMat<S> {
         let mut w = ws.take_stale(d.nrows(), d.ncols());
         a.apply(d, &mut w);
@@ -265,9 +229,6 @@ pub struct BlockArnoldi<'a, S: Scalar> {
     /// Recycled block to orthogonalize against (GCRO-DR inner cycles).
     pub c_proj: Option<&'a DMat<S>>,
     j: usize,
-    /// How many of the `j` steps took their image from the caller
-    /// ([`Self::step_with_image`]); they come last.
-    given: usize,
     m: usize,
     p: usize,
     orth: OrthScheme,
@@ -329,7 +290,6 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
             buf: CycleBuffers::default(),
             c_proj,
             j: 0,
-            given: 0,
             m,
             p,
             orth,
@@ -376,12 +336,6 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
     /// Recover the storage to hand to the next cycle.
     pub fn into_buffers(self) -> CycleBuffers<S> {
         self.buf
-    }
-
-    /// The pool of `n × p` temporaries, for the solver's own residuals
-    /// while the cycle holds the buffers.
-    pub fn workspace(&mut self) -> &mut SpmmWorkspace<S> {
-        &mut self.buf.ws
     }
 
     /// Start the cycle from the residual block `r0` (rank-revealing CholQR —
@@ -434,7 +388,6 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
         }
         self.buf.qr.reset(&out.r);
         self.j = 0;
-        self.given = 0;
         self.fused_loss = f64::EPSILON;
         self.w_next = None;
         self.z_next = None;
@@ -500,9 +453,9 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
     /// (left: `M⁻¹·A·D`), column-major `n × p`, for a direction block `D` the
     /// caller keeps, as the stored pairs of LGMRES are. The image is
     /// orthogonalized and enters `H̄` like any other; the direction does not
-    /// enter this cycle's storage, so such steps come after the cycle's own
-    /// and the caller forms the correction ([`Self::update_solution`] covers
-    /// none of it).
+    /// enter this cycle's storage ([`CycleBuffers::directions`]), so such
+    /// steps come after the cycle's own and the caller forms their share of
+    /// the correction.
     pub fn step_with_image(&mut self, image: &[S]) -> Vec<f64> {
         assert!(self.can_step());
         let buf = &mut self.buf;
@@ -515,7 +468,6 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
                 buf.ws.put(m);
             }
         }
-        self.given += 1;
         self.orthogonalize_next()
     }
 
@@ -837,44 +789,6 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
         self.buf.qr.solve_y()
     }
 
-    /// Apply the correction: `x += Z·y` for right/flexible (`V·y` coincides
-    /// with `Z·y` in the other modes because `Z_j` is `V_j` then).
-    pub fn update_solution(&self, y: &DMat<S>, x: &mut DMat<S>) {
-        assert_eq!(self.given, 0, "the caller keeps those directions");
-        fused::fused_accumulate(
-            &[ColsRef::blocks(self.directions())],
-            std::slice::from_ref(y),
-            x,
-        );
-    }
-
-    /// The basis blocks `V_0 … V_j` built so far, where the cycle keeps them.
-    pub fn basis(&self) -> &[DMat<S>] {
-        self.buf.basis(self.j)
-    }
-
-    /// The direction blocks `Z_0 … Z_{j−1}` of the cycle's own steps (the
-    /// basis blocks themselves unless right/flexible preconditioned).
-    pub fn directions(&self) -> &[DMat<S>] {
-        self.buf.directions(self.j - self.given)
-    }
-
-    /// The raw block Hessenberg `H̄` in its storage; see
-    /// [`CycleBuffers::hraw`].
-    pub fn hraw(&self) -> &DMat<S> {
-        &self.buf.hraw
-    }
-
-    /// The couplings `E` in their storage; see [`CycleBuffers::couplings`].
-    pub fn couplings(&self) -> &DMat<S> {
-        &self.buf.e
-    }
-
-    /// Block width.
-    pub fn p(&self) -> usize {
-        self.p
-    }
-
     /// Running orthogonality-loss estimate of the fused path (units of
     /// machine ε; `ε` while loss-free or on the classic path).
     pub fn fused_loss(&self) -> f64 {
@@ -947,15 +861,24 @@ mod tests {
         out
     }
 
-    /// `H̄` and `E` of the completed iterations.
+    /// `V`, `Z`, `H̄` and `E` of the completed iterations, as the drivers
+    /// read them in the cycle's buffers.
+    fn basis(arn: &BlockArnoldi<'_, f64>) -> DMat<f64> {
+        cat(arn.buf.basis(arn.j))
+    }
+
+    fn directions(arn: &BlockArnoldi<'_, f64>) -> DMat<f64> {
+        cat(arn.buf.directions(arn.j))
+    }
+
     fn hbar(arn: &BlockArnoldi<'_, f64>) -> DMat<f64> {
-        let (j, p) = (arn.iterations(), arn.p());
-        arn.hraw().block(0, 0, (j + 1) * p, j * p)
+        let (j, p) = (arn.j, arn.p);
+        arn.buf.hraw().block(0, 0, (j + 1) * p, j * p)
     }
 
     fn couplings(arn: &BlockArnoldi<'_, f64>) -> DMat<f64> {
-        let e = arn.couplings();
-        e.block(0, 0, e.nrows(), arn.iterations() * arn.p())
+        let e = arn.buf.couplings();
+        e.block(0, 0, e.nrows(), arn.j * arn.p)
     }
 
     fn laplace1d(n: usize) -> Csr<f64> {
@@ -984,13 +907,8 @@ mod tests {
         for _ in 0..6 {
             arn.step();
         }
-        let az = a.apply(&cat(arn.directions()));
-        let vh = blas::matmul(
-            &cat(arn.basis()),
-            blas::Op::None,
-            &hbar(&arn),
-            blas::Op::None,
-        );
+        let az = a.apply(&directions(&arn));
+        let vh = blas::matmul(&basis(&arn), blas::Op::None, &hbar(&arn), blas::Op::None);
         let mut diff = az.clone();
         diff.axpy(-1.0, &vh);
         assert!(
@@ -999,7 +917,7 @@ mod tests {
             diff.max_abs()
         );
         // Basis orthonormality.
-        let g = blas::adjoint_times(&cat(arn.basis()), &cat(arn.basis()));
+        let g = blas::adjoint_times(&basis(&arn), &basis(&arn));
         for i in 0..g.nrows() {
             for j in 0..g.ncols() {
                 let e = if i == j { 1.0 } else { 0.0 };
@@ -1034,17 +952,12 @@ mod tests {
         for _ in 0..5 {
             arn.step();
         }
-        let g = blas::adjoint_times(&c, &cat(arn.basis()));
+        let g = blas::adjoint_times(&c, &basis(&arn));
         assert!(g.max_abs() < 1e-10, "CᴴV = {}", g.max_abs());
         // Verify the captured E: A·Z = C·E + V·H̄.
-        let az = a.apply(&cat(arn.directions()));
+        let az = a.apply(&directions(&arn));
         let mut rhs = blas::matmul(&c, blas::Op::None, &couplings(&arn), blas::Op::None);
-        let vh = blas::matmul(
-            &cat(arn.basis()),
-            blas::Op::None,
-            &hbar(&arn),
-            blas::Op::None,
-        );
+        let vh = blas::matmul(&basis(&arn), blas::Op::None, &hbar(&arn), blas::Op::None);
         rhs.axpy(1.0, &vh);
         let mut diff = az;
         diff.axpy(-1.0, &rhs);
@@ -1085,15 +998,10 @@ mod tests {
             // Iteration-space relation: B·Z = V·H̄ with B = A (right: Z holds
             // M⁻¹V) or B = M⁻¹·A (left: Z holds V).
             let az = match side {
-                PrecondSide::Left => jac.apply_new(&a.apply(&cat(arn.directions()))),
-                _ => a.apply(&cat(arn.directions())),
+                PrecondSide::Left => jac.apply_new(&a.apply(&directions(&arn))),
+                _ => a.apply(&directions(&arn)),
             };
-            let vh = blas::matmul(
-                &cat(arn.basis()),
-                blas::Op::None,
-                &hbar(&arn),
-                blas::Op::None,
-            );
+            let vh = blas::matmul(&basis(&arn), blas::Op::None, &hbar(&arn), blas::Op::None);
             let mut diff = az.clone();
             diff.axpy(-1.0, &vh);
             assert!(
@@ -1101,7 +1009,7 @@ mod tests {
                 "pipelined Arnoldi relation violated ({side:?}): {}",
                 diff.max_abs()
             );
-            let g = blas::adjoint_times(&cat(arn.basis()), &cat(arn.basis()));
+            let g = blas::adjoint_times(&basis(&arn), &basis(&arn));
             for i in 0..g.nrows() {
                 for j in 0..g.ncols() {
                     let e = if i == j { 1.0 } else { 0.0 };
@@ -1139,17 +1047,12 @@ mod tests {
         for _ in 0..5 {
             arn.step();
         }
-        let g = blas::adjoint_times(&c, &cat(arn.basis()));
+        let g = blas::adjoint_times(&c, &basis(&arn));
         assert!(g.max_abs() < 1e-9, "CᴴV = {}", g.max_abs());
         // The captured E stays exact: A·Z = C·E + V·H̄.
-        let az = a.apply(&cat(arn.directions()));
+        let az = a.apply(&directions(&arn));
         let mut rhs = blas::matmul(&c, blas::Op::None, &couplings(&arn), blas::Op::None);
-        let vh = blas::matmul(
-            &cat(arn.basis()),
-            blas::Op::None,
-            &hbar(&arn),
-            blas::Op::None,
-        );
+        let vh = blas::matmul(&basis(&arn), blas::Op::None, &hbar(&arn), blas::Op::None);
         rhs.axpy(1.0, &vh);
         let mut diff = az;
         diff.axpy(-1.0, &rhs);
@@ -1260,8 +1163,9 @@ mod tests {
         let x = DMat::zeros(n, 1);
         let left = PrecondMode::new(&jac, PrecondSide::Left);
         let right = PrecondMode::new(&jac, PrecondSide::Right);
-        let rl = left.residual(&a, &b, &x);
-        let rr = right.residual(&a, &b, &x);
+        let mut ws = SpmmWorkspace::new();
+        let rl = left.residual_ws(&a, &b, &x, &mut ws);
+        let rr = right.residual_ws(&a, &b, &x, &mut ws);
         // Left residual is D⁻¹·b, right residual is b.
         assert!((rl[(0, 0)] - b[(0, 0)] / 2.0).abs() < 1e-14);
         assert!((rr[(0, 0)] - b[(0, 0)]).abs() < 1e-14);

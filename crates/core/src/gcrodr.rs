@@ -3,7 +3,8 @@
 //!
 //! The solver keeps a recycled pair `(U_k, C_k)` with `A·U_k = C_k` and
 //! `C_kᴴ·C_k = I` inside a [`SolverContext`] that persists across `solve`
-//! calls (the paper's "singleton class"). Per Fig. 1:
+//! calls (the paper's "singleton class"). It is the restarted solve of
+//! the crate's `restart` module augmented with that pair. Per Fig. 1:
 //!
 //! * **lines 2–9** — on a new system the pair is refreshed with a
 //!   distributed QR of `A·U_k` (skipped with
@@ -21,9 +22,9 @@
 //!   same code handle right, left, and **flexible** preconditioning
 //!   (FGCRO-DR) uniformly.
 
-use crate::cycle::{any_above, rhs_norms, BlockArnoldi, CycleBuffers, PrecondMode};
+use crate::cycle::CycleBuffers;
 use crate::opts::{RecycleStrategy, SolveOpts, SolveResult};
-use crate::trace::SolveTracer;
+use crate::restart::{self, Augmentation, Cx, CycleEnd, Plan};
 use kryst_dense::eig::{self, EigDecomp};
 use kryst_dense::fused::{self, ColsRef};
 use kryst_dense::qr::HouseholderQr;
@@ -31,6 +32,7 @@ use kryst_dense::{blas, chol, tri, DMat};
 use kryst_obs::{profile, DiagKind, Phase, SpanKind};
 use kryst_par::{LinOp, PrecondOp};
 use kryst_scalar::{Real, Scalar};
+use kryst_sparse::SpmmWorkspace;
 use std::slice::from_ref;
 
 /// The recycled subspace pair.
@@ -71,66 +73,111 @@ impl<S: Scalar> SolverContext<S> {
     }
 }
 
-/// Column norms of a residual block.
-fn norms<S: Scalar>(r: &DMat<S>) -> Vec<f64> {
-    r.col_norms().iter().map(|v| v.to_f64()).collect()
+/// The shortest cycle: one Arnoldi step beside one recycled block.
+const MIN_RESTART: usize = 2;
+
+/// Deflated restarting: the cycles run on `(I − C·Cᴴ)·A` for the recycled
+/// pair `(U, C)`, which the first cycle of a cold solve extracts and every
+/// later one refreshes.
+struct Deflation<S: Scalar> {
+    space: Option<RecycleSpace<S>>,
+    /// The pair a refresh replaced: the next refresh builds `(U, C)` in it.
+    spare: Option<RecycleSpace<S>>,
+    /// Restart length `m` and recycled blocks `k` asked for.
+    m: usize,
+    k_blocks: usize,
+    /// The paper's Fig. 1 guards the refresh work with `A_i ≠ A_{i−1}`: for
+    /// the very first system in a sequence that condition is vacuously true,
+    /// so the recycle space matures during the first solve even when the
+    /// caller declares a non-variable sequence.
+    refresh_allowed: bool,
+    /// `CᴴR` of the residual the current cycle started from.
+    cr: DMat<S>,
 }
 
-/// Residual norms relative to the right-hand sides'.
-fn relative(rn: &[f64], bnorms: &[f64]) -> Vec<f64> {
-    rn.iter().zip(bnorms).map(|(r, b)| r / b).collect()
-}
-
-/// Closes the solve's trace and reports it.
-fn finish(
-    tracer: SolveTracer,
-    iterations: usize,
-    converged: bool,
-    final_relres: Vec<f64>,
-) -> SolveResult {
-    let history = tracer.finish(converged, &final_relres);
-    SolveResult {
-        iterations,
-        converged,
-        history,
-        final_relres,
-    }
-}
-
-/// Steps the cycle `arn` was started on until it is full, its least-squares
-/// estimates meet the tolerance (the true residual decides afterwards) or
-/// `max_iters` is reached.
-fn run_cycle<S: Scalar>(
-    arn: &mut BlockArnoldi<'_, S>,
-    tracer: &mut SolveTracer,
-    iters: &mut usize,
-    cycle: usize,
-    bnorms: &[f64],
-    opts: &SolveOpts,
-) {
-    while arn.can_step() && *iters < opts.max_iters {
-        let first = arn.iterations() == 0;
-        let res = arn.step();
-        *iters += 1;
-        let rank = arn.breakdown_rank(first);
-        tracer.iteration(
-            cycle,
-            *iters - 1,
-            relative(&res, bnorms),
-            opts.orth.name(),
-            rank,
-        );
-        if arn.last_orth_passes() > 1 || arn.last_orth_refreshed() {
-            tracer.diag(
-                cycle,
-                *iters - 1,
-                DiagKind::OrthLoss,
-                arn.fused_loss(),
-                arn.last_orth_passes(),
-            );
+impl<S: Scalar> Augmentation<S> for Deflation<S> {
+    /// Lines 2–9: reuse the recycle space of the previous solve.
+    fn prologue(&mut self, cx: &Cx<'_, S>, x: &mut DMat<S>, r: &mut DMat<S>) {
+        let stats = cx.opts.stats.as_deref();
+        let setup_probe = cx.tracer.span_start();
+        let setup_timer = profile(Phase::RecycleSetup);
+        if let Some(rec) = &mut self.space {
+            if !cx.opts.same_system {
+                // Lines 4–6: [Q,R] = distributed_qr(A·U); C ⟵ Q; U ⟵ U·R⁻¹.
+                let mut w = cx.mode.apply_op_ws(cx.a, &rec.u, &mut SpmmWorkspace::new());
+                let out = chol::cholqr(&mut w);
+                if let Some(st) = stats {
+                    st.record_reduction(std::mem::size_of_val(out.r.as_slice()));
+                }
+                safe_right_solve(&mut rec.u, &out.r);
+                rec.c = w;
+            }
+            // Lines 8–9: X ⟵ X + U·CᴴR; R ⟵ R − C·CᴴR.
+            let coef = fused::adjoint_times(ColsRef::whole(&rec.c), r);
+            if let Some(st) = stats {
+                st.record_reduction(std::mem::size_of_val(coef.as_slice()));
+            }
+            fused::fused_accumulate(&[ColsRef::whole(&rec.u)], from_ref(&coef), x);
+            fused::fused_update(&[ColsRef::whole(&rec.c)], from_ref(&coef), r);
         }
-        if !any_above(&res, bnorms, opts.rtol) {
-            break;
+        drop(setup_timer);
+        cx.tracer.span_end(setup_probe, SpanKind::Setup, 0);
+    }
+
+    /// Lines 10–13 without a recycle space: a plain (block) GMRES cycle.
+    /// Lines 22–26 with one: a shorter cycle kept orthogonal to `C`.
+    fn prepare<'p>(&'p mut self, cx: &Cx<'_, S>, r: &mut DMat<S>) -> Plan<'p, S> {
+        let Some(rec) = &self.space else {
+            return Plan {
+                restart_span: false,
+                ..Plan::arnoldi(None, self.m)
+            };
+        };
+        let kept_blocks = rec.u.ncols().div_ceil(r.ncols());
+        let m_inner = (self.m - kept_blocks.min(self.m - 1)).max(1);
+        // `R = B − A·X` is orthogonal to `C` only up to its own rounding,
+        // which near convergence is not small beside `‖R‖`. `C`'s share goes
+        // to the update and out of `R`: the cycle's basis starts orthogonal
+        // to `C`, which is what keeps `[C V]·Q` orthonormal.
+        self.cr = fused::adjoint_times(ColsRef::whole(&rec.c), r);
+        if let Some(st) = &cx.opts.stats {
+            st.record_reduction(std::mem::size_of_val(self.cr.as_slice()));
+        }
+        fused::fused_update(&[ColsRef::whole(&rec.c)], from_ref(&self.cr), r);
+        Plan::arnoldi(Some(&rec.c), m_inner)
+    }
+
+    /// Lines 27–29: solution update with both U and Z contributions,
+    /// `y_k = CᴴR − E·y`.
+    fn correct(&mut self, _cx: &Cx<'_, S>, end: &mut CycleEnd<S>, x: &mut DMat<S>) {
+        if let Some(rec) = &self.space {
+            let e = ColsRef::leading(end.bufs.couplings(), end.y.nrows());
+            fused::fused_update(&[e], from_ref(&end.y), &mut self.cr);
+            fused::fused_accumulate(&[ColsRef::whole(&rec.u)], from_ref(&self.cr), x);
+        }
+        end.add_own_directions(x);
+    }
+
+    /// Lines 16–20 after a plain cycle: extract `(U, C)` from it, converged
+    /// or not — the next solve starts from them. Lines 31–38 after a
+    /// deflated one: refresh the pair (skipped for non-variable sequences
+    /// after the first solve — §III-B — and once converged).
+    fn carry_over(&mut self, cx: &Cx<'_, S>, end: &CycleEnd<S>, converged: bool) {
+        let (bufs, j, p) = (&end.bufs, end.j, end.y.ncols());
+        let Some(rec) = &mut self.space else {
+            let eig_probe = cx.tracer.span_start();
+            self.space = extract_recycle_space(bufs, (j, p), self.k_blocks * p, cx);
+            cx.tracer
+                .span_end(eig_probe, SpanKind::Eigensolve, cx.cycle);
+            return;
+        };
+        if self.refresh_allowed && !converged {
+            let refresh_probe = cx.tracer.span_start();
+            let refresh_timer = profile(Phase::RecycleSetup);
+            refresh_recycle_space(rec, &mut self.spare, bufs, (j, p), cx);
+            drop(refresh_timer);
+            cx.tracer
+                .span_end(refresh_probe, SpanKind::RecycleRefresh, cx.cycle);
         }
     }
 }
@@ -144,211 +191,70 @@ pub fn solve<S: Scalar>(
     opts: &SolveOpts,
     ctx: &mut SolverContext<S>,
 ) -> SolveResult {
-    let n = a.nrows();
-    let p = b.ncols();
-    let m = opts.restart.max(2);
-    let k_blocks_target = opts.recycle.clamp(1, m - 1);
-    let kc_target = k_blocks_target * p;
-    let mode = PrecondMode::new(pc, opts.side);
-    let bnorms = rhs_norms(b);
-    let stats = opts.stats.as_deref();
-    let mut tracer = SolveTracer::begin(opts, "gcrodr", ctx.solves, n, p);
-    let mut cycle = 0usize;
-    let mut iters = 0usize;
-    // Storage shared by every Arnoldi cycle of this solve.
-    let mut bufs = CycleBuffers::default();
-
-    // The paper's Fig. 1 guards the refresh work with `A_i ≠ A_{i−1}`: for
-    // the very first system in a sequence that condition is vacuously true,
-    // so the recycle space matures during the first solve even when the
-    // caller declares a non-variable sequence.
-    let first_solve = ctx.solves == 0;
-    let refresh_allowed = !opts.same_system || first_solve;
-    let mut r = mode.residual_ws(a, b, x, &mut bufs.ws);
-    let r0 = norms(&r);
-    if !any_above(&r0, &bnorms, opts.rtol) {
-        ctx.solves += 1;
-        return finish(tracer, 0, true, relative(&r0, &bnorms));
-    }
-
-    // ---- Lines 2–9: reuse a previous recycle space. --------------------
-    let setup_probe = tracer.span_start();
-    let setup_timer = profile(Phase::RecycleSetup);
-    let mut space: Option<RecycleSpace<S>> = None;
-    if let Some(mut rec) = ctx.recycle.take() {
-        if rec.u.nrows() == n && rec.u.ncols() >= 1 {
-            if !opts.same_system {
-                // Lines 4–6: [Q,R] = distributed_qr(A·U); C ⟵ Q; U ⟵ U·R⁻¹.
-                let mut w = mode.apply_op_ws(a, &rec.u, &mut bufs.ws);
-                let out = chol::cholqr(&mut w);
-                if let Some(st) = stats {
-                    st.record_reduction(std::mem::size_of_val(out.r.as_slice()));
-                }
-                safe_right_solve(&mut rec.u, &out.r);
-                rec.c = w;
-            }
-            // Lines 8–9: X ⟵ X + U·CᴴR; R ⟵ R − C·CᴴR.
-            let coef = fused::adjoint_times(ColsRef::whole(&rec.c), &r);
-            if let Some(st) = stats {
-                st.record_reduction(std::mem::size_of_val(coef.as_slice()));
-            }
-            fused::fused_accumulate(&[ColsRef::whole(&rec.u)], from_ref(&coef), x);
-            fused::fused_update(&[ColsRef::whole(&rec.c)], from_ref(&coef), &mut r);
-            space = Some(rec);
-        }
-    }
-    drop(setup_timer);
-    tracer.span_end(setup_probe, SpanKind::Setup, 0);
-
-    // ---- Lines 10–21: first cycle is plain (block) GMRES. ---------------
-    if space.is_none() {
-        let cyc_probe = tracer.span_start();
-        let mut arn = BlockArnoldi::new(a, &mode, m, p, opts.orth, None, stats)
-            .with_path(opts.ortho)
-            .with_buffers(std::mem::take(&mut bufs));
-        arn.start(&r);
-        run_cycle(&mut arn, &mut tracer, &mut iters, cycle, &bnorms, opts);
-        tracer.span_end(cyc_probe, SpanKind::Cycle, cycle);
-        let restart_timer = profile(Phase::Restart);
-        let y = arn.solve_y();
-        arn.update_solution(&y, x);
-        drop(restart_timer);
-        arn.workspace().put(r);
-        r = mode.residual_ws(a, b, x, arn.workspace());
-        // Lines 16–20: harmonic Ritz via eq. (2), then C/U extraction.
-        let eig_probe = tracer.span_start();
-        let j = arn.iterations();
-        if j >= 1 {
-            let kc = kc_target.min(j * p.max(1)).max(1);
-            let jp = j * p;
-            let hm = arn.hraw().block(0, 0, jp, jp);
-            // M = [0; h̄ᴴ·h̄] — only the last p columns are nonzero, so the
-            // harmonic-Ritz left-hand side H = H_m + H_m⁻ᴴ·M (equivalent to
-            // the paper's eq. (2) formulation) needs one p-column solve with
-            // H_mᴴ.
-            let hlast = arn.hraw().block(jp, (j - 1) * p, p, p);
-            let mut mcols = DMat::zeros(jp, p);
-            let hh = blas::matmul(&hlast, blas::Op::ConjTrans, &hlast, blas::Op::None);
-            mcols.set_block(jp - p, 0, &hh);
-            let hm_h = hm.adjoint();
-            let fac = kryst_dense::lu::Lu::factor(hm_h);
-            let mut hmod = hm.clone();
-            if !fac.is_singular() {
-                fac.solve_in_place(&mut mcols);
-                for c in 0..p {
-                    for i in 0..jp {
-                        hmod[(i, jp - p + c)] += mcols[(i, c)];
-                    }
-                }
-            }
-            let decomp = eig::eig(&hmod);
-            let mut pk = select_smallest::<S>(&decomp, kc);
-            if pk.ncols() >= 1 {
-                tracer.diag(
-                    cycle,
-                    iters.saturating_sub(1),
-                    DiagKind::RitzQuality,
-                    min_ritz_magnitude(&decomp),
-                    pk.ncols(),
-                );
-                // [Q,R] = qr(H̄·P); C = V·Q; U = Z·(P·R⁻¹), read from the
-                // blocks of V and Z where the cycle left them.
-                let hbar = arn.hraw().block(0, 0, jp + p, jp);
-                let f =
-                    HouseholderQr::factor(blas::matmul(&hbar, blas::Op::None, &pk, blas::Op::None));
-                safe_right_solve(&mut pk, &f.r());
-                let mut rec = RecycleSpace {
-                    u: DMat::zeros(n, pk.ncols()),
-                    c: DMat::zeros(n, pk.ncols()),
-                };
-                fused::fused_accumulate(&[ColsRef::blocks(arn.basis())], &[f.q_thin()], &mut rec.c);
-                fused::fused_accumulate(&[ColsRef::blocks(arn.directions())], &[pk], &mut rec.u);
-                space = Some(rec);
-            }
-        }
-        tracer.span_end(eig_probe, SpanKind::Eigensolve, cycle);
-        bufs = arn.into_buffers();
-        cycle += 1;
-        let rn = norms(&r);
-        if !any_above(&rn, &bnorms, opts.rtol) {
-            ctx.recycle = space;
-            ctx.solves += 1;
-            let final_relres = relative(&rn, &bnorms);
-            let converged = final_relres.iter().all(|&v| v <= opts.rtol * 10.0);
-            return finish(tracer, iters, converged, final_relres);
-        }
-    }
-
-    // ---- Lines 22–39: deflated cycles with the projected operator. ------
-    let mut converged = false;
-    // The pair a refresh replaced: the next refresh builds `(U, C)` in it.
-    let mut spare: Option<RecycleSpace<S>> = None;
-    while iters < opts.max_iters && space.is_some() {
-        let mut rec = space.take().unwrap();
-        let kc = rec.u.ncols();
-        let k_blocks = kc.div_ceil(p);
-        let m_inner = (m - k_blocks.min(m - 1)).max(1);
-        let cyc_probe = tracer.span_start();
-        // `R = B − A·X` is orthogonal to `C` only up to its own rounding,
-        // which near convergence is not small beside `‖R‖`. `C`'s share goes
-        // to the update below and out of `R`: the cycle's basis starts
-        // orthogonal to `C`, which is what keeps `[C V]·Q` orthonormal.
-        let cr = fused::adjoint_times(ColsRef::whole(&rec.c), &r);
-        if let Some(st) = stats {
-            st.record_reduction(std::mem::size_of_val(cr.as_slice()));
-        }
-        fused::fused_update(&[ColsRef::whole(&rec.c)], from_ref(&cr), &mut r);
-        let mut arn = BlockArnoldi::new(a, &mode, m_inner, p, opts.orth, Some(&rec.c), stats)
-            .with_path(opts.ortho)
-            .with_buffers(std::mem::take(&mut bufs));
-        arn.start(&r);
-        run_cycle(&mut arn, &mut tracer, &mut iters, cycle, &bnorms, opts);
-        tracer.span_end(cyc_probe, SpanKind::Cycle, cycle);
-        // Lines 27–29: solution update with both U and Z contributions,
-        // `y_k = CᴴR − E·y`.
-        let restart_probe = tracer.span_start();
-        let restart_timer = profile(Phase::Restart);
-        let y = arn.solve_y();
-        let mut yk = cr;
-        let e = ColsRef::leading(arn.couplings(), y.nrows());
-        fused::fused_update(&[e], from_ref(&y), &mut yk);
-        fused::fused_accumulate(&[ColsRef::whole(&rec.u)], from_ref(&yk), x);
-        arn.update_solution(&y, x);
-        drop(restart_timer);
-        arn.workspace().put(r);
-        r = mode.residual_ws(a, b, x, arn.workspace());
-        tracer.span_end(restart_probe, SpanKind::Restart, cycle);
-        // Convergence is decided on the TRUE residual; the in-cycle estimate
-        // only ends the cycle early.
-        converged = !any_above(&norms(&r), &bnorms, opts.rtol);
-
-        // Lines 31–38: refresh the recycle space (skipped for non-variable
-        // sequences after the first solve — §III-B — and once converged).
-        let j = arn.iterations();
-        // Handing the buffers back ends the cycle's borrow of `C`; the
-        // refresh reads `V`, `Z`, `E` and `H̄` where the cycle left them.
-        bufs = arn.into_buffers();
-        if refresh_allowed && !converged && j > 0 {
-            let refresh_probe = tracer.span_start();
-            let refresh_timer = profile(Phase::RecycleSetup);
-            refresh_recycle_space(&mut rec, &mut spare, &bufs, (j, p), opts, &tracer, cycle);
-            drop(refresh_timer);
-            tracer.span_end(refresh_probe, SpanKind::RecycleRefresh, cycle);
-        }
-        space = Some(rec);
-        cycle += 1;
-        if converged {
-            break;
-        }
-    }
-
-    ctx.recycle = space;
+    let m = opts.restart.max(MIN_RESTART);
+    let mut policy = Deflation {
+        space: (ctx.recycle.take()).filter(|rec| rec.u.nrows() == a.nrows() && rec.u.ncols() >= 1),
+        spare: None,
+        m,
+        k_blocks: opts.recycle.clamp(1, m - 1),
+        refresh_allowed: !opts.same_system || ctx.solves == 0,
+        cr: DMat::zeros(0, 0),
+    };
+    let res = restart::solve(a, pc, b, x, opts, ("gcrodr", ctx.solves), &mut policy);
+    ctx.recycle = policy.space;
     ctx.solves += 1;
-    bufs.ws.put(r);
-    let rfin = mode.residual_ws(a, b, x, &mut bufs.ws);
-    let final_relres = relative(&norms(&rfin), &bnorms);
-    let converged = converged && final_relres.iter().all(|&v| v <= opts.rtol * 10.0);
-    finish(tracer, iters, converged, final_relres)
+    res
+}
+
+/// Lines 16–20 of Fig. 1: harmonic Ritz vectors of a plain cycle of `j`
+/// iterations of width `p` via eq. (2), then the `C`/`U` extraction, at most
+/// `kc_target` columns wide. The cycle's `V`, `Z` and `H̄` are read in `bufs`.
+fn extract_recycle_space<S: Scalar>(
+    bufs: &CycleBuffers<S>,
+    (j, p): (usize, usize),
+    kc_target: usize,
+    cx: &Cx<'_, S>,
+) -> Option<RecycleSpace<S>> {
+    let n = cx.a.nrows();
+    let kc = kc_target.min(j * p.max(1)).max(1);
+    let jp = j * p;
+    let hm = bufs.hraw().block(0, 0, jp, jp);
+    // M = [0; h̄ᴴ·h̄] — only the last p columns are nonzero, so the
+    // harmonic-Ritz left-hand side H = H_m + H_m⁻ᴴ·M (equivalent to the
+    // paper's eq. (2) formulation) needs one p-column solve with H_mᴴ.
+    let hlast = bufs.hraw().block(jp, (j - 1) * p, p, p);
+    let mut mcols = DMat::zeros(jp, p);
+    let hh = blas::matmul(&hlast, blas::Op::ConjTrans, &hlast, blas::Op::None);
+    mcols.set_block(jp - p, 0, &hh);
+    let hm_h = hm.adjoint();
+    let fac = kryst_dense::lu::Lu::factor(hm_h);
+    let mut hmod = hm.clone();
+    if !fac.is_singular() {
+        fac.solve_in_place(&mut mcols);
+        for c in 0..p {
+            for i in 0..jp {
+                hmod[(i, jp - p + c)] += mcols[(i, c)];
+            }
+        }
+    }
+    let decomp = eig::eig(&hmod);
+    let mut pk = select_smallest::<S>(&decomp, kc);
+    if pk.ncols() == 0 {
+        return None;
+    }
+    report_ritz_quality(cx, &decomp, pk.ncols());
+    // [Q,R] = qr(H̄·P); C = V·Q; U = Z·(P·R⁻¹), read from the blocks of V
+    // and Z where the cycle left them.
+    let hbar = bufs.hraw().block(0, 0, jp + p, jp);
+    let f = HouseholderQr::factor(blas::matmul(&hbar, blas::Op::None, &pk, blas::Op::None));
+    safe_right_solve(&mut pk, &f.r());
+    let mut rec = RecycleSpace {
+        u: DMat::zeros(n, pk.ncols()),
+        c: DMat::zeros(n, pk.ncols()),
+    };
+    fused::fused_accumulate(&[ColsRef::blocks(bufs.basis(j))], &[f.q_thin()], &mut rec.c);
+    fused::fused_accumulate(&[ColsRef::blocks(bufs.directions(j))], &[pk], &mut rec.u);
+    Some(rec)
 }
 
 /// Lines 31–38 of Fig. 1: generalized harmonic-Ritz refresh of `(U, C)`
@@ -360,11 +266,9 @@ fn refresh_recycle_space<S: Scalar>(
     spare: &mut Option<RecycleSpace<S>>,
     bufs: &CycleBuffers<S>,
     (j, p): (usize, usize),
-    opts: &SolveOpts,
-    tracer: &SolveTracer,
-    cycle: usize,
+    cx: &Cx<'_, S>,
 ) {
-    let stats = opts.stats.as_deref();
+    let stats = cx.opts.stats.as_deref();
     let jp = j * p;
     let (n, kc) = (rec.u.nrows(), rec.u.ncols());
     let (v, z) = (bufs.basis(j), bufs.directions(j));
@@ -396,7 +300,7 @@ fn refresh_recycle_space<S: Scalar>(
     }
     let t = blas::matmul(&g, blas::Op::ConjTrans, &g, blas::Op::None);
     // Right-hand side W per eq. (3a)/(3b).
-    let w = match opts.recycle_strategy {
+    let w = match cx.opts.recycle_strategy {
         RecycleStrategy::A => {
             // J = [[CᴴU, 0], [VᴴU, I]] — one extra fused reduction, and one
             // sweep over `U` for both products.
@@ -426,21 +330,16 @@ fn refresh_recycle_space<S: Scalar>(
             gtop.adjoint()
         }
     };
-    let eig_probe = tracer.span_start();
+    let eig_probe = cx.tracer.span_start();
     let decomp = eig::eig_generalized(&t, &w);
     let mut pk = select_smallest::<S>(&decomp, kc);
-    tracer.span_end(eig_probe, SpanKind::Eigensolve, cycle);
+    cx.tracer
+        .span_end(eig_probe, SpanKind::Eigensolve, cx.cycle);
     let kn = pk.ncols();
     if kn == 0 {
         return;
     }
-    tracer.diag(
-        cycle,
-        tracer.iterations().saturating_sub(1),
-        DiagKind::RitzQuality,
-        min_ritz_magnitude(&decomp),
-        kn,
-    );
+    report_ritz_quality(cx, &decomp, kn);
     // Lines 35–37: [Q,R] = qr(G·P); C ⟵ [C V]·Q; U ⟵ [U Z]·(P·R⁻¹) — each
     // one sweep over the old pair and the cycle's blocks into a zeroed panel.
     let f = HouseholderQr::factor(blas::matmul(&g, blas::Op::None, &pk, blas::Op::None));
@@ -468,15 +367,19 @@ fn refresh_recycle_space<S: Scalar>(
     *spare = Some(std::mem::replace(rec, new));
 }
 
-/// Smallest harmonic-Ritz magnitude of a deflation eigenproblem — the
-/// quality signal carried on [`DiagKind::RitzQuality`] events (a kept value
-/// near zero flags a nearly singular recycle candidate).
-fn min_ritz_magnitude<R: Real>(decomp: &EigDecomp<R>) -> f64 {
-    decomp.values.iter().fold(f64::INFINITY, |acc, l| {
+/// Reports the smallest harmonic-Ritz magnitude of a deflation eigenproblem
+/// that kept `kept` vectors — the quality signal carried on
+/// [`DiagKind::RitzQuality`] events (a value near zero flags a nearly
+/// singular recycle candidate).
+fn report_ritz_quality<S: Scalar>(cx: &Cx<'_, S>, decomp: &EigDecomp<S::Real>, kept: usize) {
+    let smallest = decomp.values.iter().fold(f64::INFINITY, |acc, l| {
         let re = l.re.to_f64();
         let im = l.im.to_f64();
         acc.min(re.hypot(im))
-    })
+    });
+    let iter = cx.tracer.iterations().saturating_sub(1);
+    cx.tracer
+        .diag(cx.cycle, iter, DiagKind::RitzQuality, smallest, kept);
 }
 
 /// `X ⟵ X·R⁻¹` with tiny-pivot protection (deflation eigenvectors can be

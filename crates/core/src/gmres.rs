@@ -1,19 +1,33 @@
-//! Restarted (block) GMRES / FGMRES.
+//! Restarted (block) GMRES / FGMRES: the restarted solve of
+//! the crate's `restart` module with no augmentation.
 //!
-//! One driver covers the whole family: `p = 1` gives classic GMRES(m),
+//! One entry point covers the whole family: `p = 1` gives classic GMRES(m),
 //! `p > 1` gives **Block GMRES** (the paper's §V-B: one Krylov space for all
 //! right-hand sides, block Hessenberg least squares, faster convergence at
 //! higher per-iteration cost), and [`crate::opts::PrecondSide::Flexible`]
 //! gives FGMRES — the directions `Z_m = M⁻¹·V_m` are stored and used for the
 //! solution update, so the preconditioner may change between applications.
 
-use crate::cycle::{any_above, rhs_norms, BlockArnoldi, CycleBuffers, PrecondMode};
 use crate::opts::{PrecondSide, SolveOpts, SolveResult};
-use crate::trace::SolveTracer;
+use crate::restart::{self, Augmentation, Cx, Plan};
 use kryst_dense::DMat;
-use kryst_obs::SpanKind;
 use kryst_par::{LinOp, PrecondOp};
-use kryst_scalar::{Real, Scalar};
+use kryst_scalar::Scalar;
+
+/// The shortest cycle: one Arnoldi step.
+const MIN_RESTART: usize = 1;
+
+/// No augmentation: every cycle is `restart` Arnoldi steps on the residual
+/// and nothing is carried over.
+struct Plain {
+    restart: usize,
+}
+
+impl<S: Scalar> Augmentation<S> for Plain {
+    fn prepare<'p>(&'p mut self, _cx: &Cx<'_, S>, _r: &mut DMat<S>) -> Plan<'p, S> {
+        Plan::arnoldi(None, self.restart)
+    }
+}
 
 /// Solve `A·X = B` for all columns of `b` simultaneously (block method).
 /// `x` holds the initial guess on entry and the solution on exit.
@@ -24,110 +38,15 @@ pub fn solve<S: Scalar>(
     x: &mut DMat<S>,
     opts: &SolveOpts,
 ) -> SolveResult {
-    let p = b.ncols();
-    let m = opts.restart.max(1);
-    let mode = PrecondMode::new(pc, opts.side);
-    let bnorms = rhs_norms(b);
-    let mut iters = 0usize;
-    let mut converged = false;
     let name = if opts.side == PrecondSide::Flexible {
         "fgmres"
     } else {
         "gmres"
     };
-    let mut tracer = SolveTracer::begin(opts, name, 0, a.nrows(), p);
-    let orth_name = opts.orth.name();
-    if opts.side != PrecondSide::Flexible && pc.precision() == kryst_par::PrecondPrecision::Single {
-        // Plain GMRES assumes a fixed preconditioner; f32-storage applies
-        // perturb M⁻¹ at the level of single rounding. FGMRES stores Z_m
-        // and absorbs this — plain GMRES only gets a diagnostic.
-        tracer.diag(0, 0, kryst_obs::DiagKind::MixedPrecision, 0.0, 0);
-    }
-
-    // Storage shared by every restart cycle: basis, directions, Hessenberg
-    // matrix and the n × p temporaries are allocated once per solve.
-    let mut bufs = CycleBuffers::default();
-    let mut r = mode.residual_ws(a, b, x, &mut bufs.ws);
-    let r0: Vec<f64> = r.col_norms().iter().map(|v| v.to_f64()).collect();
-    if !any_above(&r0, &bnorms, opts.rtol) {
-        let final_relres: Vec<f64> = r0.iter().zip(&bnorms).map(|(r, b)| r / b).collect();
-        let history = tracer.finish(true, &final_relres);
-        return SolveResult {
-            iterations: 0,
-            converged: true,
-            history,
-            final_relres,
-        };
-    }
-
-    let mut cycle = 0usize;
-    while iters < opts.max_iters {
-        let cyc = tracer.span_start();
-        let mut arn = BlockArnoldi::new(a, &mode, m, p, opts.orth, None, opts.stats.as_deref())
-            .with_path(opts.ortho)
-            .with_buffers(std::mem::take(&mut bufs));
-        arn.start(&r);
-        let mut first = true;
-        while arn.can_step() && iters < opts.max_iters {
-            let res = arn.step();
-            iters += 1;
-            let rel: Vec<f64> = res.iter().zip(&bnorms).map(|(r, b)| r / b).collect();
-            tracer.iteration(cycle, iters - 1, rel, orth_name, arn.breakdown_rank(first));
-            if arn.last_orth_passes() > 1 || arn.last_orth_refreshed() {
-                // The fused path's amp² budget forced a second pass (or a
-                // rank-revealing refresh): surface the running loss estimate.
-                tracer.diag(
-                    cycle,
-                    iters - 1,
-                    kryst_obs::DiagKind::OrthLoss,
-                    arn.fused_loss(),
-                    arn.last_orth_passes(),
-                );
-            }
-            first = false;
-            if !any_above(&res, &bnorms, opts.rtol) {
-                // Least-squares estimates say done — leave the cycle and
-                // validate against the true residual below (wide blocks with
-                // rank-revealing fixups can make the estimates optimistic).
-                break;
-            }
-        }
-        tracer.span_end(cyc, SpanKind::Cycle, cycle);
-        // Apply the correction, recompute the true residual.
-        let restart = tracer.span_start();
-        let restart_timer = kryst_obs::profile(kryst_obs::Phase::Restart);
-        let y = arn.solve_y();
-        arn.update_solution(&y, x);
-        drop(restart_timer);
-        bufs = arn.into_buffers();
-        bufs.ws.put(r);
-        r = mode.residual_ws(a, b, x, &mut bufs.ws);
-        tracer.span_end(restart, SpanKind::Restart, cycle);
-        cycle += 1;
-        let rn: Vec<f64> = r.col_norms().iter().map(|v| v.to_f64()).collect();
-        if !any_above(&rn, &bnorms, opts.rtol) {
-            converged = true;
-            break;
-        }
-    }
-
-    bufs.ws.put(r);
-    let rfin = mode.residual_ws(a, b, x, &mut bufs.ws);
-    let final_relres: Vec<f64> = rfin
-        .col_norms()
-        .iter()
-        .zip(&bnorms)
-        .map(|(r, b)| r.to_f64() / b)
-        .collect();
-    // Trust the true residual for the final verdict.
-    let converged = converged && final_relres.iter().all(|&v| v <= opts.rtol * 10.0);
-    let history = tracer.finish(converged, &final_relres);
-    SolveResult {
-        iterations: iters,
-        converged,
-        history,
-        final_relres,
-    }
+    let mut policy = Plain {
+        restart: opts.restart.max(MIN_RESTART),
+    };
+    restart::solve(a, pc, b, x, opts, (name, 0), &mut policy)
 }
 
 #[cfg(test)]
@@ -138,6 +57,7 @@ mod tests {
     use kryst_par::IdentityPrecond;
     use kryst_pde::poisson::poisson2d;
     use kryst_precond::{Amg, AmgOpts, Jacobi, SmootherKind};
+    use kryst_scalar::Real;
     use kryst_sparse::Csr;
 
     fn check_true_residual<S: Scalar>(a: &Csr<S>, b: &DMat<S>, x: &DMat<S>, rtol: f64) {
@@ -363,6 +283,7 @@ mod tests {
 
     #[test]
     fn plain_gmres_warns_on_mixed_precision_precond_fgmres_does_not() {
+        use crate::{gcrodr, lgmres, SolverContext};
         use kryst_obs::{diags_of, DiagKind, Recorder, RingRecorder};
         use kryst_par::PrecondPrecision;
         use kryst_precond::Ilu0;
@@ -371,24 +292,36 @@ mod tests {
         let n = prob.a.nrows();
         let ilu = Ilu0::with_precision(&prob.a, PrecondPrecision::Single).expect("ILU(0) factors");
         let b = DMat::from_fn(n, 1, |i, _| ((i % 7) as f64) - 3.0);
-        let run = |side: PrecondSide| {
-            let ring = Arc::new(RingRecorder::new(8192));
-            let opts = SolveOpts {
-                // Tight enough that even the left-preconditioned residual
-                // certifies a small true residual.
-                rtol: 1e-10,
-                side,
-                recorder: Some(ring.clone() as Arc<dyn Recorder>),
-                ..Default::default()
+        type Driver<'a> = &'a dyn Fn(&DMat<f64>, &mut DMat<f64>, &SolveOpts) -> SolveResult;
+        let drivers: [(&str, Driver<'_>); 3] = [
+            ("gmres", &|b, x, o| solve(&prob.a, &ilu, b, x, o)),
+            ("lgmres", &|b, x, o| lgmres::solve(&prob.a, &ilu, b, x, o)),
+            ("gcrodr", &|b, x, o| {
+                gcrodr::solve(&prob.a, &ilu, b, x, o, &mut SolverContext::new())
+            }),
+        ];
+        // The diagnostic comes from the one restarted loop: every driver
+        // warns exactly once unless it is flexible.
+        for (name, driver) in drivers {
+            let run = |side: PrecondSide| {
+                let ring = Arc::new(RingRecorder::new(8192));
+                let opts = SolveOpts {
+                    // Tight enough that even the left-preconditioned residual
+                    // certifies a small true residual.
+                    rtol: 1e-10,
+                    side,
+                    recorder: Some(ring.clone() as Arc<dyn Recorder>),
+                    ..Default::default()
+                };
+                let mut x = DMat::zeros(n, 1);
+                let res = driver(&b, &mut x, &opts);
+                assert!(res.converged, "{name} {side:?}: {:?}", res.final_relres);
+                check_true_residual(&prob.a, &b, &x, 1e-7);
+                diags_of(&ring.events(), DiagKind::MixedPrecision).len()
             };
-            let mut x = DMat::zeros(n, 1);
-            let res = solve(&prob.a, &ilu, &b, &mut x, &opts);
-            assert!(res.converged, "{side:?}: {:?}", res.final_relres);
-            check_true_residual(&prob.a, &b, &x, 1e-7);
-            diags_of(&ring.events(), DiagKind::MixedPrecision).len()
-        };
-        assert_eq!(run(PrecondSide::Right), 1, "plain GMRES must warn once");
-        assert_eq!(run(PrecondSide::Left), 1, "left GMRES must warn once");
-        assert_eq!(run(PrecondSide::Flexible), 0, "FGMRES absorbs, no warning");
+            assert_eq!(run(PrecondSide::Right), 1, "{name} must warn once");
+            assert_eq!(run(PrecondSide::Left), 1, "left {name} must warn once");
+            assert_eq!(run(PrecondSide::Flexible), 0, "flexible {name} absorbs");
+        }
     }
 }

@@ -8,19 +8,21 @@
 //! deflation and cannot be reused across systems — which is exactly the gap
 //! the paper exploits (Fig. 3c/3d: 269 LGMRES vs 173 GCRO-DR iterations).
 //!
-//! A cycle is one Arnoldi process ([`BlockArnoldi`]): `m − k` steps on the
-//! current residual, then one step per stored pair `(z_i, A·z_i)` whose
-//! operator image is the stored `A·z_i` — no operator apply, and the
-//! least-squares problem over `[Z, z_1 … z_k]` is the cycle's own `H̄`.
+//! The restarted solve of the crate's `restart` module augmented with those
+//! pairs: a cycle is `m − k` Arnoldi steps on the current residual, then one
+//! step per stored pair `(z_i, A·z_i)` whose operator image is the stored
+//! `A·z_i` — no operator apply, and the least-squares problem over
+//! `[Z, z_1 … z_k]` is the cycle's own `H̄`.
 
-use crate::cycle::{rhs_norms, BlockArnoldi, CycleBuffers, PrecondMode};
 use crate::opts::{SolveOpts, SolveResult};
-use crate::trace::SolveTracer;
+use crate::restart::{self, Augmentation, Cx, CycleEnd, Plan};
 use kryst_dense::fused::{self, ColsRef};
 use kryst_dense::DMat;
-use kryst_obs::{profile, Phase, SpanKind};
 use kryst_par::{LinOp, PrecondOp};
 use kryst_scalar::{Real, Scalar};
+
+/// The shortest cycle: one Arnoldi step and one stored pair.
+const MIN_RESTART: usize = 2;
 
 /// The most recent error approximations `z_i` and their images `A·z_i`,
 /// scaled to `‖A·z_i‖ = 1` (the direction is what matters, and the columns
@@ -30,6 +32,8 @@ use kryst_scalar::{Real, Scalar};
 struct Pairs<S> {
     z: DMat<S>,
     az: DMat<S>,
+    /// Arnoldi steps per cycle, `m − k`.
+    steps: usize,
     k: usize,
     len: usize,
 }
@@ -58,6 +62,50 @@ impl<S: Scalar> Pairs<S> {
     }
 }
 
+impl<S: Scalar> Augmentation<S> for Pairs<S> {
+    /// `m − k` Arnoldi steps, then the stored pairs, the latest first.
+    fn prepare<'p>(&'p mut self, _cx: &Cx<'_, S>, r: &mut DMat<S>) -> Plan<'p, S> {
+        let n = r.nrows();
+        Plan {
+            images: self.az.as_slice()[..self.len * n].chunks_exact(n),
+            ..Plan::arnoldi(None, self.steps)
+        }
+    }
+
+    /// The error approximation `z = [Z, z_1 …]·y`, one sweep over the
+    /// cycle's directions and the stored ones; `x += z`, and `z` becomes the
+    /// latest pair unless the estimate says this was the last cycle.
+    fn correct(&mut self, _cx: &Cx<'_, S>, end: &mut CycleEnd<S>, x: &mut DMat<S>) {
+        let (n, j, own, y) = (x.nrows(), end.j, end.own, &end.y);
+        let bufs = &mut end.bufs;
+        let mut y_pairs = DMat::zeros(self.len, 1);
+        y_pairs.col_mut(0)[..j - own].copy_from_slice(&y.col(0)[own..]);
+        let mut z = bufs.ws.take(n, 1);
+        fused::fused_accumulate(
+            &[
+                ColsRef::blocks(bufs.directions(own)),
+                ColsRef::leading(&self.z, self.len),
+            ],
+            &[y.block(0, 0, own, 1), y_pairs],
+            &mut z,
+        );
+        x.axpy(S::one(), &z);
+        if !end.estimate_met {
+            // Its image is A·z = V·(H̄·y): the new pair costs no operator
+            // apply either.
+            let h = bufs.hraw();
+            let hy = DMat::from_fn(j + 1, 1, |i, _| {
+                (0..j).fold(S::zero(), |acc, c| acc + h[(i, c)] * y[(c, 0)])
+            });
+            let mut az = bufs.ws.take(n, 1);
+            fused::fused_accumulate(&[ColsRef::blocks(bufs.basis(j))], &[hy], &mut az);
+            self.push(&z, &az);
+            bufs.ws.put(az);
+        }
+        bufs.ws.put(z);
+    }
+}
+
 /// Solve `A·x = b` (single RHS) with LGMRES(m, k); `opts.restart` is `m`,
 /// `opts.recycle` is the augmentation count `k`.
 pub fn solve<S: Scalar>(
@@ -68,116 +116,16 @@ pub fn solve<S: Scalar>(
     opts: &SolveOpts,
 ) -> SolveResult {
     assert_eq!(b.ncols(), 1, "LGMRES is a single-RHS method");
-    let n = a.nrows();
-    let m = opts.restart.max(2);
+    let m = opts.restart.max(MIN_RESTART);
     let k = opts.recycle.clamp(1, m - 1);
-    let m_arnoldi = m - k;
-    let mode = PrecondMode::new(pc, opts.side);
-    let bnorms = rhs_norms(b);
-    let tol = opts.rtol * bnorms[0];
-    let mut tracer = SolveTracer::begin(opts, "lgmres", 0, n, 1);
-    let orth_name = opts.orth.name();
-    let mut cycle = 0usize;
-    let mut iters = 0usize;
-    let mut converged = false;
     let mut pairs = Pairs {
         z: DMat::zeros(0, 0),
         az: DMat::zeros(0, 0),
+        steps: m - k,
         k,
         len: 0,
     };
-
-    // Storage shared by every cycle: residuals, the Arnoldi basis and the
-    // restart's two vectors reuse the same allocations for the whole solve.
-    let mut bufs = CycleBuffers::default();
-    let mut r = mode.residual_ws(a, b, x, &mut bufs.ws);
-    loop {
-        if r.col_norm(0).to_f64() <= tol {
-            converged = true;
-            break;
-        }
-        if iters >= opts.max_iters {
-            break;
-        }
-        let cyc = tracer.span_start();
-        let mut arn = BlockArnoldi::new(a, &mode, m, 1, opts.orth, None, opts.stats.as_deref())
-            .with_path(opts.ortho)
-            .with_buffers(std::mem::take(&mut bufs));
-        arn.start(&r);
-        // m−k Arnoldi steps on the current residual, then the stored pairs,
-        // the latest first. Every step is an iteration, `max_iters` bounds
-        // them all, and the estimate can end the cycle at any of them.
-        let steps = m_arnoldi + pairs.len;
-        let mut done = false;
-        while !done && arn.iterations() < steps && iters < opts.max_iters {
-            let s = arn.iterations();
-            let res = if s < m_arnoldi {
-                arn.step()
-            } else {
-                arn.step_with_image(pairs.az.col(s - m_arnoldi))
-            };
-            iters += 1;
-            tracer.iteration(
-                cycle,
-                iters - 1,
-                vec![res[0] / bnorms[0]],
-                orth_name,
-                arn.breakdown_rank(s == 0),
-            );
-            done = res[0] <= tol;
-        }
-        tracer.span_end(cyc, SpanKind::Cycle, cycle);
-        let restart_probe = tracer.span_start();
-        let restart_timer = profile(Phase::Restart);
-        // The error approximation z = [Z, z_1 …]·y, one sweep over the
-        // cycle's directions and the stored ones; x += z.
-        let j = arn.iterations();
-        let own = j.min(m_arnoldi);
-        let y = arn.solve_y();
-        bufs = arn.into_buffers();
-        let mut y_pairs = DMat::zeros(pairs.len, 1);
-        y_pairs.col_mut(0)[..j - own].copy_from_slice(&y.col(0)[own..]);
-        let mut z = bufs.ws.take(n, 1);
-        fused::fused_accumulate(
-            &[
-                ColsRef::blocks(bufs.directions(own)),
-                ColsRef::leading(&pairs.z, pairs.len),
-            ],
-            &[y.block(0, 0, own, 1), y_pairs],
-            &mut z,
-        );
-        x.axpy(S::one(), &z);
-        if !done {
-            // Its image is A·z = V·(H̄·y): the new pair costs no operator
-            // apply either.
-            let h = bufs.hraw();
-            let hy = DMat::from_fn(j + 1, 1, |i, _| {
-                (0..j).fold(S::zero(), |acc, c| acc + h[(i, c)] * y[(c, 0)])
-            });
-            let mut az = bufs.ws.take(n, 1);
-            fused::fused_accumulate(&[ColsRef::blocks(bufs.basis(j))], &[hy], &mut az);
-            pairs.push(&z, &az);
-            bufs.ws.put(az);
-        }
-        bufs.ws.put(z);
-        drop(restart_timer);
-        bufs.ws.put(r);
-        r = mode.residual_ws(a, b, x, &mut bufs.ws);
-        tracer.span_end(restart_probe, SpanKind::Restart, cycle);
-        cycle += 1;
-    }
-
-    bufs.ws.put(r);
-    let rfin = mode.residual_ws(a, b, x, &mut bufs.ws);
-    let final_relres = vec![rfin.col_norm(0).to_f64() / bnorms[0]];
-    let converged = converged && final_relres[0] <= opts.rtol * 10.0;
-    let history = tracer.finish(converged, &final_relres);
-    SolveResult {
-        iterations: iters,
-        converged,
-        history,
-        final_relres,
-    }
+    restart::solve(a, pc, b, x, opts, ("lgmres", 0), &mut pairs)
 }
 
 #[cfg(test)]

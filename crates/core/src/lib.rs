@@ -10,6 +10,24 @@
 //! FGMRES, LGMRES(m,k) ("Loose GMRES", the PETSc augmented method of
 //! §IV-C), CG, and O'Leary's Block CG.
 //!
+//! # One restarted driver, three policies
+//!
+//! [`gmres::solve`], [`lgmres::solve`] and [`gcrodr::solve`] are entry
+//! points into one loop (the private `restart` module): initial residual and
+//! early exit, then per cycle one [`cycle::BlockArnoldi`] process, the
+//! least-squares correction, the true residual, and at the end one verdict.
+//! What a method adds is an *augmentation policy*, consulted once per
+//! cycle: GMRES adds nothing; LGMRES steps on the stored images `A·z_i` of
+//! its last `k` corrections and keeps the newest; GCRO-DR keeps the basis
+//! orthogonal to `C`, corrects with `U`, and extracts or refreshes the pair
+//! `(U, C)` it hands to the next cycle and the next solve. Iteration and
+//! diagnostic events, the `max_iters` cap and the convergence tests are the
+//! loop's and therefore the same for all three.
+//!
+//! Every option is a field of [`SolveOpts`] with a constant default
+//! ([`OrthPath::Fused`], CholQR, right preconditioning, …); the crate reads
+//! nothing from the environment.
+//!
 //! # Quick start
 //!
 //! ```
@@ -46,6 +64,7 @@ pub mod gmres;
 pub mod lgmres;
 pub mod opts;
 pub mod pseudo;
+mod restart;
 pub mod trace;
 
 pub use cycle::PrecondMode;

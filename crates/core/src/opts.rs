@@ -2,7 +2,7 @@
 
 use kryst_dense::gs::OrthScheme;
 use kryst_obs::Recorder;
-use kryst_par::{CommStats, PrecondPrecision, TransportKind};
+use kryst_par::CommStats;
 use std::sync::Arc;
 
 /// Which side the preconditioner enters on.
@@ -35,13 +35,14 @@ pub enum RecycleStrategy {
 
 /// Which orthogonalization *path* the Arnoldi cycles take — orthogonal to
 /// the [`OrthScheme`] choice (which picks the projection arithmetic).
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
 pub enum OrthPath {
-    /// Communication-avoiding path: one fused `[CᴴW; VᴴW; WᴴW]` reduction
-    /// per iteration (two when re-orthogonalized), with the CholQR factor
-    /// coming from a Gram downdate at zero extra reductions. Applies to the
-    /// CGS/CholQR schemes; MGS/IMGS are inherently per-column and stay on
-    /// the classic path.
+    /// Communication-avoiding path, the default: one fused `[CᴴW; VᴴW; WᴴW]`
+    /// reduction per iteration (two when re-orthogonalized), with the CholQR
+    /// factor coming from a Gram downdate at zero extra reductions. Applies
+    /// to the CGS/CholQR schemes; MGS/IMGS are inherently per-column and
+    /// stay on the classic path.
+    #[default]
     Fused,
     /// The classic multi-reduction path (separate `CᴴW`, `VᴴW`-per-pass and
     /// Gram products) — the pre-fusion behavior, golden-trace compatible.
@@ -61,20 +62,6 @@ pub enum OrthPath {
 }
 
 impl OrthPath {
-    /// Resolve from the environment: `KRYST_PIPELINE=1` selects
-    /// [`OrthPath::Pipelined`]; otherwise `KRYST_FUSE=0` selects
-    /// [`OrthPath::Classic`], anything else (including unset) the fused
-    /// default.
-    pub fn from_env() -> Self {
-        if matches!(std::env::var("KRYST_PIPELINE"), Ok(v) if v == "1") {
-            return OrthPath::Pipelined;
-        }
-        match std::env::var("KRYST_FUSE") {
-            Ok(v) if v == "0" => OrthPath::Classic,
-            _ => OrthPath::Fused,
-        }
-    }
-
     /// Stable lowercase name used in traces and benchmarks.
     pub fn name(self) -> &'static str {
         match self {
@@ -82,12 +69,6 @@ impl OrthPath {
             OrthPath::Classic => "classic",
             OrthPath::Pipelined => "pipelined",
         }
-    }
-}
-
-impl Default for OrthPath {
-    fn default() -> Self {
-        Self::from_env()
     }
 }
 
@@ -107,8 +88,7 @@ pub struct SolveOpts {
     /// Orthogonalization backend (paper advocates CholQR).
     pub orth: OrthScheme,
     /// Fused (communication-avoiding) vs pipelined (latency-hiding) vs
-    /// classic orthogonalization path. Defaults from the environment:
-    /// `KRYST_PIPELINE=1` → pipelined, else `KRYST_FUSE=0` → classic.
+    /// classic orthogonalization path.
     pub ortho: OrthPath,
     /// Deflation eigenproblem formulation.
     pub recycle_strategy: RecycleStrategy,
@@ -116,22 +96,6 @@ pub struct SolveOpts {
     /// (`-hpddm_recycle_same_system`): skip the recycle-space refresh work
     /// (Fig. 1 lines 3–7 and 31–38).
     pub same_system: bool,
-    /// Requested storage precision for preconditioner setup. Solvers do not
-    /// build preconditioners themselves, so this is a *carrier knob*: setup
-    /// code (drivers, benches, tests) reads it to pick `with_precision` on
-    /// ILU/AMG/Schwarz. Defaults from the `KRYST_PRECOND_F32` environment
-    /// variable (`1`/`true` → [`PrecondPrecision::Single`]). Independent of
-    /// it, solvers warn via the tracer whenever a non-flexible method is
-    /// paired with a preconditioner whose `precision()` reports `Single`.
-    pub precond_precision: PrecondPrecision,
-    /// Requested transport backend for SPMD execution. Like
-    /// [`SolveOpts::precond_precision`] this is a *carrier knob*: solvers
-    /// never spawn ranks themselves, so drivers and harnesses (the
-    /// equivalence tests, `kryst_prof`, the calibration bin) read it to pick
-    /// the backend for `run_spmd`/`SpmdWorld`. Defaults from the
-    /// `KRYST_TRANSPORT` environment variable (`socket` →
-    /// [`TransportKind::Socket`], else the in-process channel mesh).
-    pub transport: TransportKind,
     /// Optional communication counters (the §III-D accounting).
     pub stats: Option<Arc<CommStats>>,
     /// Optional event sink: every solver emits typed per-iteration events,
@@ -151,11 +115,9 @@ impl Default for SolveOpts {
             recycle: 10,
             side: PrecondSide::Right,
             orth: OrthScheme::CholQr,
-            ortho: OrthPath::from_env(),
+            ortho: OrthPath::Fused,
             recycle_strategy: RecycleStrategy::A,
             same_system: false,
-            precond_precision: PrecondPrecision::from_env(),
-            transport: TransportKind::from_env(),
             stats: None,
             recorder: None,
         }
@@ -205,6 +167,7 @@ mod tests {
         assert_eq!(o.recycle, 10); // paper's GCRO-DR(30, 10)
         assert_eq!(o.rtol, 1e-8);
         assert_eq!(o.orth, OrthScheme::CholQr);
+        assert_eq!(o.ortho, OrthPath::Fused);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!
 //! Implementation: each right-hand side runs the *unmodified* single-RHS
 //! solver (`gmres::solve` / `gcrodr::solve`) on its own thread against a
-//! [`BatchGroup`]-wrapped operator. The group blocks every member at its
+//! `BatchGroup`-wrapped operator. The group blocks every member at its
 //! next operator/preconditioner application until all live members have
 //! submitted, then the last arrival executes the batched kernels
 //! (leader-executes) and distributes the columns. Solves that converge
@@ -66,10 +66,10 @@ struct BatchState<S: Scalar> {
 
 /// The fused kernel a [`BatchGroup`] leader executes on behalf of all
 /// members: `(kind, fused columns, zeroed fused output)`.
-pub type BatchExec<'a, S> = Box<dyn Fn(u8, &DMat<S>, &mut DMat<S>) + Send + Sync + 'a>;
+type BatchExec<'a, S> = Box<dyn Fn(u8, &DMat<S>, &mut DMat<S>) + Send + Sync + 'a>;
 
 /// Leader-executes batching barrier over the operator and preconditioner.
-pub struct BatchGroup<'a, S: Scalar> {
+struct BatchGroup<'a, S: Scalar> {
     state: Mutex<BatchState<S>>,
     cv: Condvar,
     exec: BatchExec<'a, S>,
@@ -77,7 +77,7 @@ pub struct BatchGroup<'a, S: Scalar> {
 
 impl<'a, S: Scalar> BatchGroup<'a, S> {
     /// A group of `p` members over the given kernel executor.
-    pub fn new(p: usize, exec: BatchExec<'a, S>) -> Self {
+    fn new(p: usize, exec: BatchExec<'a, S>) -> Self {
         Self {
             state: Mutex::new(BatchState {
                 pending: (0..p).map(|_| None).collect(),
@@ -139,7 +139,7 @@ impl<'a, S: Scalar> BatchGroup<'a, S> {
     }
 
     /// Submit a kernel request and block until the batch executes.
-    pub fn submit(&self, me: usize, tag: u8, block: &DMat<S>) -> DMat<S> {
+    fn submit(&self, me: usize, tag: u8, block: &DMat<S>) -> DMat<S> {
         let mut st = self.state.lock().unwrap();
         debug_assert!(st.active[me]);
         let mut buf = st.ws.take(block.nrows(), block.ncols());
@@ -158,12 +158,12 @@ impl<'a, S: Scalar> BatchGroup<'a, S> {
     }
 
     /// Return a result buffer obtained from [`Self::submit`] to the pool.
-    pub fn recycle(&self, buf: DMat<S>) {
+    fn recycle(&self, buf: DMat<S>) {
         self.state.lock().unwrap().ws.put(buf);
     }
 
     /// Leave the group (the member's solve has finished).
-    pub fn deregister(&self, me: usize) {
+    fn deregister(&self, me: usize) {
         let mut st = self.state.lock().unwrap();
         if !st.active[me] {
             return;
@@ -311,15 +311,12 @@ pub fn solve<S: Scalar>(
     // synthesized iteration events below tile the solve total exactly.
     let orth_name = opts.orth.name();
     let m = opts.restart.max(1);
-    let fused_path = matches!(
-        opts.ortho,
-        crate::opts::OrthPath::Fused | crate::opts::OrthPath::Pipelined
-    ) && matches!(opts.orth, OrthScheme::Cgs | OrthScheme::CholQr);
+    let fused = matches!(opts.orth, OrthScheme::Cgs | OrthScheme::CholQr);
     for it in 0..iterations {
         if let Some(st) = &opts.stats {
-            if fused_path {
-                // The fused path ships the batch's projection + Gram parts
-                // in a single reduction round (one latency charge).
+            if fused {
+                // The batch's projection + Gram parts ship in a single
+                // reduction round (one latency charge).
                 st.record_fused_reductions(1, 3, 3 * p * std::mem::size_of::<S>());
             } else {
                 st.record_reductions(3, 3 * p * std::mem::size_of::<S>());

@@ -17,7 +17,7 @@
 //!   [`op::DistOp`],
 //! * [`transport`] — the [`transport::Transport`] trait with two backends:
 //!   the in-process channel mesh (default) and a socket mesh between real OS
-//!   worker processes (`KRYST_TRANSPORT=socket`), both reporting wire-level
+//!   worker processes ([`TransportKind::Socket`]), both reporting wire-level
 //!   counters,
 //! * [`collective`] — butterfly all-reduce, split-phase and fused variants,
 //!   and layout redistribution, written once against the trait,

@@ -34,16 +34,6 @@ pub enum PrecondPrecision {
 }
 
 impl PrecondPrecision {
-    /// Resolve from the environment: `KRYST_PRECOND_F32=1` (or `true`)
-    /// selects [`PrecondPrecision::Single`], anything else
-    /// [`PrecondPrecision::Full`].
-    pub fn from_env() -> Self {
-        match std::env::var("KRYST_PRECOND_F32") {
-            Ok(v) if v == "1" || v.eq_ignore_ascii_case("true") => PrecondPrecision::Single,
-            _ => PrecondPrecision::Full,
-        }
-    }
-
     /// Stable lowercase name (`"full"` / `"single"`).
     pub fn name(self) -> &'static str {
         match self {

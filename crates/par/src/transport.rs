@@ -97,37 +97,22 @@ impl std::fmt::Display for TransportError {
 impl std::error::Error for TransportError {}
 
 /// Which transport backend an SPMD run uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportKind {
     /// In-process mesh: one thread per rank, `mpsc` channels (default).
+    #[default]
     Channel,
     /// Real OS worker processes over a loopback `TcpStream` mesh.
     Socket,
 }
 
 impl TransportKind {
-    /// Resolve from the environment: `KRYST_TRANSPORT=socket` selects
-    /// [`TransportKind::Socket`], anything else (including unset) the
-    /// in-process channel default.
-    pub fn from_env() -> Self {
-        match std::env::var("KRYST_TRANSPORT") {
-            Ok(v) if v == "socket" => TransportKind::Socket,
-            _ => TransportKind::Channel,
-        }
-    }
-
     /// Stable lowercase name used in traces, benchmarks, and reports.
     pub fn name(self) -> &'static str {
         match self {
             TransportKind::Channel => "channel",
             TransportKind::Socket => "socket",
         }
-    }
-}
-
-impl Default for TransportKind {
-    fn default() -> Self {
-        Self::from_env()
     }
 }
 

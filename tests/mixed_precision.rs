@@ -7,9 +7,8 @@
 //! the paper's Fig. 7 benchmark: 2-D convection–diffusion with first-order
 //! upwind convection.
 //!
-//! The assertions are precision-explicit (`with_precision`), so this suite
-//! passes identically with `KRYST_PRECOND_F32` set or unset; the env knob
-//! is exercised separately through `SolveOpts::precond_precision`.
+//! Every preconditioner here names its storage precision
+//! (`with_precision`); nothing is read from the environment.
 
 use kryst_core::{gcrodr, gmres, PrecondSide, SolveOpts, SolverContext};
 use kryst_dense::DMat;
@@ -171,26 +170,4 @@ fn gcrodr_amg_mixed_matches_golden_iterations() {
         true,
         "gcrodr+amg",
     );
-}
-
-/// The `SolveOpts::precond_precision` carrier knob: setup code that reads
-/// it gets whichever precision the environment selected, and the solve
-/// converges either way — this is the test the `KRYST_PRECOND_F32=1` CI
-/// leg flips to the f32 path.
-#[test]
-fn carrier_knob_selects_precision_and_solves() {
-    let a = convdiff2d(24, 0.01, 1.0, 0.0);
-    let n = a.nrows();
-    let opts = SolveOpts {
-        rtol: 1e-8,
-        side: PrecondSide::Flexible,
-        ..Default::default()
-    };
-    let ilu = Ilu0::with_precision(&a, opts.precond_precision).expect("ILU(0) factors");
-    assert_eq!(ilu.precision(), opts.precond_precision);
-    let b = rhs_block(n, 2);
-    let mut x = DMat::zeros(n, 2);
-    let res = gmres::solve(&a, &ilu, &b, &mut x, &opts);
-    assert!(res.converged, "carrier-knob solve did not converge");
-    assert!(true_relres(&a, &b, &x) < 2e-7);
 }

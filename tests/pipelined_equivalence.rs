@@ -1,7 +1,7 @@
 //! Pipelined-path acceptance: iteration equivalence, fallback safety, and
 //! the modeled latency win at scale.
 //!
-//! The depth-1 pipelined path (`KRYST_PIPELINE=1`, [`OrthPath::Pipelined`])
+//! The depth-1 pipelined path ([`OrthPath::Pipelined`])
 //! reconstructs the next operator image from the fused coefficients instead
 //! of waiting on the Gram reduction. It is *not* bit-identical to the fused
 //! path — the recurrence reassociates floating-point work — so its contract
@@ -230,7 +230,8 @@ fn depth1_lag_falls_back_on_rank_deficiency_and_keeps_basis_orthonormal() {
     // The refresh's replacement columns keep the whole active basis
     // orthonormal — the invariant every later fused downdate relies on.
     let v = arn
-        .basis()
+        .into_buffers()
+        .basis(1)
         .iter()
         .fold(DMat::zeros(n, 0), |acc, block| acc.hcat(block));
     let g = blas::adjoint_times(&v, &v);

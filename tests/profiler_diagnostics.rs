@@ -6,10 +6,8 @@
 //!    in any observable way: the full iteration trace (residuals bit for
 //!    bit, communication deltas, orthogonalization backend, breakdown
 //!    ranks) and the solution vector are compared between a profiler-off
-//!    and a profiler-on run. `SolveOpts::default()` picks the
-//!    orthogonalization path from `KRYST_FUSE`, and CI runs this file under
-//!    `KRYST_THREADS` ∈ {1, 4} × `KRYST_FUSE` ∈ {0, 1}, so all four
-//!    configurations are covered without in-process env juggling.
+//!    and a profiler-on run, on each of the three orthogonalization paths
+//!    (CI runs this file under `KRYST_THREADS` ∈ {1, 4}).
 //! 2. **Diagnostics** — the stagnation detector fires exactly once on the
 //!    golden stagnating case (GMRES(30) on the 1-D Laplacian) and stays
 //!    silent on a converging run longer than its window; CholQR rank
@@ -132,13 +130,14 @@ fn profiler_on_off_traces_bit_identical() {
     let id = IdentityPrecond::new(n);
     let prof = Profiler::global();
 
-    let run_gmres = || {
+    let run_gmres = |ortho| {
         let ring = Arc::new(RingRecorder::new(1 << 16));
         let opts = ring_opts(
             SolveOpts {
                 rtol: 1e-8,
                 restart: 30,
                 max_iters: 600,
+                ortho,
                 ..Default::default()
             },
             &ring,
@@ -147,7 +146,7 @@ fn profiler_on_off_traces_bit_identical() {
         gmres::solve(&a, &id, &b, &mut x, &opts);
         trace_fingerprint(&ring.events(), &x)
     };
-    let run_gcrodr = || {
+    let run_gcrodr = |ortho| {
         let ring = Arc::new(RingRecorder::new(1 << 16));
         let opts = ring_opts(
             SolveOpts {
@@ -155,6 +154,7 @@ fn profiler_on_off_traces_bit_identical() {
                 restart: 30,
                 recycle: 10,
                 max_iters: 5000,
+                ortho,
                 ..Default::default()
             },
             &ring,
@@ -166,23 +166,25 @@ fn profiler_on_off_traces_bit_identical() {
         trace_fingerprint(&ring.events(), &x)
     };
 
-    prof.set_enabled(false);
-    let gmres_off = run_gmres();
-    let gcrodr_off = run_gcrodr();
-    prof.set_enabled(true);
     prof.reset();
-    let gmres_on = run_gmres();
-    let gcrodr_on = run_gcrodr();
-    prof.set_enabled(false);
+    for ortho in [OrthPath::Fused, OrthPath::Classic, OrthPath::Pipelined] {
+        prof.set_enabled(false);
+        let gmres_off = run_gmres(ortho);
+        let gcrodr_off = run_gcrodr(ortho);
+        prof.set_enabled(true);
+        let gmres_on = run_gmres(ortho);
+        let gcrodr_on = run_gcrodr(ortho);
+        prof.set_enabled(false);
 
-    assert_eq!(
-        gmres_off, gmres_on,
-        "profiler perturbed the GMRES iteration trace"
-    );
-    assert_eq!(
-        gcrodr_off, gcrodr_on,
-        "profiler perturbed the GCRO-DR iteration trace"
-    );
+        assert_eq!(
+            gmres_off, gmres_on,
+            "profiler perturbed the GMRES iteration trace ({ortho:?})"
+        );
+        assert_eq!(
+            gcrodr_off, gcrodr_on,
+            "profiler perturbed the GCRO-DR iteration trace ({ortho:?})"
+        );
+    }
     // And the enabled run actually measured the instrumented kernels.
     let snap = prof.snapshot();
     for phase in ["spmv", "orth/gram", "small_dense", "recycle_setup"] {
