@@ -1,6 +1,7 @@
 //! Preconditioner setup and apply cost — AMG threshold trade-off (§IV-B),
-//! the set-up shapes of the repository benchmark's two AMG workloads
-//! (assembly and hierarchy), and the multi-RHS apply benchmarks:
+//! the set-up and cycle shapes of the repository benchmark's two AMG
+//! workloads (assembly, hierarchy, one V-cycle), and the multi-RHS apply
+//! benchmarks:
 //! blocked (all p columns per sweep) vs column-at-a-time applies for the
 //! AMG V-cycle, level-scheduled ILU(0), and Schwarz/RAS.
 
@@ -94,9 +95,11 @@ fn bench_amg(c: &mut Criterion) {
 }
 
 /// What `elasticity_varying_seq` and `poisson_amg_seq` pay per system before
-/// the first iteration: Fig. 3's assembly and CG(4)-smoothed hierarchy at
-/// `ne = 14`, Fig. 2's GMRES(3)-smoothed hierarchy at 384².
-fn bench_setup(c: &mut Criterion) {
+/// the first iteration, and then per iteration: Fig. 3's assembly and
+/// CG(4)-smoothed hierarchy at `ne = 14`, Fig. 2's GMRES(3)-smoothed
+/// hierarchy at 384², and one V-cycle of each (group `amg_vcycle` above runs
+/// a grid that fits in L2; these stream from memory).
+fn bench_workload_shapes(c: &mut Criterion) {
     let opts = ElasticityOpts {
         ne: 14,
         inclusion: Some(PAPER_INCLUSIONS[0]),
@@ -108,14 +111,17 @@ fn bench_setup(c: &mut Criterion) {
     g.bench_function("elasticity14_assemble", |bch| {
         bch.iter(|| elasticity3d::<f64>(&opts))
     });
-    for (name, prob, smoother) in [
+    let mut cycles = Vec::new();
+    for (setup, cycle, prob, smoother) in [
         (
             "elasticity14_amg_cg4",
+            "cg4_elasticity14",
             &elasticity,
             SmootherKind::Cg { iters: 4 },
         ),
         (
             "poisson384_amg_gmres3",
+            "gmres3_poisson384",
             &poisson,
             SmootherKind::Gmres { iters: 3 },
         ),
@@ -124,9 +130,15 @@ fn bench_setup(c: &mut Criterion) {
             smoother,
             ..Default::default()
         };
-        g.bench_function(name, |bch| {
-            bch.iter(|| Amg::new(&prob.a, prob.near_nullspace.as_ref(), &amg_opts))
-        });
+        let build = || Amg::new(&prob.a, prob.near_nullspace.as_ref(), &amg_opts);
+        g.bench_function(setup, |bch| bch.iter(build));
+        cycles.push((cycle, build(), pinned_block(prob.a.nrows(), 1)));
+    }
+    g.finish();
+    let mut g = c.benchmark_group("amg_vcycle");
+    for (name, amg, r) in &cycles {
+        let mut z = DMat::zeros(r.nrows(), 1);
+        g.bench_function(*name, |bch| bch.iter(|| amg.apply(r, &mut z)));
     }
     g.finish();
 }
@@ -174,6 +186,6 @@ fn bench_schwarz(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(2));
-    targets = bench_amg, bench_setup, bench_ilu, bench_schwarz
+    targets = bench_amg, bench_workload_shapes, bench_ilu, bench_schwarz
 }
 criterion_main!(benches);

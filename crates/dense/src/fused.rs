@@ -22,6 +22,11 @@
 //! pre-allocated basis, or the blocks of a basis stored one matrix per
 //! Krylov block, enter the product without being copied out first.
 //!
+//! [`dot`], [`nrm2_sqr`], [`axpy_dot`] and [`axpy_nrm2_sqr`] are the `1 × 1`
+//! case on plain vectors — the same lanes and chunk sums with no panel view
+//! and no allocation — for the multigrid smoothers, whose Gram–Schmidt has
+//! one vector on each side.
+//!
 //! # Blocking
 //!
 //! Rows are cut into chunks of [`KB`]` = 512`, and within a chunk the
@@ -494,12 +499,132 @@ pub fn fused_update_gram<S: Scalar>(
     sweep(blocks, Sweep::UpdateGram { coeffs, w, outs });
 }
 
+/// `uᴴ·w` over one chunk of at most [`KB`] rows, as [`gram_chunk`] forms
+/// each entry: the rows in fours through one set of lanes, the lanes combined
+/// as `(a0 + a1) + (a2 + a3)`, then the last `len % 4` rows in order.
+#[inline(always)]
+fn chunk_dot<S: Scalar>(u: &[S], w: &[S]) -> S {
+    let t = w.len() & !3;
+    let mut lanes = [[S::zero(); 4]];
+    dots(&mut lanes, [&u[..t]], &w[..t]);
+    let [a] = lanes;
+    let mut sum = (a[0] + a[1]) + (a[2] + a[3]);
+    for (x, y) in u[t..].iter().zip(&w[t..]) {
+        sum += x.conj() * *y;
+    }
+    sum
+}
+
+#[inline(always)]
+fn dot_body<S: Scalar>(u: &[S], w: &[S]) -> S {
+    assert_eq!(u.len(), w.len());
+    let mut sum = S::zero();
+    for (uc, wc) in u.chunks(KB).zip(w.chunks(KB)) {
+        sum += chunk_dot(uc, wc);
+    }
+    sum
+}
+
+/// `w ⟵ w − c·v` and `uᴴ·w` of the updated `w` (`wᴴ·w` without a `u`) in
+/// one pass: each entry joins its lane as it is stored, and the chunk sums
+/// are [`chunk_dot`]'s.
+#[inline(always)]
+fn axpy_dot_body<S: Scalar>(w: &mut [S], c: S, v: &[S], u: Option<&[S]>) -> S {
+    assert_eq!(v.len(), w.len());
+    assert!(u.is_none_or(|u| u.len() == w.len()));
+    let entry = |wk: &mut S, vk: S, uk: Option<S>, acc: &mut S| {
+        *wk -= c * vk;
+        *acc += uk.unwrap_or(*wk).conj() * *wk;
+    };
+    let mut total = S::zero();
+    for (k, wc) in w.chunks_mut(KB).enumerate() {
+        let rows = k * KB..k * KB + wc.len();
+        let (wq, wt) = wc.as_chunks_mut::<4>();
+        let (vq, vt) = v[rows.clone()].as_chunks::<4>();
+        let (uq, ut) = u.map(|u| u[rows].as_chunks::<4>()).unzip();
+        let mut a = [S::zero(); 4];
+        for (i, (wv, vv)) in wq.iter_mut().zip(vq).enumerate() {
+            let uv = uq.map(|q| q[i]);
+            for t in 0..4 {
+                entry(&mut wv[t], vv[t], uv.map(|x| x[t]), &mut a[t]);
+            }
+        }
+        let mut sum = (a[0] + a[1]) + (a[2] + a[3]);
+        for (i, (wk, &vk)) in wt.iter_mut().zip(vt).enumerate() {
+            entry(wk, vk, ut.map(|x| x[i]), &mut sum);
+        }
+        total += sum;
+    }
+    total
+}
+
+/// [`dot_body`] compiled with 256-bit vectors; see [`sweep_avx2`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn dot_avx2<S: Scalar>(u: &[S], w: &[S]) -> S {
+    dot_body(u, w)
+}
+
+/// [`axpy_dot_body`] compiled with 256-bit vectors; see [`sweep_avx2`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn axpy_dot_avx2<S: Scalar>(w: &mut [S], c: S, v: &[S], u: Option<&[S]>) -> S {
+    axpy_dot_body(w, c, v, u)
+}
+
+fn axpy_dot_opt<S: Scalar>(w: &mut [S], c: S, v: &[S], u: Option<&[S]>) -> S {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx2") {
+        // SAFETY: the CPU this runs on reports AVX2, the one feature
+        // `axpy_dot_avx2` is compiled with.
+        return unsafe { axpy_dot_avx2(w, c, v, u) };
+    }
+    axpy_dot_body(w, c, v, u)
+}
+
+/// `uᴴ·w` of two vectors in the summation order of [`fused_gram`] (its
+/// `1 × 1` case, bit for bit), without a panel view or an allocation — for
+/// callers that hold plain vectors, such as the multigrid smoothers.
+///
+/// [`DMat::col_dot`], [`DMat::col_norm`] and [`DMat::fro_norm`] sum in plain
+/// index order and are deliberately *not* routed through here: a solve calls
+/// them once per cycle, not once per row sweep, and every golden trace pins
+/// their rounding.
+pub fn dot<S: Scalar>(u: &[S], w: &[S]) -> S {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx2") {
+        // SAFETY: the CPU this runs on reports AVX2, the one feature
+        // `dot_avx2` is compiled with.
+        return unsafe { dot_avx2(u, w) };
+    }
+    dot_body(u, w)
+}
+
+/// `‖w‖²`: the real part of [`dot`]`(w, w)`, whose imaginary part is an
+/// exact zero.
+pub fn nrm2_sqr<S: Scalar>(w: &[S]) -> S::Real {
+    dot(w, w).re()
+}
+
+/// `w ⟵ w − c·v` (no coefficient is skipped), returning `uᴴ·w` of the
+/// updated `w` as [`dot`] would, in the same pass: a Gram–Schmidt projection
+/// and the next one's coefficient.
+pub fn axpy_dot<S: Scalar>(w: &mut [S], c: S, v: &[S], u: &[S]) -> S {
+    axpy_dot_opt(w, c, v, Some(u))
+}
+
+/// `w ⟵ w − c·v`, returning `‖w‖²` of the updated `w` as [`nrm2_sqr`] would,
+/// in the same pass.
+pub fn axpy_nrm2_sqr<S: Scalar>(w: &mut [S], c: S, v: &[S]) -> S::Real {
+    axpy_dot_opt(w, c, v, None).re()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::blas::{self, Op};
     use crate::mat::bits;
-    use kryst_scalar::{Complex, C64};
+    use kryst_scalar::{Complex, Real, C64};
 
     type C32 = Complex<f32>;
 
@@ -589,7 +714,71 @@ mod tests {
         v
     }
 
+    /// Reference vector dot: [`dot_conj_ref`] per row chunk, chunks in order.
+    fn dot_ref<S: Scalar>(u: &[S], w: &[S]) -> S {
+        let mut sum = S::zero();
+        for (uc, wc) in u.chunks(KB).zip(w.chunks(KB)) {
+            sum += dot_conj_ref(uc, wc);
+        }
+        sum
+    }
+
+    type DotFn<S> = fn(&[S], &[S]) -> S;
+    type AxpyDotFn<S> = fn(&mut [S], S, &[S], Option<&[S]>) -> S;
+
+    /// Both compiled variants of the two vector passes.
+    fn vector_variants<S: Scalar>() -> Vec<(DotFn<S>, AxpyDotFn<S>)> {
+        let mut v: Vec<(DotFn<S>, AxpyDotFn<S>)> = vec![(dot_body, axpy_dot_body)];
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 was detected on the line above.
+            v.push((
+                |u, w| unsafe { dot_avx2(u, w) },
+                |w, c, v, u| unsafe { axpy_dot_avx2(w, c, v, u) },
+            ));
+        }
+        v
+    }
+
+    /// The vector passes against the scalar loops, and against the `1 × 1`
+    /// Gram sweep they stand in for.
+    fn vector_case<S: Scalar>(n: usize) {
+        let cols: DMat<S> = mat(n, 3, 53);
+        let (u, v, w0) = (cols.col(0), cols.col(1), cols.col(2));
+        let c = S::from_parts(rnd(n, 1, 59), rnd(n, 2, 61));
+        let mut want_w = w0.to_vec();
+        for (wk, &vk) in want_w.iter_mut().zip(v) {
+            *wk -= c * vk;
+        }
+        let vbits = |x: &[S]| bits(&DMat::from_col_major(x.len(), 1, x.to_vec()));
+        let (want_dot, want_nrm) = (dot_ref(u, &want_w), dot_ref(&want_w, &want_w));
+        for (dot, axpy_dot) in vector_variants::<S>() {
+            assert_eq!(vbits(&[dot(u, w0)]), vbits(&[dot_ref(u, w0)]), "dot n={n}");
+            assert_eq!(vbits(&[dot(w0, w0)]), vbits(&[dot_ref(w0, w0)]), "n={n}");
+            for (with_u, want) in [(Some(u), want_dot), (None, want_nrm)] {
+                let mut w = w0.to_vec();
+                let got = axpy_dot(&mut w, c, v, with_u);
+                assert_eq!(vbits(&[got]), vbits(&[want]), "axpy_dot n={n}");
+                assert_eq!(vbits(&w), vbits(&want_w), "axpy_dot w n={n}");
+            }
+        }
+        // The public names dispatch to one of those bodies.
+        let mut gram = [DMat::zeros(1, 1)];
+        fused_adjoint_times(&[ColsRef::new(u, n, 1)], &cols.cols(2, 1), &mut gram);
+        assert_eq!(bits(&gram[0]), vbits(&[dot(u, w0)]), "1 × 1 gram n={n}");
+        assert_eq!(nrm2_sqr(w0).to_f64(), dot_ref(w0, w0).re().to_f64());
+        let (mut wa, mut wb) = (w0.to_vec(), w0.to_vec());
+        assert_eq!(vbits(&[axpy_dot(&mut wa, c, v, u)]), vbits(&[want_dot]));
+        assert_eq!(
+            axpy_nrm2_sqr(&mut wb, c, v).to_f64(),
+            want_nrm.re().to_f64()
+        );
+    }
+
     fn property<S: Scalar>() {
+        for n in [1usize, 3, 4, 511, 512, 513, 1100, 4099] {
+            vector_case::<S>(n);
+        }
         for n in [1usize, 3, 511, 512, 513, 4099] {
             for k in [0usize, 1, 3, 4, 5, 17] {
                 for p in [1usize, 2, 3, 8, 9] {

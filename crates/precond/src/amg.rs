@@ -474,40 +474,38 @@ impl<S: Demote> Amg<S> {
         })
     }
 
-    /// One smoothing of `A_l·x = b`. `x_zero` promises that `x` is all
-    /// `+0`, which spares a Krylov smoother the operator pass of `b − A·x`.
+    /// One smoothing of `A_l·x = b`, with `r` (the shape of `b`) as scratch.
+    /// Going `down`, `x` is all `+0` on entry and `r` is `b − A_l·x` on
+    /// return; a Krylov smoother pays an operator pass for neither (from the
+    /// zero iterate the residual is `b` bit for bit, and it hands back the
+    /// residual it ends on).
     fn smooth_ws(
         &self,
         l: usize,
         b: &DMat<S>,
         x: &mut DMat<S>,
-        x_zero: bool,
+        r: &mut DMat<S>,
+        down: bool,
         ws: &mut CycleScratch<S>,
     ) {
-        let level = &self.levels[l];
-        let (pool, ks) = (&mut ws.pool, &mut ws.krylov);
-        type Krylov<S> = fn(&Csr<S>, &mut DMat<S>, &mut DMat<S>, usize, &mut KrylovScratch<S>);
-        let (krylov, iters): (Krylov<S>, usize) = match &level.smoother {
-            LevelSmoother::Jacobi(j, iters) => {
-                let mut r = pool.take(b.nrows(), b.ncols());
-                j.smooth_with(&level.a, b, x, *iters, &mut r);
-                pool.put(r);
-                return;
-            }
-            LevelSmoother::Chebyshev(c) => return c.smooth_ws(b, x, pool),
-            LevelSmoother::Gmres(iters) => (smoother::gmres_smooth, *iters),
-            LevelSmoother::Cg(iters) => (smoother::cg_smooth, *iters),
-        };
-        // x += K_s(A, b − A·x). From the zero iterate b − A·0 is b bit for
-        // bit, so a copy stands in for the pass over the operator.
-        let mut r = pool.take_stale(b.nrows(), b.ncols());
-        if x_zero {
-            r.copy_from(b);
-        } else {
-            level.a.residual(b, x, &mut r);
+        let a = &self.levels[l].a;
+        let smoother = &self.levels[l].smoother;
+        let krylov = matches!(smoother, LevelSmoother::Gmres(_) | LevelSmoother::Cg(_));
+        // A Krylov smoother is x += K_s(A, b − A·x).
+        match (krylov, down) {
+            (true, true) => r.copy_from(b),
+            (true, false) => a.residual(b, x, r),
+            (false, _) => {}
         }
-        krylov(&level.a, &mut r, x, iters, ks);
-        pool.put(r);
+        match smoother {
+            LevelSmoother::Jacobi(j, iters) => j.smooth_with(a, b, x, *iters, r),
+            LevelSmoother::Chebyshev(c) => c.smooth_ws(b, x, &mut ws.pool),
+            LevelSmoother::Gmres(s) => smoother::gmres_smooth(a, r, x, *s, down, &mut ws.krylov),
+            LevelSmoother::Cg(s) => smoother::cg_smooth(a, r, x, *s, &mut ws.krylov),
+        }
+        if down && !krylov {
+            a.residual(b, x, r);
+        }
     }
 
     /// One V-cycle on `A_l·x = b` from `x = 0` (the caller zeroes `x`), with
@@ -524,12 +522,10 @@ impl<S: Demote> Amg<S> {
         // Time this level's own work exclusively: the timer is dropped
         // around the recursive descent so nested levels don't double-count.
         let down = kryst_obs::Profiler::global().timed(kryst_obs::Phase::PrecondLevel(l));
-        // Pre-smooth.
-        self.smooth_ws(l, b, x, true, ws);
-        // Residual and restriction.
+        // Pre-smooth, residual and restriction.
         let p = b.ncols();
         let mut r = ws.pool.take_stale(level.a.nrows(), p);
-        level.a.residual(b, x, &mut r);
+        self.smooth_ws(l, b, x, &mut r, true, ws);
         let pt = level.pt.as_ref().unwrap();
         let mut rc = ws.pool.take(pt.nrows(), p);
         pt.spmm(&r, &mut rc);
@@ -542,9 +538,9 @@ impl<S: Demote> Amg<S> {
         x.axpy(S::one(), &r);
         ws.pool.put(rc);
         ws.pool.put(xc);
-        ws.pool.put(r);
         // Post-smooth.
-        self.smooth_ws(l, b, x, false, ws);
+        self.smooth_ws(l, b, x, &mut r, false, ws);
+        ws.pool.put(r);
     }
 
     /// Low-precision smoothing sweep: matrix entries and diagonals stream
@@ -743,13 +739,14 @@ impl<S: Demote> PrecondOp<S> for Amg<S> {
     fn precision(&self) -> PrecondPrecision {
         self.precision
     }
-    /// Matrix bytes one single-column V-cycle reads. Per non-coarsest level:
-    /// one pass over the level operator for every smoothing product and
-    /// residual — `2·sweeps + 1` with Jacobi or Chebyshev, `2·s + 2` with a
-    /// Krylov smoother (`s` products from the zero iterate going down, the
-    /// cycle's residual, then a residual and `s` products coming up; a
-    /// smoother that breaks down early reads less) — and one pass over each
-    /// grid transfer. Then the stored entries of the coarse factor. Vector
+    /// Matrix bytes one single-column V-cycle reads. Per non-coarsest level,
+    /// `2·s + 1` passes over the level operator for `s` sweeps, degrees or
+    /// Krylov steps: Jacobi and Chebyshev make one per sweep each way and the
+    /// cycle takes the residual in between; a Krylov smoother makes `s`
+    /// products going down (the residual of the zero iterate is `b`, and it
+    /// hands back the one it ends on), then a residual and `s` products
+    /// coming up (fewer when it breaks down early). Then one pass over each
+    /// grid transfer, and the stored entries of the coarse factor. Vector
     /// traffic is not counted.
     fn bytes_per_apply(&self) -> Option<usize> {
         let mut total = self.coarse.f.factor_len() * std::mem::size_of::<S>();
@@ -757,10 +754,9 @@ impl<S: Demote> PrecondOp<S> for Amg<S> {
             if l + 1 == self.levels.len() {
                 break;
             }
-            let passes = match &level.smoother {
-                LevelSmoother::Jacobi(_, iters) => 2 * iters + 1,
-                LevelSmoother::Chebyshev(c) => 2 * c.degree() + 1,
-                LevelSmoother::Gmres(iters) | LevelSmoother::Cg(iters) => 2 * iters + 2,
+            let passes = 1 + 2 * match &level.smoother {
+                LevelSmoother::Chebyshev(c) => c.degree(),
+                LevelSmoother::Jacobi(_, s) | LevelSmoother::Gmres(s) | LevelSmoother::Cg(s) => *s,
             };
             let (a_b, p_b, pt_b) = match self.lo_levels.as_deref() {
                 Some(lo) => (
@@ -1167,21 +1163,24 @@ mod tests {
 
     #[test]
     fn krylov_smoothed_cycle_keeps_its_bits() {
-        // Hashes printed by the column-at-a-time smoothers and the
-        // three-pass residual this cycle replaced (commit d44226e), at
-        // KRYST_THREADS 1 and 4 alike. The fine level has 4608 rows, so
-        // under KRYST_THREADS=4 its products run on the pool.
+        // Hashes printed once by this cycle when the smoothers moved onto the
+        // lane reductions of `kryst_dense::fused` and began handing their
+        // residual back (the summation order changed, so the earlier hashes
+        // could not carry over; `smoother.rs` pins the new order against
+        // written-out references), at KRYST_THREADS 1 and 4 and in debug and
+        // release builds alike. The fine level has 4608 rows, so under
+        // KRYST_THREADS=4 its products run on the pool.
         let prob = poisson2d::<f64>(72, 64);
         for (smoother, p1, p3) in [
             (
                 SmootherKind::Gmres { iters: 3 },
-                0xc7cf509a66df57b1u64,
-                0x78be0563862dde77u64,
+                0xd2f518c97fe7bd3du64,
+                0x003a548fc7316ffbu64,
             ),
             (
                 SmootherKind::Cg { iters: 4 },
-                0x7eb8962ac94660e2,
-                0x0a83420f86d97b54,
+                0x3ecbb6d1c376d8de,
+                0xa1df5b10a5a7b9a1,
             ),
         ] {
             let amg = Amg::new(
@@ -1378,10 +1377,11 @@ mod tests {
             amg.bytes_per_apply().unwrap()
         };
         let fixed = p_b + pt_b + coarse_b;
-        // Krylov: s products down (no residual from the zero iterate), the
-        // cycle residual, one residual and s products up.
-        assert_eq!(build(SmootherKind::Gmres { iters: 3 }), 8 * a_b + fixed);
-        assert_eq!(build(SmootherKind::Cg { iters: 4 }), 10 * a_b + fixed);
+        // Krylov: s products down (no residual from the zero iterate, and
+        // the smoother hands the cycle's back), one residual and s products
+        // up.
+        assert_eq!(build(SmootherKind::Gmres { iters: 3 }), 7 * a_b + fixed);
+        assert_eq!(build(SmootherKind::Cg { iters: 4 }), 9 * a_b + fixed);
         // Linear smoothers: one product per sweep each way, plus the residual.
         let jacobi = SmootherKind::Jacobi {
             omega: 0.67,
