@@ -379,6 +379,12 @@ impl<S: Demote> Amg<S> {
         self.levels.iter().map(|l| l.a.nrows()).collect()
     }
 
+    /// The restriction `Pᵀ` from level `l` to level `l + 1` (`None` on the
+    /// coarsest level), for kernel benchmarks of its row shape.
+    pub fn restriction(&self, l: usize) -> Option<&Csr<S>> {
+        self.levels.get(l)?.pt.as_ref()
+    }
+
     /// Operator complexity: `Σ nnz(A_l) / nnz(A_0)` — the standard AMG cost
     /// metric (higher threshold ⇒ lower complexity ⇒ cheaper cycles).
     pub fn operator_complexity(&self) -> f64 {
@@ -1163,24 +1169,25 @@ mod tests {
 
     #[test]
     fn krylov_smoothed_cycle_keeps_its_bits() {
-        // Hashes printed once by this cycle when the smoothers moved onto the
-        // lane reductions of `kryst_dense::fused` and began handing their
-        // residual back (the summation order changed, so the earlier hashes
-        // could not carry over; `smoother.rs` pins the new order against
-        // written-out references), at KRYST_THREADS 1 and 4 and in debug and
-        // release builds alike. The fine level has 4608 rows, so under
-        // KRYST_THREADS=4 its products run on the pool.
+        // Hashes printed once by this cycle when the sparse sweeps began
+        // summing rows of 8 or more entries on two accumulators (the coarse
+        // operators, `P` and `Pᵀ` have such rows, so the earlier hashes could
+        // not carry over; `csr.rs` pins the rule against a written-out
+        // reference, `smoother.rs` the order of the smoothers' dots), at
+        // KRYST_THREADS 1 and 4 and in debug and release builds alike. The
+        // fine level has 4608 rows, so under KRYST_THREADS=4 its products
+        // run on the pool.
         let prob = poisson2d::<f64>(72, 64);
         for (smoother, p1, p3) in [
             (
                 SmootherKind::Gmres { iters: 3 },
-                0xd2f518c97fe7bd3du64,
-                0x003a548fc7316ffbu64,
+                0x9f31fd43500f49f3u64,
+                0xbd98beddf438ddbfu64,
             ),
             (
                 SmootherKind::Cg { iters: 4 },
-                0x3ecbb6d1c376d8de,
-                0xa1df5b10a5a7b9a1,
+                0xd39911955e0f3748,
+                0x0d4bc585fd4e1333,
             ),
         ] {
             let amg = Amg::new(

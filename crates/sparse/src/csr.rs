@@ -1,7 +1,7 @@
 //! Compressed sparse row matrix.
 
 use kryst_dense::DMat;
-use kryst_rt::par::{for_each_chunk_mut, for_each_range, max_threads, SendPtr};
+use kryst_rt::par::{for_each_range, SendPtr};
 use kryst_scalar::{Real, Scalar};
 
 /// Compressed sparse row matrix with sorted column indices per row.
@@ -16,6 +16,10 @@ pub struct Csr<S> {
 
 /// Row count below which SpMV/SpMM stay single-threaded.
 const PAR_ROWS: usize = 4096;
+
+/// Stored entries from which a row is summed on two accumulators; see
+/// [`sweep_rows`]. Rows of 3-, 5- and 7-point stencils stay below it.
+const TWO_LANE_LEN: usize = 8;
 
 /// Column-block width for SpMM register accumulators: each row's nonzeros
 /// are streamed once per block of this many right-hand sides.
@@ -63,6 +67,139 @@ fn invalid_csr(ncols: usize, indptr: &[usize], indices: &[usize]) -> ! {
          column indices must strictly increase within a row",
         w[1], w[0]
     );
+}
+
+/// `acc[l] += a·x[l·xn + c]` for `l < nb`: the one place a stored entry meets
+/// an operand entry. Always inlined, so a literal `nb` fixes the loop's width
+/// and the accumulators it touches stay in registers.
+///
+/// # Safety
+/// `x` must be readable at `l·xn + c` for every `l < nb`.
+#[inline(always)]
+unsafe fn add_entry<S: Scalar>(
+    acc: &mut [S; SPMM_COLS],
+    nb: usize,
+    (a, c): (S, usize),
+    (x, xn): (*const S, usize),
+) {
+    for (l, al) in acc.iter_mut().enumerate().take(nb) {
+        *al += a * *x.add(l * xn + c);
+    }
+}
+
+/// Rows `row(r0..r1)` of one block of `nb ≤ SPMM_COLS` columns starting at
+/// column `jb`; see [`sweep_rows`], whose contract this inherits. `W` is `nb`
+/// where that is a literal and 0 where it is not. Never inlined: each width
+/// is a function of its own, so the single-column loop over 5-point rows is
+/// not allocated registers together with the 16-accumulator block loop.
+#[inline(never)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn sweep_block<S: Scalar, V: Copy, I: Copy, const W: usize>(
+    (indptr, indices, data): (&[usize], &[I], &[V]),
+    entry: &impl Fn(V, I) -> (S, usize),
+    (x, xn): (&[S], usize),
+    (y, n): (SendPtr<S>, usize),
+    row: &impl Fn(usize) -> usize,
+    fin: &impl Fn(usize, S) -> S,
+    (r0, r1): (usize, usize),
+    (jb, nb): (usize, usize),
+) {
+    let nb = if W == 0 { nb } else { W };
+    let x = (x[jb * xn..].as_ptr(), xn);
+    let at = |k: usize| entry(*data.get_unchecked(k), *indices.get_unchecked(k));
+    for r in r0..r1 {
+        let i = row(r);
+        // Checked: a row that is out of range panics here, before the write.
+        let (lo, hi) = (indptr[i], indptr[i + 1]);
+        let mut even = [S::zero(); SPMM_COLS];
+        if hi - lo < TWO_LANE_LEN {
+            for k in lo..hi {
+                add_entry(&mut even, nb, at(k), x);
+            }
+        } else {
+            let mut odd = [S::zero(); SPMM_COLS];
+            let mut k = lo;
+            while k + 1 < hi {
+                add_entry(&mut even, nb, at(k), x);
+                add_entry(&mut odd, nb, at(k + 1), x);
+                k += 2;
+            }
+            if k < hi {
+                add_entry(&mut even, nb, at(k), x);
+            }
+            for (e, o) in even.iter_mut().zip(odd).take(nb) {
+                *e += o;
+            }
+        }
+        for (l, &sum) in even.iter().enumerate().take(nb) {
+            let idx = (jb + l) * n + i;
+            *y.ptr().add(idx) = fin(idx, sum);
+        }
+    }
+}
+
+/// `y[j·n + i] ⟵ fin(j·n + i, Σ_k a_ik·x[j·xn + c_k])` for the rows
+/// `i = row(r)`, `r < count`, and every column `j < p` of the column-major
+/// `x` (`xn` rows) and `y` (`n` rows): the row loop under every sweep of
+/// [`Csr`] and [`crate::CsrLo`]. `entry` turns a stored value and index into
+/// the working scalar and a column number. The matrix is read once per block
+/// of [`SPMM_COLS`] columns; threads take one contiguous range of `r` each.
+///
+/// **Summation rule.** A row of fewer than [`TWO_LANE_LEN`] stored entries
+/// is summed in index order. A longer one adds the products at even
+/// positions of the row into one accumulator and those at odd positions into
+/// a second, each in index order, and returns `even + odd`: two independent
+/// add chains where one would wait out the add latency at every entry. The
+/// rule looks at one row and one column only, so a value depends neither on
+/// `p`, nor on the thread count, nor on which rows were asked for.
+///
+/// # Safety
+/// `indptr` must not decrease and must end at `indices.len() == data.len()`,
+/// and `entry` must return a column number `< xn` for every stored index;
+/// `row` must not name a row twice.
+pub(crate) unsafe fn sweep_rows<S: Scalar, V: Copy + Sync, I: Copy + Sync>(
+    arrays: (&[usize], &[I], &[V]),
+    entry: impl Fn(V, I) -> (S, usize) + Sync,
+    (x, xn): (&[S], usize),
+    (y, n): (&mut [S], usize),
+    p: usize,
+    (count, row): (usize, impl Fn(usize) -> usize + Sync),
+    fin: impl Fn(usize, S) -> S + Sync,
+) {
+    assert_eq!(arrays.0.len(), n + 1);
+    assert_eq!((x.len(), y.len()), (p * xn, p * n));
+    let (x, y) = ((x, xn), (SendPtr::new(y.as_mut_ptr()), n));
+    let band = |r0: usize, r1: usize| {
+        let rs = (r0, r1);
+        for jb in (0..p).step_by(SPMM_COLS) {
+            // SAFETY: the caller's contract — for `Csr`, what `from_raw`
+            // validated; for `CsrLo`, a copy of such a matrix whose
+            // `from_csr` checked that the indices fit `u32` — puts every `k`
+            // of `indptr[i]..indptr[i + 1]` inside `indices` and `data` and
+            // every column number below `xn`, so with `x.len() == p·xn`
+            // (asserted above) every operand read is in bounds. `indptr[i]`
+            // is bounds-checked, so `i < n` and the write at `(jb + l)·n + i`
+            // is inside `y` (`p·n` long); rows are distinct and threads take
+            // disjoint ranges of them, so each element is written once. The
+            // checks these replace cost 1.07–1.5× on rows of 5–81 entries.
+            unsafe {
+                // One compiled copy per literal width, one for the rest.
+                let cols = (jb, SPMM_COLS.min(p - jb));
+                match cols.1 {
+                    1 => sweep_block::<_, _, _, 1>(arrays, &entry, x, y, &row, &fin, rs, cols),
+                    SPMM_COLS => sweep_block::<_, _, _, SPMM_COLS>(
+                        arrays, &entry, x, y, &row, &fin, rs, cols,
+                    ),
+                    _ => sweep_block::<_, _, _, 0>(arrays, &entry, x, y, &row, &fin, rs, cols),
+                }
+            }
+        }
+    };
+    if count >= PAR_ROWS {
+        for_each_range(count, 0, band);
+    } else {
+        band(0, count);
+    }
 }
 
 impl<S: Scalar> Csr<S> {
@@ -172,50 +309,25 @@ impl<S: Scalar> Csr<S> {
         out
     }
 
-    /// The single-vector kernel over `x`: `i ↦ Σ_k a_ik·x_k`, `k` ascending,
-    /// behind [`Csr::spmv`], [`Csr::residual`] and the `p = 1` branches of
-    /// [`Csr::spmm`] and [`Csr::spmm_rows`]. Each row is summed on its own,
-    /// so a value does not depend on which rows a thread was given.
-    #[inline(always)]
-    fn row_sum<'a>(&'a self, x: &'a [S]) -> impl Fn(usize) -> S + Sync + 'a {
-        assert_eq!(x.len(), self.ncols);
-        move |i| {
-            let (lo, hi) = (self.indptr[i], self.indptr[i + 1]);
-            let mut acc = S::zero();
-            for k in lo..hi {
-                // SAFETY: `from_raw`, the only constructor, checked
-                // `lo ≤ hi ≤ indices.len() == data.len()` for every row and
-                // every column index `< ncols`, which is `x.len()` (asserted
-                // above); nothing hands out `indptr` or `indices` mutably.
-                // The three checks cost 1.07–1.5× on rows of 5–81 entries.
-                acc += unsafe {
-                    *self.data.get_unchecked(k) * *x.get_unchecked(*self.indices.get_unchecked(k))
-                };
-            }
-            acc
-        }
-    }
-
-    /// `out[i] ⟵ fin(i, Σ_k a_ik·x_k)` for every row; threads take one
-    /// contiguous row range each.
-    fn sweep(&self, x: &[S], out: &mut [S], fin: impl Fn(usize, S) -> S + Sync) {
-        assert_eq!(out.len(), self.nrows);
-        let sum = self.row_sum(x);
-        let per = if self.nrows >= PAR_ROWS {
-            self.nrows.div_ceil(max_threads())
-        } else {
-            self.nrows
-        };
-        for_each_chunk_mut(out, per, 0, |part, rows| {
-            for (o, i) in rows.iter_mut().zip(part * per..) {
-                *o = fin(i, sum(i));
-            }
-        });
+    /// [`sweep_rows`] over this matrix: `x` and `y` are column-major with
+    /// `p` columns, `row` names the `count` rows to compute.
+    fn sweep(
+        &self,
+        (x, p): (&[S], usize),
+        y: &mut [S],
+        (count, row): (usize, impl Fn(usize) -> usize + Sync),
+        fin: impl Fn(usize, S) -> S + Sync,
+    ) {
+        let arrays = (&self.indptr[..], &self.indices[..], &self.data[..]);
+        let (x, y) = ((x, self.ncols), (y, self.nrows));
+        // SAFETY: `from_raw`, the only constructor, validated the arrays for
+        // `ncols` columns, and nothing hands them out mutably.
+        unsafe { sweep_rows(arrays, |v, c| (v, c), x, y, p, (count, row), fin) }
     }
 
     /// `y ⟵ A·x` for a single vector.
     pub fn spmv(&self, x: &[S], y: &mut [S]) {
-        self.sweep(x, y, |_, acc| acc);
+        self.sweep((x, 1), y, (self.nrows, |r| r), |_, acc| acc);
     }
 
     /// `Y ⟵ A·X` for a block of `p` vectors (sparse matrix–dense matrix
@@ -246,138 +358,21 @@ impl<S: Scalar> Csr<S> {
     /// [`Csr::spmm`] storing `fin(idx, row sum)` at flat column-major
     /// position `idx` of `y` instead of the bare row sum.
     fn spmm_fin(&self, x: &DMat<S>, y: &mut DMat<S>, fin: impl Fn(usize, S) -> S + Sync) {
-        assert_eq!(x.nrows(), self.ncols);
-        assert_eq!(y.nrows(), self.nrows);
-        assert_eq!(x.ncols(), y.ncols());
-        let p = x.ncols();
-        if p == 1 {
-            self.sweep(x.col(0), y.col_mut(0), fin);
-            return;
-        }
-        let n = self.nrows;
-        let xn = x.nrows();
-        let xd = x.as_slice();
-        let yp = SendPtr::new(y.as_mut_slice().as_mut_ptr());
-        let band = |r0: usize, r1: usize| {
-            let mut jb = 0;
-            while jb < p {
-                let nb = SPMM_COLS.min(p - jb);
-                for i in r0..r1 {
-                    let lo = self.indptr[i];
-                    let hi = self.indptr[i + 1];
-                    let mut acc = [S::zero(); SPMM_COLS];
-                    if nb == SPMM_COLS {
-                        // Full column block: fixed-width inner loop the
-                        // compiler can unroll/vectorize.
-                        for k in lo..hi {
-                            let a = self.data[k];
-                            let c = self.indices[k];
-                            for l in 0..SPMM_COLS {
-                                acc[l] += a * xd[(jb + l) * xn + c];
-                            }
-                        }
-                    } else {
-                        for k in lo..hi {
-                            let a = self.data[k];
-                            let c = self.indices[k];
-                            for (l, al) in acc.iter_mut().enumerate().take(nb) {
-                                *al += a * xd[(jb + l) * xn + c];
-                            }
-                        }
-                    }
-                    for (l, &al) in acc.iter().enumerate().take(nb) {
-                        let idx = (jb + l) * n + i;
-                        // SAFETY: each (row, column) output element is
-                        // written exactly once, and parallel parts own
-                        // disjoint row bands.
-                        unsafe { *yp.ptr().add(idx) = fin(idx, al) };
-                    }
-                }
-                jb += nb;
-            }
-        };
-        if n >= PAR_ROWS {
-            for_each_range(n, 0, band);
-        } else {
-            band(0, n);
-        }
+        assert_eq!((x.nrows(), y.nrows()), (self.ncols, self.nrows));
+        let x = (x.as_slice(), x.ncols());
+        self.sweep(x, y.as_mut_slice(), (self.nrows, |r| r), fin);
     }
 
     /// `Y(rows, :) ⟵ A(rows, :)·X` — the SpMM kernel restricted to a row
-    /// subset; rows outside the set are left untouched. The per-row
-    /// accumulation is *identical* to [`Csr::spmm`] (same column-block
-    /// register kernel, same nonzero order), so computing the interior rows
-    /// while a halo exchange is in flight and the boundary rows afterwards
+    /// subset; rows outside the set are left untouched. Every row is summed
+    /// by the kernel of [`Csr::spmm`], so computing the interior rows while a
+    /// halo exchange is in flight and the boundary rows afterwards
     /// reproduces the unsplit product bit for bit.
     pub fn spmm_rows(&self, x: &DMat<S>, y: &mut DMat<S>, rows: &[usize]) {
-        assert_eq!(x.nrows(), self.ncols);
-        assert_eq!(y.nrows(), self.nrows);
-        assert_eq!(x.ncols(), y.ncols());
-        debug_assert!(rows.iter().all(|&i| i < self.nrows), "row out of range");
-        let p = x.ncols();
-        let n = self.nrows;
-        if p == 1 {
-            let sum = self.row_sum(x.col(0));
-            let yp = SendPtr::new(y.col_mut(0).as_mut_ptr());
-            let part = |r0: usize, r1: usize| {
-                for &i in &rows[r0..r1] {
-                    // Indexes `indptr` by `i`: panics, before the write
-                    // below, on a row that is out of range.
-                    let v = sum(i);
-                    // SAFETY: `rows` indexes distinct rows; parallel parts
-                    // own disjoint slices of it.
-                    unsafe { *yp.ptr().add(i) = v };
-                }
-            };
-            if rows.len() >= PAR_ROWS {
-                for_each_range(rows.len(), 0, part);
-            } else {
-                part(0, rows.len());
-            }
-            return;
-        }
-        let xn = x.nrows();
-        let xd = x.as_slice();
-        let yp = SendPtr::new(y.as_mut_slice().as_mut_ptr());
-        let band = |r0: usize, r1: usize| {
-            let mut jb = 0;
-            while jb < p {
-                let nb = SPMM_COLS.min(p - jb);
-                for &i in &rows[r0..r1] {
-                    let lo = self.indptr[i];
-                    let hi = self.indptr[i + 1];
-                    let mut acc = [S::zero(); SPMM_COLS];
-                    if nb == SPMM_COLS {
-                        for k in lo..hi {
-                            let a = self.data[k];
-                            let c = self.indices[k];
-                            for l in 0..SPMM_COLS {
-                                acc[l] += a * xd[(jb + l) * xn + c];
-                            }
-                        }
-                    } else {
-                        for k in lo..hi {
-                            let a = self.data[k];
-                            let c = self.indices[k];
-                            for (l, al) in acc.iter_mut().enumerate().take(nb) {
-                                *al += a * xd[(jb + l) * xn + c];
-                            }
-                        }
-                    }
-                    for (l, &al) in acc.iter().enumerate().take(nb) {
-                        // SAFETY: distinct rows, disjoint parallel parts —
-                        // each output element written exactly once.
-                        unsafe { *yp.ptr().add((jb + l) * n + i) = al };
-                    }
-                }
-                jb += nb;
-            }
-        };
-        if rows.len() >= PAR_ROWS {
-            for_each_range(rows.len(), 0, band);
-        } else {
-            band(0, rows.len());
-        }
+        assert_eq!((x.nrows(), y.nrows()), (self.ncols, self.nrows));
+        let x = (x.as_slice(), x.ncols());
+        let rows = (rows.len(), |r| rows[r]);
+        self.sweep(x, y.as_mut_slice(), rows, |_, acc| acc);
     }
 
     /// Convenience: allocate and return `A·X`.
@@ -474,7 +469,7 @@ impl<S: Scalar> Csr<S> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::Coo;
 
@@ -557,80 +552,154 @@ mod tests {
         assert_eq!(small().diag(), vec![2.0, 2.0, 2.0]);
     }
 
-    /// Random CSR with empty rows and ragged lengths (0–11 entries, sorted
-    /// distinct columns), from a fixed seed.
-    fn ragged<S: Scalar>(nrows: usize, ncols: usize, seed: u64) -> Csr<S> {
+    /// Random CSR whose row `i` has `len(i)` stored entries (sorted distinct
+    /// columns, so `len(i) ≤ ncols`), from a fixed seed.
+    fn with_row_lengths<S: Scalar>(
+        nrows: usize,
+        ncols: usize,
+        seed: u64,
+        len: impl Fn(usize) -> usize,
+    ) -> Csr<S> {
         let mut rng = kryst_rt::rng::Rng64::seed_from_u64(seed);
         let (mut indptr, mut indices, mut data) = (vec![0], Vec::new(), Vec::new());
         for i in 0..nrows {
-            let len = if i % 7 == 3 { 0 } else { rng.gen_index(12) };
-            let mut cols: Vec<usize> = (0..len).map(|_| rng.gen_index(ncols)).collect();
-            cols.sort_unstable();
-            cols.dedup();
-            for c in cols {
-                indices.push(c);
-                data.push(S::from_parts(rng.next_f64() - 0.5, rng.next_f64() - 0.5));
+            // A random `len`-subset of the columns, by selection sampling.
+            let mut need = len(i);
+            for c in 0..ncols {
+                if rng.gen_index(ncols - c) < need {
+                    need -= 1;
+                    indices.push(c);
+                    data.push(S::from_parts(rng.next_f64() - 0.5, rng.next_f64() - 0.5));
+                }
             }
             indptr.push(indices.len());
         }
         Csr::from_raw(nrows, ncols, indptr, indices, data)
     }
 
-    fn bits<S: Scalar>(v: &[S]) -> Vec<(u64, u64)> {
+    /// Empty rows and ragged lengths 0–20: both sides of `TWO_LANE_LEN`.
+    pub(crate) fn ragged<S: Scalar>(nrows: usize, ncols: usize, seed: u64) -> Csr<S> {
+        with_row_lengths(
+            nrows,
+            ncols,
+            seed,
+            |i| if i % 7 == 3 { 0 } else { i * 5 % 21 },
+        )
+    }
+
+    pub(crate) fn operand<S: Scalar>(n: usize, p: usize) -> DMat<S> {
+        DMat::from_fn(n, p, |i, j| {
+            S::from_parts(
+                ((i * 7 + j) % 13) as f64 / 3.0 - 2.0,
+                ((i + 3 * j) % 5) as f64 / 7.0 - 0.25,
+            )
+        })
+    }
+
+    pub(crate) fn bits<S: Scalar>(v: &[S]) -> Vec<(u64, u64)> {
         v.iter()
             .map(|v| (v.re().to_f64().to_bits(), v.im().to_f64().to_bits()))
             .collect()
     }
 
-    /// `spmv`, `p = 1` `spmm`/`spmm_rows` and `residual` against a checked
-    /// per-row loop and the three-pass residual, bit for bit. 4099 rows is
-    /// above `PAR_ROWS`, so under `KRYST_THREADS=4` (a CI leg) the sweeps
-    /// run on the pool; 37 rows stay serial.
+    /// The summation rule of `sweep_rows`, written out: `A·X` entry by entry.
+    fn by_the_rule<S: Scalar>(a: &Csr<S>, x: &DMat<S>) -> DMat<S> {
+        DMat::from_fn(a.nrows(), x.ncols(), |i, j| {
+            let products: Vec<S> = (a.row_indices(i).iter().zip(a.row_values(i)))
+                .map(|(&c, &v)| v * x[(c, j)])
+                .collect();
+            let sum = |from: usize, step: usize| {
+                let mut acc = S::zero();
+                for &t in products.iter().skip(from).step_by(step) {
+                    acc += t;
+                }
+                acc
+            };
+            if products.len() < 8 {
+                sum(0, 1)
+            } else {
+                sum(0, 2) + sum(1, 2)
+            }
+        })
+    }
+
+    /// Row lengths 0..=17, 59 and 81 (elasticity's mean row and its full
+    /// 27-node stencil) at every column-block shape: one column, a partial
+    /// block, a full block, a full block and a column.
+    fn row_sums_follow_the_rule<S: Scalar>() {
+        let lens: Vec<usize> = (0..=17).chain([59, 81]).collect();
+        let a = with_row_lengths::<S>(lens.len(), 97, 11, |i| lens[i]);
+        for (i, &len) in lens.iter().enumerate() {
+            assert_eq!(a.row_indices(i).len(), len);
+        }
+        for p in [1usize, 3, 8, 9] {
+            let x = operand::<S>(97, p);
+            let want = by_the_rule(&a, &x);
+            // The data must tell the rule from the index-order sum.
+            let in_order = (a.row_indices(19).iter().zip(a.row_values(19)))
+                .fold(S::zero(), |acc, (&c, &v)| acc + v * x[(c, 0)]);
+            assert_ne!(bits(&[in_order]), bits(&[want[(19, 0)]]));
+            let got = a.apply(&x);
+            for (i, &len) in lens.iter().enumerate() {
+                for j in 0..p {
+                    let (g, w) = (bits(&[got[(i, j)]]), bits(&[want[(i, j)]]));
+                    assert_eq!(g, w, "row of {len} entries, column {j} of {p}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_sums_follow_the_two_lane_rule_f64() {
+        row_sums_follow_the_rule::<f64>();
+    }
+
+    #[test]
+    fn row_sums_follow_the_two_lane_rule_c64() {
+        row_sums_follow_the_rule::<kryst_scalar::C64>();
+    }
+
+    /// Every sweep against the rule and against each other, bit for bit: a
+    /// column of `spmm` is `spmv` of that column, `spmm_rows` is `spmm` on
+    /// its rows and leaves the others alone, `residual` is its three-pass
+    /// form. 4099 rows is above `PAR_ROWS`, so under `KRYST_THREADS=4` (a CI
+    /// leg) the sweeps run on the pool; 37 rows stay serial.
     fn single_vector_kernels_match_per_row_reference<S: Scalar>() {
         for (nrows, ncols) in [(37usize, 29usize), (4099, 4500)] {
             let a = ragged::<S>(nrows, ncols, 7 + nrows as u64);
             assert!((0..nrows).any(|i| a.row_indices(i).is_empty()));
-            for p in [1usize, 3] {
-                let x = DMat::from_fn(ncols, p, |i, j| {
-                    S::from_parts(
-                        ((i * 7 + j) % 13) as f64 - 6.0,
-                        ((i + 3 * j) % 5) as f64 - 2.0,
-                    )
-                });
+            assert!((0..nrows).any(|i| a.row_indices(i).len() == 20));
+            for p in [1usize, 3, 8, 9] {
+                let x = operand::<S>(ncols, p);
                 let b = DMat::from_fn(nrows, p, |i, j| {
                     // A −0 imaginary part: the signed zero must survive.
                     S::from_parts(((i + j) % 9) as f64 - 4.0, -0.0)
                 });
-                let mut want = DMat::zeros(nrows, p);
-                for j in 0..p {
-                    for i in 0..nrows {
-                        let mut acc = S::zero();
-                        for (&c, &v) in a.row_indices(i).iter().zip(a.row_values(i)) {
-                            acc += v * x.col(j)[c];
-                        }
-                        want[(i, j)] = acc;
-                    }
-                }
+                let mut want = by_the_rule(&a, &x);
                 let mut got = DMat::from_fn(nrows, p, |_, _| S::from_f64(f64::NAN));
                 a.spmm(&x, &mut got);
                 assert_eq!(bits(got.as_slice()), bits(want.as_slice()), "spmm p={p}");
-                if p == 1 {
-                    got.fill(S::from_f64(f64::NAN));
-                    a.spmv(x.col(0), got.col_mut(0));
-                    assert_eq!(bits(got.as_slice()), bits(want.as_slice()), "spmv");
-                    // Every third row, the rest left alone.
-                    let rows: Vec<usize> = (0..nrows).filter(|i| i % 3 == 1).collect();
-                    got.fill(S::from_f64(7.0));
-                    a.spmm_rows(&x, &mut got, &rows);
-                    for i in 0..nrows {
-                        let w = if i % 3 == 1 {
-                            want[(i, 0)]
-                        } else {
-                            S::from_f64(7.0)
-                        };
-                        assert_eq!(bits(&[got[(i, 0)]]), bits(&[w]), "spmm_rows row {i}");
-                    }
+                for j in 0..p {
+                    let mut yj = vec![S::from_f64(f64::NAN); nrows];
+                    a.spmv(x.col(j), &mut yj);
+                    assert_eq!(bits(&yj), bits(want.col(j)), "spmv of column {j} of {p}");
                 }
+                // Every third row, the rest left alone.
+                let rows: Vec<usize> = (0..nrows).filter(|i| i % 3 == 1).collect();
+                got.fill(S::from_f64(7.0));
+                a.spmm_rows(&x, &mut got, &rows);
+                let split = DMat::from_fn(nrows, p, |i, j| {
+                    if i % 3 == 1 {
+                        want[(i, j)]
+                    } else {
+                        S::from_f64(7.0)
+                    }
+                });
+                assert_eq!(
+                    bits(got.as_slice()),
+                    bits(split.as_slice()),
+                    "spmm_rows p={p}"
+                );
                 want.scale(-S::one());
                 want.axpy(S::one(), &b);
                 got.fill(S::from_f64(f64::NAN));

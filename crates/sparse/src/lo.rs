@@ -8,24 +8,17 @@
 //! Preconditioner internals (ILU factors, AMG hierarchy operators) are the
 //! intended users: the outer Krylov iteration never sees `S::Lo` directly.
 
-use crate::Csr;
+use crate::csr::{sweep_rows, Csr};
 use kryst_dense::DMat;
-use kryst_rt::par::{for_each_chunk_mut, for_each_range, SendPtr};
 use kryst_scalar::Demote;
-
-/// Row count below which SpMV/SpMM stay single-threaded (matches `Csr`).
-const PAR_ROWS: usize = 4096;
-
-/// Column-block width for SpMM register accumulators (matches `Csr`).
-const SPMM_COLS: usize = 8;
 
 /// Low-precision compressed sparse row matrix.
 ///
 /// Built by demoting a full-precision [`Csr`]; applies promote on the fly
-/// and produce full-precision output. The kernel loop structure (column
-/// blocking, parallel row bands, accumulation order) mirrors [`Csr::spmm`]
-/// exactly, so the only difference from the full-precision product is the
-/// rounding of the stored values.
+/// and produce full-precision output. The sweeps run the row kernel of
+/// [`Csr::spmm`] (column blocking, parallel row bands, summation rule), so
+/// the only difference from the full-precision product is the rounding of
+/// the stored values.
 #[derive(Clone, Debug)]
 pub struct CsrLo<S: Demote> {
     nrows: usize,
@@ -83,161 +76,43 @@ impl<S: Demote> CsrLo<S> {
             + self.indptr.len() * core::mem::size_of::<usize>()
     }
 
+    /// [`sweep_rows`] over this matrix, promoting values on the fly: `x` and
+    /// `y` are column-major with `p` columns, `row` names the `count` rows
+    /// to compute.
+    fn sweep(
+        &self,
+        (x, p): (&[S], usize),
+        y: &mut [S],
+        rows: (usize, impl Fn(usize) -> usize + Sync),
+    ) {
+        let arrays = (&self.indptr[..], &self.indices[..], &self.data[..]);
+        let entry = |v, c: u32| (S::promote_lo(v), c as usize);
+        let (x, y) = ((x, self.ncols), (y, self.nrows));
+        // SAFETY: `from_csr`, the only constructor, copies the row pointers
+        // and the column indices (which it checked to fit `u32`) of a matrix
+        // `Csr::from_raw` validated, and nothing hands them out mutably.
+        unsafe { sweep_rows(arrays, entry, x, y, p, rows, |_, acc| acc) }
+    }
+
     /// `y ⟵ A·x` for a single vector, promoting values on the fly.
     pub fn spmv(&self, x: &[S], y: &mut [S]) {
-        assert_eq!(x.len(), self.ncols);
-        assert_eq!(y.len(), self.nrows);
-        let kernel = |i: usize, yi: &mut S| {
-            let mut acc = S::zero();
-            let lo = self.indptr[i];
-            let hi = self.indptr[i + 1];
-            for k in lo..hi {
-                acc += S::promote_lo(self.data[k]) * x[self.indices[k] as usize];
-            }
-            *yi = acc;
-        };
-        if self.nrows >= PAR_ROWS {
-            for_each_chunk_mut(y, 1, 0, |i, yi| kernel(i, &mut yi[0]));
-        } else {
-            y.iter_mut().enumerate().for_each(|(i, yi)| kernel(i, yi));
-        }
+        self.sweep((x, 1), y, (self.nrows, |r| r));
     }
 
     /// `Y ⟵ A·X` for a block of `p` vectors — the [`Csr::spmm`] column-block
     /// register kernel with half the per-nonzero traffic.
     pub fn spmm(&self, x: &DMat<S>, y: &mut DMat<S>) {
-        assert_eq!(x.nrows(), self.ncols);
-        assert_eq!(y.nrows(), self.nrows);
-        assert_eq!(x.ncols(), y.ncols());
-        let p = x.ncols();
-        if p == 1 {
-            let (xs, ys) = (x.col(0), y.col_mut(0));
-            self.spmv(xs, ys);
-            return;
-        }
-        let n = self.nrows;
-        let xn = x.nrows();
-        let xd = x.as_slice();
-        let yp = SendPtr::new(y.as_mut_slice().as_mut_ptr());
-        let band = |r0: usize, r1: usize| {
-            let mut jb = 0;
-            while jb < p {
-                let nb = SPMM_COLS.min(p - jb);
-                for i in r0..r1 {
-                    let lo = self.indptr[i];
-                    let hi = self.indptr[i + 1];
-                    let mut acc = [S::zero(); SPMM_COLS];
-                    if nb == SPMM_COLS {
-                        for k in lo..hi {
-                            let a = S::promote_lo(self.data[k]);
-                            let c = self.indices[k] as usize;
-                            for l in 0..SPMM_COLS {
-                                acc[l] += a * xd[(jb + l) * xn + c];
-                            }
-                        }
-                    } else {
-                        for k in lo..hi {
-                            let a = S::promote_lo(self.data[k]);
-                            let c = self.indices[k] as usize;
-                            for (l, al) in acc.iter_mut().enumerate().take(nb) {
-                                *al += a * xd[(jb + l) * xn + c];
-                            }
-                        }
-                    }
-                    for (l, &al) in acc.iter().enumerate().take(nb) {
-                        // SAFETY: each (row, column) output element is
-                        // written exactly once, and parallel parts own
-                        // disjoint row bands.
-                        unsafe { *yp.ptr().add((jb + l) * n + i) = al };
-                    }
-                }
-                jb += nb;
-            }
-        };
-        if n >= PAR_ROWS {
-            for_each_range(n, 0, band);
-        } else {
-            band(0, n);
-        }
+        assert_eq!((x.nrows(), y.nrows()), (self.ncols, self.nrows));
+        let x = (x.as_slice(), x.ncols());
+        self.sweep(x, y.as_mut_slice(), (self.nrows, |r| r));
     }
 
     /// `Y(rows, :) ⟵ A(rows, :)·X` — row-subset SpMM; rows outside the set
     /// are left untouched. Mirrors [`Csr::spmm_rows`].
     pub fn spmm_rows(&self, x: &DMat<S>, y: &mut DMat<S>, rows: &[usize]) {
-        assert_eq!(x.nrows(), self.ncols);
-        assert_eq!(y.nrows(), self.nrows);
-        assert_eq!(x.ncols(), y.ncols());
-        debug_assert!(rows.iter().all(|&i| i < self.nrows), "row out of range");
-        let p = x.ncols();
-        let n = self.nrows;
-        if p == 1 {
-            let xs = x.col(0);
-            let ys = y.col_mut(0);
-            let kernel = |i: usize| {
-                let mut acc = S::zero();
-                for k in self.indptr[i]..self.indptr[i + 1] {
-                    acc += S::promote_lo(self.data[k]) * xs[self.indices[k] as usize];
-                }
-                acc
-            };
-            if rows.len() >= PAR_ROWS {
-                let yp = SendPtr::new(ys.as_mut_ptr());
-                for_each_range(rows.len(), 0, |r0, r1| {
-                    for &i in &rows[r0..r1] {
-                        // SAFETY: `rows` indexes distinct rows; parallel
-                        // parts own disjoint slices of it.
-                        unsafe { *yp.ptr().add(i) = kernel(i) };
-                    }
-                });
-            } else {
-                for &i in rows {
-                    ys[i] = kernel(i);
-                }
-            }
-            return;
-        }
-        let xn = x.nrows();
-        let xd = x.as_slice();
-        let yp = SendPtr::new(y.as_mut_slice().as_mut_ptr());
-        let band = |r0: usize, r1: usize| {
-            let mut jb = 0;
-            while jb < p {
-                let nb = SPMM_COLS.min(p - jb);
-                for &i in &rows[r0..r1] {
-                    let lo = self.indptr[i];
-                    let hi = self.indptr[i + 1];
-                    let mut acc = [S::zero(); SPMM_COLS];
-                    if nb == SPMM_COLS {
-                        for k in lo..hi {
-                            let a = S::promote_lo(self.data[k]);
-                            let c = self.indices[k] as usize;
-                            for l in 0..SPMM_COLS {
-                                acc[l] += a * xd[(jb + l) * xn + c];
-                            }
-                        }
-                    } else {
-                        for k in lo..hi {
-                            let a = S::promote_lo(self.data[k]);
-                            let c = self.indices[k] as usize;
-                            for (l, al) in acc.iter_mut().enumerate().take(nb) {
-                                *al += a * xd[(jb + l) * xn + c];
-                            }
-                        }
-                    }
-                    for (l, &al) in acc.iter().enumerate().take(nb) {
-                        // SAFETY: distinct rows, disjoint parallel parts —
-                        // each output element written exactly once.
-                        unsafe { *yp.ptr().add((jb + l) * n + i) = al };
-                    }
-                }
-                jb += nb;
-            }
-        };
-        if rows.len() >= PAR_ROWS {
-            for_each_range(rows.len(), 0, band);
-        } else {
-            band(0, rows.len());
-        }
+        assert_eq!((x.nrows(), y.nrows()), (self.ncols, self.nrows));
+        let x = (x.as_slice(), x.ncols());
+        self.sweep(x, y.as_mut_slice(), (rows.len(), |r| rows[r]));
     }
 }
 
@@ -337,6 +212,51 @@ mod tests {
                 assert_eq!(yblock[(i, j)], ysplit[(i, j)]);
             }
         }
+    }
+
+    /// `CsrLo` runs the row kernel of `Csr`: against the `Csr` holding the
+    /// promoted values, every sweep is the same bits — short rows and
+    /// two-lane rows, serial (37 rows) and on the pool (4099 rows under
+    /// `KRYST_THREADS=4`), at every column-block shape.
+    fn lo_kernels_match_csr_of_promoted_values<S: Demote>() {
+        use crate::csr::tests::{bits, operand, ragged};
+        for (nrows, ncols) in [(37usize, 29usize), (4099, 4500)] {
+            let a = ragged::<S>(nrows, ncols, 3 + nrows as u64);
+            let lo = CsrLo::from_csr(&a);
+            let mut promoted = a.clone();
+            for i in 0..nrows {
+                for v in promoted.row_values_mut(i) {
+                    *v = S::promote_lo(v.demote());
+                }
+            }
+            assert_ne!(promoted, a, "the values must round");
+            let rows: Vec<usize> = (0..nrows).filter(|i| i % 3 != 1).collect();
+            for p in [1usize, 3, 8, 9] {
+                let x = operand::<S>(ncols, p);
+                let want = promoted.apply(&x);
+                let mut got = DMat::from_fn(nrows, p, |_, _| S::from_f64(f64::NAN));
+                lo.spmm(&x, &mut got);
+                assert_eq!(bits(got.as_slice()), bits(want.as_slice()), "spmm p={p}");
+                let (mut got, mut want) = (DMat::zeros(nrows, p), DMat::zeros(nrows, p));
+                lo.spmm_rows(&x, &mut got, &rows);
+                promoted.spmm_rows(&x, &mut want, &rows);
+                assert_eq!(
+                    bits(got.as_slice()),
+                    bits(want.as_slice()),
+                    "spmm_rows p={p}"
+                );
+                let mut y = vec![S::from_f64(f64::NAN); nrows];
+                lo.spmv(x.col(p - 1), &mut y);
+                let want = promoted.apply(&x.cols(p - 1, 1));
+                assert_eq!(bits(&y), bits(want.as_slice()), "spmv p={p}");
+            }
+        }
+    }
+
+    #[test]
+    fn lo_kernels_match_csr_of_promoted_values_bitwise() {
+        lo_kernels_match_csr_of_promoted_values::<f64>();
+        lo_kernels_match_csr_of_promoted_values::<C64>();
     }
 
     #[test]
