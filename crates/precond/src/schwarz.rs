@@ -113,7 +113,7 @@ fn gather_solve<S: Scalar, T: Scalar>(
 ) {
     let mut block = block.lock().expect("no panic under the block lock");
     block.resize(rows.len() * r.ncols(), T::zero());
-    pack(&mut block, rows.len(), |k, c| lower(r.col(c)[rows[k]]));
+    pack(&mut block, rows, r.as_slice(), r.nrows(), lower);
     solver.solve_packed(&mut block);
 }
 
@@ -126,8 +126,11 @@ fn scatter_add<S: Scalar, T: Scalar>(
     raise: impl Fn(T) -> S,
 ) {
     let block = block.lock().expect("no panic under the block lock");
-    unpack(&block, rows.len(), |k, c, v| {
-        z.col_mut(c)[rows[k]] += S::from_f64(weights[k]) * raise(v);
+    let ld = z.nrows();
+    let raise = &raise;
+    unpack(&block, rows, z.as_mut_slice(), ld, |k| {
+        let weight = S::from_f64(weights[k]);
+        move |z, v| *z += weight * raise(v)
     });
 }
 

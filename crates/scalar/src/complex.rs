@@ -3,7 +3,8 @@
 //! `num-complex` is not in the approved offline crate list, so the workspace
 //! carries its own implementation. Only the operations needed by the dense
 //! and sparse kernels are provided; the layout is `repr(C)` so a slice of
-//! `Complex<f64>` can be reinterpreted as interleaved re/im pairs if needed.
+//! `Complex<T>` is also a slice of interleaved re/im pairs
+//! ([`crate::Scalar::reals`]).
 
 use crate::Real;
 use std::fmt;

@@ -72,6 +72,13 @@ pub trait Scalar:
             1
         }
     }
+    /// The real components of `s` in memory order, [`Scalar::real_words`]
+    /// per scalar: the slice itself for a real type, `re, im, re, im, …`
+    /// for a complex one.
+    fn reals(s: &[Self]) -> &[Self::Real];
+    /// Mutable form of [`Scalar::reals`]. Any values written through it are
+    /// valid scalars: every pair of reals is a complex number.
+    fn reals_mut(s: &mut [Self]) -> &mut [Self::Real];
 }
 
 macro_rules! impl_scalar_real {
@@ -130,6 +137,14 @@ macro_rules! impl_scalar_real {
             #[inline(always)]
             fn is_complex() -> bool {
                 false
+            }
+            #[inline(always)]
+            fn reals(s: &[Self]) -> &[Self::Real] {
+                s
+            }
+            #[inline(always)]
+            fn reals_mut(s: &mut [Self]) -> &mut [Self::Real] {
+                s
             }
         }
     };
@@ -193,6 +208,20 @@ impl<T: Real> Scalar for Complex<T> {
     fn is_complex() -> bool {
         true
     }
+    #[inline(always)]
+    fn reals(s: &[Self]) -> &[T] {
+        // SAFETY: `Complex<T>` is `repr(C)` with exactly two `T` fields, so
+        // it has the size of `[T; 2]`, the alignment of `T` and no padding:
+        // `s.len()` of them are `2 * s.len()` initialised `T`s in the same
+        // allocation, borrowed for the same lifetime.
+        unsafe { std::slice::from_raw_parts(s.as_ptr().cast(), 2 * s.len()) }
+    }
+    #[inline(always)]
+    fn reals_mut(s: &mut [Self]) -> &mut [T] {
+        // SAFETY: as in `reals`; the borrow is unique, and any two `T`s are
+        // a valid `Complex<T>`.
+        unsafe { std::slice::from_raw_parts_mut(s.as_mut_ptr().cast(), 2 * s.len()) }
+    }
 }
 
 #[cfg(test)]
@@ -231,5 +260,17 @@ mod tests {
     fn real_words() {
         assert_eq!(<f64 as Scalar>::real_words(), 1);
         assert_eq!(<C64 as Scalar>::real_words(), 2);
+    }
+
+    #[test]
+    fn reals_view_is_the_components_in_memory_order() {
+        let mut z = [C64::from_parts(1.0, -2.0), C64::from_parts(3.5, 0.25)];
+        assert_eq!(C64::reals(&z), [1.0, -2.0, 3.5, 0.25]);
+        C64::reals_mut(&mut z)[3] = 7.0;
+        assert_eq!(z[1], C64::from_parts(3.5, 7.0));
+        assert_eq!(C64::reals(&z[..0]), [0.0; 0]);
+        let mut x = [1.0f32, 2.0];
+        f32::reals_mut(&mut x)[0] = 4.0;
+        assert_eq!(f32::reals(&x), [4.0, 2.0]);
     }
 }

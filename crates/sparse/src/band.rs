@@ -5,10 +5,12 @@
 //! an RCM reordering the subdomain matrices have small bandwidth and the band
 //! is factored once. The factor is then compacted to its actual profile —
 //! `L` by columns, `U` by rows, each trimmed to its last stored nonzero — and
-//! the fill-padded band is freed. Solves run on row-major tiles of up to
-//! eight right-hand sides, so every factor entry is loaded once, stride-1,
-//! and updates a contiguous run of right-hand-side values: the BLAS-2 →
-//! BLAS-3 regime change the paper measures in Fig. 6.
+//! the fill-padded band is freed. Solves run on tiles of up to eight
+//! right-hand sides, so every factor entry is loaded once, stride-1, and
+//! updates a contiguous run of right-hand-side values: the BLAS-2 → BLAS-3
+//! regime change the paper measures in Fig. 6. A tile row keeps the real
+//! parts of its right-hand sides together and the imaginary parts together,
+//! so the right-hand sides are the vector lanes for complex scalars too.
 
 use kryst_scalar::{Real, Scalar};
 
@@ -82,6 +84,11 @@ impl<S: Scalar> BandMat<S> {
     /// diagonal (bandwidth `kl + ku`) and the multipliers of `L` below it.
     /// Returns the pivot rows, or `None` on a zero or non-finite pivot.
     fn factor_in_place(&mut self) -> Option<Vec<usize>> {
+        run(Factor(self))
+    }
+
+    #[inline(always)]
+    fn factor_body(&mut self) -> Option<Vec<usize>> {
         let (n, kl, ldab) = (self.n, self.kl, self.ldab);
         let kv = self.kl + self.ku; // band row of the diagonal
         let mut ipiv = vec![0usize; n];
@@ -136,12 +143,56 @@ impl<S: Scalar> BandMat<S> {
     }
 }
 
+/// A loop nest of this file that is compiled twice, for the baseline target
+/// and for 256-bit vectors; [`run`] picks.
+trait Kernel {
+    type Out;
+    /// The loops. Always `#[inline(always)]`, so that they are compiled with
+    /// the target features of the function they are called from.
+    fn body(self) -> Self::Out;
+}
+
+/// Run `kernel` at the widest vectors the CPU has.
+fn run<K: Kernel>(kernel: K) -> K::Out {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx2") {
+        // SAFETY: the CPU this runs on reports AVX2, the one feature
+        // `run_avx2` is compiled with.
+        return unsafe { run_avx2(kernel) };
+    }
+    kernel.body()
+}
+
+/// [`Kernel::body`] compiled with 256-bit vectors. AVX2 alone: FMA stays
+/// off, so the result is the same bits as the baseline build of the body.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn run_avx2<K: Kernel>(kernel: K) -> K::Out {
+    kernel.body()
+}
+
+/// [`BandMat::factor_in_place`].
+struct Factor<'a, S>(&'a mut BandMat<S>);
+
+impl<S: Scalar> Kernel for Factor<'_, S> {
+    type Out = Option<Vec<usize>>;
+
+    #[inline(always)]
+    fn body(self) -> Option<Vec<usize>> {
+        self.0.factor_body()
+    }
+}
+
 /// Widest right-hand-side tile of the solve kernel.
 const TILE: usize = 8;
 
 /// The tiles that cover `p` right-hand sides, as `(first column, width)`:
 /// full 8-wide ones, then a 4/2/1 tail. In a packed `n × p` block, tile
-/// `(c0, w)` is the row-major `n × w` slice `[n·c0 .. n·(c0 + w)]`.
+/// `(c0, w)` is the slice `[n·c0 .. n·(c0 + w)]`, row by row; a row is `w`
+/// scalars stored as planes of reals — the `w` real parts, then (for a
+/// complex scalar) the `w` imaginary parts — so the kernel's lanes are the
+/// right-hand sides whatever the scalar type. At `w = 1` that is the plain
+/// vector. Only [`pack`], [`unpack`] and the kernel know the plane order.
 fn tiles(p: usize) -> impl Iterator<Item = (usize, usize)> {
     let mut c0 = 0;
     std::iter::from_fn(move || {
@@ -159,42 +210,175 @@ fn tiles(p: usize) -> impl Iterator<Item = (usize, usize)> {
     })
 }
 
-/// The row-major tiles of a packed block of `n`-row columns, as
-/// `(first column, width, tile)`.
-fn tiles_mut<S>(block: &mut [S], n: usize) -> impl Iterator<Item = (usize, usize, &mut [S])> {
+/// The tiles of a packed block of `n`-row columns, as
+/// `(first column, width, the tile's planes)`.
+fn tiles_mut<S: Scalar>(
+    block: &mut [S],
+    n: usize,
+) -> impl Iterator<Item = (usize, usize, &mut [S::Real])> {
     let p = block.len().checked_div(n).unwrap_or(0);
     assert_eq!(block.len(), n * p, "packed block must hold whole columns");
-    let mut rest = block;
+    let mut rest = S::reals_mut(block);
     tiles(p).map(move |(c0, w)| {
-        let (tile, tail) = std::mem::take(&mut rest).split_at_mut(n * w);
+        let (tile, tail) = std::mem::take(&mut rest).split_at_mut(n * w * S::real_words());
         rest = tail;
         (c0, w, tile)
     })
 }
 
-/// Fill a packed block of `n`-row right-hand sides (the layout
-/// [`BandLu::solve_packed`] works on): entry `(row, column)` is
-/// `entry(row, column)`.
-pub fn pack<S>(block: &mut [S], n: usize, mut entry: impl FnMut(usize, usize) -> S) {
-    for (c0, w, tile) in tiles_mut(block, n) {
-        for (k, row) in tile.chunks_exact_mut(w).enumerate() {
-            for (c, v) in row.iter_mut().enumerate() {
-                *v = entry(k, c0 + c);
+/// Gather rows of column-major right-hand sides (leading dimension `ld`)
+/// into a packed block of `rows.len()`-row columns, the layout
+/// [`BandLu::solve_packed`] works on: entry `(k, c)` of the block is
+/// `lower(src[c·ld + rows[k]])`.
+pub fn pack<T: Copy, S: Scalar>(
+    block: &mut [S],
+    rows: &[usize],
+    src: &[T],
+    ld: usize,
+    lower: impl Fn(T) -> S,
+) {
+    for (c0, w, tile) in tiles_mut(block, rows.len()) {
+        let mut cols: [&[T]; TILE] = [&[]; TILE];
+        for (slot, col) in cols
+            .iter_mut()
+            .zip(src[c0 * ld..(c0 + w) * ld].chunks_exact(ld))
+        {
+            *slot = col;
+        }
+        for (row, &g) in tile.chunks_exact_mut(w * S::real_words()).zip(rows) {
+            let (re, im) = row.split_at_mut(w);
+            for (c, (re, col)) in re.iter_mut().zip(&cols).enumerate() {
+                let v = lower(col[g]);
+                *re = v.re();
+                if S::is_complex() {
+                    im[c] = v.im();
+                }
             }
         }
     }
 }
 
-/// Visit every entry of a packed block of `n`-row columns as
-/// `visit(row, column, value)`.
-pub fn unpack<S: Copy>(block: &[S], n: usize, mut visit: impl FnMut(usize, usize, S)) {
+/// Scatter a packed block of `rows.len()`-row columns over column-major
+/// `dst` (leading dimension `ld`): for every row `k` of the block,
+/// `put = row(k)` and then `put(&mut dst[c·ld + rows[k]], v)` for each
+/// entry `(k, c)`, `v` its value — what depends on the row alone is
+/// computed once, in `row`.
+pub fn unpack<T, S: Scalar, F: FnMut(&mut T, S)>(
+    block: &[S],
+    rows: &[usize],
+    dst: &mut [T],
+    ld: usize,
+    mut row: impl FnMut(usize) -> F,
+) {
+    let n = rows.len();
     let p = block.len().checked_div(n).unwrap_or(0);
     for (c0, w) in tiles(p) {
-        for (k, row) in block[n * c0..n * (c0 + w)].chunks_exact(w).enumerate() {
-            for (c, &v) in row.iter().enumerate() {
-                visit(k, c0 + c, v);
+        let tile = S::reals(&block[n * c0..n * (c0 + w)]);
+        let mut cols: [&mut [T]; TILE] = Default::default();
+        for (slot, col) in cols
+            .iter_mut()
+            .zip(dst[c0 * ld..(c0 + w) * ld].chunks_exact_mut(ld))
+        {
+            *slot = col;
+        }
+        for (k, (planes, &g)) in tile.chunks_exact(w * S::real_words()).zip(rows).enumerate() {
+            let mut put = row(k);
+            let (re, im) = planes.split_at(w);
+            for (c, (&re, col)) in re.iter().zip(&mut cols).enumerate() {
+                let mut v = S::from_real(re);
+                if S::is_complex() {
+                    S::reals_mut(std::slice::from_mut(&mut v))[1] = im[c];
+                }
+                put(&mut col[g], v);
             }
         }
+    }
+}
+
+/// One tile row in registers: the plane of real parts and, for a complex
+/// `S`, the plane of imaginary parts (for a real `S` it is dead and
+/// optimised away). The lanes are the tile's right-hand sides.
+#[derive(Clone, Copy)]
+struct Lanes<S: Scalar, const W: usize> {
+    re: [S::Real; W],
+    im: [S::Real; W],
+}
+
+impl<S: Scalar, const W: usize> Lanes<S, W> {
+    #[inline(always)]
+    fn load(row: &[S::Real]) -> Self {
+        let plane = |k: usize| row[k * W..][..W].try_into().expect("plane of W lanes");
+        Self {
+            re: plane(0),
+            im: if S::is_complex() {
+                plane(1)
+            } else {
+                [S::Real::zero(); W]
+            },
+        }
+    }
+
+    #[inline(always)]
+    fn store(self, row: &mut [S::Real]) {
+        row[..W].copy_from_slice(&self.re);
+        if S::is_complex() {
+            row[W..][..W].copy_from_slice(&self.im);
+        }
+    }
+
+    /// `self − a·b` in every lane, rounded as `a * b` followed by `-=`
+    /// rounds on `S`: the four products, the difference and the sum of
+    /// `Complex::mul` in its operand order, then the subtraction per part.
+    #[inline(always)]
+    fn sub_mul(self, a: S, b: &Self) -> Self {
+        let (ar, ai) = (a.re(), a.im());
+        let mut out = self;
+        for c in 0..W {
+            if S::is_complex() {
+                out.re[c] = self.re[c] - (ar * b.re[c] - ai * b.im[c]);
+                out.im[c] = self.im[c] - (ar * b.im[c] + ai * b.re[c]);
+            } else {
+                out.re[c] = self.re[c] - ar * b.re[c];
+            }
+        }
+        out
+    }
+
+    /// `self·d` in every lane, rounded as `self * d` rounds on `S`.
+    #[inline(always)]
+    fn mul(self, d: S) -> Self {
+        let (dr, di) = (d.re(), d.im());
+        let mut out = self;
+        for c in 0..W {
+            if S::is_complex() {
+                out.re[c] = self.re[c] * dr - self.im[c] * di;
+                out.im[c] = self.re[c] * di + self.im[c] * dr;
+            } else {
+                out.re[c] = self.re[c] * dr;
+            }
+        }
+        out
+    }
+
+    /// Whether lane `c` holds a nonzero scalar (a zero of either sign in
+    /// every part is not).
+    #[inline(always)]
+    fn nonzero(&self, c: usize) -> bool {
+        let zero = S::Real::zero();
+        self.re[c] != zero || (S::is_complex() && self.im[c] != zero)
+    }
+
+    /// Lane by lane, `self` where `keep` is zero and `other` elsewhere.
+    #[inline(always)]
+    fn where_zero(self, keep: &Self, other: Self) -> Self {
+        let mut out = self;
+        for c in 0..W {
+            if keep.nonzero(c) {
+                out.re[c] = other.re[c];
+                out.im[c] = other.im[c];
+            }
+        }
+        out
     }
 }
 
@@ -271,63 +455,80 @@ impl<S: Scalar> BandLu<S> {
     /// single right-hand side is the plain vector). Each column sees the
     /// same operations in the same order whichever tile width carries it.
     pub fn solve_packed(&self, b: &mut [S]) {
-        for (_, w, tile) in tiles_mut(b, self.n) {
-            match w {
-                8 => self.solve_tile::<8>(tile),
-                4 => self.solve_tile::<4>(tile),
-                2 => self.solve_tile::<2>(tile),
-                _ => self.solve_tile::<1>(tile),
-            }
+        if b.len() == self.n && !S::is_complex() {
+            // One real column has no lanes to fill: its backward sweep is a
+            // single scalar dependency chain, and 256-bit work in the
+            // forward sweep only slows the clock under it (3 % slower
+            // measured on `f64`; a complex column is 8 % faster wide).
+            return Solve(self, b).body();
         }
+        run(Solve(self, b))
     }
 
-    /// Forward and backward substitution on one row-major `n × W` tile.
-    fn solve_tile<const W: usize>(&self, x: &mut [S]) {
+    /// Forward and backward substitution on the planes of one `n × W` tile.
+    #[inline(always)]
+    fn solve_tile<const W: usize>(&self, x: &mut [S::Real]) {
         let n = self.n;
+        let rw = W * S::real_words();
         // Forward: row interchanges, then an axpy per column of L.
         for j in 0..n {
             let pvt = self.ipiv[j];
             if pvt != j {
-                let (head, tail) = x.split_at_mut(pvt * W);
-                head[j * W..][..W].swap_with_slice(&mut tail[..W]);
+                let (head, tail) = x.split_at_mut(pvt * rw);
+                head[j * rw..][..rw].swap_with_slice(&mut tail[..rw]);
             }
             let l = &self.lval[self.lptr[j]..self.lptr[j + 1]];
-            let (head, tail) = x.split_at_mut((j + 1) * W);
-            let bj: [S; W] = (&head[j * W..]).try_into().expect("row of W entries");
-            let rows = tail.chunks_exact_mut(W);
-            if bj.iter().all(|&v| v != S::zero()) {
-                for (&lv, row) in l.iter().zip(rows) {
-                    for (r, &bv) in row.iter_mut().zip(&bj) {
-                        *r -= lv * bv;
-                    }
+            let (head, tail) = x.split_at_mut((j + 1) * rw);
+            let bj = Lanes::<S, W>::load(&head[j * rw..]);
+            let dense = (0..W).all(|c| bj.nonzero(c));
+            for (&lv, row) in l.iter().zip(tail.chunks_exact_mut(rw)) {
+                if W > 1 {
+                    // With the lanes unrolled the loop vectoriser would
+                    // rather vectorise across rows, gathering lane `c` of
+                    // several rows at stride `rw` (twice the time per
+                    // entry). The barrier keeps it out of this loop and
+                    // leaves the lanes to the straight-line vectoriser; at
+                    // `W = 1` the loop runs down the contiguous column of
+                    // L and is the vectoriser's to take.
+                    std::hint::black_box(());
                 }
-            } else {
+                let r = Lanes::<S, W>::load(row);
                 // A zero entry skips its column's update: that keeps the
                 // signed zeros and non-finite multipliers of the
                 // column-at-a-time recurrence.
-                for (&lv, row) in l.iter().zip(rows) {
-                    for (r, &bv) in row.iter_mut().zip(&bj) {
-                        if bv != S::zero() {
-                            *r -= lv * bv;
-                        }
-                    }
-                }
+                let next = r.sub_mul(lv, &bj);
+                if dense { next } else { r.where_zero(&bj, next) }.store(row);
             }
         }
         // Backward: a dot product per row of U, columns ascending.
         for j in (0..n).rev() {
             let u = &self.uval[self.uptr[j]..self.uptr[j + 1]];
-            let (head, tail) = x.split_at_mut((j + 1) * W);
-            let xj = &mut head[j * W..];
-            let mut acc: [S; W] = (&*xj).try_into().expect("row of W entries");
-            for (&uv, row) in u.iter().zip(tail.chunks_exact(W)) {
-                for (a, &xv) in acc.iter_mut().zip(row) {
-                    *a -= uv * xv;
-                }
+            let (head, tail) = x.split_at_mut((j + 1) * rw);
+            let xj = &mut head[j * rw..];
+            let mut acc = Lanes::<S, W>::load(xj);
+            for (&uv, row) in u.iter().zip(tail.chunks_exact(rw)) {
+                acc = acc.sub_mul(uv, &Lanes::load(row));
             }
-            let dinv = self.dinv[j];
-            for (x, &a) in xj.iter_mut().zip(&acc) {
-                *x = a * dinv;
+            acc.mul(self.dinv[j]).store(xj);
+        }
+    }
+}
+
+/// [`BandLu::solve_packed`]: every tile of the block, widest first.
+struct Solve<'a, S>(&'a BandLu<S>, &'a mut [S]);
+
+impl<S: Scalar> Kernel for Solve<'_, S> {
+    type Out = ();
+
+    #[inline(always)]
+    fn body(self) {
+        let Solve(lu, b) = self;
+        for (_, w, tile) in tiles_mut(b, lu.n) {
+            match w {
+                8 => lu.solve_tile::<8>(tile),
+                4 => lu.solve_tile::<4>(tile),
+                2 => lu.solve_tile::<2>(tile),
+                _ => lu.solve_tile::<1>(tile),
             }
         }
     }
@@ -340,9 +541,10 @@ mod tests {
     use kryst_rt::rng::Rng64;
     use kryst_scalar::{C32, C64};
 
-    /// The column-at-a-time recurrence on the full fill-padded band (`m`
-    /// already factored in place): the reference the packed kernel must
-    /// reproduce bit for bit.
+    /// The column-at-a-time recurrence on the fill-padded band (`m` already
+    /// factored in place), each column of `L` and row of `U` read up to its
+    /// last nonzero as the compacted factor stores them: the reference the
+    /// packed kernel must reproduce bit for bit.
     fn solve_one<S: Scalar>(m: &BandMat<S>, ipiv: &[usize], b: &mut [S]) {
         let n = m.n;
         for j in 0..n {
@@ -351,13 +553,15 @@ mod tests {
             if bj == S::zero() {
                 continue;
             }
-            for t in 1..=m.kl.min(n - 1 - j) {
+            let len = trimmed_len((1..m.kl.min(n - 1 - j) + 1).map(|t| m.get(j + t, j)));
+            for t in 1..=len {
                 b[j + t] -= m.get(j + t, j) * bj;
             }
         }
         for j in (0..n).rev() {
             let mut acc = b[j];
-            for k in j + 1..=(j + m.kl + m.ku).min(n - 1) {
+            let len = trimmed_len((j + 1..(j + m.kl + m.ku).min(n - 1) + 1).map(|k| m.get(j, k)));
+            for k in j + 1..=j + len {
                 acc -= m.get(j, k) * b[k];
             }
             b[j] = acc * (S::one() / m.get(j, j));
@@ -383,34 +587,83 @@ mod tests {
         (v.re().to_f64().to_bits(), v.im().to_f64().to_bits())
     }
 
-    /// Pack column-major `cols` (`n × p`), solve, and return the solution
-    /// column-major again.
-    fn solve_columns<S: Scalar>(f: &BandLu<S>, cols: &[S], p: usize) -> Vec<S> {
+    type SolveFn<S> = fn(&BandLu<S>, &mut [S]);
+    type FactorFn<S> = fn(&mut BandMat<S>) -> Option<Vec<usize>>;
+
+    /// Both compiled variants of the two kernels, where the second exists.
+    fn variants<S: Scalar>() -> Vec<(FactorFn<S>, SolveFn<S>)> {
+        let mut v: Vec<(FactorFn<S>, SolveFn<S>)> =
+            vec![(|m| Factor(m).body(), |f, b| Solve(f, b).body())];
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 was detected on the line above.
+            v.push((
+                |m| unsafe { run_avx2(Factor(m)) },
+                |f, b| unsafe { run_avx2(Solve(f, b)) },
+            ));
+        }
+        v
+    }
+
+    /// Pack column-major `cols` (`n × p`), solve with `solve`, and return
+    /// the solution column-major again.
+    fn solve_columns<S: Scalar>(f: &BandLu<S>, solve: SolveFn<S>, cols: &[S], p: usize) -> Vec<S> {
         let n = f.n();
+        let rows: Vec<usize> = (0..n).collect();
         let mut packed = vec![S::zero(); n * p];
-        pack(&mut packed, n, |k, c| cols[c * n + k]);
-        f.solve_packed(&mut packed);
+        pack(&mut packed, &rows, cols, n, |v| v);
+        solve(f, &mut packed);
         let mut out = vec![S::zero(); n * p];
-        unpack(&packed, n, |k, c, v| out[c * n + k] = v);
+        unpack(&packed, &rows, &mut out, n, |_| |o, v| *o = v);
         out
     }
 
-    /// Random banded matrices whose zero diagonals force row interchanges,
-    /// right-hand sides with exact zeros (and one all-zero column): every
-    /// column of every block width must equal the band recurrence bitwise.
+    /// Every column of every block width, through both compiled bodies,
+    /// against `expect` (column-major, 17 columns): the same bits, or with
+    /// `nan_ok` a NaN where the reference has one (which NaN an operation
+    /// returns is not pinned down).
+    fn check_widths<S: Scalar>(f: &BandLu<S>, cols: &[S], expect: &[S], nan_ok: bool, what: &str) {
+        let n = f.n();
+        let same = |g: S::Real, e: S::Real| {
+            g.to_f64().to_bits() == e.to_f64().to_bits()
+                || (nan_ok && g.to_f64().is_nan() && e.to_f64().is_nan())
+        };
+        for (body, &(_, solve)) in variants::<S>().iter().enumerate() {
+            for p in [1, 2, 3, 4, 7, 8, 9, 17] {
+                let got = solve_columns(f, solve, &cols[..n * p], p);
+                for (k, (&g, &e)) in got.iter().zip(expect).enumerate() {
+                    assert!(
+                        same(g.re(), e.re()) && same(g.im(), e.im()),
+                        "{what} body {body} n={n} p={p} column {} row {}: {:?} vs {:?}",
+                        k / n,
+                        k % n,
+                        bits(g),
+                        bits(e)
+                    );
+                }
+            }
+        }
+    }
+
+    /// Random banded matrices whose zero diagonals force row interchanges
+    /// (and whose profiles trim where the band is wider than the entries),
+    /// right-hand sides with exact zeros of both signs, one all-zero and one
+    /// all-negative-zero column: every column of every block width must
+    /// equal the band recurrence bitwise — also with non-finite multipliers
+    /// planted in `L`, which a zero lane must skip.
     fn packed_matches_recurrence<S: Scalar>(seed: u64) {
         let mut rng = Rng64::seed_from_u64(seed);
-        let (kl, ku) = (3usize, 2usize);
-        let bw = kl.max(ku);
-        let (mut factored, mut pivoted) = (0, false);
-        for (kl, ku) in [(kl, ku), (0, 2), (2, 0), (1, 4)] {
-            for n in [1, 2, bw, bw + 1, 40] {
+        let (mut factored, mut pivoted, mut trimmed, mut poisoned) = (0, false, false, 0);
+        // `(kl, ku, stored)`: entries further than `stored` from the
+        // diagonal are zero, so the factors' profiles end inside the band.
+        for (kl, ku, stored) in [(3, 2, 3), (0, 2, 2), (2, 0, 2), (1, 4, 4), (4, 5, 1)] {
+            for n in [1, 2, 3, 4, 40] {
                 let vals: Vec<S> = (0..n * n)
                     .map(|_| S::from_parts(rng.gen_range(-1.0, 1.0), rng.gen_range(-1.0, 1.0)))
                     .collect();
                 // With kl = 0 there is no row to pivot to: keep the diagonal.
                 let entry = |i: usize, j: usize| {
-                    if i == j && kl > 0 && i % 3 != 2 && i + 1 < n {
+                    if (i == j && kl > 0 && i % 3 != 2 && i + 1 < n) || i.abs_diff(j) > stored {
                         S::zero()
                     } else {
                         vals[i * n + j]
@@ -420,38 +673,51 @@ mod tests {
                 let Some(ipiv) = reference.factor_in_place() else {
                     continue;
                 };
-                let f = BandLu::factor(band_from(n, kl, ku, entry)).expect("same pivots");
+                let mut f = BandLu::factor(band_from(n, kl, ku, entry)).expect("same pivots");
                 factored += 1;
                 pivoted |= ipiv.iter().enumerate().any(|(j, &pj)| pj != j);
+                trimmed |= f.lval.len() < (0..n).map(|j| kl.min(n - 1 - j)).sum();
                 let max_p = 17;
                 let cols: Vec<S> = (0..n * max_p)
-                    .map(|k| {
-                        if k % 5 == 3 || k / n == 6 {
-                            S::zero()
-                        } else {
-                            S::from_parts(rng.gen_range(-1.0, 1.0), rng.gen_range(-1.0, 1.0))
-                        }
+                    .map(|k| match (k / n, k % 5) {
+                        (6, _) | (_, 3) => S::zero(),
+                        (4, r) => S::from_parts(-0.0, if r % 2 == 0 { -0.0 } else { 0.0 }),
+                        (_, 1) if k % 3 == 0 => S::from_parts(-0.0, -0.0),
+                        _ => S::from_parts(rng.gen_range(-1.0, 1.0), rng.gen_range(-1.0, 1.0)),
                     })
                     .collect();
-                let mut expect = cols.clone();
-                for col in expect.chunks_exact_mut(n) {
-                    solve_one(&reference, &ipiv, col);
-                }
-                for p in [1, 2, 3, 7, 8, 9, 17] {
-                    let got = solve_columns(&f, &cols[..n * p], p);
-                    for (k, (&g, &e)) in got.iter().zip(&expect).enumerate() {
-                        assert_eq!(
-                            bits(g),
-                            bits(e),
-                            "kl={kl} ku={ku} n={n} p={p} column {} row {}",
-                            k / n,
-                            k % n
-                        );
+                let reference_solve = |reference: &BandMat<S>| {
+                    let mut expect = cols.clone();
+                    for col in expect.chunks_exact_mut(n) {
+                        solve_one(reference, &ipiv, col);
+                    }
+                    expect
+                };
+                let what = format!("kl={kl} ku={ku} stored={stored}");
+                check_widths(&f, &cols, &reference_solve(&reference), false, &what);
+
+                // Plant an infinity and a NaN in stored entries of L.
+                let bad = [f64::INFINITY, f64::NAN].map(|v| S::from_parts(v, -v));
+                for (j, v) in [(0, bad[0]), (n / 2, bad[1])] {
+                    if f.lptr[j + 1] > f.lptr[j] {
+                        f.lval[f.lptr[j]] = v;
+                        reference.set(j + 1, j, v);
+                        poisoned += 1;
                     }
                 }
+                let expect = reference_solve(&reference);
+                // The zero columns never meet a multiplier.
+                for c in [4, 6] {
+                    assert!(expect[c * n..(c + 1) * n].iter().all(|v| v.is_finite()));
+                }
+                check_widths(&f, &cols, &expect, true, &format!("{what} poisoned"));
             }
         }
-        assert!(factored >= 15 && pivoted, "{factored} cases factored");
+        assert!(
+            factored >= 18 && pivoted && trimmed,
+            "{factored} cases factored"
+        );
+        assert!(poisoned >= 10, "{poisoned} multipliers replaced");
     }
 
     #[test]
@@ -460,6 +726,92 @@ mod tests {
         packed_matches_recurrence::<C64>(12);
         packed_matches_recurrence::<f32>(13);
         packed_matches_recurrence::<C32>(14);
+    }
+
+    /// `unpack ∘ pack` is the identity through every tile shape, the packed
+    /// rows follow `rows`, and a single column is stored as the plain vector.
+    fn pack_round_trips<S: Scalar>() {
+        for n in [1usize, 2, 5, 11] {
+            // A permutation (3 is coprime to every `n` here), so the scatter
+            // hits every row once; the columns are two rows longer.
+            let rows: Vec<usize> = (0..n).map(|k| (k * 3 + 1) % n).collect();
+            let ld = n + 2;
+            for p in 0..20 {
+                let src: Vec<S> = (0..ld * p)
+                    .map(|k| S::from_parts(k as f64 + 0.5, -(k as f64) - 0.25))
+                    .collect();
+                let mut block = vec![S::zero(); n * p];
+                pack(&mut block, &rows, &src, ld, |v| v);
+                if p == 1 {
+                    let plain: Vec<S> = rows.iter().map(|&g| src[g]).collect();
+                    assert_eq!(block, plain);
+                }
+                let mut dst = vec![S::zero(); ld * p];
+                let mut seen = 0;
+                unpack(&block, &rows, &mut dst, ld, |k| {
+                    seen += 1;
+                    assert!(k < n);
+                    |d, v| *d = v
+                });
+                assert_eq!(seen, n * tiles(p).count());
+                for c in 0..p {
+                    for g in 0..ld {
+                        let want = if rows.contains(&g) {
+                            src[c * ld + g]
+                        } else {
+                            S::zero()
+                        };
+                        assert_eq!(dst[c * ld + g], want, "n={n} p={p} ({g},{c})");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pack_then_unpack_is_the_identity() {
+        pack_round_trips::<f64>();
+        pack_round_trips::<C64>();
+        pack_round_trips::<f32>();
+        pack_round_trips::<C32>();
+    }
+
+    /// Both compiled bodies of the factorization leave the same band and
+    /// the same pivots, bit for bit, on matrices that need interchanges.
+    fn factor_bodies_agree<S: Scalar>(seed: u64) {
+        let mut rng = Rng64::seed_from_u64(seed);
+        for (n, kl, ku) in [(1, 0, 0), (7, 2, 1), (40, 5, 3), (33, 1, 6)] {
+            let vals: Vec<S> = (0..n * n)
+                .map(|_| S::from_parts(rng.gen_range(-1.0, 1.0), rng.gen_range(-1.0, 1.0)))
+                .collect();
+            let entry = |i: usize, j: usize| {
+                if i == j && kl > 0 && i % 2 != 1 && i + 1 < n {
+                    S::zero()
+                } else {
+                    vals[i * n + j]
+                }
+            };
+            let results: Vec<_> = variants::<S>()
+                .iter()
+                .map(|&(factor, _)| {
+                    let mut m = band_from(n, kl, ku, entry);
+                    let ipiv = factor(&mut m);
+                    (ipiv, m.ab.iter().map(|&v| bits(v)).collect::<Vec<_>>())
+                })
+                .collect();
+            assert!(results[0].0.is_some(), "n={n} kl={kl} ku={ku} factors");
+            for r in &results[1..] {
+                assert_eq!(r, &results[0], "n={n} kl={kl} ku={ku}");
+            }
+        }
+    }
+
+    #[test]
+    fn factor_bodies_agree_bitwise() {
+        factor_bodies_agree::<f64>(21);
+        factor_bodies_agree::<C64>(22);
+        factor_bodies_agree::<f32>(23);
+        factor_bodies_agree::<C32>(24);
     }
 
     #[test]

@@ -99,14 +99,14 @@ impl<S: Scalar> SparseDirect<S> {
         }
         let group = tile.max(1);
         let (x, packed) = (b.as_mut_slice(), scratch.as_mut_slice());
-        for (g, cols) in packed.chunks_mut(n * group).enumerate() {
-            pack(cols, n, |k, c| x[(g * group + c) * n + self.perm[k]]);
+        for (cols, from) in packed.chunks_mut(n * group).zip(x.chunks(n * group)) {
+            pack(cols, &self.perm, from, n, |v| v);
         }
         for_each_chunk_mut(packed, n * group, threads, |_, cols| {
             self.lu.solve_packed(cols)
         });
-        for (g, cols) in packed.chunks(n * group).enumerate() {
-            unpack(cols, n, |k, c, v| x[(g * group + c) * n + self.perm[k]] = v);
+        for (cols, to) in packed.chunks(n * group).zip(x.chunks_mut(n * group)) {
+            unpack(cols, &self.perm, to, n, |_| |x, v| *x = v);
         }
     }
 }
