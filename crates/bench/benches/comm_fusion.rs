@@ -1,18 +1,15 @@
 //! Communication-fusion benchmarks: the fused one-reduction
-//! orthogonalization step against the classic CGS2/CholQR step, and the
-//! end-to-end solver wall time on both paths.
+//! orthogonalization step at GCRO-DR depth, and the end-to-end solver wall
+//! time on top of it.
 //!
-//! The latency win of the fused path is a *distributed* effect (fewer
-//! synchronizations), modeled deterministically in `tests/comm_model.rs`.
-//! What a single node can measure — and what this bench shows — is that
-//! fusing the projection, the Gram product, and the CholQR downdate into one
-//! sweep is also no slower in raw arithmetic: one fused pass reads `V` once
-//! where the classic step reads it three times.
+//! The fused step does the projection, the Gram product, and the CholQR
+//! downdate in one sweep over `V`; its latency win is a *distributed*
+//! effect (one synchronization per pass, §III-D).
 
 use kryst_bench::harness::Criterion;
 use kryst_bench::{criterion_group, criterion_main};
-use kryst_core::{gmres, OrthPath, SolveOpts};
-use kryst_dense::gs::{fused_orthogonalize_block, orthogonalize_block, OrthScheme};
+use kryst_core::{gmres, SolveOpts};
+use kryst_dense::gs::fused_orthogonalize_block;
 use kryst_dense::DMat;
 use kryst_par::IdentityPrecond;
 use kryst_sparse::{Coo, Csr};
@@ -47,8 +44,7 @@ fn bench_comm_fusion(c: &mut Criterion) {
     // One deep-basis orthogonalization step at GCRO-DR shape: n = 50000,
     // 30 basis columns, single new vector. The fused step does the
     // projection + Gram in one sweep and gets its R factor from the
-    // downdate; the classic CholQR step runs two projection passes and a
-    // fresh Gram product.
+    // downdate.
     let n = 50_000;
     let m = 30;
     // Orthonormal-ish basis: disjoint normalized index blocks, plus a dense
@@ -62,12 +58,6 @@ fn bench_comm_fusion(c: &mut Criterion) {
     }
     let w0 = DMat::from_fn(n, 1, |i, _| (((i * 13 + 5) % 101) as f64 - 50.0) / 50.0);
 
-    c.bench_function("orth_classic_50000x30", |bch| {
-        bch.iter(|| {
-            let mut w = w0.clone();
-            orthogonalize_block(&v, m, &mut w, OrthScheme::CholQr)
-        });
-    });
     c.bench_function("orth_fused_50000x30", |bch| {
         bch.iter(|| {
             let mut w = w0.clone();
@@ -76,30 +66,23 @@ fn bench_comm_fusion(c: &mut Criterion) {
     });
 
     // End-to-end GMRES(30) on the convection–diffusion problem of the
-    // modeled fig. 7 demo: same iteration trajectory on both paths, so the
-    // wall-time difference is purely the orthogonalization kernels.
+    // modeled fig. 7 demo.
     let a = convdiff2d(32, 0.001, 1.0, 0.3);
     let an = a.nrows();
     let id = IdentityPrecond::new(an);
     let b = DMat::from_fn(an, 1, |i, _| ((i % 7) as f64) - 3.0);
-    for (name, path) in [
-        ("gmres30_convdiff32_classic", OrthPath::Classic),
-        ("gmres30_convdiff32_fused", OrthPath::Fused),
-    ] {
-        c.bench_function(name, |bch| {
-            bch.iter(|| {
-                let opts = SolveOpts {
-                    rtol: 1e-8,
-                    restart: 30,
-                    max_iters: 1000,
-                    ortho: path,
-                    ..Default::default()
-                };
-                let mut x = DMat::zeros(an, 1);
-                gmres::solve(&a, &id, &b, &mut x, &opts)
-            });
+    c.bench_function("gmres30_convdiff32_fused", |bch| {
+        bch.iter(|| {
+            let opts = SolveOpts {
+                rtol: 1e-8,
+                restart: 30,
+                max_iters: 1000,
+                ..Default::default()
+            };
+            let mut x = DMat::zeros(an, 1);
+            gmres::solve(&a, &id, &b, &mut x, &opts)
         });
-    }
+    });
 }
 
 criterion_group! {

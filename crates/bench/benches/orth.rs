@@ -1,12 +1,13 @@
 //! Block orthogonalization backends (CholQR vs CGS vs MGS vs IMGS vs TSQR)
-//! — the §III-A choice.
+//! — the §III-A choice. CholQR and CGS run the fused step, MGS and IMGS the
+//! per-column sweep, as in the Arnoldi cycle.
 
 use kryst_bench::harness::{BenchmarkId, Criterion};
 use kryst_bench::{criterion_group, criterion_main};
 use kryst_dense::fused::{
     fused_accumulate, fused_adjoint_times, fused_gram, fused_update, fused_update_gram, ColsRef,
 };
-use kryst_dense::gs::{fused_orthogonalize_block, orthogonalize_block, OrthScheme};
+use kryst_dense::gs::{fused_orthogonalize_block, mgs_orthogonalize, OrthScheme};
 use kryst_dense::{blas, chol, tsqr, DMat, Scalar, C64};
 
 fn basis(n: usize, k: usize) -> DMat<f64> {
@@ -32,7 +33,17 @@ fn bench_orth(c: &mut Criterion) {
             |bch, &scheme| {
                 bch.iter(|| {
                     let mut w = w0.clone();
-                    orthogonalize_block(&v, 20, &mut w, scheme)
+                    match scheme {
+                        OrthScheme::Cgs | OrthScheme::CholQr => {
+                            let reorth = scheme == OrthScheme::Cgs;
+                            fused_orthogonalize_block(None, &v, 20, &mut w, reorth, f64::EPSILON)
+                                .rank
+                        }
+                        OrthScheme::Mgs | OrthScheme::Imgs => {
+                            let iterated = scheme == OrthScheme::Imgs;
+                            mgs_orthogonalize(ColsRef::whole(&v), &mut w, iterated).rank
+                        }
+                    }
                 });
             },
         );

@@ -19,7 +19,7 @@
 //! With no mode argument it runs `demo` then `report` on
 //! `target/kryst-prof` (or the directory given as the only argument).
 
-use kryst_core::{gcrodr, gmres, OrthPath, SolveOpts, SolverContext};
+use kryst_core::{gcrodr, gmres, SolveOpts, SolverContext};
 use kryst_dense::DMat;
 use kryst_obs::json::JsonValue;
 use kryst_obs::{JsonlRecorder, MetricsRegistry, ProfileSnapshot, Profiler, Recorder};
@@ -39,16 +39,9 @@ use std::sync::Arc;
 
 const RANKS: [usize; 5] = [512, 1024, 2048, 4096, 8192];
 const DEMO_RANKS: usize = 8;
-/// Unknowns of the demo operator (`convdiff2d(32, …)`).
-const DEMO_N: usize = 32 * 32;
-/// Extrapolation target for the latency-hiding section: per-unknown local
-/// work from the demo run scaled up to a paper-scale (Fig. 7) problem, so
-/// the model answers "how much reduction latency would the lagged apply
-/// hide at machine scale" rather than on the laptop-sized demo operator.
-const PAPER_N: usize = 100_000_000;
 
 /// The Fig. 7 benchmark operator: 2-D convection–diffusion, first-order
-/// upwind convection (same builder as `tests/comm_model.rs`).
+/// upwind convection.
 fn convdiff2d(nx: usize, eps: f64, bx: f64, by: f64) -> Csr<f64> {
     let n = nx * nx;
     let h = 1.0 / (nx as f64 + 1.0);
@@ -150,7 +143,7 @@ fn demo(dir: &Path) {
     let prof = Profiler::global();
     prof.set_enabled(true);
 
-    let run = |label: &str, recycle: usize, ortho: OrthPath| {
+    let run = |label: &str, recycle: usize| {
         let stats = CommStats::new_shared();
         let dist = DistOp::new(a.clone(), DEMO_RANKS, Arc::clone(&stats));
         let trace = dir.join(format!("{label}.jsonl"));
@@ -161,7 +154,6 @@ fn demo(dir: &Path) {
             restart: 30,
             recycle,
             max_iters: 5000,
-            ortho,
             stats: Some(Arc::clone(&stats)),
             recorder: Some(Arc::new(rec) as Arc<dyn Recorder>),
             ..Default::default()
@@ -200,14 +192,8 @@ fn demo(dir: &Path) {
         publish_imbalance(reg, label, &per_rank_comm(&plan, &snap, DEMO_RANKS));
         eprintln!("  [demo] {label}: {iters} iterations");
     };
-    // One leg per path, so the report can print classic-vs-fused-vs-
-    // pipelined curves from one demo run; the base labels are the fused
-    // default.
-    run("gmres30_ilu0", 0, OrthPath::Fused);
-    run("gmres30_ilu0_classic", 0, OrthPath::Classic);
-    run("gmres30_ilu0_pipelined", 0, OrthPath::Pipelined);
-    run("gcrodr30_10_ilu0", 10, OrthPath::Fused);
-    run("gcrodr30_10_ilu0_pipelined", 10, OrthPath::Pipelined);
+    run("gmres30_ilu0", 0);
+    run("gcrodr30_10_ilu0", 10);
     amg_demo(dir, reg);
     transport_demo(dir, &a, reg);
     trace_demo(dir, reg);
@@ -626,71 +612,6 @@ fn report_coarse_agglom(dir: &Path, model: &CostModel) {
     println!();
 }
 
-/// The latency-hiding section: per-iteration *exposed* reduction time for
-/// each orthogonalization path, with the local work extrapolated from the
-/// demo problem to [`PAPER_N`] unknowns (reduction counts per iteration are
-/// problem-size independent; the compute that hides them is not).
-fn report_latency_hiding(dir: &Path, model: &CostModel) {
-    let load = |label: &str| -> Option<(CommSnapshot, usize)> {
-        let comm = std::fs::read_to_string(dir.join(format!("{label}.comm.json")))
-            .ok()
-            .and_then(|t| comm_from_json(&t))?;
-        let iters = iterations_in_trace(&dir.join(format!("{label}.jsonl")));
-        (iters > 0).then_some((comm, iters))
-    };
-    let scale = (PAPER_N / DEMO_N).max(1) as u64;
-    let scaled = |s: &CommSnapshot| CommSnapshot {
-        flops: s.flops.saturating_mul(scale),
-        overlap_flops: s.overlap_flops.saturating_mul(scale),
-        reduction_overlap_flops: s.reduction_overlap_flops.saturating_mul(scale),
-        ..*s
-    };
-    for base in ["gmres30_ilu0", "gcrodr30_10_ilu0"] {
-        let Some((pipe, pipe_iters)) = load(&format!("{base}_pipelined")) else {
-            continue;
-        };
-        let Some((fused, fused_iters)) = load(base) else {
-            continue;
-        };
-        let classic = load(&format!("{base}_classic"));
-        println!(
-            "latency hiding, {base} (exposed reduction per iteration, \
-             local work extrapolated to N = {PAPER_N}):"
-        );
-        println!(
-            "  {:>6} {:>13} {:>13} {:>13} {:>13} {:>8}",
-            "P", "classic_s", "fused_s", "pipelined_s", "hidden_s", "cut"
-        );
-        let mut cut_at_max = 0.0;
-        for &p in &RANKS {
-            let tf = model.time(&scaled(&fused), p);
-            let tp = model.time(&scaled(&pipe), p);
-            let red_f = tf.reduction / fused_iters as f64;
-            let red_p = tp.reduction / pipe_iters as f64;
-            let hidden = tp.reduction_hidden / pipe_iters as f64;
-            let classic_s = classic
-                .as_ref()
-                .map(|(c, ci)| {
-                    format!(
-                        "{:>13.3e}",
-                        model.time(&scaled(c), p).reduction / *ci as f64
-                    )
-                })
-                .unwrap_or_else(|| format!("{:>13}", "-"));
-            let cut = red_f / red_p.max(f64::MIN_POSITIVE);
-            cut_at_max = cut;
-            println!(
-                "  {p:>6} {classic_s} {red_f:>13.3e} {red_p:>13.3e} {hidden:>13.3e} {cut:>7.2}x"
-            );
-        }
-        println!(
-            "  exposed reduction cut at P={}: {cut_at_max:.2}x vs fused",
-            RANKS[RANKS.len() - 1]
-        );
-        println!();
-    }
-}
-
 /// Count iteration events in a JSONL trace.
 fn iterations_in_trace(path: &Path) -> usize {
     let Ok(text) = std::fs::read_to_string(path) else {
@@ -737,7 +658,6 @@ fn report(dir: &Path) -> bool {
         print!("{}", rep.to_text());
         println!();
     }
-    report_latency_hiding(dir, &model);
     report_coarse_agglom(dir, &model);
     report_transport(dir);
     report_trace(dir);

@@ -8,13 +8,13 @@
 //! maintains the incremental QR of the raw block Hessenberg so per-RHS
 //! residual estimates are available at every iteration.
 
-use crate::opts::{OrthPath, PrecondSide};
+use crate::opts::PrecondSide;
 use kryst_dense::chol;
 use kryst_dense::fused::{self, ColsRef};
-use kryst_dense::gs::{fused_orthogonalize_cols, orthogonalize_block, OrthScheme};
+use kryst_dense::gs::{fused_orthogonalize_cols, mgs_orthogonalize, OrthScheme};
 use kryst_dense::qr::IncrementalQr;
-use kryst_dense::{blas, tri, DMat};
-use kryst_par::{CommStats, LinOp, PrecondOp, PrecondPrecision};
+use kryst_dense::{blas, DMat};
+use kryst_par::{CommStats, LinOp, PrecondOp};
 use kryst_scalar::{Real, Scalar};
 use kryst_sparse::SpmmWorkspace;
 
@@ -58,23 +58,6 @@ impl<'a, S: Scalar> PrecondMode<'a, S> {
                 z
             }
             _ => r,
-        }
-    }
-
-    /// Whether the preconditioner apply is exact enough for the pipelined
-    /// recurrence. The depth-1 lag reconstructs preconditioned directions by
-    /// a linear recurrence instead of a fresh apply, which assumes `M⁻¹` is
-    /// a *fixed, full-precision* linear operator: variable preconditioners
-    /// (inner Krylov smoothers) change between applies, and f32-storage ones
-    /// round each apply at ≈1e-7 — an error the recurrence compounds every
-    /// step instead of resetting. Both are demoted to the fused synchronous
-    /// path by [`BlockArnoldi::with_path`].
-    pub fn recurrence_safe(&self) -> bool {
-        match self {
-            PrecondMode::None => true,
-            PrecondMode::Left(m) | PrecondMode::Right(m) => {
-                !m.is_variable() && m.precision() == PrecondPrecision::Full
-            }
         }
     }
 
@@ -123,10 +106,6 @@ pub struct CycleBuffers<S: Scalar> {
     qr: IncrementalQr<S>,
     /// Coupling coefficients `E = Cᴴ·A·Z`.
     e: DMat<S>,
-    /// Pipelined path only: raw operator images `U_i = B·V_i` (`B` the
-    /// iteration-space operator, before any recycle projection), one block
-    /// per completed step — the history the depth-1 recurrence draws on.
-    u_hist: DMat<S>,
 }
 
 impl<S: Scalar> Default for CycleBuffers<S> {
@@ -141,7 +120,6 @@ impl<S: Scalar> Default for CycleBuffers<S> {
             hraw: DMat::zeros(0, 0),
             qr: IncrementalQr::new(0, 0),
             e: DMat::zeros(0, 0),
-            u_hist: DMat::zeros(0, 0),
         }
     }
 }
@@ -176,7 +154,7 @@ impl<S: Scalar> CycleBuffers<S> {
     /// Make room for a cycle of `m` blocks of `n × p` and `kc` recycled
     /// columns. Storage of that block shape that holds `m` blocks is kept
     /// as it is (stale contents: every entry is written before it is read).
-    fn ensure(&mut self, n: usize, p: usize, m: usize, kc: usize, right: bool, pipelined: bool) {
+    fn ensure(&mut self, n: usize, p: usize, m: usize, kc: usize, right: bool) {
         if self.shape != (n, p) {
             *self = Self {
                 ws: std::mem::take(&mut self.ws),
@@ -194,9 +172,6 @@ impl<S: Scalar> CycleBuffers<S> {
         if (self.e.nrows(), self.e.ncols()) != (kc, cols) {
             self.e = DMat::zeros(kc, cols);
         }
-        if pipelined && (self.u_hist.nrows(), self.u_hist.ncols()) != (n, cols) {
-            self.u_hist = DMat::zeros(n, cols);
-        }
     }
 
     /// Block `j` of `list` (the basis or the directions), allocated now if
@@ -209,18 +184,14 @@ impl<S: Scalar> CycleBuffers<S> {
     }
 }
 
-/// The columns of `blocks` side by side in `out` (`n × blocks.len()·p`).
-fn gather<S: Scalar>(blocks: &[DMat<S>], out: &mut DMat<S>) {
-    let mut at = 0;
-    for b in blocks {
-        let len = b.as_slice().len();
-        out.as_mut_slice()[at..at + len].copy_from_slice(b.as_slice());
-        at += len;
-    }
-    assert_eq!(at, out.as_slice().len());
-}
-
 /// One restart cycle of the block Arnoldi process.
+///
+/// Every step orthogonalizes one way per [`OrthScheme`]: CGS and CholQR
+/// through the fused low-synchronization step
+/// ([`fused_orthogonalize_cols`]: `CᴴW`, `VᴴW` and `WᴴW` in one reduction
+/// per pass, §III-D); MGS and IMGS project the recycled block off in one
+/// product, then go column by column over the basis blocks in place
+/// ([`mgs_orthogonalize`]).
 pub struct BlockArnoldi<'a, S: Scalar> {
     a: &'a dyn LinOp<S>,
     mode: &'a PrecondMode<'a, S>,
@@ -232,17 +203,16 @@ pub struct BlockArnoldi<'a, S: Scalar> {
     m: usize,
     p: usize,
     orth: OrthScheme,
-    path: OrthPath,
-    /// Running estimate of the basis' mutual orthogonality loss on the fused
-    /// path (units of machine ε); single-pass steps multiply it by the
+    /// Running estimate of the basis' mutual orthogonality loss under the
+    /// fused step (units of machine ε); single-pass steps multiply it by the
     /// square of the step's cancellation amplification, re-orthogonalized
     /// steps hold it.
     fused_loss: f64,
     /// Orthogonalization passes taken by the most recent step (1, or 2 when
-    /// re-orthogonalization triggered; always 1 on the classic path).
+    /// re-orthogonalization triggered; always 1 under MGS/IMGS).
     last_passes: usize,
     /// Cancellation amplification of the most recent step's first pass
-    /// (1.0 on the classic path).
+    /// (1.0 under MGS/IMGS).
     last_amp: f64,
     /// Whether the most recent step needed a rank-revealing CholQR refresh.
     last_refreshed: bool,
@@ -252,24 +222,6 @@ pub struct BlockArnoldi<'a, S: Scalar> {
     /// Numerical rank of the block produced by the most recent [`Self::step`]
     /// (equals the block width while no breakdown occurs).
     pub last_step_rank: usize,
-    /// Pipelined path only: the next step's operator image `W_{j+1} =
-    /// B·V_{j+1}`, reconstructed by the recurrence from the lagged apply —
-    /// `None` after a fallback (the next step re-primes synchronously).
-    w_next: Option<DMat<S>>,
-    /// Pipelined path with right preconditioning: the next step's direction
-    /// `Z_{j+1} = M⁻¹·V_{j+1}`, reconstructed alongside `w_next`.
-    z_next: Option<DMat<S>>,
-    /// Pipelined path with a recycle block: the next step's projection
-    /// coefficients `E_{j+1} = Cᴴ·W_{j+1}`, reconstructed from the lagged
-    /// `Cᴴ·û` reduction (overlapped alongside the Gram reduction) via
-    /// `E_{j+1} = (Cᴴû − E·Sᵥ)·R⁻¹` — the recycle projection then costs no
-    /// synchronous reduction on recurrence steps.
-    e_next: Option<DMat<S>>,
-    /// Steps whose Gram reduction was overlapped with a lagged apply.
-    pipeline_overlapped: usize,
-    /// Steps where the recurrence was abandoned (orthogonality-budget
-    /// refresh or rank deficiency) and the lagged apply discarded.
-    pipeline_fallbacks: usize,
 }
 
 impl<'a, S: Scalar> BlockArnoldi<'a, S> {
@@ -293,7 +245,6 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
             m,
             p,
             orth,
-            path: OrthPath::Classic,
             fused_loss: f64::EPSILON,
             last_passes: 1,
             last_amp: 1.0,
@@ -301,11 +252,6 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
             stats,
             initial_rank: p,
             last_step_rank: p,
-            w_next: None,
-            z_next: None,
-            e_next: None,
-            pipeline_overlapped: 0,
-            pipeline_fallbacks: 0,
         }
     }
 
@@ -313,23 +259,6 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
     /// behind, so restarts allocate nothing.
     pub fn with_buffers(mut self, buf: CycleBuffers<S>) -> Self {
         self.buf = buf;
-        self
-    }
-
-    /// Select the fused (communication-avoiding), classic, or pipelined
-    /// orthogonalization path. Direct constructor callers default to
-    /// [`OrthPath::Classic`] — the pre-fusion behavior; solvers pass their
-    /// `SolveOpts::ortho`. [`OrthPath::Pipelined`] is demoted to
-    /// [`OrthPath::Fused`] when the preconditioner cannot back the
-    /// recurrence ([`PrecondMode::recurrence_safe`]): variable or
-    /// f32-storage applies would have their rounding compounded by the
-    /// lagged reconstruction instead of reset by a fresh apply.
-    pub fn with_path(mut self, path: OrthPath) -> Self {
-        self.path = if path == OrthPath::Pipelined && !self.mode.recurrence_safe() {
-            OrthPath::Fused
-        } else {
-            path
-        };
         self
     }
 
@@ -349,23 +278,14 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
             self.m,
             self.c_proj.map_or(0, |c| c.ncols()),
             matches!(self.mode, PrecondMode::Right(_)),
-            self.path == OrthPath::Pipelined,
         );
         let q = CycleBuffers::block(&mut self.buf.v, self.buf.shape, 0);
         q.copy_from(r0);
-        // On the fused path the breakdown fixup must keep replacement
-        // columns orthogonal to the recycled block C: the fused Gram
-        // downdate of every later step assumes basis ⊥ C. The pipelined
-        // path shares the fixup (its fallback body is the fused one). The
-        // classic path keeps the plain fixup — it re-projects against C
-        // explicitly each step, and its traces must stay bit-identical to
-        // the pre-fusion solver.
+        // The breakdown fixup keeps replacement columns orthogonal to the
+        // recycled block C: the fused Gram downdate of every later step
+        // assumes basis ⊥ C.
         let ext = self.c_proj.map(ColsRef::whole);
-        let ext = if matches!(self.path, OrthPath::Fused | OrthPath::Pipelined) {
-            ext.as_slice()
-        } else {
-            &[]
-        };
+        let ext = ext.as_slice();
         let mut out = chol::cholqr_within(q, ext);
         let mut reductions = 1;
         // CholQR leaves `QᴴQ − I` of the order of ε·κ(R)². A residual block
@@ -389,9 +309,6 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
         self.buf.qr.reset(&out.r);
         self.j = 0;
         self.fused_loss = f64::EPSILON;
-        self.w_next = None;
-        self.z_next = None;
-        self.e_next = None;
     }
 
     /// Number of completed block iterations.
@@ -412,17 +329,6 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
     /// right preconditioner writes `Z_j` into its block of the directions.
     pub fn step(&mut self) -> Vec<f64> {
         assert!(self.can_step());
-        // The depth-1 pipelined path needs a *linear* operator composition:
-        // variable (flexible) right preconditioners invalidate the
-        // recurrence, and the per-column MGS/IMGS schemes have no fused Gram
-        // to overlap — those combinations degrade to the fused/classic body
-        // below, like the fused path itself degrades for MGS/IMGS.
-        if self.path == OrthPath::Pipelined
-            && matches!(self.orth, OrthScheme::Cgs | OrthScheme::CholQr)
-            && !matches!(self.mode, PrecondMode::Right(m) if m.is_variable())
-        {
-            return self.step_pipelined();
-        }
         let j = self.j;
         let p = self.p;
         let buf = &mut self.buf;
@@ -462,12 +368,6 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
         CycleBuffers::block(&mut buf.v, buf.shape, self.j + 1)
             .as_mut_slice()
             .copy_from_slice(image);
-        // What the pipelined path prepared for a step of its own is void.
-        for lagged in [&mut self.w_next, &mut self.z_next, &mut self.e_next] {
-            if let Some(m) = lagged.take() {
-                buf.ws.put(m);
-            }
-        }
         self.orthogonalize_next()
     }
 
@@ -478,12 +378,10 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
         let (built, rest) = buf.v.split_at_mut(j + 1);
         let w = &mut rest[0];
         // Orthogonalize against the recycled block C (if any) and the basis
-        // built so far. The fused path folds both projections and the Gram
-        // matrix into a single reduction per pass (§III-D); the classic path
-        // issues one reduction per projection pass plus one for the QR.
-        let fused_path = matches!(self.path, OrthPath::Fused | OrthPath::Pipelined)
-            && matches!(self.orth, OrthScheme::Cgs | OrthScheme::CholQr);
-        let (coeffs, rfac) = if fused_path {
+        // built so far. CGS/CholQR fold both projections and the Gram matrix
+        // into a single reduction per pass (§III-D); MGS/IMGS reduce once per
+        // basis column.
+        let (coeffs, rfac) = if matches!(self.orth, OrthScheme::Cgs | OrthScheme::CholQr) {
             let out = fused_orthogonalize_cols(
                 self.c_proj,
                 ColsRef::blocks(built),
@@ -520,11 +418,7 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
                 fused::fused_update(&[ColsRef::whole(c)], std::slice::from_ref(&ecol), w);
                 buf.e.set_block(0, j * p, &ecol);
             }
-            // The classic kernels take the basis as one matrix.
-            let mut vcat = buf.ws.take_stale(w.nrows(), (j + 1) * p);
-            gather(built, &mut vcat);
-            let out = orthogonalize_block(&vcat, (j + 1) * p, w, self.orth);
-            buf.ws.put(vcat);
+            let out = mgs_orthogonalize(ColsRef::blocks(built), w, self.orth == OrthScheme::Imgs);
             self.last_step_rank = out.rank;
             self.last_passes = 1;
             self.last_amp = 1.0;
@@ -565,232 +459,13 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
             .collect()
     }
 
-    /// The depth-1 pipelined (Ghysels-style) step. Same mathematics as the
-    /// fused step, reordered to hide the Gram reduction:
-    ///
-    /// 1. `W_j = B·V_j` (`B` the iteration-space operator) comes from the
-    ///    previous step's recurrence when available, else a priming apply.
-    /// 2. The recycle block `C` is projected off using coefficients that are
-    ///    either reconstructed from last step's lagged `Cᴴ·û` reduction
-    ///    (recurrence steps — no synchronous reduction) or computed
-    ///    synchronously (priming steps). The captured `E` is exact either
-    ///    way.
-    /// 3. The Gram reduction for step `j` is *started* (split-phase,
-    ///    modeled), then the operator + preconditioner apply feeding step
-    ///    `j+1` runs on the projected block before it is *finished* — the
-    ///    flops of that lagged apply are what hides the reduction latency.
-    /// 4. After the fused orthogonalization `W̃ = V·Sᵥ + V_{j+1}·R`, the next
-    ///    image is reconstructed without touching the operator again:
-    ///    `W_{j+1} = B·V_{j+1} = (B·W̃ − U·Sᵥ)·R⁻¹` with `U_i = B·V_i` the
-    ///    recorded history (and `Z_{j+1} = (M⁻¹·W̃ − Z·Sᵥ)·R⁻¹` for right
-    ///    preconditioning). When the PR-3 orthogonality budget trips (CholQR
-    ///    refresh) or the block loses rank, the reconstruction is invalid —
-    ///    the lagged apply is discarded and the next step re-primes
-    ///    synchronously.
-    fn step_pipelined(&mut self) -> Vec<f64> {
-        let j = self.j;
-        let p = self.p;
-        let n = self.a.nrows();
-        let sz = std::mem::size_of::<S>();
-        let buf = &mut self.buf;
-        // Solution-space direction Z_j: recurrence result, or M⁻¹·V_j
-        // (right); V_j itself otherwise.
-        if let PrecondMode::Right(m) = self.mode {
-            match (self.z_next.take(), buf.z.get_mut(j)) {
-                (Some(z), Some(slot)) => buf.ws.put(std::mem::replace(slot, z)),
-                (Some(z), None) => buf.z.push(z),
-                (None, _) => m.apply(&buf.v[j], CycleBuffers::block(&mut buf.z, buf.shape, j)),
-            }
-        }
-        let zj = if buf.right { &buf.z[j] } else { &buf.v[j] };
-        // Raw operator image W_j = B·V_j: recurrence result, or priming
-        // synchronous apply (cycle start / after a fallback).
-        let mut w = match self.w_next.take() {
-            Some(w) => w,
-            None => {
-                let mut w = buf.ws.take_stale(n, p);
-                match self.mode {
-                    PrecondMode::Left(m) => {
-                        let mut t = buf.ws.take_stale(n, p);
-                        self.a.apply(zj, &mut t);
-                        m.apply(&t, &mut w);
-                        buf.ws.put(t);
-                    }
-                    _ => self.a.apply(zj, &mut w),
-                }
-                w
-            }
-        };
-        // History for the recurrence: U_j = B·V_j before any projection.
-        buf.u_hist.set_block(0, j * p, &w);
-        // Recycle projection. On recurrence steps the coefficients
-        // `E_j = Cᴴ·W_j` were already reconstructed from last step's lagged
-        // `Cᴴ·û` reduction (overlapped — no synchronous reduction here); a
-        // priming step computes them synchronously, classic-style. Either
-        // way the captured E stays exact and the fused call below runs
-        // without a C block.
-        if let Some(c) = self.c_proj {
-            let ecol = match self.e_next.take() {
-                Some(e) => e,
-                None => {
-                    let ecol = fused::adjoint_times(ColsRef::whole(c), &w);
-                    if let Some(st) = self.stats {
-                        st.record_reduction(std::mem::size_of_val(ecol.as_slice()));
-                    }
-                    ecol
-                }
-            };
-            fused::fused_update(&[ColsRef::whole(c)], std::slice::from_ref(&ecol), &mut w);
-            buf.e.set_block(0, j * p, &ecol);
-        }
-        // Depth-1 lag: apply the operator chain to the projected block NOW —
-        // in a distributed run this work executes between `ireduce_start`
-        // and `ireduce_finish` of the Gram reduction below, so its flops
-        // hide the reduction's latency.
-        let lag = j + 1 < self.m;
-        let lagged = if lag {
-            let _t = kryst_obs::profile(kryst_obs::Phase::ReductionOverlap);
-            let before = self.stats.map(CommStats::snapshot);
-            let pair = match self.mode {
-                PrecondMode::Right(m) => {
-                    let mut t = buf.ws.take_stale(n, p);
-                    m.apply(&w, &mut t);
-                    let mut uhat = buf.ws.take_stale(n, p);
-                    self.a.apply(&t, &mut uhat);
-                    (uhat, Some(t))
-                }
-                PrecondMode::Left(m) => {
-                    let mut t = buf.ws.take_stale(n, p);
-                    self.a.apply(&w, &mut t);
-                    let mut uhat = buf.ws.take_stale(n, p);
-                    m.apply(&t, &mut uhat);
-                    buf.ws.put(t);
-                    (uhat, None)
-                }
-                PrecondMode::None => {
-                    let mut uhat = buf.ws.take_stale(n, p);
-                    self.a.apply(&w, &mut uhat);
-                    (uhat, None)
-                }
-            };
-            // With a recycle block, the next step's projection coefficients
-            // need `Cᴴ·û` — computed here so its reduction is in flight
-            // during the same overlap window as the Gram reduction.
-            let cu = self.c_proj.map(|c| {
-                let cu = fused::adjoint_times(ColsRef::whole(c), &pair.0);
-                if let Some(st) = self.stats {
-                    st.record_overlapped_reduction(1, std::mem::size_of_val(cu.as_slice()));
-                }
-                cu
-            });
-            if let (Some(st), Some(b)) = (self.stats, before) {
-                let d = st.snapshot().since(&b);
-                st.record_reduction_overlap_flops(d.flops as usize);
-            }
-            Some((pair.0, pair.1, cu))
-        } else {
-            None
-        };
-        // Fused orthogonalization against the basis (C already removed).
-        let ncols = (j + 1) * p;
-        let out = fused_orthogonalize_cols(
-            None,
-            ColsRef::blocks(&buf.v[..=j]),
-            &mut w,
-            self.orth == OrthScheme::Cgs,
-            self.fused_loss,
-        );
-        self.last_step_rank = out.rank;
-        self.last_passes = out.passes;
-        self.last_amp = out.amp;
-        self.last_refreshed = out.refreshed;
-        if out.passes == 1 {
-            self.fused_loss *= out.amp * out.amp;
-        }
-        if let Some(st) = self.stats {
-            // Only the first pass is in flight during the lagged apply; a
-            // second pass (or refresh) is decided from the first's result
-            // and stays exposed.
-            let parts1 = 1 + usize::from(ncols > 0);
-            let elems1 = (ncols + p) * p;
-            if lag {
-                st.record_overlapped_reduction(parts1, elems1 * sz);
-                if out.reductions > 1 {
-                    st.record_fused_reductions(
-                        out.reductions - 1,
-                        out.reduction_parts - parts1,
-                        (out.reduction_elems - elems1) * sz,
-                    );
-                }
-            } else {
-                st.record_fused_reductions(
-                    out.reductions,
-                    out.reduction_parts,
-                    out.reduction_elems * sz,
-                );
-            }
-        }
-        // Reconstruct the next step's operator image, unless the budget
-        // tripped: a CholQR refresh rewrites the block outside the recorded
-        // coefficients (and rank-deficient blocks inject replacement
-        // columns), so `W̃ = V·Sᵥ + V_{j+1}·R` no longer holds and the
-        // recurrence must fall back to a synchronous apply.
-        if let Some((mut uhat, t, cu)) = lagged {
-            if !out.refreshed && out.rank == p {
-                let coeffs = std::slice::from_ref(&out.coeffs);
-                fused::fused_update(&[ColsRef::leading(&buf.u_hist, ncols)], coeffs, &mut uhat);
-                tri::right_solve_upper(&mut uhat, &out.r);
-                self.w_next = Some(uhat);
-                if let Some(mut cu) = cu {
-                    // E_{j+1} = (Cᴴû − E·Sᵥ)·R⁻¹: the stored E columns are
-                    // exactly Cᴴ·U, so the projection coefficients follow
-                    // the same recurrence as the operator image.
-                    fused::fused_update(&[ColsRef::leading(&buf.e, ncols)], coeffs, &mut cu);
-                    tri::right_solve_upper(&mut cu, &out.r);
-                    self.e_next = Some(cu);
-                }
-                if let Some(mut t) = t {
-                    fused::fused_update(&[ColsRef::blocks(&buf.z[..=j])], coeffs, &mut t);
-                    tri::right_solve_upper(&mut t, &out.r);
-                    self.z_next = Some(t);
-                }
-                self.pipeline_overlapped += 1;
-            } else {
-                buf.ws.put(uhat);
-                if let Some(t) = t {
-                    buf.ws.put(t);
-                }
-                self.pipeline_fallbacks += 1;
-            }
-        }
-        // The orthonormal block takes its place in the basis; the storage
-        // it displaces goes back to the pool.
-        match buf.v.get_mut(j + 1) {
-            Some(slot) => buf.ws.put(std::mem::replace(slot, w)),
-            None => buf.v.push(w),
-        }
-        self.push_hessenberg_column(&out.coeffs, &out.r)
-    }
-
-    /// Steps whose Gram reduction overlapped a lagged operator apply (the
-    /// pipelined path's hidden-latency count; 0 on the other paths).
-    pub fn pipeline_overlapped_steps(&self) -> usize {
-        self.pipeline_overlapped
-    }
-
-    /// Steps where the pipelined recurrence was abandoned — orthogonality
-    /// budget (refresh) or rank deficiency — and the lagged apply discarded.
-    pub fn pipeline_fallbacks(&self) -> usize {
-        self.pipeline_fallbacks
-    }
-
     /// Least-squares coefficients for the completed iterations.
     pub fn solve_y(&self) -> DMat<S> {
         self.buf.qr.solve_y()
     }
 
-    /// Running orthogonality-loss estimate of the fused path (units of
-    /// machine ε; `ε` while loss-free or on the classic path).
+    /// Running orthogonality-loss estimate of the fused step (units of
+    /// machine ε; `ε` while loss-free or under MGS/IMGS).
     pub fn fused_loss(&self) -> f64 {
         self.fused_loss
     }
@@ -856,8 +531,11 @@ mod tests {
 
     /// The blocks side by side in one matrix.
     fn cat(blocks: &[DMat<f64>]) -> DMat<f64> {
-        let mut out = DMat::zeros(blocks[0].nrows(), blocks.len() * blocks[0].ncols());
-        gather(blocks, &mut out);
+        let p = blocks[0].ncols();
+        let mut out = DMat::zeros(blocks[0].nrows(), blocks.len() * p);
+        for (i, b) in blocks.iter().enumerate() {
+            out.set_block(0, i * p, b);
+        }
         out
     }
 
@@ -966,174 +644,6 @@ mod tests {
             "A·Z ≠ C·E + V·H̄: {}",
             diff.max_abs()
         );
-    }
-
-    #[test]
-    fn pipelined_arnoldi_relation_holds_with_recurrence_active() {
-        // The depth-1 recurrence must reproduce the Arnoldi relation and an
-        // orthonormal basis to solver tolerance, while actually overlapping
-        // steps (not silently falling back every iteration).
-        use kryst_precond::Jacobi;
-        let n = 48;
-        let a = laplace1d(n);
-        let jac = Jacobi::new(&a, 1.0);
-        for (side, p) in [
-            (PrecondSide::Right, 2usize),
-            (PrecondSide::Left, 1),
-            (PrecondSide::Right, 1),
-        ] {
-            let mode = PrecondMode::new(&jac, side);
-            let m = 6;
-            let mut arn = BlockArnoldi::new(&a, &mode, m, p, OrthScheme::CholQr, None, None)
-                .with_path(OrthPath::Pipelined);
-            let r0 = DMat::from_fn(n, p, |i, j| ((i * 3 + j * 7) % 11) as f64 - 5.0);
-            arn.start(&r0);
-            for _ in 0..m {
-                arn.step();
-            }
-            assert!(
-                arn.pipeline_overlapped_steps() >= m - 1,
-                "recurrence never engaged ({side:?})"
-            );
-            // Iteration-space relation: B·Z = V·H̄ with B = A (right: Z holds
-            // M⁻¹V) or B = M⁻¹·A (left: Z holds V).
-            let az = match side {
-                PrecondSide::Left => jac.apply_new(&a.apply(&directions(&arn))),
-                _ => a.apply(&directions(&arn)),
-            };
-            let vh = blas::matmul(&basis(&arn), blas::Op::None, &hbar(&arn), blas::Op::None);
-            let mut diff = az.clone();
-            diff.axpy(-1.0, &vh);
-            assert!(
-                diff.max_abs() < 1e-9,
-                "pipelined Arnoldi relation violated ({side:?}): {}",
-                diff.max_abs()
-            );
-            let g = blas::adjoint_times(&basis(&arn), &basis(&arn));
-            for i in 0..g.nrows() {
-                for j in 0..g.ncols() {
-                    let e = if i == j { 1.0 } else { 0.0 };
-                    assert!(
-                        (g[(i, j)] - e).abs() < 1e-9,
-                        "basis orthonormality lost ({side:?})"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn pipelined_projected_arnoldi_keeps_basis_c_orthogonal() {
-        let n = 30;
-        let a = laplace1d(n);
-        let id = IdentityPrecond::new(n);
-        let mode = PrecondMode::new(&id, PrecondSide::Right);
-        let mut c = DMat::from_fn(n, 2, |i, j| ((i * 7 + j * 3) % 13) as f64 - 6.0);
-        let _ = chol::cholqr(&mut c);
-        let mut arn = BlockArnoldi::new(&a, &mode, 5, 1, OrthScheme::CholQr, Some(&c), None)
-            .with_path(OrthPath::Pipelined);
-        let mut r0 = DMat::from_fn(n, 1, |i, _| (i as f64 * 0.17).sin());
-        let coef = blas::adjoint_times(&c, &r0);
-        blas::gemm(
-            -1.0,
-            &c,
-            blas::Op::None,
-            &coef,
-            blas::Op::None,
-            1.0,
-            &mut r0,
-        );
-        arn.start(&r0);
-        for _ in 0..5 {
-            arn.step();
-        }
-        let g = blas::adjoint_times(&c, &basis(&arn));
-        assert!(g.max_abs() < 1e-9, "CᴴV = {}", g.max_abs());
-        // The captured E stays exact: A·Z = C·E + V·H̄.
-        let az = a.apply(&directions(&arn));
-        let mut rhs = blas::matmul(&c, blas::Op::None, &couplings(&arn), blas::Op::None);
-        let vh = blas::matmul(&basis(&arn), blas::Op::None, &hbar(&arn), blas::Op::None);
-        rhs.axpy(1.0, &vh);
-        let mut diff = az;
-        diff.axpy(-1.0, &rhs);
-        assert!(diff.max_abs() < 1e-9, "A·Z ≠ C·E + V·H̄: {}", diff.max_abs());
-    }
-
-    #[test]
-    fn pipelined_demotes_to_fused_for_inexact_preconditioners() {
-        // The recurrence assumes a fixed full-precision M⁻¹: f32-storage and
-        // variable preconditioners must fall back to the fused synchronous
-        // path at construction, not compound their apply error step by step.
-        struct Inexact {
-            n: usize,
-            variable: bool,
-        }
-        impl PrecondOp<f64> for Inexact {
-            fn nrows(&self) -> usize {
-                self.n
-            }
-            fn apply(&self, r: &DMat<f64>, z: &mut DMat<f64>) {
-                z.copy_from(r);
-            }
-            fn is_variable(&self) -> bool {
-                self.variable
-            }
-            fn precision(&self) -> PrecondPrecision {
-                if self.variable {
-                    PrecondPrecision::Full
-                } else {
-                    PrecondPrecision::Single
-                }
-            }
-        }
-        let n = 24;
-        let a = laplace1d(n);
-        for variable in [false, true] {
-            let pc = Inexact { n, variable };
-            let mode = PrecondMode::new(&pc, PrecondSide::Right);
-            assert!(!mode.recurrence_safe());
-            let mut arn = BlockArnoldi::new(&a, &mode, 4, 1, OrthScheme::CholQr, None, None)
-                .with_path(OrthPath::Pipelined);
-            assert_eq!(arn.path, OrthPath::Fused);
-            let r0 = DMat::from_fn(n, 1, |i, _| 1.0 + (i % 3) as f64);
-            arn.start(&r0);
-            for _ in 0..4 {
-                arn.step();
-            }
-            assert_eq!(arn.pipeline_overlapped_steps(), 0);
-        }
-        // An exact full-precision preconditioner keeps the pipelined path.
-        let id = IdentityPrecond::new(n);
-        let mode = PrecondMode::new(&id, PrecondSide::Right);
-        assert!(mode.recurrence_safe());
-        let arn = BlockArnoldi::new(&a, &mode, 4, 1, OrthScheme::CholQr, None, None)
-            .with_path(OrthPath::Pipelined);
-        assert_eq!(arn.path, OrthPath::Pipelined);
-    }
-
-    #[test]
-    fn pipelined_records_overlapped_reductions() {
-        use kryst_par::CommStats;
-        let n = 40;
-        let a = laplace1d(n);
-        let id = IdentityPrecond::new(n);
-        let mode = PrecondMode::new(&id, PrecondSide::Right);
-        let stats = CommStats::new_shared();
-        let m = 5;
-        let mut arn = BlockArnoldi::new(&a, &mode, m, 1, OrthScheme::CholQr, None, Some(&stats))
-            .with_path(OrthPath::Pipelined);
-        let r0 = DMat::from_fn(n, 1, |i, _| 1.0 + (i % 3) as f64);
-        arn.start(&r0);
-        for _ in 0..m {
-            arn.step();
-        }
-        let snap = stats.snapshot();
-        // Every step but the last overlaps its first Gram pass.
-        assert_eq!(snap.overlapped_reductions, (m - 1) as u64);
-        assert!(snap.overlapped_parts >= 2 * (m - 1) as u64);
-        // The last step's Gram (no lag partner) stays synchronous, plus the
-        // start-of-cycle CholQR.
-        assert!(snap.reductions >= 2);
     }
 
     #[test]

@@ -227,58 +227,29 @@ mod tests {
 
     #[test]
     fn reduction_counts_scale_with_iterations() {
-        use crate::opts::OrthPath;
         use kryst_par::CommStats;
         let prob = poisson2d::<f64>(12, 12);
         let n = prob.a.nrows();
         let id = IdentityPrecond::new(n);
         let b = DMat::from_fn(n, 1, |i, _| (i % 4) as f64);
 
-        // Classic path (CholQR scheme): 3 reductions per iteration + 1 per
-        // cycle start.
+        // One fused reduction per iteration (two when the adaptive
+        // re-orthogonalization fires) plus one or two per cycle start.
         let stats = CommStats::new_shared();
         let opts = SolveOpts {
             rtol: 1e-8,
-            ortho: OrthPath::Classic,
             stats: Some(std::sync::Arc::clone(&stats)),
             ..Default::default()
         };
         let mut x = DMat::zeros(n, 1);
         let res = solve(&prob.a, &id, &b, &mut x, &opts);
+        assert!(res.converged);
         let snap = stats.snapshot();
-        assert!(snap.reductions as usize >= 3 * res.iterations);
-        assert!(
-            snap.reductions as usize
-                <= 3 * res.iterations + 3 * (res.iterations / opts.restart + 2)
-        );
-
-        // Fused path: one reduction per iteration + 1 per cycle start, with
-        // the same iteration trajectory (up to an occasional adaptive
-        // re-orthogonalization pass).
-        let fstats = CommStats::new_shared();
-        let fopts = SolveOpts {
-            rtol: 1e-8,
-            ortho: OrthPath::Fused,
-            stats: Some(std::sync::Arc::clone(&fstats)),
-            ..Default::default()
-        };
-        let mut xf = DMat::zeros(n, 1);
-        let fres = solve(&prob.a, &id, &b, &mut xf, &fopts);
-        assert_eq!(
-            fres.iterations, res.iterations,
-            "fused must not change convergence"
-        );
-        let fsnap = fstats.snapshot();
-        let cycles = fres.iterations.div_ceil(fopts.restart).max(1);
-        assert!(fsnap.reductions as usize >= fres.iterations + cycles);
-        assert!(
-            (fsnap.reductions as usize) < snap.reductions as usize,
-            "fused path must issue fewer reductions ({} vs {})",
-            fsnap.reductions,
-            snap.reductions
-        );
+        let cycles = res.iterations.div_ceil(opts.restart).max(1);
+        assert!(snap.reductions as usize >= res.iterations + cycles);
+        assert!(snap.reductions as usize <= 2 * (res.iterations + cycles));
         // Each fused reduction carried at least the V-projection + Gram parts.
-        assert!(fsnap.fused_parts >= 2 * (fres.iterations as u64 - 1));
+        assert!(snap.fused_parts >= 2 * res.iterations as u64);
     }
 
     #[test]

@@ -25,8 +25,9 @@
 //! loop's and therefore the same for all three.
 //!
 //! Every option is a field of [`SolveOpts`] with a constant default
-//! ([`OrthPath::Fused`], CholQR, right preconditioning, …); the crate reads
-//! nothing from the environment.
+//! (CholQR, right preconditioning, …); the crate reads nothing from the
+//! environment. The block orthogonalization has one path: CholQR/CGS take
+//! one fused reduction per pass, MGS/IMGS their per-column sweep.
 //!
 //! # Quick start
 //!

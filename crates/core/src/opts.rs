@@ -33,32 +33,19 @@ pub enum RecycleStrategy {
     B,
 }
 
-/// Which orthogonalization *path* the Arnoldi cycles take — orthogonal to
-/// the [`OrthScheme`] choice (which picks the projection arithmetic).
+/// The orthogonalization path of the Arnoldi cycles. There is one: CGS and
+/// CholQR take the fused `[CᴴW; VᴴW; WᴴW]` reduction per pass, MGS and IMGS
+/// their per-column sweep (see [`crate::cycle::BlockArnoldi`]).
+///
+/// The enum and [`SolveOpts::ortho`] survive only because the repository
+/// benchmark names them (it checks and reports `ortho == Fused`); nothing in
+/// the library branches on them.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
 pub enum OrthPath {
-    /// Communication-avoiding path, the default: one fused `[CᴴW; VᴴW; WᴴW]`
-    /// reduction per iteration (two when re-orthogonalized), with the CholQR
-    /// factor coming from a Gram downdate at zero extra reductions. Applies
-    /// to the CGS/CholQR schemes; MGS/IMGS are inherently per-column and
-    /// stay on the classic path.
+    /// One fused reduction per iteration (two when re-orthogonalized), the
+    /// CholQR factor from a Gram downdate at zero extra reductions.
     #[default]
     Fused,
-    /// The classic multi-reduction path (separate `CᴴW`, `VᴴW`-per-pass and
-    /// Gram products) — the pre-fusion behavior, golden-trace compatible.
-    Classic,
-    /// Latency-hiding path: the fused Gram reduction for step `j` is
-    /// *started* early (split-phase), then the operator + preconditioner
-    /// apply feeding step `j+1` runs before it is finished — the
-    /// Ghysels-style depth-1 lag. The next Krylov direction is reconstructed
-    /// by a linear recurrence instead of a post-reduction apply; the PR-3
-    /// orthogonality-loss budget (re-orthogonalization refresh) forces a
-    /// fallback to the synchronous apply whenever it trips. Applies to the
-    /// CGS/CholQR schemes, like [`OrthPath::Fused`]. Requires a fixed,
-    /// full-precision preconditioner: variable (inner-Krylov) or
-    /// f32-storage applies would have their per-apply error compounded by
-    /// the recurrence, so the cycle demotes those to [`OrthPath::Fused`].
-    Pipelined,
 }
 
 impl OrthPath {
@@ -66,8 +53,6 @@ impl OrthPath {
     pub fn name(self) -> &'static str {
         match self {
             OrthPath::Fused => "fused",
-            OrthPath::Classic => "classic",
-            OrthPath::Pipelined => "pipelined",
         }
     }
 }
@@ -87,8 +72,7 @@ pub struct SolveOpts {
     pub side: PrecondSide,
     /// Orthogonalization backend (paper advocates CholQR).
     pub orth: OrthScheme,
-    /// Fused (communication-avoiding) vs pipelined (latency-hiding) vs
-    /// classic orthogonalization path.
+    /// Orthogonalization path; [`OrthPath::Fused`] is the only one.
     pub ortho: OrthPath,
     /// Deflation eigenproblem formulation.
     pub recycle_strategy: RecycleStrategy,
@@ -167,7 +151,6 @@ mod tests {
         assert_eq!(o.recycle, 10); // paper's GCRO-DR(30, 10)
         assert_eq!(o.rtol, 1e-8);
         assert_eq!(o.orth, OrthScheme::CholQr);
-        assert_eq!(o.ortho, OrthPath::Fused);
     }
 
     #[test]

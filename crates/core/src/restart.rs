@@ -220,7 +220,6 @@ pub(crate) fn solve<S: Scalar>(
         let length = plan.steps + plan.images.len();
         let stats = opts.stats.as_deref();
         let mut arn = BlockArnoldi::new(a, &mode, length, p, opts.orth, plan.c, stats)
-            .with_path(opts.ortho)
             .with_buffers(std::mem::take(&mut bufs));
         arn.start(&r);
         let estimate_met = run_cycle(

@@ -5,14 +5,15 @@
 //! The paper's §III-D counts the *global reductions* of each scheme, which is
 //! why several are provided:
 //!
-//! * **Classical (CGS)** — one fused projection (`VᴴW` in one reduction) but
-//!   less stable,
-//! * **Modified (MGS)** — one reduction *per basis column*, the stable
-//!   textbook choice,
+//! * **CholQR** (the paper's choice) and **classical (CGS)** — the fused
+//!   low-synchronization step [`fused_orthogonalize_block`]: one reduction
+//!   per pass for the projection and the Gram matrix together, the CholQR
+//!   factor from a Gram downdate; CGS always takes the second pass,
+//! * **Modified (MGS)** — [`mgs_orthogonalize`]: one reduction *per basis
+//!   column*, the stable textbook choice,
 //! * **Iterated Modified (IMGS)** — Belos' default: MGS repeated until the
 //!   norm stops dropping (here: a fixed two passes, the standard
-//!   "twice-is-enough" criterion),
-//! * **CholQR** for the intra-block step (see [`crate::chol`]).
+//!   "twice-is-enough" criterion).
 
 use crate::blas::{self, Op};
 use crate::chol;
@@ -46,7 +47,7 @@ impl OrthScheme {
     }
 }
 
-/// Projection coefficients produced by [`orthogonalize_block`]: the new block
+/// Projection coefficients produced by [`mgs_orthogonalize`]: the new block
 /// satisfies `W_orig = V·C + Q·R` with `Q` the orthonormalized output block.
 pub struct BlockOrth<S: Scalar> {
     /// Coefficients against the existing basis (`V.ncols() × p`).
@@ -62,107 +63,79 @@ pub struct BlockOrth<S: Scalar> {
     pub reduction_elems: usize,
 }
 
-/// Orthogonalize `w` (n×p) against the first `ncols` columns of `v` (n×·) and
-/// then orthonormalize it internally, returning the projection coefficients.
+/// Modified Gram–Schmidt: orthogonalize `w` (n×p) against the basis `v` one
+/// column at a time, twice when `iterated` (IMGS), then orthonormalize it
+/// internally column by column, returning the projection coefficients.
 ///
-/// `v` may be wider than `ncols`; only the leading columns are used, which
-/// lets callers keep one pre-allocated basis for a whole restart cycle.
-pub fn orthogonalize_block<S: Scalar>(
-    v: &DMat<S>,
-    ncols: usize,
+/// `v` is a borrowed view, so a basis kept one matrix per Krylov block is
+/// read where it lives.
+pub fn mgs_orthogonalize<S: Scalar>(
+    v: ColsRef<'_, S>,
     w: &mut DMat<S>,
-    scheme: OrthScheme,
+    iterated: bool,
 ) -> BlockOrth<S> {
     let _t = kryst_obs::profile(kryst_obs::Phase::OrthGram);
-    assert!(ncols <= v.ncols());
-    assert_eq!(v.nrows(), w.nrows());
+    let ncols = v.ncols();
+    assert!(ncols == 0 || v.nrows() == w.nrows());
     let p = w.ncols();
     let mut coeffs = DMat::zeros(ncols, p);
     let mut reductions = 0;
     let mut elems = 0;
 
-    match scheme {
-        // Projection by CGS passes (one fused reduction each), repeated
-        // twice for stability; CholQR differs in the intra-block step only.
-        OrthScheme::Cgs | OrthScheme::CholQr => {
-            if ncols > 0 {
-                // A basis handed over at its exact width is used as it is.
-                let lead = (ncols < v.ncols()).then(|| v.cols(0, ncols));
-                let vlead = lead.as_ref().unwrap_or(v);
-                for _pass in 0..2 {
-                    let c = blas::adjoint_times(vlead, w);
-                    reductions += 1;
-                    elems += ncols * p;
-                    blas::gemm(-S::one(), vlead, Op::None, &c, Op::None, S::one(), w);
-                    coeffs.axpy(S::one(), &c);
+    let passes = if iterated { 2 } else { 1 };
+    for _pass in 0..passes {
+        for j in 0..ncols {
+            let vj = v.col(j);
+            for l in 0..p {
+                let wl = w.col_mut(l);
+                let mut dot = S::zero();
+                for (a, b) in vj.iter().zip(wl.iter()) {
+                    dot += a.conj() * *b;
                 }
-            }
-        }
-        OrthScheme::Mgs | OrthScheme::Imgs => {
-            let passes = if scheme == OrthScheme::Imgs { 2 } else { 1 };
-            for _pass in 0..passes {
-                for j in 0..ncols {
-                    let vj = v.col(j).to_vec();
-                    for l in 0..p {
-                        let wl = w.col_mut(l);
-                        let mut dot = S::zero();
-                        for (a, b) in vj.iter().zip(wl.iter()) {
-                            dot += a.conj() * *b;
-                        }
-                        for (a, b) in vj.iter().zip(wl.iter_mut()) {
-                            *b -= dot * *a;
-                        }
-                        coeffs[(j, l)] += dot;
-                    }
-                    reductions += 1; // one reduction per basis column (dots fused over l)
-                    elems += p;
+                for (a, b) in vj.iter().zip(wl.iter_mut()) {
+                    *b -= dot * *a;
                 }
+                coeffs[(j, l)] += dot;
             }
+            reductions += 1; // one reduction per basis column (dots fused over l)
+            elems += p;
         }
     }
 
-    // Intra-block orthonormalization.
-    let (r, rank, intra_reductions, intra_elems) = match scheme {
-        OrthScheme::CholQr | OrthScheme::Cgs => {
-            let out = chol::cholqr(w);
-            (out.r, out.rank, 1, p * p)
-        }
-        OrthScheme::Mgs | OrthScheme::Imgs => {
-            let mut r = DMat::zeros(p, p);
-            let mut rank = p;
-            let mut reds = 0;
-            for l in 0..p {
-                // Project against the already-normalized columns of w.
-                for j in 0..l {
-                    let dot = w.col_dot(j, w, l);
-                    let (dst, src) = w.two_cols_mut(l, j);
-                    for (d, s) in dst.iter_mut().zip(src.iter()) {
-                        *d -= dot * *s;
-                    }
-                    r[(j, l)] = dot;
-                    reds += 1;
-                }
-                let nrm = w.col_norm(l);
-                reds += 1;
-                if nrm <= S::Real::epsilon() {
-                    rank = rank.min(l);
-                    r[(l, l)] = S::zero();
-                } else {
-                    r[(l, l)] = S::from_real(nrm);
-                    w.scale_col(l, S::one() / S::from_real(nrm));
-                }
+    // Intra-block orthonormalization; each reduction carries a single
+    // scalar (one dot or norm).
+    let mut r = DMat::zeros(p, p);
+    let mut rank = p;
+    for l in 0..p {
+        // Project against the already-normalized columns of w.
+        for j in 0..l {
+            let dot = w.col_dot(j, w, l);
+            let (dst, src) = w.two_cols_mut(l, j);
+            for (d, s) in dst.iter_mut().zip(src.iter()) {
+                *d -= dot * *s;
             }
-            // Each intra reduction carries a single scalar (one dot or norm).
-            (r, rank, reds, reds)
+            r[(j, l)] = dot;
+            reductions += 1;
+            elems += 1;
         }
-    };
+        let nrm = w.col_norm(l);
+        reductions += 1;
+        elems += 1;
+        if nrm <= S::Real::epsilon() {
+            rank = rank.min(l);
+            r[(l, l)] = S::zero();
+        } else {
+            r[(l, l)] = S::from_real(nrm);
+            w.scale_col(l, S::one() / S::from_real(nrm));
+        }
+    }
 
     BlockOrth {
         coeffs,
         r,
         rank,
-        reductions: reductions + intra_reductions,
-        reduction_elems: elems + intra_elems,
+        reductions,
+        reduction_elems: elems,
     }
 }
 
@@ -408,13 +381,35 @@ mod tests {
         v
     }
 
+    /// `w` orthogonalized against all of `v` the way the Arnoldi cycle runs
+    /// `scheme`: `(coeffs, r, rank, reductions, reduction_elems)`.
+    fn orth_like_the_cycle<S: Scalar>(
+        v: &DMat<S>,
+        w: &mut DMat<S>,
+        scheme: OrthScheme,
+    ) -> (DMat<S>, DMat<S>, usize, usize, usize) {
+        match scheme {
+            OrthScheme::Cgs | OrthScheme::CholQr => {
+                let reorth = scheme == OrthScheme::Cgs;
+                let out = fused_orthogonalize_block(None, v, v.ncols(), w, reorth, 0.0);
+                let (red, elems) = (out.reductions, out.reduction_elems);
+                (out.coeffs, out.r, out.rank, red, elems)
+            }
+            OrthScheme::Mgs | OrthScheme::Imgs => {
+                let out = mgs_orthogonalize(ColsRef::whole(v), w, scheme == OrthScheme::Imgs);
+                let (red, elems) = (out.reductions, out.reduction_elems);
+                (out.coeffs, out.r, out.rank, red, elems)
+            }
+        }
+    }
+
     fn check_scheme(scheme: OrthScheme) {
         let n = 50;
         let v = basis(n, 5);
         let w0 = DMat::from_fn(n, 3, |i, j| ((i * 3 + j * 11) % 23) as f64 - 11.0);
         let mut w = w0.clone();
-        let out = orthogonalize_block(&v, 5, &mut w, scheme);
-        assert_eq!(out.rank, 3);
+        let (coeffs, r, rank, _, _) = orth_like_the_cycle(&v, &mut w, scheme);
+        assert_eq!(rank, 3);
         // VᴴQ ≈ 0
         let c = blas::adjoint_times(&v, &w);
         assert!(
@@ -431,8 +426,8 @@ mod tests {
             }
         }
         // Reconstruction: W0 = V·C + Q·R
-        let mut rec = matmul(&v, Op::None, &out.coeffs, Op::None);
-        let qr = matmul(&w, Op::None, &out.r, Op::None);
+        let mut rec = matmul(&v, Op::None, &coeffs, Op::None);
+        let qr = matmul(&w, Op::None, &r, Op::None);
         rec.axpy(1.0, &qr);
         for i in 0..n {
             for j in 0..3 {
@@ -466,8 +461,8 @@ mod tests {
         let mut w = DMat::<C64>::from_fn(n, 2, |i, j| {
             C64::from_parts(((i * 2 + j) % 9) as f64 - 4.0, (i % 3) as f64)
         });
-        let out = orthogonalize_block(&vb, 4, &mut w, OrthScheme::CholQr);
-        assert_eq!(out.rank, 2);
+        let (_, _, rank, _, _) = orth_like_the_cycle(&vb, &mut w, OrthScheme::CholQr);
+        assert_eq!(rank, 2);
         let c = blas::adjoint_times(&vb, &w);
         assert!(c.max_abs() < 1e-10);
     }
@@ -478,17 +473,34 @@ mod tests {
         let v = basis(n, 4);
         let w0 = DMat::from_fn(n, 2, |i, j| (i + j) as f64 + 0.5);
         let mut w = w0.clone();
-        let cgs = orthogonalize_block(&v, 4, &mut w, OrthScheme::CholQr);
-        // CholQR: 2 fused projection reductions + 1 Gram reduction.
-        assert_eq!(cgs.reductions, 3);
-        // §III-D elements: two ncols·p projections + one p² Gram.
-        assert_eq!(cgs.reduction_elems, 2 * 4 * 2 + 2 * 2);
+        let (.., cholqr, cholqr_elems) = orth_like_the_cycle(&v, &mut w, OrthScheme::CholQr);
+        // CholQR: one fused reduction carrying VᴴW and WᴴW.
+        assert_eq!(cholqr, 1);
+        assert_eq!(cholqr_elems, (4 + 2) * 2);
         let mut w = w0.clone();
-        let mgs = orthogonalize_block(&v, 4, &mut w, OrthScheme::Mgs);
+        let (.., mgs, mgs_elems) = orth_like_the_cycle(&v, &mut w, OrthScheme::Mgs);
         // MGS: k reductions (projection) + per-column intra-block work.
-        assert!(mgs.reductions > cgs.reductions);
+        assert!(mgs > cholqr);
         // MGS: ncols·p projection elements + p(p+1)/2 intra scalars.
-        assert_eq!(mgs.reduction_elems, 4 * 2 + 2 * 3 / 2);
+        assert_eq!(mgs_elems, 4 * 2 + 2 * 3 / 2);
+    }
+
+    #[test]
+    fn mgs_reads_block_views_bit_for_bit() {
+        // A basis kept one matrix per Krylov block gives the same bits as
+        // the same columns side by side in one matrix.
+        let n = 37;
+        let v = basis(n, 6);
+        let blocks: Vec<DMat<f64>> = (0..3).map(|b| v.cols(2 * b, 2)).collect();
+        let w0 = DMat::from_fn(n, 2, |i, j| ((i * 5 + j * 7) % 17) as f64 - 8.0);
+        for iterated in [false, true] {
+            let (mut wa, mut wb) = (w0.clone(), w0.clone());
+            let a = mgs_orthogonalize(ColsRef::blocks(&blocks), &mut wa, iterated);
+            let b = mgs_orthogonalize(ColsRef::whole(&v), &mut wb, iterated);
+            assert_eq!(bits(&a.coeffs), bits(&b.coeffs));
+            assert_eq!(bits(&a.r), bits(&b.r));
+            assert_eq!(bits(&wa), bits(&wb));
+        }
     }
 
     #[test]
@@ -713,22 +725,35 @@ mod tests {
         assert_eq!(out.reductions, 3);
     }
 
+    /// Textbook CGS2 + CholQR: two separate projection passes, then a fresh
+    /// Gram product for the intra-block factor. Returns `(coeffs, r)`.
+    fn classic_cgs2_cholqr(v: &DMat<f64>, w: &mut DMat<f64>) -> (DMat<f64>, DMat<f64>) {
+        let mut coeffs = DMat::zeros(v.ncols(), w.ncols());
+        for _pass in 0..2 {
+            let c = blas::adjoint_times(v, w);
+            blas::gemm(-1.0, v, Op::None, &c, Op::None, 1.0, w);
+            coeffs.axpy(1.0, &c);
+        }
+        (coeffs, chol::cholqr(w).r)
+    }
+
     #[test]
     fn fused_matches_classic_iteration_for_gmres_like_step() {
-        // The fused and classic paths must produce the same orthonormal range
-        // (up to column signs they are identical when no refresh happens).
+        // The fused step must produce the same orthonormal range as the
+        // textbook sequence (up to column signs they are identical when no
+        // refresh happens).
         let n = 80;
         let v = basis(n, 6);
         let w0 = DMat::from_fn(n, 1, |i, _| ((i * 13 + 5) % 37) as f64 - 18.0);
         let mut wc = w0.clone();
-        let classic = orthogonalize_block(&v, 6, &mut wc, OrthScheme::CholQr);
+        let (ccoeffs, cr) = classic_cgs2_cholqr(&v, &mut wc);
         let mut wf = w0.clone();
         let fusedo = fused_orthogonalize_block(None, &v, 6, &mut wf, false, 0.0);
         // Same projection coefficients and R factor to high accuracy.
         for i in 0..6 {
-            assert!((classic.coeffs[(i, 0)] - fusedo.coeffs[(i, 0)]).abs() < 1e-8);
+            assert!((ccoeffs[(i, 0)] - fusedo.coeffs[(i, 0)]).abs() < 1e-8);
         }
-        assert!((classic.r[(0, 0)] - fusedo.r[(0, 0)]).abs() < 1e-8 * classic.r[(0, 0)].abs());
+        assert!((cr[(0, 0)] - fusedo.r[(0, 0)]).abs() < 1e-8 * cr[(0, 0)].abs());
         for i in 0..n {
             assert!((wc[(i, 0)] - wf[(i, 0)]).abs() < 1e-8);
         }

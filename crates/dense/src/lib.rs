@@ -12,8 +12,9 @@
 //!   eq. (2) relies on this),
 //! * [`chol`]: Cholesky, pivoted (rank-revealing) Cholesky, and CholQR — the
 //!   orthogonalization scheme the paper advocates (§III-A),
-//! * [`gs`]: classical / modified / iterated-modified Gram–Schmidt, plus the
-//!   low-synchronization fused block orthogonalization (§III-D),
+//! * [`gs`]: the low-synchronization fused block orthogonalization (§III-D)
+//!   that CholQR and classical Gram–Schmidt run, and modified /
+//!   iterated-modified Gram–Schmidt,
 //! * [`fused`]: fused Gram+projection products — `[CᴴW; VᴴW; WᴴW]` in one
 //!   sweep, one reduction instead of `j+2`,
 //! * [`tsqr`]: communication-avoiding tall-skinny QR by tree reduction,

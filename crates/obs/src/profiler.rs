@@ -40,7 +40,7 @@ pub const HIST_BUCKETS: usize = 32;
 /// fold into the last per-level slot.
 pub const MAX_PRECOND_LEVELS: usize = 8;
 
-const NUM_SLOTS: usize = 13 + MAX_PRECOND_LEVELS;
+const NUM_SLOTS: usize = 12 + MAX_PRECOND_LEVELS;
 
 /// A solver phase the profiler attributes time to.
 ///
@@ -68,11 +68,6 @@ pub enum Phase {
     /// Low-precision preconditioner sweeps (the f32-storage portion of an
     /// apply; nested inside [`Phase::Precond`]).
     PrecondLp,
-    /// Split-phase reduction work (`ireduce_start`/`finish` bodies and the
-    /// pipelined accounting around them) — the portion of reduction latency
-    /// a pipelined iteration *hides*; exposed latency stays under
-    /// [`Phase::Reduction`].
-    ReductionOverlap,
     /// Agglomerated AMG coarse solve: the coarse-grid direct solve executed
     /// on a rank subset (plus the modeled gather/scatter around it).
     CoarseAgglom,
@@ -101,11 +96,10 @@ impl Phase {
             Phase::RecycleSetup => 6,
             Phase::SpmvMf => 7,
             Phase::PrecondLp => 8,
-            Phase::ReductionOverlap => 9,
-            Phase::CoarseAgglom => 10,
-            Phase::Restart => 11,
-            Phase::PrecondSetup => 12,
-            Phase::PrecondLevel(l) => 13 + l.min(MAX_PRECOND_LEVELS - 1),
+            Phase::CoarseAgglom => 9,
+            Phase::Restart => 10,
+            Phase::PrecondSetup => 11,
+            Phase::PrecondLevel(l) => 12 + l.min(MAX_PRECOND_LEVELS - 1),
         }
     }
 
@@ -120,11 +114,10 @@ impl Phase {
             6 => Phase::RecycleSetup,
             7 => Phase::SpmvMf,
             8 => Phase::PrecondLp,
-            9 => Phase::ReductionOverlap,
-            10 => Phase::CoarseAgglom,
-            11 => Phase::Restart,
-            12 => Phase::PrecondSetup,
-            l => Phase::PrecondLevel(l - 13),
+            9 => Phase::CoarseAgglom,
+            10 => Phase::Restart,
+            11 => Phase::PrecondSetup,
+            l => Phase::PrecondLevel(l - 12),
         }
     }
 
@@ -140,7 +133,6 @@ impl Phase {
             Phase::RecycleSetup => "recycle_setup".to_string(),
             Phase::SpmvMf => "spmv_mf".to_string(),
             Phase::PrecondLp => "precond_lp".to_string(),
-            Phase::ReductionOverlap => "reduction_overlap".to_string(),
             Phase::CoarseAgglom => "coarse_agglom".to_string(),
             Phase::Restart => "restart".to_string(),
             Phase::PrecondSetup => "precond_setup".to_string(),

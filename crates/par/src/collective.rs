@@ -115,8 +115,7 @@ pub fn barrier<T: Transport + ?Sized>(t: &T) -> Result<(), TransportError> {
 
 /// Start a split-phase all-reduce: post every butterfly message that does
 /// **not** depend on a prior receive, then return a handle so the caller can
-/// run independent local work (the lagged SpMV + preconditioner apply of a
-/// pipelined iteration) while those messages are in flight. Complete with
+/// run independent local work while those messages are in flight. Complete with
 /// [`PendingReduce::finish`]; result, message count, and stage count are
 /// identical to a synchronous [`all_reduce_sum`] — only the *placement* of
 /// the waiting changes.
@@ -124,7 +123,7 @@ pub fn ireduce_start<'a, T: Transport + ?Sized>(
     t: &'a T,
     local: Vec<f64>,
 ) -> Result<PendingReduce<'a, T>, TransportError> {
-    let _t = kryst_obs::profile(kryst_obs::Phase::ReductionOverlap);
+    let _t = kryst_obs::profile(kryst_obs::Phase::Reduction);
     // The span opens here and closes in `finish`, so its wall footprint is
     // the whole in-flight window — the overlap the skew analysis decomposes.
     let trace = edge_begin(t, TraceKind::Reduction);
@@ -191,7 +190,7 @@ impl<T: Transport + ?Sized> PendingReduce<'_, T> {
     /// count match [`all_reduce_sum`] exactly.
     pub fn finish(mut self, scratch: &mut Vec<f64>) -> Result<(Vec<f64>, u32), TransportError> {
         let t = self.t;
-        let _g = kryst_obs::profile(kryst_obs::Phase::ReductionOverlap);
+        let _g = kryst_obs::profile(kryst_obs::Phase::Reduction);
         let p = t.nranks();
         if p == 1 {
             edge_end(t, self.trace.take(), SPLIT_PHASE_BIT);

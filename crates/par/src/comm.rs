@@ -19,10 +19,6 @@ pub struct CommStats {
     p2p_bytes: AtomicU64,
     flops: AtomicU64,
     overlap_flops: AtomicU64,
-    overlapped_reductions: AtomicU64,
-    overlapped_reduction_bytes: AtomicU64,
-    overlapped_parts: AtomicU64,
-    reduction_overlap_flops: AtomicU64,
 }
 
 /// A point-in-time copy of [`CommStats`].
@@ -44,20 +40,6 @@ pub struct CommSnapshot {
     /// Portion of `flops` overlappable with in-flight halo messages
     /// (interior SpMM work done while the exchange is on the wire).
     pub overlap_flops: u64,
-    /// Global reductions issued through the split-phase
-    /// (`ireduce_start`/`finish`) path: posted early and completed only
-    /// after independent local work, so their latency can hide behind
-    /// `reduction_overlap_flops` (the Ghysels pipelining argument).
-    pub overlapped_reductions: u64,
-    /// Payload bytes of the overlapped reductions.
-    pub overlapped_reduction_bytes: u64,
-    /// Logically separate products batched into the overlapped reductions
-    /// (the "overlapped parts" of the metrics registry).
-    pub overlapped_parts: u64,
-    /// Portion of `flops` issued *between* an `ireduce_start` and its
-    /// `finish` — local work that hides the in-flight reduction. Disjoint
-    /// from `overlap_flops` (which hides halo p2p traffic).
-    pub reduction_overlap_flops: u64,
 }
 
 impl CommStats {
@@ -116,28 +98,6 @@ impl CommStats {
             .fetch_add(flops as u64, Ordering::Relaxed);
     }
 
-    /// Record one *overlapped* (split-phase) reduction batching `parts`
-    /// products into `bytes` payload. The latency charge is the same as a
-    /// fused reduction, but the cost model may hide it behind flops recorded
-    /// via [`CommStats::record_reduction_overlap_flops`].
-    #[inline]
-    pub fn record_overlapped_reduction(&self, parts: usize, bytes: usize) {
-        self.overlapped_reductions.fetch_add(1, Ordering::Relaxed);
-        self.overlapped_parts
-            .fetch_add(parts as u64, Ordering::Relaxed);
-        self.overlapped_reduction_bytes
-            .fetch_add(bytes as u64, Ordering::Relaxed);
-    }
-
-    /// Record the portion of already-counted flops issued between an
-    /// `ireduce_start` and its `finish` — work that hides the in-flight
-    /// reduction's latency.
-    #[inline]
-    pub fn record_reduction_overlap_flops(&self, flops: usize) {
-        self.reduction_overlap_flops
-            .fetch_add(flops as u64, Ordering::Relaxed);
-    }
-
     /// Copy out the counters.
     pub fn snapshot(&self) -> CommSnapshot {
         CommSnapshot {
@@ -148,10 +108,6 @@ impl CommStats {
             p2p_bytes: self.p2p_bytes.load(Ordering::Relaxed),
             flops: self.flops.load(Ordering::Relaxed),
             overlap_flops: self.overlap_flops.load(Ordering::Relaxed),
-            overlapped_reductions: self.overlapped_reductions.load(Ordering::Relaxed),
-            overlapped_reduction_bytes: self.overlapped_reduction_bytes.load(Ordering::Relaxed),
-            overlapped_parts: self.overlapped_parts.load(Ordering::Relaxed),
-            reduction_overlap_flops: self.reduction_overlap_flops.load(Ordering::Relaxed),
         }
     }
 
@@ -164,10 +120,6 @@ impl CommStats {
         self.p2p_bytes.store(0, Ordering::Relaxed);
         self.flops.store(0, Ordering::Relaxed);
         self.overlap_flops.store(0, Ordering::Relaxed);
-        self.overlapped_reductions.store(0, Ordering::Relaxed);
-        self.overlapped_reduction_bytes.store(0, Ordering::Relaxed);
-        self.overlapped_parts.store(0, Ordering::Relaxed);
-        self.reduction_overlap_flops.store(0, Ordering::Relaxed);
     }
 }
 
@@ -182,29 +134,15 @@ impl CommSnapshot {
             p2p_bytes: self.p2p_bytes - earlier.p2p_bytes,
             flops: self.flops - earlier.flops,
             overlap_flops: self.overlap_flops - earlier.overlap_flops,
-            overlapped_reductions: self.overlapped_reductions - earlier.overlapped_reductions,
-            overlapped_reduction_bytes: self.overlapped_reduction_bytes
-                - earlier.overlapped_reduction_bytes,
-            overlapped_parts: self.overlapped_parts - earlier.overlapped_parts,
-            reduction_overlap_flops: self.reduction_overlap_flops - earlier.reduction_overlap_flops,
         }
     }
 
-    /// Total global reductions, synchronous plus overlapped — the §III-D
-    /// latency-event count independent of whether a reduction was pipelined.
-    pub fn all_reductions(&self) -> u64 {
-        self.reductions + self.overlapped_reductions
-    }
-
-    /// Convert to an observability delta. Overlapped (split-phase)
-    /// reductions are *folded into* the plain reduction/bytes/parts fields:
-    /// event consumers see complete communication totals; the exposed-vs-
-    /// hidden split lives in the cost model, not the event stream.
+    /// Convert to an observability delta.
     pub fn to_delta(&self) -> kryst_obs::CommDelta {
         kryst_obs::CommDelta {
-            reductions: self.reductions + self.overlapped_reductions,
-            reduction_bytes: self.reduction_bytes + self.overlapped_reduction_bytes,
-            fused_parts: self.fused_parts + self.overlapped_parts,
+            reductions: self.reductions,
+            reduction_bytes: self.reduction_bytes,
+            fused_parts: self.fused_parts,
             p2p_messages: self.p2p_messages,
             p2p_bytes: self.p2p_bytes,
             flops: self.flops,
@@ -299,35 +237,6 @@ mod tests {
         let d = s.snapshot().since(&CommSnapshot::default());
         assert_eq!(d.fused_parts, 3);
         assert_eq!(d.overlap_flops, 500);
-        s.reset();
-        assert_eq!(s.snapshot(), CommSnapshot::default());
-    }
-
-    #[test]
-    fn overlapped_reductions_tracked_and_folded_into_delta() {
-        let s = CommStats::new_shared();
-        // One synchronous fused reduction and one split-phase reduction
-        // hidden behind 700 flops of lagged operator work.
-        s.record_fused_reductions(1, 2, 48);
-        s.record_overlapped_reduction(2, 40);
-        s.record_flops(1000);
-        s.record_reduction_overlap_flops(700);
-        let snap = s.snapshot();
-        assert_eq!(snap.reductions, 1);
-        assert_eq!(snap.overlapped_reductions, 1);
-        assert_eq!(snap.overlapped_parts, 2);
-        assert_eq!(snap.overlapped_reduction_bytes, 40);
-        assert_eq!(snap.reduction_overlap_flops, 700);
-        assert_eq!(snap.all_reductions(), 2);
-        // Event deltas fold overlapped traffic into the plain fields so
-        // downstream totals stay complete.
-        let d = snap.to_delta();
-        assert_eq!(d.reductions, 2);
-        assert_eq!(d.reduction_bytes, 48 + 40);
-        assert_eq!(d.fused_parts, 2 + 2);
-        // since()/reset() cover the new fields.
-        let diff = snap.since(&CommSnapshot::default());
-        assert_eq!(diff, snap);
         s.reset();
         assert_eq!(s.snapshot(), CommSnapshot::default());
     }

@@ -16,14 +16,7 @@
 //!   recorded as overlappable (interior rows of a split SpMM) hides the p2p
 //!   time, so the model charges `max(interior_compute, halo_message)`
 //!   instead of their sum — only the *exposed* remainder of the p2p term
-//!   shows up in the total,
-//! * split-phase (pipelined) reductions likewise overlap the local work
-//!   issued between `ireduce_start` and `finish`: the model charges
-//!   `max(overlapped_reduction, overlapped_compute)`, i.e. only the portion
-//!   of the in-flight reductions' latency that exceeds the hiding flops is
-//!   *exposed* and added to the synchronous reduction term. Both
-//!   synchronous and overlapped reductions use the same butterfly-stage
-//!   accounting (`reduce_stages`), for the classic and fused paths alike.
+//!   shows up in the total.
 //!
 //! Default constants approximate the paper's Curie system (Sandy Bridge +
 //! InfiniBand QDR); they only set the absolute scale, the *shape* of the
@@ -85,20 +78,10 @@ impl CostModel {
     pub fn time(&self, snap: &CommSnapshot, nranks: usize) -> ModeledTime {
         let p = nranks.max(1) as f64;
         let stages = f64::from(reduce_stages(nranks.max(1))).max(1.0);
-        // Synchronous reductions: always exposed. Classic and fused paths
-        // differ only in the counted events/bytes, never in the per-event
-        // stage charge.
-        let reduction_sync = snap.reductions as f64 * self.alpha_reduce * stages
+        // Every reduction is exposed; the per-event stage charge is the
+        // same however many products one event batches.
+        let reduction = snap.reductions as f64 * self.alpha_reduce * stages
             + snap.reduction_bytes as f64 * stages / self.beta;
-        // Split-phase reductions: same butterfly charge, but the local work
-        // issued while they are in flight hides them — charge
-        // max(reduction, overlapped_compute), i.e. only the exposed excess.
-        let reduction_over_raw = snap.overlapped_reductions as f64 * self.alpha_reduce * stages
-            + snap.overlapped_reduction_bytes as f64 * stages / self.beta;
-        let pipeline_compute =
-            snap.reduction_overlap_flops.min(snap.flops) as f64 / (self.gamma * p);
-        let reduction_hidden = reduction_over_raw.min(pipeline_compute);
-        let reduction = reduction_sync + (reduction_over_raw - reduction_hidden);
         let p2p_raw = (snap.p2p_messages as f64 / p) * self.alpha_msg
             + (snap.p2p_bytes as f64 / p) / self.beta;
         let compute = snap.flops as f64 / (self.gamma * p);
@@ -108,7 +91,6 @@ impl CostModel {
             compute,
             reduction,
             p2p,
-            reduction_hidden,
         }
     }
 }
@@ -118,17 +100,10 @@ impl CostModel {
 pub struct ModeledTime {
     /// Local compute component (seconds).
     pub compute: f64,
-    /// *Exposed* global-reduction component (seconds): synchronous
-    /// reductions plus the portion of split-phase reductions that exceeds
-    /// the local work hiding them.
+    /// Global-reduction component (seconds).
     pub reduction: f64,
     /// Point-to-point component (seconds).
     pub p2p: f64,
-    /// Informational: split-phase reduction latency hidden behind pipelined
-    /// local work (seconds). Not part of [`ModeledTime::total`] — the hiding
-    /// compute is already charged in `compute`, so the total realizes
-    /// `max(reduction, overlapped_compute)` for the pipelined stages.
-    pub reduction_hidden: f64,
 }
 
 impl ModeledTime {
@@ -152,7 +127,6 @@ mod tests {
             p2p_bytes: 1024 * 4096,
             flops: 1_000_000_000,
             overlap_flops: 0,
-            ..Default::default()
         }
     }
 
@@ -223,52 +197,6 @@ mod tests {
             let t = m.time(&s, p);
             let expect = f64::from(crate::spmd::reduce_stages(p)) * m.alpha_reduce;
             assert!((t.reduction - expect).abs() < 1e-18, "P = {p}");
-        }
-    }
-
-    #[test]
-    fn pipelined_reductions_hide_behind_overlap_flops() {
-        let m = CostModel::default();
-        // Same reduction traffic, once synchronous and once split-phase with
-        // ample hiding work.
-        let sync = CommSnapshot {
-            reductions: 50,
-            reduction_bytes: 50 * 96,
-            flops: 10_000_000_000,
-            ..Default::default()
-        };
-        let piped = CommSnapshot {
-            overlapped_reductions: 50,
-            overlapped_reduction_bytes: 50 * 96,
-            overlapped_parts: 100,
-            flops: 10_000_000_000,
-            reduction_overlap_flops: 10_000_000_000,
-            ..Default::default()
-        };
-        for p in [512usize, 1024, 8192] {
-            let ts = m.time(&sync, p);
-            let tp = m.time(&piped, p);
-            assert_eq!(ts.compute, tp.compute, "P = {p}");
-            assert!(tp.reduction <= ts.reduction, "P = {p}");
-            // Hidden + exposed reconstructs the raw (synchronous) charge.
-            assert!(
-                (tp.reduction + tp.reduction_hidden - ts.reduction).abs() < 1e-15,
-                "P = {p}"
-            );
-            // total() realizes max(reduction, overlapped_compute): with the
-            // hiding compute already in `compute`, the pipelined total never
-            // exceeds the synchronous one.
-            assert!(tp.total() <= ts.total() + 1e-18, "P = {p}");
-        }
-        // With zero hiding flops nothing is hidden: split-phase degrades to
-        // the synchronous charge exactly.
-        let mut bare = piped;
-        bare.reduction_overlap_flops = 0;
-        for p in [512usize, 8192] {
-            let tb = m.time(&bare, p);
-            let ts = m.time(&sync, p);
-            assert!((tb.reduction - ts.reduction).abs() < 1e-15, "P = {p}");
-            assert_eq!(tb.reduction_hidden, 0.0, "P = {p}");
         }
     }
 

@@ -42,7 +42,6 @@ pub fn per_rank_comm(plan: &HaloPlan, global: &CommSnapshot, nranks: usize) -> V
     };
     let flops_base = global.flops / nranks as u64;
     let overlap_base = global.overlap_flops / nranks as u64;
-    let red_overlap_base = global.reduction_overlap_flops / nranks as u64;
     for (r, snap) in out.iter_mut().enumerate() {
         let neighbors = plan.recv.get(r).map(Vec::len).unwrap_or(0) as u64;
         let entries: usize = plan
@@ -52,17 +51,12 @@ pub fn per_rank_comm(plan: &HaloPlan, global: &CommSnapshot, nranks: usize) -> V
             .unwrap_or(0);
         snap.p2p_messages = neighbors * exchanges;
         snap.p2p_bytes = entries as u64 * bytes_unit;
-        // Collectives: every rank executes every reduction — synchronous and
-        // split-phase alike.
+        // Collectives: every rank executes every reduction.
         snap.reductions = global.reductions;
         snap.reduction_bytes = global.reduction_bytes;
         snap.fused_parts = global.fused_parts;
-        snap.overlapped_reductions = global.overlapped_reductions;
-        snap.overlapped_reduction_bytes = global.overlapped_reduction_bytes;
-        snap.overlapped_parts = global.overlapped_parts;
         snap.flops = flops_base;
         snap.overlap_flops = overlap_base;
-        snap.reduction_overlap_flops = red_overlap_base;
     }
     // Remainders (partial exchanges, non-divisible byte totals, flop
     // leftovers) go to rank 0 so the sums reconcile exactly.
@@ -70,30 +64,24 @@ pub fn per_rank_comm(plan: &HaloPlan, global: &CommSnapshot, nranks: usize) -> V
     let byte_sum: u64 = out.iter().map(|s| s.p2p_bytes).sum();
     let flop_sum: u64 = out.iter().map(|s| s.flops).sum();
     let overlap_sum: u64 = out.iter().map(|s| s.overlap_flops).sum();
-    let red_overlap_sum: u64 = out.iter().map(|s| s.reduction_overlap_flops).sum();
     out[0].p2p_messages += global.p2p_messages - msg_sum;
     out[0].p2p_bytes += global.p2p_bytes - byte_sum;
     out[0].flops += global.flops - flop_sum;
     out[0].overlap_flops += global.overlap_flops - overlap_sum;
-    out[0].reduction_overlap_flops += global.reduction_overlap_flops - red_overlap_sum;
     out
 }
 
 /// Publish max/min/avg imbalance gauges over per-rank snapshots.
 ///
-/// For each of `p2p_messages`, `p2p_bytes`, `fused_parts`, `reductions`,
-/// `overlapped_reductions`, and `overlapped_parts` this sets three gauges
-/// named `{prefix}_{field}_{max|min|avg}` in `reg` — the split-phase
-/// collectives and their fused parts are first-class registry metrics.
+/// For each of `p2p_messages`, `p2p_bytes`, `fused_parts` and `reductions`
+/// this sets three gauges named `{prefix}_{field}_{max|min|avg}` in `reg`.
 pub fn publish_imbalance(reg: &MetricsRegistry, prefix: &str, snaps: &[CommSnapshot]) {
     type FieldGet = fn(&CommSnapshot) -> u64;
-    let fields: [(&str, FieldGet); 6] = [
+    let fields: [(&str, FieldGet); 4] = [
         ("p2p_messages", |s| s.p2p_messages),
         ("p2p_bytes", |s| s.p2p_bytes),
         ("fused_parts", |s| s.fused_parts),
         ("reductions", |s| s.reductions),
-        ("overlapped_reductions", |s| s.overlapped_reductions),
-        ("overlapped_parts", |s| s.overlapped_parts),
     ];
     for (name, get) in fields {
         let mut max = 0u64;
@@ -137,13 +125,10 @@ pub struct ModeledRow {
     pub nranks: usize,
     /// Modeled compute seconds.
     pub compute: f64,
-    /// Modeled *exposed* reduction seconds.
+    /// Modeled reduction seconds.
     pub reduction: f64,
     /// Modeled point-to-point seconds.
     pub p2p: f64,
-    /// Split-phase reduction latency hidden behind pipelined local work
-    /// (informational; not in the total).
-    pub red_hidden: f64,
 }
 
 /// Combined measured + modeled breakdown for one solve.
@@ -190,7 +175,6 @@ pub fn phase_report(
                 compute: t.compute,
                 reduction: t.reduction,
                 p2p: t.p2p,
-                red_hidden: t.reduction_hidden,
             }
         })
         .collect();
@@ -235,32 +219,17 @@ impl PhaseReport {
             ));
         }
         if !self.modeled.is_empty() {
-            let any_hidden = self.modeled.iter().any(|m| m.red_hidden > 0.0);
             s.push_str("modeled time at P ranks (s):\n");
-            if any_hidden {
-                s.push_str(&format!(
-                    "  {:>6} {:>12} {:>12} {:>12} {:>12} {:>12}\n",
-                    "P", "compute", "reduction", "red_hidden", "p2p", "total"
-                ));
-            } else {
-                s.push_str(&format!(
-                    "  {:>6} {:>12} {:>12} {:>12} {:>12}\n",
-                    "P", "compute", "reduction", "p2p", "total"
-                ));
-            }
+            s.push_str(&format!(
+                "  {:>6} {:>12} {:>12} {:>12} {:>12}\n",
+                "P", "compute", "reduction", "p2p", "total"
+            ));
             for m in &self.modeled {
                 let total = m.compute + m.reduction + m.p2p;
-                if any_hidden {
-                    s.push_str(&format!(
-                        "  {:>6} {:>12.6} {:>12.6} {:>12.6} {:>12.6} {:>12.6}\n",
-                        m.nranks, m.compute, m.reduction, m.red_hidden, m.p2p, total
-                    ));
-                } else {
-                    s.push_str(&format!(
-                        "  {:>6} {:>12.6} {:>12.6} {:>12.6} {:>12.6}\n",
-                        m.nranks, m.compute, m.reduction, m.p2p, total
-                    ));
-                }
+                s.push_str(&format!(
+                    "  {:>6} {:>12.6} {:>12.6} {:>12.6} {:>12.6}\n",
+                    m.nranks, m.compute, m.reduction, m.p2p, total
+                ));
             }
         }
         s
@@ -396,26 +365,11 @@ pub fn comm_to_json(snap: &CommSnapshot) -> String {
         ("p2p_bytes", (snap.p2p_bytes as f64).into()),
         ("flops", (snap.flops as f64).into()),
         ("overlap_flops", (snap.overlap_flops as f64).into()),
-        (
-            "overlapped_reductions",
-            (snap.overlapped_reductions as f64).into(),
-        ),
-        (
-            "overlapped_reduction_bytes",
-            (snap.overlapped_reduction_bytes as f64).into(),
-        ),
-        ("overlapped_parts", (snap.overlapped_parts as f64).into()),
-        (
-            "reduction_overlap_flops",
-            (snap.reduction_overlap_flops as f64).into(),
-        ),
     ])
     .to_json()
 }
 
 /// Parse a [`CommSnapshot`] from the JSON produced by [`comm_to_json`].
-/// The overlapped-reduction fields default to zero when absent, so comm
-/// dumps written before the split-phase counters existed still parse.
 pub fn comm_from_json(text: &str) -> Option<CommSnapshot> {
     let v = kryst_obs::json::JsonValue::parse(text).ok()?;
     let field = |k: &str| v.get(k).and_then(|x| x.as_f64()).map(|x| x as u64);
@@ -427,10 +381,6 @@ pub fn comm_from_json(text: &str) -> Option<CommSnapshot> {
         p2p_bytes: field("p2p_bytes")?,
         flops: field("flops")?,
         overlap_flops: field("overlap_flops")?,
-        overlapped_reductions: field("overlapped_reductions").unwrap_or(0),
-        overlapped_reduction_bytes: field("overlapped_reduction_bytes").unwrap_or(0),
-        overlapped_parts: field("overlapped_parts").unwrap_or(0),
-        reduction_overlap_flops: field("reduction_overlap_flops").unwrap_or(0),
     })
 }
 
@@ -471,10 +421,6 @@ mod tests {
                 p2p_bytes: p.entries_per_exchange as u64 * 25 * 8,
                 flops: 1_000_003,
                 overlap_flops: 999_999,
-                overlapped_reductions: 13,
-                overlapped_reduction_bytes: 13 * 40,
-                overlapped_parts: 26,
-                reduction_overlap_flops: 500_001,
             };
             let ranks = per_rank_comm(&p, &global, nranks);
             assert_eq!(ranks.len(), nranks);
@@ -482,23 +428,15 @@ mod tests {
             let bytes: u64 = ranks.iter().map(|s| s.p2p_bytes).sum();
             let flops: u64 = ranks.iter().map(|s| s.flops).sum();
             let overlap: u64 = ranks.iter().map(|s| s.overlap_flops).sum();
-            let red_overlap: u64 = ranks.iter().map(|s| s.reduction_overlap_flops).sum();
             assert_eq!(msg, global.p2p_messages, "P = {nranks}");
             assert_eq!(bytes, global.p2p_bytes, "P = {nranks}");
             assert_eq!(flops, global.flops, "P = {nranks}");
             assert_eq!(overlap, global.overlap_flops, "P = {nranks}");
-            assert_eq!(red_overlap, global.reduction_overlap_flops, "P = {nranks}");
             for s in &ranks {
-                // Collectives are copied, not divided — split-phase included.
+                // Collectives are copied, not divided.
                 assert_eq!(s.reductions, global.reductions);
                 assert_eq!(s.reduction_bytes, global.reduction_bytes);
                 assert_eq!(s.fused_parts, global.fused_parts);
-                assert_eq!(s.overlapped_reductions, global.overlapped_reductions);
-                assert_eq!(
-                    s.overlapped_reduction_bytes,
-                    global.overlapped_reduction_bytes
-                );
-                assert_eq!(s.overlapped_parts, global.overlapped_parts);
             }
         }
     }
@@ -534,8 +472,6 @@ mod tests {
                 p2p_bytes: 300,
                 reductions: 5,
                 fused_parts: 15,
-                overlapped_reductions: 4,
-                overlapped_parts: 8,
                 ..Default::default()
             },
         ];
@@ -546,8 +482,6 @@ mod tests {
         assert_eq!(reg.gauge("solve_p2p_bytes_avg").get(), 200.0);
         assert_eq!(reg.gauge("solve_reductions_max").get(), 5.0);
         assert_eq!(reg.gauge("solve_reductions_min").get(), 5.0);
-        assert_eq!(reg.gauge("solve_overlapped_reductions_max").get(), 4.0);
-        assert_eq!(reg.gauge("solve_overlapped_parts_avg").get(), 4.0);
     }
 
     #[test]
@@ -652,27 +586,9 @@ mod tests {
             p2p_bytes: 5,
             flops: 6,
             overlap_flops: 7,
-            overlapped_reductions: 8,
-            overlapped_reduction_bytes: 9,
-            overlapped_parts: 10,
-            reduction_overlap_flops: 11,
         };
         let text = comm_to_json(&snap);
         assert_eq!(comm_from_json(&text), Some(snap));
         assert_eq!(comm_from_json("{"), None);
-    }
-
-    #[test]
-    fn comm_json_without_overlapped_fields_still_parses() {
-        // Dumps from before the split-phase counters existed must stay
-        // readable; missing fields default to zero.
-        let legacy = concat!(
-            "{\"reductions\":1,\"reduction_bytes\":2,\"fused_parts\":3,",
-            "\"p2p_messages\":4,\"p2p_bytes\":5,\"flops\":6,\"overlap_flops\":7}"
-        );
-        let snap = comm_from_json(legacy).unwrap();
-        assert_eq!(snap.reductions, 1);
-        assert_eq!(snap.overlapped_reductions, 0);
-        assert_eq!(snap.reduction_overlap_flops, 0);
     }
 }

@@ -56,7 +56,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static COUNTER: CountingAlloc = CountingAlloc;
 
 use kryst_core::cycle::{BlockArnoldi, CycleBuffers, PrecondMode};
-use kryst_core::{gcrodr, lgmres, OrthPath, OrthScheme, PrecondSide, SolveOpts, SolverContext};
+use kryst_core::{gcrodr, lgmres, OrthScheme, PrecondSide, SolveOpts, SolverContext};
 use kryst_dense::{blas, chol, DMat};
 use kryst_obs::{Event, Recorder, SpanKind};
 use kryst_precond::Jacobi;
@@ -130,7 +130,6 @@ fn restarts_allocate_their_storage_once() {
         recycle: 2,
         max_iters,
         side: PrecondSide::Right,
-        ortho: OrthPath::Fused,
         recorder: Some(marks.clone() as Arc<dyn Recorder>),
         ..Default::default()
     };
@@ -204,7 +203,6 @@ fn step_and_restart_allocate_no_vector_after_the_first_cycle() {
                 let cycle = |r: &DMat<f64>, bufs: CycleBuffers<f64>| {
                     let mut arn =
                         BlockArnoldi::new(&a, &mode, m, p, OrthScheme::CholQr, c_proj, None)
-                            .with_path(OrthPath::Fused)
                             .with_buffers(bufs);
                     arn.start(r);
                     let mut last = Vec::new();

@@ -16,7 +16,8 @@ use kryst_par::{PrecondOp, PrecondPrecision};
 use kryst_precond::{Amg, AmgOpts, Ilu0, SmootherKind};
 use kryst_sparse::{Coo, Csr};
 
-/// The Fig. 7 benchmark operator (same builder as `tests/comm_model.rs`).
+/// The Fig. 7 benchmark operator: 2-D convection–diffusion, first-order
+/// upwind convection.
 fn convdiff2d(nx: usize, eps: f64, bx: f64, by: f64) -> Csr<f64> {
     let n = nx * nx;
     let h = 1.0 / (nx as f64 + 1.0);

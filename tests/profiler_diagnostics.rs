@@ -21,7 +21,7 @@
 //!    counters over ranks via the halo plan reproduces the totals exactly
 //!    at P ∈ {2, 4, 8}, and the published imbalance gauges match.
 
-use kryst_core::{gcrodr, gmres, lgmres, OrthPath, PrecondSide, SolveOpts, SolverContext};
+use kryst_core::{gcrodr, gmres, lgmres, OrthScheme, PrecondSide, SolveOpts, SolverContext};
 use kryst_dense::DMat;
 use kryst_obs::{
     diags_of, iteration_events, DiagKind, Event, MetricsRegistry, Phase, Profiler, Recorder,
@@ -121,6 +121,8 @@ fn trace_fingerprint(events: &[Event], x: &DMat<f64>) -> Vec<u64> {
 
 /// The golden GMRES(30) and GCRO-DR(30,10) traces must be bit-identical
 /// with the profiler off and on: the profiler only ever reads the clock.
+/// CholQR runs the fused step and IMGS the per-column sweep — both branches
+/// of the Arnoldi step's orthogonalization.
 #[test]
 fn profiler_on_off_traces_bit_identical() {
     let _turn = profiler_turn();
@@ -130,14 +132,14 @@ fn profiler_on_off_traces_bit_identical() {
     let id = IdentityPrecond::new(n);
     let prof = Profiler::global();
 
-    let run_gmres = |ortho| {
+    let run_gmres = |orth| {
         let ring = Arc::new(RingRecorder::new(1 << 16));
         let opts = ring_opts(
             SolveOpts {
                 rtol: 1e-8,
                 restart: 30,
                 max_iters: 600,
-                ortho,
+                orth,
                 ..Default::default()
             },
             &ring,
@@ -146,7 +148,7 @@ fn profiler_on_off_traces_bit_identical() {
         gmres::solve(&a, &id, &b, &mut x, &opts);
         trace_fingerprint(&ring.events(), &x)
     };
-    let run_gcrodr = |ortho| {
+    let run_gcrodr = |orth| {
         let ring = Arc::new(RingRecorder::new(1 << 16));
         let opts = ring_opts(
             SolveOpts {
@@ -154,7 +156,7 @@ fn profiler_on_off_traces_bit_identical() {
                 restart: 30,
                 recycle: 10,
                 max_iters: 5000,
-                ortho,
+                orth,
                 ..Default::default()
             },
             &ring,
@@ -167,22 +169,22 @@ fn profiler_on_off_traces_bit_identical() {
     };
 
     prof.reset();
-    for ortho in [OrthPath::Fused, OrthPath::Classic, OrthPath::Pipelined] {
+    for orth in [OrthScheme::CholQr, OrthScheme::Imgs] {
         prof.set_enabled(false);
-        let gmres_off = run_gmres(ortho);
-        let gcrodr_off = run_gcrodr(ortho);
+        let gmres_off = run_gmres(orth);
+        let gcrodr_off = run_gcrodr(orth);
         prof.set_enabled(true);
-        let gmres_on = run_gmres(ortho);
-        let gcrodr_on = run_gcrodr(ortho);
+        let gmres_on = run_gmres(orth);
+        let gcrodr_on = run_gcrodr(orth);
         prof.set_enabled(false);
 
         assert_eq!(
             gmres_off, gmres_on,
-            "profiler perturbed the GMRES iteration trace ({ortho:?})"
+            "profiler perturbed the GMRES iteration trace ({orth:?})"
         );
         assert_eq!(
             gcrodr_off, gcrodr_on,
-            "profiler perturbed the GCRO-DR iteration trace ({ortho:?})"
+            "profiler perturbed the GCRO-DR iteration trace ({orth:?})"
         );
     }
     // And the enabled run actually measured the instrumented kernels.
@@ -212,9 +214,6 @@ fn phases_cover_an_lgmres_solve() {
         restart: 30,
         recycle: 10,
         max_iters: 3000,
-        // The path every figure runs; the pipelined one books its lagged
-        // applies under a phase of its own, around these.
-        ortho: OrthPath::Fused,
         ..Default::default()
     };
     let mut x = DMat::zeros(n, 1);

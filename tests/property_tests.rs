@@ -173,20 +173,16 @@ fn cholqr_breakdown_reports_constructed_rank_c64() {
 
 #[test]
 fn block_orth_surfaces_breakdown_rank_through_solver_events() {
-    // End-to-end: a rank-deficient candidate block in orthogonalize_block
-    // reports the same rank the construction dictates — this is the value
-    // solvers forward as `IterationEvent::breakdown_rank`.
+    // End-to-end: a rank-deficient candidate block in the fused block
+    // orthogonalization the Arnoldi step runs reports the same rank the
+    // construction dictates — this is the value solvers forward as
+    // `IterationEvent::breakdown_rank`.
     prop("block_orth_breakdown", 16, 31, |rng| {
         let p = 4;
         let r = 1 + rng.gen_index(p - 1);
         let mut w = rank_deficient_block_f64(rng, 50, p, r);
         let v = DMat::<f64>::zeros(50, 0);
-        let out = kryst_dense::gs::orthogonalize_block(
-            &v,
-            0,
-            &mut w,
-            kryst_dense::gs::OrthScheme::CholQr,
-        );
+        let out = kryst_dense::gs::fused_orthogonalize_block(None, &v, 0, &mut w, false, 0.0);
         assert_eq!(out.rank, r);
     });
 }

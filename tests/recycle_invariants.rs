@@ -17,7 +17,7 @@
 //! with caps of 0, 1, 2, … cycles shows the pair after the
 //! re-orthonormalisation and after each refresh of the uncapped solve.
 
-use kryst_core::{gcrodr, OrthPath, PrecondSide, RecycleStrategy, SolveOpts, SolverContext};
+use kryst_core::{gcrodr, PrecondSide, RecycleStrategy, SolveOpts, SolverContext};
 use kryst_dense::{blas, DMat};
 use kryst_par::LinOp;
 use kryst_pde::elasticity::{elasticity3d, ElasticityOpts, PAPER_INCLUSIONS};
@@ -77,9 +77,6 @@ fn check_sequence<S: Scalar>(
             max_iters,
             side,
             recycle_strategy: strategy,
-            // Not the pipelined path: its recurrence rebuilds `Z` to about
-            // 1e-8, which is what `A·U − C` then shows.
-            ortho: OrthPath::Fused,
             ..Default::default()
         };
         // Cycle ends of this solve: the first system opens with a plain

@@ -3,24 +3,30 @@
 //!
 //! Each test runs a solver with both the instrumented counters and a
 //! [`RingRecorder`] attached, then checks that the per-iteration
-//! `comm.reductions` deltas tile the solve and reproduce the paper's
-//! closed-form counts:
+//! `comm.reductions` deltas tile the solve and reproduce closed-form counts
+//! of the one orthogonalization path:
 //!
-//! * GMRES(m) with CholQR: **3 reductions per iteration** (two fused CGS
-//!   projection passes + one Gram product) plus **1 per cycle start** (the
-//!   CholQR of the restart residual),
-//! * a GCRO-DR deflated cycle adds exactly **one** more per iteration (the
-//!   `(I − C·Cᴴ)` projection) and one per-cycle `CᴴR` update,
+//! * GMRES(m) with CholQR: **one fused reduction per iteration** (`VᴴW`
+//!   and `WᴴW` in one message), plus one per adaptive second pass — each
+//!   reported by an `OrthLoss` diagnostic carrying the step's pass count —
+//!   plus **one per cycle start**, the CholQR of the restart residual (the
+//!   ε^(1/8) rule gives that CholQR a second pass only when the residual
+//!   block is ill conditioned, which a single column never is),
+//! * a GCRO-DR deflated iteration adds the `(I − C·Cᴴ)` projection as one
+//!   more **part** of the same message, not one more reduction: the paper's
+//!   "one extra reduction per iteration" of recycling is one extra part
+//!   here; each cycle adds one `CᴴR` projection of its residual,
 //! * a recycle-space refresh costs 1 reduction (the column norms of `D`)
 //!   plus **one extra for strategy A** (eq. (3a) needs `[C V]ᴴ·U`; eq. (3b)
 //!   assumes orthogonality and skips it),
 //! * `same_system` drops the `A·U` re-orthonormalization from the setup, so
 //!   the setup span records 1 reduction instead of 2.
 
-use kryst_core::{gcrodr, gmres, OrthPath, OrthScheme, RecycleStrategy, SolveOpts, SolverContext};
+use kryst_core::{gcrodr, gmres, OrthScheme, RecycleStrategy, SolveOpts, SolverContext};
 use kryst_dense::DMat;
 use kryst_obs::{
-    cumulative_comm, iteration_events, spans_of, Event, Recorder, RingRecorder, SpanKind,
+    cumulative_comm, diags_of, iteration_events, spans_of, DiagKind, Event, Recorder, RingRecorder,
+    SpanKind,
 };
 use kryst_par::{CommStats, DistOp, IdentityPrecond};
 use kryst_pde::poisson::poisson2d;
@@ -53,9 +59,20 @@ fn cycle_count(events: &[Event]) -> usize {
         .unwrap_or(0)
 }
 
-/// GMRES(m) with CholQR: exactly `3·iterations + cycles` fused reductions —
-/// and the deltas land on the right events (the cycle-start CholQR is
-/// absorbed by the first iteration of its cycle).
+/// Fused passes of each iteration of the solve, by iteration index: 1, or
+/// the pass count of the `OrthLoss` diagnostic raised on that iteration.
+fn passes_per_iteration(events: &[Event]) -> Vec<u64> {
+    let mut passes = vec![1u64; iteration_events(events).len()];
+    for d in diags_of(events, DiagKind::OrthLoss) {
+        passes[d.iter] = d.detail as u64;
+    }
+    passes
+}
+
+/// GMRES(m) with CholQR: exactly `Σ passes + cycles` reductions — one per
+/// fused pass and one per cycle-start CholQR — and the deltas land on the
+/// right events (the cycle-start CholQR is absorbed by the first iteration
+/// of its cycle).
 #[test]
 fn gmres_cholqr_reduction_count_is_exact() {
     let (a, b) = poisson_setup(24);
@@ -67,7 +84,6 @@ fn gmres_cholqr_reduction_count_is_exact() {
         rtol: 1e-8,
         restart: 20,
         orth: OrthScheme::CholQr,
-        ortho: OrthPath::Classic,
         stats: Some(Arc::clone(&stats)),
         recorder: Some(ring.clone() as Arc<dyn Recorder>),
         ..Default::default()
@@ -84,19 +100,19 @@ fn gmres_cholqr_reduction_count_is_exact() {
         res.iterations > opts.restart,
         "need multiple cycles for the formula"
     );
+    let passes = passes_per_iteration(&events);
 
     // Exact §III-D total.
-    let expected = 3 * res.iterations as u64 + cycles as u64;
+    let expected = passes.iter().sum::<u64>() + cycles as u64;
     assert_eq!(cumulative_comm(&events).reductions, expected);
     assert_eq!(stats.snapshot().reductions, expected);
     assert_eq!(solve_end(&events).comm_total.reductions, expected);
 
-    // Exact per-event attribution: 4 on a cycle's first iteration (3 + the
-    // restart-residual CholQR), 3 on every other.
-    for w in iters.windows(2) {
-        let (prev, ev) = (&w[0], &w[1]);
-        let first_of_cycle = ev.cycle != prev.cycle;
-        let want = if first_of_cycle { 4 } else { 3 };
+    // Exact per-event attribution: the step's passes, plus the restart
+    // residual's CholQR on a cycle's first iteration.
+    let steps = within_cycle_steps(&iters);
+    for (ev, &j) in iters.iter().zip(&steps) {
+        let want = passes[ev.iter] + u64::from(j == 0);
         assert_eq!(
             ev.comm.reductions, want,
             "cycle {} iter {}: delta {}",
@@ -104,15 +120,16 @@ fn gmres_cholqr_reduction_count_is_exact() {
         );
     }
     assert_eq!(
-        iters[0].comm.reductions, 4,
+        iters[0].comm.reductions,
+        passes[0] + 1,
         "solve-start CholQR rides on iteration 0"
     );
 }
 
 /// Second GCRO-DR solve on the same operator (`same_system`, pure deflated
-/// cycles): exactly `4·iterations + 2·cycles + 1` reductions — the paper's
-/// "one extra reduction per iteration" claim at fused granularity, plus the
-/// per-cycle `CᴴR` update and the one-off setup projection.
+/// cycles): exactly `Σ passes + 2·cycles + 1` reductions — one per fused
+/// pass, the restart CholQR and the `CᴴR` update per cycle, and the one-off
+/// setup projection. The recycled block costs no reduction of its own.
 #[test]
 fn gcrodr_deflated_cycle_count_is_exact() {
     let (a, b) = poisson_setup(24);
@@ -124,7 +141,6 @@ fn gcrodr_deflated_cycle_count_is_exact() {
         restart: 20,
         recycle: 8,
         orth: OrthScheme::CholQr,
-        ortho: OrthPath::Classic,
         same_system: true,
         stats: Some(Arc::clone(&stats)),
         ..Default::default()
@@ -149,22 +165,33 @@ fn gcrodr_deflated_cycle_count_is_exact() {
     let iters = iteration_events(&events);
     assert_eq!(iters.len(), second.iterations);
     let cycles = cycle_count(&events);
+    let passes = passes_per_iteration(&events);
 
-    // Setup projection (CᴴR) + per cycle (restart CholQR + CᴴR update)
-    // + per iteration (3 CholQR orth + 1 C-projection).
-    let expected = 1 + 2 * cycles as u64 + 4 * second.iterations as u64;
+    let expected = 1 + 2 * cycles as u64 + passes.iter().sum::<u64>();
     assert_eq!(cumulative_comm(&events).reductions, expected);
     assert_eq!(stats.snapshot().reductions, expected);
     assert_eq!(solve_end(&events).comm_total.reductions, expected);
 
-    // Interior iterations of a deflated cycle cost exactly 4 — one more
-    // than GMRES's 3 (§III-D). The final event is excluded: it absorbs the
-    // trailing `CᴴR` update by the tracer's tiling construction.
-    for w in iters[..iters.len() - 1].windows(2) {
-        let (prev, ev) = (&w[0], &w[1]);
-        if ev.cycle == prev.cycle {
-            assert_eq!(ev.comm.reductions, 4, "cycle {} iter {}", ev.cycle, ev.iter);
-        }
+    // Per event: the step's passes; a cycle's first iteration also carries
+    // the cycle's `CᴴR` projection and its restart CholQR, and iteration 0
+    // the setup projection. Each pass batches `CᴴW`, `VᴴW` and `WᴴW`: the
+    // deflated iteration pays one part more than GMRES's two, not one
+    // reduction more.
+    let steps = within_cycle_steps(&iters);
+    for (ev, &j) in iters.iter().zip(&steps) {
+        let want = passes[ev.iter] + 2 * u64::from(j == 0) + u64::from(ev.iter == 0);
+        assert_eq!(
+            ev.comm.reductions, want,
+            "cycle {} iter {}",
+            ev.cycle, ev.iter
+        );
+        assert_eq!(
+            ev.comm.fused_parts,
+            3 * passes[ev.iter],
+            "cycle {} iter {}",
+            ev.cycle,
+            ev.iter
+        );
     }
     // The recycle space never refreshes on the same_system fast path.
     assert!(spans_of(&events, SpanKind::RecycleRefresh).is_empty());
@@ -248,7 +275,8 @@ fn same_system_setup_span_skips_au_qr() {
 }
 
 /// MGS costs one reduction per basis column (growing with the cycle); CholQR
-/// stays flat at 3 — the §III-A case for CholQR, read off the event deltas.
+/// stays flat at one fused reduction per pass — the §III-A case for CholQR,
+/// read off the event deltas.
 #[test]
 fn mgs_deltas_grow_with_basis_cholqr_stays_flat() {
     let (a, b) = poisson_setup(24);
@@ -261,7 +289,6 @@ fn mgs_deltas_grow_with_basis_cholqr_stays_flat() {
             rtol: 1e-8,
             restart: 30,
             orth,
-            ortho: OrthPath::Classic,
             stats: Some(CommStats::new_shared()),
             recorder: Some(ring.clone() as Arc<dyn Recorder>),
             ..Default::default()
@@ -273,13 +300,17 @@ fn mgs_deltas_grow_with_basis_cholqr_stays_flat() {
         per_iter.push(cumulative_comm(&events).reductions as f64 / res.iterations as f64);
         // Flat vs growing deltas within one cycle.
         let iters = iteration_events(&events);
-        let deltas: Vec<u64> = iters
+        let window: Vec<_> = iters
             .iter()
             .filter(|e| e.cycle == 0 && e.iter > 0 && e.iter < 10)
-            .map(|e| e.comm.reductions)
             .collect();
+        let deltas: Vec<u64> = window.iter().map(|e| e.comm.reductions).collect();
         match orth {
-            OrthScheme::CholQr => assert!(deltas.iter().all(|&d| d == 3), "{deltas:?}"),
+            OrthScheme::CholQr => {
+                let passes = passes_per_iteration(&events);
+                let want: Vec<u64> = window.iter().map(|e| passes[e.iter]).collect();
+                assert_eq!(deltas, want);
+            }
             OrthScheme::Mgs => assert!(deltas.windows(2).all(|w| w[1] > w[0]), "{deltas:?}"),
             _ => unreachable!(),
         }
@@ -348,101 +379,35 @@ fn within_cycle_steps(iters: &[&kryst_obs::IterationEvent]) -> Vec<usize> {
     steps
 }
 
-/// §III-D byte audit, classic path: iteration `j` of a GMRES(m)/CholQR
-/// cycle reduces exactly `(2j + 3)·8` bytes in its 3 reductions — the two
-/// CGS projection passes carry `(j+1)` coefficients each, the Gram product
-/// one scalar — and the cycle-start CholQR adds its own 8-byte Gram. Locks
-/// the accounting to the message sizes §III-D argues about, not a
-/// `(j+2)·p·p` over-approximation.
-#[test]
-fn classic_reduction_bytes_are_exact() {
-    let (a, b) = poisson_setup(24);
-    let n = a.nrows();
-    let id = IdentityPrecond::new(n);
-    let stats = CommStats::new_shared();
-    let ring = Arc::new(RingRecorder::new(8192));
-    let opts = SolveOpts {
-        rtol: 1e-8,
-        restart: 20,
-        orth: OrthScheme::CholQr,
-        ortho: OrthPath::Classic,
-        stats: Some(Arc::clone(&stats)),
-        recorder: Some(ring.clone() as Arc<dyn Recorder>),
-        ..Default::default()
-    };
-    let mut x = DMat::zeros(n, 1);
-    let res = gmres::solve(&a, &id, &b, &mut x, &opts);
-    assert!(res.converged);
-    let events = ring.events();
-    let iters = iteration_events(&events);
-    let steps = within_cycle_steps(&iters);
-    let w = std::mem::size_of::<f64>() as u64;
-    for (ev, &j) in iters.iter().zip(&steps) {
-        let first_of_cycle = j == 0;
-        let want = (2 * j as u64 + 3) * w + u64::from(first_of_cycle) * w;
-        assert_eq!(
-            ev.comm.reduction_bytes, want,
-            "cycle {} step {j}: {} bytes",
-            ev.cycle, ev.comm.reduction_bytes
-        );
-    }
-    // The classic path never fuses: no batched parts anywhere in the solve.
-    assert_eq!(stats.snapshot().fused_parts, 0);
-}
-
-/// Fused-path conformance: the same solve runs the same iteration
-/// trajectory, but iteration `j` reduces once (twice under the adaptive
-/// re-orthogonalization budget) with the projection coefficients and the
-/// Gram batched into one `(j+2)·8`-byte message of 2 fused parts.
+/// Fused-path bytes and parts: iteration `j` of a GMRES(m)/CholQR cycle
+/// reduces once per pass, the projection coefficients and the Gram batched
+/// into one `(j+2)·8`-byte message of 2 parts, and the cycle-start CholQR
+/// adds its own 8-byte Gram as a plain (unbatched) reduction. Locks the
+/// accounting to the message sizes §III-D argues about.
 #[test]
 fn fused_reduction_bytes_and_parts_are_exact() {
     let (a, b) = poisson_setup(24);
     let n = a.nrows();
     let id = IdentityPrecond::new(n);
-
-    let run = |path: OrthPath| {
-        let stats = CommStats::new_shared();
-        let ring = Arc::new(RingRecorder::new(8192));
-        let opts = SolveOpts {
-            rtol: 1e-8,
-            restart: 20,
-            orth: OrthScheme::CholQr,
-            ortho: path,
-            stats: Some(Arc::clone(&stats)),
-            recorder: Some(ring.clone() as Arc<dyn Recorder>),
-            ..Default::default()
-        };
-        let mut x = DMat::zeros(n, 1);
-        let res = gmres::solve(&a, &id, &b, &mut x, &opts);
-        assert!(res.converged, "{path:?}");
-        (res, stats.snapshot(), ring.events())
+    let ring = Arc::new(RingRecorder::new(8192));
+    let opts = SolveOpts {
+        rtol: 1e-8,
+        restart: 20,
+        orth: OrthScheme::CholQr,
+        stats: Some(CommStats::new_shared()),
+        recorder: Some(ring.clone() as Arc<dyn Recorder>),
+        ..Default::default()
     };
-    let (classic, csnap, _) = run(OrthPath::Classic);
-    let (fused, fsnap, events) = run(OrthPath::Fused);
+    let mut x = DMat::zeros(n, 1);
+    assert!(gmres::solve(&a, &id, &b, &mut x, &opts).converged);
 
-    // Same Krylov trajectory, strictly fewer synchronizations.
-    assert_eq!(fused.iterations, classic.iterations);
-    assert!(
-        fsnap.reductions < csnap.reductions,
-        "fused {} !< classic {}",
-        fsnap.reductions,
-        csnap.reductions
-    );
-
+    let events = ring.events();
     let iters = iteration_events(&events);
     let steps = within_cycle_steps(&iters);
+    let passes = passes_per_iteration(&events);
     let w = std::mem::size_of::<f64>() as u64;
     for (ev, &j) in iters.iter().zip(&steps) {
-        // The cycle-start CholQR is a plain (unfused) reduction riding on
-        // the cycle's first iteration.
-        let extra = u64::from(j == 0);
-        let passes = ev.comm.reductions - extra;
-        assert!(
-            passes == 1 || passes == 2,
-            "cycle {} step {j}: {} fused passes",
-            ev.cycle,
-            passes
-        );
+        let (passes, start) = (passes[ev.iter], u64::from(j == 0));
         assert_eq!(
             ev.comm.fused_parts,
             2 * passes,
@@ -451,7 +416,7 @@ fn fused_reduction_bytes_and_parts_are_exact() {
         );
         assert_eq!(
             ev.comm.reduction_bytes,
-            passes * (j as u64 + 2) * w + extra * w,
+            passes * (j as u64 + 2) * w + start * w,
             "cycle {} step {j}",
             ev.cycle
         );
@@ -460,64 +425,48 @@ fn fused_reduction_bytes_and_parts_are_exact() {
 
 /// Fused deflated GCRO-DR cycles: the recycled-block projection `CᴴW` is a
 /// third part of the *same* fused reduction — a deflated iteration `j`
-/// synchronizes once (`k + j + 2` coefficients, 3 parts) instead of the
-/// classic four times. §III-D's "one extra reduction per iteration" price
-/// of deflation disappears into the batch.
+/// synchronizes once per pass, carrying `k + j + 2` coefficients in 3 parts.
 #[test]
 fn fused_deflated_cycle_parts_are_exact() {
     let (a, b) = poisson_setup(24);
     let n = a.nrows();
     let id = IdentityPrecond::new(n);
     let k = 8usize;
-    let mk = |path: OrthPath| SolveOpts {
+    let opts_warm = SolveOpts {
         rtol: 1e-8,
         restart: 20,
         recycle: k,
         orth: OrthScheme::CholQr,
-        ortho: path,
         same_system: true,
         ..Default::default()
     };
-
-    let run = |path: OrthPath| {
-        let mut ctx = SolverContext::new();
-        let mut x = DMat::zeros(n, 1);
-        assert!(gcrodr::solve(&a, &id, &b, &mut x, &mk(path), &mut ctx).converged);
-        let ring = Arc::new(RingRecorder::new(8192));
-        let opts = SolveOpts {
-            recorder: Some(ring.clone() as Arc<dyn Recorder>),
-            stats: Some(CommStats::new_shared()),
-            ..mk(path)
-        };
-        let b2 = DMat::from_fn(n, 1, |i, _| ((i % 5) as f64) - 2.0);
-        let mut x = DMat::zeros(n, 1);
-        let res = gcrodr::solve(&a, &id, &b2, &mut x, &opts, &mut ctx);
-        assert!(res.converged, "{path:?}");
-        (res, ring.events())
+    let mut ctx = SolverContext::new();
+    let mut x = DMat::zeros(n, 1);
+    assert!(gcrodr::solve(&a, &id, &b, &mut x, &opts_warm, &mut ctx).converged);
+    let ring = Arc::new(RingRecorder::new(8192));
+    let opts = SolveOpts {
+        recorder: Some(ring.clone() as Arc<dyn Recorder>),
+        stats: Some(CommStats::new_shared()),
+        ..opts_warm
     };
-    let (classic, _) = run(OrthPath::Classic);
-    let (fused, events) = run(OrthPath::Fused);
-    assert_eq!(fused.iterations, classic.iterations);
+    let b2 = DMat::from_fn(n, 1, |i, _| ((i % 5) as f64) - 2.0);
+    let mut x = DMat::zeros(n, 1);
+    assert!(gcrodr::solve(&a, &id, &b2, &mut x, &opts, &mut ctx).converged);
 
+    let events = ring.events();
     let iters = iteration_events(&events);
     let steps = within_cycle_steps(&iters);
+    let passes = passes_per_iteration(&events);
     let w = std::mem::size_of::<f64>() as u64;
-    // Interior iterations only: cycle boundaries additionally carry the
-    // restart CholQR and the CᴴR update, and the trailing event absorbs the
-    // end-of-cycle update by the tracer's tiling construction.
+    // Interior iterations only: a cycle's first iteration additionally
+    // carries its `CᴴR` projection and restart CholQR.
     let mut interior = 0;
-    for (win, &j) in iters.windows(2).zip(&steps[1..]) {
-        let ev = &win[1];
-        if j == 0 || ev.iter == iters.last().unwrap().iter {
+    for (ev, &j) in iters.iter().zip(&steps) {
+        if j == 0 {
             continue;
         }
-        let passes = ev.comm.reductions;
-        assert!(
-            passes == 1 || passes == 2,
-            "cycle {} step {j}: {} fused passes",
-            ev.cycle,
-            passes
-        );
+        let passes = passes[ev.iter];
+        assert_eq!(ev.comm.reductions, passes, "cycle {} step {j}", ev.cycle);
         assert_eq!(
             ev.comm.fused_parts,
             3 * passes,

@@ -11,7 +11,7 @@
 //! as its worker executable, since primitive workers can't pass through
 //! libtest's `main`.
 
-use kryst_core::{gcrodr, gmres, OrthPath, SolveOpts, SolverContext};
+use kryst_core::{gcrodr, gmres, SolveOpts, SolverContext};
 use kryst_dense::DMat;
 use kryst_par::collective::{all_reduce_sum, ifused_reduce_start, ireduce_start};
 use kryst_par::{
@@ -160,7 +160,6 @@ fn solver_traces_bit_identical_across_backends() {
             restart: 30,
             recycle: 10,
             max_iters: 90,
-            ortho: OrthPath::Fused,
             ..Default::default()
         };
         let mut x = DMat::zeros(n, 1);
