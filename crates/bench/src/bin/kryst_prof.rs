@@ -12,9 +12,7 @@
 //! * `kryst_prof report <dir>` — consume those artifacts and print the
 //!   paper-style per-phase breakdown: measured local wall time per phase
 //!   (from the profiler), iterations (counted from the JSONL trace), and
-//!   α–β–γ modeled comm/compute time at the paper's rank counts, plus a
-//!   bytes-per-iteration table contrasting the assembled-`f64`, mixed-
-//!   precision-preconditioner, and matrix-free operator configurations.
+//!   α–β–γ modeled comm/compute time at the paper's rank counts.
 //!
 //! With no mode argument it runs `demo` then `report` on
 //! `target/kryst-prof` (or the directory given as the only argument).
@@ -26,11 +24,9 @@ use kryst_obs::{JsonlRecorder, MetricsRegistry, ProfileSnapshot, Profiler, Recor
 use kryst_par::{
     calibration_table, comm_from_json, comm_to_json, per_rank_comm, phase_report,
     publish_imbalance, publish_wire, validation_table, Calibration, CommSnapshot, CommStats,
-    CostModel, DistOp, HaloPlan, Layout, LinOp, PrecondOp, PrecondPrecision, SpmdWorld,
-    TransportError, TransportKind, ValidationRow,
+    CostModel, DistOp, HaloPlan, Layout, SpmdWorld, TransportError, TransportKind, ValidationRow,
 };
 use kryst_pde::poisson::poisson2d;
-use kryst_pde::stencil::PoissonStencil;
 use kryst_precond::{Amg, AmgOpts, Ilu0};
 use kryst_rt::rng::Rng64;
 use kryst_sparse::{Coo, Csr};
@@ -70,66 +66,6 @@ fn convdiff2d(nx: usize, eps: f64, bx: f64, by: f64) -> Csr<f64> {
 
 fn write_file(path: &Path, content: &str) {
     std::fs::write(path, content).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-}
-
-/// One row of the bytes-per-iteration table: operator bytes + preconditioner
-/// bytes streamed by one `A·X` apply and one `M⁻¹` apply.
-struct BytesRow {
-    config: &'static str,
-    op_b: usize,
-    pc_b: usize,
-}
-
-/// Account the three memory-traffic configurations of the mixed-precision /
-/// matrix-free PR on the 2-D Poisson model operator (which has both an
-/// assembled and a stencil form), writing `bytes.json` for `report`.
-fn bytes_table(dir: &Path) {
-    let nx = 32;
-    let prob = poisson2d::<f64>(nx, nx);
-    let ilu_f64 = Ilu0::new(&prob.a).expect("ILU(0) on poisson");
-    let ilu_f32 =
-        Ilu0::with_precision(&prob.a, PrecondPrecision::Single).expect("f32 ILU(0) on poisson");
-    let stencil = PoissonStencil::<f64>::dim2(nx, nx);
-    let op_asm = LinOp::bytes_per_apply(&prob.a).expect("assembled operator bytes");
-    let op_mf = LinOp::bytes_per_apply(&stencil).expect("stencil operator bytes");
-    let pc_f64 = PrecondOp::<f64>::bytes_per_apply(&ilu_f64).expect("f64 ILU bytes");
-    let pc_f32 = PrecondOp::<f64>::bytes_per_apply(&ilu_f32).expect("f32 ILU bytes");
-    let rows = [
-        BytesRow {
-            config: "assembled-f64",
-            op_b: op_asm,
-            pc_b: pc_f64,
-        },
-        BytesRow {
-            config: "assembled + f32 precond",
-            op_b: op_asm,
-            pc_b: pc_f32,
-        },
-        BytesRow {
-            config: "matrix-free + f32 precond",
-            op_b: op_mf,
-            pc_b: pc_f32,
-        },
-    ];
-    let json = JsonValue::obj(vec![
-        ("problem", "poisson2d 32x32".into()),
-        (
-            "rows",
-            JsonValue::Arr(
-                rows.iter()
-                    .map(|r| {
-                        JsonValue::obj(vec![
-                            ("config", r.config.into()),
-                            ("op_b", r.op_b.into()),
-                            ("pc_b", r.pc_b.into()),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-    .to_json();
-    write_file(&dir.join("bytes.json"), &json);
 }
 
 fn demo(dir: &Path) {
@@ -198,7 +134,6 @@ fn demo(dir: &Path) {
     transport_demo(dir, &a, reg);
     trace_demo(dir, reg);
     write_file(&dir.join("metrics.json"), &reg.snapshot_json());
-    bytes_table(dir);
     eprintln!("  [demo] artifacts in {}", dir.display());
 }
 
@@ -526,43 +461,6 @@ fn amg_demo(dir: &Path, reg: &MetricsRegistry) {
     write_file(&dir.join("coarse_agglom.json"), &json);
 }
 
-/// Render the `bytes.json` table written by [`bytes_table`].
-fn report_bytes(dir: &Path) {
-    let Ok(text) = std::fs::read_to_string(dir.join("bytes.json")) else {
-        return;
-    };
-    let Ok(v) = JsonValue::parse(&text) else {
-        eprintln!("  [report] unparseable bytes.json, skipped");
-        return;
-    };
-    let problem = v
-        .get("problem")
-        .and_then(JsonValue::as_str)
-        .unwrap_or("?")
-        .to_string();
-    let Some(rows) = v.get("rows").and_then(JsonValue::as_array) else {
-        return;
-    };
-    println!("bytes per iteration ({problem}, one A*X + one precond apply, p=1):");
-    let mut baseline: Option<usize> = None;
-    for row in rows {
-        let (Some(config), Some(op_b), Some(pc_b)) = (
-            row.get("config").and_then(JsonValue::as_str),
-            row.get("op_b").and_then(JsonValue::as_usize),
-            row.get("pc_b").and_then(JsonValue::as_usize),
-        ) else {
-            continue;
-        };
-        let total = op_b + pc_b;
-        let base = *baseline.get_or_insert(total);
-        println!(
-            "  {config:<26} spmv {op_b:>9} B + precond {pc_b:>9} B = {total:>9} B  ({:.2}x less)",
-            base as f64 / total as f64
-        );
-    }
-    println!();
-}
-
 /// Render the `coarse_agglom.json` model written by [`amg_demo`]: the
 /// modeled per-apply cost of the all-ranks-serial coarse solve (a constant
 /// term that never scales) against the agglomerated subset solve plus its
@@ -661,7 +559,6 @@ fn report(dir: &Path) -> bool {
     report_coarse_agglom(dir, &model);
     report_transport(dir);
     report_trace(dir);
-    report_bytes(dir);
     let metrics = dir.join("metrics.json");
     if let Ok(text) = std::fs::read_to_string(&metrics) {
         println!("metrics snapshot ({}):", metrics.display());

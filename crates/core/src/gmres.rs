@@ -251,48 +251,4 @@ mod tests {
         // Each fused reduction carried at least the V-projection + Gram parts.
         assert!(snap.fused_parts >= 2 * res.iterations as u64);
     }
-
-    #[test]
-    fn plain_gmres_warns_on_mixed_precision_precond_fgmres_does_not() {
-        use crate::{gcrodr, lgmres, SolverContext};
-        use kryst_obs::{diags_of, DiagKind, Recorder, RingRecorder};
-        use kryst_par::PrecondPrecision;
-        use kryst_precond::Ilu0;
-        use std::sync::Arc;
-        let prob = poisson2d::<f64>(12, 12);
-        let n = prob.a.nrows();
-        let ilu = Ilu0::with_precision(&prob.a, PrecondPrecision::Single).expect("ILU(0) factors");
-        let b = DMat::from_fn(n, 1, |i, _| ((i % 7) as f64) - 3.0);
-        type Driver<'a> = &'a dyn Fn(&DMat<f64>, &mut DMat<f64>, &SolveOpts) -> SolveResult;
-        let drivers: [(&str, Driver<'_>); 3] = [
-            ("gmres", &|b, x, o| solve(&prob.a, &ilu, b, x, o)),
-            ("lgmres", &|b, x, o| lgmres::solve(&prob.a, &ilu, b, x, o)),
-            ("gcrodr", &|b, x, o| {
-                gcrodr::solve(&prob.a, &ilu, b, x, o, &mut SolverContext::new())
-            }),
-        ];
-        // The diagnostic comes from the one restarted loop: every driver
-        // warns exactly once unless it is flexible.
-        for (name, driver) in drivers {
-            let run = |side: PrecondSide| {
-                let ring = Arc::new(RingRecorder::new(8192));
-                let opts = SolveOpts {
-                    // Tight enough that even the left-preconditioned residual
-                    // certifies a small true residual.
-                    rtol: 1e-10,
-                    side,
-                    recorder: Some(ring.clone() as Arc<dyn Recorder>),
-                    ..Default::default()
-                };
-                let mut x = DMat::zeros(n, 1);
-                let res = driver(&b, &mut x, &opts);
-                assert!(res.converged, "{name} {side:?}: {:?}", res.final_relres);
-                check_true_residual(&prob.a, &b, &x, 1e-7);
-                diags_of(&ring.events(), DiagKind::MixedPrecision).len()
-            };
-            assert_eq!(run(PrecondSide::Right), 1, "{name} must warn once");
-            assert_eq!(run(PrecondSide::Left), 1, "left {name} must warn once");
-            assert_eq!(run(PrecondSide::Flexible), 0, "flexible {name} absorbs");
-        }
-    }
 }

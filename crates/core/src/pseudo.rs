@@ -15,7 +15,10 @@
 //! (leader-executes) and distributes the columns. Solves that converge
 //! early deregister, shrinking the batch — exactly the fused execution
 //! model whose efficiency Fig. 6 / §V-B2 measures, with genuinely batched
-//! SpMM calls.
+//! SpMM calls. A member that unwinds — its own panic, or the operator's or
+//! preconditioner's inside the batch it leads — aborts the group: every
+//! other member stops at its next submission, and [`solve`] re-raises the
+//! original panic.
 
 use crate::gcrodr::{self, SolverContext};
 use crate::gmres;
@@ -26,7 +29,8 @@ use kryst_dense::DMat;
 use kryst_par::{LinOp, PrecondOp};
 use kryst_scalar::Scalar;
 use kryst_sparse::SpmmWorkspace;
-use std::sync::{Condvar, Mutex};
+use std::any::Any;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Which single-RHS method the pseudo-block driver fuses.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -59,6 +63,9 @@ struct BatchState<S: Scalar> {
     active: Vec<bool>,
     waiting: usize,
     live: usize,
+    /// A member unwound: no batch runs again, and every member stops at its
+    /// next submission.
+    aborted: bool,
     /// Pool for the fused/pending/result column blocks — the batch barrier
     /// allocates nothing once every buffer size has been seen.
     ws: SpmmWorkspace<S>,
@@ -75,6 +82,27 @@ struct BatchGroup<'a, S: Scalar> {
     exec: BatchExec<'a, S>,
 }
 
+/// The panic payload of a member that stopped because another one unwound;
+/// [`solve`] re-raises the other member's payload instead.
+struct GroupAborted;
+
+/// A member's seat in the group. A member that unwinds — its own panic, or
+/// the kernel's in a batch it leads — leaves the group and aborts it when
+/// the seat drops, so no member waits for a submission that never comes.
+struct Membership<'g, 'a, S: Scalar> {
+    group: &'g BatchGroup<'a, S>,
+    me: usize,
+}
+
+impl<S: Scalar> Drop for Membership<'_, '_, S> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            // Runs no batch once aborted, so it cannot panic again.
+            self.group.deregister(self.me, true);
+        }
+    }
+}
+
 impl<'a, S: Scalar> BatchGroup<'a, S> {
     /// A group of `p` members over the given kernel executor.
     fn new(p: usize, exec: BatchExec<'a, S>) -> Self {
@@ -85,11 +113,19 @@ impl<'a, S: Scalar> BatchGroup<'a, S> {
                 active: vec![true; p],
                 waiting: 0,
                 live: p,
+                aborted: false,
                 ws: SpmmWorkspace::new(),
             }),
             cv: Condvar::new(),
             exec,
         }
+    }
+
+    /// The state, also after a member panicked while holding it: that
+    /// member's seat aborts the group as it unwinds, and all that runs on the
+    /// state afterwards is the other members leaving.
+    fn lock(&self) -> MutexGuard<'_, BatchState<S>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn run_batch(&self, st: &mut BatchState<S>) {
@@ -138,40 +174,45 @@ impl<'a, S: Scalar> BatchGroup<'a, S> {
         st.waiting = 0;
     }
 
-    /// Submit a kernel request and block until the batch executes.
+    /// Submit a kernel request and block until the batch executes. Unwinds
+    /// with [`GroupAborted`] once the group is aborted.
     fn submit(&self, me: usize, tag: u8, block: &DMat<S>) -> DMat<S> {
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.lock();
         debug_assert!(st.active[me]);
         let mut buf = st.ws.take(block.nrows(), block.ncols());
         buf.copy_from(block);
         st.pending[me] = Some((tag, buf));
         st.waiting += 1;
-        if st.waiting == st.live {
+        if st.waiting == st.live && !st.aborted {
             self.run_batch(&mut st);
             self.cv.notify_all();
-        } else {
-            while st.results[me].is_none() {
-                st = self.cv.wait(st).unwrap();
+        }
+        while st.results[me].is_none() {
+            if st.aborted {
+                drop(st);
+                std::panic::panic_any(GroupAborted);
             }
+            st = self.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
         st.results[me].take().expect("batched result present")
     }
 
     /// Return a result buffer obtained from [`Self::submit`] to the pool.
     fn recycle(&self, buf: DMat<S>) {
-        self.state.lock().unwrap().ws.put(buf);
+        self.lock().ws.put(buf);
     }
 
-    /// Leave the group (the member's solve has finished).
-    fn deregister(&self, me: usize) {
-        let mut st = self.state.lock().unwrap();
-        if !st.active[me] {
-            return;
-        }
-        st.active[me] = false;
-        st.live -= 1;
-        if st.live > 0 && st.waiting == st.live {
-            self.run_batch(&mut st);
+    /// Leave the group: the member's solve has finished, or with `abort`,
+    /// the member is unwinding.
+    fn deregister(&self, me: usize, abort: bool) {
+        let mut st = self.lock();
+        st.aborted |= abort;
+        if st.active[me] {
+            st.active[me] = false;
+            st.live -= 1;
+            if st.live > 0 && st.waiting == st.live && !st.aborted {
+                self.run_batch(&mut st);
+            }
         }
         self.cv.notify_all();
     }
@@ -270,6 +311,7 @@ pub fn solve<S: Scalar>(
             let bl = DMat::from_col_major(n, 1, b.col(l).to_vec());
             let mut xl = DMat::from_col_major(n, 1, x.col(l).to_vec());
             handles.push(scope.spawn(move || {
+                let _seat = Membership { group, me: l };
                 let aop = BatchedOp {
                     group,
                     me: l,
@@ -286,12 +328,22 @@ pub fn solve<S: Scalar>(
                     PseudoMethod::Gmres => gmres::solve(&aop, &mop, &bl, &mut xl, topts),
                     PseudoMethod::GcroDr => gcrodr::solve(&aop, &mop, &bl, &mut xl, topts, ctx),
                 };
-                group.deregister(l);
+                group.deregister(l, false);
                 (xl.col(0).to_vec(), res)
             }));
         }
+        // Join every member before re-raising: the first panic that is not
+        // just a member stopping for the group's abort.
+        let mut panic: Option<Box<dyn Any + Send>> = None;
         for (l, h) in handles.into_iter().enumerate() {
-            per_rhs[l] = Some(h.join().expect("pseudo-block worker panicked"));
+            match h.join() {
+                Ok(r) => per_rhs[l] = Some(r),
+                Err(e) if panic.as_ref().is_none_or(|p| p.is::<GroupAborted>()) => panic = Some(e),
+                Err(_) => {}
+            }
+        }
+        if let Some(e) = panic {
+            std::panic::resume_unwind(e);
         }
     });
 
@@ -353,6 +405,7 @@ mod tests {
     use kryst_par::IdentityPrecond;
     use kryst_pde::poisson::{paper_rhs_block, poisson2d};
     use kryst_sparse::Csr;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn check_true_residual(a: &Csr<f64>, b: &DMat<f64>, x: &DMat<f64>, rtol: f64) {
         let mut r = a.apply(x);
@@ -478,5 +531,59 @@ mod tests {
             None,
         );
         assert!(res.converged);
+    }
+
+    /// An operator that panics on its `fail_at`-th (fused) apply.
+    struct FailingOp {
+        a: Csr<f64>,
+        applies: AtomicUsize,
+        fail_at: usize,
+    }
+
+    impl LinOp<f64> for FailingOp {
+        fn nrows(&self) -> usize {
+            self.a.nrows()
+        }
+        fn apply(&self, x: &DMat<f64>, y: &mut DMat<f64>) {
+            // A count that publishes no other data.
+            if self.applies.fetch_add(1, Ordering::Relaxed) + 1 == self.fail_at {
+                panic!("operator failed on apply {}", self.fail_at);
+            }
+            self.a.spmm(x, y);
+        }
+    }
+
+    /// The leader of a batch panics inside the fused kernel while the other
+    /// members wait for it: the solve returns, re-raising that panic, within
+    /// a deadline instead of sleeping on the group forever.
+    #[test]
+    fn a_panicking_operator_reaches_the_caller() {
+        let prob = poisson2d::<f64>(16, 16);
+        let n = prob.a.nrows();
+        let b = paper_rhs_block::<f64>(16, 16).cols(0, 3);
+        let op = FailingOp {
+            a: prob.a,
+            applies: Default::default(),
+            fail_at: 6,
+        };
+        let (tx, rx) = std::sync::mpsc::channel();
+        let solver = std::thread::spawn(move || {
+            let id = IdentityPrecond::new(n);
+            let mut x = DMat::zeros(n, 3);
+            let opts = SolveOpts::default();
+            let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                solve(&op, &id, &b, &mut x, &opts, PseudoMethod::Gmres, None)
+            }));
+            let message = res.err().and_then(|e| e.downcast::<String>().ok());
+            tx.send(message).unwrap();
+        });
+        let message = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("pseudo-block solve still running after 10 s");
+        solver.join().expect("the solve's panic was caught");
+        assert_eq!(
+            message.as_deref().map(String::as_str),
+            Some("operator failed on apply 6")
+        );
     }
 }

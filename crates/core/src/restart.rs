@@ -17,12 +17,12 @@
 //! policy is consulted per cycle, never inside a step.
 
 use crate::cycle::{any_above, rhs_norms, BlockArnoldi, CycleBuffers, PrecondMode};
-use crate::opts::{PrecondSide, SolveOpts, SolveResult};
+use crate::opts::{SolveOpts, SolveResult};
 use crate::trace::SolveTracer;
 use kryst_dense::fused::{self, ColsRef};
 use kryst_dense::DMat;
 use kryst_obs::{profile, DiagKind, Phase, SpanKind};
-use kryst_par::{LinOp, PrecondOp, PrecondPrecision};
+use kryst_par::{LinOp, PrecondOp};
 use kryst_scalar::{Real, Scalar};
 use std::slice::{from_ref, ChunksExact};
 
@@ -113,6 +113,12 @@ fn norms<S: Scalar>(r: &DMat<S>) -> Vec<f64> {
     r.col_norms().iter().map(|v| v.to_f64()).collect()
 }
 
+/// Whether every residual norm is a number: the restarted loop stops on the
+/// first one that is not.
+fn all_finite(rn: &[f64]) -> bool {
+    rn.iter().all(|v| v.is_finite())
+}
+
 /// Residual norms relative to the right-hand sides'.
 fn relative(rn: &[f64], bnorms: &[f64]) -> Vec<f64> {
     rn.iter().zip(bnorms).map(|(r, b)| r / b).collect()
@@ -181,20 +187,17 @@ pub(crate) fn solve<S: Scalar>(
     let mode = PrecondMode::new(pc, opts.side);
     let bnorms = rhs_norms(b);
     let mut tracer = SolveTracer::begin(opts, solver, system_index, n, p);
-    if opts.side != PrecondSide::Flexible && pc.precision() == PrecondPrecision::Single {
-        // A non-flexible method assumes a fixed preconditioner; f32-storage
-        // applies perturb M⁻¹ at the level of single rounding. The flexible
-        // variants store Z_m and absorb this — the others get a diagnostic.
-        tracer.diag(0, 0, DiagKind::MixedPrecision, 0.0, 0);
-    }
 
     // Storage shared by every cycle: basis, directions, Hessenberg matrix
     // and the n × p temporaries are allocated once per solve.
     let mut bufs = CycleBuffers::default();
     let mut r = mode.residual_ws(a, b, x, &mut bufs.ws);
-    // Norms of the true residual of the current `x`, and what they say.
+    // Norms of the true residual of the current `x`, and what they say. A
+    // non-finite norm is above no tolerance, so `any_above` alone would let
+    // the finite columns of a block keep the loop going: it stops on one.
     let mut rn = norms(&r);
     let mut converged = !any_above(&rn, &bnorms, opts.rtol);
+    let mut finite = all_finite(&rn);
     let (mut iters, mut cycle) = (0usize, 0usize);
     macro_rules! cx {
         () => {
@@ -208,13 +211,14 @@ pub(crate) fn solve<S: Scalar>(
         };
     }
 
-    if !converged {
+    if !converged && finite {
         policy.prologue(cx!(), x, &mut r);
         // It may have moved a part of `r` into `x`; should `max_iters` allow
         // no cycle, these are the norms the verdict reports.
         rn = norms(&r);
+        finite = all_finite(&rn);
     }
-    while !converged && iters < opts.max_iters {
+    while !converged && finite && iters < opts.max_iters {
         let cyc = tracer.span_start();
         let mut plan = policy.prepare(cx!(), &mut r);
         let length = plan.steps + plan.images.len();
@@ -256,6 +260,7 @@ pub(crate) fn solve<S: Scalar>(
         // only ends the cycle early.
         rn = norms(&r);
         converged = !any_above(&rn, &bnorms, opts.rtol);
+        finite = all_finite(&rn);
         policy.carry_over(cx!(), &end, converged);
         bufs = end.bufs;
         cycle += 1;
@@ -359,6 +364,43 @@ mod tests {
             assert!(res.converged, "{name}: zero right-hand side");
             assert_eq!(res.iterations, 0, "{name}");
             assert!(res.history.is_empty(), "{name}");
+        }
+    }
+
+    /// A NaN in one right-hand side ends the solve before its first cycle at
+    /// every block width: no iteration, `x` as it came in, not converged.
+    /// At `p = 2` the finite column alone must not keep the loop going.
+    #[test]
+    fn a_nan_right_hand_side_stops_before_the_first_cycle() {
+        let prob = poisson2d::<f64>(16, 16);
+        let n = prob.a.nrows();
+        let id = IdentityPrecond::new(n);
+        let opts = SolveOpts {
+            max_iters: 60,
+            ..Default::default()
+        };
+        let bits =
+            |m: &DMat<f64>| -> Vec<u64> { m.as_slice().iter().map(|v| v.to_bits()).collect() };
+        type Method<'a> = &'a dyn Fn(&DMat<f64>, &mut DMat<f64>) -> SolveResult;
+        let methods: [(&str, Method<'_>); 3] = [
+            ("gmres", &|b, x| gmres::solve(&prob.a, &id, b, x, &opts)),
+            ("lgmres", &|b, x| lgmres::solve(&prob.a, &id, b, x, &opts)),
+            ("cold gcrodr", &|b, x| {
+                gcrodr::solve(&prob.a, &id, b, x, &opts, &mut SolverContext::new())
+            }),
+        ];
+        for p in [1, 2] {
+            let mut b = DMat::from_fn(n, p, |i, j| (((i * 7 + j) % 11) as f64) - 5.0);
+            b[(n / 2, p - 1)] = f64::NAN;
+            let x0 = DMat::from_fn(n, p, |i, j| ((i + 3 * j) % 5) as f64 * 0.25);
+            // LGMRES is a single right-hand-side method.
+            for (name, method) in methods.iter().filter(|m| p == 1 || m.0 != "lgmres") {
+                let mut x = x0.clone();
+                let res = method(&b, &mut x);
+                assert!(!res.converged, "{name}, p = {p}");
+                assert_eq!(res.iterations, 0, "{name}, p = {p}");
+                assert_eq!(bits(&x), bits(&x0), "{name}, p = {p}: x was written");
+            }
         }
     }
 }

@@ -30,7 +30,7 @@ pub struct EigDecomp<R: Real> {
     pub converged: bool,
 }
 
-/// Promote a real or complex matrix to explicit complex storage.
+/// Copy a real or complex matrix into explicit complex storage.
 pub fn to_complex<S: Scalar>(a: &DMat<S>) -> DMat<Complex<S::Real>> {
     DMat::from_fn(a.nrows(), a.ncols(), |i, j| {
         Complex::new(a[(i, j)].re(), a[(i, j)].im())

@@ -177,11 +177,6 @@ pub enum DiagKind {
     /// The residual history stalled (`value` = decay ratio over the
     /// detector window, `detail` = window length in iterations).
     Stagnation,
-    /// A non-flexible solver was paired with a mixed-precision (f32-storage)
-    /// preconditioner: the apply varies at the rounding level between
-    /// iterations, which plain left/right preconditioning does not model —
-    /// prefer a flexible variant (`value` = 0, `detail` = 0).
-    MixedPrecision,
 }
 
 impl DiagKind {
@@ -192,7 +187,6 @@ impl DiagKind {
             DiagKind::RankCollapse => "rank-collapse",
             DiagKind::RitzQuality => "ritz-quality",
             DiagKind::Stagnation => "stagnation",
-            DiagKind::MixedPrecision => "mixed-precision",
         }
     }
 }
@@ -322,6 +316,5 @@ mod tests {
         assert_eq!(DiagKind::RankCollapse.name(), "rank-collapse");
         assert_eq!(DiagKind::RitzQuality.name(), "ritz-quality");
         assert_eq!(DiagKind::Stagnation.name(), "stagnation");
-        assert_eq!(DiagKind::MixedPrecision.name(), "mixed-precision");
     }
 }

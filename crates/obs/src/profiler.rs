@@ -40,7 +40,7 @@ pub const HIST_BUCKETS: usize = 32;
 /// fold into the last per-level slot.
 pub const MAX_PRECOND_LEVELS: usize = 8;
 
-const NUM_SLOTS: usize = 12 + MAX_PRECOND_LEVELS;
+const NUM_SLOTS: usize = 10 + MAX_PRECOND_LEVELS;
 
 /// A solver phase the profiler attributes time to.
 ///
@@ -62,12 +62,6 @@ pub enum Phase {
     SmallDense,
     /// Recycle-space construction/refresh in GCRO-DR.
     RecycleSetup,
-    /// Matrix-free (stencil) operator applies — the zero-index-streaming
-    /// alternative to [`Phase::Spmv`].
-    SpmvMf,
-    /// Low-precision preconditioner sweeps (the f32-storage portion of an
-    /// apply; nested inside [`Phase::Precond`]).
-    PrecondLp,
     /// Agglomerated AMG coarse solve: the coarse-grid direct solve executed
     /// on a rank subset (plus the modeled gather/scatter around it).
     CoarseAgglom,
@@ -94,12 +88,10 @@ impl Phase {
             Phase::Precond => 4,
             Phase::SmallDense => 5,
             Phase::RecycleSetup => 6,
-            Phase::SpmvMf => 7,
-            Phase::PrecondLp => 8,
-            Phase::CoarseAgglom => 9,
-            Phase::Restart => 10,
-            Phase::PrecondSetup => 11,
-            Phase::PrecondLevel(l) => 12 + l.min(MAX_PRECOND_LEVELS - 1),
+            Phase::CoarseAgglom => 7,
+            Phase::Restart => 8,
+            Phase::PrecondSetup => 9,
+            Phase::PrecondLevel(l) => 10 + l.min(MAX_PRECOND_LEVELS - 1),
         }
     }
 
@@ -112,12 +104,10 @@ impl Phase {
             4 => Phase::Precond,
             5 => Phase::SmallDense,
             6 => Phase::RecycleSetup,
-            7 => Phase::SpmvMf,
-            8 => Phase::PrecondLp,
-            9 => Phase::CoarseAgglom,
-            10 => Phase::Restart,
-            11 => Phase::PrecondSetup,
-            l => Phase::PrecondLevel(l - 12),
+            7 => Phase::CoarseAgglom,
+            8 => Phase::Restart,
+            9 => Phase::PrecondSetup,
+            l => Phase::PrecondLevel(l - 10),
         }
     }
 
@@ -131,8 +121,6 @@ impl Phase {
             Phase::Precond => "precond".to_string(),
             Phase::SmallDense => "small_dense".to_string(),
             Phase::RecycleSetup => "recycle_setup".to_string(),
-            Phase::SpmvMf => "spmv_mf".to_string(),
-            Phase::PrecondLp => "precond_lp".to_string(),
             Phase::CoarseAgglom => "coarse_agglom".to_string(),
             Phase::Restart => "restart".to_string(),
             Phase::PrecondSetup => "precond_setup".to_string(),
@@ -478,18 +466,24 @@ mod tests {
     }
 
     #[test]
-    fn mixed_precision_and_matrix_free_phases_have_own_slots() {
+    fn named_phases_have_own_slots() {
         let prof = Profiler::new(true);
-        prof.record_ns(Phase::SpmvMf, 11);
-        prof.record_ns(Phase::PrecondLp, 22);
+        prof.record_ns(Phase::CoarseAgglom, 11);
+        prof.record_ns(Phase::PrecondSetup, 22);
         prof.record_ns(Phase::PrecondLevel(0), 33);
         let snap = prof.snapshot();
-        assert_eq!(snap.phase(Phase::SpmvMf).unwrap().name, "spmv_mf");
-        assert_eq!(snap.phase(Phase::PrecondLp).unwrap().name, "precond_lp");
-        // The new named slots must not alias the per-level slots.
+        assert_eq!(
+            snap.phase(Phase::CoarseAgglom).unwrap().name,
+            "coarse_agglom"
+        );
+        assert_eq!(
+            snap.phase(Phase::PrecondSetup).unwrap().name,
+            "precond_setup"
+        );
+        // The last named slot must not alias the first per-level slot.
         assert_eq!(snap.phase(Phase::PrecondLevel(0)).unwrap().total_ns, 33);
-        assert_eq!(snap.phase(Phase::SpmvMf).unwrap().total_ns, 11);
-        assert_eq!(snap.phase(Phase::PrecondLp).unwrap().total_ns, 22);
+        assert_eq!(snap.phase(Phase::CoarseAgglom).unwrap().total_ns, 11);
+        assert_eq!(snap.phase(Phase::PrecondSetup).unwrap().total_ns, 22);
     }
 
     #[test]

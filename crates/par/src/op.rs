@@ -14,31 +14,25 @@ use kryst_sparse::{Csr, RowSplit};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Storage/arithmetic precision of a preconditioner's internal data.
+/// Storage precision of a preconditioner's internal data. There is one:
+/// factors, hierarchy operators and smoother data are kept in the working
+/// scalar `S`.
 ///
-/// [`Full`](PrecondPrecision::Full) keeps factors, hierarchy operators, and
-/// smoother data in the working scalar `S`. [`Single`](PrecondPrecision::Single)
-/// stores them in the low-precision partner (`f32` for `f64`, `C32` for
-/// `C64`) and promotes on the fly inside the apply — roughly halving the
-/// bytes streamed per iteration while the outer Krylov iteration stays in
-/// full precision. Flexible solver variants (FGMRES/LGMRES/GCRO-DR) absorb
-/// the resulting iteration-to-iteration rounding variation; plain GMRES
-/// warns via the tracer when paired with a `Single` preconditioner.
+/// The enum and [`PrecondOp::precision`] survive only because the
+/// repository benchmark names them (it asserts `precision() == Full` on every
+/// preconditioner it measures); nothing in the library branches on them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PrecondPrecision {
-    /// Working-precision storage (default).
+    /// Working-precision storage.
     #[default]
     Full,
-    /// Low-precision (`f32`-component) storage with on-the-fly promotion.
-    Single,
 }
 
 impl PrecondPrecision {
-    /// Stable lowercase name (`"full"` / `"single"`).
+    /// Stable lowercase name (`"full"`).
     pub fn name(self) -> &'static str {
         match self {
             PrecondPrecision::Full => "full",
-            PrecondPrecision::Single => "single",
         }
     }
 }
@@ -66,8 +60,7 @@ pub trait LinOp<S: Scalar>: Send + Sync {
     }
     /// Bytes of *operator data* (values, indices, row pointers — not the
     /// multivectors) streamed by one apply, when the operator can account
-    /// for it. Matrix-free operators report their constant geometric
-    /// footprint; `None` means unknown.
+    /// for it; `None` means unknown.
     fn bytes_per_apply(&self) -> Option<usize> {
         None
     }
@@ -86,9 +79,7 @@ pub trait PrecondOp<S: Scalar>: Send + Sync {
     fn is_variable(&self) -> bool {
         false
     }
-    /// Storage precision of the preconditioner's internal data. Solvers use
-    /// this to warn when a non-flexible method is paired with a
-    /// [`PrecondPrecision::Single`] preconditioner.
+    /// Storage precision of the preconditioner's internal data.
     fn precision(&self) -> PrecondPrecision {
         PrecondPrecision::Full
     }
@@ -105,40 +96,6 @@ pub trait PrecondOp<S: Scalar>: Send + Sync {
     }
 }
 
-/// Row-subset operator application — the contract the overlapped [`DistOp`]
-/// schedule needs from a matrix-free operator: `Y(rows,:) ⟵ A(rows,:)·X`
-/// with rows outside the set untouched, plus a full-range apply. Implemented
-/// by assembled [`Csr`] (delegating to the SpMM kernels) and by the stencil
-/// operators in `kryst-pde`, so interior/boundary halo-compute overlap works
-/// identically for both.
-pub trait ApplyRows<S: Scalar>: Send + Sync {
-    /// Operator dimension (square).
-    fn nrows(&self) -> usize;
-    /// `Y ⟵ A·X` over all rows.
-    fn apply_all(&self, x: &DMat<S>, y: &mut DMat<S>);
-    /// `Y(rows,:) ⟵ A(rows,:)·X`; rows outside `rows` are left untouched.
-    fn apply_rows(&self, x: &DMat<S>, y: &mut DMat<S>, rows: &[usize]);
-    /// Bytes of operator data streamed by one full apply (see
-    /// [`LinOp::bytes_per_apply`]).
-    fn bytes_streamed(&self) -> usize;
-}
-
-impl<S: Scalar> ApplyRows<S> for Csr<S> {
-    fn nrows(&self) -> usize {
-        Csr::nrows(self)
-    }
-    fn apply_all(&self, x: &DMat<S>, y: &mut DMat<S>) {
-        self.spmm(x, y);
-    }
-    fn apply_rows(&self, x: &DMat<S>, y: &mut DMat<S>, rows: &[usize]) {
-        self.spmm_rows(x, y, rows);
-    }
-    fn bytes_streamed(&self) -> usize {
-        self.nnz() * (std::mem::size_of::<S>() + std::mem::size_of::<usize>())
-            + (Csr::nrows(self) + 1) * std::mem::size_of::<usize>()
-    }
-}
-
 impl<S: Scalar> LinOp<S> for Csr<S> {
     fn nrows(&self) -> usize {
         Csr::nrows(self)
@@ -152,7 +109,7 @@ impl<S: Scalar> LinOp<S> for Csr<S> {
         Csr::residual(self, b, x, r);
     }
     fn bytes_per_apply(&self) -> Option<usize> {
-        Some(ApplyRows::<S>::bytes_streamed(self))
+        Some(self.bytes_streamed())
     }
 }
 
@@ -200,7 +157,6 @@ pub struct DistOp<S> {
     split: RowSplit,
     stats: Arc<CommStats>,
     recorder: Option<Arc<dyn Recorder>>,
-    mf: Option<Arc<dyn ApplyRows<S>>>,
 }
 
 impl<S: Scalar> DistOp<S> {
@@ -219,28 +175,7 @@ impl<S: Scalar> DistOp<S> {
             split,
             stats,
             recorder: None,
-            mf: None,
         }
-    }
-
-    /// Swap the SpMM kernel for a matrix-free applier (e.g. a geometric
-    /// stencil from `kryst-pde`): the assembled matrix is kept for the halo
-    /// plan and interior/boundary split, but `apply` streams zero index data
-    /// and is attributed to the `spmv_mf` profiler phase. The overlapped
-    /// interior/boundary schedule is unchanged.
-    pub fn with_matrix_free(mut self, op: Arc<dyn ApplyRows<S>>) -> Self {
-        assert_eq!(
-            op.nrows(),
-            self.a.nrows(),
-            "matrix-free applier dimension must match the assembled operator"
-        );
-        self.mf = Some(op);
-        self
-    }
-
-    /// Whether a matrix-free applier is installed.
-    pub fn is_matrix_free(&self) -> bool {
-        self.mf.is_some()
     }
 
     /// Attach an event recorder: every `apply` emits a [`HaloEvent`]
@@ -310,33 +245,26 @@ impl<S: Scalar> LinOp<S> for DistOp<S> {
         // scalars cost 4× the real multiply–add.
         let flop_scale = if S::is_complex() { 4 } else { 1 };
         self.stats.record_flops(2 * self.a.nnz() * p * flop_scale);
-        // The matrix-free applier (when installed) replaces the assembled
-        // SpMM in both branches and is attributed to its own phase.
-        let (kernel, phase): (&dyn ApplyRows<S>, Phase) = match &self.mf {
-            Some(mf) => (mf.as_ref(), Phase::SpmvMf),
-            None => (&self.a, Phase::Spmv),
-        };
         if self.split.all_interior() {
             self.stats
                 .record_p2p(self.plan.messages_per_exchange, bytes);
-            let _t = profile(phase);
-            kernel.apply_all(x, y);
+            let _t = profile(Phase::Spmv);
+            self.a.spmm(x, y);
         } else {
             // Overlapped schedule: interior rows proceed while the halo
             // exchange is in flight, boundary rows finish afterwards. The
-            // interior product is attributed to `spmv` (or `spmv_mf`); the
-            // exchange accounting plus the post-exchange boundary rows to
-            // `halo`.
+            // interior product is attributed to `spmv`; the exchange
+            // accounting plus the post-exchange boundary rows to `halo`.
             {
-                let _t = profile(phase);
-                kernel.apply_rows(x, y, &self.split.interior);
+                let _t = profile(Phase::Spmv);
+                self.a.spmm_rows(x, y, &self.split.interior);
             }
             self.stats
                 .record_overlap_flops(2 * self.split.interior_nnz * p * flop_scale);
             let _h = profile(Phase::Halo);
             self.stats
                 .record_p2p(self.plan.messages_per_exchange, bytes);
-            kernel.apply_rows(x, y, &self.split.boundary);
+            self.a.spmm_rows(x, y, &self.split.boundary);
         }
         if let Some(rec) = &self.recorder {
             rec.record(&Event::Halo(HaloEvent {
@@ -348,10 +276,7 @@ impl<S: Scalar> LinOp<S> for DistOp<S> {
         }
     }
     fn bytes_per_apply(&self) -> Option<usize> {
-        match &self.mf {
-            Some(mf) => Some(mf.bytes_streamed()),
-            None => Some(ApplyRows::<S>::bytes_streamed(&self.a)),
-        }
+        Some(self.a.bytes_streamed())
     }
 }
 
@@ -484,30 +409,9 @@ mod tests {
     }
 
     #[test]
-    fn matrix_free_dist_op_matches_assembled() {
-        let a = laplace1d(64);
-        let stats = CommStats::new_shared();
-        // Use a second copy of the matrix as the "matrix-free" applier: the
-        // overlapped schedule must route through it and stay bit-identical.
-        let mf: Arc<dyn ApplyRows<f64>> = Arc::new(a.clone());
-        let op = DistOp::new(a.clone(), 4, Arc::clone(&stats)).with_matrix_free(mf);
-        assert!(op.is_matrix_free());
-        let x = DMat::from_fn(64, 5, |i, j| ((i * 7 + j) % 13) as f64 - 6.0);
-        let y = op.apply_new(&x);
-        let y_plain = a.apply(&x);
-        for i in 0..64 {
-            for j in 0..5 {
-                assert_eq!(y[(i, j)].to_bits(), y_plain[(i, j)].to_bits());
-            }
-        }
-        assert_eq!(op.bytes_per_apply(), a.bytes_per_apply());
-    }
-
-    #[test]
     fn precond_precision_env_and_names() {
         assert_eq!(PrecondPrecision::default(), PrecondPrecision::Full);
         assert_eq!(PrecondPrecision::Full.name(), "full");
-        assert_eq!(PrecondPrecision::Single.name(), "single");
         let m = IdentityPrecond::new(3);
         assert_eq!(
             PrecondOp::<f64>::precision(&m),

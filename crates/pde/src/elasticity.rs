@@ -89,13 +89,11 @@ pub struct ElasticityProblem<S: Scalar> {
 const GP: f64 = 0.577_350_269_189_625_8;
 
 /// One 24×24 Q1 element matrix (8 nodes × 3 displacement components).
-pub(crate) type ElementMatrix = Box<[[f64; 24]; 24]>;
+type ElementMatrix = Box<[[f64; 24]; 24]>;
 
 /// Unit-E Q1 element stiffness for edge length `h`, split into λ and μ parts
-/// (24×24 each) so each element only scales two precomputed matrices. Shared
-/// by the assembled operator and the matrix-free
-/// [`stencil`](crate::stencil::ElasticityStencil) applier.
-pub(crate) fn element_stiffness(h: f64) -> (ElementMatrix, ElementMatrix) {
+/// (24×24 each) so each element only scales two precomputed matrices.
+fn element_stiffness(h: f64) -> (ElementMatrix, ElementMatrix) {
     // Reference element: 8 nodes at (±1, ±1, ±1).
     let corners: [[f64; 3]; 8] = [
         [-1.0, -1.0, -1.0],

@@ -11,17 +11,12 @@
 //!   sides (the §V imaging-chamber analogue; see DESIGN.md for the
 //!   discretization substitution),
 //! * [`heat`] — implicit heat stepping: one operator, a sequence of
-//!   right-hand sides (the non-variable-systems workload of §III-B),
-//! * [`stencil`] — matrix-free appliers for the Poisson (5/7-point) and Q1
-//!   elasticity operators: `A·X` computed from geometry with zero index
-//!   streaming, behind the same `ApplyRows`/`LinOp` traits the solvers and
-//!   the overlapped `DistOp` consume.
+//!   right-hand sides (the non-variable-systems workload of §III-B).
 
 pub mod elasticity;
 pub mod heat;
 pub mod maxwell;
 pub mod poisson;
-pub mod stencil;
 
 use kryst_dense::DMat;
 use kryst_scalar::Scalar;

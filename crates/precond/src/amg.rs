@@ -16,10 +16,10 @@ use crate::smoother::{self, KrylovScratch};
 use kryst_dense::{qr::HouseholderQr, DMat};
 use kryst_obs::{Event, PrecondApplyEvent, Recorder};
 use kryst_par::collective::{redistribute, subset_layout};
-use kryst_par::{Layout, PrecondOp, PrecondPrecision, Transport, TransportError};
+use kryst_par::{Layout, PrecondOp, Transport, TransportError};
 use kryst_rt::par::{for_each_range, map_range, max_threads};
-use kryst_scalar::{Demote, Real, Scalar};
-use kryst_sparse::{ops, Csr, CsrLo, PrecondWorkspace, SparseDirect};
+use kryst_scalar::{Real, Scalar};
+use kryst_sparse::{ops, Csr, PrecondWorkspace, SparseDirect};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -105,38 +105,9 @@ struct Level<S: Scalar> {
     smoother: LevelSmoother<S>,
 }
 
-/// Low-precision shadow of one (non-coarsest) level: compact `f32`/`u32`
-/// copies of the level operator and grid-transfer matrices plus demoted
-/// linear-smoother data. Vectors stay in `S`; matrix entries are promoted
-/// on the fly inside each sweep.
-struct LevelLo<S: Demote> {
-    a: CsrLo<S>,
-    p: CsrLo<S>,
-    pt: CsrLo<S>,
-    smoother: LoSmoother<S>,
-}
-
-enum LoSmoother<S: Demote> {
-    Jacobi {
-        inv_diag: Vec<S::Lo>,
-        weight: S,
-        iters: usize,
-    },
-    Chebyshev {
-        inv_diag: Vec<S::Lo>,
-        degree: usize,
-        lo: f64,
-        hi: f64,
-    },
-}
-
 /// The assembled multigrid hierarchy.
-pub struct Amg<S: Demote> {
+pub struct Amg<S: Scalar> {
     levels: Vec<Level<S>>,
-    /// Compact low-precision hierarchy; present only when built with
-    /// [`PrecondPrecision::Single`] and a *linear* smoother.
-    lo_levels: Option<Vec<LevelLo<S>>>,
-    precision: PrecondPrecision,
     coarse: CoarseSolve<S>,
     variable: bool,
     n: usize,
@@ -246,28 +217,10 @@ impl CoarseAgglom {
     }
 }
 
-impl<S: Demote> Amg<S> {
+impl<S: Scalar> Amg<S> {
     /// Build the hierarchy for `a` with near-nullspace `b` (defaults to the
     /// constant vector when `None`). All matrices are stored in `S`.
     pub fn new(a: &Csr<S>, near_nullspace: Option<&DMat<S>>, opts: &AmgOpts) -> Self {
-        Self::with_precision(a, near_nullspace, opts, PrecondPrecision::Full)
-    }
-
-    /// [`Amg::new`] with a storage-precision choice for the hierarchy.
-    ///
-    /// With [`PrecondPrecision::Single`] every level operator, both grid
-    /// transfers, and the linear-smoother diagonals are demoted to
-    /// `S::Lo`/`u32` storage — roughly half the bytes streamed per V-cycle —
-    /// while every vector (and the coarse direct solve) stays in `S`.
-    /// Nonlinear smoothers ([`SmootherKind::Gmres`]/[`SmootherKind::Cg`])
-    /// and non-lossy scalars fall back to full precision: the returned
-    /// hierarchy then reports [`PrecondPrecision::Full`].
-    pub fn with_precision(
-        a: &Csr<S>,
-        near_nullspace: Option<&DMat<S>>,
-        opts: &AmgOpts,
-        precision: PrecondPrecision,
-    ) -> Self {
         let _t = kryst_obs::profile(kryst_obs::Phase::PrecondSetup);
         let n = a.nrows();
         let default_ns = DMat::from_fn(n, 1, |_, _| S::one());
@@ -327,10 +280,8 @@ impl<S: Demote> Amg<S> {
             opts.smoother,
             SmootherKind::Gmres { .. } | SmootherKind::Cg { .. }
         );
-        let mut this = Self {
+        Self {
             levels,
-            lo_levels: None,
-            precision: PrecondPrecision::Full,
             coarse,
             variable,
             n,
@@ -344,17 +295,7 @@ impl<S: Demote> Amg<S> {
                     _ => KrylovScratch::gmres(0, 0),
                 },
             }),
-        };
-        if precision == PrecondPrecision::Single && S::LOSSY && !variable {
-            this.lo_levels = Some(
-                this.levels[..this.levels.len() - 1]
-                    .iter()
-                    .map(build_level_lo)
-                    .collect(),
-            );
-            this.precision = PrecondPrecision::Single;
         }
-        this
     }
 
     /// Attach an event recorder: every V-cycle application emits a
@@ -392,7 +333,7 @@ impl<S: Demote> Amg<S> {
         self.levels.iter().map(|l| l.a.nnz() as f64).sum::<f64>() / n0
     }
 
-    /// Coarsest-level solve shared by both V-cycle variants: the factor was
+    /// Coarsest-level solve of the V-cycle: the factor was
     /// resolved at setup (regularization already folded in), so this is a
     /// straight multi-RHS substitution. When the agglomeration policy fired
     /// the time lands in the `coarse_agglom` profiler phase.
@@ -548,151 +489,6 @@ impl<S: Demote> Amg<S> {
         self.smooth_ws(l, b, x, &mut r, false, ws);
         ws.pool.put(r);
     }
-
-    /// Low-precision smoothing sweep: matrix entries and diagonals stream
-    /// from `S::Lo` storage and are promoted in-register; the iterate and
-    /// residual live in `S` throughout.
-    fn smooth_lo(
-        &self,
-        lo: &LevelLo<S>,
-        b: &DMat<S>,
-        x: &mut DMat<S>,
-        ws: &mut PrecondWorkspace<S>,
-    ) {
-        let n = b.nrows();
-        let p = b.ncols();
-        match &lo.smoother {
-            LoSmoother::Jacobi {
-                inv_diag,
-                weight,
-                iters,
-            } => {
-                let mut r = ws.take(n, p);
-                for _ in 0..*iters {
-                    lo.a.spmm(x, &mut r);
-                    for j in 0..p {
-                        let bj = b.col(j);
-                        let rj = r.col(j);
-                        let xj = x.col_mut(j);
-                        for i in 0..n {
-                            xj[i] += *weight * S::promote_lo(inv_diag[i]) * (bj[i] - rj[i]);
-                        }
-                    }
-                }
-                ws.put(r);
-            }
-            LoSmoother::Chebyshev {
-                inv_diag,
-                degree,
-                lo: lo_b,
-                hi,
-            } => {
-                // Same three-term recurrence as `Chebyshev::smooth_ws`.
-                let theta = 0.5 * (hi + lo_b);
-                let delta = 0.5 * (hi - lo_b);
-                let mut r = ws.take(n, p);
-                let mut d = ws.take(n, p);
-                let residual = |x: &DMat<S>, r: &mut DMat<S>| {
-                    lo.a.spmm(x, r);
-                    for j in 0..p {
-                        let bj = b.col(j);
-                        let rj = r.col_mut(j);
-                        for i in 0..n {
-                            rj[i] = S::promote_lo(inv_diag[i]) * (bj[i] - rj[i]);
-                        }
-                    }
-                };
-                residual(x, &mut r);
-                d.copy_from(&r);
-                d.scale(S::from_f64(1.0 / theta));
-                x.axpy(S::one(), &d);
-                let sigma = theta / delta;
-                let mut rho = 1.0 / sigma;
-                for _ in 1..*degree {
-                    residual(x, &mut r);
-                    let rho_next = 1.0 / (2.0 * sigma - rho);
-                    let c1 = S::from_f64(rho_next * rho);
-                    let c2 = S::from_f64(2.0 * rho_next / delta);
-                    for j in 0..p {
-                        let rj = r.col(j);
-                        let dj = d.col_mut(j);
-                        for i in 0..n {
-                            dj[i] = c1 * dj[i] + c2 * rj[i];
-                        }
-                    }
-                    x.axpy(S::one(), &d);
-                    rho = rho_next;
-                }
-                ws.put(r);
-                ws.put(d);
-            }
-        }
-    }
-
-    /// [`Amg::vcycle_ws`] over the compact `S::Lo` hierarchy. Identical
-    /// cycle structure and workspace discipline; the coarse direct solve
-    /// stays in full precision.
-    fn vcycle_lo_ws(
-        &self,
-        lo_levels: &[LevelLo<S>],
-        l: usize,
-        b: &DMat<S>,
-        x: &mut DMat<S>,
-        ws: &mut PrecondWorkspace<S>,
-    ) {
-        if l + 1 == self.levels.len() {
-            self.coarse_solve_ws(l, b, x, ws);
-            return;
-        }
-        let lo = &lo_levels[l];
-        let down = kryst_obs::Profiler::global().timed(kryst_obs::Phase::PrecondLevel(l));
-        self.smooth_lo(lo, b, x, ws);
-        let p = b.ncols();
-        let mut r = ws.take(lo.a.nrows(), p);
-        lo.a.spmm(x, &mut r);
-        r.scale(-S::one());
-        r.axpy(S::one(), b);
-        let mut rc = ws.take(lo.pt.nrows(), p);
-        lo.pt.spmm(&r, &mut rc);
-        let mut xc = ws.take(lo.pt.nrows(), p);
-        drop(down);
-        self.vcycle_lo_ws(lo_levels, l + 1, &rc, &mut xc, ws);
-        let _up = kryst_obs::profile(kryst_obs::Phase::PrecondLevel(l));
-        lo.p.spmm(&xc, &mut r);
-        x.axpy(S::one(), &r);
-        ws.put(rc);
-        ws.put(xc);
-        ws.put(r);
-        self.smooth_lo(lo, b, x, ws);
-    }
-}
-
-/// Demote one non-coarsest level to compact storage. Only called for linear
-/// smoothers — `with_precision` falls back to full precision otherwise.
-fn build_level_lo<S: Demote>(level: &Level<S>) -> LevelLo<S> {
-    let smoother = match &level.smoother {
-        LevelSmoother::Jacobi(j, iters) => LoSmoother::Jacobi {
-            inv_diag: j.inv_diag().iter().map(|&v| v.demote()).collect(),
-            weight: j.weight(),
-            iters: *iters,
-        },
-        LevelSmoother::Chebyshev(c) => {
-            let (lo, hi) = c.interval();
-            LoSmoother::Chebyshev {
-                inv_diag: c.inv_diag().iter().map(|&v| v.demote()).collect(),
-                degree: c.degree(),
-                lo,
-                hi,
-            }
-        }
-        _ => unreachable!("nonlinear smoothers never build a low hierarchy"),
-    };
-    LevelLo {
-        a: CsrLo::from_csr(&level.a),
-        p: CsrLo::from_csr(level.p.as_ref().unwrap()),
-        pt: CsrLo::from_csr(level.pt.as_ref().unwrap()),
-        smoother,
-    }
 }
 
 fn make_smoother<S: Scalar>(a: &Csr<S>, diag: &[S], kind: &SmootherKind) -> LevelSmoother<S> {
@@ -708,7 +504,7 @@ fn make_smoother<S: Scalar>(a: &Csr<S>, diag: &[S], kind: &SmootherKind) -> Leve
     }
 }
 
-impl<S: Demote> PrecondOp<S> for Amg<S> {
+impl<S: Scalar> PrecondOp<S> for Amg<S> {
     fn nrows(&self) -> usize {
         self.n
     }
@@ -722,13 +518,7 @@ impl<S: Demote> PrecondOp<S> for Amg<S> {
         z.set_zero();
         {
             let mut ws = self.ws.lock().unwrap();
-            match &self.lo_levels {
-                Some(lo) => {
-                    let _lp = kryst_obs::profile(kryst_obs::Phase::PrecondLp);
-                    self.vcycle_lo_ws(lo, 0, r, z, &mut ws.pool);
-                }
-                None => self.vcycle_ws(0, r, z, &mut ws),
-            }
+            self.vcycle_ws(0, r, z, &mut ws);
         }
         if let (Some(rec), Some(t0)) = (self.recorder.as_ref(), t0) {
             rec.record(&Event::PrecondApply(PrecondApplyEvent {
@@ -741,9 +531,6 @@ impl<S: Demote> PrecondOp<S> for Amg<S> {
     }
     fn is_variable(&self) -> bool {
         self.variable
-    }
-    fn precision(&self) -> PrecondPrecision {
-        self.precision
     }
     /// Matrix bytes one single-column V-cycle reads. Per non-coarsest level,
     /// `2·s + 1` passes over the level operator for `s` sweeps, degrees or
@@ -764,19 +551,9 @@ impl<S: Demote> PrecondOp<S> for Amg<S> {
                 LevelSmoother::Chebyshev(c) => c.degree(),
                 LevelSmoother::Jacobi(_, s) | LevelSmoother::Gmres(s) | LevelSmoother::Cg(s) => *s,
             };
-            let (a_b, p_b, pt_b) = match self.lo_levels.as_deref() {
-                Some(lo) => (
-                    lo[l].a.bytes_streamed(),
-                    lo[l].p.bytes_streamed(),
-                    lo[l].pt.bytes_streamed(),
-                ),
-                None => (
-                    level.a.bytes_streamed(),
-                    level.p.as_ref().unwrap().bytes_streamed(),
-                    level.pt.as_ref().unwrap().bytes_streamed(),
-                ),
-            };
-            total += passes * a_b + p_b + pt_b;
+            total += passes * level.a.bytes_streamed()
+                + level.p.as_ref().unwrap().bytes_streamed()
+                + level.pt.as_ref().unwrap().bytes_streamed();
         }
         Some(total)
     }
@@ -1036,6 +813,7 @@ fn estimate_lmax_dinva<S: Scalar>(a: &Csr<S>, inv_diag: &[S]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kryst_par::PrecondPrecision;
     use kryst_pde::poisson::poisson2d;
     use kryst_sparse::Coo;
 
@@ -1244,7 +1022,7 @@ mod tests {
         coo.to_csr()
     }
 
-    /// The set-up loop of `Amg::with_precision` on the operations it used
+    /// The set-up loop of `Amg::new` on the operations it used
     /// before they were rewritten: P̂ pushed as triplets in aggregate order,
     /// a scaled copy of `A·P̂` added through the triplet builder, the
     /// stamped products, `Pᵀ` transposed for the product and again for the
@@ -1402,101 +1180,18 @@ mod tests {
     }
 
     #[test]
-    fn single_precision_vcycle_tracks_full() {
-        let p = poisson2d::<f64>(24, 24);
-        let n = p.a.nrows();
-        let full = Amg::new(&p.a, p.near_nullspace.as_ref(), &AmgOpts::default());
-        let lo = Amg::with_precision(
-            &p.a,
-            p.near_nullspace.as_ref(),
-            &AmgOpts::default(),
-            PrecondPrecision::Single,
-        );
-        assert_eq!(lo.precision(), PrecondPrecision::Single);
-        assert_eq!(full.precision(), PrecondPrecision::Full);
-        let r = DMat::from_fn(n, 3, |i, j| ((i * 3 + j) % 11) as f64 - 5.0);
-        let zf = full.apply_new(&r);
-        let zl = lo.apply_new(&r);
-        let mut diff = zl.clone();
-        diff.axpy(-1.0, &zf);
-        let rel = diff.fro_norm() / zf.fro_norm();
-        assert!(rel < 1e-5, "f32 hierarchy drifted: rel err {rel:.3e}");
-        // The compact hierarchy must stream roughly half the matrix bytes.
-        let bf = full.bytes_per_apply().unwrap();
-        let bl = lo.bytes_per_apply().unwrap();
-        assert!(
-            bl * 2 <= bf + bf / 8,
-            "bytes not halved: {bl} vs {bf} (full)"
-        );
-    }
-
-    #[test]
-    fn single_precision_cycle_still_contracts() {
-        let p = poisson2d::<f64>(24, 24);
-        let n = p.a.nrows();
-        let amg = Amg::with_precision(
-            &p.a,
-            p.near_nullspace.as_ref(),
-            &AmgOpts::default(),
-            PrecondPrecision::Single,
-        );
-        let b = DMat::from_fn(n, 1, |i, _| ((i % 7) as f64) - 3.0);
-        let mut x = DMat::zeros(n, 1);
-        let r0 = residual_norm(&p.a, &b, &x);
-        // The low hierarchy is a fixed linear operator (promotion is exact),
-        // so the stationary iteration still converges in f64.
-        for _ in 0..25 {
-            let mut r = p.a.apply(&x);
-            r.scale(-1.0);
-            r.axpy(1.0, &b);
-            let z = amg.apply_new(&r);
-            x.axpy(1.0, &z);
-        }
-        let rfinal = residual_norm(&p.a, &b, &x);
-        assert!(rfinal < 1e-6 * r0, "lo V-cycle stagnated: {rfinal:.3e}");
-    }
-
-    #[test]
     fn nonlinear_smoother_falls_back_to_full_precision() {
         let p = poisson2d::<f64>(12, 12);
-        let amg = Amg::with_precision(
+        let amg = Amg::new(
             &p.a,
             None,
             &AmgOpts {
                 smoother: SmootherKind::Gmres { iters: 3 },
                 ..Default::default()
             },
-            PrecondPrecision::Single,
         );
         assert_eq!(amg.precision(), PrecondPrecision::Full);
         assert!(PrecondOp::<f64>::is_variable(&amg));
-    }
-
-    #[test]
-    fn jacobi_smoother_supports_single_precision() {
-        let p = poisson2d::<f64>(20, 20);
-        let opts = AmgOpts {
-            smoother: SmootherKind::Jacobi {
-                omega: 0.67,
-                iters: 2,
-            },
-            ..Default::default()
-        };
-        let full = Amg::new(&p.a, p.near_nullspace.as_ref(), &opts);
-        let lo = Amg::with_precision(
-            &p.a,
-            p.near_nullspace.as_ref(),
-            &opts,
-            PrecondPrecision::Single,
-        );
-        assert_eq!(lo.precision(), PrecondPrecision::Single);
-        let n = p.a.nrows();
-        let r = DMat::from_fn(n, 2, |i, j| ((i + j) % 5) as f64 - 2.0);
-        let zf = full.apply_new(&r);
-        let zl = lo.apply_new(&r);
-        let mut diff = zl.clone();
-        diff.axpy(-1.0, &zf);
-        assert!(diff.fro_norm() < 1e-5 * zf.fro_norm().max(1.0));
     }
 
     #[test]

@@ -59,19 +59,9 @@ impl<S: Scalar> Chebyshev<S> {
         self.hi / 1.1
     }
 
-    /// The smoothing interval `[lo, hi]` on the spectrum of `D⁻¹A`.
-    pub fn interval(&self) -> (f64, f64) {
-        (self.lo, self.hi)
-    }
-
     /// Polynomial degree.
     pub fn degree(&self) -> usize {
         self.degree
-    }
-
-    /// The stored inverse diagonal.
-    pub fn inv_diag(&self) -> &[S] {
-        &self.inv_diag
     }
 
     /// Run `x ⟵ x + p(D⁻¹A)·D⁻¹·(b − A·x)` via the standard three-term

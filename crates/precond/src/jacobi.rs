@@ -35,16 +35,6 @@ impl<S: Scalar> Jacobi<S> {
         }
     }
 
-    /// The stored scaled-inverse diagonal (ω already excluded).
-    pub fn inv_diag(&self) -> &[S] {
-        &self.inv_diag
-    }
-
-    /// The damping weight ω.
-    pub fn weight(&self) -> S {
-        self.weight
-    }
-
     /// One smoothing sweep: `x ⟵ x + ω·D⁻¹·(b − A·x)` repeated `iters` times.
     pub fn smooth(&self, a: &Csr<S>, b: &DMat<S>, x: &mut DMat<S>, iters: usize) {
         let mut r = DMat::zeros(b.nrows(), b.ncols());

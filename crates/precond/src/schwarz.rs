@@ -16,9 +16,9 @@
 
 use kryst_dense::DMat;
 use kryst_obs::{Event, PrecondApplyEvent, Recorder};
-use kryst_par::{CommStats, PrecondOp, PrecondPrecision};
+use kryst_par::{CommStats, PrecondOp};
 use kryst_rt::par::{for_each_range, map_vec};
-use kryst_scalar::{Demote, Scalar};
+use kryst_scalar::Scalar;
 use kryst_sparse::band::{pack, unpack};
 use kryst_sparse::partition::{
     grow_overlap, partition_of_unity, restricted_partition_of_unity, Partition,
@@ -62,84 +62,48 @@ impl Default for SchwarzOpts {
     }
 }
 
-struct Subdomain<S: Demote> {
+/// One overlapping subdomain: its factored local operator and the persistent
+/// packed right-hand-side block (`n_i × p` in the factor's tile layout). The
+/// block grows on the first apply (and again only for a wider `p`), so
+/// steady-state applies are allocation-free. One mutex per subdomain: the
+/// parallel sweep assigns each subdomain to exactly one worker, so locks
+/// never contend.
+struct Subdomain<S: Scalar> {
     /// Global index of each row of the factor's packed block: the
     /// overlapping set composed with the factor's ordering.
     rows: Vec<usize>,
     /// Partition-of-unity weights aligned with `rows`.
     weights: Vec<f64>,
-    solver: SubSolver<S>,
+    factor: SparseDirect<S>,
+    block: Mutex<Vec<S>>,
 }
 
-/// A factored subdomain operator at the chosen storage precision, with its
-/// persistent packed right-hand-side block (`n_i × p` in the factor's tile
-/// layout). The block grows on the first apply (and again only for a wider
-/// `p`), so steady-state applies are allocation-free. One mutex per
-/// subdomain: the parallel sweep assigns each subdomain to exactly one
-/// worker, so locks never contend.
-enum SubSolver<S: Demote> {
-    Full(SparseDirect<S>, Mutex<Vec<S>>),
-    /// Banded factors in `S::Lo`: the gather demotes, the triangular solve
-    /// runs entirely in low precision, the weighted scatter promotes.
-    Low(SparseDirect<S::Lo>, Mutex<Vec<S::Lo>>),
-}
-
-impl<S: Demote> SubSolver<S> {
-    /// Factor entries one local solve reads.
-    fn factor_len(&self) -> usize {
-        match self {
-            SubSolver::Full(s, _) => s.factor_len(),
-            SubSolver::Low(s, _) => s.factor_len(),
-        }
+impl<S: Scalar> Subdomain<S> {
+    /// Gather the subdomain's rows of `r` straight into the packed block and
+    /// solve there.
+    fn gather_solve(&self, r: &DMat<S>) {
+        let mut block = self.block.lock().expect("no panic under the block lock");
+        block.resize(self.rows.len() * r.ncols(), S::zero());
+        pack(&mut block, &self.rows, r.as_slice(), r.nrows());
+        self.factor.solve_packed(&mut block);
     }
-    /// Bytes of factor streamed by one single-RHS local solve.
-    fn factor_bytes(&self) -> usize {
-        self.factor_len()
-            * match self {
-                SubSolver::Full(..) => std::mem::size_of::<S>(),
-                SubSolver::Low(..) => std::mem::size_of::<S::Lo>(),
-            }
+
+    /// `z[rows] += weights · block`, reading the packed solution.
+    fn scatter_add(&self, z: &mut DMat<S>) {
+        let block = self.block.lock().expect("no panic under the block lock");
+        let ld = z.nrows();
+        unpack(&block, &self.rows, z.as_mut_slice(), ld, |k| {
+            let weight = S::from_f64(self.weights[k]);
+            move |z, v| *z += weight * v
+        });
     }
-}
-
-/// Gather the subdomain's rows of `r` straight into the packed block
-/// (through `lower`) and solve there.
-fn gather_solve<S: Scalar, T: Scalar>(
-    solver: &SparseDirect<T>,
-    block: &Mutex<Vec<T>>,
-    rows: &[usize],
-    r: &DMat<S>,
-    lower: impl Fn(S) -> T,
-) {
-    let mut block = block.lock().expect("no panic under the block lock");
-    block.resize(rows.len() * r.ncols(), T::zero());
-    pack(&mut block, rows, r.as_slice(), r.nrows(), lower);
-    solver.solve_packed(&mut block);
-}
-
-/// `z[rows] += weights · raise(block)`, reading the packed solution.
-fn scatter_add<S: Scalar, T: Scalar>(
-    block: &Mutex<Vec<T>>,
-    rows: &[usize],
-    weights: &[f64],
-    z: &mut DMat<S>,
-    raise: impl Fn(T) -> S,
-) {
-    let block = block.lock().expect("no panic under the block lock");
-    let ld = z.nrows();
-    let raise = &raise;
-    unpack(&block, rows, z.as_mut_slice(), ld, |k| {
-        let weight = S::from_f64(weights[k]);
-        move |z, v| *z += weight * raise(v)
-    });
 }
 
 /// The assembled Schwarz preconditioner.
-pub struct Schwarz<S: Demote> {
+pub struct Schwarz<S: Scalar> {
     subs: Vec<Subdomain<S>>,
     n: usize,
     variant: SchwarzVariant,
-    precision: PrecondPrecision,
     stats: Option<Arc<CommStats>>,
     recorder: Option<Arc<dyn Recorder>>,
     /// Total triangular-solve flops per single-RHS application (for the cost
@@ -147,27 +111,12 @@ pub struct Schwarz<S: Demote> {
     flops_per_rhs: usize,
 }
 
-impl<S: Demote> Schwarz<S> {
+impl<S: Scalar> Schwarz<S> {
     /// Build from a non-overlapping partition: grows overlap, extracts and
     /// factors the local operators (in parallel). Factors are stored in `S`.
     pub fn new(a: &Csr<S>, partition: &Partition, opts: &SchwarzOpts) -> Self {
-        Self::with_precision(a, partition, opts, PrecondPrecision::Full)
-    }
-
-    /// [`Schwarz::new`] with a storage-precision choice for the subdomain
-    /// factorizations. With [`PrecondPrecision::Single`] each local operator
-    /// is demoted to `S::Lo` *before* factoring — half the factor bytes per
-    /// local solve — and the apply demotes on gather / promotes on scatter.
-    /// Non-lossy scalars fall back to full precision.
-    pub fn with_precision(
-        a: &Csr<S>,
-        partition: &Partition,
-        opts: &SchwarzOpts,
-        precision: PrecondPrecision,
-    ) -> Self {
         let _t = kryst_obs::profile(kryst_obs::Phase::PrecondSetup);
         let n = a.nrows();
-        let low = precision == PrecondPrecision::Single && S::LOSSY;
         let overlapping = grow_overlap(a, partition, opts.overlap);
         let weights = match opts.variant {
             SchwarzVariant::Asm => overlapping.iter().map(|s| vec![1.0; s.len()]).collect(),
@@ -197,49 +146,27 @@ impl<S: Demote> Schwarz<S> {
                     }
                 }
             }
-            let solver = if low {
-                // Demote the assembled local operator (impedance shift
-                // included), then factor in `S::Lo`.
-                let local_lo = local.demote_values();
-                let f = SparseDirect::factor(&local_lo).unwrap_or_else(|| {
-                    let shift = <S::Lo as Scalar>::from_f64(1e-12)
-                        * <S::Lo as Scalar>::from_real(local_lo.inf_norm());
-                    SparseDirect::factor(&local_lo.shift_diag(shift))
-                        .expect("regularized local factor")
-                });
-                SubSolver::Low(f, Mutex::new(Vec::new()))
-            } else {
-                let f = SparseDirect::factor(&local).unwrap_or_else(|| {
-                    // Local singular operator (can happen for ASM on pure
-                    // Neumann pieces): tiny diagonal regularization.
-                    let shift = S::from_f64(1e-12) * S::from_real(local.inf_norm());
-                    SparseDirect::factor(&local.shift_diag(shift))
-                        .expect("regularized local factor")
-                });
-                SubSolver::Full(f, Mutex::new(Vec::new()))
-            };
-            let perm = match &solver {
-                SubSolver::Full(f, _) => f.perm(),
-                SubSolver::Low(f, _) => f.perm(),
-            };
+            let factor = SparseDirect::factor(&local).unwrap_or_else(|| {
+                // Local singular operator (can happen for ASM on pure
+                // Neumann pieces): tiny diagonal regularization.
+                let shift = S::from_f64(1e-12) * S::from_real(local.inf_norm());
+                SparseDirect::factor(&local.shift_diag(shift)).expect("regularized local factor")
+            });
+            let perm = factor.perm();
             Subdomain {
                 rows: perm.iter().map(|&k| set[k]).collect(),
                 weights: perm.iter().map(|&k| w[k]).collect(),
-                solver,
+                factor,
+                block: Mutex::new(Vec::new()),
             }
         });
         // One multiply-add per factor entry streamed.
         let scale = if S::is_complex() { 4 } else { 1 };
-        let flops_per_rhs = subs.iter().map(|s| 2 * s.solver.factor_len() * scale).sum();
+        let flops_per_rhs = subs.iter().map(|s| 2 * s.factor.factor_len() * scale).sum();
         Self {
             subs,
             n,
             variant: opts.variant,
-            precision: if low {
-                PrecondPrecision::Single
-            } else {
-                PrecondPrecision::Full
-            },
             stats: None,
             recorder: None,
             flops_per_rhs,
@@ -294,7 +221,7 @@ fn interface_rows<S: Scalar>(a: &Csr<S>, set: &[usize]) -> Vec<bool> {
         .collect()
 }
 
-impl<S: Demote> PrecondOp<S> for Schwarz<S> {
+impl<S: Scalar> PrecondOp<S> for Schwarz<S> {
     fn nrows(&self) -> usize {
         self.n
     }
@@ -302,8 +229,6 @@ impl<S: Demote> PrecondOp<S> for Schwarz<S> {
     fn apply(&self, r: &DMat<S>, z: &mut DMat<S>) {
         let _t = kryst_obs::profile(kryst_obs::Phase::Precond);
         let _sp = kryst_obs::traced(kryst_obs::TraceKind::PrecondApply);
-        let _lp = (self.precision == PrecondPrecision::Single)
-            .then(|| kryst_obs::profile(kryst_obs::Phase::PrecondLp));
         let p = r.ncols();
         // Clock only when tracing is actually on.
         let rec = self.recorder.as_ref().filter(|rc| rc.enabled());
@@ -328,20 +253,12 @@ impl<S: Demote> PrecondOp<S> for Schwarz<S> {
         // stay deterministic.
         for_each_range(self.subs.len(), 0, |lo, hi| {
             for sub in &self.subs[lo..hi] {
-                match &sub.solver {
-                    SubSolver::Full(f, block) => gather_solve(f, block, &sub.rows, r, |v| v),
-                    SubSolver::Low(f, block) => gather_solve(f, block, &sub.rows, r, S::demote),
-                }
+                sub.gather_solve(r);
             }
         });
         z.set_zero();
         for sub in &self.subs {
-            match &sub.solver {
-                SubSolver::Full(_, block) => scatter_add(block, &sub.rows, &sub.weights, z, |v| v),
-                SubSolver::Low(_, block) => {
-                    scatter_add(block, &sub.rows, &sub.weights, z, S::promote_lo)
-                }
-            }
+            sub.scatter_add(z);
         }
         if let Some(rec) = rec {
             rec.record(&Event::PrecondApply(PrecondApplyEvent {
@@ -353,15 +270,12 @@ impl<S: Demote> PrecondOp<S> for Schwarz<S> {
         }
     }
 
-    fn precision(&self) -> PrecondPrecision {
-        self.precision
-    }
-
     /// Factor bytes streamed by one single-column application (sum over
     /// subdomains of the stored profile); excludes gather/scatter vector
     /// traffic.
     fn bytes_per_apply(&self) -> Option<usize> {
-        Some(self.subs.iter().map(|s| s.solver.factor_bytes()).sum())
+        let entries: usize = self.subs.iter().map(|s| s.factor.factor_len()).sum();
+        Some(entries * std::mem::size_of::<S>())
     }
 }
 
@@ -405,6 +319,12 @@ mod tests {
             },
         );
         assert_eq!(m.nsubdomains(), 4);
+        // SPD Poisson never pivots, so no local solve reads fill padding:
+        // at most the `2·bw + 1` in-band entries per row.
+        let in_band: usize = (m.subs.iter())
+            .map(|s| s.factor.n() * (2 * s.factor.bandwidth() + 1))
+            .sum();
+        assert!(m.bytes_per_apply().unwrap() <= in_band * std::mem::size_of::<f64>());
         let rel = richardson_converges(&a, &m, 30);
         assert!(rel < 1e-3, "RAS Richardson: rel residual {rel}");
     }
@@ -498,46 +418,6 @@ mod tests {
     }
 
     #[test]
-    fn single_precision_tracks_full() {
-        let p = poisson2d::<f64>(16, 16);
-        let part = partition_rcb(&p.coords, 4);
-        let opts = SchwarzOpts {
-            overlap: 2,
-            ..Default::default()
-        };
-        let full = Schwarz::new(&p.a, &part, &opts);
-        let lo = Schwarz::with_precision(&p.a, &part, &opts, PrecondPrecision::Single);
-        assert_eq!(full.precision(), PrecondPrecision::Full);
-        assert_eq!(lo.precision(), PrecondPrecision::Single);
-        let n = p.a.nrows();
-        let r = DMat::from_fn(n, 3, |i, j| ((i * 2 + j) % 9) as f64 - 4.0);
-        let zf = full.apply_new(&r);
-        let zl = lo.apply_new(&r);
-        let mut diff = zl.clone();
-        diff.axpy(-1.0, &zf);
-        let rel = diff.fro_norm() / zf.fro_norm();
-        assert!(rel < 1e-5, "f32 subdomain solves drifted: rel {rel:.3e}");
-        // Factor bytes exactly halve: same profiles, f32 vs f64 entries.
-        let bf = full.bytes_per_apply().unwrap();
-        let bl = lo.bytes_per_apply().unwrap();
-        assert_eq!(bl * 2, bf, "factor bytes {bl} vs {bf}");
-        // SPD Poisson never pivots, so no local solve reads fill padding:
-        // at most the `2·bw + 1` in-band entries per row.
-        let in_band: usize = full
-            .subs
-            .iter()
-            .map(|s| match &s.solver {
-                SubSolver::Full(f, _) => f.n() * (2 * f.bandwidth() + 1),
-                SubSolver::Low(..) => unreachable!("full-precision factors"),
-            })
-            .sum();
-        assert!(bf <= in_band * std::mem::size_of::<f64>());
-        // Richardson with the low factors still converges on SPD Poisson.
-        let rel_final = richardson_converges(&p.a, &lo, 30);
-        assert!(rel_final < 1e-3, "lo RAS Richardson: {rel_final:.3e}");
-    }
-
-    #[test]
     fn traffic_counts_are_the_entries_the_kernel_reads() {
         // One subdomain on a 1-D Laplacian: the factors are bidiagonal, so a
         // solve reads n − 1 entries of L, n − 1 of U and n reciprocal pivots.
@@ -550,13 +430,6 @@ mod tests {
         assert_eq!(m.bytes_per_apply(), Some(entries * 8));
         let _ = m.apply_new(&DMat::from_fn(n, 3, |i, j| (i + j) as f64));
         assert_eq!(stats.snapshot().flops, (2 * entries * 3) as u64);
-        let lo = Schwarz::with_precision(
-            &p.a,
-            &part,
-            &SchwarzOpts::default(),
-            PrecondPrecision::Single,
-        );
-        assert_eq!(lo.bytes_per_apply(), Some(entries * 4));
     }
 
     #[test]

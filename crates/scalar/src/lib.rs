@@ -11,12 +11,10 @@
 //! traits.
 
 mod complex;
-mod convert;
 mod real;
 mod scalar;
 
 pub use complex::Complex;
-pub use convert::{Demote, Promote};
 pub use real::Real;
 pub use scalar::Scalar;
 

@@ -229,16 +229,10 @@ fn tiles_mut<S: Scalar>(
 /// Gather rows of column-major right-hand sides (leading dimension `ld`)
 /// into a packed block of `rows.len()`-row columns, the layout
 /// [`BandLu::solve_packed`] works on: entry `(k, c)` of the block is
-/// `lower(src[c·ld + rows[k]])`.
-pub fn pack<T: Copy, S: Scalar>(
-    block: &mut [S],
-    rows: &[usize],
-    src: &[T],
-    ld: usize,
-    lower: impl Fn(T) -> S,
-) {
+/// `src[c·ld + rows[k]]`.
+pub fn pack<S: Scalar>(block: &mut [S], rows: &[usize], src: &[S], ld: usize) {
     for (c0, w, tile) in tiles_mut(block, rows.len()) {
-        let mut cols: [&[T]; TILE] = [&[]; TILE];
+        let mut cols: [&[S]; TILE] = [&[]; TILE];
         for (slot, col) in cols
             .iter_mut()
             .zip(src[c0 * ld..(c0 + w) * ld].chunks_exact(ld))
@@ -248,7 +242,7 @@ pub fn pack<T: Copy, S: Scalar>(
         for (row, &g) in tile.chunks_exact_mut(w * S::real_words()).zip(rows) {
             let (re, im) = row.split_at_mut(w);
             for (c, (re, col)) in re.iter_mut().zip(&cols).enumerate() {
-                let v = lower(col[g]);
+                let v = col[g];
                 *re = v.re();
                 if S::is_complex() {
                     im[c] = v.im();
@@ -263,10 +257,10 @@ pub fn pack<T: Copy, S: Scalar>(
 /// `put = row(k)` and then `put(&mut dst[c·ld + rows[k]], v)` for each
 /// entry `(k, c)`, `v` its value — what depends on the row alone is
 /// computed once, in `row`.
-pub fn unpack<T, S: Scalar, F: FnMut(&mut T, S)>(
+pub fn unpack<S: Scalar, F: FnMut(&mut S, S)>(
     block: &[S],
     rows: &[usize],
-    dst: &mut [T],
+    dst: &mut [S],
     ld: usize,
     mut row: impl FnMut(usize) -> F,
 ) {
@@ -274,7 +268,7 @@ pub fn unpack<T, S: Scalar, F: FnMut(&mut T, S)>(
     let p = block.len().checked_div(n).unwrap_or(0);
     for (c0, w) in tiles(p) {
         let tile = S::reals(&block[n * c0..n * (c0 + w)]);
-        let mut cols: [&mut [T]; TILE] = Default::default();
+        let mut cols: [&mut [S]; TILE] = Default::default();
         for (slot, col) in cols
             .iter_mut()
             .zip(dst[c0 * ld..(c0 + w) * ld].chunks_exact_mut(ld))
@@ -611,7 +605,7 @@ mod tests {
         let n = f.n();
         let rows: Vec<usize> = (0..n).collect();
         let mut packed = vec![S::zero(); n * p];
-        pack(&mut packed, &rows, cols, n, |v| v);
+        pack(&mut packed, &rows, cols, n);
         solve(f, &mut packed);
         let mut out = vec![S::zero(); n * p];
         unpack(&packed, &rows, &mut out, n, |_| |o, v| *o = v);
@@ -741,7 +735,7 @@ mod tests {
                     .map(|k| S::from_parts(k as f64 + 0.5, -(k as f64) - 0.25))
                     .collect();
                 let mut block = vec![S::zero(); n * p];
-                pack(&mut block, &rows, &src, ld, |v| v);
+                pack(&mut block, &rows, &src, ld);
                 if p == 1 {
                     let plain: Vec<S> = rows.iter().map(|&g| src[g]).collect();
                     assert_eq!(block, plain);

@@ -94,9 +94,8 @@ unsafe fn add_entry<S: Scalar>(
 /// not allocated registers together with the 16-accumulator block loop.
 #[inline(never)]
 #[allow(clippy::too_many_arguments)]
-unsafe fn sweep_block<S: Scalar, V: Copy, I: Copy, const W: usize>(
-    (indptr, indices, data): (&[usize], &[I], &[V]),
-    entry: &impl Fn(V, I) -> (S, usize),
+unsafe fn sweep_block<S: Scalar, const W: usize>(
+    (indptr, indices, data): (&[usize], &[usize], &[S]),
     (x, xn): (&[S], usize),
     (y, n): (SendPtr<S>, usize),
     row: &impl Fn(usize) -> usize,
@@ -106,7 +105,7 @@ unsafe fn sweep_block<S: Scalar, V: Copy, I: Copy, const W: usize>(
 ) {
     let nb = if W == 0 { nb } else { W };
     let x = (x[jb * xn..].as_ptr(), xn);
-    let at = |k: usize| entry(*data.get_unchecked(k), *indices.get_unchecked(k));
+    let at = |k: usize| (*data.get_unchecked(k), *indices.get_unchecked(k));
     for r in r0..r1 {
         let i = row(r);
         // Checked: a row that is out of range panics here, before the write.
@@ -141,9 +140,8 @@ unsafe fn sweep_block<S: Scalar, V: Copy, I: Copy, const W: usize>(
 /// `y[j·n + i] ⟵ fin(j·n + i, Σ_k a_ik·x[j·xn + c_k])` for the rows
 /// `i = row(r)`, `r < count`, and every column `j < p` of the column-major
 /// `x` (`xn` rows) and `y` (`n` rows): the row loop under every sweep of
-/// [`Csr`] and [`crate::CsrLo`]. `entry` turns a stored value and index into
-/// the working scalar and a column number. The matrix is read once per block
-/// of [`SPMM_COLS`] columns; threads take one contiguous range of `r` each.
+/// [`Csr`]. The matrix is read once per block of [`SPMM_COLS`] columns;
+/// threads take one contiguous range of `r` each.
 ///
 /// **Summation rule.** A row of fewer than [`TWO_LANE_LEN`] stored entries
 /// is summed in index order. A longer one adds the products at even
@@ -155,11 +153,10 @@ unsafe fn sweep_block<S: Scalar, V: Copy, I: Copy, const W: usize>(
 ///
 /// # Safety
 /// `indptr` must not decrease and must end at `indices.len() == data.len()`,
-/// and `entry` must return a column number `< xn` for every stored index;
-/// `row` must not name a row twice.
-pub(crate) unsafe fn sweep_rows<S: Scalar, V: Copy + Sync, I: Copy + Sync>(
-    arrays: (&[usize], &[I], &[V]),
-    entry: impl Fn(V, I) -> (S, usize) + Sync,
+/// and every stored column index must be `< xn`; `row` must not name a row
+/// twice.
+unsafe fn sweep_rows<S: Scalar>(
+    arrays: (&[usize], &[usize], &[S]),
     (x, xn): (&[S], usize),
     (y, n): (&mut [S], usize),
     p: usize,
@@ -172,25 +169,22 @@ pub(crate) unsafe fn sweep_rows<S: Scalar, V: Copy + Sync, I: Copy + Sync>(
     let band = |r0: usize, r1: usize| {
         let rs = (r0, r1);
         for jb in (0..p).step_by(SPMM_COLS) {
-            // SAFETY: the caller's contract — for `Csr`, what `from_raw`
-            // validated; for `CsrLo`, a copy of such a matrix whose
-            // `from_csr` checked that the indices fit `u32` — puts every `k`
-            // of `indptr[i]..indptr[i + 1]` inside `indices` and `data` and
-            // every column number below `xn`, so with `x.len() == p·xn`
-            // (asserted above) every operand read is in bounds. `indptr[i]`
-            // is bounds-checked, so `i < n` and the write at `(jb + l)·n + i`
-            // is inside `y` (`p·n` long); rows are distinct and threads take
-            // disjoint ranges of them, so each element is written once. The
-            // checks these replace cost 1.07–1.5× on rows of 5–81 entries.
+            // SAFETY: the caller's contract — what `Csr::from_raw` validated —
+            // puts every `k` of `indptr[i]..indptr[i + 1]` inside `indices`
+            // and `data` and every column number below `xn`, so with
+            // `x.len() == p·xn` (asserted above) every operand read is in
+            // bounds. `indptr[i]` is bounds-checked, so `i < n` and the write
+            // at `(jb + l)·n + i` is inside `y` (`p·n` long); rows are
+            // distinct and threads take disjoint ranges of them, so each
+            // element is written once. The checks these replace cost
+            // 1.07–1.5× on rows of 5–81 entries.
             unsafe {
                 // One compiled copy per literal width, one for the rest.
                 let cols = (jb, SPMM_COLS.min(p - jb));
                 match cols.1 {
-                    1 => sweep_block::<_, _, _, 1>(arrays, &entry, x, y, &row, &fin, rs, cols),
-                    SPMM_COLS => sweep_block::<_, _, _, SPMM_COLS>(
-                        arrays, &entry, x, y, &row, &fin, rs, cols,
-                    ),
-                    _ => sweep_block::<_, _, _, 0>(arrays, &entry, x, y, &row, &fin, rs, cols),
+                    1 => sweep_block::<_, 1>(arrays, x, y, &row, &fin, rs, cols),
+                    SPMM_COLS => sweep_block::<_, SPMM_COLS>(arrays, x, y, &row, &fin, rs, cols),
+                    _ => sweep_block::<_, 0>(arrays, x, y, &row, &fin, rs, cols),
                 }
             }
         }
@@ -261,6 +255,14 @@ impl<S: Scalar> Csr<S> {
         self.data.len()
     }
 
+    /// Bytes of matrix data (values + indices + row pointers) streamed by
+    /// one apply, independent of the block width `p` (every nonzero is read
+    /// once per apply thanks to the column-block register kernel).
+    pub fn bytes_streamed(&self) -> usize {
+        self.nnz() * (core::mem::size_of::<S>() + core::mem::size_of::<usize>())
+            + (self.nrows() + 1) * core::mem::size_of::<usize>()
+    }
+
     /// Row pointer array.
     pub fn indptr(&self) -> &[usize] {
         &self.indptr
@@ -322,7 +324,7 @@ impl<S: Scalar> Csr<S> {
         let (x, y) = ((x, self.ncols), (y, self.nrows));
         // SAFETY: `from_raw`, the only constructor, validated the arrays for
         // `ncols` columns, and nothing hands them out mutably.
-        unsafe { sweep_rows(arrays, |v, c| (v, c), x, y, p, (count, row), fin) }
+        unsafe { sweep_rows(arrays, x, y, p, (count, row), fin) }
     }
 
     /// `y ⟵ A·x` for a single vector.
@@ -469,7 +471,7 @@ impl<S: Scalar> Csr<S> {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::Coo;
 
@@ -578,7 +580,7 @@ pub(crate) mod tests {
     }
 
     /// Empty rows and ragged lengths 0–20: both sides of `TWO_LANE_LEN`.
-    pub(crate) fn ragged<S: Scalar>(nrows: usize, ncols: usize, seed: u64) -> Csr<S> {
+    fn ragged<S: Scalar>(nrows: usize, ncols: usize, seed: u64) -> Csr<S> {
         with_row_lengths(
             nrows,
             ncols,
@@ -587,7 +589,7 @@ pub(crate) mod tests {
         )
     }
 
-    pub(crate) fn operand<S: Scalar>(n: usize, p: usize) -> DMat<S> {
+    fn operand<S: Scalar>(n: usize, p: usize) -> DMat<S> {
         DMat::from_fn(n, p, |i, j| {
             S::from_parts(
                 ((i * 7 + j) % 13) as f64 / 3.0 - 2.0,
@@ -596,7 +598,7 @@ pub(crate) mod tests {
         })
     }
 
-    pub(crate) fn bits<S: Scalar>(v: &[S]) -> Vec<(u64, u64)> {
+    fn bits<S: Scalar>(v: &[S]) -> Vec<(u64, u64)> {
         v.iter()
             .map(|v| (v.re().to_f64().to_bits(), v.im().to_f64().to_bits()))
             .collect()

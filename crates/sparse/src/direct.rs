@@ -100,7 +100,7 @@ impl<S: Scalar> SparseDirect<S> {
         let group = tile.max(1);
         let (x, packed) = (b.as_mut_slice(), scratch.as_mut_slice());
         for (cols, from) in packed.chunks_mut(n * group).zip(x.chunks(n * group)) {
-            pack(cols, &self.perm, from, n, |v| v);
+            pack(cols, &self.perm, from, n);
         }
         for_each_chunk_mut(packed, n * group, threads, |_, cols| {
             self.lu.solve_packed(cols)

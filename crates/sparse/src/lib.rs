@@ -5,8 +5,6 @@
 //! * [`csr::Csr`] — compressed sparse row storage with SpMV and the
 //!   multi-right-hand-side **SpMM** kernel the paper's §V-B2 discusses
 //!   (higher arithmetic intensity as `p` grows),
-//! * [`lo::CsrLo`] — compact low-precision CSR (`u32` indices + demoted
-//!   values) for memory-traffic-bound preconditioner applies,
 //! * [`ops`] — CSR×CSR products and the Galerkin triple product `RAP`
 //!   used by the smoothed-aggregation multigrid,
 //! * [`order`] — reverse Cuthill–McKee bandwidth reduction,
@@ -26,7 +24,6 @@ pub mod band;
 pub mod coo;
 pub mod csr;
 pub mod direct;
-pub mod lo;
 pub mod ops;
 pub mod order;
 pub mod partition;
@@ -36,6 +33,5 @@ pub mod workspace;
 pub use coo::Coo;
 pub use csr::Csr;
 pub use direct::SparseDirect;
-pub use lo::CsrLo;
 pub use split::RowSplit;
 pub use workspace::{PrecondWorkspace, SpmmWorkspace};

@@ -35,10 +35,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static COUNTER: CountingAlloc = CountingAlloc;
 
 use kryst_dense::DMat;
-use kryst_par::{LinOp, PrecondOp, PrecondPrecision};
-use kryst_pde::elasticity::ElasticityOpts;
+use kryst_par::{LinOp, PrecondOp};
 use kryst_pde::poisson::poisson2d;
-use kryst_pde::stencil::{ElasticityStencil, PoissonStencil};
 use kryst_precond::{
     Amg, AmgOpts, Chebyshev, Ilu0, Jacobi, Schwarz, SchwarzOpts, SchwarzVariant, SmootherKind,
 };
@@ -128,35 +126,6 @@ fn steady_state_applies_do_not_allocate() {
         },
     );
 
-    // Single-precision variants: same contract. The ILU low path owns a
-    // packed f32 scratch block that grows on first apply at each width —
-    // the warm-up applies cover that, and clear+resize reuses capacity.
-    let ilu_lp = Ilu0::with_precision(a, PrecondPrecision::Single).expect("factorizable");
-    let amg_lp = Amg::with_precision(
-        a,
-        prob.near_nullspace.as_ref(),
-        &AmgOpts::default(),
-        PrecondPrecision::Single,
-    );
-    let ras_lp = Schwarz::with_precision(
-        a,
-        &part,
-        &SchwarzOpts {
-            variant: SchwarzVariant::Ras,
-            overlap: 2,
-            ..Default::default()
-        },
-        PrecondPrecision::Single,
-    );
-
-    // Matrix-free stencil operators: zero state beyond the geometry, so
-    // applies must be allocation-free from the first call onward.
-    let poisson_st = PoissonStencil::<f64>::dim2(32, 24);
-    let elasticity_st = ElasticityStencil::<f64>::new(&ElasticityOpts {
-        ne: 6,
-        ..Default::default()
-    });
-
     for p in [1usize, 4, 8] {
         assert_zero_alloc(&jacobi, p, "jacobi");
         assert_zero_alloc(&chebyshev, p, "chebyshev");
@@ -166,10 +135,6 @@ fn steady_state_applies_do_not_allocate() {
         assert_zero_alloc(&amg_cg, p, "amg/cg(4)");
         assert_zero_alloc(&asm, p, "schwarz/asm");
         assert_zero_alloc(&ras, p, "schwarz/ras");
-        assert_zero_alloc(&ilu_lp, p, "ilu0/f32");
-        assert_zero_alloc(&amg_lp, p, "amg/f32");
-        assert_zero_alloc(&ras_lp, p, "schwarz/ras/f32");
-        assert_zero_alloc_linop(&poisson_st, p, "stencil/poisson2d");
-        assert_zero_alloc_linop(&elasticity_st, p, "stencil/elasticity");
+        assert_zero_alloc_linop(a, p, "csr");
     }
 }
