@@ -4,15 +4,15 @@
 //!
 //! * `kryst_prof demo <dir>` — run two instrumented solves (GMRES(30)+ILU(0)
 //!   and GCRO-DR(30,10)+ILU(0) on the Fig. 7 convection–diffusion problem)
-//!   with the global profiler enabled, writing per-solve artifacts into
-//!   `<dir>`: the JSONL event trace, the profiler snapshot
-//!   (`<label>.profile.json`), the exact communication counters
-//!   (`<label>.comm.json`), and a combined metrics snapshot
-//!   (`metrics.json`) holding the per-rank imbalance gauges.
+//!   with tracing enabled, writing per-solve artifacts into `<dir>`: the
+//!   JSONL event trace, the span-aggregate snapshot
+//!   (`<label>.profile.json`) and the exact communication counters
+//!   (`<label>.comm.json`). It prints the per-rank imbalance of each solve's
+//!   counters and the wire counters of each transport world as it goes.
 //! * `kryst_prof report <dir>` — consume those artifacts and print the
-//!   paper-style per-phase breakdown: measured local wall time per phase
-//!   (from the profiler), iterations (counted from the JSONL trace), and
-//!   α–β–γ modeled comm/compute time at the paper's rank counts.
+//!   paper-style per-phase breakdown: measured local wall time per span
+//!   kind, iterations (counted from the JSONL trace), and α–β–γ modeled
+//!   comm/compute time at the paper's rank counts.
 //!
 //! With no mode argument it runs `demo` then `report` on
 //! `target/kryst-prof` (or the directory given as the only argument).
@@ -20,11 +20,11 @@
 use kryst_core::{gcrodr, gmres, SolveOpts, SolverContext};
 use kryst_dense::DMat;
 use kryst_obs::json::JsonValue;
-use kryst_obs::{JsonlRecorder, MetricsRegistry, ProfileSnapshot, Profiler, Recorder};
+use kryst_obs::{aggregates, JsonlRecorder, ProfileSnapshot, Recorder, WireSnapshot};
 use kryst_par::{
-    calibration_table, comm_from_json, comm_to_json, per_rank_comm, phase_report,
-    publish_imbalance, publish_wire, validation_table, Calibration, CommSnapshot, CommStats,
-    CostModel, DistOp, HaloPlan, Layout, SpmdWorld, TransportError, TransportKind, ValidationRow,
+    calibration_table, comm_from_json, comm_to_json, per_rank_comm, phase_report, validation_table,
+    Calibration, CommSnapshot, CommStats, CostModel, DistOp, HaloPlan, Layout, SpmdWorld,
+    TransportError, TransportKind, ValidationRow,
 };
 use kryst_pde::poisson::poisson2d;
 use kryst_precond::{Amg, AmgOpts, Ilu0};
@@ -68,16 +68,59 @@ fn write_file(path: &Path, content: &str) {
     std::fs::write(path, content).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
 }
 
+/// Max/min/avg over ranks of each per-rank counter.
+fn print_spread(title: &str, fields: &[(&str, Vec<u64>)]) {
+    println!("{title}:");
+    println!(
+        "  {:<16} {:>14} {:>14} {:>16}",
+        "counter", "max", "min", "avg"
+    );
+    for (name, per_rank) in fields {
+        let max = per_rank.iter().max().copied().unwrap_or(0);
+        let min = per_rank.iter().min().copied().unwrap_or(0);
+        let avg = per_rank.iter().sum::<u64>() as f64 / per_rank.len().max(1) as f64;
+        println!("  {name:<16} {max:>14} {min:>14} {avg:>16.1}");
+    }
+    println!();
+}
+
+/// The per-rank imbalance of one solve's counters, split by the halo plan.
+fn print_imbalance(label: &str, snaps: &[CommSnapshot]) {
+    let field = |get: fn(&CommSnapshot) -> u64| snaps.iter().map(get).collect();
+    print_spread(
+        &format!("per-rank imbalance ({label}, P = {})", snaps.len()),
+        &[
+            ("p2p_messages", field(|s| s.p2p_messages)),
+            ("p2p_bytes", field(|s| s.p2p_bytes)),
+            ("fused_parts", field(|s| s.fused_parts)),
+            ("reductions", field(|s| s.reductions)),
+        ],
+    );
+}
+
+/// The wire counters every rank of a transport world measured.
+fn print_wire(backend: &str, wires: &[WireSnapshot]) {
+    let field = |get: fn(&WireSnapshot) -> u64| wires.iter().map(get).collect();
+    print_spread(
+        &format!("wire counters ({backend}, P = {})", wires.len()),
+        &[
+            ("msgs_sent", field(|w| w.msgs_sent)),
+            ("bytes_sent", field(|w| w.bytes_sent)),
+            ("msgs_recv", field(|w| w.msgs_recv)),
+            ("bytes_recv", field(|w| w.bytes_recv)),
+            ("send_ns", field(|w| w.send_ns)),
+            ("recv_ns", field(|w| w.recv_ns)),
+        ],
+    );
+}
+
 fn demo(dir: &Path) {
     std::fs::create_dir_all(dir).expect("create profile dir");
     let a = convdiff2d(32, 0.001, 1.0, 0.3);
     let n = a.nrows();
     let ilu = Ilu0::new(&a).expect("ILU(0) on convdiff");
     let plan = HaloPlan::build(&a, &Layout::even(n, DEMO_RANKS));
-    let reg = MetricsRegistry::global();
-    reg.reset();
-    let prof = Profiler::global();
-    prof.set_enabled(true);
+    kryst_obs::set_trace_enabled(true);
 
     let run = |label: &str, recycle: usize| {
         let stats = CommStats::new_shared();
@@ -96,7 +139,7 @@ fn demo(dir: &Path) {
         };
         let mut rng = Rng64::seed_from_u64(42);
         let b = DMat::from_fn(n, 1, |_, _| rng.gen_range(-1.0, 1.0));
-        prof.reset();
+        aggregates().reset();
         let iters = if recycle > 0 {
             // Cold solve + warm recycled solve on a second RHS, so the
             // profile includes both recycle-space setup and refresh.
@@ -119,21 +162,20 @@ fn demo(dir: &Path) {
         let snap = stats.snapshot();
         write_file(
             &dir.join(format!("{label}.profile.json")),
-            &prof.snapshot().to_json(),
+            &aggregates().snapshot().to_json(),
         );
         write_file(
             &dir.join(format!("{label}.comm.json")),
             &comm_to_json(&snap),
         );
-        publish_imbalance(reg, label, &per_rank_comm(&plan, &snap, DEMO_RANKS));
+        print_imbalance(label, &per_rank_comm(&plan, &snap, DEMO_RANKS));
         eprintln!("  [demo] {label}: {iters} iterations");
     };
     run("gmres30_ilu0", 0);
     run("gcrodr30_10_ilu0", 10);
-    amg_demo(dir, reg);
-    transport_demo(dir, &a, reg);
-    trace_demo(dir, reg);
-    write_file(&dir.join("metrics.json"), &reg.snapshot_json());
+    amg_demo(dir);
+    transport_demo(dir, &a);
+    trace_demo(dir);
     eprintln!("  [demo] artifacts in {}", dir.display());
 }
 
@@ -148,9 +190,8 @@ const CAL_RANKS: usize = 4;
 /// world and record the wall time next to what the freshly calibrated model
 /// charges for the same pattern. Writes `calibration.json` for the report's
 /// measured-vs-modeled table (acceptance: within 2× on the socket backend),
-/// and publishes each world's per-rank wire counters as
-/// `transport_{backend}_wire_*` gauges.
-fn transport_demo(dir: &Path, a: &Csr<f64>, reg: &MetricsRegistry) {
+/// and prints each world's per-rank wire counters.
+fn transport_demo(dir: &Path, a: &Csr<f64>) {
     let plan = HaloPlan::build(a, &Layout::even(a.nrows(), CAL_RANKS));
     let mut cals: Vec<Calibration> = Vec::new();
     let mut rows: Vec<ValidationRow> = Vec::new();
@@ -216,8 +257,8 @@ fn transport_demo(dir: &Path, a: &Csr<f64>, reg: &MetricsRegistry) {
         }
         match shut {
             // Real measured per-rank wire counters (rank 0 first) from the
-            // transport endpoints themselves, straight into the registry.
-            Ok(wires) => publish_wire(reg, &format!("transport_{}", kind.name()), &wires),
+            // transport endpoints themselves.
+            Ok(wires) => print_wire(kind.name(), &wires),
             Err(e) => eprintln!("  [demo] {}: world shutdown failed: {e}", kind.name()),
         }
     }
@@ -254,21 +295,16 @@ fn transport_demo(dir: &Path, a: &Csr<f64>, reg: &MetricsRegistry) {
 
 /// The measured-imbalance section, demo side: run the traced skewed
 /// workload ([`kryst_bench::tracedemo`]) on a small channel world, gather
-/// the merged per-rank timeline, publish the wait-behind-slowest
-/// attribution as `trace_*` registry gauges, and write `timeline.json` for
-/// the report.
-fn trace_demo(dir: &Path, reg: &MetricsRegistry) {
-    let was = kryst_obs::trace_enabled();
-    kryst_obs::set_trace_enabled(true);
+/// the merged per-rank timeline, and write `timeline.json` for the report's
+/// wait-behind-slowest attribution.
+fn trace_demo(dir: &Path) {
     let res = kryst_par::run_spmd(TransportKind::Channel, CAL_RANKS, |t| {
         let tl = kryst_bench::tracedemo::skewed_workload(t, 12)?;
         Ok(tl.map(|tl| tl.encode()).unwrap_or_default())
     });
-    kryst_obs::set_trace_enabled(was);
     match res {
         Ok(run) => match kryst_obs::Timeline::decode(&run.results[0]) {
             Some(tl) => {
-                tl.imbalance().publish(reg, "trace");
                 write_file(&dir.join("timeline.json"), &tl.to_json());
                 let spans: usize = tl.streams.iter().map(|s| s.spans.len()).sum();
                 eprintln!(
@@ -376,16 +412,15 @@ fn report_transport(dir: &Path) {
 /// coarse-solve discussion targets): the redundant-serial coarse solve is
 /// then a real constant term on the modeled critical path, and the
 /// agglomeration model shows what gathering it onto a subset buys.
-/// Exercises the `coarse_agglom` profiler phase and writes the
-/// `coarse_agglom.json` redistribution model consumed by the report.
-fn amg_demo(dir: &Path, reg: &MetricsRegistry) {
+/// Writes the `coarse_agglom.json` redistribution model consumed by the
+/// report.
+fn amg_demo(dir: &Path) {
     let nx = 180;
     let prob = poisson2d::<f64>(nx, nx);
     let n = prob.a.nrows();
     // The profile starts before the hierarchy is built: its `precond_setup`
     // row is this demo's set-up beside its solve.
-    let prof = Profiler::global();
-    prof.reset();
+    aggregates().reset();
     // Two-level hierarchy with a ~5.4k-row coarse level (capped coarsening)
     // and a damped-Jacobi smoother (unconditionally contractive — the
     // Chebyshev interval estimate is unreliable at this operator size).
@@ -424,18 +459,14 @@ fn amg_demo(dir: &Path, reg: &MetricsRegistry) {
     drop(opts);
     write_file(
         &dir.join(format!("{label}.profile.json")),
-        &prof.snapshot().to_json(),
+        &aggregates().snapshot().to_json(),
     );
     write_file(
         &dir.join(format!("{label}.comm.json")),
         &comm_to_json(&stats.snapshot()),
     );
     let plan = HaloPlan::build(&prob.a, &Layout::even(n, DEMO_RANKS));
-    publish_imbalance(
-        reg,
-        label,
-        &per_rank_comm(&plan, &stats.snapshot(), DEMO_RANKS),
-    );
+    print_imbalance(label, &per_rank_comm(&plan, &stats.snapshot(), DEMO_RANKS));
     eprintln!("  [demo] {label}: {} iterations", r.iterations);
     // The redistribution model at each reported rank count.
     let rows: Vec<JsonValue> = RANKS
@@ -559,11 +590,6 @@ fn report(dir: &Path) -> bool {
     report_coarse_agglom(dir, &model);
     report_transport(dir);
     report_trace(dir);
-    let metrics = dir.join("metrics.json");
-    if let Ok(text) = std::fs::read_to_string(&metrics) {
-        println!("metrics snapshot ({}):", metrics.display());
-        println!("{text}");
-    }
     any_phase
 }
 

@@ -25,7 +25,7 @@ use std::time::Instant;
 ///
 /// Each figure binary calls this once per solver series, so every solve in
 /// the series appends its full event stream (begin / iteration / span /
-/// precond-apply / end) to `$KRYST_TRACE_DIR/<label>.jsonl`. Solves are
+/// diag / end) to `$KRYST_TRACE_DIR/<label>.jsonl`. Solves are
 /// delimited in the file by their `solve_begin` / `solve_end` markers.
 /// An already-attached `CommStats` is kept so instrumented runs keep
 /// reading their own counters.

@@ -270,7 +270,7 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
     /// Start the cycle from the residual block `r0` (rank-revealing CholQR —
     /// the paper's breakdown detection at each restart, §V-C).
     pub fn start(&mut self, r0: &DMat<S>) {
-        let _t = kryst_obs::profile(kryst_obs::Phase::OrthGram);
+        let _t = kryst_obs::traced(kryst_obs::SpanKind::OrthGram);
         assert_eq!(r0.ncols(), self.p);
         self.buf.ensure(
             self.a.nrows(),
@@ -437,7 +437,7 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
     /// Closes a step: the new Hessenberg block column `[coeffs; r]` goes
     /// into `H̄` and the QR; returns the least-squares residual estimates.
     fn push_hessenberg_column(&mut self, coeffs: &DMat<S>, rfac: &DMat<S>) -> Vec<f64> {
-        let _t = kryst_obs::profile(kryst_obs::Phase::SmallDense);
+        let _t = kryst_obs::traced(kryst_obs::SpanKind::SmallDense);
         let (j, p) = (self.j, self.p);
         let mut hcol = DMat::zeros((j + 2) * p, p);
         hcol.set_block(0, 0, coeffs);

@@ -29,7 +29,7 @@ use kryst_dense::eig::{self, EigDecomp};
 use kryst_dense::fused::{self, ColsRef};
 use kryst_dense::qr::HouseholderQr;
 use kryst_dense::{blas, chol, tri, DMat};
-use kryst_obs::{profile, DiagKind, Phase, SpanKind};
+use kryst_obs::{DiagKind, SpanKind};
 use kryst_par::{LinOp, PrecondOp};
 use kryst_scalar::{Real, Scalar};
 use kryst_sparse::SpmmWorkspace;
@@ -99,8 +99,7 @@ impl<S: Scalar> Augmentation<S> for Deflation<S> {
     /// Lines 2–9: reuse the recycle space of the previous solve.
     fn prologue(&mut self, cx: &Cx<'_, S>, x: &mut DMat<S>, r: &mut DMat<S>) {
         let stats = cx.opts.stats.as_deref();
-        let setup_probe = cx.tracer.span_start();
-        let setup_timer = profile(Phase::RecycleSetup);
+        let setup_probe = cx.tracer.span_start(SpanKind::Setup);
         if let Some(rec) = &mut self.space {
             if !cx.opts.same_system {
                 // Lines 4–6: [Q,R] = distributed_qr(A·U); C ⟵ Q; U ⟵ U·R⁻¹.
@@ -120,8 +119,7 @@ impl<S: Scalar> Augmentation<S> for Deflation<S> {
             fused::fused_accumulate(&[ColsRef::whole(&rec.u)], from_ref(&coef), x);
             fused::fused_update(&[ColsRef::whole(&rec.c)], from_ref(&coef), r);
         }
-        drop(setup_timer);
-        cx.tracer.span_end(setup_probe, SpanKind::Setup, 0);
+        cx.tracer.span_end(setup_probe, 0);
     }
 
     /// Lines 10–13 without a recycle space: a plain (block) GMRES cycle.
@@ -165,19 +163,15 @@ impl<S: Scalar> Augmentation<S> for Deflation<S> {
     fn carry_over(&mut self, cx: &Cx<'_, S>, end: &CycleEnd<S>, converged: bool) {
         let (bufs, j, p) = (&end.bufs, end.j, end.y.ncols());
         let Some(rec) = &mut self.space else {
-            let eig_probe = cx.tracer.span_start();
+            let eig_probe = cx.tracer.span_start(SpanKind::Eigensolve);
             self.space = extract_recycle_space(bufs, (j, p), self.k_blocks * p, cx);
-            cx.tracer
-                .span_end(eig_probe, SpanKind::Eigensolve, cx.cycle);
+            cx.tracer.span_end(eig_probe, cx.cycle);
             return;
         };
         if self.refresh_allowed && !converged {
-            let refresh_probe = cx.tracer.span_start();
-            let refresh_timer = profile(Phase::RecycleSetup);
+            let refresh_probe = cx.tracer.span_start(SpanKind::RecycleRefresh);
             refresh_recycle_space(rec, &mut self.spare, bufs, (j, p), cx);
-            drop(refresh_timer);
-            cx.tracer
-                .span_end(refresh_probe, SpanKind::RecycleRefresh, cx.cycle);
+            cx.tracer.span_end(refresh_probe, cx.cycle);
         }
     }
 }
@@ -330,11 +324,10 @@ fn refresh_recycle_space<S: Scalar>(
             gtop.adjoint()
         }
     };
-    let eig_probe = cx.tracer.span_start();
+    let eig_probe = cx.tracer.span_start(SpanKind::Eigensolve);
     let decomp = eig::eig_generalized(&t, &w);
     let mut pk = select_smallest::<S>(&decomp, kc);
-    cx.tracer
-        .span_end(eig_probe, SpanKind::Eigensolve, cx.cycle);
+    cx.tracer.span_end(eig_probe, cx.cycle);
     let kn = pk.ncols();
     if kn == 0 {
         return;

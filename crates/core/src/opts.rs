@@ -84,7 +84,7 @@ pub struct SolveOpts {
     pub stats: Option<Arc<CommStats>>,
     /// Optional event sink: every solver emits typed per-iteration events,
     /// solve spans, and begin/end markers through it (`kryst-obs`). `None`
-    /// behaves like a disabled recorder — no events are constructed. The
+    /// is the off switch — no events are constructed. The
     /// `comm` deltas on the events are sampled from [`SolveOpts::stats`]; to
     /// get non-zero communication attribution, attach a `CommStats` too.
     pub recorder: Option<Arc<dyn Recorder>>,

@@ -21,7 +21,7 @@ use crate::opts::{SolveOpts, SolveResult};
 use crate::trace::SolveTracer;
 use kryst_dense::fused::{self, ColsRef};
 use kryst_dense::DMat;
-use kryst_obs::{profile, DiagKind, Phase, SpanKind};
+use kryst_obs::{DiagKind, SpanKind};
 use kryst_par::{LinOp, PrecondOp};
 use kryst_scalar::{Real, Scalar};
 use std::slice::{from_ref, ChunksExact};
@@ -219,7 +219,7 @@ pub(crate) fn solve<S: Scalar>(
         finite = all_finite(&rn);
     }
     while !converged && finite && iters < opts.max_iters {
-        let cyc = tracer.span_start();
+        let cyc = tracer.span_start(SpanKind::Cycle);
         let mut plan = policy.prepare(cx!(), &mut r);
         let length = plan.steps + plan.images.len();
         let stats = opts.stats.as_deref();
@@ -235,11 +235,12 @@ pub(crate) fn solve<S: Scalar>(
             &bnorms,
             opts,
         );
-        tracer.span_end(cyc, SpanKind::Cycle, cycle);
+        tracer.span_end(cyc, cycle);
 
         // Apply the correction, recompute the true residual.
-        let restart = plan.restart_span.then(|| tracer.span_start());
-        let restart_timer = profile(Phase::Restart);
+        let restart = plan
+            .restart_span
+            .then(|| tracer.span_start(SpanKind::Restart));
         let j = arn.iterations();
         // Handing the buffers over ends the cycle's borrow of the policy.
         let mut end = CycleEnd {
@@ -250,12 +251,11 @@ pub(crate) fn solve<S: Scalar>(
             bufs: arn.into_buffers(),
         };
         policy.correct(cx!(), &mut end, x);
-        drop(restart_timer);
+        if let Some(probe) = restart {
+            tracer.span_end(probe, cycle);
+        }
         end.bufs.ws.put(r);
         r = mode.residual_ws(a, b, x, &mut end.bufs.ws);
-        if let Some(probe) = restart {
-            tracer.span_end(probe, SpanKind::Restart, cycle);
-        }
         // Convergence is decided on the TRUE residual; the in-cycle estimate
         // only ends the cycle early.
         rn = norms(&r);

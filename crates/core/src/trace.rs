@@ -15,16 +15,19 @@
 //!    *last* iteration event — so the sum of the iteration deltas equals the
 //!    whole-solve total **by construction**, which the conformance suite
 //!    asserts for every solver.
-//! 3. **Spans.** Phases (setup / restart / recycle-refresh / eigensolve) are
-//!    measured with local snapshots that do not advance the iteration
-//!    interval, so span deltas overlay the iteration stream without
-//!    perturbing it.
+//! 3. **Spans.** Phases (setup / cycle / restart / recycle-refresh /
+//!    eigensolve) open one `kryst_obs::span` each, which the phase table
+//!    aggregates when tracing is on; with a recorder they are also emitted
+//!    as span events whose deltas are measured with local snapshots that do
+//!    not advance the iteration interval, so they overlay the iteration
+//!    stream without perturbing it.
 //!
-//! With no recorder (or a disabled one, e.g. `NullRecorder`) the tracer
-//! skips event construction entirely: per iteration it costs one `Option`
-//! check beyond the history push the solvers always did.
+//! With no recorder the tracer skips event construction entirely: per
+//! iteration it costs one `Option` check beyond the history push the solvers
+//! always did.
 
 use crate::opts::SolveOpts;
+use kryst_obs::span::{self, OpenSpan};
 use kryst_obs::{
     DiagEvent, DiagKind, Event, IterationEvent, Recorder, SolveEndEvent, SpanEvent, SpanKind,
     StagnationDetector,
@@ -36,8 +39,10 @@ use std::time::Instant;
 
 /// Start marker of a [`SolveTracer`] span (see [`SolveTracer::span_start`]).
 pub struct SpanProbe {
-    t: Instant,
-    snap: CommSnapshot,
+    kind: SpanKind,
+    open: Option<OpenSpan>,
+    /// Start time and counters, taken only when a recorder is attached.
+    event: Option<(Instant, CommSnapshot)>,
 }
 
 /// Per-solve event emitter (see module docs).
@@ -60,7 +65,7 @@ pub struct SolveTracer {
     history: Vec<Vec<f64>>,
     /// Open distributed-trace span covering the work leading to the next
     /// iteration event (see `kryst_obs::span`); `None` when tracing is off.
-    iter_span: Option<kryst_obs::span::OpenSpan>,
+    iter_span: Option<OpenSpan>,
 }
 
 impl SolveTracer {
@@ -73,7 +78,7 @@ impl SolveTracer {
         nrows: usize,
         nrhs: usize,
     ) -> Self {
-        let rec = opts.recorder.as_ref().filter(|r| r.enabled()).cloned();
+        let rec = opts.recorder.clone();
         let interval = CommInterval::start(opts.stats.clone());
         let base = interval.now();
         if let Some(r) = &rec {
@@ -99,7 +104,7 @@ impl SolveTracer {
             pending_diags: RefCell::new(Vec::new()),
             stagnation: StagnationDetector::default_solver(),
             history: Vec::new(),
-            iter_span: kryst_obs::span::begin(kryst_obs::span::TraceKind::Iteration),
+            iter_span: span::begin(SpanKind::Iteration),
         }
     }
 
@@ -122,8 +127,8 @@ impl SolveTracer {
         // Rotate the per-rank trace span: close the one covering this
         // iteration's work, open the next. One relaxed load when tracing is
         // off (both calls are no-ops), so results stay bit-identical.
-        kryst_obs::span::end(self.iter_span.take(), 0, 0, self.history.len() as u64);
-        self.iter_span = kryst_obs::span::begin(kryst_obs::span::TraceKind::Iteration);
+        span::end(self.iter_span.take(), 0, 0, self.history.len() as u64);
+        self.iter_span = span::begin(SpanKind::Iteration);
         if let Some(rec) = &self.rec {
             let comm = self.interval.take().to_delta();
             let now = Instant::now();
@@ -193,34 +198,34 @@ impl SolveTracer {
         }
     }
 
-    /// Begin a span. Cheap when not recording.
-    pub fn span_start(&self) -> SpanProbe {
-        if self.rec.is_some() {
-            SpanProbe {
-                t: Instant::now(),
-                snap: self.interval.now(),
-            }
-        } else {
-            SpanProbe {
-                t: self.t0,
-                snap: CommSnapshot::default(),
-            }
+    /// Begin a span of `kind`: opens the `kryst_obs::span` of the phase
+    /// table and, when recording, notes the clock and counters for the
+    /// event. Cheap when neither is on.
+    pub fn span_start(&self, kind: SpanKind) -> SpanProbe {
+        SpanProbe {
+            kind,
+            open: span::begin(kind),
+            event: self
+                .rec
+                .as_ref()
+                .map(|_| (Instant::now(), self.interval.now())),
         }
     }
 
-    /// End a span started with [`SolveTracer::span_start`], emitting a
-    /// [`SpanEvent`] of `kind`. Span deltas use local snapshots and do not
-    /// advance the iteration interval.
-    pub fn span_end(&self, probe: SpanProbe, kind: SpanKind, cycle: usize) {
-        if let Some(r) = &self.rec {
-            let comm = self.interval.now().since(&probe.snap).to_delta();
+    /// End a span started with [`SolveTracer::span_start`]: close its
+    /// `kryst_obs::span` and, when recording, emit its [`SpanEvent`]. Span
+    /// deltas use local snapshots and do not advance the iteration interval.
+    pub fn span_end(&self, probe: SpanProbe, cycle: usize) {
+        span::end(probe.open, 0, 0, cycle as u64);
+        if let (Some(r), Some((t, snap))) = (&self.rec, probe.event) {
+            let comm = self.interval.now().since(&snap).to_delta();
             r.record(&Event::Span(SpanEvent {
                 solver: self.solver,
                 system_index: self.system_index,
-                kind,
+                kind: probe.kind,
                 cycle,
                 comm,
-                wall_ns: probe.t.elapsed().as_nanos() as u64,
+                wall_ns: t.elapsed().as_nanos() as u64,
             }));
         }
     }
@@ -368,8 +373,8 @@ mod tests {
         let mut tr = SolveTracer::begin(&opts, "test", 0, 10, 1);
         assert!(!tr.enabled());
         tr.iteration(0, 0, vec![1.0], "mgs", None);
-        let probe = tr.span_start();
-        tr.span_end(probe, SpanKind::Setup, 0);
+        let probe = tr.span_start(SpanKind::Setup);
+        tr.span_end(probe, 0);
         let h = tr.finish(false, &[1.0]);
         assert_eq!(h, vec![vec![1.0]]);
     }
@@ -384,9 +389,9 @@ mod tests {
             ..SolveOpts::default()
         };
         let mut tr = SolveTracer::begin(&opts, "test", 0, 10, 1);
-        let probe = tr.span_start();
+        let probe = tr.span_start(SpanKind::Setup);
         stats.record_reductions(5, 40);
-        tr.span_end(probe, SpanKind::Setup, 0);
+        tr.span_end(probe, 0);
         tr.iteration(0, 0, vec![0.1], "cholqr", None);
         let _ = tr.finish(true, &[0.1]);
         let events = ring.events();

@@ -276,7 +276,7 @@ fn eigvecs_from_schur<R: Real>(t: &DMat<Complex<R>>, q: &DMat<Complex<R>>) -> DM
 
 /// Full eigendecomposition of a general square matrix.
 pub fn eig<S: Scalar>(a: &DMat<S>) -> EigDecomp<S::Real> {
-    let _t = kryst_obs::profile(kryst_obs::Phase::SmallDense);
+    let _t = kryst_obs::traced(kryst_obs::SpanKind::SmallDense);
     let ac = to_complex(a);
     let (mut h, mut q) = hessenberg(&ac);
     let converged = schur_qr(&mut h, &mut q);
@@ -295,7 +295,7 @@ pub fn eig<S: Scalar>(a: &DMat<S>) -> EigDecomp<S::Real> {
 /// product of Krylov bases, safely invertible after the paper's column
 /// scaling — a diagonal Tikhonov fallback covers the degenerate case).
 pub fn eig_generalized<S: Scalar>(t: &DMat<S>, w: &DMat<S>) -> EigDecomp<S::Real> {
-    let _t = kryst_obs::profile(kryst_obs::Phase::SmallDense);
+    let _t = kryst_obs::traced(kryst_obs::SpanKind::SmallDense);
     let n = t.nrows();
     assert_eq!(t.ncols(), n);
     assert_eq!(w.nrows(), n);

@@ -74,7 +74,7 @@ pub fn mgs_orthogonalize<S: Scalar>(
     w: &mut DMat<S>,
     iterated: bool,
 ) -> BlockOrth<S> {
-    let _t = kryst_obs::profile(kryst_obs::Phase::OrthGram);
+    let _t = kryst_obs::traced(kryst_obs::SpanKind::OrthGram);
     let ncols = v.ncols();
     assert!(ncols == 0 || v.nrows() == w.nrows());
     let p = w.ncols();
@@ -233,7 +233,7 @@ pub fn fused_orthogonalize_cols<S: Scalar>(
     reorth: bool,
     loss: f64,
 ) -> FusedOrth<S> {
-    let _t = kryst_obs::profile(kryst_obs::Phase::OrthGram);
+    let _t = kryst_obs::traced(kryst_obs::SpanKind::OrthGram);
     let ncols = v.ncols();
     assert!(ncols == 0 || v.nrows() == w.nrows());
     let p = w.ncols();

@@ -23,7 +23,7 @@ impl<S: Scalar> Lu<S> {
     /// Factor `a` (consumed). Never panics on singularity; check
     /// [`Lu::is_singular`] before solving.
     pub fn factor(mut a: DMat<S>) -> Self {
-        let _t = kryst_obs::profile(kryst_obs::Phase::SmallDense);
+        let _t = kryst_obs::traced(kryst_obs::SpanKind::SmallDense);
         let n = a.nrows();
         assert_eq!(n, a.ncols(), "LU requires a square matrix");
         let mut piv: Vec<usize> = (0..n).collect();

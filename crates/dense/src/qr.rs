@@ -114,7 +114,7 @@ pub struct HouseholderQr<S> {
 impl<S: Scalar> HouseholderQr<S> {
     /// Factor `a` (consumed). Requires `nrows ≥ ncols`.
     pub fn factor(mut a: DMat<S>) -> Self {
-        let _t = kryst_obs::profile(kryst_obs::Phase::SmallDense);
+        let _t = kryst_obs::traced(kryst_obs::SpanKind::SmallDense);
         let m = a.nrows();
         let n = a.ncols();
         assert!(m >= n, "HouseholderQr requires a tall (or square) matrix");

@@ -6,6 +6,7 @@
 //! since the previous event of the same solve, which is what turns the
 //! §III-D per-iteration accounting into an asserted artifact.
 
+use crate::span::SpanKind;
 use std::ops::{Add, AddAssign};
 
 /// Interval change of the instrumented communication counters.
@@ -83,32 +84,13 @@ pub struct IterationEvent {
     pub wall_ns: u64,
 }
 
-/// What a [`SpanEvent`] measures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpanKind {
-    /// Solve setup: recycle-space reuse / initial-guess correction
-    /// (GCRO-DR Fig. 1 lines 2–9).
-    Setup,
-    /// A whole restart cycle.
-    Cycle,
-    /// Restart bookkeeping between cycles.
-    Restart,
-    /// Recycle-space refresh (Fig. 1 lines 31–38).
-    RecycleRefresh,
-    /// The deflation eigenproblem (eq. (2) / eq. (3)).
-    Eigensolve,
-}
-
-impl SpanKind {
-    /// Stable lowercase name used in traces.
-    pub fn name(self) -> &'static str {
-        match self {
-            SpanKind::Setup => "setup",
-            SpanKind::Cycle => "cycle",
-            SpanKind::Restart => "restart",
-            SpanKind::RecycleRefresh => "recycle-refresh",
-            SpanKind::Eigensolve => "eigensolve",
-        }
+/// The name a [`SpanEvent`] of `kind` carries in traces: the kind's name,
+/// except that the refresh keeps the hyphenated spelling traces have always
+/// used.
+pub fn span_event_name(kind: SpanKind) -> &'static str {
+    match kind {
+        SpanKind::RecycleRefresh => "recycle-refresh",
+        k => k.name(),
     }
 }
 
@@ -125,39 +107,14 @@ pub struct SpanEvent {
     pub solver: &'static str,
     /// Position in the system sequence.
     pub system_index: usize,
-    /// Phase kind.
+    /// Phase kind: one of the solve-level kinds ([`SpanKind::Setup`],
+    /// `Cycle`, `Restart`, `RecycleRefresh`, `Eigensolve`).
     pub kind: SpanKind,
     /// Restart-cycle index the span belongs to.
     pub cycle: usize,
     /// Communication performed inside the span.
     pub comm: CommDelta,
     /// Wall-clock nanoseconds spent in the span.
-    pub wall_ns: u64,
-}
-
-/// One preconditioner application (AMG V-cycle, Schwarz apply, …).
-#[derive(Debug, Clone)]
-pub struct PrecondApplyEvent {
-    /// Preconditioner kind: `"amg-vcycle"`, `"schwarz-asm"`, ….
-    pub kind: &'static str,
-    /// Number of right-hand-side columns in the application.
-    pub cols: usize,
-    /// Structure size: AMG levels or Schwarz subdomains.
-    pub detail: usize,
-    /// Wall-clock nanoseconds of the application.
-    pub wall_ns: u64,
-}
-
-/// One halo exchange of a distributed operator application.
-#[derive(Debug, Clone)]
-pub struct HaloEvent {
-    /// Point-to-point messages exchanged.
-    pub messages: u64,
-    /// Total payload bytes.
-    pub bytes: u64,
-    /// Right-hand-side columns moved.
-    pub cols: usize,
-    /// Wall-clock nanoseconds of the exchange + local SpMM.
     pub wall_ns: u64,
 }
 
@@ -256,10 +213,6 @@ pub enum Event {
     Iteration(IterationEvent),
     /// A timed solve phase.
     Span(SpanEvent),
-    /// A preconditioner application.
-    PrecondApply(PrecondApplyEvent),
-    /// A halo exchange.
-    Halo(HaloEvent),
     /// A convergence-health diagnostic.
     Diag(DiagEvent),
     /// A solve finished.
@@ -305,9 +258,10 @@ mod tests {
 
     #[test]
     fn span_kind_names_are_stable() {
-        assert_eq!(SpanKind::Setup.name(), "setup");
-        assert_eq!(SpanKind::RecycleRefresh.name(), "recycle-refresh");
-        assert_eq!(SpanKind::Eigensolve.name(), "eigensolve");
+        assert_eq!(span_event_name(SpanKind::Setup), "setup");
+        assert_eq!(span_event_name(SpanKind::RecycleRefresh), "recycle-refresh");
+        assert_eq!(span_event_name(SpanKind::Eigensolve), "eigensolve");
+        assert_eq!(SpanKind::RecycleRefresh.name(), "recycle_refresh");
     }
 
     #[test]

@@ -123,7 +123,7 @@ pub fn chrome_trace(tl: &Timeline) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::{TraceKind, TraceSpan};
+    use crate::span::{SpanKind, TraceSpan};
     use crate::timeline::RankStream;
 
     fn tl() -> Timeline {
@@ -132,7 +132,7 @@ mod tests {
             dropped: 0,
             spans: vec![
                 TraceSpan {
-                    kind: TraceKind::Reduction,
+                    kind: SpanKind::Reduction,
                     seq: 0,
                     start_ns: start,
                     end_ns: start + 1000,
@@ -141,7 +141,7 @@ mod tests {
                     detail: 2,
                 },
                 TraceSpan {
-                    kind: TraceKind::PrecondApply,
+                    kind: SpanKind::PrecondApply,
                     seq: NO_SEQ,
                     start_ns: start + 1500,
                     end_ns: start + 2000,

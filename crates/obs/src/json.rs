@@ -6,7 +6,7 @@
 //! escapes, numbers, booleans, null) — enough to read traces back and to
 //! compare golden snapshots.
 
-use crate::event::{CommDelta, Event};
+use crate::event::{span_event_name, CommDelta, Event};
 use std::fmt::Write as _;
 
 /// Serialize an event as a single-line JSON object (no trailing newline).
@@ -38,7 +38,7 @@ pub fn event_to_json(ev: &Event) -> String {
                 it.iter,
                 f64_array(&it.per_rhs_residuals),
             );
-            push_comm_fields(&mut s, &it.comm);
+            push_comm_fields(&mut s, &it.comm, "delta");
             let _ = write!(s, ",\"orth_backend\":\"{}\"", it.orth_backend);
             match it.breakdown_rank {
                 Some(r) => {
@@ -54,25 +54,11 @@ pub fn event_to_json(ev: &Event) -> String {
                 "{{\"type\":\"span\",\"solver\":\"{}\",\"system_index\":{},\"kind\":\"{}\",\"cycle\":{},",
                 sp.solver,
                 sp.system_index,
-                sp.kind.name(),
+                span_event_name(sp.kind),
                 sp.cycle,
             );
-            push_comm_fields(&mut s, &sp.comm);
+            push_comm_fields(&mut s, &sp.comm, "delta");
             let _ = write!(s, ",\"wall_ns\":{}}}", sp.wall_ns);
-        }
-        Event::PrecondApply(pa) => {
-            let _ = write!(
-                s,
-                "{{\"type\":\"precond_apply\",\"kind\":\"{}\",\"cols\":{},\"detail\":{},\"wall_ns\":{}}}",
-                pa.kind, pa.cols, pa.detail, pa.wall_ns
-            );
-        }
-        Event::Halo(h) => {
-            let _ = write!(
-                s,
-                "{{\"type\":\"halo\",\"messages\":{},\"bytes\":{},\"cols\":{},\"wall_ns\":{}}}",
-                h.messages, h.bytes, h.cols, h.wall_ns
-            );
         }
         Event::Diag(d) => {
             let _ = write!(
@@ -99,41 +85,28 @@ pub fn event_to_json(ev: &Event) -> String {
                 e.converged,
                 f64_array(&e.final_relres),
             );
-            push_comm_total_fields(&mut s, &e.comm_total);
+            push_comm_fields(&mut s, &e.comm_total, "total");
             let _ = write!(s, ",\"wall_ns\":{}}}", e.wall_ns);
         }
     }
     s
 }
 
-fn push_comm_fields(s: &mut String, c: &CommDelta) {
-    let _ = write!(
-        s,
-        "\"reductions_delta\":{},\"reduction_bytes_delta\":{},\"fused_parts_delta\":{},\
-         \"p2p_delta\":{},\"p2p_bytes_delta\":{},\"flops_delta\":{},\"overlap_flops_delta\":{}",
-        c.reductions,
-        c.reduction_bytes,
-        c.fused_parts,
-        c.p2p_messages,
-        c.p2p_bytes,
-        c.flops,
-        c.overlap_flops
-    );
-}
-
-fn push_comm_total_fields(s: &mut String, c: &CommDelta) {
-    let _ = write!(
-        s,
-        "\"reductions_total\":{},\"reduction_bytes_total\":{},\"fused_parts_total\":{},\
-         \"p2p_total\":{},\"p2p_bytes_total\":{},\"flops_total\":{},\"overlap_flops_total\":{}",
-        c.reductions,
-        c.reduction_bytes,
-        c.fused_parts,
-        c.p2p_messages,
-        c.p2p_bytes,
-        c.flops,
-        c.overlap_flops
-    );
+/// The seven counters as `"<name>_<suffix>":<value>` fields.
+fn push_comm_fields(s: &mut String, c: &CommDelta, suffix: &str) {
+    let fields = [
+        ("reductions", c.reductions),
+        ("reduction_bytes", c.reduction_bytes),
+        ("fused_parts", c.fused_parts),
+        ("p2p", c.p2p_messages),
+        ("p2p_bytes", c.p2p_bytes),
+        ("flops", c.flops),
+        ("overlap_flops", c.overlap_flops),
+    ];
+    for (i, (name, v)) in fields.iter().enumerate() {
+        let sep = if i > 0 { "," } else { "" };
+        let _ = write!(s, "{sep}\"{name}_{suffix}\":{v}");
+    }
 }
 
 /// Render a float array with enough digits to round-trip `f64`.

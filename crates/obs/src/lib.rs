@@ -2,59 +2,32 @@
 //! `kryst-obs` — the solver observability layer.
 //!
 //! The paper's scalability argument (§III-D) is a *counting* argument:
-//! reductions, messages, and bytes per iteration. This crate makes those
-//! counts first-class, machine-readable artifacts instead of end-of-run
-//! totals:
+//! reductions, messages, and time per phase. This crate makes those counts
+//! machine-readable artifacts instead of end-of-run totals.
 //!
-//! * [`event::Event`] — typed events: one [`event::IterationEvent`] per
-//!   (block) iteration carrying exact communication **deltas**, solve-level
-//!   spans (setup / restart / recycle-refresh / eigensolve), preconditioner
-//!   applications, halo exchanges, and solve begin/end markers;
-//! * [`recorder::Recorder`] — the pluggable sink trait. The
-//!   [`recorder::NullRecorder`] reports `enabled() == false` so the hot
-//!   path skips event construction entirely; the
-//!   [`recorder::RingRecorder`] buffers events in memory for tests; the
-//!   [`recorder::JsonlRecorder`] streams JSON-lines traces for the bench
-//!   binaries;
-//! * [`json`] — a dependency-free JSON writer/parser (the registry is
-//!   offline, so no serde) used for traces and the golden-trace snapshots;
-//! * [`view`] — read-side helpers turning an event stream back into the
-//!   per-RHS convergence histories and cumulative communication totals the
-//!   conformance tests assert on.
+//! **Events** describe one solve: [`event::Event`] carries one
+//! [`event::IterationEvent`] per (block) iteration with exact communication
+//! **deltas**, the solve-level spans, diagnostics, and begin/end markers.
+//! They go to a [`recorder::Recorder`] — the [`recorder::RingRecorder`] for
+//! tests, the [`recorder::JsonlRecorder`] for the bench binaries; a solve
+//! with no recorder constructs none. [`view`] reads the stream back into
+//! convergence histories, [`json`] is the dependency-free JSON writer and
+//! parser. For a single solve the iteration deltas sum to the solve's total
+//! [`CommDelta`]: each is measured since the previous event, and the
+//! trailing work is folded into the last one.
 //!
-//! The invariant the conformance suite leans on: for a single solve, the
-//! sum of `IterationEvent` communication deltas equals the solve's total
-//! [`CommDelta`] — deltas are *measured* between consecutive events, and
-//! the trailing work after the last iteration is folded into that last
-//! event by the emitting solver.
-//!
-//! On top of the event stream sit three observability subsystems:
-//!
-//! * [`profiler`] — a phase-attributed wall-clock profiler ([`Phase`],
-//!   [`Profiler`], the [`profile`] guard) answering *where local time
-//!   goes* with per-phase count/total/min/max and log-bucketed latency
-//!   histograms; near-free when disabled, so it can stay wired into every
-//!   kernel;
-//! * [`metrics`] — a named counter/gauge/histogram registry with JSON
-//!   snapshots and plain-text exposition, the aggregation point for
-//!   per-rank communication imbalance and report glue;
-//! * [`diag`] — convergence diagnostics: [`event::DiagEvent`]s for
-//!   orthogonality loss, rank collapse, and Ritz quality, plus the
-//!   [`StagnationDetector`] over the residual history;
-//! * [`wire`] — wire-level transport counters ([`WireStats`]): messages,
-//!   payload bytes, and per-rank send/recv time as a backend actually put
-//!   them on the wire, the measurement side of the cost-model calibration;
-//! * [`span`] / [`timeline`] / [`export`] — distributed tracing: bounded
-//!   per-rank span rings with a monotonic local clock plus a
-//!   collective-edge logical clock, the rank-0 merge into one rank×time
-//!   [`Timeline`] with straggler attribution and reduction-skew
-//!   decomposition, and the Chrome-trace/Perfetto JSON exporter.
+//! **Time** comes from one spine, [`span`]: every timed region opens one
+//! span of a [`SpanKind`] behind the one `KRYST_TRACE` gate. Closing it
+//! folds it into the per-kind aggregates of [`profiler`] (the phase table,
+//! [`ProfileSnapshot`]) and the per-thread ring that [`timeline`] merges
+//! across ranks (straggler attribution, reduction skew) and [`export`]
+//! writes as a Chrome trace. [`wire`] counts what a transport put on the
+//! wire; [`diag`] holds the [`StagnationDetector`].
 
 pub mod diag;
 pub mod event;
 pub mod export;
 pub mod json;
-pub mod metrics;
 pub mod profiler;
 pub mod recorder;
 pub mod span;
@@ -63,15 +36,11 @@ pub mod view;
 pub mod wire;
 
 pub use diag::StagnationDetector;
-pub use event::{
-    CommDelta, DiagEvent, DiagKind, Event, HaloEvent, IterationEvent, PrecondApplyEvent,
-    SolveEndEvent, SpanEvent, SpanKind,
-};
+pub use event::{CommDelta, DiagEvent, DiagKind, Event, IterationEvent, SolveEndEvent, SpanEvent};
 pub use export::chrome_trace;
-pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
-pub use profiler::{profile, Phase, PhaseStats, PhaseTimer, ProfileSnapshot, Profiler};
-pub use recorder::{JsonlRecorder, NullRecorder, Recorder, RingRecorder, TeeRecorder};
-pub use span::{set_trace_enabled, trace_enabled, traced, TraceKind, TraceSpan};
+pub use profiler::{Aggregates, PhaseStats, ProfileSnapshot};
+pub use recorder::{JsonlRecorder, Recorder, RingRecorder};
+pub use span::{aggregates, set_trace_enabled, trace_enabled, traced, SpanKind, TraceSpan};
 pub use timeline::{ImbalanceReport, RankStream, Timeline};
 pub use view::{cumulative_comm, diags_of, history, iteration_events, spans_of};
 pub use wire::{WireSnapshot, WireStats};

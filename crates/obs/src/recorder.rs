@@ -3,22 +3,15 @@
 use crate::event::Event;
 use crate::json::event_to_json;
 use std::collections::VecDeque;
-use std::io::{BufWriter, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// An event sink. Implementations must be cheap to call and thread-safe —
-/// solvers may emit from worker threads (pseudo-block drivers).
+/// solvers may emit from worker threads (pseudo-block members). A solve
+/// with no recorder (`recorder: None`) constructs no events at all.
 pub trait Recorder: Send + Sync {
-    /// Whether events should be constructed at all. The hot path checks
-    /// this once per emission site; the [`NullRecorder`] returns `false`
-    /// so a wired-but-disabled solver pays one virtual call and no
-    /// allocation.
-    fn enabled(&self) -> bool {
-        true
-    }
-
     /// Record one event.
     fn record(&self, ev: &Event);
 
@@ -30,19 +23,6 @@ pub trait Recorder: Send + Sync {
             self.record(ev);
         }
     }
-}
-
-/// Discards everything; `enabled()` is `false` so emitters skip event
-/// construction entirely.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullRecorder;
-
-impl Recorder for NullRecorder {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn record(&self, _ev: &Event) {}
 }
 
 /// Bounded in-memory buffer (oldest events dropped past capacity, with a
@@ -66,16 +46,6 @@ impl RingRecorder {
     /// Copy out the buffered events, oldest first.
     pub fn events(&self) -> Vec<Event> {
         self.buf.lock().unwrap().iter().cloned().collect()
-    }
-
-    /// Number of buffered events.
-    pub fn len(&self) -> usize {
-        self.buf.lock().unwrap().len()
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Number of events evicted because the ring overflowed. A non-zero
@@ -117,30 +87,52 @@ impl Recorder for RingRecorder {
 
 /// Streams events as JSON-lines to a file — the bench-binary sink.
 pub struct JsonlRecorder {
-    w: Mutex<BufWriter<std::fs::File>>,
+    w: Mutex<JsonlSink>,
+}
+
+struct JsonlSink {
+    out: BufWriter<std::fs::File>,
+    /// The first write error since the last `flush`; lines after it are
+    /// not written until `flush` has reported it.
+    err: Option<io::Error>,
+}
+
+impl JsonlSink {
+    fn write(&mut self, bytes: &[u8]) {
+        if self.err.is_none() {
+            self.err = self.out.write_all(bytes).err();
+        }
+    }
 }
 
 impl JsonlRecorder {
     /// Create/truncate `path` and stream events to it.
-    pub fn create(path: impl AsRef<Path>) -> std::io::Result<Self> {
+    pub fn create(path: impl AsRef<Path>) -> io::Result<Self> {
         let f = std::fs::File::create(path)?;
         Ok(Self {
-            w: Mutex::new(BufWriter::new(f)),
+            w: Mutex::new(JsonlSink {
+                out: BufWriter::new(f),
+                err: None,
+            }),
         })
     }
 
-    /// Flush buffered lines to disk.
-    pub fn flush(&self) -> std::io::Result<()> {
-        self.w.lock().unwrap().flush()
+    /// Flush buffered lines to disk. Fails with the first error a write
+    /// met since the last flush, so a lost trace never reports success.
+    pub fn flush(&self) -> io::Result<()> {
+        let mut w = self.w.lock().unwrap();
+        match w.err.take() {
+            Some(e) => Err(e),
+            None => w.out.flush(),
+        }
     }
 }
 
 impl Recorder for JsonlRecorder {
     fn record(&self, ev: &Event) {
-        let line = event_to_json(ev);
-        let mut w = self.w.lock().unwrap();
-        let _ = w.write_all(line.as_bytes());
-        let _ = w.write_all(b"\n");
+        let mut line = event_to_json(ev);
+        line.push('\n');
+        self.w.lock().unwrap().write(line.as_bytes());
     }
 
     fn record_batch(&self, evs: &[Event]) {
@@ -151,8 +143,7 @@ impl Recorder for JsonlRecorder {
             chunk.push_str(&event_to_json(ev));
             chunk.push('\n');
         }
-        let mut w = self.w.lock().unwrap();
-        let _ = w.write_all(chunk.as_bytes());
+        self.w.lock().unwrap().write(chunk.as_bytes());
     }
 }
 
@@ -160,45 +151,7 @@ impl Drop for JsonlRecorder {
     fn drop(&mut self) {
         // A missed final flush() must not truncate the tail of a trace.
         if let Ok(mut w) = self.w.lock() {
-            let _ = w.flush();
-        }
-    }
-}
-
-/// Fans every event out to two recorders, so one run can feed both an
-/// in-memory view (assertions, metrics extraction) and a streaming trace.
-pub struct TeeRecorder {
-    a: Arc<dyn Recorder>,
-    b: Arc<dyn Recorder>,
-}
-
-impl TeeRecorder {
-    /// Tee to `a` and `b`.
-    pub fn new(a: Arc<dyn Recorder>, b: Arc<dyn Recorder>) -> Self {
-        Self { a, b }
-    }
-}
-
-impl Recorder for TeeRecorder {
-    fn enabled(&self) -> bool {
-        self.a.enabled() || self.b.enabled()
-    }
-
-    fn record(&self, ev: &Event) {
-        if self.a.enabled() {
-            self.a.record(ev);
-        }
-        if self.b.enabled() {
-            self.b.record(ev);
-        }
-    }
-
-    fn record_batch(&self, evs: &[Event]) {
-        if self.a.enabled() {
-            self.a.record_batch(evs);
-        }
-        if self.b.enabled() {
-            self.b.record_batch(evs);
+            let _ = w.out.flush();
         }
     }
 }
@@ -235,7 +188,7 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         r.clear();
-        assert!(r.is_empty());
+        assert!(r.events().is_empty());
     }
 
     #[test]
@@ -270,31 +223,6 @@ mod tests {
     }
 
     #[test]
-    fn tee_fans_out_and_skips_disabled_children() {
-        let a = std::sync::Arc::new(RingRecorder::new(16));
-        let b = std::sync::Arc::new(RingRecorder::new(16));
-        let tee = TeeRecorder::new(a.clone(), b.clone());
-        assert!(Recorder::enabled(&tee));
-        tee.record(&iter_ev(0));
-        tee.record_batch(&[iter_ev(1), iter_ev(2)]);
-        assert_eq!(a.len(), 3);
-        assert_eq!(b.len(), 3);
-
-        let null = std::sync::Arc::new(NullRecorder);
-        let c = std::sync::Arc::new(RingRecorder::new(16));
-        let half = TeeRecorder::new(null, c.clone());
-        assert!(Recorder::enabled(&half)); // one live child keeps it on
-        half.record(&iter_ev(0));
-        assert_eq!(c.len(), 1);
-
-        let dead = TeeRecorder::new(
-            std::sync::Arc::new(NullRecorder),
-            std::sync::Arc::new(NullRecorder),
-        );
-        assert!(!Recorder::enabled(&dead));
-    }
-
-    #[test]
     fn jsonl_batch_and_drop_flush() {
         let dir = std::env::temp_dir().join("kryst_obs_test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -307,13 +235,6 @@ mod tests {
         let body = std::fs::read_to_string(&path).unwrap();
         assert_eq!(body.lines().count(), 3);
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn null_recorder_reports_disabled() {
-        let n = NullRecorder;
-        assert!(!Recorder::enabled(&n));
-        n.record(&iter_ev(0)); // must be a no-op
     }
 
     #[test]
@@ -335,5 +256,17 @@ mod tests {
             assert_eq!(v.get("type").unwrap().as_str(), Some("iteration"));
         }
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// A write that fails (here: a full device) is reported by `flush`,
+    /// even when the batch went straight past the buffer.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn jsonl_reports_a_lost_trace_on_flush() {
+        let r = JsonlRecorder::create("/dev/full").unwrap();
+        let batch: Vec<Event> = (0..200).map(iter_ev).collect();
+        r.record_batch(&batch);
+        let err = r.flush().expect_err("a full device must fail the flush");
+        assert_eq!(err.raw_os_error(), Some(28)); // ENOSPC
     }
 }

@@ -1,30 +1,29 @@
-//! Per-rank distributed trace spans.
+//! The instrumentation spine: one span stream for every timed region.
 //!
-//! Every rank of an SPMD run records timestamped [`TraceSpan`]s — iterations,
-//! collectives (with the wire counters the transport measured), halo
-//! exchanges, preconditioner applies, coarse-agglomeration stages — into a
-//! **bounded per-thread ring**. A rank is one thread (channel backend) or one
-//! process (socket backend), so thread-local storage *is* per-rank storage,
-//! with no cross-rank contention by construction.
+//! Every timed region — a kernel, a collective, a preconditioner apply, a
+//! solve phase — opens one span of a [`SpanKind`]: the local guard
+//! [`traced`], or [`begin_edge`]/[`end`] for collectives. Closing a span
+//! folds its duration into the **per-kind aggregates** ([`crate::profiler`];
+//! global relaxed atomics, exact across threads and never lossy) and
+//! appends it to a **bounded per-thread ring**, the input of
+//! [`crate::timeline`] (a rank is one thread or one process, so
+//! thread-local storage *is* per-rank storage; a full ring drops the span
+//! and counts it, the aggregates still see it).
 //!
-//! Two clocks ride on every span:
+//! Two clocks ride on every ring entry: a **monotonic local clock**
+//! (`start_ns`/`end_ns`, nanoseconds since the thread's first span; each
+//! rank's origin is arbitrary) and a **collective-edge logical clock**
+//! (`seq`), bumped once per collective entered via [`begin_edge`]. Every
+//! rank executes the identical collective schedule, so equal `seq` values
+//! identify the *same* collective across ranks even when wall clocks are
+//! skewed. Local spans carry [`NO_SEQ`].
 //!
-//! * a **monotonic local clock** (`start_ns`/`end_ns`, nanoseconds since the
-//!   recording thread's first traced span) — honest local durations, but
-//!   each rank's origin is arbitrary;
-//! * a **collective-edge logical clock** (`seq`) — bumped once per
-//!   collective entered via [`begin_edge`]. Every rank executes the
-//!   identical collective schedule, so equal `seq` values identify the
-//!   *same* collective across ranks even when wall clocks are skewed. Local
-//!   (non-collective) spans carry [`NO_SEQ`].
-//!
-//! The discipline mirrors [`crate::profiler`]: when tracing is disabled
-//! (the default) the hot path is **one relaxed bool load and no clock
-//! read**, so solver results — and golden traces — are bit-identical with
-//! tracing on or off. Enable with `KRYST_TRACE=1` (or by setting
-//! `KRYST_TRACE_TIMELINE=path`, which also selects the Chrome-trace export
-//! target), or at runtime via [`set_trace_enabled`].
+//! One gate: when tracing is disabled (the default) opening a span is **one
+//! relaxed bool load and no clock read**, so solver results — and golden
+//! traces — are bit-identical with tracing on or off. Enable with
+//! `KRYST_TRACE=1` or at runtime via [`set_trace_enabled`].
 
+use crate::profiler::Aggregates;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
@@ -37,22 +36,41 @@ pub const NO_SEQ: u64 = u64::MAX;
 /// [`TraceSpan::encode_into`]).
 pub const SPAN_FIELDS: usize = 7;
 
-/// Default ring capacity (spans per thread); override with
-/// `KRYST_TRACE_CAP`.
-pub const DEFAULT_RING_CAP: usize = 1 << 16;
+/// Spans each thread's ring holds; later spans are dropped and counted.
+pub const RING_CAP: usize = 1 << 16;
 
-/// What a [`TraceSpan`] measures.
+/// AMG levels with a kind of their own; deeper levels fold into the last.
+pub const MAX_PRECOND_LEVELS: usize = 8;
+
+/// Number of distinct kind codes (the named kinds plus one per level).
+pub const NUM_KINDS: usize = 17 + MAX_PRECOND_LEVELS;
+
+const LEVEL_NAMES: [&str; MAX_PRECOND_LEVELS] = [
+    "precond/l0",
+    "precond/l1",
+    "precond/l2",
+    "precond/l3",
+    "precond/l4",
+    "precond/l5",
+    "precond/l6",
+    "precond/l7",
+];
+
+/// What a span measures — the one vocabulary of the phase table, the
+/// timeline and the solve events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum TraceKind {
+pub enum SpanKind {
     /// One solver (block) iteration (`detail` = iteration index).
     Iteration,
     /// A butterfly all-reduce, fused or not, split-phase or not (`detail`
-    /// low 32 bits = stage count, bit 32 set for split-phase).
+    /// low 32 bits = stage count, bit 32 set for split-phase); also the
+    /// projected operator's Gram product.
     Reduction,
     /// A layout redistribution (the coarse-agglomeration gather/scatter
     /// primitive).
     Redistribute,
-    /// One halo exchange (`detail` = scalar entries received).
+    /// One halo exchange (`detail` = scalar entries received), or the
+    /// boundary rows a distributed SpMM finishes after it.
     Halo,
     /// One preconditioner application.
     PrecondApply,
@@ -62,64 +80,112 @@ pub enum TraceKind {
     CoarseSolve,
     /// Agglomerated coarse solve: scatter back to all ranks.
     CoarseScatter,
+    /// Sparse matrix-(block-)vector products.
+    Spmv,
+    /// Block orthogonalization Gram products and updates.
+    OrthGram,
+    /// Small dense kernels: eigensolves, QR/LU factorizations.
+    SmallDense,
+    /// Building a preconditioner from the operator: the AMG hierarchy, the
+    /// Schwarz subdomain factors, an incomplete factorization. Outside every
+    /// solve.
+    PrecondSetup,
+    /// Solve setup: recycle-space reuse / initial-guess correction
+    /// (GCRO-DR Fig. 1 lines 2–9).
+    Setup,
+    /// A whole restart cycle.
+    Cycle,
+    /// What a solver does between two cycles, short of the new residual:
+    /// the solution update and the bookkeeping of LGMRES' stored pairs or
+    /// GCRO-DR's `U`-side correction.
+    Restart,
+    /// Recycle-space refresh (Fig. 1 lines 31–38).
+    RecycleRefresh,
+    /// The deflation eigenproblem (eq. (2) / eq. (3)).
+    Eigensolve,
+    /// One AMG level's own cycle work (smoother, residual and transfers at
+    /// level `l`; levels past [`MAX_PRECOND_LEVELS`] share the last code).
+    PrecondLevel(usize),
 }
 
-impl TraceKind {
-    /// Stable numeric code used by the flat/JSON encodings.
+impl SpanKind {
+    /// Stable numeric code, `< NUM_KINDS`, used by the flat encodings and
+    /// the aggregate slots.
     pub fn code(self) -> u8 {
         match self {
-            TraceKind::Iteration => 0,
-            TraceKind::Reduction => 1,
-            TraceKind::Redistribute => 2,
-            TraceKind::Halo => 3,
-            TraceKind::PrecondApply => 4,
-            TraceKind::CoarseGather => 5,
-            TraceKind::CoarseSolve => 6,
-            TraceKind::CoarseScatter => 7,
+            SpanKind::Iteration => 0,
+            SpanKind::Reduction => 1,
+            SpanKind::Redistribute => 2,
+            SpanKind::Halo => 3,
+            SpanKind::PrecondApply => 4,
+            SpanKind::CoarseGather => 5,
+            SpanKind::CoarseSolve => 6,
+            SpanKind::CoarseScatter => 7,
+            SpanKind::Spmv => 8,
+            SpanKind::OrthGram => 9,
+            SpanKind::SmallDense => 10,
+            SpanKind::PrecondSetup => 11,
+            SpanKind::Setup => 12,
+            SpanKind::Cycle => 13,
+            SpanKind::Restart => 14,
+            SpanKind::RecycleRefresh => 15,
+            SpanKind::Eigensolve => 16,
+            SpanKind::PrecondLevel(l) => 17 + l.min(MAX_PRECOND_LEVELS - 1) as u8,
         }
     }
 
-    /// Inverse of [`TraceKind::code`]; `None` for unknown codes.
-    pub fn from_code(code: u8) -> Option<TraceKind> {
+    /// Inverse of [`SpanKind::code`]; `None` for unknown codes.
+    pub fn from_code(code: u8) -> Option<SpanKind> {
         Some(match code {
-            0 => TraceKind::Iteration,
-            1 => TraceKind::Reduction,
-            2 => TraceKind::Redistribute,
-            3 => TraceKind::Halo,
-            4 => TraceKind::PrecondApply,
-            5 => TraceKind::CoarseGather,
-            6 => TraceKind::CoarseSolve,
-            7 => TraceKind::CoarseScatter,
+            0 => SpanKind::Iteration,
+            1 => SpanKind::Reduction,
+            2 => SpanKind::Redistribute,
+            3 => SpanKind::Halo,
+            4 => SpanKind::PrecondApply,
+            5 => SpanKind::CoarseGather,
+            6 => SpanKind::CoarseSolve,
+            7 => SpanKind::CoarseScatter,
+            8 => SpanKind::Spmv,
+            9 => SpanKind::OrthGram,
+            10 => SpanKind::SmallDense,
+            11 => SpanKind::PrecondSetup,
+            12 => SpanKind::Setup,
+            13 => SpanKind::Cycle,
+            14 => SpanKind::Restart,
+            15 => SpanKind::RecycleRefresh,
+            16 => SpanKind::Eigensolve,
+            c if (c as usize) < NUM_KINDS => SpanKind::PrecondLevel(c as usize - 17),
             _ => return None,
         })
     }
 
-    /// Display name used by reports and the Chrome-trace export.
+    /// Display name used by the phase table and the Chrome-trace export.
     pub fn name(self) -> &'static str {
         match self {
-            TraceKind::Iteration => "iteration",
-            TraceKind::Reduction => "reduction",
-            TraceKind::Redistribute => "redistribute",
-            TraceKind::Halo => "halo",
-            TraceKind::PrecondApply => "precond_apply",
-            TraceKind::CoarseGather => "coarse_gather",
-            TraceKind::CoarseSolve => "coarse_solve",
-            TraceKind::CoarseScatter => "coarse_scatter",
+            SpanKind::Iteration => "iteration",
+            SpanKind::Reduction => "reduction",
+            SpanKind::Redistribute => "redistribute",
+            SpanKind::Halo => "halo",
+            SpanKind::PrecondApply => "precond_apply",
+            SpanKind::CoarseGather => "coarse_gather",
+            SpanKind::CoarseSolve => "coarse_solve",
+            SpanKind::CoarseScatter => "coarse_scatter",
+            SpanKind::Spmv => "spmv",
+            SpanKind::OrthGram => "orth/gram",
+            SpanKind::SmallDense => "small_dense",
+            SpanKind::PrecondSetup => "precond_setup",
+            SpanKind::Setup => "setup",
+            SpanKind::Cycle => "cycle",
+            SpanKind::Restart => "restart",
+            SpanKind::RecycleRefresh => "recycle_refresh",
+            SpanKind::Eigensolve => "eigensolve",
+            SpanKind::PrecondLevel(l) => LEVEL_NAMES[l.min(MAX_PRECOND_LEVELS - 1)],
         }
     }
 
     /// Every kind, in code order (for per-kind report tables).
-    pub fn all() -> [TraceKind; 8] {
-        [
-            TraceKind::Iteration,
-            TraceKind::Reduction,
-            TraceKind::Redistribute,
-            TraceKind::Halo,
-            TraceKind::PrecondApply,
-            TraceKind::CoarseGather,
-            TraceKind::CoarseSolve,
-            TraceKind::CoarseScatter,
-        ]
+    pub fn all() -> impl Iterator<Item = SpanKind> {
+        (0..NUM_KINDS as u8).filter_map(SpanKind::from_code)
     }
 }
 
@@ -128,7 +194,7 @@ impl TraceKind {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceSpan {
     /// What was measured.
-    pub kind: TraceKind,
+    pub kind: SpanKind,
     /// Collective-edge logical clock value, or [`NO_SEQ`] for local spans.
     pub seq: u64,
     /// Start, nanoseconds on the recording thread's monotonic clock.
@@ -139,7 +205,7 @@ pub struct TraceSpan {
     pub bytes: u64,
     /// Messages this rank put on the wire inside the span.
     pub msgs: u64,
-    /// Kind-specific detail (see [`TraceKind`] variants).
+    /// Kind-specific detail (see [`SpanKind`] variants).
     pub detail: u64,
 }
 
@@ -170,7 +236,7 @@ impl TraceSpan {
             return None;
         }
         Some(TraceSpan {
-            kind: TraceKind::from_code(v[0] as u8)?,
+            kind: SpanKind::from_code(v[0] as u8)?,
             seq: if v[1] < 0.0 { NO_SEQ } else { v[1] as u64 },
             start_ns: v[2] as u64,
             end_ns: v[3] as u64,
@@ -184,13 +250,10 @@ impl TraceSpan {
 fn flag() -> &'static AtomicBool {
     static FLAG: OnceLock<AtomicBool> = OnceLock::new();
     FLAG.get_or_init(|| {
-        let by_switch = std::env::var("KRYST_TRACE")
+        let on = std::env::var("KRYST_TRACE")
             .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
             .unwrap_or(false);
-        let by_export = std::env::var("KRYST_TRACE_TIMELINE")
-            .map(|p| !p.is_empty())
-            .unwrap_or(false);
-        AtomicBool::new(by_switch || by_export)
+        AtomicBool::new(on)
     })
 }
 
@@ -205,15 +268,11 @@ pub fn set_trace_enabled(on: bool) {
     flag().store(on, Ordering::Relaxed);
 }
 
-fn ring_cap() -> usize {
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        std::env::var("KRYST_TRACE_CAP")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&c: &usize| c > 0)
-            .unwrap_or(DEFAULT_RING_CAP)
-    })
+static AGGREGATES: Aggregates = Aggregates::new();
+
+/// The process-wide per-kind aggregates every closed span folds into.
+pub fn aggregates() -> &'static Aggregates {
+    &AGGREGATES
 }
 
 struct ThreadTracer {
@@ -236,7 +295,7 @@ thread_local! {
 /// [`end`]. Not a guard: dropping it without [`end`] simply records nothing.
 #[derive(Debug)]
 pub struct OpenSpan {
-    kind: TraceKind,
+    kind: SpanKind,
     seq: u64,
     start_ns: u64,
 }
@@ -248,18 +307,8 @@ fn now_ns(tr: &ThreadTracer) -> u64 {
 /// Start a *local* span (no logical-clock bump). `None` — and no clock
 /// read — when tracing is disabled.
 #[inline]
-pub fn begin(kind: TraceKind) -> Option<OpenSpan> {
-    if !trace_enabled() {
-        return None;
-    }
-    Some(TRACER.with(|t| {
-        let tr = t.borrow();
-        OpenSpan {
-            kind,
-            seq: NO_SEQ,
-            start_ns: now_ns(&tr),
-        }
-    }))
+pub fn begin(kind: SpanKind) -> Option<OpenSpan> {
+    open(kind, false)
 }
 
 /// Start a *collective-edge* span: bumps this rank's logical clock so the
@@ -267,14 +316,19 @@ pub fn begin(kind: TraceKind) -> Option<OpenSpan> {
 /// tracing is disabled — the logical clock then does not advance, which is
 /// consistent because it does not advance on any rank.
 #[inline]
-pub fn begin_edge(kind: TraceKind) -> Option<OpenSpan> {
+pub fn begin_edge(kind: SpanKind) -> Option<OpenSpan> {
+    open(kind, true)
+}
+
+#[inline]
+fn open(kind: SpanKind, edge: bool) -> Option<OpenSpan> {
     if !trace_enabled() {
         return None;
     }
     Some(TRACER.with(|t| {
         let mut tr = t.borrow_mut();
-        let seq = tr.seq;
-        tr.seq += 1;
+        let seq = if edge { tr.seq } else { NO_SEQ };
+        tr.seq += u64::from(edge);
         OpenSpan {
             kind,
             seq,
@@ -283,15 +337,17 @@ pub fn begin_edge(kind: TraceKind) -> Option<OpenSpan> {
     }))
 }
 
-/// Finish a span, recording it into the thread's ring. A full ring drops
-/// the span and counts it (see [`drain`]). No-op for `None`.
+/// Finish a span: fold it into the per-kind aggregates and record it into
+/// the thread's ring (a full ring drops it and counts it, see [`drain`]).
+/// No-op for `None`.
 #[inline]
 pub fn end(open: Option<OpenSpan>, bytes: u64, msgs: u64, detail: u64) {
     let Some(open) = open else { return };
     TRACER.with(|t| {
         let mut tr = t.borrow_mut();
         let end_ns = now_ns(&tr);
-        if tr.ring.len() >= ring_cap() {
+        AGGREGATES.record(open.kind, end_ns.saturating_sub(open.start_ns));
+        if tr.ring.len() >= RING_CAP {
             tr.dropped += 1;
             return;
         }
@@ -319,11 +375,10 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Record a local span over the guard's lifetime (one relaxed load and no
-/// clock read when disabled) — the drop-in companion to
-/// [`crate::profiler::profile`].
+/// Record a local span of `kind` over the guard's lifetime (one relaxed
+/// load and no clock read when disabled).
 #[inline]
-pub fn traced(kind: TraceKind) -> SpanGuard {
+pub fn traced(kind: SpanKind) -> SpanGuard {
     SpanGuard { open: begin(kind) }
 }
 
@@ -349,46 +404,46 @@ pub fn reset_thread() {
     let _ = drain();
 }
 
+/// Serializes the unit tests of this crate that flip the process-global
+/// flag or read the global aggregates.
+#[cfg(test)]
+pub(crate) fn with_tracing<R>(on: bool, f: impl FnOnce() -> R) -> R {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    reset_thread();
+    set_trace_enabled(on);
+    let r = f();
+    set_trace_enabled(false);
+    reset_thread();
+    r
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // The enabled flag is process-global; every test here runs against its
-    // own thread-local ring but serializes flag flips through this lock so
-    // parallel test threads cannot race each other's on/off windows.
-    fn with_tracing<R>(f: impl FnOnce() -> R) -> R {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        reset_thread();
-        set_trace_enabled(true);
-        let r = f();
-        set_trace_enabled(false);
-        reset_thread();
-        r
-    }
-
     #[test]
     fn disabled_records_nothing_and_returns_none() {
-        set_trace_enabled(false);
-        reset_thread();
-        assert!(begin(TraceKind::Halo).is_none());
-        assert!(begin_edge(TraceKind::Reduction).is_none());
-        {
-            let _g = traced(TraceKind::PrecondApply);
-        }
-        let (spans, dropped) = drain();
-        assert!(spans.is_empty());
-        assert_eq!(dropped, 0);
+        with_tracing(false, || {
+            assert!(begin(SpanKind::Halo).is_none());
+            assert!(begin_edge(SpanKind::Reduction).is_none());
+            {
+                let _g = traced(SpanKind::PrecondApply);
+            }
+            let (spans, dropped) = drain();
+            assert!(spans.is_empty());
+            assert_eq!(dropped, 0);
+        });
     }
 
     #[test]
     fn edges_advance_the_logical_clock_and_locals_do_not() {
-        with_tracing(|| {
-            let a = begin_edge(TraceKind::Reduction);
+        with_tracing(true, || {
+            let a = begin_edge(SpanKind::Reduction);
             end(a, 16, 2, 3);
-            let b = begin(TraceKind::PrecondApply);
+            let b = begin(SpanKind::PrecondApply);
             end(b, 0, 0, 0);
-            let c = begin_edge(TraceKind::Redistribute);
+            let c = begin_edge(SpanKind::Redistribute);
             end(c, 8, 1, 0);
             let (spans, dropped) = drain();
             assert_eq!(dropped, 0);
@@ -401,7 +456,7 @@ mod tests {
             assert_eq!(spans[0].detail, 3);
             assert!(spans[0].end_ns >= spans[0].start_ns);
             // drain() reset the logical clock.
-            let d = begin_edge(TraceKind::Reduction);
+            let d = begin_edge(SpanKind::Reduction);
             assert_eq!(d.as_ref().unwrap().seq, 0);
             end(d, 0, 0, 0);
         });
@@ -409,21 +464,21 @@ mod tests {
 
     #[test]
     fn guard_records_on_drop() {
-        with_tracing(|| {
+        with_tracing(true, || {
             {
-                let _g = traced(TraceKind::Halo);
+                let _g = traced(SpanKind::Halo);
                 std::hint::black_box(1 + 1);
             }
             let (spans, _) = drain();
             assert_eq!(spans.len(), 1);
-            assert_eq!(spans[0].kind, TraceKind::Halo);
+            assert_eq!(spans[0].kind, SpanKind::Halo);
         });
     }
 
     #[test]
     fn span_flat_encoding_round_trips() {
         let s = TraceSpan {
-            kind: TraceKind::CoarseGather,
+            kind: SpanKind::CoarseGather,
             seq: NO_SEQ,
             start_ns: 123,
             end_ns: 456,
@@ -441,26 +496,32 @@ mod tests {
         assert_eq!(TraceSpan::decode(&bad), None);
     }
 
+    /// A ring past capacity drops spans from the timeline but not from the
+    /// per-kind aggregates.
     #[test]
     fn full_ring_drops_and_counts() {
-        with_tracing(|| {
-            // Fill past capacity; capacity is large, so synthesize directly.
-            let cap = ring_cap();
-            for i in 0..(cap + 5) {
-                let o = begin(TraceKind::Iteration);
+        with_tracing(true, || {
+            let kind = SpanKind::PrecondLevel(5);
+            let before = aggregates().snapshot().phase(kind).map_or(0, |p| p.count);
+            for i in 0..(RING_CAP + 5) {
+                let o = begin(kind);
                 end(o, 0, 0, i as u64);
             }
             let (spans, dropped) = drain();
-            assert_eq!(spans.len(), cap);
+            assert_eq!(spans.len(), RING_CAP);
             assert_eq!(dropped, 5);
+            let after = aggregates().snapshot().phase(kind).map_or(0, |p| p.count);
+            assert_eq!(after - before, (RING_CAP + 5) as u64);
         });
     }
 
     #[test]
     fn kind_codes_round_trip() {
-        for k in TraceKind::all() {
-            assert_eq!(TraceKind::from_code(k.code()), Some(k));
+        assert_eq!(SpanKind::all().count(), NUM_KINDS);
+        for k in SpanKind::all() {
+            assert_eq!(SpanKind::from_code(k.code()), Some(k));
         }
-        assert_eq!(TraceKind::from_code(200), None);
+        assert_eq!(SpanKind::from_code(NUM_KINDS as u8), None);
+        assert_eq!(SpanKind::from_code(200), None);
     }
 }

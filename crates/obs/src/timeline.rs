@@ -23,8 +23,7 @@
 //! "wire" using calibrated machine constants ([`Timeline::skew`]).
 
 use crate::json::JsonValue;
-use crate::metrics::MetricsRegistry;
-use crate::span::{TraceKind, TraceSpan, NO_SEQ, SPAN_FIELDS};
+use crate::span::{SpanKind, TraceSpan, NO_SEQ, NUM_KINDS, SPAN_FIELDS};
 use std::fmt::Write as _;
 
 /// Log2 buckets in the wait-time histograms (bucket `i` holds waits with
@@ -64,7 +63,7 @@ impl RankStream {
         let rank = v[0] as usize;
         let dropped = v[1] as u64;
         let n = v[2] as usize;
-        if v.len() != 3 + n * SPAN_FIELDS {
+        if Some(v.len()) != n.checked_mul(SPAN_FIELDS).and_then(|w| w.checked_add(3)) {
             return None;
         }
         let mut spans = Vec::with_capacity(n);
@@ -86,7 +85,7 @@ impl RankStream {
 #[derive(Debug, Clone)]
 pub struct CollectiveGroup {
     /// Span kind (identical on every member by construction).
-    pub kind: TraceKind,
+    pub kind: SpanKind,
     /// Logical-clock value identifying this collective.
     pub seq: u64,
     /// Per member: `(rank, aligned start ns, aligned end ns, bytes, msgs,
@@ -259,7 +258,7 @@ impl Timeline {
     pub fn skew(&self, alpha_reduce: f64, beta: f64) -> Vec<SkewRow> {
         let mut rows = Vec::new();
         for g in self.collectives() {
-            if g.kind != TraceKind::Reduction || g.members.len() < 2 {
+            if g.kind != SpanKind::Reduction || g.members.len() < 2 {
                 continue;
             }
             let earliest_start = g.members.iter().map(|m| m.1).min().unwrap_or(0);
@@ -295,8 +294,8 @@ impl Timeline {
         self.streams
             .iter()
             .map(|s| {
-                let mut count = [0u64; 8];
-                let mut total_ns = [0u64; 8];
+                let mut count = [0u64; NUM_KINDS];
+                let mut total_ns = [0u64; NUM_KINDS];
                 for sp in &s.spans {
                     let k = sp.kind.code() as usize;
                     count[k] += 1;
@@ -327,11 +326,12 @@ impl Timeline {
     }
 
     /// Rebuild from [`Timeline::encode`] (offsets are recomputed — the merge
-    /// is deterministic). `None` if malformed.
+    /// is deterministic). `None` if malformed: every count is checked
+    /// against the frame's remaining length before anything is allocated.
     pub fn decode(v: &[f64]) -> Option<Timeline> {
         let mut i = 0usize;
         let mut next = |n: usize| -> Option<&[f64]> {
-            let s = v.get(i..i + n)?;
+            let s = v.get(i..i.checked_add(n)?)?;
             i += n;
             Some(s)
         };
@@ -339,7 +339,8 @@ impl Timeline {
         let nmissing = next(1)?[0] as usize;
         let missing: Vec<usize> = next(nmissing)?.iter().map(|&x| x as usize).collect();
         let nstreams = next(1)?[0] as usize;
-        let mut streams = Vec::with_capacity(nstreams);
+        // Each stream frame takes at least its length slot.
+        let mut streams = Vec::with_capacity(nstreams.min(v.len()));
         for _ in 0..nstreams {
             let len = next(1)?[0] as usize;
             streams.push(RankStream::decode(next(len)?)?);
@@ -350,96 +351,36 @@ impl Timeline {
         Some(Timeline::merge(nranks, streams, missing))
     }
 
-    /// Serialize to a JSON document (spans as 7-number arrays:
-    /// `[kind, seq, start_ns, end_ns, bytes, msgs, detail]`, `seq = -1` for
-    /// local spans).
+    /// Serialize to JSON: the [`Timeline::encode`] frame as one number
+    /// array — the same format ranks ship to rank 0, in a file.
     pub fn to_json(&self) -> String {
-        let streams = self
-            .streams
-            .iter()
-            .map(|s| {
-                let spans = s
-                    .spans
-                    .iter()
-                    .map(|sp| {
-                        let mut row = Vec::with_capacity(SPAN_FIELDS);
-                        sp.encode_into(&mut row);
-                        JsonValue::nums(row)
-                    })
-                    .collect();
-                JsonValue::obj(vec![
-                    ("rank", JsonValue::from(s.rank)),
-                    ("dropped", JsonValue::Num(s.dropped as f64)),
-                    ("spans", JsonValue::Arr(spans)),
-                ])
-            })
-            .collect();
-        JsonValue::obj(vec![
-            ("nranks", JsonValue::from(self.nranks)),
-            (
-                "missing",
-                JsonValue::nums(self.missing.iter().map(|&r| r as f64)),
-            ),
-            (
-                "offsets_ns",
-                JsonValue::nums(self.offsets_ns.iter().map(|&o| o as f64)),
-            ),
-            ("streams", JsonValue::Arr(streams)),
-        ])
-        .to_json()
+        JsonValue::nums(self.encode()).to_json()
     }
 
-    /// Parse a [`Timeline::to_json`] document (offsets are recomputed by the
-    /// deterministic merge). `None` on malformed input.
+    /// Parse a [`Timeline::to_json`] document. `None` on malformed input.
     pub fn from_json(src: &str) -> Option<Timeline> {
         let v = JsonValue::parse(src).ok()?;
-        let nranks = v.get("nranks")?.as_usize()?;
-        let missing = v
-            .get("missing")?
-            .as_array()?
-            .iter()
-            .map(|m| m.as_usize())
-            .collect::<Option<Vec<_>>>()?;
-        let mut streams = Vec::new();
-        for s in v.get("streams")?.as_array()? {
-            let rank = s.get("rank")?.as_usize()?;
-            let dropped = s.get("dropped")?.as_f64()? as u64;
-            let mut spans = Vec::new();
-            for row in s.get("spans")?.as_array()? {
-                let nums = row
-                    .as_array()?
-                    .iter()
-                    .map(|x| x.as_f64())
-                    .collect::<Option<Vec<f64>>>()?;
-                spans.push(TraceSpan::decode(&nums)?);
-            }
-            streams.push(RankStream {
-                rank,
-                dropped,
-                spans,
-            });
-        }
-        Some(Timeline::merge(nranks, streams, missing))
+        let frame: Option<Vec<f64>> = v.as_array()?.iter().map(JsonValue::as_f64).collect();
+        Timeline::decode(&frame?)
     }
 }
 
 /// Per-rank, per-kind span totals (see [`Timeline::phase_totals`]); arrays
-/// are indexed by [`TraceKind::code`].
+/// are indexed by [`SpanKind::code`].
 #[derive(Debug, Clone)]
 pub struct PhaseTotalsRow {
     /// Rank the row describes.
     pub rank: usize,
     /// Span count per kind.
-    pub count: [u64; 8],
+    pub count: [u64; NUM_KINDS],
     /// Summed span duration per kind, nanoseconds.
-    pub total_ns: [u64; 8],
+    pub total_ns: [u64; NUM_KINDS],
 }
 
 /// Render the per-rank phase table for a set of [`PhaseTotalsRow`]s
 /// (milliseconds; kinds nobody recorded are omitted).
 pub fn phase_table(rows: &[PhaseTotalsRow]) -> String {
-    let used: Vec<TraceKind> = TraceKind::all()
-        .into_iter()
+    let used: Vec<SpanKind> = SpanKind::all()
         .filter(|k| rows.iter().any(|r| r.count[k.code() as usize] > 0))
         .collect();
     let mut s = String::new();
@@ -477,25 +418,6 @@ impl ImbalanceReport {
     /// Sum of every rank's wait time, nanoseconds.
     pub fn total_wait_ns(&self) -> u64 {
         self.wait_ns.iter().sum()
-    }
-
-    /// Publish the report as per-rank gauges on `reg`:
-    /// `{prefix}_wait_ns_rank{r}`, `{prefix}_critical_hits_rank{r}`, plus
-    /// `{prefix}_wait_ns_total` and `{prefix}_collectives` — the registry
-    /// side of the "measured imbalance" acceptance check.
-    pub fn publish(&self, reg: &MetricsRegistry, prefix: &str) {
-        for (r, &w) in self.wait_ns.iter().enumerate() {
-            reg.gauge(&format!("{prefix}_wait_ns_rank{r}"))
-                .set(w as f64);
-        }
-        for (r, &c) in self.critical_hits.iter().enumerate() {
-            reg.gauge(&format!("{prefix}_critical_hits_rank{r}"))
-                .set(c as f64);
-        }
-        reg.gauge(&format!("{prefix}_wait_ns_total"))
-            .set(self.total_wait_ns() as f64);
-        reg.gauge(&format!("{prefix}_collectives"))
-            .set(self.collectives as f64);
     }
 
     /// Human-readable wait-behind-slowest table plus histograms.
@@ -575,7 +497,7 @@ pub fn skew_table(rows: &[SkewRow]) -> String {
 mod tests {
     use super::*;
 
-    fn span(kind: TraceKind, seq: u64, start: u64, end: u64, bytes: u64, detail: u64) -> TraceSpan {
+    fn span(kind: SpanKind, seq: u64, start: u64, end: u64, bytes: u64, detail: u64) -> TraceSpan {
         TraceSpan {
             kind,
             seq,
@@ -595,17 +517,17 @@ mod tests {
             rank: 0,
             dropped: 0,
             spans: vec![
-                span(TraceKind::Reduction, 0, 2000, 3000, 80, 2),
-                span(TraceKind::PrecondApply, NO_SEQ, 3000, 3500, 0, 0),
-                span(TraceKind::Reduction, 1, 4000, 5500, 80, 2),
+                span(SpanKind::Reduction, 0, 2000, 3000, 80, 2),
+                span(SpanKind::PrecondApply, NO_SEQ, 3000, 3500, 0, 0),
+                span(SpanKind::Reduction, 1, 4000, 5500, 80, 2),
             ],
         };
         let s1 = RankStream {
             rank: 1,
             dropped: 0,
             spans: vec![
-                span(TraceKind::Reduction, 0, 1000, 2000, 80, 2),
-                span(TraceKind::Reduction, 1, 3500, 4500, 80, 2),
+                span(SpanKind::Reduction, 0, 1000, 2000, 80, 2),
+                span(SpanKind::Reduction, 1, 3500, 4500, 80, 2),
             ],
         };
         Timeline::merge(2, vec![s1, s0], vec![])
@@ -640,11 +562,7 @@ mod tests {
         assert_eq!(rep.total_wait_ns(), 500);
         let text = rep.to_text();
         assert!(text.contains("wait_behind_slowest"));
-        let reg = MetricsRegistry::new();
-        rep.publish(&reg, "trace");
-        let exposed = reg.expose_text();
-        assert!(exposed.contains("trace_wait_ns_rank0 500"));
-        assert!(exposed.contains("trace_wait_ns_total 500"));
+        assert!(text.contains("collectives: 2 "));
     }
 
     #[test]
@@ -680,12 +598,28 @@ mod tests {
         assert!(Timeline::from_json("{}").is_none());
     }
 
+    /// Frames come from other processes: a truncated frame or an absurd
+    /// count is rejected, never allocated for or panicked on.
+    #[test]
+    fn malformed_frames_decode_to_none() {
+        let good = skewed_timeline().encode();
+        for cut in 0..good.len() {
+            assert!(Timeline::decode(&good[..cut]).is_none(), "cut at {cut}");
+        }
+        for huge in [1e18, f64::MAX, f64::INFINITY] {
+            assert!(Timeline::decode(&[2.0, 0.0, huge]).is_none());
+            assert!(Timeline::decode(&[2.0, huge, 0.0]).is_none());
+            assert!(Timeline::decode(&[2.0, 0.0, 1.0, huge, 0.0]).is_none());
+            assert!(RankStream::decode(&[0.0, 0.0, huge]).is_none());
+        }
+    }
+
     #[test]
     fn partial_timeline_keeps_missing_ranks() {
         let s0 = RankStream {
             rank: 0,
             dropped: 0,
-            spans: vec![span(TraceKind::PrecondApply, NO_SEQ, 0, 10, 0, 0)],
+            spans: vec![span(SpanKind::PrecondApply, NO_SEQ, 0, 10, 0, 0)],
         };
         let tl = Timeline::merge(4, vec![s0], vec![2, 1]);
         assert_eq!(tl.missing, vec![1, 2]);
@@ -701,8 +635,8 @@ mod tests {
         let tl = skewed_timeline();
         let rows = tl.phase_totals();
         assert_eq!(rows.len(), 2);
-        let red = TraceKind::Reduction.code() as usize;
-        let pa = TraceKind::PrecondApply.code() as usize;
+        let red = SpanKind::Reduction.code() as usize;
+        let pa = SpanKind::PrecondApply.code() as usize;
         assert_eq!(rows[0].count[red], 2);
         assert_eq!(rows[0].total_ns[red], 1000 + 1500);
         assert_eq!(rows[0].count[pa], 1);

@@ -4,7 +4,8 @@
 //! iteration events — the same data the conformance tests assert on, so
 //! history and accounting can never drift apart.
 
-use crate::event::{CommDelta, DiagEvent, DiagKind, Event, IterationEvent, SpanEvent, SpanKind};
+use crate::event::{CommDelta, DiagEvent, DiagKind, Event, IterationEvent, SpanEvent};
+use crate::span::SpanKind;
 
 /// The iteration events of a stream, in order.
 pub fn iteration_events(events: &[Event]) -> Vec<&IterationEvent> {

@@ -16,7 +16,7 @@ use crate::spmd::reduce_stages;
 use crate::trace::{edge_begin, edge_end, OpenEdge, SPLIT_PHASE_BIT};
 use crate::transport::{Transport, TransportError};
 use crate::Layout;
-use kryst_obs::span::TraceKind;
+use kryst_obs::SpanKind;
 
 /// All-reduce (sum) in place via the recursive-doubling **butterfly**:
 /// `log₂ P` message stages when `P` is a power of two, `⌊log₂ P⌋ + 2`
@@ -28,10 +28,9 @@ pub fn all_reduce_sum<T: Transport + ?Sized>(
     local: &mut Vec<f64>,
     scratch: &mut Vec<f64>,
 ) -> Result<u32, TransportError> {
-    let _t = kryst_obs::profile(kryst_obs::Phase::Reduction);
     // One trace hook covers the plain, fused, and barrier flavors — they all
     // funnel through this butterfly.
-    let trace = edge_begin(t, TraceKind::Reduction);
+    let trace = edge_begin(t, SpanKind::Reduction);
     let p = t.nranks();
     if p == 1 {
         edge_end(t, trace, 0);
@@ -123,10 +122,9 @@ pub fn ireduce_start<'a, T: Transport + ?Sized>(
     t: &'a T,
     local: Vec<f64>,
 ) -> Result<PendingReduce<'a, T>, TransportError> {
-    let _t = kryst_obs::profile(kryst_obs::Phase::Reduction);
     // The span opens here and closes in `finish`, so its wall footprint is
     // the whole in-flight window — the overlap the skew analysis decomposes.
-    let trace = edge_begin(t, TraceKind::Reduction);
+    let trace = edge_begin(t, SpanKind::Reduction);
     let p = t.nranks();
     let mut sent_stage1 = false;
     if p > 1 {
@@ -190,7 +188,6 @@ impl<T: Transport + ?Sized> PendingReduce<'_, T> {
     /// count match [`all_reduce_sum`] exactly.
     pub fn finish(mut self, scratch: &mut Vec<f64>) -> Result<(Vec<f64>, u32), TransportError> {
         let t = self.t;
-        let _g = kryst_obs::profile(kryst_obs::Phase::Reduction);
         let p = t.nranks();
         if p == 1 {
             edge_end(t, self.trace.take(), SPLIT_PHASE_BIT);
@@ -296,7 +293,7 @@ pub fn redistribute<T: Transport + ?Sized>(
             ),
         });
     }
-    let trace = edge_begin(t, TraceKind::Redistribute);
+    let trace = edge_begin(t, SpanKind::Redistribute);
     let my_src = src.range(r);
     let my_dst = dst.range(r);
     out.clear();

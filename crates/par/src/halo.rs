@@ -90,7 +90,6 @@ impl HaloPlan {
         cols: usize,
         fill: f64,
     ) -> Result<usize, TransportError> {
-        let _g = kryst_obs::profile(kryst_obs::Phase::Halo);
         let r = t.rank();
         if t.nranks() != self.recv.len() {
             return Err(TransportError::Protocol {
@@ -101,7 +100,7 @@ impl HaloPlan {
                 ),
             });
         }
-        let trace = crate::trace::edge_begin(t, kryst_obs::span::TraceKind::Halo);
+        let trace = crate::trace::edge_begin(t, kryst_obs::SpanKind::Halo);
         // Sends first (buffered on every backend — deadlock-free).
         for (d, wants) in self.recv.iter().enumerate() {
             for &(owner, entries) in wants {

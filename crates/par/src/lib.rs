@@ -50,9 +50,8 @@ pub use halo::HaloPlan;
 pub use layout::Layout;
 pub use op::{DistOp, IdentityPrecond, LinOp, PrecondOp, PrecondPrecision, ProjectedOp};
 pub use report::{
-    calibration_table, comm_from_json, comm_to_json, per_rank_comm, phase_report,
-    publish_imbalance, publish_wire, validation_table, ModeledRow, PhaseReport, PhaseRow,
-    ValidationRow,
+    calibration_table, comm_from_json, comm_to_json, per_rank_comm, phase_report, validation_table,
+    ModeledRow, PhaseReport, PhaseRow, ValidationRow,
 };
 pub use spmd::{maybe_primitive_worker, reduce_stages, run_spmd, SpmdRun, SpmdWorld};
 pub use trace::{gather_timeline, SPLIT_PHASE_BIT};

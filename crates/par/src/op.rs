@@ -8,11 +8,10 @@
 use crate::halo::HaloPlan;
 use crate::{CommStats, Layout};
 use kryst_dense::DMat;
-use kryst_obs::{profile, Event, HaloEvent, Phase, Recorder};
+use kryst_obs::{traced, SpanKind};
 use kryst_scalar::Scalar;
 use kryst_sparse::{Csr, RowSplit};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Storage precision of a preconditioner's internal data. There is one:
 /// factors, hierarchy operators and smoother data are kept in the working
@@ -101,11 +100,11 @@ impl<S: Scalar> LinOp<S> for Csr<S> {
         Csr::nrows(self)
     }
     fn apply(&self, x: &DMat<S>, y: &mut DMat<S>) {
-        let _t = profile(Phase::Spmv);
+        let _t = traced(SpanKind::Spmv);
         self.spmm(x, y);
     }
     fn residual(&self, b: &DMat<S>, x: &DMat<S>, r: &mut DMat<S>) {
-        let _t = profile(Phase::Spmv);
+        let _t = traced(SpanKind::Spmv);
         Csr::residual(self, b, x, r);
     }
     fn bytes_per_apply(&self) -> Option<usize> {
@@ -156,7 +155,6 @@ pub struct DistOp<S> {
     plan: HaloPlan,
     split: RowSplit,
     stats: Arc<CommStats>,
-    recorder: Option<Arc<dyn Recorder>>,
 }
 
 impl<S: Scalar> DistOp<S> {
@@ -174,20 +172,7 @@ impl<S: Scalar> DistOp<S> {
             plan,
             split,
             stats,
-            recorder: None,
         }
-    }
-
-    /// Attach an event recorder: every `apply` emits a [`HaloEvent`]
-    /// describing the halo exchange the distributed SpMM performs.
-    pub fn set_recorder(&mut self, rec: Arc<dyn Recorder>) {
-        self.recorder = if rec.enabled() { Some(rec) } else { None };
-    }
-
-    /// Builder-style variant of [`DistOp::set_recorder`].
-    pub fn with_recorder(mut self, rec: Arc<dyn Recorder>) -> Self {
-        self.set_recorder(rec);
-        self
     }
 
     /// The wrapped matrix.
@@ -238,7 +223,6 @@ impl<S: Scalar> LinOp<S> for DistOp<S> {
         self.a.nrows()
     }
     fn apply(&self, x: &DMat<S>, y: &mut DMat<S>) {
-        let t0 = Instant::now();
         let p = x.ncols();
         let bytes = self.plan.bytes_per_exchange(p, Self::bytes_per_scalar());
         // 2 flops per stored nonzero per RHS column (multiply–add); complex
@@ -248,7 +232,7 @@ impl<S: Scalar> LinOp<S> for DistOp<S> {
         if self.split.all_interior() {
             self.stats
                 .record_p2p(self.plan.messages_per_exchange, bytes);
-            let _t = profile(Phase::Spmv);
+            let _t = traced(SpanKind::Spmv);
             self.a.spmm(x, y);
         } else {
             // Overlapped schedule: interior rows proceed while the halo
@@ -256,23 +240,15 @@ impl<S: Scalar> LinOp<S> for DistOp<S> {
             // interior product is attributed to `spmv`; the exchange
             // accounting plus the post-exchange boundary rows to `halo`.
             {
-                let _t = profile(Phase::Spmv);
+                let _t = traced(SpanKind::Spmv);
                 self.a.spmm_rows(x, y, &self.split.interior);
             }
             self.stats
                 .record_overlap_flops(2 * self.split.interior_nnz * p * flop_scale);
-            let _h = profile(Phase::Halo);
+            let _h = traced(SpanKind::Halo);
             self.stats
                 .record_p2p(self.plan.messages_per_exchange, bytes);
             self.a.spmm_rows(x, y, &self.split.boundary);
-        }
-        if let Some(rec) = &self.recorder {
-            rec.record(&Event::Halo(HaloEvent {
-                messages: self.plan.messages_per_exchange as u64,
-                bytes: bytes as u64,
-                cols: p,
-                wall_ns: t0.elapsed().as_nanos() as u64,
-            }));
         }
     }
     fn bytes_per_apply(&self) -> Option<usize> {
@@ -301,7 +277,7 @@ impl<S: Scalar> LinOp<S> for ProjectedOp<'_, S> {
         self.inner.apply(x, y);
         // y ⟵ y − C·(Cᴴ·y): one fused reduction for the Gram product.
         let coeff = {
-            let _t = profile(Phase::Reduction);
+            let _t = traced(SpanKind::Reduction);
             kryst_dense::blas::adjoint_times(self.c, y)
         };
         if let Some(st) = self.stats {

@@ -4,15 +4,15 @@
 //! totals over all ranks). This module splits those totals back over ranks
 //! using the exact topology of the [`HaloPlan`] — no estimation, pure integer
 //! bookkeeping — so per-rank imbalance (max/min/avg of messages, bytes,
-//! fused parts) can be published to a metrics registry, and combines measured
-//! per-phase wall times from the profiler with α–β–γ modeled communication
-//! time at arbitrary rank counts into one paper-style report table.
+//! fused parts) can be read off, and combines the measured per-kind span
+//! times with α–β–γ modeled communication time at arbitrary rank counts into
+//! one paper-style report table.
 
 use crate::calibrate::Calibration;
 use crate::comm::CommSnapshot;
 use crate::cost::CostModel;
 use crate::halo::HaloPlan;
-use kryst_obs::{MetricsRegistry, ProfileSnapshot, WireSnapshot};
+use kryst_obs::ProfileSnapshot;
 
 /// Split a global counter snapshot into exact per-rank snapshots.
 ///
@@ -71,46 +71,10 @@ pub fn per_rank_comm(plan: &HaloPlan, global: &CommSnapshot, nranks: usize) -> V
     out
 }
 
-/// Publish max/min/avg imbalance gauges over per-rank snapshots.
-///
-/// For each of `p2p_messages`, `p2p_bytes`, `fused_parts` and `reductions`
-/// this sets three gauges named `{prefix}_{field}_{max|min|avg}` in `reg`.
-pub fn publish_imbalance(reg: &MetricsRegistry, prefix: &str, snaps: &[CommSnapshot]) {
-    type FieldGet = fn(&CommSnapshot) -> u64;
-    let fields: [(&str, FieldGet); 4] = [
-        ("p2p_messages", |s| s.p2p_messages),
-        ("p2p_bytes", |s| s.p2p_bytes),
-        ("fused_parts", |s| s.fused_parts),
-        ("reductions", |s| s.reductions),
-    ];
-    for (name, get) in fields {
-        let mut max = 0u64;
-        let mut min = u64::MAX;
-        let mut sum = 0u64;
-        for s in snaps {
-            let x = get(s);
-            max = max.max(x);
-            min = min.min(x);
-            sum += x;
-        }
-        if snaps.is_empty() {
-            min = 0;
-        }
-        let avg = if snaps.is_empty() {
-            0.0
-        } else {
-            sum as f64 / snaps.len() as f64
-        };
-        reg.gauge(&format!("{prefix}_{name}_max")).set(max as f64);
-        reg.gauge(&format!("{prefix}_{name}_min")).set(min as f64);
-        reg.gauge(&format!("{prefix}_{name}_avg")).set(avg);
-    }
-}
-
 /// One row of a [`PhaseReport`]: a measured phase.
 #[derive(Debug, Clone)]
 pub struct PhaseRow {
-    /// Phase name (as in [`kryst_obs::Phase::name`]).
+    /// Phase name (as in [`kryst_obs::SpanKind::name`]).
     pub name: String,
     /// Number of timed occurrences.
     pub count: u64,
@@ -145,7 +109,7 @@ pub struct PhaseReport {
     pub modeled: Vec<ModeledRow>,
 }
 
-/// Build a combined report from a profile snapshot, the global comm
+/// Build a combined report from a span-aggregate snapshot, the global comm
 /// counters, and a cost model evaluated at each rank count in `ranks`.
 pub fn phase_report(
     label: &str,
@@ -315,46 +279,6 @@ pub fn validation_table(rows: &[ValidationRow]) -> String {
     s
 }
 
-/// Publish per-rank wire-counter gauges: for each of the six
-/// [`WireSnapshot`] fields this sets `{prefix}_{field}_{max|min|avg}` plus
-/// one `{prefix}_{field}_rank{r}` gauge per rank in `reg` — the wire-level
-/// analogue of [`publish_imbalance`], fed by actual transport endpoints
-/// (indexed by rank, rank 0 first) instead of attributed logical counters.
-pub fn publish_wire(reg: &MetricsRegistry, prefix: &str, wires: &[WireSnapshot]) {
-    type Get = fn(&WireSnapshot) -> u64;
-    let fields: [(&str, Get); 6] = [
-        ("wire_msgs_sent", |w| w.msgs_sent),
-        ("wire_bytes_sent", |w| w.bytes_sent),
-        ("wire_msgs_recv", |w| w.msgs_recv),
-        ("wire_bytes_recv", |w| w.bytes_recv),
-        ("wire_send_ns", |w| w.send_ns),
-        ("wire_recv_ns", |w| w.recv_ns),
-    ];
-    for (name, get) in fields {
-        let mut max = 0u64;
-        let mut min = u64::MAX;
-        let mut sum = 0u64;
-        for (r, w) in wires.iter().enumerate() {
-            let x = get(w);
-            max = max.max(x);
-            min = min.min(x);
-            sum += x;
-            reg.gauge(&format!("{prefix}_{name}_rank{r}")).set(x as f64);
-        }
-        if wires.is_empty() {
-            min = 0;
-        }
-        let avg = if wires.is_empty() {
-            0.0
-        } else {
-            sum as f64 / wires.len() as f64
-        };
-        reg.gauge(&format!("{prefix}_{name}_max")).set(max as f64);
-        reg.gauge(&format!("{prefix}_{name}_min")).set(min as f64);
-        reg.gauge(&format!("{prefix}_{name}_avg")).set(avg);
-    }
-}
-
 /// Serialize a [`CommSnapshot`] as a JSON object.
 pub fn comm_to_json(snap: &CommSnapshot) -> String {
     kryst_obs::json::JsonValue::obj(vec![
@@ -457,38 +381,10 @@ mod tests {
     }
 
     #[test]
-    fn imbalance_gauges_published() {
-        let reg = MetricsRegistry::new();
-        let snaps = vec![
-            CommSnapshot {
-                p2p_messages: 10,
-                p2p_bytes: 100,
-                reductions: 5,
-                fused_parts: 15,
-                ..Default::default()
-            },
-            CommSnapshot {
-                p2p_messages: 20,
-                p2p_bytes: 300,
-                reductions: 5,
-                fused_parts: 15,
-                ..Default::default()
-            },
-        ];
-        publish_imbalance(&reg, "solve", &snaps);
-        assert_eq!(reg.gauge("solve_p2p_messages_max").get(), 20.0);
-        assert_eq!(reg.gauge("solve_p2p_messages_min").get(), 10.0);
-        assert_eq!(reg.gauge("solve_p2p_messages_avg").get(), 15.0);
-        assert_eq!(reg.gauge("solve_p2p_bytes_avg").get(), 200.0);
-        assert_eq!(reg.gauge("solve_reductions_max").get(), 5.0);
-        assert_eq!(reg.gauge("solve_reductions_min").get(), 5.0);
-    }
-
-    #[test]
     fn report_renders_measured_and_modeled_sections() {
-        let prof = kryst_obs::Profiler::new(true);
-        prof.record_ns(kryst_obs::Phase::Spmv, 1_000_000);
-        prof.record_ns(kryst_obs::Phase::Reduction, 250_000);
+        let prof = kryst_obs::Aggregates::new();
+        prof.record(kryst_obs::SpanKind::Spmv, 1_000_000);
+        prof.record(kryst_obs::SpanKind::Reduction, 250_000);
         let comm = CommSnapshot {
             reductions: 100,
             reduction_bytes: 800,
@@ -542,38 +438,6 @@ mod tests {
         assert!(vtext.contains("measured vs modeled"));
         assert!(vtext.contains("reductions/iter"));
         assert!(vtext.contains("1.25"));
-    }
-
-    #[test]
-    fn wire_gauges_published() {
-        let reg = MetricsRegistry::new();
-        let wires = vec![
-            WireSnapshot {
-                msgs_sent: 10,
-                bytes_sent: 80,
-                msgs_recv: 12,
-                bytes_recv: 96,
-                send_ns: 500,
-                recv_ns: 900,
-            },
-            WireSnapshot {
-                msgs_sent: 20,
-                bytes_sent: 160,
-                msgs_recv: 18,
-                bytes_recv: 144,
-                send_ns: 700,
-                recv_ns: 1100,
-            },
-        ];
-        publish_wire(&reg, "solve", &wires);
-        assert_eq!(reg.gauge("solve_wire_msgs_sent_max").get(), 20.0);
-        assert_eq!(reg.gauge("solve_wire_msgs_sent_min").get(), 10.0);
-        assert_eq!(reg.gauge("solve_wire_bytes_recv_avg").get(), 120.0);
-        assert_eq!(reg.gauge("solve_wire_recv_ns_max").get(), 1100.0);
-        // Per-rank gauges, rank-indexed in slice order.
-        assert_eq!(reg.gauge("solve_wire_msgs_sent_rank0").get(), 10.0);
-        assert_eq!(reg.gauge("solve_wire_msgs_sent_rank1").get(), 20.0);
-        assert_eq!(reg.gauge("solve_wire_bytes_recv_rank1").get(), 144.0);
     }
 
     #[test]

@@ -21,11 +21,12 @@
 //! matching collective spans) to `path` as part of the gather.
 
 use crate::transport::{Transport, TransportError};
-use kryst_obs::span::{self, OpenSpan, TraceKind};
+use kryst_obs::span::{self, OpenSpan};
 use kryst_obs::timeline::{RankStream, Timeline};
+use kryst_obs::SpanKind;
 use kryst_obs::WireSnapshot;
 
-/// `detail` bit marking a [`TraceKind::Reduction`] span as split-phase
+/// `detail` bit marking a [`SpanKind::Reduction`] span as split-phase
 /// (started by `ireduce_start`, finished later); the low 32 bits remain the
 /// butterfly stage count.
 pub const SPLIT_PHASE_BIT: u64 = 1 << 32;
@@ -38,7 +39,7 @@ pub type OpenEdge = Option<(OpenSpan, WireSnapshot)>;
 /// snapshot the endpoint's wire counters. Returns `None` — after one
 /// relaxed load, with no clock read — when tracing is disabled.
 #[inline]
-pub fn edge_begin<T: Transport + ?Sized>(t: &T, kind: TraceKind) -> OpenEdge {
+pub fn edge_begin<T: Transport + ?Sized>(t: &T, kind: SpanKind) -> OpenEdge {
     let open = span::begin_edge(kind)?;
     Some((open, t.wire().snapshot()))
 }
@@ -129,7 +130,7 @@ mod tests {
                 let mut scratch = Vec::new();
                 all_reduce_sum(t, &mut local, &mut scratch)?;
                 {
-                    let _g = span::traced(TraceKind::PrecondApply);
+                    let _g = span::traced(SpanKind::PrecondApply);
                     std::hint::black_box(local[0] * 2.0);
                 }
                 let tl = gather_timeline(t)?;
@@ -148,10 +149,10 @@ mod tests {
             let groups = tl.collectives();
             assert_eq!(groups.len(), 1);
             assert_eq!(groups[0].members.len(), p);
-            assert_eq!(groups[0].kind, TraceKind::Reduction);
+            assert_eq!(groups[0].kind, SpanKind::Reduction);
             for s in &tl.streams {
                 assert_eq!(s.spans.len(), 2);
-                assert_eq!(s.spans[1].kind, TraceKind::PrecondApply);
+                assert_eq!(s.spans[1].kind, SpanKind::PrecondApply);
             }
         });
     }
@@ -165,7 +166,7 @@ mod tests {
                 // returns without participating. Survivors use only local
                 // spans (a collective would hang on the dead peer).
                 {
-                    let _g = span::traced(TraceKind::PrecondApply);
+                    let _g = span::traced(SpanKind::PrecondApply);
                     std::hint::black_box(t.rank());
                 }
                 if t.rank() == 1 {
@@ -204,7 +205,7 @@ mod tests {
             let tl = Timeline::decode(&run.results[0]).unwrap();
             for s in &tl.streams {
                 let sp = &s.spans[0];
-                assert_eq!(sp.kind, TraceKind::Reduction);
+                assert_eq!(sp.kind, SpanKind::Reduction);
                 // P = 2 butterfly: each rank sends one 3-double message.
                 assert_eq!(sp.msgs, 1);
                 assert_eq!(sp.bytes, 24);

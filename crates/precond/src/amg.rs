@@ -14,14 +14,13 @@ use crate::chebyshev::Chebyshev;
 use crate::jacobi::Jacobi;
 use crate::smoother::{self, KrylovScratch};
 use kryst_dense::{qr::HouseholderQr, DMat};
-use kryst_obs::{Event, PrecondApplyEvent, Recorder};
+use kryst_obs::{traced, SpanKind};
 use kryst_par::collective::{redistribute, subset_layout};
 use kryst_par::{Layout, PrecondOp, Transport, TransportError};
 use kryst_rt::par::{for_each_range, map_range, max_threads};
 use kryst_scalar::{Real, Scalar};
 use kryst_sparse::{ops, Csr, PrecondWorkspace, SparseDirect};
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::sync::Mutex;
 
 /// Which smoother runs on each level.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -114,7 +113,6 @@ pub struct Amg<S: Scalar> {
     /// Agglomeration sizing rule, kept from [`AmgOpts`] for
     /// [`Amg::coarse_agglom`].
     agglom_rows_per_rank: usize,
-    recorder: Option<Arc<dyn Recorder>>,
     /// After one warm-up cycle every V-cycle apply draws all its level
     /// vectors from here and allocates nothing.
     ws: Mutex<CycleScratch<S>>,
@@ -137,9 +135,8 @@ struct CoarseSolve<S: Scalar> {
     f: SparseDirect<S>,
     /// The factor is of the regularized (shifted) operator.
     regularized: bool,
-    /// Agglomeration policy fired for this coarse size: applies run under
-    /// the `coarse_agglom` profiler phase and [`Amg::coarse_agglom`] returns
-    /// a redistribution model.
+    /// Agglomeration policy fired for this coarse size:
+    /// [`Amg::coarse_agglom`] returns a redistribution model.
     agglomerated: bool,
 }
 
@@ -193,7 +190,6 @@ impl CoarseAgglom {
         local_rows: &[f64],
         solve: impl FnOnce(&mut [f64]),
     ) -> Result<Vec<f64>, TransportError> {
-        let _g = kryst_obs::profile(kryst_obs::Phase::CoarseAgglom);
         let src = Layout::even(self.coarse_n, self.ranks);
         let dst = subset_layout(self.coarse_n, self.ranks, self.subset);
         // Local (per-rank) spans around the three stages; the nested
@@ -201,16 +197,16 @@ impl CoarseAgglom {
         // deltas and align clocks, so these stay seq-less to avoid counting
         // the same edge twice.
         let mut gathered = Vec::new();
-        let sp = kryst_obs::span::begin(kryst_obs::span::TraceKind::CoarseGather);
+        let sp = kryst_obs::span::begin(SpanKind::CoarseGather);
         redistribute(t, &src, &dst, local_rows, &mut gathered)?;
         kryst_obs::span::end(sp, 0, 0, gathered.len() as u64);
-        let sp = kryst_obs::span::begin(kryst_obs::span::TraceKind::CoarseSolve);
+        let sp = kryst_obs::span::begin(SpanKind::CoarseSolve);
         if !gathered.is_empty() {
             solve(&mut gathered);
         }
         kryst_obs::span::end(sp, 0, 0, gathered.len() as u64);
         let mut out = Vec::new();
-        let sp = kryst_obs::span::begin(kryst_obs::span::TraceKind::CoarseScatter);
+        let sp = kryst_obs::span::begin(SpanKind::CoarseScatter);
         redistribute(t, &dst, &src, &gathered, &mut out)?;
         kryst_obs::span::end(sp, 0, 0, out.len() as u64);
         Ok(out)
@@ -221,7 +217,7 @@ impl<S: Scalar> Amg<S> {
     /// Build the hierarchy for `a` with near-nullspace `b` (defaults to the
     /// constant vector when `None`). All matrices are stored in `S`.
     pub fn new(a: &Csr<S>, near_nullspace: Option<&DMat<S>>, opts: &AmgOpts) -> Self {
-        let _t = kryst_obs::profile(kryst_obs::Phase::PrecondSetup);
+        let _t = traced(SpanKind::PrecondSetup);
         let n = a.nrows();
         let default_ns = DMat::from_fn(n, 1, |_, _| S::one());
         let mut b = near_nullspace.cloned().unwrap_or(default_ns);
@@ -286,7 +282,6 @@ impl<S: Scalar> Amg<S> {
             variable,
             n,
             agglom_rows_per_rank: opts.agglom_rows_per_rank,
-            recorder: None,
             ws: Mutex::new(CycleScratch {
                 pool: PrecondWorkspace::new(),
                 krylov: match opts.smoother {
@@ -296,18 +291,6 @@ impl<S: Scalar> Amg<S> {
                 },
             }),
         }
-    }
-
-    /// Attach an event recorder: every V-cycle application emits a
-    /// [`PrecondApplyEvent`] (`kind = "amg-vcycle"`, `detail` = level count).
-    pub fn set_recorder(&mut self, rec: Arc<dyn Recorder>) {
-        self.recorder = if rec.enabled() { Some(rec) } else { None };
-    }
-
-    /// Builder-style variant of [`Amg::set_recorder`].
-    pub fn with_recorder(mut self, rec: Arc<dyn Recorder>) -> Self {
-        self.set_recorder(rec);
-        self
     }
 
     /// Number of levels (including the coarsest).
@@ -335,8 +318,7 @@ impl<S: Scalar> Amg<S> {
 
     /// Coarsest-level solve of the V-cycle: the factor was
     /// resolved at setup (regularization already folded in), so this is a
-    /// straight multi-RHS substitution. When the agglomeration policy fired
-    /// the time lands in the `coarse_agglom` profiler phase.
+    /// straight multi-RHS substitution.
     fn coarse_solve_ws(
         &self,
         l: usize,
@@ -344,11 +326,7 @@ impl<S: Scalar> Amg<S> {
         x: &mut DMat<S>,
         ws: &mut PrecondWorkspace<S>,
     ) {
-        let _t = kryst_obs::profile(kryst_obs::Phase::PrecondLevel(l));
-        let _agg = self
-            .coarse
-            .agglomerated
-            .then(|| kryst_obs::profile(kryst_obs::Phase::CoarseAgglom));
+        let _t = traced(SpanKind::PrecondLevel(l));
         let mut scratch = ws.take(b.nrows(), b.ncols());
         x.copy_from(b);
         self.coarse.f.solve_in_place_ws(x, &mut scratch, 8, 1);
@@ -468,7 +446,7 @@ impl<S: Scalar> Amg<S> {
         let level = &self.levels[l];
         // Time this level's own work exclusively: the timer is dropped
         // around the recursive descent so nested levels don't double-count.
-        let down = kryst_obs::Profiler::global().timed(kryst_obs::Phase::PrecondLevel(l));
+        let down = traced(SpanKind::PrecondLevel(l));
         // Pre-smooth, residual and restriction.
         let p = b.ncols();
         let mut r = ws.pool.take_stale(level.a.nrows(), p);
@@ -479,7 +457,7 @@ impl<S: Scalar> Amg<S> {
         let mut xc = ws.pool.take(pt.nrows(), p);
         drop(down);
         self.vcycle_ws(l + 1, &rc, &mut xc, ws);
-        let _up = kryst_obs::profile(kryst_obs::Phase::PrecondLevel(l));
+        let _up = traced(SpanKind::PrecondLevel(l));
         // Prolongate (reusing the residual buffer) and correct.
         level.p.as_ref().unwrap().spmm(&xc, &mut r);
         x.axpy(S::one(), &r);
@@ -509,25 +487,10 @@ impl<S: Scalar> PrecondOp<S> for Amg<S> {
         self.n
     }
     fn apply(&self, r: &DMat<S>, z: &mut DMat<S>) {
-        let _t = kryst_obs::profile(kryst_obs::Phase::Precond);
-        let _sp = kryst_obs::traced(kryst_obs::TraceKind::PrecondApply);
-        // Only read the clock when a recorder is attached (`set_recorder`
-        // drops disabled recorders): tracing off ⇒ no `Instant::now()`, no
-        // event construction.
-        let t0 = self.recorder.as_ref().map(|_| Instant::now());
+        let _sp = traced(SpanKind::PrecondApply);
         z.set_zero();
-        {
-            let mut ws = self.ws.lock().unwrap();
-            self.vcycle_ws(0, r, z, &mut ws);
-        }
-        if let (Some(rec), Some(t0)) = (self.recorder.as_ref(), t0) {
-            rec.record(&Event::PrecondApply(PrecondApplyEvent {
-                kind: "amg-vcycle",
-                cols: r.ncols(),
-                detail: self.levels.len(),
-                wall_ns: t0.elapsed().as_nanos() as u64,
-            }));
-        }
+        let mut ws = self.ws.lock().unwrap();
+        self.vcycle_ws(0, r, z, &mut ws);
     }
     fn is_variable(&self) -> bool {
         self.variable

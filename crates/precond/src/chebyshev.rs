@@ -153,8 +153,7 @@ impl<S: Scalar> PrecondOp<S> for Chebyshev<S> {
         self.a.nrows()
     }
     fn apply(&self, r: &DMat<S>, z: &mut DMat<S>) {
-        let _t = kryst_obs::profile(kryst_obs::Phase::Precond);
-        let _sp = kryst_obs::traced(kryst_obs::TraceKind::PrecondApply);
+        let _sp = kryst_obs::traced(kryst_obs::SpanKind::PrecondApply);
         z.set_zero();
         self.smooth(r, z);
     }

@@ -54,7 +54,7 @@ impl<S: Scalar> Ilu0<S> {
     /// Factor `a` (square, with a full diagonal). Returns `None` when a
     /// pivot vanishes (the pattern-restricted elimination broke down).
     pub fn new(a: &Csr<S>) -> Option<Self> {
-        let _t = kryst_obs::profile(kryst_obs::Phase::PrecondSetup);
+        let _t = kryst_obs::traced(kryst_obs::SpanKind::PrecondSetup);
         let n = a.nrows();
         assert_eq!(n, a.ncols());
         let mut f = a.clone();
@@ -366,8 +366,7 @@ impl<S: Scalar> PrecondOp<S> for Ilu0<S> {
         self.factors.nrows()
     }
     fn apply(&self, r: &DMat<S>, z: &mut DMat<S>) {
-        let _t = kryst_obs::profile(kryst_obs::Phase::Precond);
-        let _sp = kryst_obs::traced(kryst_obs::TraceKind::PrecondApply);
+        let _sp = kryst_obs::traced(kryst_obs::SpanKind::PrecondApply);
         z.copy_from(r);
         self.sweep(z, true);
         self.sweep(z, false);

@@ -70,8 +70,7 @@ impl<S: Scalar> PrecondOp<S> for Jacobi<S> {
         self.inv_diag.len()
     }
     fn apply(&self, r: &DMat<S>, z: &mut DMat<S>) {
-        let _t = kryst_obs::profile(kryst_obs::Phase::Precond);
-        let _sp = kryst_obs::traced(kryst_obs::TraceKind::PrecondApply);
+        let _sp = kryst_obs::traced(kryst_obs::SpanKind::PrecondApply);
         // `r` and `z` are distinct borrows — scale straight across, no
         // per-column clone.
         for j in 0..r.ncols() {

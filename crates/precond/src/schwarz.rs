@@ -15,7 +15,6 @@
 //!   paper uses for Maxwell (see DESIGN.md).
 
 use kryst_dense::DMat;
-use kryst_obs::{Event, PrecondApplyEvent, Recorder};
 use kryst_par::{CommStats, PrecondOp};
 use kryst_rt::par::{for_each_range, map_vec};
 use kryst_scalar::Scalar;
@@ -25,7 +24,6 @@ use kryst_sparse::partition::{
 };
 use kryst_sparse::{Csr, SparseDirect};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// Schwarz flavor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,9 +101,7 @@ impl<S: Scalar> Subdomain<S> {
 pub struct Schwarz<S: Scalar> {
     subs: Vec<Subdomain<S>>,
     n: usize,
-    variant: SchwarzVariant,
     stats: Option<Arc<CommStats>>,
-    recorder: Option<Arc<dyn Recorder>>,
     /// Total triangular-solve flops per single-RHS application (for the cost
     /// model).
     flops_per_rhs: usize,
@@ -115,7 +111,7 @@ impl<S: Scalar> Schwarz<S> {
     /// Build from a non-overlapping partition: grows overlap, extracts and
     /// factors the local operators (in parallel). Factors are stored in `S`.
     pub fn new(a: &Csr<S>, partition: &Partition, opts: &SchwarzOpts) -> Self {
-        let _t = kryst_obs::profile(kryst_obs::Phase::PrecondSetup);
+        let _t = kryst_obs::traced(kryst_obs::SpanKind::PrecondSetup);
         let n = a.nrows();
         let overlapping = grow_overlap(a, partition, opts.overlap);
         let weights = match opts.variant {
@@ -166,9 +162,7 @@ impl<S: Scalar> Schwarz<S> {
         Self {
             subs,
             n,
-            variant: opts.variant,
             stats: None,
-            recorder: None,
             flops_per_rhs,
         }
     }
@@ -177,26 +171,6 @@ impl<S: Scalar> Schwarz<S> {
     pub fn with_stats(mut self, stats: Arc<CommStats>) -> Self {
         self.stats = Some(stats);
         self
-    }
-
-    /// Emit a [`PrecondApplyEvent`] per application to `recorder`.
-    pub fn set_recorder(&mut self, recorder: Arc<dyn Recorder>) {
-        self.recorder = Some(recorder);
-    }
-
-    /// Builder form of [`Schwarz::set_recorder`].
-    pub fn with_recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
-        self.set_recorder(recorder);
-        self
-    }
-
-    /// Stable trace name of the variant.
-    fn kind_name(&self) -> &'static str {
-        match self.variant {
-            SchwarzVariant::Asm => "schwarz-asm",
-            SchwarzVariant::Ras => "schwarz-ras",
-            SchwarzVariant::Oras => "schwarz-oras",
-        }
     }
 
     /// Number of subdomains.
@@ -227,12 +201,8 @@ impl<S: Scalar> PrecondOp<S> for Schwarz<S> {
     }
 
     fn apply(&self, r: &DMat<S>, z: &mut DMat<S>) {
-        let _t = kryst_obs::profile(kryst_obs::Phase::Precond);
-        let _sp = kryst_obs::traced(kryst_obs::TraceKind::PrecondApply);
+        let _sp = kryst_obs::traced(kryst_obs::SpanKind::PrecondApply);
         let p = r.ncols();
-        // Clock only when tracing is actually on.
-        let rec = self.recorder.as_ref().filter(|rc| rc.enabled());
-        let t0 = rec.map(|_| Instant::now());
         if let Some(stats) = &self.stats {
             // Each subdomain exchanges its overlap with neighbors before and
             // after the local solve; charge 2 messages per subdomain as a
@@ -259,14 +229,6 @@ impl<S: Scalar> PrecondOp<S> for Schwarz<S> {
         z.set_zero();
         for sub in &self.subs {
             sub.scatter_add(z);
-        }
-        if let Some(rec) = rec {
-            rec.record(&Event::PrecondApply(PrecondApplyEvent {
-                kind: self.kind_name(),
-                cols: p,
-                detail: self.subs.len(),
-                wall_ns: t0.expect("t0 set when tracing").elapsed().as_nanos() as u64,
-            }));
         }
     }
 

@@ -1,13 +1,15 @@
-//! Profiler determinism and convergence-diagnostics integration tests.
+//! Span-aggregate determinism and convergence-diagnostics integration tests.
 //!
 //! Four guarantees are pinned here:
 //!
-//! 1. **Determinism** — enabling the phase profiler must not perturb a solve
-//!    in any observable way: the full iteration trace (residuals bit for
-//!    bit, communication deltas, orthogonalization backend, breakdown
-//!    ranks) and the solution vector are compared between a profiler-off
-//!    and a profiler-on run, on each of the three orthogonalization paths
-//!    (CI runs this file under `KRYST_THREADS` ∈ {1, 4}).
+//! 1. **Determinism** — enabling tracing must not perturb a solve in any
+//!    observable way: the full iteration trace (residuals bit for bit,
+//!    communication deltas, orthogonalization backend, breakdown ranks) and
+//!    the solution vector are compared between a tracing-off and a
+//!    tracing-on run, on both branches of the Arnoldi step's
+//!    orthogonalization (CI runs this file under `KRYST_THREADS` ∈ {1, 4}).
+//!    The per-kind aggregates are exact across the threads of a
+//!    pseudo-block solve.
 //! 2. **Diagnostics** — the stagnation detector fires exactly once on the
 //!    golden stagnating case (GMRES(30) on the 1-D Laplacian) and stays
 //!    silent on a converging run longer than its window; CholQR rank
@@ -19,23 +21,25 @@
 //!    reports it non-zero and below the time of its solves.
 //! 4. **Per-rank reconciliation** — splitting the global communication
 //!    counters over ranks via the halo plan reproduces the totals exactly
-//!    at P ∈ {2, 4, 8}, and the published imbalance gauges match.
+//!    at P ∈ {2, 4, 8}.
 
+use kryst_core::pseudo::{self, PseudoMethod};
 use kryst_core::{gcrodr, gmres, lgmres, OrthScheme, PrecondSide, SolveOpts, SolverContext};
 use kryst_dense::DMat;
 use kryst_obs::{
-    diags_of, iteration_events, DiagKind, Event, MetricsRegistry, Phase, Profiler, Recorder,
-    RingRecorder,
+    aggregates, diags_of, iteration_events, set_trace_enabled, DiagKind, Event, Recorder,
+    RingRecorder, SpanKind,
 };
-use kryst_par::{per_rank_comm, publish_imbalance, CommStats, DistOp, IdentityPrecond};
+use kryst_par::{per_rank_comm, CommStats, DistOp, IdentityPrecond, PrecondOp};
 use kryst_pde::elasticity::paper_sequence;
 use kryst_precond::{Amg, AmgOpts, Jacobi, SmootherKind};
 use kryst_rt::rng::Rng64;
 use kryst_sparse::{Coo, Csr};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// The profiler is one per process: tests that switch it on, or that run a
-/// solve another test's profile would pick up, take turns.
+/// The span aggregates are one per process: tests that switch tracing on,
+/// or that run a solve another test's aggregates would pick up, take turns.
 fn profiler_turn() -> MutexGuard<'static, ()> {
     static TURN: Mutex<()> = Mutex::new(());
     TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
@@ -120,17 +124,16 @@ fn trace_fingerprint(events: &[Event], x: &DMat<f64>) -> Vec<u64> {
 }
 
 /// The golden GMRES(30) and GCRO-DR(30,10) traces must be bit-identical
-/// with the profiler off and on: the profiler only ever reads the clock.
-/// CholQR runs the fused step and IMGS the per-column sweep — both branches
-/// of the Arnoldi step's orthogonalization.
+/// with tracing off and on: a span only ever reads the clock. CholQR runs
+/// the fused step and IMGS the per-column sweep — both branches of the
+/// Arnoldi step's orthogonalization.
 #[test]
-fn profiler_on_off_traces_bit_identical() {
+fn tracing_on_off_traces_bit_identical() {
     let _turn = profiler_turn();
     let n = 400;
     let a = laplace1d(n);
     let b = pinned_rhs(n, 42);
     let id = IdentityPrecond::new(n);
-    let prof = Profiler::global();
 
     let run_gmres = |orth| {
         let ring = Arc::new(RingRecorder::new(1 << 16));
@@ -168,28 +171,35 @@ fn profiler_on_off_traces_bit_identical() {
         trace_fingerprint(&ring.events(), &x)
     };
 
-    prof.reset();
+    aggregates().reset();
     for orth in [OrthScheme::CholQr, OrthScheme::Imgs] {
-        prof.set_enabled(false);
+        set_trace_enabled(false);
         let gmres_off = run_gmres(orth);
         let gcrodr_off = run_gcrodr(orth);
-        prof.set_enabled(true);
+        set_trace_enabled(true);
         let gmres_on = run_gmres(orth);
         let gcrodr_on = run_gcrodr(orth);
-        prof.set_enabled(false);
+        set_trace_enabled(false);
+        kryst_obs::span::reset_thread();
 
         assert_eq!(
             gmres_off, gmres_on,
-            "profiler perturbed the GMRES iteration trace ({orth:?})"
+            "tracing perturbed the GMRES iteration trace ({orth:?})"
         );
         assert_eq!(
             gcrodr_off, gcrodr_on,
-            "profiler perturbed the GCRO-DR iteration trace ({orth:?})"
+            "tracing perturbed the GCRO-DR iteration trace ({orth:?})"
         );
     }
     // And the enabled run actually measured the instrumented kernels.
-    let snap = prof.snapshot();
-    for phase in ["spmv", "orth/gram", "small_dense", "recycle_setup"] {
+    let snap = aggregates().snapshot();
+    for phase in [
+        "spmv",
+        "orth/gram",
+        "small_dense",
+        "recycle_refresh",
+        "eigensolve",
+    ] {
         assert!(
             snap.phases.iter().any(|p| p.name == phase && p.count > 0),
             "phase {phase} not measured"
@@ -217,33 +227,33 @@ fn phases_cover_an_lgmres_solve() {
         ..Default::default()
     };
     let mut x = DMat::zeros(n, 1);
-    let prof = Profiler::global();
-    prof.set_enabled(true);
-    prof.reset();
+    set_trace_enabled(true);
+    aggregates().reset();
     let t0 = std::time::Instant::now();
     let res = lgmres::solve(&a, &jac, &b, &mut x, &opts);
     let wall = t0.elapsed().as_nanos() as f64;
-    prof.set_enabled(false);
+    set_trace_enabled(false);
+    kryst_obs::span::reset_thread();
     assert!(res.converged && res.iterations > 90, "{}", res.iterations);
-    let snap = prof.snapshot();
-    let phases = [
-        Phase::Spmv,
-        Phase::Precond,
-        Phase::OrthGram,
-        Phase::SmallDense,
-        Phase::Restart,
+    let snap = aggregates().snapshot();
+    let kinds = [
+        SpanKind::Spmv,
+        SpanKind::PrecondApply,
+        SpanKind::OrthGram,
+        SpanKind::SmallDense,
+        SpanKind::Restart,
     ];
-    let covered: u64 = phases
+    let covered: u64 = kinds
         .iter()
-        .map(|&ph| snap.phase(ph).map_or(0, |p| p.total_ns))
+        .map(|&k| snap.phase(k).map_or(0, |p| p.total_ns))
         .sum();
-    assert!(snap.phase(Phase::Restart).is_some_and(|p| p.count >= 3));
+    assert!(snap.phase(SpanKind::Restart).is_some_and(|p| p.count >= 3));
     let share = covered as f64 / wall;
     assert!(
         (0.95..=1.0).contains(&share),
         "phases cover {:.1} % of the solve:\n{}",
         100.0 * share,
-        snap.to_text()
+        snap.to_json()
     );
 }
 
@@ -273,9 +283,8 @@ fn setup_phase_of_a_fig3_run_is_nonzero_and_below_the_solve() {
         smoother: SmootherKind::Cg { iters: 4 },
         ..Default::default()
     };
-    let prof = Profiler::global();
-    prof.set_enabled(true);
-    prof.reset();
+    set_trace_enabled(true);
+    aggregates().reset();
     let mut ctx = SolverContext::new();
     let mut solve_ns = 0u128;
     for sys in &systems {
@@ -292,9 +301,12 @@ fn setup_phase_of_a_fig3_run_is_nonzero_and_below_the_solve() {
         assert!(res.converged);
         solve_ns += t0.elapsed().as_nanos();
     }
-    prof.set_enabled(false);
-    let snap = prof.snapshot();
-    let setup = snap.phase(Phase::PrecondSetup).expect("set-up has a phase");
+    set_trace_enabled(false);
+    kryst_obs::span::reset_thread();
+    let snap = aggregates().snapshot();
+    let setup = snap
+        .phase(SpanKind::PrecondSetup)
+        .expect("set-up has a phase");
     assert_eq!(setup.count, 4, "one per hierarchy; Jacobi books none");
     assert!(
         0 < setup.total_ns && (setup.total_ns as u128) < solve_ns,
@@ -421,8 +433,7 @@ fn rank_collapse_diag_fires_on_duplicate_rhs_gcrodr() {
 }
 
 /// Per-rank attribution of a real solve's counters reconciles exactly with
-/// the global snapshot at P ∈ {2, 4, 8}, and the published imbalance gauges
-/// agree with the per-rank extrema.
+/// the global snapshot at P ∈ {2, 4, 8}.
 #[test]
 fn per_rank_imbalance_reconciles_with_comm_snapshot() {
     let _turn = profiler_turn();
@@ -457,17 +468,56 @@ fn per_rank_imbalance_reconciles_with_comm_snapshot() {
             assert_eq!(s.reductions, global.reductions, "collectives are copied");
             assert_eq!(s.fused_parts, global.fused_parts);
         }
-
-        let reg = MetricsRegistry::new();
-        publish_imbalance(&reg, "solve", &ranks);
-        let max = ranks.iter().map(|s| s.p2p_messages).max().unwrap() as f64;
-        let min = ranks.iter().map(|s| s.p2p_messages).min().unwrap() as f64;
-        let avg = global.p2p_messages as f64 / nranks as f64;
-        assert_eq!(reg.gauge("solve_p2p_messages_max").get(), max);
-        assert_eq!(reg.gauge("solve_p2p_messages_min").get(), min);
-        assert!((reg.gauge("solve_p2p_messages_avg").get() - avg).abs() < 1e-9);
-        let text = reg.expose_text();
-        assert!(text.contains("solve_p2p_bytes_max"));
-        assert!(text.contains("solve_reductions_avg"));
     }
+}
+
+/// Counts the applies that reach the wrapped preconditioner.
+struct CountingPc<'a> {
+    inner: &'a dyn PrecondOp<f64>,
+    applies: AtomicU64,
+}
+
+impl PrecondOp<f64> for CountingPc<'_> {
+    fn nrows(&self) -> usize {
+        self.inner.nrows()
+    }
+    fn apply(&self, r: &DMat<f64>, z: &mut DMat<f64>) {
+        self.applies.fetch_add(1, Ordering::Relaxed);
+        self.inner.apply(r, z);
+    }
+}
+
+/// The members of a pseudo-block solve run on their own threads; every
+/// preconditioner apply any of them makes is in the `precond_apply` row.
+#[test]
+fn pseudo_block_spans_are_counted_across_threads() {
+    let _turn = profiler_turn();
+    let a = convdiff2d(32, 0.01, 1.0, 0.3);
+    let n = a.nrows();
+    let jac = Jacobi::new(&a, 1.0);
+    let pc = CountingPc {
+        inner: &jac,
+        applies: AtomicU64::new(0),
+    };
+    let b = DMat::from_fn(n, 3, |i, j| (((i + 5 * j) % 7) as f64) - 3.0);
+    let opts = SolveOpts {
+        rtol: 1e-8,
+        restart: 20,
+        max_iters: 2000,
+        ..Default::default()
+    };
+    let mut x = DMat::zeros(n, 3);
+    set_trace_enabled(true);
+    aggregates().reset();
+    let res = pseudo::solve(&a, &pc, &b, &mut x, &opts, PseudoMethod::Gmres, None);
+    set_trace_enabled(false);
+    kryst_obs::span::reset_thread();
+    assert!(res.converged);
+    let applies = pc.applies.load(Ordering::Relaxed);
+    assert!(applies > 3, "{applies} applies");
+    let spans = aggregates().snapshot();
+    assert_eq!(
+        spans.phase(SpanKind::PrecondApply).map_or(0, |p| p.count),
+        applies
+    );
 }

@@ -326,35 +326,19 @@ fn mgs_deltas_grow_with_basis_cholqr_stays_flat() {
 /// The distributed operator's halo traffic: message COUNT is independent of
 /// the number of RHS columns (pseudo-block/block fusion), while the byte
 /// volume scales linearly with p — §V-B2's "MPI buffers are p times bigger".
-/// Asserted on both the counters and the emitted `HaloEvent`s.
 #[test]
 fn spmm_messages_independent_of_p_bytes_linear_in_p() {
     let prob = poisson2d::<f64>(32, 32);
     let stats = CommStats::new_shared();
-    let ring = Arc::new(RingRecorder::new(64));
-    let op =
-        DistOp::new(prob.a, 8, Arc::clone(&stats)).with_recorder(ring.clone() as Arc<dyn Recorder>);
+    let op = DistOp::new(prob.a, 8, Arc::clone(&stats));
     let n = 32 * 32;
     let mut runs = Vec::new();
     for p in [1usize, 4, 16] {
         stats.reset();
-        ring.clear();
         let x = DMat::from_fn(n, p, |i, j| (i + j) as f64);
         let _ = kryst_par::LinOp::apply_new(&op, &x);
         let snap = stats.snapshot();
         runs.push((p, snap.p2p_messages, snap.p2p_bytes));
-        let events = ring.events();
-        let halos: Vec<_> = events
-            .iter()
-            .filter_map(|e| match e {
-                Event::Halo(h) => Some(h.clone()),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(halos.len(), 1);
-        assert_eq!(halos[0].messages, snap.p2p_messages);
-        assert_eq!(halos[0].bytes, snap.p2p_bytes);
-        assert_eq!(halos[0].cols, p);
     }
     assert_eq!(runs[0].1, runs[1].1);
     assert_eq!(runs[1].1, runs[2].1);
