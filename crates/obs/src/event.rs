@@ -101,6 +101,13 @@ pub fn span_event_name(kind: SpanKind) -> &'static str {
 /// deltas; the non-cycle spans (setup, refresh, eigensolve) contain no
 /// iterations, so their deltas are disjoint from — and asserted against —
 /// the per-iteration accounting.
+///
+/// A `Restart` span covers the solution update and the restart loop's
+/// between-cycle bookkeeping and closes *before* the true residual is
+/// recomputed: that residual's operator and preconditioner applies (with a
+/// distributed operator, its halo exchange too) are in neither its `comm`
+/// nor its `wall_ns`; the next cycle's first iteration event carries them
+/// (after the last cycle, the solve's last one).
 #[derive(Debug, Clone)]
 pub struct SpanEvent {
     /// Solver family (see [`IterationEvent::solver`]).

@@ -38,7 +38,7 @@ pub mod wire;
 pub use diag::StagnationDetector;
 pub use event::{CommDelta, DiagEvent, DiagKind, Event, IterationEvent, SolveEndEvent, SpanEvent};
 pub use export::chrome_trace;
-pub use profiler::{Aggregates, PhaseStats, ProfileSnapshot};
+pub use profiler::{Aggregates, PhaseStats, ProfileSnapshot, ThreadAggregates};
 pub use recorder::{JsonlRecorder, Recorder, RingRecorder};
 pub use span::{aggregates, set_trace_enabled, trace_enabled, traced, SpanKind, TraceSpan};
 pub use timeline::{ImbalanceReport, RankStream, Timeline};

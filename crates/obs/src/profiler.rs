@@ -2,9 +2,10 @@
 //!
 //! Every span closed by [`crate::span::end`] folds its duration into one
 //! fixed slot per [`SpanKind`] — count, total, min, max and a log₂ latency
-//! histogram — held in relaxed atomics, so concurrent workers record without
-//! contention or loss. A [`ProfileSnapshot`] copies the non-empty slots out;
-//! it is what `phase_report` and `kryst_prof report` read.
+//! histogram — held in relaxed atomics of the closing thread's own slots
+//! ([`ThreadAggregates`]), so concurrent workers record without contention
+//! or loss. A [`ProfileSnapshot`] copies the non-empty slots out; it is what
+//! `phase_report` and `kryst_prof report` read.
 //!
 //! ```
 //! use kryst_obs::{aggregates, set_trace_enabled, traced, SpanKind};
@@ -19,6 +20,7 @@
 
 use crate::span::{SpanKind, NUM_KINDS};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Number of log2 latency buckets per kind (bucket `i` holds samples with
 /// `ilog2(ns) == i`, the last bucket is a catch-all for >= 2^31 ns).
@@ -34,22 +36,28 @@ struct Slot {
 
 impl Slot {
     const fn new() -> Slot {
+        #[allow(clippy::declare_interior_mutable_const)]
+        const Z: AtomicU64 = AtomicU64::new(0);
         Slot {
             count: AtomicU64::new(0),
             total_ns: AtomicU64::new(0),
             min_ns: AtomicU64::new(u64::MAX),
             max_ns: AtomicU64::new(0),
-            hist: [const { AtomicU64::new(0) }; HIST_BUCKETS],
+            hist: [Z; HIST_BUCKETS],
         }
     }
 
+    /// Plain loads and stores, no locked read-modify-write: a slot has one
+    /// writer, the thread that owns it.
     fn record(&self, ns: u64) {
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.total_ns.fetch_add(ns, Ordering::Relaxed);
-        self.min_ns.fetch_min(ns, Ordering::Relaxed);
-        self.max_ns.fetch_max(ns, Ordering::Relaxed);
+        let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let set = |a: &AtomicU64, v: u64| a.store(v, Ordering::Relaxed);
+        set(&self.count, get(&self.count) + 1);
+        set(&self.total_ns, get(&self.total_ns) + ns);
+        set(&self.min_ns, get(&self.min_ns).min(ns));
+        set(&self.max_ns, get(&self.max_ns).max(ns));
         let bucket = (63 - (ns.max(1)).leading_zeros() as usize).min(HIST_BUCKETS - 1);
-        self.hist[bucket].fetch_add(1, Ordering::Relaxed);
+        set(&self.hist[bucket], get(&self.hist[bucket]) + 1);
     }
 
     fn reset(&self) {
@@ -61,10 +69,21 @@ impl Slot {
             b.store(0, Ordering::Relaxed);
         }
     }
+
+    fn add_to(&self, dst: &Slot) {
+        let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        dst.count.fetch_add(get(&self.count), Ordering::Relaxed);
+        dst.total_ns
+            .fetch_add(get(&self.total_ns), Ordering::Relaxed);
+        dst.min_ns.fetch_min(get(&self.min_ns), Ordering::Relaxed);
+        dst.max_ns.fetch_max(get(&self.max_ns), Ordering::Relaxed);
+        for (d, s) in dst.hist.iter().zip(&self.hist) {
+            d.fetch_add(get(s), Ordering::Relaxed);
+        }
+    }
 }
 
-/// Thread-safe per-kind aggregates with one fixed slot per kind code. The
-/// process-wide instance is [`crate::span::aggregates`].
+/// Thread-safe per-kind aggregates with one fixed slot per kind code.
 pub struct Aggregates {
     slots: [Slot; NUM_KINDS],
 }
@@ -83,7 +102,9 @@ impl Aggregates {
         }
     }
 
-    /// Fold one span of `kind` lasting `ns` nanoseconds.
+    /// Fold one span of `kind` lasting `ns` nanoseconds. One thread records
+    /// into a given `Aggregates` (spans from many threads go through
+    /// [`crate::span::aggregates`], which gives each thread its own).
     #[inline]
     pub fn record(&self, kind: SpanKind, ns: u64) {
         self.slots[kind.code() as usize].record(ns);
@@ -112,6 +133,69 @@ impl Aggregates {
             })
             .collect();
         ProfileSnapshot { phases }
+    }
+
+    fn add_to(&self, dst: &Aggregates) {
+        for (s, d) in self.slots.iter().zip(&dst.slots) {
+            s.add_to(d);
+        }
+    }
+}
+
+/// The process-wide aggregates, [`crate::span::aggregates`]: one
+/// [`Aggregates`] per live thread, so ranks closing spans at the same
+/// instant never write the same cache line, plus the sum of the threads
+/// that have exited. Reads add them up under one lock, exactly once the
+/// recording threads are done.
+pub struct ThreadAggregates {
+    live: Mutex<Vec<Arc<Aggregates>>>,
+    exited: Aggregates,
+}
+
+impl ThreadAggregates {
+    pub(crate) const fn new() -> ThreadAggregates {
+        ThreadAggregates {
+            live: Mutex::new(Vec::new()),
+            exited: Aggregates::new(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Vec<Arc<Aggregates>>> {
+        self.live.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The slots of a new thread.
+    pub(crate) fn register(&self) -> Arc<Aggregates> {
+        let slots = Arc::new(Aggregates::new());
+        self.lock().push(slots.clone());
+        slots
+    }
+
+    /// Fold the slots of an exiting thread into the exited sum.
+    pub(crate) fn retire(&self, slots: &Arc<Aggregates>) {
+        let mut live = self.lock();
+        slots.add_to(&self.exited);
+        live.retain(|l| !Arc::ptr_eq(l, slots));
+    }
+
+    /// Clear every thread's samples.
+    pub fn reset(&self) {
+        let live = self.lock();
+        self.exited.reset();
+        for slots in live.iter() {
+            slots.reset();
+        }
+    }
+
+    /// Every thread's aggregates summed (see [`Aggregates::snapshot`]).
+    pub fn snapshot(&self) -> ProfileSnapshot {
+        let live = self.lock();
+        let sum = Aggregates::new();
+        self.exited.add_to(&sum);
+        for slots in live.iter() {
+            slots.add_to(&sum);
+        }
+        sum.snapshot()
     }
 }
 
@@ -149,23 +233,27 @@ impl ProfileSnapshot {
     /// Serialize to a single JSON object:
     /// `{"phases":[{"name":...,"count":...,"total_ns":...,...,"hist":[...]}]}`.
     pub fn to_json(&self) -> String {
-        use crate::json::JsonValue;
-        let phases = self.phases.iter().map(|p| {
+        let mut s = String::from("{\"phases\":[");
+        for (i, p) in self.phases.iter().enumerate() {
+            if i > 0 {
+                s.push(',');
+            }
+            s.push_str(&format!(
+                "{{\"name\":\"{}\",\"count\":{},\"total_ns\":{},\"min_ns\":{},\"max_ns\":{},\"hist\":[",
+                p.name, p.count, p.total_ns, p.min_ns, p.max_ns
+            ));
             // Trailing zero buckets are elided to keep dumps compact.
             let last = p.hist.iter().rposition(|&c| c != 0).map_or(0, |i| i + 1);
-            JsonValue::obj(vec![
-                ("name", JsonValue::from(p.name.as_str())),
-                ("count", JsonValue::Num(p.count as f64)),
-                ("total_ns", JsonValue::Num(p.total_ns as f64)),
-                ("min_ns", JsonValue::Num(p.min_ns as f64)),
-                ("max_ns", JsonValue::Num(p.max_ns as f64)),
-                (
-                    "hist",
-                    JsonValue::nums(p.hist[..last].iter().map(|&c| c as f64)),
-                ),
-            ])
-        });
-        JsonValue::obj(vec![("phases", JsonValue::Arr(phases.collect()))]).to_json()
+            for (j, c) in p.hist[..last].iter().enumerate() {
+                if j > 0 {
+                    s.push(',');
+                }
+                s.push_str(&c.to_string());
+            }
+            s.push_str("]}");
+        }
+        s.push_str("]}");
+        s
     }
 
     /// Parse a snapshot serialized by [`ProfileSnapshot::to_json`].

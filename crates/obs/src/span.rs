@@ -4,7 +4,7 @@
 //! solve phase — opens one span of a [`SpanKind`]: the local guard
 //! [`traced`], or [`begin_edge`]/[`end`] for collectives. Closing a span
 //! folds its duration into the **per-kind aggregates** ([`crate::profiler`];
-//! global relaxed atomics, exact across threads and never lossy) and
+//! per-thread relaxed atomics summed on read, exact and never lossy) and
 //! appends it to a **bounded per-thread ring**, the input of
 //! [`crate::timeline`] (a rank is one thread or one process, so
 //! thread-local storage *is* per-rank storage; a full ring drops the span
@@ -23,10 +23,10 @@
 //! traces — are bit-identical with tracing on or off. Enable with
 //! `KRYST_TRACE=1` or at runtime via [`set_trace_enabled`].
 
-use crate::profiler::Aggregates;
+use crate::profiler::{Aggregates, ThreadAggregates};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Sentinel `seq` for spans that are not collective edges.
@@ -268,10 +268,10 @@ pub fn set_trace_enabled(on: bool) {
     flag().store(on, Ordering::Relaxed);
 }
 
-static AGGREGATES: Aggregates = Aggregates::new();
+static AGGREGATES: ThreadAggregates = ThreadAggregates::new();
 
 /// The process-wide per-kind aggregates every closed span folds into.
-pub fn aggregates() -> &'static Aggregates {
+pub fn aggregates() -> &'static ThreadAggregates {
     &AGGREGATES
 }
 
@@ -280,6 +280,14 @@ struct ThreadTracer {
     ring: Vec<TraceSpan>,
     dropped: u64,
     seq: u64,
+    /// This thread's share of [`aggregates`].
+    slots: Arc<Aggregates>,
+}
+
+impl Drop for ThreadTracer {
+    fn drop(&mut self) {
+        AGGREGATES.retire(&self.slots);
+    }
 }
 
 thread_local! {
@@ -288,6 +296,7 @@ thread_local! {
         ring: Vec::new(),
         dropped: 0,
         seq: 0,
+        slots: AGGREGATES.register(),
     });
 }
 
@@ -346,7 +355,8 @@ pub fn end(open: Option<OpenSpan>, bytes: u64, msgs: u64, detail: u64) {
     TRACER.with(|t| {
         let mut tr = t.borrow_mut();
         let end_ns = now_ns(&tr);
-        AGGREGATES.record(open.kind, end_ns.saturating_sub(open.start_ns));
+        tr.slots
+            .record(open.kind, end_ns.saturating_sub(open.start_ns));
         if tr.ring.len() >= RING_CAP {
             tr.dropped += 1;
             return;

@@ -351,17 +351,76 @@ impl Timeline {
         Some(Timeline::merge(nranks, streams, missing))
     }
 
-    /// Serialize to JSON: the [`Timeline::encode`] frame as one number
-    /// array — the same format ranks ship to rank 0, in a file.
+    /// Serialize to a JSON document (spans as 7-number arrays:
+    /// `[kind, seq, start_ns, end_ns, bytes, msgs, detail]`, `seq = -1` for
+    /// local spans).
     pub fn to_json(&self) -> String {
-        JsonValue::nums(self.encode()).to_json()
+        let streams = self
+            .streams
+            .iter()
+            .map(|s| {
+                let spans = s
+                    .spans
+                    .iter()
+                    .map(|sp| {
+                        let mut row = Vec::with_capacity(SPAN_FIELDS);
+                        sp.encode_into(&mut row);
+                        JsonValue::nums(row)
+                    })
+                    .collect();
+                JsonValue::obj(vec![
+                    ("rank", JsonValue::from(s.rank)),
+                    ("dropped", JsonValue::Num(s.dropped as f64)),
+                    ("spans", JsonValue::Arr(spans)),
+                ])
+            })
+            .collect();
+        JsonValue::obj(vec![
+            ("nranks", JsonValue::from(self.nranks)),
+            (
+                "missing",
+                JsonValue::nums(self.missing.iter().map(|&r| r as f64)),
+            ),
+            (
+                "offsets_ns",
+                JsonValue::nums(self.offsets_ns.iter().map(|&o| o as f64)),
+            ),
+            ("streams", JsonValue::Arr(streams)),
+        ])
+        .to_json()
     }
 
-    /// Parse a [`Timeline::to_json`] document. `None` on malformed input.
+    /// Parse a [`Timeline::to_json`] document (offsets are recomputed by the
+    /// deterministic merge). `None` on malformed input.
     pub fn from_json(src: &str) -> Option<Timeline> {
         let v = JsonValue::parse(src).ok()?;
-        let frame: Option<Vec<f64>> = v.as_array()?.iter().map(JsonValue::as_f64).collect();
-        Timeline::decode(&frame?)
+        let nranks = v.get("nranks")?.as_usize()?;
+        let missing = v
+            .get("missing")?
+            .as_array()?
+            .iter()
+            .map(|m| m.as_usize())
+            .collect::<Option<Vec<_>>>()?;
+        let mut streams = Vec::new();
+        for s in v.get("streams")?.as_array()? {
+            let rank = s.get("rank")?.as_usize()?;
+            let dropped = s.get("dropped")?.as_f64()? as u64;
+            let mut spans = Vec::new();
+            for row in s.get("spans")?.as_array()? {
+                let nums = row
+                    .as_array()?
+                    .iter()
+                    .map(|x| x.as_f64())
+                    .collect::<Option<Vec<f64>>>()?;
+                spans.push(TraceSpan::decode(&nums)?);
+            }
+            streams.push(RankStream {
+                rank,
+                dropped,
+                spans,
+            });
+        }
+        Some(Timeline::merge(nranks, streams, missing))
     }
 }
 

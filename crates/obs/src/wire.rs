@@ -60,16 +60,12 @@ impl WireStats {
 
     /// Zero all counters.
     pub fn reset(&self) {
-        for c in [
-            &self.msgs_sent,
-            &self.bytes_sent,
-            &self.msgs_recv,
-            &self.bytes_recv,
-            &self.send_ns,
-            &self.recv_ns,
-        ] {
-            c.store(0, Ordering::Relaxed);
-        }
+        self.msgs_sent.store(0, Ordering::Relaxed);
+        self.bytes_sent.store(0, Ordering::Relaxed);
+        self.msgs_recv.store(0, Ordering::Relaxed);
+        self.bytes_recv.store(0, Ordering::Relaxed);
+        self.send_ns.store(0, Ordering::Relaxed);
+        self.recv_ns.store(0, Ordering::Relaxed);
     }
 }
 

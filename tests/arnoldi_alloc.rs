@@ -14,8 +14,10 @@
 //! the basis blocks where the cycle left them: an LGMRES restart allocates
 //! the storage of its pairs once, a GCRO-DR restart and refresh the pair the
 //! first refresh of a solve builds (every later one reuses the pair it
-//! replaced), and nothing of that size after. The windows are cut out of a
-//! whole solve by a recorder that notes the counter at every span event.
+//! replaced), and nothing of that size after — neither there, nor in the
+//! true residual computed after the restart span closes, nor in the first
+//! step of the next cycle. The windows are cut out of a whole solve by a
+//! recorder that notes the counter at every span and iteration event.
 //!
 //! Everything lives in a single `#[test]`: the counter is process-wide.
 
@@ -84,34 +86,47 @@ fn big_allocs(n: usize, f: impl FnOnce()) -> usize {
     BIG_ALLOCS.load(Ordering::Relaxed) - before
 }
 
-/// Notes the big-allocation counter at the end of every span of a solve.
+/// Notes the big-allocation counter at the end of every span of a solve
+/// (`Some(kind)`) and at every iteration event (`None`).
 #[derive(Default)]
-struct SpanMarks(Mutex<Vec<(SpanKind, usize)>>);
+struct SpanMarks(Mutex<Vec<(Option<SpanKind>, usize)>>);
 
 impl Recorder for SpanMarks {
     fn record(&self, ev: &Event) {
-        if let Event::Span(span) = ev {
-            let mark = (span.kind, BIG_ALLOCS.load(Ordering::Relaxed));
-            self.0.lock().expect("no panic under the lock").push(mark);
-        }
+        let kind = match ev {
+            Event::Span(span) => Some(span.kind),
+            Event::Iteration(_) => None,
+            _ => return,
+        };
+        let mark = (kind, BIG_ALLOCS.load(Ordering::Relaxed));
+        self.0.lock().expect("no panic under the lock").push(mark);
     }
 }
 
 impl SpanMarks {
-    /// Big allocations between the end of each cycle and the end of the
-    /// restart (and recycle refresh, where one follows) after it.
+    /// Big allocations from the end of each cycle that a restart (and
+    /// recycle refresh) follows to the end of the next cycle's first step:
+    /// the restart, the true residual after it, the refresh and one step.
+    /// An iteration event is flushed by the step after it, so the first one
+    /// recorded after the restart marks the end of that step. After the
+    /// last cycle the window ends with its restart or refresh.
     fn between_cycles(&self) -> Vec<usize> {
         let marks = self.0.lock().expect("no panic under the lock");
         let ends: Vec<usize> = (0..marks.len())
-            .filter(|&i| marks[i].0 == SpanKind::Cycle)
+            .filter(|&i| marks[i].0 == Some(SpanKind::Cycle))
             .chain([marks.len()])
             .collect();
         ends.windows(2)
             .filter_map(|w| {
-                let last = marks[w[0]..w[1]]
+                let cut = &marks[w[0]..w[1]];
+                let last = cut.iter().rposition(|m| {
+                    matches!(m.0, Some(SpanKind::Restart | SpanKind::RecycleRefresh))
+                })?;
+                let end = cut[last..]
                     .iter()
-                    .rfind(|m| matches!(m.0, SpanKind::Restart | SpanKind::RecycleRefresh))?;
-                Some(last.1 - marks[w[0]].1)
+                    .find(|m| m.0.is_none())
+                    .unwrap_or(&cut[last]);
+                Some(end.1 - cut[0].1)
             })
             .collect()
     }
