@@ -1,4 +1,4 @@
-//! Block orthogonalization backends (CholQR vs CGS vs MGS vs IMGS vs TSQR)
+//! Block orthogonalization backends (CholQR vs CGS vs MGS vs IMGS)
 //! — the §III-A choice. CholQR and CGS run the fused step, MGS and IMGS the
 //! per-column sweep, as in the Arnoldi cycle.
 
@@ -8,7 +8,7 @@ use kryst_dense::fused::{
     fused_accumulate, fused_adjoint_times, fused_gram, fused_update, fused_update_gram, ColsRef,
 };
 use kryst_dense::gs::{fused_orthogonalize_block, mgs_orthogonalize, OrthScheme};
-use kryst_dense::{blas, chol, tsqr, DMat, Scalar, C64};
+use kryst_dense::{blas, chol, DMat, Scalar, C64};
 
 fn basis(n: usize, k: usize) -> DMat<f64> {
     let mut v = DMat::from_fn(n, k, |i, j| ((i * 7 + j * 13) % 19) as f64 - 9.0);
@@ -44,21 +44,6 @@ fn bench_orth(c: &mut Criterion) {
                             mgs_orthogonalize(ColsRef::whole(&v), &mut w, iterated).rank
                         }
                     }
-                });
-            },
-        );
-    }
-    g.finish();
-
-    let mut g = c.benchmark_group("tsqr_tall_skinny");
-    for blocks in [1usize, 4, 16] {
-        g.bench_with_input(
-            BenchmarkId::from_parameter(blocks),
-            &blocks,
-            |bch, &blocks| {
-                bch.iter(|| {
-                    let mut w = w0.clone();
-                    tsqr::tsqr_orthonormalize(&mut w, blocks)
                 });
             },
         );

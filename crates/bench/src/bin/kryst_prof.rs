@@ -409,11 +409,8 @@ fn report_transport(dir: &Path) {
 
 /// AMG-preconditioned solve on a Poisson operator with a deliberately
 /// *large* coarse level (capped coarsening — the GAMG situation the paper's
-/// coarse-solve discussion targets): the redundant-serial coarse solve is
-/// then a real constant term on the modeled critical path, and the
-/// agglomeration model shows what gathering it onto a subset buys.
-/// Writes the `coarse_agglom.json` redistribution model consumed by the
-/// report.
+/// coarse-solve discussion targets), so the coarse direct solve is a
+/// visible row of the phase table.
 fn amg_demo(dir: &Path) {
     let nx = 180;
     let prob = poisson2d::<f64>(nx, nx);
@@ -429,7 +426,6 @@ fn amg_demo(dir: &Path) {
         prob.near_nullspace.as_ref(),
         &AmgOpts {
             coarse_size: 5500,
-            agglom_threshold: 8192,
             smoother: kryst_precond::SmootherKind::Jacobi {
                 omega: 0.67,
                 iters: 2,
@@ -468,77 +464,6 @@ fn amg_demo(dir: &Path) {
     let plan = HaloPlan::build(&prob.a, &Layout::even(n, DEMO_RANKS));
     print_imbalance(label, &per_rank_comm(&plan, &stats.snapshot(), DEMO_RANKS));
     eprintln!("  [demo] {label}: {} iterations", r.iterations);
-    // The redistribution model at each reported rank count.
-    let rows: Vec<JsonValue> = RANKS
-        .iter()
-        .filter_map(|&p| amg.coarse_agglom(p))
-        .map(|m| {
-            JsonValue::obj(vec![
-                ("ranks", m.ranks.into()),
-                ("subset", m.subset.into()),
-                ("gather_msgs", m.gather_msgs.into()),
-                ("gather_bytes", m.gather_bytes.into()),
-                ("scatter_msgs", m.scatter_msgs.into()),
-                ("scatter_bytes", m.scatter_bytes.into()),
-                ("solve_flops", m.solve_flops.into()),
-            ])
-        })
-        .collect();
-    let json = JsonValue::obj(vec![
-        ("coarse_n", amg.coarse_n().into()),
-        ("rows", JsonValue::Arr(rows)),
-    ])
-    .to_json();
-    write_file(&dir.join("coarse_agglom.json"), &json);
-}
-
-/// Render the `coarse_agglom.json` model written by [`amg_demo`]: the
-/// modeled per-apply cost of the all-ranks-serial coarse solve (a constant
-/// term that never scales) against the agglomerated subset solve plus its
-/// gather/scatter redistribution.
-fn report_coarse_agglom(dir: &Path, model: &CostModel) {
-    let Ok(text) = std::fs::read_to_string(dir.join("coarse_agglom.json")) else {
-        return;
-    };
-    let Ok(v) = JsonValue::parse(&text) else {
-        eprintln!("  [report] unparseable coarse_agglom.json, skipped");
-        return;
-    };
-    let coarse_n = v.get("coarse_n").and_then(JsonValue::as_usize).unwrap_or(0);
-    let Some(rows) = v.get("rows").and_then(JsonValue::as_array) else {
-        return;
-    };
-    println!("agglomerated coarse solve (modeled per V-cycle, coarse_n = {coarse_n}):");
-    println!(
-        "  {:>6} {:>7} {:>12} {:>12} {:>8}",
-        "P", "subset", "serial_s", "agglom_s", "speedup"
-    );
-    for row in rows {
-        let f = |k: &str| row.get(k).and_then(JsonValue::as_usize);
-        let (Some(ranks), Some(subset), Some(gmsgs), Some(gbytes), Some(flops)) = (
-            f("ranks"),
-            f("subset"),
-            f("gather_msgs"),
-            f("gather_bytes"),
-            f("solve_flops"),
-        ) else {
-            continue;
-        };
-        let subset_f = subset.max(1) as f64;
-        // Serial baseline: every rank solves the whole coarse problem — a
-        // P-independent term on the critical path.
-        let serial = flops as f64 / model.gamma;
-        // Agglomerated: gather fan-in per subset rank, subset solve, mirror
-        // scatter. The redistribution is charged honestly, not for free.
-        let redist =
-            (gmsgs as f64 / subset_f) * model.alpha_msg + (gbytes as f64 / subset_f) / model.beta;
-        let agglom = 2.0 * redist + flops as f64 / (model.gamma * subset_f);
-        println!(
-            "  {ranks:>6} {subset:>7} {serial:>12.3e} {agglom:>12.3e} {:>7.2}x",
-            serial / agglom
-        );
-    }
-    println!();
 }
 
 /// Count iteration events in a JSONL trace.
@@ -587,7 +512,6 @@ fn report(dir: &Path) -> bool {
         print!("{}", rep.to_text());
         println!();
     }
-    report_coarse_agglom(dir, &model);
     report_transport(dir);
     report_trace(dir);
     any_phase

@@ -4,8 +4,8 @@
 //!
 //! * `kryst_trace run [--ranks N] [--backend channel|socket] [--steps S]
 //!   [--out <timeline.json>]` — run the skewed demo workload (rank-
-//!   proportional busy work in front of every halo exchange, butterfly
-//!   all-reduce, and agglomerated coarse round trip) with tracing enabled,
+//!   proportional busy work in front of every halo exchange and butterfly
+//!   all-reduce) with tracing enabled,
 //!   gather the per-rank span streams onto rank 0 over the transport's
 //!   control plane, and print the merged-timeline report. With `--out` the
 //!   timeline is also written as JSON for later `report` runs; with

@@ -1,24 +1,20 @@
 //! Shared skewed SPMD workload for the distributed-tracing demos.
 //!
 //! `kryst_trace run` and the `kryst_prof` measured-imbalance section both
-//! need a small workload that (a) touches every instrumented span kind —
-//! halo exchange, butterfly all-reduce, agglomerated coarse round trip —
-//! and (b) has a *deliberate* straggler, so the merged timeline's
-//! wait-behind-slowest attribution has something real to find. This module
-//! is that workload: per step, each rank burns an amount of local compute
-//! proportional to its rank index (rank `P-1` is always the critical rank),
-//! then joins the collectives.
+//! need a small workload that (a) touches both collective span kinds — halo
+//! exchange and butterfly all-reduce — and (b) has a *deliberate*
+//! straggler, so the merged timeline's wait-behind-slowest attribution has
+//! something real to find. This module is that workload: per step, each
+//! rank burns an amount of local compute proportional to its rank index
+//! (rank `P-1` is always the critical rank), then joins the collectives.
 
 use kryst_obs::timeline::Timeline;
-use kryst_par::collective::{all_reduce_sum, subset_layout};
+use kryst_par::collective::all_reduce_sum;
 use kryst_par::{gather_timeline, HaloPlan, Layout, Transport, TransportError};
-use kryst_precond::CoarseAgglom;
 use kryst_sparse::{Coo, Csr};
 
 /// Unknowns of the demo operator (1-D Laplacian: chain halo topology).
 pub const DEMO_N: usize = 256;
-/// Coarse rows of the demo agglomeration round trip.
-pub const COARSE_N: usize = 64;
 
 /// The demo operator: 1-D Laplacian, so every interior rank has exactly two
 /// halo neighbors.
@@ -48,8 +44,8 @@ fn busy(units: usize) {
 /// Run `steps` of the skewed workload as the calling endpoint's rank, then
 /// gather the merged timeline onto rank 0 ([`gather_timeline`]): returns
 /// `Ok(Some(timeline))` there, `Ok(None)` on every other rank. Each step is
-/// rank-proportional busy work, one halo exchange, one 8-double all-reduce,
-/// and one agglomerated coarse gather/solve/scatter round trip.
+/// rank-proportional busy work before each of one halo exchange and one
+/// 8-double all-reduce.
 pub fn skewed_workload<T: Transport + ?Sized>(
     t: &T,
     steps: usize,
@@ -59,19 +55,6 @@ pub fn skewed_workload<T: Transport + ?Sized>(
     let a = laplace1d(DEMO_N);
     let layout = Layout::even(DEMO_N, nranks);
     let plan = HaloPlan::build(&a, &layout);
-    let subset = (nranks / 2).max(1);
-    let agglom = CoarseAgglom {
-        coarse_n: COARSE_N,
-        ranks: nranks,
-        subset,
-        layout: subset_layout(COARSE_N, nranks, subset),
-        gather_msgs: 0,
-        gather_bytes: 0,
-        scatter_msgs: 0,
-        scatter_bytes: 0,
-        solve_flops: 0,
-    };
-    let local_coarse = vec![1.0f64; Layout::even(COARSE_N, nranks).local_n(rank)];
     let mut red = vec![rank as f64; 8];
     let mut scratch = Vec::new();
     for _ in 0..steps {
@@ -81,12 +64,6 @@ pub fn skewed_workload<T: Transport + ?Sized>(
         busy(rank * 400);
         red.truncate(8);
         all_reduce_sum(t, &mut red, &mut scratch)?;
-        busy(rank * 400);
-        agglom.execute(t, &local_coarse, |rows| {
-            for x in rows.iter_mut() {
-                *x *= 0.5;
-            }
-        })?;
     }
     gather_timeline(t)
 }

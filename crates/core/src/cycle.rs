@@ -211,9 +211,6 @@ pub struct BlockArnoldi<'a, S: Scalar> {
     /// Orthogonalization passes taken by the most recent step (1, or 2 when
     /// re-orthogonalization triggered; always 1 under MGS/IMGS).
     last_passes: usize,
-    /// Cancellation amplification of the most recent step's first pass
-    /// (1.0 under MGS/IMGS).
-    last_amp: f64,
     /// Whether the most recent step needed a rank-revealing CholQR refresh.
     last_refreshed: bool,
     stats: Option<&'a CommStats>,
@@ -247,7 +244,6 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
             orth,
             fused_loss: f64::EPSILON,
             last_passes: 1,
-            last_amp: 1.0,
             last_refreshed: false,
             stats,
             initial_rank: p,
@@ -391,7 +387,6 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
             );
             self.last_step_rank = out.rank;
             self.last_passes = out.passes;
-            self.last_amp = out.amp;
             self.last_refreshed = out.refreshed;
             if out.passes == 1 {
                 self.fused_loss *= out.amp * out.amp;
@@ -421,7 +416,6 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
             let out = mgs_orthogonalize(ColsRef::blocks(built), w, self.orth == OrthScheme::Imgs);
             self.last_step_rank = out.rank;
             self.last_passes = 1;
-            self.last_amp = 1.0;
             self.last_refreshed = false;
             if let Some(st) = self.stats {
                 st.record_reductions(
@@ -474,11 +468,6 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
     /// adaptive re-orthogonalization triggered).
     pub fn last_orth_passes(&self) -> usize {
         self.last_passes
-    }
-
-    /// Cancellation amplification of the most recent step's first pass.
-    pub fn last_orth_amp(&self) -> f64 {
-        self.last_amp
     }
 
     /// Whether the most recent step fell back to a rank-revealing CholQR

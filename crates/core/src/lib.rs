@@ -7,8 +7,8 @@
 //! (strategies A/B, eqs. (3a)/(3b)).
 //!
 //! Baselines for the paper's comparisons are included: restarted GMRES /
-//! FGMRES, LGMRES(m,k) ("Loose GMRES", the PETSc augmented method of
-//! §IV-C), CG, and O'Leary's Block CG.
+//! FGMRES and LGMRES(m,k) ("Loose GMRES", the PETSc augmented method of
+//! §IV-C).
 //!
 //! # One restarted driver, three policies
 //!
@@ -57,8 +57,6 @@
 //! assert!(r2.iterations < r1.iterations); // recycling pays off
 //! ```
 
-pub mod bcg;
-pub mod cg;
 pub mod cycle;
 pub mod gcrodr;
 pub mod gmres;

@@ -347,38 +347,6 @@ impl<R: Real> EigDecomp<R> {
     }
 }
 
-/// Take the real part of a complex matrix (valid when the original problem
-/// was real and eigenvectors are wanted in the original scalar type; complex
-/// conjugate pairs are rotated to real form first via column phase).
-pub fn realize_columns<R>(m: &DMat<Complex<R>>) -> DMat<R>
-where
-    R: Real + Scalar<Real = R>,
-{
-    // Rotate each column by the phase of its largest entry so that a
-    // genuinely real eigenvector (up to phase) becomes real.
-    let mut out = DMat::zeros(m.nrows(), m.ncols());
-    for j in 0..m.ncols() {
-        let mut best = Complex::<R>::zero();
-        let mut best_abs = <R as Real>::zero();
-        for i in 0..m.nrows() {
-            let v = m[(i, j)];
-            if v.abs() > best_abs {
-                best_abs = v.abs();
-                best = v;
-            }
-        }
-        let phase = if best_abs > <R as Real>::zero() {
-            best.conj().scale(<R as Real>::one() / best_abs)
-        } else {
-            Complex::one()
-        };
-        for i in 0..m.nrows() {
-            out[(i, j)] = (m[(i, j)] * phase).re;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -17,7 +17,6 @@
 //!   iterated-modified Gram–Schmidt,
 //! * [`fused`]: fused Gram+projection products — `[CᴴW; VᴴW; WᴴW]` in one
 //!   sweep, one reduction instead of `j+2`,
-//! * [`tsqr`]: communication-avoiding tall-skinny QR by tree reduction,
 //! * [`lu`]: LU with partial pivoting (complex-capable),
 //! * [`eig`]: complex Hessenberg QR eigensolver with Schur vectors, plus the
 //!   generalized eigensolver used by GCRO-DR's deflation (eq. (3)),
@@ -35,7 +34,6 @@ pub mod lu;
 pub mod mat;
 pub mod qr;
 pub mod tri;
-pub mod tsqr;
 
 pub use blas::{gemm, Op};
 pub use mat::DMat;

@@ -14,8 +14,6 @@ pub struct Lu<S> {
     lu: DMat<S>,
     /// Row permutation: row `i` of the factored matrix came from `piv[i]`.
     piv: Vec<usize>,
-    /// Sign bookkeeping (even/odd permutation) — kept for determinant use.
-    nswaps: usize,
     singular: bool,
 }
 
@@ -27,7 +25,6 @@ impl<S: Scalar> Lu<S> {
         let n = a.nrows();
         assert_eq!(n, a.ncols(), "LU requires a square matrix");
         let mut piv: Vec<usize> = (0..n).collect();
-        let mut nswaps = 0;
         let mut singular = false;
         for k in 0..n {
             // Pivot search in column k.
@@ -47,7 +44,6 @@ impl<S: Scalar> Lu<S> {
             if pk != k {
                 a.swap_rows(k, pk);
                 piv.swap(k, pk);
-                nswaps += 1;
             }
             let inv = S::one() / a[(k, k)];
             for i in k + 1..n {
@@ -65,7 +61,6 @@ impl<S: Scalar> Lu<S> {
         Self {
             lu: a,
             piv,
-            nswaps,
             singular,
         }
     }
@@ -73,11 +68,6 @@ impl<S: Scalar> Lu<S> {
     /// Whether a zero pivot was met.
     pub fn is_singular(&self) -> bool {
         self.singular
-    }
-
-    /// Number of row swaps (parity of the permutation).
-    pub fn swap_count(&self) -> usize {
-        self.nswaps
     }
 
     /// `(min, max)` absolute pivot magnitudes — a cheap conditioning probe.

@@ -339,11 +339,6 @@ impl<S: Scalar> IncrementalQr<S> {
         })
     }
 
-    /// Solve `Rᴴ · X = B` in place using the internal factor.
-    pub fn solve_r_adjoint_in_place(&self, b: &mut DMat<S>) {
-        tri::solve_upper_adjoint_in_place(&self.fac, self.ncols, b);
-    }
-
     /// Solve `R · X = B` in place using the internal factor.
     pub fn solve_r_in_place(&self, b: &mut DMat<S>) {
         tri::solve_upper_in_place(&self.fac, self.ncols, b);

@@ -57,8 +57,8 @@ impl AddAssign for CommDelta {
 /// One (block) iteration of a solver.
 #[derive(Debug, Clone)]
 pub struct IterationEvent {
-    /// Solver family: `"gmres"`, `"fgmres"`, `"lgmres"`, `"cg"`, `"bcg"`,
-    /// `"gcrodr"`, `"pseudo-gmres"`, `"pseudo-gcrodr"`, ….
+    /// Solver family: `"gmres"`, `"fgmres"`, `"lgmres"`, `"gcrodr"`,
+    /// `"pseudo-gmres"`, `"pseudo-gcrodr"`, ….
     pub solver: &'static str,
     /// Position of this solve in a sequence of systems (GCRO-DR contexts
     /// count their solves; standalone solvers report 0).

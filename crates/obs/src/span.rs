@@ -42,7 +42,8 @@ pub const RING_CAP: usize = 1 << 16;
 /// AMG levels with a kind of their own; deeper levels fold into the last.
 pub const MAX_PRECOND_LEVELS: usize = 8;
 
-/// Number of distinct kind codes (the named kinds plus one per level).
+/// Size of the kind-code space: the named kinds, the retired codes
+/// [`SpanKind::code`] keeps free, and one code per level.
 pub const NUM_KINDS: usize = 17 + MAX_PRECOND_LEVELS;
 
 const LEVEL_NAMES: [&str; MAX_PRECOND_LEVELS] = [
@@ -66,20 +67,11 @@ pub enum SpanKind {
     /// low 32 bits = stage count, bit 32 set for split-phase); also the
     /// projected operator's Gram product.
     Reduction,
-    /// A layout redistribution (the coarse-agglomeration gather/scatter
-    /// primitive).
-    Redistribute,
     /// One halo exchange (`detail` = scalar entries received), or the
     /// boundary rows a distributed SpMM finishes after it.
     Halo,
     /// One preconditioner application.
     PrecondApply,
-    /// Agglomerated coarse solve: gather onto the subset.
-    CoarseGather,
-    /// Agglomerated coarse solve: the subset direct solve.
-    CoarseSolve,
-    /// Agglomerated coarse solve: scatter back to all ranks.
-    CoarseScatter,
     /// Sparse matrix-(block-)vector products.
     Spmv,
     /// Block orthogonalization Gram products and updates.
@@ -110,17 +102,15 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// Stable numeric code, `< NUM_KINDS`, used by the flat encodings and
-    /// the aggregate slots.
+    /// the aggregate slots. Saved timelines store kinds by code, so a code
+    /// is never reused: 2 and 5–7 belonged to retired kinds and decode to
+    /// `None`.
     pub fn code(self) -> u8 {
         match self {
             SpanKind::Iteration => 0,
             SpanKind::Reduction => 1,
-            SpanKind::Redistribute => 2,
             SpanKind::Halo => 3,
             SpanKind::PrecondApply => 4,
-            SpanKind::CoarseGather => 5,
-            SpanKind::CoarseSolve => 6,
-            SpanKind::CoarseScatter => 7,
             SpanKind::Spmv => 8,
             SpanKind::OrthGram => 9,
             SpanKind::SmallDense => 10,
@@ -139,12 +129,8 @@ impl SpanKind {
         Some(match code {
             0 => SpanKind::Iteration,
             1 => SpanKind::Reduction,
-            2 => SpanKind::Redistribute,
             3 => SpanKind::Halo,
             4 => SpanKind::PrecondApply,
-            5 => SpanKind::CoarseGather,
-            6 => SpanKind::CoarseSolve,
-            7 => SpanKind::CoarseScatter,
             8 => SpanKind::Spmv,
             9 => SpanKind::OrthGram,
             10 => SpanKind::SmallDense,
@@ -154,7 +140,7 @@ impl SpanKind {
             14 => SpanKind::Restart,
             15 => SpanKind::RecycleRefresh,
             16 => SpanKind::Eigensolve,
-            c if (c as usize) < NUM_KINDS => SpanKind::PrecondLevel(c as usize - 17),
+            c @ 17.. if (c as usize) < NUM_KINDS => SpanKind::PrecondLevel(c as usize - 17),
             _ => return None,
         })
     }
@@ -164,12 +150,8 @@ impl SpanKind {
         match self {
             SpanKind::Iteration => "iteration",
             SpanKind::Reduction => "reduction",
-            SpanKind::Redistribute => "redistribute",
             SpanKind::Halo => "halo",
             SpanKind::PrecondApply => "precond_apply",
-            SpanKind::CoarseGather => "coarse_gather",
-            SpanKind::CoarseSolve => "coarse_solve",
-            SpanKind::CoarseScatter => "coarse_scatter",
             SpanKind::Spmv => "spmv",
             SpanKind::OrthGram => "orth/gram",
             SpanKind::SmallDense => "small_dense",
@@ -453,7 +435,7 @@ mod tests {
             end(a, 16, 2, 3);
             let b = begin(SpanKind::PrecondApply);
             end(b, 0, 0, 0);
-            let c = begin_edge(SpanKind::Redistribute);
+            let c = begin_edge(SpanKind::Halo);
             end(c, 8, 1, 0);
             let (spans, dropped) = drain();
             assert_eq!(dropped, 0);
@@ -488,7 +470,7 @@ mod tests {
     #[test]
     fn span_flat_encoding_round_trips() {
         let s = TraceSpan {
-            kind: SpanKind::CoarseGather,
+            kind: SpanKind::Eigensolve,
             seq: NO_SEQ,
             start_ns: 123,
             end_ns: 456,
@@ -527,11 +509,45 @@ mod tests {
 
     #[test]
     fn kind_codes_round_trip() {
-        assert_eq!(SpanKind::all().count(), NUM_KINDS);
+        assert_eq!(SpanKind::all().count(), NUM_KINDS - RETIRED_CODES.len());
         for k in SpanKind::all() {
             assert_eq!(SpanKind::from_code(k.code()), Some(k));
         }
         assert_eq!(SpanKind::from_code(NUM_KINDS as u8), None);
         assert_eq!(SpanKind::from_code(200), None);
+    }
+
+    /// Codes of kinds that no longer exist.
+    const RETIRED_CODES: [u8; 4] = [2, 5, 6, 7];
+
+    /// `timeline.json` stores kinds by code: every kind keeps the code it
+    /// was saved under, and a retired code decodes to nothing.
+    #[test]
+    fn span_codes_are_stable() {
+        let pinned = [
+            (SpanKind::Iteration, 0),
+            (SpanKind::Reduction, 1),
+            (SpanKind::Halo, 3),
+            (SpanKind::PrecondApply, 4),
+            (SpanKind::Spmv, 8),
+            (SpanKind::OrthGram, 9),
+            (SpanKind::SmallDense, 10),
+            (SpanKind::PrecondSetup, 11),
+            (SpanKind::Setup, 12),
+            (SpanKind::Cycle, 13),
+            (SpanKind::Restart, 14),
+            (SpanKind::RecycleRefresh, 15),
+            (SpanKind::Eigensolve, 16),
+        ];
+        for (kind, code) in pinned {
+            assert_eq!(kind.code(), code, "{kind:?}");
+        }
+        for l in 0..MAX_PRECOND_LEVELS {
+            assert_eq!(SpanKind::PrecondLevel(l).code(), 17 + l as u8);
+        }
+        assert_eq!(SpanKind::PrecondLevel(MAX_PRECOND_LEVELS + 3).code(), 24);
+        for code in RETIRED_CODES {
+            assert_eq!(SpanKind::from_code(code), None, "code {code}");
+        }
     }
 }

@@ -1,11 +1,11 @@
 //! Collectives generic over a [`Transport`].
 //!
-//! The butterfly all-reduce, its fused and split-phase variants, the layout
-//! redistribution used by the agglomerated coarse solve, and a barrier — all
-//! written once against the [`Transport`] trait so the identical algorithm
-//! (and therefore the identical floating-point summation order) runs over
-//! in-process channels and over sockets between real OS processes. Bitwise
-//! cross-backend equivalence is asserted by `tests/transport_equivalence.rs`.
+//! The butterfly all-reduce, its fused and split-phase variants, and a
+//! barrier — all written once against the [`Transport`] trait so the
+//! identical algorithm (and therefore the identical floating-point summation
+//! order) runs over in-process channels and over sockets between real OS
+//! processes. Bitwise cross-backend equivalence is asserted by
+//! `tests/transport_equivalence.rs`.
 //!
 //! Buffer discipline (the redundant-clone fix): sends borrow the local
 //! buffer (`&[f64]`), receives land in one caller-provided scratch buffer
@@ -15,7 +15,6 @@
 use crate::spmd::reduce_stages;
 use crate::trace::{edge_begin, edge_end, OpenEdge, SPLIT_PHASE_BIT};
 use crate::transport::{Transport, TransportError};
-use crate::Layout;
 use kryst_obs::SpanKind;
 
 /// All-reduce (sum) in place via the recursive-doubling **butterfly**:
@@ -253,125 +252,6 @@ impl<T: Transport + ?Sized> PendingFusedReduce<'_, T> {
         }
         Ok((out, stages))
     }
-}
-
-/// Move block-row data from the `src` distribution to the `dst` distribution
-/// over the transport's point-to-point path. Rows whose owner does not
-/// change are copied locally (no message) — the same accounting the modeled
-/// `CoarseAgglom` gather/scatter uses, so measured wire counters and modeled
-/// message/byte counts coincide. `local` holds this rank's `src` rows;
-/// `out` is resized to this rank's `dst` row count.
-///
-/// Both layouts must span the transport's world (ranks beyond a subset
-/// simply own zero rows).
-pub fn redistribute<T: Transport + ?Sized>(
-    t: &T,
-    src: &Layout,
-    dst: &Layout,
-    local: &[f64],
-    out: &mut Vec<f64>,
-) -> Result<(), TransportError> {
-    let p = t.nranks();
-    let r = t.rank();
-    if src.nranks() != p || dst.nranks() != p || src.n() != dst.n() {
-        return Err(TransportError::Protocol {
-            detail: format!(
-                "redistribute: layouts ({} / {} ranks, {} / {} rows) do not match world of {p}",
-                src.nranks(),
-                dst.nranks(),
-                src.n(),
-                dst.n()
-            ),
-        });
-    }
-    if local.len() != src.local_n(r) {
-        return Err(TransportError::Protocol {
-            detail: format!(
-                "redistribute: rank {r} holds {} rows, src layout owns {}",
-                local.len(),
-                src.local_n(r)
-            ),
-        });
-    }
-    let trace = edge_begin(t, SpanKind::Redistribute);
-    let my_src = src.range(r);
-    let my_dst = dst.range(r);
-    out.clear();
-    out.resize(dst.local_n(r), 0.0);
-    // Post all sends first: with buffered sends on every backend this cannot
-    // deadlock, and receives can then drain in any rank order.
-    for d in 0..p {
-        let ov = overlap(&my_src, &dst.range(d));
-        if ov.is_empty() {
-            continue;
-        }
-        let slice = &local[ov.start - my_src.start..ov.end - my_src.start];
-        if d == r {
-            out[ov.start - my_dst.start..ov.end - my_dst.start].copy_from_slice(slice);
-        } else {
-            t.send(d, slice)?;
-        }
-    }
-    let mut scratch = Vec::new();
-    for s in 0..p {
-        if s == r {
-            continue;
-        }
-        let ov = overlap(&src.range(s), &my_dst);
-        if ov.is_empty() {
-            continue;
-        }
-        t.recv_into(s, &mut scratch)?;
-        if scratch.len() != ov.len() {
-            return Err(TransportError::Protocol {
-                detail: format!(
-                    "redistribute: rank {r} expected {} rows from {s}, got {}",
-                    ov.len(),
-                    scratch.len()
-                ),
-            });
-        }
-        out[ov.start - my_dst.start..ov.end - my_dst.start].copy_from_slice(&scratch);
-    }
-    edge_end(t, trace, out.len() as u64);
-    Ok(())
-}
-
-/// Messages a [`redistribute`] between `src` and `dst` puts on the wire
-/// (rows staying on their owner are free) — the check-sum the equivalence
-/// tests compare against measured wire counters.
-pub fn redistribute_messages(src: &Layout, dst: &Layout) -> (usize, usize) {
-    let mut msgs = 0;
-    let mut rows = 0;
-    for s in 0..src.nranks() {
-        for d in 0..dst.nranks() {
-            if s == d {
-                continue;
-            }
-            let ov = overlap(&src.range(s), &dst.range(d));
-            if !ov.is_empty() {
-                msgs += 1;
-                rows += ov.len();
-            }
-        }
-    }
-    (msgs, rows)
-}
-
-/// Layout distributing `n` rows evenly over the first `subset` ranks of an
-/// `nranks`-rank world (the remaining ranks own zero rows) — the destination
-/// distribution of the agglomerated coarse solve's gather.
-pub fn subset_layout(n: usize, nranks: usize, subset: usize) -> Layout {
-    assert!(subset >= 1 && subset <= nranks);
-    let inner = Layout::even(n, subset);
-    let counts: Vec<usize> = (0..nranks)
-        .map(|r| if r < subset { inner.local_n(r) } else { 0 })
-        .collect();
-    Layout::from_counts(&counts)
-}
-
-fn overlap(a: &std::ops::Range<usize>, b: &std::ops::Range<usize>) -> std::ops::Range<usize> {
-    a.start.max(b.start)..a.end.min(b.end).max(a.start.max(b.start))
 }
 
 fn accumulate(local: &mut [f64], other: &[f64]) -> Result<(), TransportError> {

@@ -200,19 +200,6 @@ impl<S: Scalar> DistOp<S> {
         &self.stats
     }
 
-    /// Execute this operator's halo exchange over a real [`Transport`]
-    /// (`cols`-wide multivector payloads): the wire-level counterpart of the
-    /// counted exchange the instrumented `apply` reports. Returns the scalar
-    /// entries received by the calling rank. The transport world must match
-    /// the operator's layout.
-    pub fn wire_exchange<T: crate::transport::Transport + ?Sized>(
-        &self,
-        t: &T,
-        cols: usize,
-    ) -> Result<usize, crate::transport::TransportError> {
-        self.plan.execute(t, cols, 1.0)
-    }
-
     fn bytes_per_scalar() -> usize {
         S::real_words() * std::mem::size_of::<f64>()
     }

@@ -14,12 +14,11 @@
 //!   earlier `run_spmd` calls through the in-process backend (valid because
 //!   the backends are bit-identical) until the targeted call is reached.
 //! * **Primitive mode** ([`SpmdWorld`]) — a persistent world of workers
-//!   executing small framed commands (all-reduce, ping-pong, halo exchange,
-//!   coarse gather/scatter). This is what the microbenchmarks and the
-//!   cost-model calibration drive: no re-exec per measurement, workers stay
-//!   hot between timed repetitions. Binaries that want to *host* socket
-//!   primitive workers must call [`maybe_primitive_worker`] first thing in
-//!   `main`.
+//!   executing small framed commands (all-reduce, ping-pong, halo exchange).
+//!   This is what the microbenchmarks and the cost-model calibration drive:
+//!   no re-exec per measurement, workers stay hot between timed repetitions.
+//!   Binaries that want to *host* socket primitive workers must call
+//!   [`maybe_primitive_worker`] first thing in `main`.
 //!
 //! Closure contract: `f` must consume every message addressed to it (our
 //! collectives do) — the socket backend carries result/stats frames on the
@@ -29,7 +28,7 @@ use crate::collective;
 use crate::transport::{
     channel_mesh, child_mesh, kill_children, spawn_world, Transport, TransportError, TransportKind,
 };
-use crate::{HaloPlan, Layout};
+use crate::HaloPlan;
 use kryst_obs::WireSnapshot;
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
@@ -391,11 +390,9 @@ pub fn maybe_primitive_worker() {
 /// Serve primitive commands on a worker endpoint until shutdown. Commands
 /// arrive as control frames from rank 0: `[0]` shutdown (reply with wire
 /// stats), `[1, len, reps]` all-reduce, `[2, len, reps]` ping-pong (rank 1
-/// echoes), `[3, cols, reps, plan…]` halo exchange, `[4, n, subset, reps]`
-/// coarse gather/scatter round-trips.
+/// echoes), `[3, cols, reps, plan…]` halo exchange.
 fn primitive_loop<T: Transport + ?Sized>(t: &T) -> i32 {
     let rank = t.rank();
-    let p = t.nranks();
     let mut cmd = Vec::new();
     let mut scratch = Vec::new();
     loop {
@@ -440,20 +437,6 @@ fn primitive_loop<T: Transport + ?Sized>(t: &T) -> i32 {
                         detail: "malformed halo-plan frame".into(),
                     }),
                 }
-            }
-            4 => {
-                let coarse_n = reps(1);
-                let subset = reps(2);
-                let n = reps(3);
-                let src = Layout::even(coarse_n, p);
-                let dst = collective::subset_layout(coarse_n, p, subset);
-                let local = pattern(rank, src.local_n(rank));
-                let mut gathered = Vec::new();
-                let mut back = Vec::new();
-                (0..n).try_fold((), |(), _| {
-                    collective::redistribute(t, &src, &dst, &local, &mut gathered)?;
-                    collective::redistribute(t, &dst, &src, &gathered, &mut back)
-                })
             }
             _ => Err(TransportError::Protocol {
                 detail: format!("unknown primitive command {}", cmd[0]),
@@ -585,29 +568,6 @@ impl SpmdWorld {
         let t0 = Instant::now();
         for _ in 0..reps {
             plan.execute(self.endpoint.as_ref(), cols, 1.0)?;
-        }
-        Ok(t0.elapsed())
-    }
-
-    /// Time `reps` agglomerated-coarse round trips: gather an
-    /// evenly-distributed `coarse_n`-row vector onto the first `subset`
-    /// ranks, scatter it back.
-    pub fn coarse(
-        &self,
-        coarse_n: usize,
-        subset: usize,
-        reps: usize,
-    ) -> Result<Duration, TransportError> {
-        self.broadcast_cmd(&[4.0, coarse_n as f64, subset as f64, reps as f64])?;
-        let src = Layout::even(coarse_n, self.nranks);
-        let dst = collective::subset_layout(coarse_n, self.nranks, subset);
-        let local = pattern(0, src.local_n(0));
-        let mut gathered = Vec::new();
-        let mut back = Vec::new();
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            collective::redistribute(self.endpoint.as_ref(), &src, &dst, &local, &mut gathered)?;
-            collective::redistribute(self.endpoint.as_ref(), &dst, &src, &gathered, &mut back)?;
         }
         Ok(t0.elapsed())
     }
@@ -866,40 +826,6 @@ mod tests {
     }
 
     #[test]
-    fn redistribute_round_trips_between_layouts() {
-        let p = 4;
-        let n = 23;
-        let run = channel_run(p, |t| {
-            let src = Layout::even(n, p);
-            let dst = collective::subset_layout(n, p, 2);
-            let r = t.rank();
-            let local: Vec<f64> = src.range(r).map(|i| i as f64).collect();
-            let mut gathered = Vec::new();
-            collective::redistribute(t, &src, &dst, &local, &mut gathered)?;
-            // Gathered rows must be exactly the dst range, in order.
-            for (k, v) in dst.range(r).zip(&gathered) {
-                assert_eq!(*v, k as f64);
-            }
-            let mut back = Vec::new();
-            collective::redistribute(t, &dst, &src, &gathered, &mut back)?;
-            assert_eq!(back, local);
-            Ok(vec![gathered.len() as f64])
-        });
-        let dst = collective::subset_layout(n, p, 2);
-        for (r, res) in run.results.iter().enumerate() {
-            assert_eq!(res[0], dst.local_n(r) as f64);
-        }
-        // Wire totals match the static message count (both directions).
-        let src = Layout::even(n, p);
-        let (msgs, rows) = collective::redistribute_messages(&src, &dst);
-        let (msgs_back, rows_back) = collective::redistribute_messages(&dst, &src);
-        let total_msgs: u64 = run.wire.iter().map(|w| w.msgs_sent).sum();
-        let total_bytes: u64 = run.wire.iter().map(|w| w.bytes_sent).sum();
-        assert_eq!(total_msgs, (msgs + msgs_back) as u64);
-        assert_eq!(total_bytes, 8 * (rows + rows_back) as u64);
-    }
-
-    #[test]
     fn run_spmd_surfaces_peer_death_as_typed_error() {
         // Rank 1 "dies" (returns without participating); rank 0's receive
         // must surface the typed PeerClosed, not a panic.
@@ -939,7 +865,6 @@ mod tests {
         let world = SpmdWorld::spawn(TransportKind::Channel, 4).expect("world spawns");
         world.all_reduce(8, 3).expect("all-reduce runs");
         world.ping_pong(1, 5).expect("ping-pong runs");
-        world.coarse(17, 2, 2).expect("coarse round-trip runs");
         let w = world.wire();
         assert!(w.msgs_sent > 0 && w.msgs_recv > 0);
         let wires = world.shutdown().expect("clean shutdown");

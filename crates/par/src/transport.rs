@@ -1,9 +1,8 @@
 //! The [`Transport`] trait and its two backends.
 //!
 //! Everything above this layer — the butterfly collectives in
-//! [`crate::collective`], the halo exchange, the agglomerated coarse
-//! gather/scatter — is written once against [`Transport`] and therefore runs
-//! identically over:
+//! [`crate::collective`] and the halo exchange — is written once against
+//! [`Transport`] and therefore runs identically over:
 //!
 //! * [`ChannelTransport`] — the in-process mesh (one thread per rank,
 //!   `std::sync::mpsc` channels), the default backend and the bit-exact
@@ -28,7 +27,7 @@ use kryst_obs::WireStats;
 use std::collections::HashMap;
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Mutex;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -162,12 +161,15 @@ pub trait Transport {
 
 /// In-process backend: rank `r`'s endpoint owns a sender to and a receiver
 /// from every other rank. Dropping the endpoint disconnects its channels,
-/// which is how peer death propagates (peers see `PeerClosed`).
+/// which is how peer death propagates (peers see `PeerClosed`). A receive
+/// waits at most the socket backend's read deadline (`KRYST_SPMD_TIMEOUT_MS`,
+/// default 120 s), so a live peer that never sends cannot hang a rank.
 pub struct ChannelTransport {
     rank: usize,
     nranks: usize,
     senders: Vec<Option<Sender<Vec<f64>>>>,
     receivers: Vec<Option<Receiver<Vec<f64>>>>,
+    timeout: Duration,
     wire: WireStats,
 }
 
@@ -215,7 +217,7 @@ impl ChannelTransport {
         match self.receivers[src]
             .as_ref()
             .expect("receiver present for valid peer")
-            .recv()
+            .recv_timeout(self.timeout)
         {
             Ok(msg) => {
                 if count {
@@ -225,7 +227,11 @@ impl ChannelTransport {
                 *buf = msg;
                 Ok(())
             }
-            Err(_) => Err(TransportError::PeerClosed {
+            Err(RecvTimeoutError::Timeout) => Err(TransportError::Io {
+                rank: self.rank,
+                detail: format!("timed out waiting for rank {src}"),
+            }),
+            Err(RecvTimeoutError::Disconnected) => Err(TransportError::PeerClosed {
                 rank: self.rank,
                 peer: src,
             }),
@@ -276,6 +282,7 @@ pub fn channel_mesh(nranks: usize) -> Vec<ChannelTransport> {
             receivers[to][from] = Some(rx);
         }
     }
+    let timeout = Duration::from_millis(io_timeout_ms());
     let mut out = Vec::with_capacity(nranks);
     for (rank, (s, r)) in senders.into_iter().zip(receivers).enumerate() {
         out.push(ChannelTransport {
@@ -283,6 +290,7 @@ pub fn channel_mesh(nranks: usize) -> Vec<ChannelTransport> {
             nranks,
             senders: s,
             receivers: r,
+            timeout,
             wire: WireStats::default(),
         });
     }
@@ -846,6 +854,50 @@ mod tests {
             t0.send(1, &[1.0]),
             Err(TransportError::PeerClosed { rank: 0, peer: 1 })
         );
+    }
+
+    /// A live peer that never sends: the receive gives up after the read
+    /// deadline instead of blocking for ever. The deadline is shortened
+    /// only in a re-executed copy of this test, so no other test in the
+    /// binary runs under it.
+    #[test]
+    fn channel_recv_times_out_on_a_silent_live_peer() {
+        if std::env::var_os("KRYST_SPMD_TIMEOUT_MS").is_none() {
+            let name = "transport::tests::channel_recv_times_out_on_a_silent_live_peer";
+            let mut child = std::process::Command::new(std::env::current_exe().unwrap())
+                .args(["--exact", name])
+                .env("KRYST_SPMD_TIMEOUT_MS", "200")
+                .stdout(std::process::Stdio::piped())
+                .stderr(std::process::Stdio::null())
+                .spawn()
+                .expect("re-exec the test binary");
+            let t0 = Instant::now();
+            while child.try_wait().unwrap().is_none() {
+                if t0.elapsed() > Duration::from_secs(30) {
+                    child.kill().ok();
+                    child.wait().ok();
+                    panic!("channel receive still blocked 30 s past a 200 ms deadline");
+                }
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            let out = child.wait_with_output().unwrap();
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(out.status.success(), "child failed:\n{stdout}");
+            assert!(stdout.contains("1 passed"), "child ran no test:\n{stdout}");
+            return;
+        }
+        let mut mesh = channel_mesh(2);
+        let _silent = mesh.pop().unwrap();
+        let t0 = mesh.pop().unwrap();
+        let start = Instant::now();
+        assert_eq!(
+            t0.recv(1),
+            Err(TransportError::Io {
+                rank: 0,
+                detail: "timed out waiting for rank 1".into(),
+            })
+        );
+        assert!(start.elapsed() >= t0.timeout);
     }
 
     #[test]

@@ -15,8 +15,7 @@ use crate::jacobi::Jacobi;
 use crate::smoother::{self, KrylovScratch};
 use kryst_dense::{qr::HouseholderQr, DMat};
 use kryst_obs::{traced, SpanKind};
-use kryst_par::collective::{redistribute, subset_layout};
-use kryst_par::{Layout, PrecondOp, Transport, TransportError};
+use kryst_par::PrecondOp;
 use kryst_rt::par::{for_each_range, map_range, max_threads};
 use kryst_scalar::{Real, Scalar};
 use kryst_sparse::{ops, Csr, PrecondWorkspace, SparseDirect};
@@ -63,15 +62,6 @@ pub struct AmgOpts {
     pub smoother: SmootherKind,
     /// Prolongator damping numerator (`ω = damping/λ_max`); 4/3 is standard.
     pub damping: f64,
-    /// Agglomerate the modeled coarse solve when the coarse operator has at
-    /// most this many rows (GAMG-style process reduction: gather the coarse
-    /// problem onto a rank subset instead of solving it serially on every
-    /// rank). `0` disables agglomeration entirely.
-    pub agglom_threshold: usize,
-    /// Target coarse rows per participating rank when agglomerating; the
-    /// subset size is `⌈coarse_n / agglom_rows_per_rank⌉` rounded up to a
-    /// power of two and capped by the modeled rank count.
-    pub agglom_rows_per_rank: usize,
 }
 
 impl Default for AmgOpts {
@@ -82,8 +72,6 @@ impl Default for AmgOpts {
             coarse_size: 64,
             smoother: SmootherKind::Chebyshev { degree: 2 },
             damping: 4.0 / 3.0,
-            agglom_threshold: 4096,
-            agglom_rows_per_rank: 32,
         }
     }
 }
@@ -110,9 +98,6 @@ pub struct Amg<S: Scalar> {
     coarse: CoarseSolve<S>,
     variable: bool,
     n: usize,
-    /// Agglomeration sizing rule, kept from [`AmgOpts`] for
-    /// [`Amg::coarse_agglom`].
-    agglom_rows_per_rank: usize,
     /// After one warm-up cycle every V-cycle apply draws all its level
     /// vectors from here and allocates nothing.
     ws: Mutex<CycleScratch<S>>,
@@ -128,89 +113,13 @@ struct CycleScratch<S> {
 
 /// Coarse-level direct solve, fully resolved at setup: the factor to use
 /// (of the coarse operator, or of a diagonally shifted copy when the
-/// operator is numerically singular) plus the already-decided policy bits.
+/// operator is numerically singular).
 /// The per-V-cycle apply path just calls `f.solve_in_place_ws` — no
 /// per-apply fallback checks remain.
 struct CoarseSolve<S: Scalar> {
     f: SparseDirect<S>,
     /// The factor is of the regularized (shifted) operator.
     regularized: bool,
-    /// Agglomeration policy fired for this coarse size:
-    /// [`Amg::coarse_agglom`] returns a redistribution model.
-    agglomerated: bool,
-}
-
-/// Modeled agglomeration of the coarse-level solve onto a rank subset.
-///
-/// In the SPMD model every rank holds the full coarse factor and solves it
-/// redundantly — the coarse solve is a *serial* term on the critical path
-/// that does not shrink with `P`. Agglomeration instead gathers the coarse
-/// right-hand side from the all-ranks [`Layout`] onto a small subset,
-/// solves there, and scatters the correction back; the descriptor carries
-/// the subset layout and the modeled gather/scatter traffic so the cost
-/// model can charge the redistribution honestly.
-#[derive(Debug, Clone)]
-pub struct CoarseAgglom {
-    /// Coarse operator size.
-    pub coarse_n: usize,
-    /// Total ranks in the modeled run.
-    pub ranks: usize,
-    /// Participating subset size (`≤ ranks`, power of two).
-    pub subset: usize,
-    /// Ownership of coarse rows over the subset ranks.
-    pub layout: Layout,
-    /// Point-to-point messages moving coarse RHS rows onto the subset
-    /// (rows already on a subset rank that keeps them don't move).
-    pub gather_msgs: usize,
-    /// Bytes moved by the gather (per solve column).
-    pub gather_bytes: usize,
-    /// Messages scattering the coarse correction back (mirror of gather).
-    pub scatter_msgs: usize,
-    /// Bytes moved by the scatter (per solve column).
-    pub scatter_bytes: usize,
-    /// Modeled substitution flops of the banded coarse solve, per column —
-    /// paid once on the subset instead of redundantly on every rank.
-    pub solve_flops: usize,
-}
-
-impl CoarseAgglom {
-    /// Execute the gather → subset solve → scatter over a real [`Transport`]
-    /// point-to-point path, as the calling endpoint's rank: gather this
-    /// rank's coarse RHS rows (`local_rows`, the [`Layout::even`] share) onto
-    /// the subset, run `solve` in place on ranks that received rows, and
-    /// scatter the correction back. Returns this rank's corrected rows.
-    ///
-    /// The row movement is exactly the modeled `gather_msgs`/`gather_bytes`
-    /// traffic (for 8-byte scalars), so measured wire counters and the
-    /// [`CoarseAgglom`] charge coincide — asserted by
-    /// `tests/transport_equivalence.rs`.
-    pub fn execute<T: Transport + ?Sized>(
-        &self,
-        t: &T,
-        local_rows: &[f64],
-        solve: impl FnOnce(&mut [f64]),
-    ) -> Result<Vec<f64>, TransportError> {
-        let src = Layout::even(self.coarse_n, self.ranks);
-        let dst = subset_layout(self.coarse_n, self.ranks, self.subset);
-        // Local (per-rank) spans around the three stages; the nested
-        // redistribute calls emit the collective-edge spans that carry wire
-        // deltas and align clocks, so these stay seq-less to avoid counting
-        // the same edge twice.
-        let mut gathered = Vec::new();
-        let sp = kryst_obs::span::begin(SpanKind::CoarseGather);
-        redistribute(t, &src, &dst, local_rows, &mut gathered)?;
-        kryst_obs::span::end(sp, 0, 0, gathered.len() as u64);
-        let sp = kryst_obs::span::begin(SpanKind::CoarseSolve);
-        if !gathered.is_empty() {
-            solve(&mut gathered);
-        }
-        kryst_obs::span::end(sp, 0, 0, gathered.len() as u64);
-        let mut out = Vec::new();
-        let sp = kryst_obs::span::begin(SpanKind::CoarseScatter);
-        redistribute(t, &dst, &src, &gathered, &mut out)?;
-        kryst_obs::span::end(sp, 0, 0, out.len() as u64);
-        Ok(out)
-    }
 }
 
 impl<S: Scalar> Amg<S> {
@@ -244,9 +153,9 @@ impl<S: Scalar> Amg<S> {
             acur = ac;
             b = bc;
         }
-        // Coarsest level: direct solve, resolved ONCE here — singularity
-        // fallback (regularized factor) and the agglomeration policy are
-        // both decided at setup so the per-V-cycle path is branch-free.
+        // Coarsest level: direct solve, resolved ONCE here — the singularity
+        // fallback (regularized factor) is decided at setup so the
+        // per-V-cycle path is branch-free.
         let (factor, regularized) = match SparseDirect::factor(&acur) {
             Some(f) => (f, false),
             None => {
@@ -262,7 +171,6 @@ impl<S: Scalar> Amg<S> {
         let coarse = CoarseSolve {
             f: factor,
             regularized,
-            agglomerated: opts.agglom_threshold > 0 && acur.nrows() <= opts.agglom_threshold,
         };
         let coarse_diag = acur.diag();
         let smoother_impl = make_smoother(&acur, &coarse_diag, &opts.smoother);
@@ -281,7 +189,6 @@ impl<S: Scalar> Amg<S> {
             coarse,
             variable,
             n,
-            agglom_rows_per_rank: opts.agglom_rows_per_rank,
             ws: Mutex::new(CycleScratch {
                 pool: PrecondWorkspace::new(),
                 krylov: match opts.smoother {
@@ -337,66 +244,6 @@ impl<S: Scalar> Amg<S> {
     /// runs on a diagonally shifted copy (decided once at setup).
     pub fn coarse_regularized(&self) -> bool {
         self.coarse.regularized
-    }
-
-    /// Coarse operator size (rows on the coarsest level).
-    pub fn coarse_n(&self) -> usize {
-        self.levels.last().map(|l| l.a.nrows()).unwrap_or(0)
-    }
-
-    /// Redistribution model for the agglomerated coarse solve at `ranks`
-    /// modeled ranks, or `None` when the policy does not fire (single rank,
-    /// agglomeration disabled, or the coarse problem above the threshold).
-    ///
-    /// Subset rule: `⌈coarse_n / agglom_rows_per_rank⌉` rounded up to a
-    /// power of two, capped at `ranks`. Gather traffic is the exact row
-    /// movement between [`Layout::even`]`(coarse_n, ranks)` and
-    /// [`Layout::even`]`(coarse_n, subset)` (rows staying on the same
-    /// physical rank are free); the scatter mirrors it.
-    pub fn coarse_agglom(&self, ranks: usize) -> Option<CoarseAgglom> {
-        if ranks <= 1 || !self.coarse.agglomerated {
-            return None;
-        }
-        let coarse_n = self.coarse.f.n();
-        let per = self.agglom_rows_per_rank.max(1);
-        let subset = coarse_n.div_ceil(per).next_power_of_two().min(ranks).max(1);
-        let src = Layout::even(coarse_n, ranks);
-        let dst = Layout::even(coarse_n, subset);
-        let sz = std::mem::size_of::<S>();
-        let mut gather_msgs = 0usize;
-        let mut gather_bytes = 0usize;
-        for r in 0..ranks {
-            let range = src.range(r);
-            if range.is_empty() {
-                continue;
-            }
-            let d0 = dst.rank_of(range.start);
-            let d1 = dst.rank_of(range.end - 1);
-            for d in d0..=d1 {
-                if d == r {
-                    continue; // rows that stay on the same physical rank
-                }
-                let dr = dst.range(d);
-                let rows = range.end.min(dr.end) - range.start.max(dr.start);
-                if rows > 0 {
-                    gather_msgs += 1;
-                    gather_bytes += rows * sz;
-                }
-            }
-        }
-        // Banded forward + backward substitution per column.
-        let solve_flops = 4 * coarse_n * (self.coarse.f.bandwidth() + 1);
-        Some(CoarseAgglom {
-            coarse_n,
-            ranks,
-            subset,
-            layout: dst,
-            gather_msgs,
-            gather_bytes,
-            scatter_msgs: gather_msgs,
-            scatter_bytes: gather_bytes,
-            solve_flops,
-        })
     }
 
     /// One smoothing of `A_l·x = b`, with `r` (the shape of `b`) as scratch.
@@ -1155,59 +1002,6 @@ mod tests {
         );
         assert_eq!(amg.precision(), PrecondPrecision::Full);
         assert!(PrecondOp::<f64>::is_variable(&amg));
-    }
-
-    #[test]
-    fn coarse_agglom_model_picks_subset_and_counts_traffic() {
-        let p = poisson2d::<f64>(32, 32);
-        let amg = Amg::new(&p.a, p.near_nullspace.as_ref(), &AmgOpts::default());
-        let cn = amg.coarse_n();
-        assert!(cn > 0 && cn <= 4096);
-        for ranks in [4usize, 512, 4096, 8192] {
-            let m = amg.coarse_agglom(ranks).expect("policy should fire");
-            assert_eq!(m.coarse_n, cn);
-            assert_eq!(m.ranks, ranks);
-            assert!(m.subset >= 1 && m.subset <= ranks);
-            assert!(m.subset.is_power_of_two());
-            // The subset must actually shrink the participant count at scale.
-            if ranks >= 512 {
-                assert!(m.subset < ranks, "subset {} at P={ranks}", m.subset);
-            }
-            assert_eq!(m.layout.n(), cn);
-            assert_eq!(m.layout.nranks(), m.subset);
-            // Gather moves at most every coarse row once, and the scatter
-            // mirrors it exactly.
-            assert!(m.gather_bytes <= cn * std::mem::size_of::<f64>());
-            assert_eq!(m.gather_bytes, m.scatter_bytes);
-            assert_eq!(m.gather_msgs, m.scatter_msgs);
-            assert!(m.gather_msgs <= ranks + m.subset);
-            assert!(m.solve_flops > 0);
-        }
-        // Subset sizing follows the rows-per-rank rule.
-        let m = amg.coarse_agglom(8192).unwrap();
-        assert_eq!(m.subset, cn.div_ceil(32).next_power_of_two());
-        // Single rank: nothing to agglomerate.
-        assert!(amg.coarse_agglom(1).is_none());
-        // Disabled policy.
-        let off = Amg::new(
-            &p.a,
-            p.near_nullspace.as_ref(),
-            &AmgOpts {
-                agglom_threshold: 0,
-                ..Default::default()
-            },
-        );
-        assert!(off.coarse_agglom(4096).is_none());
-        // Threshold below the coarse size: policy never fires.
-        let high = Amg::new(
-            &p.a,
-            p.near_nullspace.as_ref(),
-            &AmgOpts {
-                agglom_threshold: 1,
-                ..Default::default()
-            },
-        );
-        assert!(high.coarse_agglom(4096).is_none());
     }
 
     #[test]

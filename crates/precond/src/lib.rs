@@ -24,7 +24,7 @@ pub mod jacobi;
 pub mod schwarz;
 pub mod smoother;
 
-pub use amg::{Amg, AmgOpts, CoarseAgglom, SmootherKind};
+pub use amg::{Amg, AmgOpts, SmootherKind};
 pub use chebyshev::Chebyshev;
 pub use ilu::Ilu0;
 pub use jacobi::Jacobi;

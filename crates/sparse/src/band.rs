@@ -53,11 +53,6 @@ impl<S: Scalar> BandMat<S> {
         self.ku
     }
 
-    /// Bytes held by the band storage (for the Fig. 6 memory accounting).
-    pub fn storage_bytes(&self) -> usize {
-        self.ab.len() * std::mem::size_of::<S>()
-    }
-
     #[inline(always)]
     fn idx(&self, i: usize, j: usize) -> usize {
         debug_assert!(

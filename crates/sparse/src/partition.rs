@@ -96,51 +96,6 @@ fn rcb_recurse(
     rcb_recurse(coords, right, base + left_parts, right_parts, part);
 }
 
-/// Greedy BFS graph partition (no coordinates needed): grows parts from
-/// spread-out seeds until each reaches its quota. Used when a problem has no
-/// natural geometry.
-pub fn partition_bfs<S: Scalar>(a: &Csr<S>, nparts: usize) -> Partition {
-    let n = a.nrows();
-    let target = n.div_ceil(nparts);
-    let mut part = vec![usize::MAX; n];
-    let mut assigned = 0usize;
-    let mut current = 0usize;
-    let mut queue = std::collections::VecDeque::new();
-    let mut count = 0usize;
-    let mut next_seed = 0usize;
-    while assigned < n {
-        if queue.is_empty() {
-            // Start (or continue into) the next part from an unassigned node.
-            while part[next_seed] != usize::MAX {
-                next_seed += 1;
-            }
-            if count >= target && current + 1 < nparts {
-                current += 1;
-                count = 0;
-            }
-            part[next_seed] = current;
-            queue.push_back(next_seed);
-            assigned += 1;
-            count += 1;
-        }
-        while let Some(u) = queue.pop_front() {
-            for &v in a.row_indices(u) {
-                if part[v] == usize::MAX {
-                    if count >= target && current + 1 < nparts {
-                        current += 1;
-                        count = 0;
-                    }
-                    part[v] = current;
-                    queue.push_back(v);
-                    assigned += 1;
-                    count += 1;
-                }
-            }
-        }
-    }
-    Partition { part, nparts }
-}
-
 /// Grow each owned set by `delta` layers of graph adjacency — the paper's
 /// overlapping decomposition: layer `δ` adds every vertex adjacent to layer
 /// `δ−1`. Returns, per part, the sorted overlapping index set.
@@ -253,15 +208,6 @@ mod tests {
             assert!(max - min <= 16, "nparts={nparts}: {min}..{max}");
             assert_eq!(p.owned_sets().iter().map(Vec::len).sum::<usize>(), 256);
         }
-    }
-
-    #[test]
-    fn bfs_partition_covers_everything() {
-        let (a, _) = grid(10, 10);
-        let p = partition_bfs(&a, 5);
-        assert!(p.part.iter().all(|&x| x < 5));
-        let (max, min) = p.balance();
-        assert!(min > 0, "empty part: {min}..{max}");
     }
 
     #[test]

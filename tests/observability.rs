@@ -7,7 +7,7 @@
 //! * begin/end markers carry the right solver name and shape.
 
 use kryst_core::pseudo::{self, PseudoMethod};
-use kryst_core::{bcg, cg, gcrodr, gmres, lgmres};
+use kryst_core::{gcrodr, gmres, lgmres};
 use kryst_core::{PrecondSide, SolveOpts, SolveResult, SolverContext};
 use kryst_dense::DMat;
 use kryst_obs::{cumulative_comm, history, iteration_events, Event, Recorder, RingRecorder};
@@ -174,46 +174,6 @@ fn lgmres_augmented() {
         Some(r)
     });
     check("lgmres", &run);
-}
-
-#[test]
-fn cg_spd() {
-    let prob = poisson2d::<f64>(16, 16);
-    let n = prob.a.nrows();
-    let id = IdentityPrecond::new(n);
-    let b = DMat::from_fn(n, 2, |i, j| ((i + j) % 5) as f64 - 2.0);
-    let opts = SolveOpts {
-        rtol: 1e-8,
-        max_iters: 600,
-        ..Default::default()
-    };
-    let run = record(&opts, |o| {
-        let mut x = DMat::zeros(n, 2);
-        let r = cg::solve(&prob.a, &id, &b, &mut x, o);
-        assert!(r.converged);
-        Some(r)
-    });
-    check("cg", &run);
-}
-
-#[test]
-fn bcg_block() {
-    let prob = poisson2d::<f64>(14, 14);
-    let n = prob.a.nrows();
-    let id = IdentityPrecond::new(n);
-    let b = paper_rhs_block::<f64>(14, 14);
-    let opts = SolveOpts {
-        rtol: 1e-8,
-        max_iters: 600,
-        ..Default::default()
-    };
-    let run = record(&opts, |o| {
-        let mut x = DMat::zeros(n, b.ncols());
-        let r = bcg::solve(&prob.a, &id, &b, &mut x, o);
-        assert!(r.converged);
-        Some(r)
-    });
-    check("bcg", &run);
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Cross-crate integration: solvers × preconditioners × problems.
 
-use kryst_core::{cg, gcrodr, gmres, lgmres, OrthScheme, PrecondSide, SolveOpts, SolverContext};
+use kryst_core::{gcrodr, gmres, lgmres, OrthScheme, PrecondSide, SolveOpts, SolverContext};
 use kryst_dense::DMat;
 use kryst_par::IdentityPrecond;
 use kryst_pde::elasticity::{elasticity3d, ElasticityOpts};
@@ -59,8 +59,10 @@ fn amg_fgmres_poisson_matches_direct_solution() {
     assert!(diff < 1e-7 * scale.max(1.0), "iterative vs direct: {diff}");
 }
 
+/// Right-preconditioned GMRES under a Chebyshev-smoothed AMG (a linear
+/// cycle, so no flexible variant is needed) on 3-D elasticity.
 #[test]
-fn amg_preconditioned_cg_on_elasticity() {
+fn amg_preconditioned_gmres_on_elasticity() {
     let prob = elasticity3d::<f64>(&ElasticityOpts {
         ne: 5,
         ..Default::default()
@@ -80,11 +82,17 @@ fn amg_preconditioned_cg_on_elasticity() {
     let opts = SolveOpts {
         rtol: 1e-8,
         max_iters: 300,
+        side: PrecondSide::Right,
         ..Default::default()
     };
-    let res = cg::solve(a, &amg, &b, &mut x, &opts);
-    assert!(res.converged, "AMG-PCG elasticity: {:?}", res.final_relres);
-    assert!(res.iterations < 60, "AMG-PCG took {}", res.iterations);
+    let res = gmres::solve(a, &amg, &b, &mut x, &opts);
+    assert!(
+        res.converged,
+        "AMG-GMRES elasticity: {:?}",
+        res.final_relres
+    );
+    // Measured: 10 iterations.
+    assert!(res.iterations <= 12, "AMG-GMRES took {}", res.iterations);
     assert!(true_relres(a, &b, &x) < 1e-6);
 }
 
@@ -136,9 +144,6 @@ fn all_krylov_methods_agree_on_the_solution() {
     let mut x = DMat::zeros(n, 1);
     assert!(gmres::solve(&prob.a, &id, &b, &mut x, &opts).converged);
     solutions.push(("gmres", x));
-    let mut x = DMat::zeros(n, 1);
-    assert!(cg::solve(&prob.a, &id, &b, &mut x, &opts).converged);
-    solutions.push(("cg", x));
     let mut x = DMat::zeros(n, 1);
     assert!(lgmres::solve(&prob.a, &id, &b, &mut x, &opts).converged);
     solutions.push(("lgmres", x));

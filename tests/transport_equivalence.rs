@@ -212,66 +212,6 @@ fn socket_peer_death_is_typed_error() {
     }
 }
 
-/// The PR-7 agglomerated AMG coarse gather/scatter executed over real
-/// transport p2p: the corrected rows equal the subset solve applied to the
-/// full coarse vector, and the wire counters match the modeled
-/// gather/scatter traffic *exactly* (for 8-byte scalars).
-#[test]
-fn coarse_agglom_execute_matches_model_and_wire() {
-    let prob = kryst_pde::poisson::poisson2d::<f64>(24, 24);
-    let amg = kryst_precond::Amg::new(
-        &prob.a,
-        prob.near_nullspace.as_ref(),
-        &kryst_precond::AmgOpts::default(),
-    );
-    let ranks = 4;
-    let m = amg
-        .coarse_agglom(ranks)
-        .expect("agglomeration policy fires");
-    assert!(m.gather_msgs > 0, "gather must move rows between ranks");
-    assert!(m.subset < ranks, "subset {} gathers nothing", m.subset);
-    let coarse_n = m.coarse_n;
-    let rhs: Vec<f64> = (0..coarse_n).map(|i| (i % 13) as f64 * 0.5 - 3.0).collect();
-
-    let model = m.clone();
-    let rhs_c = rhs.clone();
-    let run = run_spmd(TransportKind::Channel, ranks, move |t| {
-        let src = kryst_par::Layout::even(model.coarse_n, model.ranks);
-        let range = src.range(t.rank());
-        let corrected = model.execute(t, &rhs_c[range], |v| {
-            for x in v.iter_mut() {
-                *x *= 2.0;
-            }
-        })?;
-        Ok(corrected)
-    })
-    .expect("channel run");
-
-    // Reassembled correction = the solve applied to the whole coarse vector.
-    let got: Vec<f64> = run.results.iter().flatten().copied().collect();
-    assert_eq!(got.len(), coarse_n);
-    for (i, (g, r)) in got.iter().zip(&rhs).enumerate() {
-        assert_eq!(*g, r * 2.0, "row {i}");
-    }
-
-    // Wire counters == the modeled gather + scatter traffic, exactly.
-    let total = run
-        .wire
-        .iter()
-        .fold(kryst_obs::WireSnapshot::default(), |acc, w| acc.merge(w));
-    assert_eq!(
-        total.msgs_sent as usize,
-        m.gather_msgs + m.scatter_msgs,
-        "modeled message count"
-    );
-    assert_eq!(
-        total.bytes_sent as usize,
-        m.gather_bytes + m.scatter_bytes,
-        "modeled byte count"
-    );
-    assert_eq!(total.msgs_sent, total.msgs_recv, "conservation");
-}
-
 /// A persistent socket [`SpmdWorld`] built on the `kryst_calibrate` worker
 /// executable: the all-reduce primitive must agree bitwise with the channel
 /// world, and calibration must produce positive finite constants.
