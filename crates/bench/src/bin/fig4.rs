@@ -40,7 +40,7 @@ fn run(
     println!(
         "\n{label}: {} iterations, final rel. residual {:.3e}, {secs:.2}s ({status})",
         res.iterations,
-        res.final_relres.iter().cloned().fold(0.0f64, f64::max)
+        kryst_bench::worst(res.final_relres.iter().copied())
     );
     kryst_bench::print_curve(label, &res.history);
 }

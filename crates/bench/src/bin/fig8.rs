@@ -14,8 +14,12 @@
 //!
 //! The paper's best time is 7) — recycling + moderate blocks — at 4.5×;
 //! the numerically best is 8) (fewest iterations).
+//!
+//! Alternatives 3–8 also print the spread of the iterations each RHS took:
+//! a block solve's columns converge unevenly, and a pseudo-block solve runs
+//! as long as its slowest RHS.
 
-use kryst_bench::{maxwell_oras, rule, time, traced_opts};
+use kryst_bench::{maxwell_oras, rule, time, traced_opts, worst};
 use kryst_core::pseudo::{self, PseudoMethod};
 use kryst_core::{gcrodr, gmres, OrthScheme, PrecondSide, SolveOpts, SolverContext};
 use kryst_dense::DMat;
@@ -28,6 +32,8 @@ struct Row {
     seconds: f64,
     total_iters: usize,
     per_rhs_iters: Option<usize>,
+    /// Iterations each RHS took (alternatives 3–8).
+    spread: Vec<usize>,
 }
 
 fn print_row(r: &Row, reference: f64) {
@@ -44,6 +50,16 @@ fn print_row(r: &Row, reference: f64) {
         per,
         reference / r.seconds
     );
+    if !r.spread.is_empty() {
+        let mut its = r.spread.clone();
+        its.sort_unstable();
+        println!(
+            "   iterations per RHS: min {}, median {}, max {}",
+            its[0],
+            its[its.len() / 2],
+            its[its.len() - 1]
+        );
+    }
 }
 
 fn main() {
@@ -92,7 +108,7 @@ fn main() {
             if !res.converged {
                 eprintln!(
                     "WARNING: GMRES RHS {l} did not reach rtol; worst rel res {:.2e}",
-                    res.final_relres.iter().cloned().fold(0.0f64, f64::max)
+                    worst(res.final_relres.iter().copied())
                 );
             }
             total += res.iterations;
@@ -105,6 +121,7 @@ fn main() {
         seconds: t1,
         total_iters: r1_iters,
         per_rhs_iters: Some(r1_iters / nrhs),
+        spread: Vec::new(),
     });
     print_row(&rows[0], t1);
 
@@ -120,7 +137,7 @@ fn main() {
             if !res.converged {
                 eprintln!(
                     "WARNING: GCRO-DR RHS {l} did not reach rtol; worst rel res {:.2e}",
-                    res.final_relres.iter().cloned().fold(0.0f64, f64::max)
+                    worst(res.final_relres.iter().copied())
                 );
             }
             total += res.iterations;
@@ -133,6 +150,7 @@ fn main() {
         seconds: t2,
         total_iters: r2_iters,
         per_rhs_iters: Some(r2_iters / nrhs),
+        spread: Vec::new(),
     });
     print_row(&rows[1], t1);
 
@@ -143,10 +161,11 @@ fn main() {
     if !res3.converged {
         eprintln!(
             "WARNING: pseudo-BGMRES did not reach rtol; worst rel res {:.2e}",
-            res3.per_rhs
-                .iter()
-                .flat_map(|r| r.final_relres.iter().cloned())
-                .fold(0.0f64, f64::max)
+            worst(
+                res3.per_rhs
+                    .iter()
+                    .flat_map(|r| r.final_relres.iter().copied())
+            )
         );
     }
     let it3 = res3.iterations;
@@ -156,6 +175,7 @@ fn main() {
         seconds: t3,
         total_iters: it3,
         per_rhs_iters: None,
+        spread: res3.per_rhs.iter().map(|r| r.iterations).collect(),
     });
     print_row(&rows[2], t1);
 
@@ -166,7 +186,7 @@ fn main() {
     if !res4.converged {
         eprintln!(
             "WARNING: BGMRES did not reach rtol; worst rel res {:.2e}",
-            res4.final_relres.iter().cloned().fold(0.0f64, f64::max)
+            worst(res4.final_relres.iter().copied())
         );
     }
     rows.push(Row {
@@ -175,45 +195,47 @@ fn main() {
         seconds: t4,
         total_iters: res4.iterations,
         per_rhs_iters: None,
+        spread: res4.iters_to_converge(base.rtol),
     });
     print_row(&rows[3], t1);
 
     // 5) 4× pseudo-BGCRO-DR(50,10) with 8 RHSs.
     let o5 = traced_opts(&base, "fig8_alt5_pseudo_bgcrodr_x4");
-    let (it5, t5) = time(|| {
-        let mut ctxs: Vec<SolverContext<C64>> = Vec::new();
-        let mut total = 0usize;
-        for blk in 0..4 {
-            let b = rhs.cols(blk * 8, 8);
-            let mut x = DMat::<C64>::zeros(n, 8);
-            let res = pseudo::solve(
-                a,
-                pc,
-                &b,
-                &mut x,
-                &o5,
-                PseudoMethod::GcroDr,
-                Some(&mut ctxs),
-            );
-            if !res.converged {
-                eprintln!(
-                    "WARNING: pseudo-BGCRO-DR block {blk} did not reach rtol; worst rel res {:.2e}",
-                    res.per_rhs
-                        .iter()
-                        .flat_map(|r| r.final_relres.iter().cloned())
-                        .fold(0.0f64, f64::max)
+    let mut spread5 = Vec::new();
+    let (it5, t5) =
+        time(|| {
+            let mut ctxs: Vec<SolverContext<C64>> = Vec::new();
+            let mut total = 0usize;
+            for blk in 0..4 {
+                let b = rhs.cols(blk * 8, 8);
+                let mut x = DMat::<C64>::zeros(n, 8);
+                let res = pseudo::solve(
+                    a,
+                    pc,
+                    &b,
+                    &mut x,
+                    &o5,
+                    PseudoMethod::GcroDr,
+                    Some(&mut ctxs),
                 );
+                if !res.converged {
+                    eprintln!(
+                    "WARNING: pseudo-BGCRO-DR block {blk} did not reach rtol; worst rel res {:.2e}",
+                    worst(res.per_rhs.iter().flat_map(|r| r.final_relres.iter().copied()))
+                );
+                }
+                spread5.extend(res.per_rhs.iter().map(|r| r.iterations));
+                total += res.iterations;
             }
-            total += res.iterations;
-        }
-        total
-    });
+            total
+        });
     rows.push(Row {
         label: "5) 4 consecutive pseudo-BGCRO-DR(50,10), 8 RHSs",
         p: 8,
         seconds: t5,
         total_iters: it5,
         per_rhs_iters: Some(it5 / 4),
+        spread: spread5,
     });
     print_row(&rows[4], t1);
 
@@ -224,10 +246,11 @@ fn main() {
     if !res6.converged {
         eprintln!(
             "WARNING: pseudo-BGCRO-DR 32 did not reach rtol; worst rel res {:.2e}",
-            res6.per_rhs
-                .iter()
-                .flat_map(|r| r.final_relres.iter().cloned())
-                .fold(0.0f64, f64::max)
+            worst(
+                res6.per_rhs
+                    .iter()
+                    .flat_map(|r| r.final_relres.iter().copied())
+            )
         );
     }
     rows.push(Row {
@@ -236,11 +259,13 @@ fn main() {
         seconds: t6,
         total_iters: res6.iterations,
         per_rhs_iters: None,
+        spread: res6.per_rhs.iter().map(|r| r.iterations).collect(),
     });
     print_row(&rows[5], t1);
 
     // 7) 4× BGCRO-DR(50,10) with 8 RHSs.
     let o7 = traced_opts(&base, "fig8_alt7_bgcrodr_x4");
+    let mut spread7 = Vec::new();
     let (it7, t7) = time(|| {
         let mut ctx = SolverContext::<C64>::new();
         let mut total = 0usize;
@@ -251,9 +276,10 @@ fn main() {
             if !res.converged {
                 eprintln!(
                     "WARNING: BGCRO-DR block {blk} did not reach rtol; worst rel res {:.2e}",
-                    res.final_relres.iter().cloned().fold(0.0f64, f64::max)
+                    worst(res.final_relres.iter().copied())
                 );
             }
+            spread7.extend(res.iters_to_converge(base.rtol));
             total += res.iterations;
         }
         total
@@ -264,6 +290,7 @@ fn main() {
         seconds: t7,
         total_iters: it7,
         per_rhs_iters: Some(it7 / 4),
+        spread: spread7,
     });
     print_row(&rows[6], t1);
 
@@ -275,7 +302,7 @@ fn main() {
     if !res8.converged {
         eprintln!(
             "WARNING: BGCRO-DR 32 did not reach rtol; worst rel res {:.2e}",
-            res8.final_relres.iter().cloned().fold(0.0f64, f64::max)
+            worst(res8.final_relres.iter().copied())
         );
     }
     rows.push(Row {
@@ -284,6 +311,7 @@ fn main() {
         seconds: t8,
         total_iters: res8.iterations,
         per_rhs_iters: None,
+        spread: res8.iters_to_converge(base.rtol),
     });
     print_row(&rows[7], t1);
 
@@ -296,15 +324,14 @@ fn main() {
     );
     // Residual verification for the block variants (spot check).
     let ax = a.apply(&x8);
-    let mut worst = 0.0f64;
-    for j in 0..nrhs {
+    let worst8 = worst((0..nrhs).map(|j| {
         let mut num = 0.0;
         let mut den = 0.0;
         for i in 0..n {
             num += (ax[(i, j)] - rhs[(i, j)]).abs_sqr();
             den += rhs[(i, j)].abs_sqr();
         }
-        worst = worst.max((num / den).sqrt());
-    }
-    println!("verification: worst true relative residual of alternative 8: {worst:.3e}");
+        (num / den).sqrt()
+    }));
+    println!("verification: worst true relative residual of alternative 8: {worst8:.3e}");
 }

@@ -70,6 +70,19 @@ pub fn rhs_row(idx: usize, iters: usize, secs: f64, baseline: Option<f64>) {
     }
 }
 
+/// The largest of `values`, or NaN when any is NaN; 0 for none. A fold over
+/// `f64::max` would drop the NaN of a failed solve and report a finite
+/// "worst" residual for it.
+pub fn worst(values: impl IntoIterator<Item = f64>) -> f64 {
+    values.into_iter().fold(0.0, |acc, v| {
+        if acc.is_nan() || v.is_nan() {
+            f64::NAN
+        } else {
+            acc.max(v)
+        }
+    })
+}
+
 /// Downsample a convergence history to at most `max_points` rows for
 /// printing (the figures plot hundreds of iterations; the tables don't need
 /// every one).
@@ -83,10 +96,10 @@ pub fn downsample(history: &[Vec<f64>], max_points: usize) -> Vec<(usize, f64)> 
         .iter()
         .enumerate()
         .step_by(stride)
-        .map(|(i, row)| (i + 1, row.iter().cloned().fold(0.0f64, f64::max)))
+        .map(|(i, row)| (i + 1, worst(row.iter().copied())))
         .collect();
     let last = history.len();
-    let lastv = history[last - 1].iter().cloned().fold(0.0f64, f64::max);
+    let lastv = worst(history[last - 1].iter().copied());
     if out.last().map(|&(i, _)| i) != Some(last) {
         out.push((last, lastv));
     }
@@ -158,6 +171,16 @@ mod tests {
         assert_eq!(d.first().unwrap().0, 1);
         assert_eq!(d.last().unwrap().0, 100);
         assert!(d.len() <= 12);
+    }
+
+    #[test]
+    fn worst_propagates_nan() {
+        assert_eq!(worst([]), 0.0);
+        assert_eq!(worst([1e-9, 3e-8, 2e-9]), 3e-8);
+        assert!(worst([1e-9, f64::NAN, 2e-9]).is_nan());
+        assert!(worst([f64::NAN, 1.0]).is_nan());
+        let d = downsample(&[vec![1.0, 0.5], vec![f64::NAN, 0.1]], 10);
+        assert!(d[1].1.is_nan());
     }
 
     #[test]

@@ -17,6 +17,7 @@ use kryst_dense::{blas, DMat};
 use kryst_par::{CommStats, LinOp, PrecondOp};
 use kryst_scalar::{Real, Scalar};
 use kryst_sparse::SpmmWorkspace;
+use std::sync::Arc;
 
 /// Preconditioning mode resolved from [`crate::SolveOpts::side`].
 pub enum PrecondMode<'a, S: Scalar> {
@@ -58,6 +59,33 @@ impl<'a, S: Scalar> PrecondMode<'a, S> {
                 z
             }
             _ => r,
+        }
+    }
+
+    /// The operator half of an Arnoldi step on the block `v`: right
+    /// preconditioned, `z = M⁻¹·v` and then `w = A·z`; left, `w = M⁻¹·A·v`;
+    /// else `w = A·v`. `z` is written under right preconditioning only.
+    pub fn step_images(
+        &self,
+        a: &dyn LinOp<S>,
+        v: &DMat<S>,
+        z: Option<&mut DMat<S>>,
+        w: &mut DMat<S>,
+        ws: &mut SpmmWorkspace<S>,
+    ) {
+        match self {
+            PrecondMode::Right(m) => {
+                let z = z.expect("right preconditioning keeps its directions");
+                m.apply(v, z);
+                a.apply(z, w);
+            }
+            PrecondMode::Left(m) => {
+                let mut t = ws.take_stale(v.nrows(), v.ncols());
+                a.apply(v, &mut t);
+                m.apply(&t, w);
+                ws.put(t);
+            }
+            PrecondMode::None => a.apply(v, w),
         }
     }
 
@@ -213,7 +241,7 @@ pub struct BlockArnoldi<'a, S: Scalar> {
     last_passes: usize,
     /// Whether the most recent step needed a rank-revealing CholQR refresh.
     last_refreshed: bool,
-    stats: Option<&'a CommStats>,
+    stats: Option<Arc<CommStats>>,
     /// Numerical rank of the initial residual block (breakdown detection).
     pub initial_rank: usize,
     /// Numerical rank of the block produced by the most recent [`Self::step`]
@@ -231,7 +259,7 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
         p: usize,
         orth: OrthScheme,
         c_proj: Option<&'a DMat<S>>,
-        stats: Option<&'a CommStats>,
+        stats: Option<Arc<CommStats>>,
     ) -> Self {
         Self {
             a,
@@ -296,7 +324,7 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
             reductions = 2;
         }
         self.initial_rank = out.rank;
-        if let Some(st) = self.stats {
+        if let Some(st) = &self.stats {
             st.record_reductions(
                 reductions,
                 reductions * self.p * self.p * std::mem::size_of::<S>(),
@@ -326,29 +354,38 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
     pub fn step(&mut self) -> Vec<f64> {
         assert!(self.can_step());
         let j = self.j;
-        let p = self.p;
         let buf = &mut self.buf;
-        // The blocks built so far, and the next one, which receives W.
+        // The blocks built so far, and the next one, which receives W; the
+        // solution-space direction Z_j = M⁻¹·V_j has its own block when
+        // right preconditioned (it is V_j itself otherwise).
         CycleBuffers::block(&mut buf.v, buf.shape, j + 1);
         let (built, rest) = buf.v.split_at_mut(j + 1);
-        let (vj, w) = (&built[j], &mut rest[0]);
-        // Solution-space direction Z_j = M⁻¹·V_j (right), else V_j itself;
-        // then W = A·Z_j (left: M⁻¹·A·Z_j).
-        match self.mode {
-            PrecondMode::Right(m) => {
-                let zj = CycleBuffers::block(&mut buf.z, buf.shape, j);
-                m.apply(vj, zj);
-                self.a.apply(zj, w);
-            }
-            PrecondMode::Left(m) => {
-                let mut t = buf.ws.take_stale(vj.nrows(), p);
-                self.a.apply(vj, &mut t);
-                m.apply(&t, w);
-                buf.ws.put(t);
-            }
-            PrecondMode::None => self.a.apply(vj, w),
-        }
+        let zj = buf
+            .right
+            .then(|| CycleBuffers::block(&mut buf.z, buf.shape, j));
+        self.mode
+            .step_images(self.a, &built[j], zj, &mut rest[0], &mut buf.ws);
         self.orthogonalize_next()
+    }
+
+    /// The block the next step applies the operator to, `V_j`.
+    pub fn step_input(&self) -> &DMat<S> {
+        &self.buf.v[self.j]
+    }
+
+    /// A step whose operator half the caller did on [`Self::step_input`],
+    /// as [`PrecondMode::step_images`] does it: `z` is `M⁻¹·V_j` (read when
+    /// right preconditioned, else ignored) and `w` the image, column-major
+    /// `n × p` each. They go where [`Self::step`] would have written them.
+    pub fn finish_step(&mut self, z: &[S], w: &[S]) -> Vec<f64> {
+        assert!(self.can_step());
+        let buf = &mut self.buf;
+        if buf.right {
+            CycleBuffers::block(&mut buf.z, buf.shape, self.j)
+                .as_mut_slice()
+                .copy_from_slice(z);
+        }
+        self.step_with_image(w)
     }
 
     /// A step whose operator image the caller hands in: `image` is `A·D`
@@ -391,7 +428,7 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
             if out.passes == 1 {
                 self.fused_loss *= out.amp * out.amp;
             }
-            if let Some(st) = self.stats {
+            if let Some(st) = &self.stats {
                 st.record_fused_reductions(
                     out.reductions,
                     out.reduction_parts,
@@ -407,7 +444,7 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
             // reduction — the extra communication of recycling, §III-D).
             if let Some(c) = self.c_proj {
                 let ecol = fused::adjoint_times(ColsRef::whole(c), w);
-                if let Some(st) = self.stats {
+                if let Some(st) = &self.stats {
                     st.record_reduction(std::mem::size_of_val(ecol.as_slice()));
                 }
                 fused::fused_update(&[ColsRef::whole(c)], std::slice::from_ref(&ecol), w);
@@ -417,7 +454,7 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
             self.last_step_rank = out.rank;
             self.last_passes = 1;
             self.last_refreshed = false;
-            if let Some(st) = self.stats {
+            if let Some(st) = &self.stats {
                 st.record_reductions(
                     out.reductions,
                     out.reduction_elems * std::mem::size_of::<S>(),

@@ -79,7 +79,7 @@ const MIN_RESTART: usize = 2;
 /// Deflated restarting: the cycles run on `(I − C·Cᴴ)·A` for the recycled
 /// pair `(U, C)`, which the first cycle of a cold solve extracts and every
 /// later one refreshes.
-struct Deflation<S: Scalar> {
+pub(crate) struct Deflation<S: Scalar> {
     space: Option<RecycleSpace<S>>,
     /// The pair a refresh replaced: the next refresh builds `(U, C)` in it.
     spare: Option<RecycleSpace<S>>,
@@ -93,6 +93,28 @@ struct Deflation<S: Scalar> {
     refresh_allowed: bool,
     /// `CᴴR` of the residual the current cycle started from.
     cr: DMat<S>,
+}
+
+impl<S: Scalar> Deflation<S> {
+    /// GCRO-DR(m, k) for systems of order `n` from the recycle space `ctx`
+    /// holds, which it takes until [`Self::into_context`].
+    pub(crate) fn from_context(ctx: &mut SolverContext<S>, n: usize, opts: &SolveOpts) -> Self {
+        let m = opts.restart.max(MIN_RESTART);
+        Deflation {
+            space: (ctx.recycle.take()).filter(|rec| rec.u.nrows() == n && rec.u.ncols() >= 1),
+            spare: None,
+            m,
+            k_blocks: opts.recycle.clamp(1, m - 1),
+            refresh_allowed: !opts.same_system || ctx.solves == 0,
+            cr: DMat::zeros(0, 0),
+        }
+    }
+
+    /// Hand the recycle space back to `ctx`, one more solve done.
+    pub(crate) fn into_context(self, ctx: &mut SolverContext<S>) {
+        ctx.recycle = self.space;
+        ctx.solves += 1;
+    }
 }
 
 impl<S: Scalar> Augmentation<S> for Deflation<S> {
@@ -185,18 +207,9 @@ pub fn solve<S: Scalar>(
     opts: &SolveOpts,
     ctx: &mut SolverContext<S>,
 ) -> SolveResult {
-    let m = opts.restart.max(MIN_RESTART);
-    let mut policy = Deflation {
-        space: (ctx.recycle.take()).filter(|rec| rec.u.nrows() == a.nrows() && rec.u.ncols() >= 1),
-        spare: None,
-        m,
-        k_blocks: opts.recycle.clamp(1, m - 1),
-        refresh_allowed: !opts.same_system || ctx.solves == 0,
-        cr: DMat::zeros(0, 0),
-    };
+    let mut policy = Deflation::from_context(ctx, a.nrows(), opts);
     let res = restart::solve(a, pc, b, x, opts, ("gcrodr", ctx.solves), &mut policy);
-    ctx.recycle = policy.space;
-    ctx.solves += 1;
+    policy.into_context(ctx);
     res
 }
 

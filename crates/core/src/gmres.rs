@@ -19,8 +19,17 @@ const MIN_RESTART: usize = 1;
 
 /// No augmentation: every cycle is `restart` Arnoldi steps on the residual
 /// and nothing is carried over.
-struct Plain {
+pub(crate) struct Plain {
     restart: usize,
+}
+
+impl Plain {
+    /// GMRES(m) with `m = opts.restart`.
+    pub(crate) fn new(opts: &SolveOpts) -> Self {
+        Plain {
+            restart: opts.restart.max(MIN_RESTART),
+        }
+    }
 }
 
 impl<S: Scalar> Augmentation<S> for Plain {
@@ -43,10 +52,7 @@ pub fn solve<S: Scalar>(
     } else {
         "gmres"
     };
-    let mut policy = Plain {
-        restart: opts.restart.max(MIN_RESTART),
-    };
-    restart::solve(a, pc, b, x, opts, (name, 0), &mut policy)
+    restart::solve(a, pc, b, x, opts, (name, 0), &mut Plain::new(opts))
 }
 
 #[cfg(test)]
@@ -250,5 +256,44 @@ mod tests {
         assert!(snap.reductions as usize <= 2 * (res.iterations + cycles));
         // Each fused reduction carried at least the V-projection + Gram parts.
         assert!(snap.fused_parts >= 2 * res.iterations as u64);
+    }
+
+    /// Eight antenna right-hand sides with three distinct columns: the block
+    /// has rank 3 at step 0 and rank 7 at step 6, and collapses again later.
+    /// The replacement column of the second collapse must not be one the
+    /// first already put into the basis: its projection is zero, and
+    /// normalising it filled the basis, every estimate and `x` with NaN.
+    #[test]
+    fn block_gmres_survives_a_second_rank_collapse() {
+        use kryst_obs::{diags_of, DiagKind, Recorder, RingRecorder};
+        use kryst_pde::maxwell::{antenna_ring_rhs, maxwell3d, MaxwellParams};
+        use kryst_scalar::C64;
+        use std::sync::Arc;
+        let params = MaxwellParams::with_cylinder(4);
+        let (prob, geom) = maxwell3d(&params);
+        let n = prob.a.nrows();
+        let b = antenna_ring_rhs(&geom, &params, 32, 0.3, 0.55).cols(0, 8);
+        let id = IdentityPrecond::new(n);
+        let ring = Arc::new(RingRecorder::new(4096));
+        let opts = SolveOpts {
+            restart: 50,
+            recorder: Some(ring.clone() as Arc<dyn Recorder>),
+            ..Default::default()
+        };
+        let mut x = DMat::<C64>::zeros(n, 8);
+        let res = solve(&prob.a, &id, &b, &mut x, &opts);
+        let collapses: Vec<_> = diags_of(&ring.events(), DiagKind::RankCollapse)
+            .iter()
+            .map(|d| (d.iter, d.value as usize))
+            .collect();
+        assert_eq!(collapses[..2], [(0, 3), (6, 7)]);
+        assert!(collapses.len() > 2, "{collapses:?}");
+        assert!(res.history.iter().flatten().all(|v| v.is_finite()));
+        assert!(x
+            .as_slice()
+            .iter()
+            .all(|v| v.re.is_finite() && v.im.is_finite()));
+        assert!(res.converged, "{:?}", res.final_relres);
+        check_true_residual(&prob.a, &b, &x, 1e-8);
     }
 }

@@ -22,7 +22,9 @@
 //! orthogonal to `C`, corrects with `U`, and extracts or refreshes the pair
 //! `(U, C)` it hands to the next cycle and the next solve. Iteration and
 //! diagnostic events, the `max_iters` cap and the convergence tests are the
-//! loop's and therefore the same for all three.
+//! loop's and therefore the same for all three. [`pseudo::solve`] runs the
+//! same loop with one lane per right-hand side: the lanes step in
+//! lock-step and share one operator and preconditioner apply per step.
 //!
 //! Every option is a field of [`SolveOpts`] with a constant default
 //! (CholQR, right preconditioning, …); the crate reads nothing from the

@@ -7,30 +7,22 @@
 //! product, and the `p` dot-product rounds become one fused reduction —
 //! trading synchronization count for message volume.
 //!
-//! Implementation: each right-hand side runs the *unmodified* single-RHS
-//! solver (`gmres::solve` / `gcrodr::solve`) on its own thread against a
-//! `BatchGroup`-wrapped operator. The group blocks every member at its
-//! next operator/preconditioner application until all live members have
-//! submitted, then the last arrival executes the batched kernels
-//! (leader-executes) and distributes the columns. Solves that converge
-//! early deregister, shrinking the batch — exactly the fused execution
-//! model whose efficiency Fig. 6 / §V-B2 measures, with genuinely batched
-//! SpMM calls. A member that unwinds — its own panic, or the operator's or
-//! preconditioner's inside the batch it leads — aborts the group: every
-//! other member stops at its next submission, and [`solve`] re-raises the
-//! original panic.
+//! Implementation: each right-hand side is one lane of width 1 of the
+//! restarted solve (the crate's `restart` module) under the policy of its
+//! single-RHS method — plain GMRES, or GCRO-DR over its own recycle space.
+//! The lanes step in lock-step on the caller's thread: one preconditioner
+//! and one operator apply over the columns of every lane that steps, and
+//! each lane does exactly the arithmetic of its single-RHS solve. Lanes
+//! that converge leave, shrinking the batch — the fused execution model
+//! whose efficiency Fig. 6 / §V-B2 measures.
 
-use crate::gcrodr::{self, SolverContext};
-use crate::gmres;
+use crate::gcrodr::{Deflation, SolverContext};
+use crate::gmres::Plain;
 use crate::opts::{SolveOpts, SolveResult};
-use crate::trace::SolveTracer;
-use kryst_dense::gs::OrthScheme;
+use crate::restart::{self, Augmentation, Lane};
 use kryst_dense::DMat;
 use kryst_par::{LinOp, PrecondOp};
 use kryst_scalar::Scalar;
-use kryst_sparse::SpmmWorkspace;
-use std::any::Any;
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Which single-RHS method the pseudo-block driver fuses.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -46,206 +38,10 @@ pub enum PseudoMethod {
 pub struct PseudoResult {
     /// Per-RHS solve results (individual convergence histories).
     pub per_rhs: Vec<SolveResult>,
-    /// Fused iteration count: the maximum over the right-hand sides (the
-    /// batch advances while any member is live).
+    /// Fused iteration count: the maximum over the right-hand sides.
     pub iterations: usize,
     /// All right-hand sides converged.
     pub converged: bool,
-}
-
-/// Tags for the two batched kernels.
-const TAG_OP: u8 = 0;
-const TAG_PC: u8 = 1;
-
-struct BatchState<S: Scalar> {
-    pending: Vec<Option<(u8, DMat<S>)>>,
-    results: Vec<Option<DMat<S>>>,
-    active: Vec<bool>,
-    waiting: usize,
-    live: usize,
-    /// A member unwound: no batch runs again, and every member stops at its
-    /// next submission.
-    aborted: bool,
-    /// Pool for the fused/pending/result column blocks — the batch barrier
-    /// allocates nothing once every buffer size has been seen.
-    ws: SpmmWorkspace<S>,
-}
-
-/// The fused kernel a [`BatchGroup`] leader executes on behalf of all
-/// members: `(kind, fused columns, zeroed fused output)`.
-type BatchExec<'a, S> = Box<dyn Fn(u8, &DMat<S>, &mut DMat<S>) + Send + Sync + 'a>;
-
-/// Leader-executes batching barrier over the operator and preconditioner.
-struct BatchGroup<'a, S: Scalar> {
-    state: Mutex<BatchState<S>>,
-    cv: Condvar,
-    exec: BatchExec<'a, S>,
-}
-
-/// The panic payload of a member that stopped because another one unwound;
-/// [`solve`] re-raises the other member's payload instead.
-struct GroupAborted;
-
-/// A member's seat in the group. A member that unwinds — its own panic, or
-/// the kernel's in a batch it leads — leaves the group and aborts it when
-/// the seat drops, so no member waits for a submission that never comes.
-struct Membership<'g, 'a, S: Scalar> {
-    group: &'g BatchGroup<'a, S>,
-    me: usize,
-}
-
-impl<S: Scalar> Drop for Membership<'_, '_, S> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            // Runs no batch once aborted, so it cannot panic again.
-            self.group.deregister(self.me, true);
-        }
-    }
-}
-
-impl<'a, S: Scalar> BatchGroup<'a, S> {
-    /// A group of `p` members over the given kernel executor.
-    fn new(p: usize, exec: BatchExec<'a, S>) -> Self {
-        Self {
-            state: Mutex::new(BatchState {
-                pending: (0..p).map(|_| None).collect(),
-                results: (0..p).map(|_| None).collect(),
-                active: vec![true; p],
-                waiting: 0,
-                live: p,
-                aborted: false,
-                ws: SpmmWorkspace::new(),
-            }),
-            cv: Condvar::new(),
-            exec,
-        }
-    }
-
-    /// The state, also after a member panicked while holding it: that
-    /// member's seat aborts the group as it unwinds, and all that runs on the
-    /// state afterwards is the other members leaving.
-    fn lock(&self) -> MutexGuard<'_, BatchState<S>> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn run_batch(&self, st: &mut BatchState<S>) {
-        for tag in [TAG_OP, TAG_PC] {
-            // Gather members with this tag.
-            let members: Vec<usize> = st
-                .pending
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| matches!(p, Some((t, _)) if *t == tag))
-                .map(|(i, _)| i)
-                .collect();
-            if members.is_empty() {
-                continue;
-            }
-            // Concatenate the column blocks.
-            let n = st.pending[members[0]].as_ref().unwrap().1.nrows();
-            let total: usize = members
-                .iter()
-                .map(|&m| st.pending[m].as_ref().unwrap().1.ncols())
-                .sum();
-            let mut big = st.ws.take(n, total);
-            let mut off = 0;
-            for &m in &members {
-                let (_, blk) = st.pending[m].as_ref().unwrap();
-                big.set_block(0, off, blk);
-                off += blk.ncols();
-            }
-            // One fused kernel call (the point of pseudo-block methods).
-            let mut out = st.ws.take(n, total);
-            (self.exec)(tag, &big, &mut out);
-            st.ws.put(big);
-            let mut off = 0;
-            for &m in &members {
-                let (_, blk) = st.pending[m].take().unwrap();
-                let w = blk.ncols();
-                st.ws.put(blk);
-                let mut res = st.ws.take(n, w);
-                res.as_mut_slice()
-                    .copy_from_slice(&out.as_slice()[off * n..(off + w) * n]);
-                st.results[m] = Some(res);
-                off += w;
-            }
-            st.ws.put(out);
-        }
-        st.waiting = 0;
-    }
-
-    /// Submit a kernel request and block until the batch executes. Unwinds
-    /// with [`GroupAborted`] once the group is aborted.
-    fn submit(&self, me: usize, tag: u8, block: &DMat<S>) -> DMat<S> {
-        let mut st = self.lock();
-        debug_assert!(st.active[me]);
-        let mut buf = st.ws.take(block.nrows(), block.ncols());
-        buf.copy_from(block);
-        st.pending[me] = Some((tag, buf));
-        st.waiting += 1;
-        if st.waiting == st.live && !st.aborted {
-            self.run_batch(&mut st);
-            self.cv.notify_all();
-        }
-        while st.results[me].is_none() {
-            if st.aborted {
-                drop(st);
-                std::panic::panic_any(GroupAborted);
-            }
-            st = self.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
-        }
-        st.results[me].take().expect("batched result present")
-    }
-
-    /// Return a result buffer obtained from [`Self::submit`] to the pool.
-    fn recycle(&self, buf: DMat<S>) {
-        self.lock().ws.put(buf);
-    }
-
-    /// Leave the group: the member's solve has finished, or with `abort`,
-    /// the member is unwinding.
-    fn deregister(&self, me: usize, abort: bool) {
-        let mut st = self.lock();
-        st.aborted |= abort;
-        if st.active[me] {
-            st.active[me] = false;
-            st.live -= 1;
-            if st.live > 0 && st.waiting == st.live && !st.aborted {
-                self.run_batch(&mut st);
-            }
-        }
-        self.cv.notify_all();
-    }
-}
-
-/// The per-member operator view.
-struct BatchedOp<'g, 'a, S: Scalar> {
-    group: &'g BatchGroup<'a, S>,
-    me: usize,
-    tag: u8,
-    n: usize,
-}
-
-impl<S: Scalar> LinOp<S> for BatchedOp<'_, '_, S> {
-    fn nrows(&self) -> usize {
-        self.n
-    }
-    fn apply(&self, x: &DMat<S>, y: &mut DMat<S>) {
-        let out = self.group.submit(self.me, self.tag, x);
-        y.copy_from(&out);
-        self.group.recycle(out);
-    }
-}
-
-impl<S: Scalar> PrecondOp<S> for BatchedOp<'_, '_, S> {
-    fn nrows(&self) -> usize {
-        self.n
-    }
-    fn apply(&self, r: &DMat<S>, z: &mut DMat<S>) {
-        let out = self.group.submit(self.me, self.tag, r);
-        z.copy_from(&out);
-        self.group.recycle(out);
-    }
 }
 
 /// Pseudo-block solve of `A·X = B`: `p` fused single-RHS instances.
@@ -261,147 +57,53 @@ pub fn solve<S: Scalar>(
     method: PseudoMethod,
     ctxs: Option<&mut Vec<SolverContext<S>>>,
 ) -> PseudoResult {
-    let n = a.nrows();
     let p = b.ncols();
     assert_eq!(x.ncols(), p);
-    let name = match method {
-        PseudoMethod::Gmres => "pseudo-gmres",
-        PseudoMethod::GcroDr => "pseudo-gcrodr",
-    };
-    let mut tracer = SolveTracer::begin(opts, name, 0, n, p);
-    let group = BatchGroup::new(
-        p,
-        Box::new(move |tag, block: &DMat<S>, out: &mut DMat<S>| {
-            if tag == TAG_OP {
-                a.apply(block, out)
-            } else {
-                pc.apply(block, out)
-            }
-        }),
-    );
-    // Per-member contexts (fresh ones when none are supplied).
-    let mut local_ctxs: Vec<SolverContext<S>>;
-    let ctx_slice: &mut [SolverContext<S>] = match ctxs {
-        Some(v) => {
-            while v.len() < p {
-                v.push(SolverContext::new());
-            }
-            &mut v[..p]
-        }
-        None => {
-            local_ctxs = (0..p).map(|_| SolverContext::new()).collect();
-            &mut local_ctxs
-        }
-    };
-    // Fused reductions: individual threads would overcount, so silence the
-    // per-thread stats (and recorders — the fused driver emits one event
-    // stream for the whole batch) and account at the end.
-    let thread_opts = SolveOpts {
-        stats: None,
-        recorder: None,
-        ..opts.clone()
-    };
-
-    let mut per_rhs: Vec<Option<(Vec<S>, SolveResult)>> = (0..p).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(p);
-        for (l, ctx) in ctx_slice.iter_mut().enumerate() {
-            let group = &group;
-            let topts = &thread_opts;
-            let bl = DMat::from_col_major(n, 1, b.col(l).to_vec());
-            let mut xl = DMat::from_col_major(n, 1, x.col(l).to_vec());
-            handles.push(scope.spawn(move || {
-                let _seat = Membership { group, me: l };
-                let aop = BatchedOp {
-                    group,
-                    me: l,
-                    tag: TAG_OP,
-                    n,
-                };
-                let mop = BatchedOp {
-                    group,
-                    me: l,
-                    tag: TAG_PC,
-                    n,
-                };
-                let res = match method {
-                    PseudoMethod::Gmres => gmres::solve(&aop, &mop, &bl, &mut xl, topts),
-                    PseudoMethod::GcroDr => gcrodr::solve(&aop, &mop, &bl, &mut xl, topts, ctx),
-                };
-                group.deregister(l, false);
-                (xl.col(0).to_vec(), res)
-            }));
-        }
-        // Join every member before re-raising: the first panic that is not
-        // just a member stopping for the group's abort.
-        let mut panic: Option<Box<dyn Any + Send>> = None;
-        for (l, h) in handles.into_iter().enumerate() {
-            match h.join() {
-                Ok(r) => per_rhs[l] = Some(r),
-                Err(e) if panic.as_ref().is_none_or(|p| p.is::<GroupAborted>()) => panic = Some(e),
-                Err(_) => {}
-            }
-        }
-        if let Some(e) = panic {
-            std::panic::resume_unwind(e);
-        }
-    });
-
-    let mut iterations = 0;
-    let mut converged = true;
-    let mut results = Vec::with_capacity(p);
-    for (l, slot) in per_rhs.into_iter().enumerate() {
-        let (xl, res) = slot.unwrap();
-        x.col_mut(l).copy_from_slice(&xl);
-        iterations = iterations.max(res.iterations);
-        converged &= res.converged;
-        results.push(res);
+    // Per-lane contexts (fresh ones when none are supplied).
+    let mut fresh = Vec::new();
+    let ctxs = ctxs.unwrap_or(&mut fresh);
+    if ctxs.len() < p {
+        ctxs.resize_with(p, SolverContext::new);
     }
-    // Fused accounting: one reduction round per fused iteration (batched
-    // norms/orthogonalization), as §V-B1 describes ("the required number of
-    // dot products is lowered to m instead"). Recorded per iteration so the
-    // synthesized iteration events below tile the solve total exactly.
-    let orth_name = opts.orth.name();
-    let m = opts.restart.max(1);
-    let fused = matches!(opts.orth, OrthScheme::Cgs | OrthScheme::CholQr);
-    for it in 0..iterations {
-        if let Some(st) = &opts.stats {
-            if fused {
-                // The batch's projection + Gram parts ship in a single
-                // reduction round (one latency charge).
-                st.record_fused_reductions(1, 3, 3 * p * std::mem::size_of::<S>());
-            } else {
-                st.record_reductions(3, 3 * p * std::mem::size_of::<S>());
-            }
+    let (mut plain, mut deflation) = (Vec::new(), Vec::new());
+    let (name, policies): (_, Vec<&mut dyn Augmentation<S>>) = match method {
+        PseudoMethod::Gmres => {
+            plain.resize_with(p, || Plain::new(opts));
+            ("pseudo-gmres", plain.iter_mut().map(|g| g as _).collect())
         }
-        // Per-RHS residual at this fused step; converged members hold their
-        // final value.
-        let row: Vec<f64> = results
-            .iter()
-            .map(|r| {
-                r.history
-                    .get(it)
-                    .and_then(|h| h.first().copied())
-                    .unwrap_or_else(|| r.final_relres.first().copied().unwrap_or(0.0))
-            })
-            .collect();
-        tracer.iteration(it / m, it, row, orth_name, None);
-    }
-    let final_relres: Vec<f64> = results
-        .iter()
-        .map(|r| r.final_relres.first().copied().unwrap_or(0.0))
+        PseudoMethod::GcroDr => {
+            let n = a.nrows();
+            let from = |ctx| Deflation::from_context(ctx, n, opts);
+            deflation.extend(ctxs[..p].iter_mut().map(from));
+            (
+                "pseudo-gcrodr",
+                deflation.iter_mut().map(|d| d as _).collect(),
+            )
+        }
+    };
+    let bs: Vec<DMat<S>> = (0..p).map(|l| b.cols(l, 1)).collect();
+    let mut xs: Vec<DMat<S>> = (0..p).map(|l| x.cols(l, 1)).collect();
+    let lanes = (bs.iter().zip(&mut xs).zip(policies))
+        .map(|((b, x), policy)| Lane { b, x, policy })
         .collect();
-    let _ = tracer.finish(converged, &final_relres);
+    let per_rhs = restart::solve_lanes(a, pc, opts, (name, 0), lanes);
+    for (l, xl) in xs.iter().enumerate() {
+        x.col_mut(l).copy_from_slice(xl.as_slice());
+    }
+    for (d, ctx) in deflation.into_iter().zip(ctxs.iter_mut()) {
+        d.into_context(ctx);
+    }
     PseudoResult {
-        per_rhs: results,
-        iterations,
-        converged,
+        iterations: per_rhs.iter().map(|r| r.iterations).max().unwrap_or(0),
+        converged: per_rhs.iter().all(|r| r.converged),
+        per_rhs,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gcrodr;
     use kryst_par::IdentityPrecond;
     use kryst_pde::poisson::{paper_rhs_block, poisson2d};
     use kryst_sparse::Csr;
@@ -416,6 +118,13 @@ mod tests {
         }
     }
 
+    fn bits(m: &DMat<f64>) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Each lane does the arithmetic of its single-RHS solve: per RHS the
+    /// same iteration count and the same bits of `x`, for GMRES and for
+    /// GCRO-DR over two successive solves with one context per RHS.
     #[test]
     fn pseudo_gmres_matches_sequential_iteration_counts() {
         let prob = poisson2d::<f64>(12, 12);
@@ -442,6 +151,29 @@ mod tests {
                 "RHS {l}: fused {} vs sequential {}",
                 pres.per_rhs[l].iterations, r.iterations
             );
+            assert_eq!(bits(&xl), bits(&xp.cols(l, 1)), "RHS {l}");
+        }
+        // The second system changes the right-hand sides, so the recycle
+        // spaces are refreshed (`same_system` is off).
+        let opts = SolveOpts {
+            restart: 15,
+            recycle: 5,
+            ..opts
+        };
+        let (mut ctxs, mut seq) = (Vec::new(), Vec::new());
+        seq.resize_with(4, SolverContext::new);
+        let b2 = DMat::from_fn(n, 4, |i, l| b[(i, l)] + ((i * (l + 1)) % 3) as f64);
+        for b in [b, b2] {
+            let mut xp = DMat::zeros(n, 4);
+            let ctx = Some(&mut ctxs);
+            let pres = solve(&prob.a, &id, &b, &mut xp, &opts, PseudoMethod::GcroDr, ctx);
+            assert!(pres.converged);
+            for (l, ctx) in seq.iter_mut().enumerate() {
+                let mut xl = DMat::zeros(n, 1);
+                let r = gcrodr::solve(&prob.a, &id, &b.cols(l, 1), &mut xl, &opts, ctx);
+                assert_eq!(r.iterations, pres.per_rhs[l].iterations, "RHS {l}");
+                assert_eq!(bits(&xl), bits(&xp.cols(l, 1)), "RHS {l}");
+            }
         }
     }
 
@@ -553,9 +285,8 @@ mod tests {
         }
     }
 
-    /// The leader of a batch panics inside the fused kernel while the other
-    /// members wait for it: the solve returns, re-raising that panic, within
-    /// a deadline instead of sleeping on the group forever.
+    /// The operator panics inside a batched apply: the solve unwinds to the
+    /// caller with that panic.
     #[test]
     fn a_panicking_operator_reaches_the_caller() {
         let prob = poisson2d::<f64>(16, 16);
@@ -566,21 +297,13 @@ mod tests {
             applies: Default::default(),
             fail_at: 6,
         };
-        let (tx, rx) = std::sync::mpsc::channel();
-        let solver = std::thread::spawn(move || {
-            let id = IdentityPrecond::new(n);
-            let mut x = DMat::zeros(n, 3);
-            let opts = SolveOpts::default();
-            let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                solve(&op, &id, &b, &mut x, &opts, PseudoMethod::Gmres, None)
-            }));
-            let message = res.err().and_then(|e| e.downcast::<String>().ok());
-            tx.send(message).unwrap();
-        });
-        let message = rx
-            .recv_timeout(std::time::Duration::from_secs(10))
-            .expect("pseudo-block solve still running after 10 s");
-        solver.join().expect("the solve's panic was caught");
+        let id = IdentityPrecond::new(n);
+        let mut x = DMat::zeros(n, 3);
+        let opts = SolveOpts::default();
+        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            solve(&op, &id, &b, &mut x, &opts, PseudoMethod::Gmres, None)
+        }));
+        let message = res.err().and_then(|e| e.downcast::<String>().ok());
         assert_eq!(
             message.as_deref().map(String::as_str),
             Some("operator failed on apply 6")

@@ -1,4 +1,5 @@
-//! The restarted solve: the one loop under GMRES, LGMRES and GCRO-DR.
+//! The restarted solve: the one loop under GMRES, LGMRES and GCRO-DR, and
+//! under their pseudo-block forms.
 //!
 //! A restarted method is a sequence of Arnoldi cycles, each followed by a
 //! least-squares correction and a look at the true residual. The three
@@ -11,10 +12,27 @@
 //! | LGMRES  | `m − k` steps, then one per stored `A·z_i`  | the stored `z_i`'s share  | the correction as the newest pair |
 //! | GCRO-DR | steps kept orthogonal to `C`                | `U·(CᴴR − E·y)`           | `(U, C)`, extracted or refreshed |
 //!
-//! [`solve`] owns everything else: the initial residual and the early exit,
-//! the one [`BlockArnoldi`] of a cycle and its steps, the iteration and
+//! [`solve_lanes`] owns everything else: the initial residual and the early
+//! exit, the [`BlockArnoldi`] of a cycle and its steps, the iteration and
 //! diagnostic events, the `max_iters` cap, the spans, and the verdict. The
 //! policy is consulted per cycle, never inside a step.
+//!
+//! # Lanes
+//!
+//! A solve runs *lanes*: right-hand-side blocks, each with its own policy,
+//! cycle storage, residual and iteration count. A block solve is one lane
+//! of width `p`; a pseudo-block solve (§V-B1) is `p` lanes of width 1. The
+//! lanes share each cycle in lock-step: the ones that can still step hand in
+//! their `V_j`, one preconditioner and one operator apply run over those
+//! columns side by side (in place for one lane), and each lane
+//! orthogonalizes its own slice. A lane whose estimate is met, or whose plan
+//! is used up, waits for the end of the cycle; the true residuals are one
+//! batched apply, and converged lanes leave. Each lane does exactly the
+//! arithmetic of its single-RHS solve.
+//!
+//! Reductions are counted as they happen: one lane into the solve's
+//! counters, several into their own, merged at every lock-step (`ship`).
+//! Each lock-step is one iteration event with every column's residual.
 
 use crate::cycle::{any_above, rhs_norms, BlockArnoldi, CycleBuffers, PrecondMode};
 use crate::opts::{SolveOpts, SolveResult};
@@ -22,14 +40,18 @@ use crate::trace::SolveTracer;
 use kryst_dense::fused::{self, ColsRef};
 use kryst_dense::DMat;
 use kryst_obs::{DiagKind, SpanKind};
-use kryst_par::{LinOp, PrecondOp};
+use kryst_par::{CommStats, LinOp, PrecondOp};
 use kryst_scalar::{Real, Scalar};
+use kryst_sparse::SpmmWorkspace;
 use std::slice::{from_ref, ChunksExact};
+use std::sync::Arc;
 
 /// The solve as a policy sees it at one of its hooks.
 pub(crate) struct Cx<'c, S: Scalar> {
     pub a: &'c dyn LinOp<S>,
     pub mode: &'c PrecondMode<'c, S>,
+    /// The lane's options: the solve's, with the lane's own counters when
+    /// it shares the solve with other lanes.
     pub opts: &'c SolveOpts,
     pub tracer: &'c SolveTracer,
     /// The cycle the hook belongs to.
@@ -108,15 +130,102 @@ pub(crate) trait Augmentation<S: Scalar> {
     fn carry_over(&mut self, _cx: &Cx<'_, S>, _end: &CycleEnd<S>, _converged: bool) {}
 }
 
-/// Column norms of a residual block.
-fn norms<S: Scalar>(r: &DMat<S>) -> Vec<f64> {
-    r.col_norms().iter().map(|v| v.to_f64()).collect()
+/// A right-hand-side block of a solve and the policy that runs it; `x`
+/// holds the initial guess on entry and the solution on exit.
+pub(crate) struct Lane<'l, S: Scalar> {
+    pub b: &'l DMat<S>,
+    pub x: &'l mut DMat<S>,
+    pub policy: &'l mut dyn Augmentation<S>,
 }
 
-/// Whether every residual norm is a number: the restarted loop stops on the
-/// first one that is not.
-fn all_finite(rn: &[f64]) -> bool {
-    rn.iter().all(|v| v.is_finite())
+/// A lane as the loop runs it, but for its policy.
+struct Track<'l, S: Scalar> {
+    b: &'l DMat<S>,
+    x: &'l mut DMat<S>,
+    /// The solve's options, with the lane's own counters when it shares the
+    /// solve with other lanes.
+    opts: SolveOpts,
+    bnorms: Vec<f64>,
+    /// The lane's first column on the solve's iteration events.
+    col0: usize,
+    /// Storage handed from cycle to cycle.
+    bufs: CycleBuffers<S>,
+    /// Residual of the current `x`, its norms and what they say. A
+    /// non-finite norm is above no tolerance, so `any_above` alone would let
+    /// the finite columns of a block keep the loop going: the lane stops on
+    /// the first one that is not a number.
+    r: DMat<S>,
+    rn: Vec<f64>,
+    converged: bool,
+    finite: bool,
+    iters: usize,
+    history: Vec<Vec<f64>>,
+}
+
+impl<S: Scalar> Track<'_, S> {
+    fn live(&self, max_iters: usize) -> bool {
+        !self.converged && self.finite && self.iters < max_iters
+    }
+
+    /// The norms of `r`, shown in `row`, and what they say; the tolerance
+    /// test only with `rtol`.
+    fn judge(&mut self, rtol: Option<f64>, row: &mut [f64]) {
+        self.rn = self.r.col_norms().iter().map(|v| v.to_f64()).collect();
+        if let Some(rtol) = rtol {
+            self.converged = !any_above(&self.rn, &self.bnorms, rtol);
+        }
+        self.finite = self.rn.iter().all(|v| v.is_finite());
+        let rel = relative(&self.rn, &self.bnorms);
+        row[self.col0..][..rel.len()].copy_from_slice(&rel);
+    }
+}
+
+/// One lane's share of a cycle.
+struct Run<'r, 'l, S: Scalar> {
+    track: &'r mut Track<'l, S>,
+    plan: Plan<'r, S>,
+    arn: BlockArnoldi<'r, S>,
+    /// Cleared when the least-squares estimates meet the tolerance.
+    stepping: bool,
+}
+
+impl<S: Scalar> Run<'_, '_, S> {
+    fn can_step(&self, max_iters: usize) -> bool {
+        self.stepping && self.arn.can_step() && self.track.iters < max_iters
+    }
+
+    /// Whether the next step goes through the operator, not a stored image.
+    fn on_operator(&self) -> bool {
+        self.arn.iterations() < self.plan.steps
+    }
+
+    /// Counts a step with estimates `res`, in the lane's history and `row`;
+    /// the lane stops stepping once they meet the tolerance (the true
+    /// residual decides afterwards: wide blocks with rank-revealing fixups
+    /// can make the estimates optimistic). Returns the rank the step left.
+    fn count(&mut self, res: &[f64], rtol: f64, row: &mut [f64]) -> usize {
+        let t = &mut *self.track;
+        let rel = relative(res, &t.bnorms);
+        row[t.col0..][..rel.len()].copy_from_slice(&rel);
+        t.history.push(rel);
+        t.iters += 1;
+        self.stepping = any_above(res, &t.bnorms, rtol);
+        let first = self.arn.iterations() == 1;
+        self.arn.breakdown_rank(first).unwrap_or(res.len())
+    }
+
+    /// The cycle's end, and whether its restart is reported.
+    fn end(self) -> (CycleEnd<S>, bool) {
+        let j = self.arn.iterations();
+        let end = CycleEnd {
+            j,
+            own: j.min(self.plan.steps),
+            y: self.arn.solve_y(),
+            estimate_met: !self.stepping,
+            bufs: self.arn.into_buffers(),
+        };
+        (end, self.plan.restart_span)
+    }
 }
 
 /// Residual norms relative to the right-hand sides'.
@@ -124,159 +233,300 @@ fn relative(rn: &[f64], bnorms: &[f64]) -> Vec<f64> {
     rn.iter().zip(bnorms).map(|(r, b)| r / b).collect()
 }
 
-/// Steps the cycle `arn` was started on — through the operator, then on the
-/// plan's stored images — until it is full or `max_iters` is reached.
-/// Returns early, with `true`, when the least-squares estimates meet the
-/// tolerance: the true residual decides afterwards (wide blocks with
-/// rank-revealing fixups can make the estimates optimistic).
-fn run_cycle<S: Scalar>(
-    arn: &mut BlockArnoldi<'_, S>,
-    plan: &mut Plan<'_, S>,
-    tracer: &mut SolveTracer,
-    iters: &mut usize,
-    cycle: usize,
-    bnorms: &[f64],
-    opts: &SolveOpts,
-) -> bool {
-    while arn.can_step() && *iters < opts.max_iters {
-        let first = arn.iterations() == 0;
-        let res = if arn.iterations() < plan.steps {
-            arn.step()
-        } else {
-            arn.step_with_image(plan.images.next().expect("one image per further step"))
-        };
-        *iters += 1;
-        tracer.iteration(
-            cycle,
-            *iters - 1,
-            relative(&res, bnorms),
-            opts.orth.name(),
-            arn.breakdown_rank(first),
-        );
-        if arn.last_orth_passes() > 1 || arn.last_orth_refreshed() {
-            // The fused path's amp² budget forced a second pass (or a
-            // rank-revealing refresh): surface the running loss estimate.
-            tracer.diag(
-                cycle,
-                *iters - 1,
-                DiagKind::OrthLoss,
-                arn.fused_loss(),
-                arn.last_orth_passes(),
-            );
-        }
-        if !any_above(&res, bnorms, opts.rtol) {
-            return true;
-        }
+/// The blocks side by side in `out`.
+fn gather<'b, S: Scalar + 'b>(blocks: impl Iterator<Item = &'b DMat<S>>, out: &mut DMat<S>) {
+    let mut off = 0;
+    for blk in blocks {
+        let len = blk.as_slice().len();
+        out.as_mut_slice()[off..off + len].copy_from_slice(blk.as_slice());
+        off += len;
     }
-    false
 }
 
-/// Solve `A·X = B` by restarted cycles under `policy`; the events carry the
-/// solver's name and the system's index in its sequence. `x` holds the
-/// initial guess on entry and the solution on exit.
+/// What the lanes reduced since the last call, shipped as the messages of
+/// one schedule: the `k`-th reduction of every lane is one message, so the
+/// count is the maximum over the lanes, and parts and bytes add up.
+fn ship(own: &[Arc<CommStats>], to: Option<&CommStats>) {
+    let (mut count, mut parts, mut bytes) = (0, 0, 0);
+    for lane in own {
+        let d = lane.snapshot();
+        lane.reset();
+        count = count.max(d.reductions);
+        parts += d.fused_parts;
+        bytes += d.reduction_bytes;
+    }
+    if let Some(to) = to.filter(|_| count > 0) {
+        to.record_fused_reductions(count as usize, parts as usize, bytes as usize);
+    }
+}
+
+/// The true residuals of the lanes' `x`, each into the lane's `r`: in place
+/// for one lane (its old `r` goes back to `ws`), else one batched apply over
+/// the columns of all of them.
+fn true_residuals<S: Scalar>(
+    (a, mode): (&dyn LinOp<S>, &PrecondMode<'_, S>),
+    lanes: &mut [&mut Track<'_, S>],
+    ws: &mut SpmmWorkspace<S>,
+) {
+    if let [t] = lanes {
+        ws.put(std::mem::replace(&mut t.r, DMat::zeros(0, 0)));
+        t.r = mode.residual_ws(a, t.b, t.x, ws);
+        return;
+    }
+    let n = a.nrows();
+    let q = lanes.iter().map(|t| t.b.ncols()).sum();
+    let (mut b, mut x) = (ws.take_stale(n, q), ws.take_stale(n, q));
+    gather(lanes.iter().map(|t| t.b), &mut b);
+    gather(lanes.iter().map(|t| &*t.x), &mut x);
+    let r = mode.residual_ws(a, &b, &x, ws);
+    let mut off = 0;
+    for t in lanes.iter_mut() {
+        let len = t.r.as_slice().len();
+        t.r.as_mut_slice()
+            .copy_from_slice(&r.as_slice()[off..off + len]);
+        off += len;
+    }
+    for m in [b, x, r] {
+        ws.put(m);
+    }
+}
+
+/// What the lanes of a solve share: its events, their counters, the row
+/// of residuals the events show, the storage of the batched applies.
+struct Shared<S: Scalar> {
+    tracer: SolveTracer,
+    /// The lanes' own counters, when several lanes are counted (see
+    /// [`ship`]).
+    own: Vec<Arc<CommStats>>,
+    /// Every column's latest residual.
+    row: Vec<f64>,
+    pool: SpmmWorkspace<S>,
+    cycle: usize,
+}
+
+impl<S: Scalar> Shared<S> {
+    /// The steps of a cycle, in lock-step, until no lane can step: per
+    /// lock-step, one operator (and preconditioner) apply over the columns
+    /// of the lanes that step through it, in place when one does, then one
+    /// iteration event. Steps on stored images take no apply.
+    fn lock_steps(
+        &mut self,
+        runs: &mut [Run<'_, '_, S>],
+        (a, mode): (&dyn LinOp<S>, &PrecondMode<'_, S>),
+        opts: &SolveOpts,
+    ) {
+        let (n, row) = (a.nrows(), &mut self.row[..]);
+        loop {
+            let stepping: Vec<usize> = (0..runs.len())
+                .filter(|&i| runs[i].can_step(opts.max_iters))
+                .collect();
+            if stepping.is_empty() {
+                return;
+            }
+            let mut rank = row.len();
+            let (ops, images): (Vec<usize>, Vec<usize>) =
+                stepping.iter().partition(|&&i| runs[i].on_operator());
+            if let [i] = ops[..] {
+                let res = runs[i].arn.step();
+                rank -= res.len() - runs[i].count(&res, opts.rtol, row);
+            } else if !ops.is_empty() {
+                let q = ops.iter().map(|&i| runs[i].arn.step_input().ncols()).sum();
+                let mut v = self.pool.take_stale(n, q);
+                gather(ops.iter().map(|&i| runs[i].arn.step_input()), &mut v);
+                let right = matches!(mode, PrecondMode::Right(_));
+                let mut z = right.then(|| self.pool.take_stale(n, q));
+                let mut w = self.pool.take_stale(n, q);
+                mode.step_images(a, &v, z.as_mut(), &mut w, &mut self.pool);
+                let mut off = 0;
+                for &i in &ops {
+                    let cols = off..off + runs[i].arn.step_input().as_slice().len();
+                    let zi = z.as_ref().map_or(&[][..], |z| &z.as_slice()[cols.clone()]);
+                    let res = runs[i].arn.finish_step(zi, &w.as_slice()[cols.clone()]);
+                    rank -= res.len() - runs[i].count(&res, opts.rtol, row);
+                    off = cols.end;
+                }
+                for m in [Some(v), Some(w), z].into_iter().flatten() {
+                    self.pool.put(m);
+                }
+            }
+            for i in images {
+                let run = &mut runs[i];
+                let image = run.plan.images.next().expect("one image per further step");
+                let res = run.arn.step_with_image(image);
+                rank -= res.len() - run.count(&res, opts.rtol, row);
+            }
+            ship(&self.own, opts.stats.as_deref());
+            let iter = self.tracer.iterations();
+            let breakdown = (rank < row.len()).then_some(rank);
+            (self.tracer).iteration(self.cycle, iter, row.to_vec(), opts.orth.name(), breakdown);
+            for arn in stepping.iter().map(|&i| &runs[i].arn) {
+                if arn.last_orth_passes() > 1 || arn.last_orth_refreshed() {
+                    // The fused path's amp² budget forced a second pass (or a
+                    // rank-revealing refresh): surface the running loss.
+                    let (loss, passes) = (arn.fused_loss(), arn.last_orth_passes());
+                    (self.tracer).diag(self.cycle, iter, DiagKind::OrthLoss, loss, passes);
+                }
+            }
+        }
+    }
+}
+
+/// Solve `A·X = B` with one lane under `policy`; see [`solve_lanes`].
 pub(crate) fn solve<S: Scalar>(
     a: &dyn LinOp<S>,
     pc: &dyn PrecondOp<S>,
     b: &DMat<S>,
     x: &mut DMat<S>,
     opts: &SolveOpts,
-    (solver, system_index): (&'static str, usize),
+    name: (&'static str, usize),
     policy: &mut dyn Augmentation<S>,
 ) -> SolveResult {
-    let (n, p) = (a.nrows(), b.ncols());
-    let mode = PrecondMode::new(pc, opts.side);
-    let bnorms = rhs_norms(b);
-    let mut tracer = SolveTracer::begin(opts, solver, system_index, n, p);
+    let lane = Lane { b, x, policy };
+    let mut res = solve_lanes(a, pc, opts, name, vec![lane]);
+    res.pop().expect("one lane")
+}
 
-    // Storage shared by every cycle: basis, directions, Hessenberg matrix
-    // and the n × p temporaries are allocated once per solve.
-    let mut bufs = CycleBuffers::default();
-    let mut r = mode.residual_ws(a, b, x, &mut bufs.ws);
-    // Norms of the true residual of the current `x`, and what they say. A
-    // non-finite norm is above no tolerance, so `any_above` alone would let
-    // the finite columns of a block keep the loop going: it stops on one.
-    let mut rn = norms(&r);
-    let mut converged = !any_above(&rn, &bnorms, opts.rtol);
-    let mut finite = all_finite(&rn);
-    let (mut iters, mut cycle) = (0usize, 0usize);
+/// Solve `A·X = B` for every lane by restarted cycles under its policy; the
+/// events carry the solver's name and the system's index in its sequence.
+pub(crate) fn solve_lanes<S: Scalar>(
+    a: &dyn LinOp<S>,
+    pc: &dyn PrecondOp<S>,
+    opts: &SolveOpts,
+    (solver, system_index): (&'static str, usize),
+    lanes: Vec<Lane<'_, S>>,
+) -> Vec<SolveResult> {
+    let mode = PrecondMode::new(pc, opts.side);
+    let op = (a, &mode);
+    let width = lanes.iter().map(|l| l.b.ncols()).sum();
+    let mut sh = Shared {
+        tracer: SolveTracer::begin(opts, solver, system_index, a.nrows(), width),
+        own: match opts.stats {
+            Some(_) if lanes.len() > 1 => lanes.iter().map(|_| CommStats::new_shared()).collect(),
+            _ => Vec::new(),
+        },
+        row: vec![0.0; width],
+        pool: SpmmWorkspace::new(),
+        cycle: 0,
+    };
+    let mut col0 = 0;
+    let (mut tracks, mut policies): (Vec<Track<'_, S>>, Vec<_>) = (lanes.into_iter())
+        .enumerate()
+        .map(|(l, Lane { b, x, policy })| {
+            let stats = sh.own.get(l).cloned().or_else(|| opts.stats.clone());
+            col0 += b.ncols();
+            let track = Track {
+                opts: SolveOpts {
+                    stats,
+                    ..opts.clone()
+                },
+                bnorms: rhs_norms(b),
+                col0: col0 - b.ncols(),
+                bufs: CycleBuffers::default(),
+                r: DMat::zeros(b.nrows(), b.ncols()),
+                rn: Vec::new(),
+                converged: false,
+                finite: true,
+                iters: 0,
+                history: Vec::new(),
+                b,
+                x,
+            };
+            (track, policy)
+        })
+        .unzip();
     macro_rules! cx {
-        () => {
+        ($t:expr) => {
             &Cx {
                 a,
                 mode: &mode,
-                opts,
-                tracer: &tracer,
-                cycle,
+                opts: &$t.opts,
+                tracer: &sh.tracer,
+                cycle: sh.cycle,
             }
         };
     }
 
-    if !converged && finite {
-        policy.prologue(cx!(), x, &mut r);
-        // It may have moved a part of `r` into `x`; should `max_iters` allow
-        // no cycle, these are the norms the verdict reports.
-        rn = norms(&r);
-        finite = all_finite(&rn);
-    }
-    while !converged && finite && iters < opts.max_iters {
-        let cyc = tracer.span_start(SpanKind::Cycle);
-        let mut plan = policy.prepare(cx!(), &mut r);
-        let length = plan.steps + plan.images.len();
-        let stats = opts.stats.as_deref();
-        let mut arn = BlockArnoldi::new(a, &mode, length, p, opts.orth, plan.c, stats)
-            .with_buffers(std::mem::take(&mut bufs));
-        arn.start(&r);
-        let estimate_met = run_cycle(
-            &mut arn,
-            &mut plan,
-            &mut tracer,
-            &mut iters,
-            cycle,
-            &bnorms,
-            opts,
-        );
-        tracer.span_end(cyc, cycle);
-
-        // Apply the correction, recompute the true residual.
-        let restart = plan
-            .restart_span
-            .then(|| tracer.span_start(SpanKind::Restart));
-        let j = arn.iterations();
-        // Handing the buffers over ends the cycle's borrow of the policy.
-        let mut end = CycleEnd {
-            j,
-            own: j.min(plan.steps),
-            y: arn.solve_y(),
-            estimate_met,
-            bufs: arn.into_buffers(),
-        };
-        policy.correct(cx!(), &mut end, x);
-        if let Some(probe) = restart {
-            tracer.span_end(probe, cycle);
+    true_residuals(op, &mut tracks.iter_mut().collect::<Vec<_>>(), &mut sh.pool);
+    for (t, policy) in tracks.iter_mut().zip(&mut policies) {
+        t.judge(Some(opts.rtol), &mut sh.row);
+        if !t.converged && t.finite {
+            policy.prologue(cx!(t), t.x, &mut t.r);
+            // It may have moved a part of `r` into `x`; should `max_iters`
+            // allow no cycle, these are the norms the verdict reports.
+            t.judge(None, &mut sh.row);
         }
-        end.bufs.ws.put(r);
-        r = mode.residual_ws(a, b, x, &mut end.bufs.ws);
-        // Convergence is decided on the TRUE residual; the in-cycle estimate
-        // only ends the cycle early.
-        rn = norms(&r);
-        converged = !any_above(&rn, &bnorms, opts.rtol);
-        finite = all_finite(&rn);
-        policy.carry_over(cx!(), &end, converged);
-        bufs = end.bufs;
-        cycle += 1;
+    }
+    while tracks.iter().any(|t| t.live(opts.max_iters)) {
+        let cyc = sh.tracer.span_start(SpanKind::Cycle);
+        let mut lanes: Vec<_> = (tracks.iter_mut().zip(&mut policies))
+            .filter(|(t, _)| t.live(opts.max_iters))
+            .collect();
+        let mut runs: Vec<Run<'_, '_, S>> = (lanes.iter_mut())
+            .map(|(t, policy)| {
+                let plan = policy.prepare(cx!(t), &mut t.r);
+                let (length, p) = (plan.steps + plan.images.len(), t.r.ncols());
+                let stats = t.opts.stats.clone();
+                let mut arn = BlockArnoldi::new(a, &mode, length, p, opts.orth, plan.c, stats)
+                    .with_buffers(std::mem::take(&mut t.bufs));
+                arn.start(&t.r);
+                Run {
+                    track: t,
+                    plan,
+                    arn,
+                    stepping: true,
+                }
+            })
+            .collect();
+        sh.lock_steps(&mut runs, op, opts);
+        let mut ends: Vec<(CycleEnd<S>, bool)> = runs.into_iter().map(Run::end).collect();
+        sh.tracer.span_end(cyc, sh.cycle);
+
+        // Apply the corrections, recompute the true residuals.
+        for ((t, policy), (end, restart_span)) in lanes.iter_mut().zip(&mut ends) {
+            let restart = restart_span.then(|| sh.tracer.span_start(SpanKind::Restart));
+            policy.correct(cx!(t), end, t.x);
+            if let Some(probe) = restart {
+                sh.tracer.span_end(probe, sh.cycle);
+            }
+        }
+        let ws = match &mut ends[..] {
+            [(end, _)] => &mut end.bufs.ws,
+            _ => &mut sh.pool,
+        };
+        true_residuals(
+            op,
+            &mut lanes.iter_mut().map(|l| &mut *l.0).collect::<Vec<_>>(),
+            ws,
+        );
+        // Convergence is decided on the TRUE residual; the in-cycle
+        // estimate only ends the cycle early.
+        for ((t, policy), (end, _)) in lanes.into_iter().zip(ends) {
+            t.judge(Some(opts.rtol), &mut sh.row);
+            policy.carry_over(cx!(t), &end, t.converged);
+            t.bufs = end.bufs;
+        }
+        sh.cycle += 1;
     }
 
     // The verdict, on the true residual: a non-finite norm is above no
     // tolerance in the tests that ended the loop, and passes none here.
-    let final_relres = relative(&rn, &bnorms);
-    let converged = converged && final_relres.iter().all(|&v| v <= opts.rtol * 10.0);
-    let history = tracer.finish(converged, &final_relres);
-    SolveResult {
-        iterations: iters,
-        converged,
-        history,
-        final_relres,
-    }
+    ship(&sh.own, opts.stats.as_deref());
+    let results: Vec<SolveResult> = (tracks.into_iter())
+        .map(|t| {
+            let final_relres = relative(&t.rn, &t.bnorms);
+            SolveResult {
+                iterations: t.iters,
+                converged: t.converged && final_relres.iter().all(|&v| v <= opts.rtol * 10.0),
+                history: t.history,
+                final_relres,
+            }
+        })
+        .collect();
+    let final_relres: Vec<f64> = (results.iter())
+        .flat_map(|r| r.final_relres.iter().copied())
+        .collect();
+    (sh.tracer).finish(results.iter().all(|r| r.converged), &final_relres);
+    results
 }
 
 #[cfg(test)]

@@ -196,44 +196,19 @@ fn rank_revealing_fixup<S: Scalar>(
     let mut q_lead = vp.cols(0, rank);
     tri::right_solve_upper(&mut q_lead, &r_lead);
     // Deficient trailing columns: replace with canonical vectors
-    // orthogonalized against the leading block (two MGS passes).
+    // orthogonalized against everything accumulated so far — external bases
+    // (recycled space / Arnoldi basis), the leading range and earlier
+    // replacement columns. `e_{k mod n}` is tried first. An earlier breakdown
+    // of the cycle may have put that very vector into the basis; then its
+    // projection is exactly zero, and normalising it filled the block (and
+    // every later estimate and update) with NaN: the next vectors are tried
+    // instead. Should every one vanish, the column stays zero.
+    let n = v.nrows();
     for k in rank..p {
-        let n = v.nrows();
-        let mut e = vec![S::zero(); n];
-        e[k % n] = S::one();
-        // Orthogonalize against everything accumulated so far — external
-        // bases (recycled space / Arnoldi basis), the leading range AND
-        // earlier replacement columns. The replacements multiply zero rows
-        // of R, so reshaping them never perturbs the factorization V = Q·R.
-        for _pass in 0..2 {
-            for m in ext {
-                for j in 0..m.ncols() {
-                    let mj = m.col(j);
-                    let mut dot = S::zero();
-                    for (qi, ei) in mj.iter().zip(e.iter()) {
-                        dot += qi.conj() * *ei;
-                    }
-                    for (qi, ei) in mj.iter().zip(e.iter_mut()) {
-                        *ei -= dot * *qi;
-                    }
-                }
-            }
-            for j in 0..q_lead.ncols() {
-                let qj = q_lead.col(j);
-                let mut dot = S::zero();
-                for (qi, ei) in qj.iter().zip(e.iter()) {
-                    dot += qi.conj() * *ei;
-                }
-                for (qi, ei) in qj.iter().zip(e.iter_mut()) {
-                    *ei -= dot * *qi;
-                }
-            }
-        }
-        let mut nrm = S::Real::zero();
-        for x in &e {
-            nrm += x.abs_sqr();
-        }
-        let nrm = nrm.sqrt();
+        let (mut e, nrm) = (0..n)
+            .map(|t| projected_canonical((k + t) % n, ext, &q_lead))
+            .find(|(_, nrm)| *nrm > S::Real::zero())
+            .unwrap_or_else(|| (vec![S::zero(); n], S::Real::one()));
         let inv = S::one() / S::from_real(nrm);
         for x in &mut e {
             *x *= inv;
@@ -263,11 +238,62 @@ fn rank_revealing_fixup<S: Scalar>(
     }
 }
 
+/// The canonical vector `e_i` orthogonalized, in two MGS passes, against
+/// the external bases and the columns of `q`, and its norm. The
+/// replacements of a breakdown multiply zero rows of `R`, so reshaping them
+/// never perturbs the factorization `V = Q·R`.
+fn projected_canonical<S: Scalar>(
+    i: usize,
+    ext: &[ColsRef<'_, S>],
+    q: &DMat<S>,
+) -> (Vec<S>, S::Real) {
+    let mut e = vec![S::zero(); q.nrows()];
+    e[i] = S::one();
+    let mut project = |col: &[S]| {
+        let mut dot = S::zero();
+        for (qi, ei) in col.iter().zip(e.iter()) {
+            dot += qi.conj() * *ei;
+        }
+        for (qi, ei) in col.iter().zip(e.iter_mut()) {
+            *ei -= dot * *qi;
+        }
+    };
+    for _pass in 0..2 {
+        for m in ext {
+            (0..m.ncols()).for_each(|j| project(m.col(j)));
+        }
+        (0..q.ncols()).for_each(|j| project(q.col(j)));
+    }
+    let nrm = e.iter().fold(S::Real::zero(), |acc, x| acc + x.abs_sqr());
+    (e, nrm.sqrt())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::blas::{matmul, Op};
     use kryst_scalar::C64;
+
+    /// Two equal columns orthogonal to `e_1`, with `e_1` as the external
+    /// basis: the replacement of the deficient column would be `e_1`, which
+    /// projects to exactly zero, so `e_2` replaces it.
+    #[test]
+    fn replacement_skips_a_canonical_vector_already_in_the_span() {
+        let n = 6;
+        let ext = DMat::<f64>::from_fn(n, 1, |i, _| f64::from(u8::from(i == 1)));
+        let v0 = DMat::from_fn(n, 2, |i, _| if i == 1 { 0.0 } else { (i + 1) as f64 });
+        let mut q = v0.clone();
+        let out = cholqr_within(&mut q, &[ColsRef::whole(&ext)]);
+        assert_eq!(out.rank, 1);
+        assert!(q.as_slice().iter().all(|x| x.is_finite()));
+        let g = matmul(&q, Op::ConjTrans, &q, Op::None);
+        assert!((g[(0, 0)] - 1.0).abs() < 1e-14 && (g[(1, 1)] - 1.0).abs() < 1e-14);
+        assert!(g[(0, 1)].abs() < 1e-14);
+        assert!(matmul(&ext, Op::ConjTrans, &q, Op::None).max_abs() < 1e-14);
+        let mut qr = matmul(&q, Op::None, &out.r, Op::None);
+        qr.axpy(-1.0, &v0);
+        assert!(qr.max_abs() < 1e-12);
+    }
 
     #[test]
     fn cholesky_reconstructs() {

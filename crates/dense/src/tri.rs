@@ -24,23 +24,6 @@ pub fn solve_upper_in_place<S: Scalar>(r: &DMat<S>, n: usize, b: &mut DMat<S>) {
     }
 }
 
-/// Solve `Rᴴ · X = B` in place (forward substitution with the adjoint of the
-/// stored upper triangle).
-pub fn solve_upper_adjoint_in_place<S: Scalar>(r: &DMat<S>, n: usize, b: &mut DMat<S>) {
-    assert!(n <= r.nrows() && n <= r.ncols());
-    assert!(b.nrows() >= n);
-    for col in 0..b.ncols() {
-        let x = b.col_mut(col);
-        for i in 0..n {
-            let mut acc = x[i];
-            for j in 0..i {
-                acc -= r[(j, i)].conj() * x[j];
-            }
-            x[i] = acc / r[(i, i)].conj();
-        }
-    }
-}
-
 /// Solve `L · X = B` in place for lower-triangular `L` (leading `n × n`
 /// block), optionally with an implicit unit diagonal.
 pub fn solve_lower_in_place<S: Scalar>(l: &DMat<S>, n: usize, unit_diag: bool, b: &mut DMat<S>) {
@@ -85,7 +68,6 @@ pub fn right_solve_upper<S: Scalar>(x: &mut DMat<S>, r: &DMat<S>) {
 mod tests {
     use super::*;
     use crate::blas::{matmul, Op};
-    use kryst_scalar::C64;
 
     fn upper(n: usize) -> DMat<f64> {
         DMat::from_fn(n, n, |i, j| {
@@ -106,26 +88,6 @@ mod tests {
         for i in 0..5 {
             for j in 0..3 {
                 assert!((b[(i, j)] - x[(i, j)]).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn upper_adjoint_solve_complex() {
-        let r = DMat::<C64>::from_fn(4, 4, |i, j| {
-            if i <= j {
-                C64::from_parts(1.0 + i as f64, j as f64 - 1.5)
-            } else {
-                C64::zero()
-            }
-        });
-        let x = DMat::<C64>::from_fn(4, 2, |i, j| C64::from_parts(i as f64, -(j as f64)));
-        let rh = r.adjoint();
-        let mut b = matmul(&rh, Op::None, &x, Op::None);
-        solve_upper_adjoint_in_place(&r, 4, &mut b);
-        for i in 0..4 {
-            for j in 0..2 {
-                assert!((b[(i, j)] - x[(i, j)]).abs() < 1e-10);
             }
         }
     }

@@ -9,8 +9,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// An event sink. Implementations must be cheap to call and thread-safe —
-/// solvers may emit from worker threads (pseudo-block members). A solve
-/// with no recorder (`recorder: None`) constructs no events at all.
+/// one recorder may be shared by solves on several threads. A solve with no
+/// recorder (`recorder: None`) constructs no events at all.
 pub trait Recorder: Send + Sync {
     /// Record one event.
     fn record(&self, ev: &Event);

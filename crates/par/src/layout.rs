@@ -22,18 +22,6 @@ impl Layout {
         Self { offsets }
     }
 
-    /// Build from explicit per-rank row counts.
-    pub fn from_counts(counts: &[usize]) -> Self {
-        let mut offsets = Vec::with_capacity(counts.len() + 1);
-        offsets.push(0);
-        let mut acc = 0;
-        for &c in counts {
-            acc += c;
-            offsets.push(acc);
-        }
-        Self { offsets }
-    }
-
     /// Number of ranks.
     pub fn nranks(&self) -> usize {
         self.offsets.len() - 1
@@ -88,14 +76,6 @@ mod tests {
             let r = l.rank_of(i);
             assert!(l.range(r).contains(&i), "row {i} → rank {r}");
         }
-    }
-
-    #[test]
-    fn from_counts() {
-        let l = Layout::from_counts(&[3, 0, 5]);
-        assert_eq!(l.range(1), 3..3);
-        assert_eq!(l.range(2), 3..8);
-        assert_eq!(l.rank_of(3), 2);
     }
 
     #[test]

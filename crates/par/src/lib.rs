@@ -48,7 +48,7 @@ pub use comm::{CommInterval, CommSnapshot, CommStats};
 pub use cost::{CostModel, ModeledTime};
 pub use halo::HaloPlan;
 pub use layout::Layout;
-pub use op::{DistOp, IdentityPrecond, LinOp, PrecondOp, PrecondPrecision, ProjectedOp};
+pub use op::{DistOp, IdentityPrecond, LinOp, PrecondOp, PrecondPrecision};
 pub use report::{
     calibration_table, comm_from_json, comm_to_json, per_rank_comm, phase_report, validation_table,
     ModeledRow, PhaseReport, PhaseRow, ValidationRow,

@@ -243,45 +243,6 @@ impl<S: Scalar> LinOp<S> for DistOp<S> {
     }
 }
 
-/// Composite operator `(I − C·Cᴴ)·A` — the projected operator GCRO-DR runs
-/// its inner Arnoldi with (Fig. 1 line 26). Applying it costs one `A·x` and
-/// one block dot + update, i.e. **one extra global reduction per iteration**,
-/// which is precisely the overhead §III-D attributes to recycling.
-pub struct ProjectedOp<'a, S: Scalar> {
-    /// Inner operator `A`.
-    pub inner: &'a dyn LinOp<S>,
-    /// Orthonormal block `C` (n × k·p).
-    pub c: &'a DMat<S>,
-    /// Counters for the projection reduction (optional).
-    pub stats: Option<&'a CommStats>,
-}
-
-impl<S: Scalar> LinOp<S> for ProjectedOp<'_, S> {
-    fn nrows(&self) -> usize {
-        self.inner.nrows()
-    }
-    fn apply(&self, x: &DMat<S>, y: &mut DMat<S>) {
-        self.inner.apply(x, y);
-        // y ⟵ y − C·(Cᴴ·y): one fused reduction for the Gram product.
-        let coeff = {
-            let _t = traced(SpanKind::Reduction);
-            kryst_dense::blas::adjoint_times(self.c, y)
-        };
-        if let Some(st) = self.stats {
-            st.record_reduction(std::mem::size_of_val(coeff.as_slice()));
-        }
-        kryst_dense::blas::gemm(
-            -S::one(),
-            self.c,
-            kryst_dense::Op::None,
-            &coeff,
-            kryst_dense::Op::None,
-            S::one(),
-            y,
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -348,27 +309,6 @@ mod tests {
         assert!(op1.split().all_interior());
         let _ = op1.apply_new(&x);
         assert_eq!(stats1.snapshot().overlap_flops, 0);
-    }
-
-    #[test]
-    fn projected_op_annihilates_c_components() {
-        let a = laplace1d(30);
-        // C = first 2 canonical directions, orthonormal.
-        let mut c = DMat::<f64>::zeros(30, 2);
-        c[(0, 0)] = 1.0;
-        c[(5, 1)] = 1.0;
-        let stats = CommStats::default();
-        let op = ProjectedOp {
-            inner: &a,
-            c: &c,
-            stats: Some(&stats),
-        };
-        let x = DMat::from_fn(30, 1, |i, _| 1.0 + i as f64);
-        let y = op.apply_new(&x);
-        // Cᴴ y = 0.
-        let g = kryst_dense::blas::adjoint_times(&c, &y);
-        assert!(g.max_abs() < 1e-12);
-        assert_eq!(stats.snapshot().reductions, 1);
     }
 
     #[test]

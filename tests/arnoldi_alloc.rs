@@ -19,6 +19,10 @@
 //! step of the next cycle. The windows are cut out of a whole solve by a
 //! recorder that notes the counter at every span and iteration event.
 //!
+//! A pseudo-block solve runs its lanes in lock-step, one batched operator
+//! apply per step: once its first cycle has sized the batches, no lock-step
+//! allocates a vector either, restarts and batched true residuals included.
+//!
 //! Everything lives in a single `#[test]`: the counter is process-wide.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -58,6 +62,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static COUNTER: CountingAlloc = CountingAlloc;
 
 use kryst_core::cycle::{BlockArnoldi, CycleBuffers, PrecondMode};
+use kryst_core::pseudo::{self, PseudoMethod};
 use kryst_core::{gcrodr, lgmres, OrthScheme, PrecondSide, SolveOpts, SolverContext};
 use kryst_dense::{blas, chol, DMat};
 use kryst_obs::{Event, Recorder, SpanKind};
@@ -188,10 +193,52 @@ fn restarts_allocate_their_storage_once() {
     }
 }
 
+/// Pseudo-block GMRES(6) and GCRO-DR(6, 2) over three lanes: the big
+/// allocations between two iteration events, which lie one lock-step
+/// apart, are none once the first cycle and the refresh after it are done.
+fn lock_steps_allocate_nothing() {
+    let n = 20_000;
+    let a = laplace1d(n);
+    let jac = Jacobi::new(&a, 1.0);
+    let b = DMat::from_fn(n, 3, |i, j| ((i * 3 + j * 7) % 11) as f64 - 5.0);
+    for method in [PseudoMethod::Gmres, PseudoMethod::GcroDr] {
+        let marks = Arc::new(SpanMarks::default());
+        let opts = SolveOpts {
+            rtol: 1e-14,
+            restart: 6,
+            recycle: 2,
+            max_iters: 30,
+            recorder: Some(marks.clone() as Arc<dyn Recorder>),
+            ..Default::default()
+        };
+        let mut x = DMat::zeros(n, 3);
+        big_allocs(n, || {
+            pseudo::solve(&a, &jac, &b, &mut x, &opts, method, None);
+        });
+        let marks = marks.0.lock().expect("no panic under the lock");
+        let steps: Vec<usize> = marks
+            .iter()
+            .filter(|m| m.0.is_none())
+            .map(|m| m.1)
+            .collect();
+        assert_eq!(steps.len(), 30, "{method:?}");
+        let grown: Vec<usize> = steps.windows(2).map(|w| w[1] - w[0]).collect();
+        assert!(
+            grown[..6].iter().any(|&big| big > 0),
+            "{method:?}: {grown:?}"
+        );
+        assert!(
+            grown[12..].iter().all(|&big| big == 0),
+            "{method:?}: a lock-step allocated a vector: {grown:?}"
+        );
+    }
+}
+
 #[test]
 fn step_and_restart_allocate_no_vector_after_the_first_cycle() {
     std::env::set_var("KRYST_THREADS", "1");
     restarts_allocate_their_storage_once();
+    lock_steps_allocate_nothing();
     let n = 3000;
     let m = 5;
     let a = laplace1d(n);

@@ -8,12 +8,12 @@
 //!    the solution vector are compared between a tracing-off and a
 //!    tracing-on run, on both branches of the Arnoldi step's
 //!    orthogonalization (CI runs this file under `KRYST_THREADS` ∈ {1, 4}).
-//!    The per-kind aggregates are exact across the threads of a
-//!    pseudo-block solve.
+//!    The per-kind aggregates count every apply of a pseudo-block solve.
 //! 2. **Diagnostics** — the stagnation detector fires exactly once on the
 //!    golden stagnating case (GMRES(30) on the 1-D Laplacian) and stays
 //!    silent on a converging run longer than its window; CholQR rank
-//!    collapse is reported on a duplicate-column block RHS.
+//!    collapse is reported on a duplicate-column block RHS, and a block
+//!    that collapses twice keeps a finite solution.
 //! 3. **Coverage** — the phases of an LGMRES solve (operator, preconditioner,
 //!    orthogonalization, the QR of `H̄`, restart) are disjoint and add up to at least 95 % of
 //!    its wall time: no part of a driver is left out of the phase table.
@@ -32,8 +32,10 @@ use kryst_obs::{
 };
 use kryst_par::{per_rank_comm, CommStats, DistOp, IdentityPrecond, PrecondOp};
 use kryst_pde::elasticity::paper_sequence;
+use kryst_pde::maxwell::{antenna_ring_rhs, maxwell3d, MaxwellParams};
 use kryst_precond::{Amg, AmgOpts, Jacobi, SmootherKind};
 use kryst_rt::rng::Rng64;
+use kryst_scalar::C64;
 use kryst_sparse::{Coo, Csr};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -392,7 +394,10 @@ fn no_stagnation_diag_on_converging_convdiff() {
 
 /// A duplicate-column block RHS collapses the initial CholQR rank; GCRO-DR
 /// must report the rank-collapse diagnostic on the first iteration of the
-/// affected cycle and still converge via the pseudo-block fallback.
+/// affected cycle and still converge via the pseudo-block fallback. The
+/// second input, eight antenna right-hand sides with three distinct columns,
+/// collapses again later in the cycle; its replacement directions must not
+/// be ones the first collapse put into the basis, or `x` turns NaN.
 #[test]
 fn rank_collapse_diag_fires_on_duplicate_rhs_gcrodr() {
     let _turn = profiler_turn();
@@ -430,6 +435,32 @@ fn rank_collapse_diag_fires_on_duplicate_rhs_gcrodr() {
     let first = collapses[0];
     assert_eq!(first.value, 1.0, "detected rank should be 1 of 2");
     assert_eq!(first.detail, 2, "block width is carried in detail");
+
+    let params = MaxwellParams::with_cylinder(4);
+    let (prob, geom) = maxwell3d(&params);
+    let n = prob.a.nrows();
+    let b = antenna_ring_rhs(&geom, &params, 32, 0.3, 0.55).cols(0, 8);
+    ring.clear();
+    let opts = ring_opts(
+        SolveOpts {
+            restart: 50,
+            ..Default::default()
+        },
+        &ring,
+    );
+    let mut x = DMat::<C64>::zeros(n, 8);
+    let id = IdentityPrecond::new(n);
+    let res = gcrodr::solve(&prob.a, &id, &b, &mut x, &opts, &mut SolverContext::new());
+    let ranks: Vec<f64> = diags_of(&ring.events(), DiagKind::RankCollapse)
+        .iter()
+        .map(|d| d.value)
+        .collect();
+    assert!(ranks.len() > 1 && ranks[0] == 3.0, "{ranks:?}");
+    assert!(x
+        .as_slice()
+        .iter()
+        .all(|v| v.re.is_finite() && v.im.is_finite()));
+    assert!(res.converged, "{:?}", res.final_relres);
 }
 
 /// Per-rank attribution of a real solve's counters reconciles exactly with
@@ -487,10 +518,11 @@ impl PrecondOp<f64> for CountingPc<'_> {
     }
 }
 
-/// The members of a pseudo-block solve run on their own threads; every
-/// preconditioner apply any of them makes is in the `precond_apply` row.
+/// Every preconditioner apply of a pseudo-block solve — one per lock-step
+/// and true residual, over the columns of all its lanes — is in the
+/// `precond_apply` row.
 #[test]
-fn pseudo_block_spans_are_counted_across_threads() {
+fn pseudo_block_precond_applies_are_all_counted() {
     let _turn = profiler_turn();
     let a = convdiff2d(32, 0.01, 1.0, 0.3);
     let n = a.nrows();

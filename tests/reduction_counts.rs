@@ -20,8 +20,12 @@
 //!   plus **one extra for strategy A** (eq. (3a) needs `[C V]ᴴ·U`; eq. (3b)
 //!   assumes orthogonality and skips it),
 //! * `same_system` drops the `A·U` re-orthonormalization from the setup, so
-//!   the setup span records 1 reduction instead of 2.
+//!   the setup span records 1 reduction instead of 2,
+//! * the lanes of a pseudo-block solve ship their `k`-th reductions between
+//!   two lock-steps as one message: a lock-step reduces as often as its
+//!   busiest lane, with the parts and bytes of all of them.
 
+use kryst_core::pseudo::{self, PseudoMethod};
 use kryst_core::{gcrodr, gmres, OrthScheme, RecycleStrategy, SolveOpts, SolverContext};
 use kryst_dense::DMat;
 use kryst_obs::{
@@ -466,4 +470,57 @@ fn fused_deflated_cycle_parts_are_exact() {
         interior += 1;
     }
     assert!(interior > 0, "no interior deflated iterations observed");
+}
+
+/// Pseudo-block GMRES over three right-hand sides against three single-RHS
+/// runs. Every lane steps at every lock-step until it converges, so
+/// lock-step `t` merges step `t` of each lane still running: the event
+/// reduces as often as the busiest of them and carries all their parts and
+/// bytes.
+#[test]
+fn pseudo_block_lanes_merge_their_reductions() {
+    let (a, _) = poisson_setup(24);
+    let n = a.nrows();
+    let id = IdentityPrecond::new(n);
+    let b = DMat::from_fn(n, 3, |i, j| ((i * (j + 2) % 7) as f64) - 3.0);
+    type Solve<'a> = &'a dyn Fn(&DMat<f64>, &mut DMat<f64>, &SolveOpts) -> bool;
+    let run = |b: &DMat<f64>, solve: Solve<'_>| {
+        let ring = Arc::new(RingRecorder::new(8192));
+        let stats = CommStats::new_shared();
+        let opts = SolveOpts {
+            rtol: 1e-8,
+            restart: 20,
+            stats: Some(Arc::clone(&stats)),
+            recorder: Some(ring.clone() as Arc<dyn Recorder>),
+            ..Default::default()
+        };
+        let mut x = DMat::zeros(n, b.ncols());
+        assert!(solve(b, &mut x, &opts));
+        let events = ring.events();
+        assert_eq!(cumulative_comm(&events), stats.snapshot().to_delta());
+        let comm: Vec<_> = iteration_events(&events).iter().map(|e| e.comm).collect();
+        comm
+    };
+    let lanes: Vec<_> = (0..3)
+        .map(|l| {
+            run(&b.cols(l, 1), &|b, x, o| {
+                gmres::solve(&a, &id, b, x, o).converged
+            })
+        })
+        .collect();
+    let merged = run(&b, &|b, x, o| {
+        pseudo::solve(&a, &id, b, x, o, PseudoMethod::Gmres, None).converged
+    });
+    let lengths: Vec<usize> = lanes.iter().map(Vec::len).collect();
+    assert!(lengths.iter().any(|&len| len != lengths[0]), "{lengths:?}");
+    assert_eq!(merged.len(), *lengths.iter().max().unwrap());
+    for (t, got) in merged.iter().enumerate() {
+        let at: Vec<_> = lanes.iter().filter_map(|lane| lane.get(t)).collect();
+        let most = at.iter().map(|d| d.reductions).max();
+        assert_eq!(Some(got.reductions), most, "lock-step {t}");
+        let parts: u64 = at.iter().map(|d| d.fused_parts).sum();
+        assert_eq!(got.fused_parts, parts, "lock-step {t}");
+        let bytes: u64 = at.iter().map(|d| d.reduction_bytes).sum();
+        assert_eq!(got.reduction_bytes, bytes, "lock-step {t}");
+    }
 }

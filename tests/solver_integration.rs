@@ -1,15 +1,18 @@
 //! Cross-crate integration: solvers × preconditioners × problems.
 
+use kryst_core::pseudo::{self, PseudoMethod};
 use kryst_core::{gcrodr, gmres, lgmres, OrthScheme, PrecondSide, SolveOpts, SolverContext};
 use kryst_dense::DMat;
-use kryst_par::IdentityPrecond;
+use kryst_par::{IdentityPrecond, LinOp, PrecondOp};
 use kryst_pde::elasticity::{elasticity3d, ElasticityOpts};
 use kryst_pde::maxwell::{antenna_ring_rhs, maxwell3d, MaxwellParams};
-use kryst_pde::poisson::poisson2d;
+use kryst_pde::poisson::{paper_rhs_block, poisson2d};
 use kryst_precond::{Amg, AmgOpts, Schwarz, SchwarzOpts, SchwarzVariant, SmootherKind};
 use kryst_scalar::{Real, Scalar, C64};
 use kryst_sparse::partition::partition_rcb;
 use kryst_sparse::{Csr, SparseDirect};
+use std::sync::Mutex;
+use std::thread::ThreadId;
 
 fn true_relres<S: Scalar>(a: &Csr<S>, b: &DMat<S>, x: &DMat<S>) -> f64 {
     let mut r = a.apply(x);
@@ -244,4 +247,61 @@ fn gcrodr_handles_singular_rhs_block_via_rank_revealing_cholqr() {
         res.final_relres
     );
     assert!(true_relres(&prob.a, &b, &x) < 1e-6);
+}
+
+/// An operator and a preconditioner (the identity) that note the thread
+/// of every apply.
+struct Noting<'a> {
+    a: &'a Csr<f64>,
+    threads: Mutex<Vec<ThreadId>>,
+}
+
+impl Noting<'_> {
+    fn note(&self) {
+        let mut threads = self.threads.lock().expect("no panic under the lock");
+        threads.push(std::thread::current().id());
+    }
+}
+
+impl LinOp<f64> for Noting<'_> {
+    fn nrows(&self) -> usize {
+        self.a.nrows()
+    }
+    fn apply(&self, x: &DMat<f64>, y: &mut DMat<f64>) {
+        self.note();
+        self.a.spmm(x, y);
+    }
+}
+
+impl PrecondOp<f64> for Noting<'_> {
+    fn nrows(&self) -> usize {
+        self.a.nrows()
+    }
+    fn apply(&self, r: &DMat<f64>, z: &mut DMat<f64>) {
+        self.note();
+        z.copy_from(r);
+    }
+}
+
+/// The lanes are one instruction stream: every operator and
+/// preconditioner apply of a pseudo-block solve runs on the caller's
+/// thread.
+#[test]
+fn every_apply_runs_on_the_callers_thread() {
+    let prob = poisson2d::<f64>(12, 12);
+    let b = paper_rhs_block::<f64>(12, 12);
+    let op = Noting {
+        a: &prob.a,
+        threads: Mutex::default(),
+    };
+    for method in [PseudoMethod::Gmres, PseudoMethod::GcroDr] {
+        let mut x = DMat::zeros(prob.a.nrows(), b.ncols());
+        let opts = SolveOpts::default();
+        let res = pseudo::solve(&op, &op, &b, &mut x, &opts, method, None);
+        assert!(res.converged, "{method:?}");
+    }
+    let threads = op.threads.into_inner().expect("no panic under the lock");
+    assert!(threads.len() > 20, "{} applies", threads.len());
+    let me = std::thread::current().id();
+    assert!(threads.iter().all(|&t| t == me));
 }
