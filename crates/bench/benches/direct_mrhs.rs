@@ -8,7 +8,7 @@ use kryst_par::PrecondOp;
 use kryst_pde::maxwell::{maxwell3d, MaxwellParams};
 use kryst_pde::poisson::poisson2d;
 use kryst_precond::{Schwarz, SchwarzOpts, SchwarzVariant};
-use kryst_scalar::{Complex, Scalar, C64};
+use kryst_scalar::{Scalar, C64};
 use kryst_sparse::partition::{grow_overlap, partition_rcb};
 use kryst_sparse::{Csr, SparseDirect};
 
@@ -19,7 +19,7 @@ fn bench_direct(c: &mut Criterion) {
     let mut g = c.benchmark_group("direct_solve_mrhs");
     for p in [1usize, 4, 16, 64] {
         let b = DMat::from_fn(n, p, |i, j| {
-            Complex::new(((i + j) % 7) as f64 - 3.0, ((i * 3 + j) % 5) as f64 - 2.0)
+            C64::new(((i + j) % 7) as f64 - 3.0, ((i * 3 + j) % 5) as f64 - 2.0)
         });
         g.throughput(Throughput::Elements((n * p) as u64));
         let (mut x, mut scratch) = (b.clone(), b.clone());

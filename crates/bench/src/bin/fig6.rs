@@ -12,7 +12,7 @@ use kryst_bench::{rule, time};
 use kryst_dense::DMat;
 use kryst_pde::maxwell::{maxwell3d, MaxwellParams};
 use kryst_rt::rng::Rng64;
-use kryst_scalar::{Complex, Scalar};
+use kryst_scalar::{Scalar, C64};
 use kryst_sparse::SparseDirect;
 
 fn main() {
@@ -37,14 +37,14 @@ fn main() {
     let mut rng = Rng64::seed_from_u64(42);
     let max_p = 128usize;
     let rhs_full = DMat::from_fn(n, max_p, |_, _| {
-        Complex::new(rng.gen_range(-1.0, 1.0), rng.gen_range(-1.0, 1.0))
+        C64::new(rng.gen_range(-1.0, 1.0), rng.gen_range(-1.0, 1.0))
     });
 
     let threads = [1usize, 2, 4, 8, 16];
     let ps = [1usize, 2, 4, 8, 16, 32, 64, 128];
     let mut t = vec![vec![0.0f64; ps.len()]; threads.len()];
     // `threads_n` pool threads share the 8-column tiles of the block.
-    let solve = |b: &DMat<Complex<f64>>, threads_n: usize| {
+    let solve = |b: &DMat<C64>, threads_n: usize| {
         let mut x = b.clone();
         let mut scratch = DMat::zeros(n, b.ncols());
         fac.solve_in_place_ws(&mut x, &mut scratch, 8, threads_n);

@@ -15,7 +15,7 @@ use kryst_dense::gs::{fused_orthogonalize_cols, mgs_orthogonalize, OrthScheme};
 use kryst_dense::qr::IncrementalQr;
 use kryst_dense::{blas, DMat};
 use kryst_par::{CommStats, LinOp, PrecondOp};
-use kryst_scalar::{Real, Scalar};
+use kryst_scalar::Scalar;
 use kryst_sparse::SpmmWorkspace;
 use std::sync::Arc;
 
@@ -317,8 +317,8 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
         // conditioned, and what the first block lacks in orthonormality every
         // later step and the refreshed `C` inherit: such a block gets a
         // second pass, `R ⟵ R₂·R₁`.
-        let eps = S::Real::epsilon().to_f64();
-        if out.rank == self.p && out.cond_estimate.to_f64() < eps.sqrt().sqrt().sqrt() {
+        let eps = f64::EPSILON;
+        if out.rank == self.p && out.cond_estimate < eps.sqrt().sqrt().sqrt() {
             let again = chol::cholqr_within(q, ext);
             out.r = blas::matmul(&again.r, blas::Op::None, &out.r, blas::Op::None);
             reductions = 2;
@@ -482,12 +482,7 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
         }
         self.buf.qr.push_block(&hcol);
         self.j += 1;
-        self.buf
-            .qr
-            .residual_norms()
-            .iter()
-            .map(|r| r.to_f64())
-            .collect()
+        self.buf.qr.residual_norms()
     }
 
     /// Least-squares coefficients for the completed iterations.
@@ -537,14 +532,7 @@ pub fn any_above(res: &[f64], bnorms: &[f64], rtol: f64) -> bool {
 pub fn rhs_norms<S: Scalar>(b: &DMat<S>) -> Vec<f64> {
     b.col_norms()
         .into_iter()
-        .map(|n| {
-            let v = n.to_f64();
-            if v == 0.0 {
-                1.0
-            } else {
-                v
-            }
-        })
+        .map(|n| if n == 0.0 { 1.0 } else { n })
         .collect()
 }
 

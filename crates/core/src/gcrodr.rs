@@ -31,7 +31,7 @@ use kryst_dense::qr::HouseholderQr;
 use kryst_dense::{blas, chol, tri, DMat};
 use kryst_obs::{DiagKind, SpanKind};
 use kryst_par::{LinOp, PrecondOp};
-use kryst_scalar::{Real, Scalar};
+use kryst_scalar::Scalar;
 use kryst_sparse::SpmmWorkspace;
 use std::slice::from_ref;
 
@@ -121,7 +121,9 @@ impl<S: Scalar> Augmentation<S> for Deflation<S> {
     /// Lines 2–9: reuse the recycle space of the previous solve.
     fn prologue(&mut self, cx: &Cx<'_, S>, x: &mut DMat<S>, r: &mut DMat<S>) {
         let stats = cx.opts.stats.as_deref();
-        let setup_probe = cx.tracer.span_start(SpanKind::Setup);
+        let setup_probe = cx
+            .tracer
+            .span_start(SpanKind::Setup, cx.opts.stats.as_ref());
         if let Some(rec) = &mut self.space {
             if !cx.opts.same_system {
                 // Lines 4–6: [Q,R] = distributed_qr(A·U); C ⟵ Q; U ⟵ U·R⁻¹.
@@ -185,13 +187,17 @@ impl<S: Scalar> Augmentation<S> for Deflation<S> {
     fn carry_over(&mut self, cx: &Cx<'_, S>, end: &CycleEnd<S>, converged: bool) {
         let (bufs, j, p) = (&end.bufs, end.j, end.y.ncols());
         let Some(rec) = &mut self.space else {
-            let eig_probe = cx.tracer.span_start(SpanKind::Eigensolve);
+            let eig_probe = cx
+                .tracer
+                .span_start(SpanKind::Eigensolve, cx.opts.stats.as_ref());
             self.space = extract_recycle_space(bufs, (j, p), self.k_blocks * p, cx);
             cx.tracer.span_end(eig_probe, cx.cycle);
             return;
         };
         if self.refresh_allowed && !converged {
-            let refresh_probe = cx.tracer.span_start(SpanKind::RecycleRefresh);
+            let refresh_probe = cx
+                .tracer
+                .span_start(SpanKind::RecycleRefresh, cx.opts.stats.as_ref());
             refresh_recycle_space(rec, &mut self.spare, bufs, (j, p), cx);
             cx.tracer.span_end(refresh_probe, cx.cycle);
         }
@@ -283,8 +289,8 @@ fn refresh_recycle_space<S: Scalar>(
     let mut d = DMat::<S>::zeros(kc, kc);
     for i in 0..kc {
         let nrm = rec.u.col_norm(i);
-        let inv = if nrm.to_f64() > 0.0 {
-            S::one() / S::from_real(nrm)
+        let inv = if nrm > 0.0 {
+            S::one() / S::from_f64(nrm)
         } else {
             S::one()
         };
@@ -337,7 +343,9 @@ fn refresh_recycle_space<S: Scalar>(
             gtop.adjoint()
         }
     };
-    let eig_probe = cx.tracer.span_start(SpanKind::Eigensolve);
+    let eig_probe = cx
+        .tracer
+        .span_start(SpanKind::Eigensolve, cx.opts.stats.as_ref());
     let decomp = eig::eig_generalized(&t, &w);
     let mut pk = select_smallest::<S>(&decomp, kc);
     cx.tracer.span_end(eig_probe, cx.cycle);
@@ -377,12 +385,11 @@ fn refresh_recycle_space<S: Scalar>(
 /// that kept `kept` vectors — the quality signal carried on
 /// [`DiagKind::RitzQuality`] events (a value near zero flags a nearly
 /// singular recycle candidate).
-fn report_ritz_quality<S: Scalar>(cx: &Cx<'_, S>, decomp: &EigDecomp<S::Real>, kept: usize) {
-    let smallest = decomp.values.iter().fold(f64::INFINITY, |acc, l| {
-        let re = l.re.to_f64();
-        let im = l.im.to_f64();
-        acc.min(re.hypot(im))
-    });
+fn report_ritz_quality<S: Scalar>(cx: &Cx<'_, S>, decomp: &EigDecomp, kept: usize) {
+    let smallest = decomp
+        .values
+        .iter()
+        .fold(f64::INFINITY, |acc, l| acc.min(l.abs()));
     let iter = cx.tracer.iterations().saturating_sub(1);
     cx.tracer
         .diag(cx.cycle, iter, DiagKind::RitzQuality, smallest, kept);
@@ -393,15 +400,15 @@ fn report_ritz_quality<S: Scalar>(cx: &Cx<'_, S>, decomp: &EigDecomp<S::Real>, k
 /// CholQR/QR pass cleans it up).
 fn safe_right_solve<S: Scalar>(x: &mut DMat<S>, r: &DMat<S>) {
     let k = x.ncols();
-    let mut rmax = S::Real::zero();
+    let mut rmax: f64 = 0.0;
     for i in 0..k {
         rmax = rmax.max(r[(i, i)].abs());
     }
-    let floor = rmax.max(S::Real::epsilon()) * S::Real::epsilon() * S::Real::from_f64(1e3);
+    let floor = rmax.max(f64::EPSILON) * f64::EPSILON * 1e3;
     let mut rsafe = r.clone();
     for i in 0..k {
         if rsafe[(i, i)].abs() < floor {
-            rsafe[(i, i)] = S::from_real(floor);
+            rsafe[(i, i)] = S::from_f64(floor);
         }
     }
     tri::right_solve_upper(x, &rsafe);
@@ -411,7 +418,7 @@ fn safe_right_solve<S: Scalar>(x: &mut DMat<S>, r: &DMat<S>) {
 /// matrix in the working scalar type. For real scalars, complex-conjugate
 /// pairs contribute their real and imaginary parts (both are needed to span
 /// the invariant subspace); for complex scalars the vectors embed directly.
-fn select_smallest<S: Scalar>(decomp: &EigDecomp<S::Real>, k: usize) -> DMat<S> {
+fn select_smallest<S: Scalar>(decomp: &EigDecomp, k: usize) -> DMat<S> {
     let n = decomp.vectors.nrows();
     let idx = decomp.smallest_indices(n);
     let mut cols: Vec<Vec<S>> = Vec::with_capacity(k);
@@ -420,13 +427,13 @@ fn select_smallest<S: Scalar>(decomp: &EigDecomp<S::Real>, k: usize) -> DMat<S> 
             let col: Vec<S> = (0..n)
                 .map(|r| {
                     let v = decomp.vectors[(r, i)];
-                    S::from_parts(v.re.to_f64(), v.im.to_f64())
+                    S::from_parts(v.re, v.im)
                 })
                 .collect();
             cols.push(col);
         }
     } else {
-        let tol = S::Real::epsilon().to_f64().sqrt();
+        let tol = f64::EPSILON.sqrt();
         let mut used = vec![false; decomp.values.len()];
         for &i in idx.iter() {
             if cols.len() >= k {
@@ -437,32 +444,32 @@ fn select_smallest<S: Scalar>(decomp: &EigDecomp<S::Real>, k: usize) -> DMat<S> 
             }
             used[i] = true;
             let lam = decomp.values[i];
-            let scale = 1.0 + lam.abs().to_f64();
-            if lam.im.to_f64().abs() <= tol * scale {
+            let scale = 1.0 + lam.abs();
+            if lam.im.abs() <= tol * scale {
                 // Real eigenvalue: real part of the vector.
                 cols.push(
                     (0..n)
-                        .map(|r| S::from_f64(decomp.vectors[(r, i)].re.to_f64()))
+                        .map(|r| S::from_f64(decomp.vectors[(r, i)].re))
                         .collect(),
                 );
             } else {
                 // Complex pair: real and imaginary parts; mark the partner.
                 cols.push(
                     (0..n)
-                        .map(|r| S::from_f64(decomp.vectors[(r, i)].re.to_f64()))
+                        .map(|r| S::from_f64(decomp.vectors[(r, i)].re))
                         .collect(),
                 );
                 if cols.len() < k {
                     cols.push(
                         (0..n)
-                            .map(|r| S::from_f64(decomp.vectors[(r, i)].im.to_f64()))
+                            .map(|r| S::from_f64(decomp.vectors[(r, i)].im))
                             .collect(),
                     );
                 }
                 for (j, &lj) in decomp.values.iter().enumerate() {
                     if !used[j]
-                        && (lj.re - lam.re).abs().to_f64() <= tol * scale
-                        && (lj.im + lam.im).abs().to_f64() <= tol * scale
+                        && (lj.re - lam.re).abs() <= tol * scale
+                        && (lj.im + lam.im).abs() <= tol * scale
                     {
                         used[j] = true;
                         break;
@@ -474,7 +481,7 @@ fn select_smallest<S: Scalar>(decomp: &EigDecomp<S::Real>, k: usize) -> DMat<S> 
     // Drop numerically zero columns.
     let mut out_cols: Vec<Vec<S>> = Vec::new();
     for col in cols {
-        let nrm: f64 = col.iter().map(|v| v.abs_sqr().to_f64()).sum();
+        let nrm: f64 = col.iter().map(|v| v.abs_sqr()).sum();
         if nrm.sqrt() > 1e-14 {
             out_cols.push(col);
         }
@@ -496,7 +503,7 @@ mod tests {
         let mut r = a.apply(x);
         r.axpy(-S::one(), b);
         for l in 0..b.ncols() {
-            let rel = r.col_norm(l).to_f64() / b.col_norm(l).to_f64();
+            let rel = r.col_norm(l) / b.col_norm(l);
             assert!(rel <= rtol * 50.0, "column {l}: true rel residual {rel}");
         }
     }

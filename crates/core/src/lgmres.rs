@@ -19,7 +19,7 @@ use crate::restart::{self, Augmentation, Cx, CycleEnd, Plan};
 use kryst_dense::fused::{self, ColsRef};
 use kryst_dense::DMat;
 use kryst_par::{LinOp, PrecondOp};
-use kryst_scalar::{Real, Scalar};
+use kryst_scalar::Scalar;
 
 /// The shortest cycle: one Arnoldi step and one stored pair.
 const MIN_RESTART: usize = 2;
@@ -42,7 +42,7 @@ impl<S: Scalar> Pairs<S> {
     /// Store `(z, az)` in front, dropping the oldest of `k` pairs; a
     /// degenerate pair (`A·z = 0`) is not stored.
     fn push(&mut self, z: &DMat<S>, az: &DMat<S>) {
-        let norm = az.fro_norm().to_f64();
+        let norm = az.fro_norm();
         if norm <= 1e-300 {
             return;
         }

@@ -41,7 +41,7 @@ use kryst_dense::fused::{self, ColsRef};
 use kryst_dense::DMat;
 use kryst_obs::{DiagKind, SpanKind};
 use kryst_par::{CommStats, LinOp, PrecondOp};
-use kryst_scalar::{Real, Scalar};
+use kryst_scalar::Scalar;
 use kryst_sparse::SpmmWorkspace;
 use std::slice::{from_ref, ChunksExact};
 use std::sync::Arc;
@@ -170,7 +170,7 @@ impl<S: Scalar> Track<'_, S> {
     /// The norms of `r`, shown in `row`, and what they say; the tolerance
     /// test only with `rtol`.
     fn judge(&mut self, rtol: Option<f64>, row: &mut [f64]) {
-        self.rn = self.r.col_norms().iter().map(|v| v.to_f64()).collect();
+        self.rn = self.r.col_norms();
         if let Some(rtol) = rtol {
             self.converged = !any_above(&self.rn, &self.bnorms, rtol);
         }
@@ -457,7 +457,7 @@ pub(crate) fn solve_lanes<S: Scalar>(
         }
     }
     while tracks.iter().any(|t| t.live(opts.max_iters)) {
-        let cyc = sh.tracer.span_start(SpanKind::Cycle);
+        let cyc = sh.tracer.span_start(SpanKind::Cycle, opts.stats.as_ref());
         let mut lanes: Vec<_> = (tracks.iter_mut().zip(&mut policies))
             .filter(|(t, _)| t.live(opts.max_iters))
             .collect();
@@ -483,7 +483,10 @@ pub(crate) fn solve_lanes<S: Scalar>(
 
         // Apply the corrections, recompute the true residuals.
         for ((t, policy), (end, restart_span)) in lanes.iter_mut().zip(&mut ends) {
-            let restart = restart_span.then(|| sh.tracer.span_start(SpanKind::Restart));
+            let restart = restart_span.then(|| {
+                sh.tracer
+                    .span_start(SpanKind::Restart, t.opts.stats.as_ref())
+            });
             policy.correct(cx!(t), end, t.x);
             if let Some(probe) = restart {
                 sh.tracer.span_end(probe, sh.cycle);

@@ -18,9 +18,10 @@
 //! 3. **Spans.** Phases (setup / cycle / restart / recycle-refresh /
 //!    eigensolve) open one `kryst_obs::span` each, which the phase table
 //!    aggregates when tracing is on; with a recorder they are also emitted
-//!    as span events whose deltas are measured with local snapshots that do
-//!    not advance the iteration interval, so they overlay the iteration
-//!    stream without perturbing it.
+//!    as span events whose deltas are measured with local snapshots of the
+//!    counters the phase's work counts into (a pseudo-block lane's own, see
+//!    [`SolveTracer::span_start`]) and do not advance the iteration
+//!    interval, so they overlay the iteration stream without perturbing it.
 //!
 //! With no recorder the tracer skips event construction entirely: per
 //! iteration it costs one `Option` check beyond the history push the solvers
@@ -32,7 +33,7 @@ use kryst_obs::{
     DiagEvent, DiagKind, Event, IterationEvent, Recorder, SolveEndEvent, SpanEvent, SpanKind,
     StagnationDetector,
 };
-use kryst_par::{CommInterval, CommSnapshot};
+use kryst_par::{CommInterval, CommSnapshot, CommStats};
 use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::Instant;
@@ -41,8 +42,9 @@ use std::time::Instant;
 pub struct SpanProbe {
     kind: SpanKind,
     open: Option<OpenSpan>,
-    /// Start time and counters, taken only when a recorder is attached.
-    event: Option<(Instant, CommSnapshot)>,
+    /// Start time and the counters measured from there, taken only when a
+    /// recorder is attached.
+    event: Option<(Instant, CommInterval)>,
 }
 
 /// Per-solve event emitter (see module docs).
@@ -130,7 +132,7 @@ impl SolveTracer {
         span::end(self.iter_span.take(), 0, 0, self.history.len() as u64);
         self.iter_span = span::begin(SpanKind::Iteration);
         if let Some(rec) = &self.rec {
-            let comm = self.interval.take().to_delta();
+            let comm = self.interval.take();
             let now = Instant::now();
             let wall_ns = now.duration_since(self.t_last).as_nanos() as u64;
             self.t_last = now;
@@ -198,17 +200,20 @@ impl SolveTracer {
         }
     }
 
-    /// Begin a span of `kind`: opens the `kryst_obs::span` of the phase
-    /// table and, when recording, notes the clock and counters for the
-    /// event. Cheap when neither is on.
-    pub fn span_start(&self, kind: SpanKind) -> SpanProbe {
+    /// Begin a span of `kind` whose work counts into `stats`: opens the
+    /// `kryst_obs::span` of the phase table and, when recording, notes the
+    /// clock and the counters for the event. A lane of a multi-lane solve
+    /// counts into its own counters, which reach the solve's only at the
+    /// next lock-step, so its phases pass those (`Cx::opts.stats`); a span
+    /// must then close before that lock-step. Cheap when neither is on.
+    pub fn span_start(&self, kind: SpanKind, stats: Option<&Arc<CommStats>>) -> SpanProbe {
         SpanProbe {
             kind,
             open: span::begin(kind),
             event: self
                 .rec
                 .as_ref()
-                .map(|_| (Instant::now(), self.interval.now())),
+                .map(|_| (Instant::now(), CommInterval::start(stats.cloned()))),
         }
     }
 
@@ -217,8 +222,8 @@ impl SolveTracer {
     /// deltas use local snapshots and do not advance the iteration interval.
     pub fn span_end(&self, probe: SpanProbe, cycle: usize) {
         span::end(probe.open, 0, 0, cycle as u64);
-        if let (Some(r), Some((t, snap))) = (&self.rec, probe.event) {
-            let comm = self.interval.now().since(&snap).to_delta();
+        if let (Some(r), Some((t, counters))) = (&self.rec, probe.event) {
+            let comm = counters.peek();
             r.record(&Event::Span(SpanEvent {
                 solver: self.solver,
                 system_index: self.system_index,
@@ -239,7 +244,7 @@ impl SolveTracer {
         // iteration counts.
         self.iter_span = None;
         if let Some(r) = self.rec.take() {
-            let tail = self.interval.take().to_delta();
+            let tail = self.interval.take();
             let now = Instant::now();
             let mut batch = Vec::new();
             if let Some(mut last) = self.pending.take() {
@@ -248,7 +253,7 @@ impl SolveTracer {
                 batch.push(Event::Iteration(last));
             }
             batch.extend(self.pending_diags.borrow_mut().drain(..).map(Event::Diag));
-            let comm_total = self.interval.now().since(&self.base).to_delta();
+            let comm_total = self.interval.now().since(&self.base);
             batch.push(Event::SolveEnd(SolveEndEvent {
                 solver: self.solver,
                 system_index: self.system_index,
@@ -266,11 +271,6 @@ impl SolveTracer {
     /// Iterations recorded so far.
     pub fn iterations(&self) -> usize {
         self.history.len()
-    }
-
-    /// Residuals of the most recent iteration.
-    pub fn last_residuals(&self) -> Option<&[f64]> {
-        self.history.last().map(Vec::as_slice)
     }
 }
 
@@ -373,7 +373,7 @@ mod tests {
         let mut tr = SolveTracer::begin(&opts, "test", 0, 10, 1);
         assert!(!tr.enabled());
         tr.iteration(0, 0, vec![1.0], "mgs", None);
-        let probe = tr.span_start(SpanKind::Setup);
+        let probe = tr.span_start(SpanKind::Setup, None);
         tr.span_end(probe, 0);
         let h = tr.finish(false, &[1.0]);
         assert_eq!(h, vec![vec![1.0]]);
@@ -389,7 +389,7 @@ mod tests {
             ..SolveOpts::default()
         };
         let mut tr = SolveTracer::begin(&opts, "test", 0, 10, 1);
-        let probe = tr.span_start(SpanKind::Setup);
+        let probe = tr.span_start(SpanKind::Setup, Some(&stats));
         stats.record_reductions(5, 40);
         tr.span_end(probe, 0);
         tr.iteration(0, 0, vec![0.1], "cholqr", None);

@@ -1,19 +1,16 @@
 //! BLAS-3-style general matrix–matrix multiply.
 //!
 //! `gemm` computes `C ⟵ α·op(A)·op(B) + β·C` where `op` is identity,
-//! transpose, or conjugate transpose. For the block Krylov solvers the two
-//! hot shapes are tall–skinny × small (basis updates) and
-//! small-adjoint × tall–skinny (Gram / projection coefficients).
+//! transpose, or conjugate transpose.
 //!
-//! Large products go through a cache-blocked, register-tiled path: `op(A)` /
-//! `op(B)` panels are packed (the op — including conjugation — is applied
-//! during the copy, so every op combination shares one microkernel), and a
-//! fixed [`MR`]`×`[`NR`] microkernel with an unrolled k-loop accumulates in
-//! registers over [`KC`]-deep k-panels. Work is partitioned into
-//! [`MC`]`×`[`NC`] tiles of `C` and dispatched onto the persistent
-//! `kryst-rt` worker pool; the tile grid is independent of the thread count,
-//! so results are bit-identical for any `KRYST_THREADS`. Small products keep
-//! the reference column-at-a-time forms below, byte-for-byte unchanged.
+//! Every tall product of the solvers goes through the panel kernels of
+//! [`crate::fused`]; what reaches `gemm` is small: the `p × p` products of
+//! the Arnoldi step and the Gram downdate, and GCRO-DR's extraction and
+//! refresh products of at most `(kc + (j+1)·p) × (kc + j·p)`. Each output
+//! column is one column-at-a-time loop — an axpy form for `A·B`, a dot form
+//! for `AᴴB`/`AᵀB` — so an entry is summed over `k` in index order whatever
+//! the shape; columns run in parallel above a work threshold, and the
+//! result does not depend on the thread count.
 
 #![allow(clippy::needless_range_loop)] // index loops mirror the BLAS/LAPACK reference forms
 
@@ -61,21 +58,6 @@ impl Op {
 /// Work threshold (in multiply–adds) below which gemm stays single-threaded.
 const PAR_THRESHOLD: usize = 64 * 1024;
 
-/// Microkernel tile rows (rows of `C` accumulated in registers).
-pub const MR: usize = 4;
-/// Microkernel tile columns.
-pub const NR: usize = 4;
-/// k-panel depth: packed panels stream `KC` multiply–adds per register tile.
-pub const KC: usize = 256;
-/// Row band per parallel task (multiple of [`MR`]).
-pub const MC: usize = 128;
-/// Column band per parallel task (multiple of [`NR`]).
-pub const NC: usize = 64;
-
-/// Work threshold above which the packed/blocked path is used (when the
-/// output is at least a full microkernel tile in both dimensions).
-const BLOCK_THRESHOLD: usize = 64 * 1024;
-
 /// `C ⟵ α·op(A)·op(B) + β·C`.
 ///
 /// Panics on dimension mismatch.
@@ -97,11 +79,6 @@ pub fn gemm<S: Scalar>(
     assert_eq!(c.ncols(), n, "gemm: C col mismatch");
 
     let work = m * n * k;
-    if work >= BLOCK_THRESHOLD && m >= MR && n >= NR {
-        gemm_blocked(alpha, a, opa, b, opb, beta, c);
-        return;
-    }
-
     let ldc = c.nrows();
     let cdata = c.as_mut_slice();
 
@@ -193,197 +170,6 @@ pub fn gemm<S: Scalar>(
     } else {
         for (j, ccol) in cdata.chunks_mut(ldc).enumerate() {
             col_kernel(j, ccol);
-        }
-    }
-}
-
-/// Packed, register-tiled gemm for large products.
-///
-/// Partitioning: `C` is cut into `MC × NC` bands; each band is one parallel
-/// task. Within a task the k-dimension is walked in `KC`-deep panels;
-/// `op(A)` / `op(B)` sub-panels are packed (zero-padded to `MR` / `NR`
-/// multiples, op and conjugation applied during the copy) and consumed by
-/// the `MR × NR` microkernel. The k-panel order is fixed, so floating-point
-/// results do not depend on the thread count.
-fn gemm_blocked<S: Scalar>(
-    alpha: S,
-    a: &DMat<S>,
-    opa: Op,
-    b: &DMat<S>,
-    opb: Op,
-    beta: S,
-    c: &mut DMat<S>,
-) {
-    let m = opa.rows(a);
-    let k = opa.cols(a);
-    let n = opb.cols(b);
-    let ldc = c.nrows();
-
-    if beta == S::zero() {
-        c.set_zero();
-    } else if beta != S::one() {
-        c.scale(beta);
-    }
-
-    let row_bands = m.div_ceil(MC);
-    let col_bands = n.div_ceil(NC);
-    let cptr = SendPtr::new(c.as_mut_slice().as_mut_ptr());
-
-    for_each_range(row_bands * col_bands, 0, |t0, t1| {
-        // Pack buffers are reused across every task and k-panel this part
-        // owns (sized for the largest band).
-        let mb_max = MC.min(m).div_ceil(MR) * MR;
-        let nb_max = NC.min(n).div_ceil(NR) * NR;
-        let kb_max = KC.min(k);
-        let mut apack = vec![S::zero(); mb_max * kb_max];
-        let mut bpack = vec![S::zero(); kb_max * nb_max];
-        for t in t0..t1 {
-            let (bi, bj) = (t / col_bands, t % col_bands);
-            let (i0, i1) = (bi * MC, (bi * MC + MC).min(m));
-            let (j0, j1) = (bj * NC, (bj * NC + NC).min(n));
-            let mut k0 = 0;
-            while k0 < k {
-                let k1 = (k0 + KC).min(k);
-                pack_a(a, opa, i0, i1, k0, k1, &mut apack);
-                pack_b(b, opb, k0, k1, j0, j1, &mut bpack);
-                let kb = k1 - k0;
-                let mtiles = (i1 - i0).div_ceil(MR);
-                let ntiles = (j1 - j0).div_ceil(NR);
-                for jt in 0..ntiles {
-                    let bp = &bpack[jt * kb * NR..(jt + 1) * kb * NR];
-                    let nr_valid = NR.min(j1 - j0 - jt * NR);
-                    for it in 0..mtiles {
-                        let ap = &apack[it * kb * MR..(it + 1) * kb * MR];
-                        let mr_valid = MR.min(i1 - i0 - it * MR);
-                        microkernel(
-                            kb,
-                            alpha,
-                            ap,
-                            bp,
-                            cptr,
-                            ldc,
-                            i0 + it * MR,
-                            j0 + jt * NR,
-                            mr_valid,
-                            nr_valid,
-                        );
-                    }
-                }
-                k0 = k1;
-            }
-        }
-    });
-}
-
-/// Pack `op(A)[i0..i1, k0..k1]` into `MR`-row panels: element `(r, l)` of
-/// panel `it` lands at `it·(MR·kb) + l·MR + r`. Rows beyond `i1` are
-/// zero-padded so the microkernel never branches on the row remainder.
-fn pack_a<S: Scalar>(
-    a: &DMat<S>,
-    opa: Op,
-    i0: usize,
-    i1: usize,
-    k0: usize,
-    k1: usize,
-    out: &mut [S],
-) {
-    let kb = k1 - k0;
-    let mtiles = (i1 - i0).div_ceil(MR);
-    for it in 0..mtiles {
-        let panel = &mut out[it * kb * MR..(it + 1) * kb * MR];
-        let ibase = i0 + it * MR;
-        for l in 0..kb {
-            for r in 0..MR {
-                let i = ibase + r;
-                panel[l * MR + r] = if i < i1 {
-                    opa.at(a, i, k0 + l)
-                } else {
-                    S::zero()
-                };
-            }
-        }
-    }
-}
-
-/// Pack `op(B)[k0..k1, j0..j1]` into `NR`-column panels: element `(l, q)` of
-/// panel `jt` lands at `jt·(kb·NR) + l·NR + q`, zero-padded past `j1`.
-fn pack_b<S: Scalar>(
-    b: &DMat<S>,
-    opb: Op,
-    k0: usize,
-    k1: usize,
-    j0: usize,
-    j1: usize,
-    out: &mut [S],
-) {
-    let kb = k1 - k0;
-    let ntiles = (j1 - j0).div_ceil(NR);
-    for jt in 0..ntiles {
-        let panel = &mut out[jt * kb * NR..(jt + 1) * kb * NR];
-        let jbase = j0 + jt * NR;
-        for l in 0..kb {
-            for q in 0..NR {
-                let j = jbase + q;
-                panel[l * NR + q] = if j < j1 {
-                    opb.at(b, k0 + l, j)
-                } else {
-                    S::zero()
-                };
-            }
-        }
-    }
-}
-
-/// `MR × NR` register tile: `C[i.., j..] += α · Ap · Bp` over a `kb`-deep
-/// packed panel pair. The k-loop is unrolled by four; the accumulators live
-/// in a fixed-size array the compiler keeps in registers.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn microkernel<S: Scalar>(
-    kb: usize,
-    alpha: S,
-    ap: &[S],
-    bp: &[S],
-    cptr: SendPtr<S>,
-    ldc: usize,
-    i: usize,
-    j: usize,
-    mr_valid: usize,
-    nr_valid: usize,
-) {
-    let mut acc = [S::zero(); MR * NR];
-    macro_rules! fma_step {
-        ($l:expr) => {{
-            let av = &ap[$l * MR..$l * MR + MR];
-            let bv = &bp[$l * NR..$l * NR + NR];
-            for q in 0..NR {
-                let bq = bv[q];
-                for r in 0..MR {
-                    acc[q * MR + r] += av[r] * bq;
-                }
-            }
-        }};
-    }
-    let kb4 = kb & !3;
-    let mut l = 0;
-    while l < kb4 {
-        fma_step!(l);
-        fma_step!(l + 1);
-        fma_step!(l + 2);
-        fma_step!(l + 3);
-        l += 4;
-    }
-    while l < kb {
-        fma_step!(l);
-        l += 1;
-    }
-    for q in 0..nr_valid {
-        for r in 0..mr_valid {
-            // SAFETY: each parallel task owns a disjoint `C` band and
-            // `(i + r, j + q)` stays inside this task's band.
-            unsafe {
-                *cptr.ptr().add((j + q) * ldc + i + r) += alpha * acc[q * MR + r];
-            }
         }
     }
 }
@@ -483,7 +269,7 @@ mod tests {
 
     #[test]
     fn blocked_path_matches_reference_across_ops() {
-        // Big enough to cross BLOCK_THRESHOLD with awkward remainders.
+        // Big enough for the parallel column path, every op combination.
         let m = 67;
         let k = 131;
         let n = 23;

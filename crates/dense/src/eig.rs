@@ -17,68 +17,68 @@
 
 use crate::lu::Lu;
 use crate::DMat;
-use kryst_scalar::{Complex, Real, Scalar};
+use kryst_scalar::{Scalar, C64};
 
 /// Eigendecomposition `A·V = V·diag(values)` (up to numerical accuracy).
-pub struct EigDecomp<R: Real> {
+pub struct EigDecomp {
     /// Eigenvalues, in Schur (quasi-arbitrary) order.
-    pub values: Vec<Complex<R>>,
+    pub values: Vec<C64>,
     /// Right eigenvectors as columns, normalized to unit 2-norm.
-    pub vectors: DMat<Complex<R>>,
+    pub vectors: DMat<C64>,
     /// False when the QR iteration hit its iteration cap before full
     /// deflation (results are then best-effort).
     pub converged: bool,
 }
 
 /// Copy a real or complex matrix into explicit complex storage.
-pub fn to_complex<S: Scalar>(a: &DMat<S>) -> DMat<Complex<S::Real>> {
+pub fn to_complex<S: Scalar>(a: &DMat<S>) -> DMat<C64> {
     DMat::from_fn(a.nrows(), a.ncols(), |i, j| {
-        Complex::new(a[(i, j)].re(), a[(i, j)].im())
+        C64::new(a[(i, j)].re(), a[(i, j)].im())
     })
 }
 
 /// Complex Givens rotation: returns `(c, s)` with `c` real so that
 /// `[c, s; -conj(s), c]·[a; b] = [r; 0]`.
-fn givens<R: Real>(a: Complex<R>, b: Complex<R>) -> (R, Complex<R>) {
+fn givens(a: C64, b: C64) -> (f64, C64) {
     let an = a.abs();
     let bn = b.abs();
-    if bn == R::zero() {
-        return (R::one(), Complex::zero());
+    if bn == 0.0 {
+        return (1.0, C64::zero());
     }
-    if an == R::zero() {
-        return (R::zero(), b.conj().scale(R::one() / bn));
+    if an == 0.0 {
+        return (0.0, b.conj().scale(1.0 / bn));
     }
     let t = an.hypot(bn);
     let c = an / t;
     // s = (a/|a|)·conj(b)/t
-    let phase = a.scale(R::one() / an);
-    let s = phase * b.conj().scale(R::one() / t);
+    let phase = a.scale(1.0 / an);
+    let s = phase * b.conj().scale(1.0 / t);
     (c, s)
 }
 
 /// Hessenberg reduction `QᴴAQ = H` by Householder similarity transforms.
 /// Returns `(h, q)`.
-fn hessenberg<R: Real>(a: &DMat<Complex<R>>) -> (DMat<Complex<R>>, DMat<Complex<R>>) {
+fn hessenberg(a: &DMat<C64>) -> (DMat<C64>, DMat<C64>) {
     let n = a.nrows();
     let mut h = a.clone();
-    let mut q = DMat::<Complex<R>>::eye(n);
+    let mut q = DMat::<C64>::eye(n);
     if n < 3 {
         return (h, q);
     }
     for k in 0..n - 2 {
         // Reflector annihilating H[k+2.., k].
-        let mut x: Vec<Complex<R>> = (k + 1..n).map(|i| h[(i, k)]).collect();
+        let mut x: Vec<C64> = (k + 1..n).map(|i| h[(i, k)]).collect();
         let tau = crate::qr::householder_reflector(&mut x);
-        if tau == Complex::zero() {
+        if tau == C64::zero() {
             continue;
         }
         let beta = x[0];
-        let v: Vec<Complex<R>> = std::iter::once(Complex::one())
+        let v: Vec<C64> = std::iter::once(C64::one())
             .chain(x[1..].iter().copied())
             .collect();
         // Left: rows k+1..n of all columns k..n get Hᴴ = I − conj(tau)·v·vᴴ.
         for j in k..n {
-            let mut w = Complex::zero();
+            let mut w = C64::zero();
             for (t, &vi) in v.iter().enumerate() {
                 w += vi.conj() * h[(k + 1 + t, j)];
             }
@@ -90,7 +90,7 @@ fn hessenberg<R: Real>(a: &DMat<Complex<R>>) -> (DMat<Complex<R>>, DMat<Complex<
         }
         // Right: columns k+1..n of all rows get H = I − tau·v·vᴴ.
         for i in 0..n {
-            let mut w = Complex::zero();
+            let mut w = C64::zero();
             for (t, &vi) in v.iter().enumerate() {
                 w += h[(i, k + 1 + t)] * vi;
             }
@@ -102,7 +102,7 @@ fn hessenberg<R: Real>(a: &DMat<Complex<R>>) -> (DMat<Complex<R>>, DMat<Complex<
         }
         // Accumulate Q ⟵ Q·H.
         for i in 0..n {
-            let mut w = Complex::zero();
+            let mut w = C64::zero();
             for (t, &vi) in v.iter().enumerate() {
                 w += q[(i, k + 1 + t)] * vi;
             }
@@ -115,19 +115,19 @@ fn hessenberg<R: Real>(a: &DMat<Complex<R>>) -> (DMat<Complex<R>>, DMat<Complex<
         // Explicit zeros + the beta entry.
         h[(k + 1, k)] = beta;
         for i in k + 2..n {
-            h[(i, k)] = Complex::zero();
+            h[(i, k)] = C64::zero();
         }
     }
     (h, q)
 }
 
 /// Wilkinson shift from the trailing 2×2 of the active block.
-fn wilkinson_shift<R: Real>(h: &DMat<Complex<R>>, hi: usize) -> Complex<R> {
+fn wilkinson_shift(h: &DMat<C64>, hi: usize) -> C64 {
     let a = h[(hi - 1, hi - 1)];
     let b = h[(hi - 1, hi)];
     let c = h[(hi, hi - 1)];
     let d = h[(hi, hi)];
-    let tr_half = (a + d).scale(R::from_f64(0.5));
+    let tr_half = (a + d).scale(0.5);
     let det = a * d - b * c;
     let disc = (tr_half * tr_half - det).sqrt();
     let l1 = tr_half + disc;
@@ -142,12 +142,12 @@ fn wilkinson_shift<R: Real>(h: &DMat<Complex<R>>, hi: usize) -> Complex<R> {
 /// Shifted QR iteration on an upper Hessenberg matrix, accumulating the
 /// unitary transform into `q`. On return `h` is upper triangular (Schur form)
 /// when `true` is returned.
-fn schur_qr<R: Real>(h: &mut DMat<Complex<R>>, q: &mut DMat<Complex<R>>) -> bool {
+fn schur_qr(h: &mut DMat<C64>, q: &mut DMat<C64>) -> bool {
     let n = h.nrows();
     if n <= 1 {
         return true;
     }
-    let eps = R::epsilon();
+    let eps = f64::EPSILON;
     let max_total_iters = 40 * n.max(8);
     let mut hi = n - 1;
     let mut iters = 0;
@@ -162,7 +162,7 @@ fn schur_qr<R: Real>(h: &mut DMat<Complex<R>>, q: &mut DMat<Complex<R>>) -> bool
         for i in (0..hi).rev() {
             let tol = eps * (h[(i, i)].abs() + h[(i + 1, i + 1)].abs());
             if h[(i + 1, i)].abs() <= tol {
-                h[(i + 1, i)] = Complex::zero();
+                h[(i + 1, i)] = C64::zero();
                 if i + 1 == hi {
                     // Bottom 1×1 deflated.
                     hi -= 1;
@@ -177,7 +177,7 @@ fn schur_qr<R: Real>(h: &mut DMat<Complex<R>>, q: &mut DMat<Complex<R>>) -> bool
         }
         // Find `lo`: start of the trailing unreduced block ending at hi.
         let mut lo = hi;
-        while lo > 0 && h[(lo, lo - 1)] != Complex::zero() {
+        while lo > 0 && h[(lo, lo - 1)] != C64::zero() {
             lo -= 1;
         }
         if lo == hi {
@@ -187,7 +187,7 @@ fn schur_qr<R: Real>(h: &mut DMat<Complex<R>>, q: &mut DMat<Complex<R>>) -> bool
         // Exceptional shift every 12 stagnating sweeps.
         stagnation += 1;
         let mu = if stagnation % 13 == 12 {
-            h[(hi, hi - 1)].scale(R::from_f64(1.5)) + h[(hi, hi)]
+            h[(hi, hi - 1)].scale(1.5) + h[(hi, hi)]
         } else {
             wilkinson_shift(h, hi)
         };
@@ -195,7 +195,7 @@ fn schur_qr<R: Real>(h: &mut DMat<Complex<R>>, q: &mut DMat<Complex<R>>) -> bool
         for i in lo..=hi {
             h[(i, i)] -= mu;
         }
-        let mut rots: Vec<(R, Complex<R>)> = Vec::with_capacity(hi - lo);
+        let mut rots: Vec<(f64, C64)> = Vec::with_capacity(hi - lo);
         for i in lo..hi {
             let (c, s) = givens(h[(i, i)], h[(i + 1, i)]);
             rots.push((c, s));
@@ -232,31 +232,31 @@ fn schur_qr<R: Real>(h: &mut DMat<Complex<R>>, q: &mut DMat<Complex<R>>) -> bool
 }
 
 /// Eigenvectors of an upper-triangular `t`, transformed back through `q`.
-fn eigvecs_from_schur<R: Real>(t: &DMat<Complex<R>>, q: &DMat<Complex<R>>) -> DMat<Complex<R>> {
+fn eigvecs_from_schur(t: &DMat<C64>, q: &DMat<C64>) -> DMat<C64> {
     let n = t.nrows();
-    let tnorm = t.max_abs().max(R::epsilon());
-    let smin = R::epsilon() * tnorm;
-    let mut vecs = DMat::<Complex<R>>::zeros(n, n);
-    let mut y = vec![Complex::<R>::zero(); n];
+    let tnorm = t.max_abs().max(f64::EPSILON);
+    let smin = f64::EPSILON * tnorm;
+    let mut vecs = DMat::<C64>::zeros(n, n);
+    let mut y = vec![C64::zero(); n];
     for k in 0..n {
         let lambda = t[(k, k)];
-        y.iter_mut().for_each(|v| *v = Complex::zero());
-        y[k] = Complex::one();
+        y.iter_mut().for_each(|v| *v = C64::zero());
+        y[k] = C64::one();
         for i in (0..k).rev() {
-            let mut acc = Complex::<R>::zero();
+            let mut acc = C64::zero();
             for (j, &yj) in y.iter().enumerate().take(k + 1).skip(i + 1) {
                 acc += t[(i, j)] * yj;
             }
             let mut den = t[(i, i)] - lambda;
             if den.abs() < smin {
-                den = Complex::new(smin, R::zero());
+                den = C64::new(smin, 0.0);
             }
             y[i] = -acc / den;
         }
         // v = Q·y, normalized.
-        let mut nrm = R::zero();
+        let mut nrm = 0.0;
         for i in 0..n {
-            let mut acc = Complex::<R>::zero();
+            let mut acc = C64::zero();
             for (j, &yj) in y.iter().enumerate().take(k + 1) {
                 acc += q[(i, j)] * yj;
             }
@@ -264,8 +264,8 @@ fn eigvecs_from_schur<R: Real>(t: &DMat<Complex<R>>, q: &DMat<Complex<R>>) -> DM
             nrm += acc.norm_sqr();
         }
         let nrm = nrm.sqrt();
-        if nrm > R::zero() {
-            let inv = Complex::new(R::one() / nrm, R::zero());
+        if nrm > 0.0 {
+            let inv = C64::new(1.0 / nrm, 0.0);
             for i in 0..n {
                 vecs[(i, k)] *= inv;
             }
@@ -275,13 +275,13 @@ fn eigvecs_from_schur<R: Real>(t: &DMat<Complex<R>>, q: &DMat<Complex<R>>) -> DM
 }
 
 /// Full eigendecomposition of a general square matrix.
-pub fn eig<S: Scalar>(a: &DMat<S>) -> EigDecomp<S::Real> {
+pub fn eig<S: Scalar>(a: &DMat<S>) -> EigDecomp {
     let _t = kryst_obs::traced(kryst_obs::SpanKind::SmallDense);
     let ac = to_complex(a);
     let (mut h, mut q) = hessenberg(&ac);
     let converged = schur_qr(&mut h, &mut q);
     let n = a.nrows();
-    let values: Vec<Complex<S::Real>> = (0..n).map(|i| h[(i, i)]).collect();
+    let values: Vec<C64> = (0..n).map(|i| h[(i, i)]).collect();
     let vectors = eigvecs_from_schur(&h, &q);
     EigDecomp {
         values,
@@ -294,7 +294,7 @@ pub fn eig<S: Scalar>(a: &DMat<S>) -> EigDecomp<S::Real> {
 /// `(W⁻¹T)·z = θ·z` via an LU solve (the matrices are tiny and `W` is a Gram
 /// product of Krylov bases, safely invertible after the paper's column
 /// scaling — a diagonal Tikhonov fallback covers the degenerate case).
-pub fn eig_generalized<S: Scalar>(t: &DMat<S>, w: &DMat<S>) -> EigDecomp<S::Real> {
+pub fn eig_generalized<S: Scalar>(t: &DMat<S>, w: &DMat<S>) -> EigDecomp {
     let _t = kryst_obs::traced(kryst_obs::SpanKind::SmallDense);
     let n = t.nrows();
     assert_eq!(t.ncols(), n);
@@ -305,17 +305,16 @@ pub fn eig_generalized<S: Scalar>(t: &DMat<S>, w: &DMat<S>) -> EigDecomp<S::Real
     let mut f = Lu::factor(wc.clone());
     if f.is_singular() {
         // Regularize: W + ε‖W‖·I.
-        let shift =
-            w.max_abs().max(S::Real::epsilon()) * S::Real::epsilon() * S::Real::from_f64(1e4);
+        let shift = w.max_abs().max(f64::EPSILON) * f64::EPSILON * 1e4;
         for i in 0..n {
-            wc[(i, i)] += Complex::new(shift, S::Real::zero());
+            wc[(i, i)] += C64::new(shift, 0.0);
         }
         f = Lu::factor(wc);
     }
     let m = f.solve(&tc);
     let (mut h, mut q) = hessenberg(&m);
     let converged = schur_qr(&mut h, &mut q);
-    let values: Vec<Complex<S::Real>> = (0..n).map(|i| h[(i, i)]).collect();
+    let values: Vec<C64> = (0..n).map(|i| h[(i, i)]).collect();
     let vectors = eigvecs_from_schur(&h, &q);
     EigDecomp {
         values,
@@ -324,7 +323,7 @@ pub fn eig_generalized<S: Scalar>(t: &DMat<S>, w: &DMat<S>) -> EigDecomp<S::Real
     }
 }
 
-impl<R: Real> EigDecomp<R> {
+impl EigDecomp {
     /// Indices of the `k` eigenvalues of smallest magnitude.
     pub fn smallest_indices(&self, k: usize) -> Vec<usize> {
         let mut idx: Vec<usize> = (0..self.values.len()).collect();
@@ -337,31 +336,22 @@ impl<R: Real> EigDecomp<R> {
         idx.truncate(k);
         idx
     }
-
-    /// The eigenvector matrix restricted to the `k` smallest-magnitude
-    /// eigenvalues — the `P_k` of the paper's Fig. 1 (lines 17 and 34).
-    pub fn smallest_vectors(&self, k: usize) -> DMat<Complex<R>> {
-        let idx = self.smallest_indices(k);
-        let n = self.vectors.nrows();
-        DMat::from_fn(n, idx.len(), |i, j| self.vectors[(i, idx[j])])
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::blas::{matmul, Op};
-    use kryst_scalar::C64;
 
-    fn residual_ok<S: Scalar>(a: &DMat<S>, d: &EigDecomp<S::Real>, tol: f64) {
+    fn residual_ok<S: Scalar>(a: &DMat<S>, d: &EigDecomp, tol: f64) {
         let ac = to_complex(a);
         let av = matmul(&ac, Op::None, &d.vectors, Op::None);
         for j in 0..a.ncols() {
             for i in 0..a.nrows() {
                 let want = d.vectors[(i, j)] * d.values[j];
-                let diff = (av[(i, j)] - want).abs().to_f64();
+                let diff = (av[(i, j)] - want).abs();
                 assert!(
-                    diff < tol * (1.0 + d.values[j].abs().to_f64()),
+                    diff < tol * (1.0 + d.values[j].abs()),
                     "eig residual {diff} at ({i},{j}), λ = {:?}",
                     d.values[j]
                 );
@@ -519,6 +509,5 @@ mod tests {
         let mags: Vec<f64> = idx.iter().map(|&i| d.values[i].abs()).collect();
         assert!((mags[0] - 0.1).abs() < 1e-12);
         assert!((mags[1] - 0.5).abs() < 1e-12);
-        assert_eq!(d.smallest_vectors(2).ncols(), 2);
     }
 }

@@ -20,7 +20,7 @@ use crate::chol;
 use crate::fused::{self, ColsRef};
 use crate::tri;
 use crate::DMat;
-use kryst_scalar::{Real, Scalar};
+use kryst_scalar::Scalar;
 
 /// Which orthogonalization scheme the solvers use.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -121,12 +121,12 @@ pub fn mgs_orthogonalize<S: Scalar>(
         let nrm = w.col_norm(l);
         reductions += 1;
         elems += 1;
-        if nrm <= S::Real::epsilon() {
+        if nrm <= f64::EPSILON {
             rank = rank.min(l);
             r[(l, l)] = S::zero();
         } else {
-            r[(l, l)] = S::from_real(nrm);
-            w.scale_col(l, S::one() / S::from_real(nrm));
+            r[(l, l)] = S::from_f64(nrm);
+            w.scale_col(l, S::one() / S::from_f64(nrm));
         }
     }
 
@@ -280,8 +280,8 @@ pub fn fused_orthogonalize_cols<S: Scalar>(
     // count as infinite cancellation.
     let mut amp = 1.0f64;
     for l in 0..p {
-        let gl = s[2][(l, l)].re().to_f64();
-        let dl = gdown[(l, l)].re().to_f64();
+        let gl = s[2][(l, l)].re();
+        let dl = gdown[(l, l)].re();
         amp = if dl > 0.0 {
             amp.max((gl / dl).max(1.0).sqrt())
         } else {
@@ -295,12 +295,12 @@ pub fn fused_orthogonalize_cols<S: Scalar>(
     // budget (≈1.6e-10 in f64 — comfortably under solver tolerances).
     let mut need = reorth && (ncols > 0 || kc > 0);
     if !need && (ncols > 0 || kc > 0) {
-        let eps = S::Real::epsilon().to_f64();
+        let eps = f64::EPSILON;
         let dd_cut = eps.sqrt().sqrt();
         let loss_cut = eps.sqrt() * eps.sqrt().sqrt().sqrt();
         for l in 0..p {
-            let gl = s[2][(l, l)].re().to_f64();
-            let dl = gdown[(l, l)].re().to_f64();
+            let gl = s[2][(l, l)].re();
+            let dl = gdown[(l, l)].re();
             if dl < dd_cut * gl {
                 need = true;
                 break;
@@ -639,8 +639,8 @@ mod tests {
             coeffs.axpy(S::one(), &s[1]);
             if pass == 0 {
                 for l in 0..p {
-                    let gl = s[2][(l, l)].re().to_f64();
-                    let dl = gdown[(l, l)].re().to_f64();
+                    let gl = s[2][(l, l)].re();
+                    let dl = gdown[(l, l)].re();
                     amp = if dl > 0.0 {
                         amp.max((gl / dl).max(1.0).sqrt())
                     } else {

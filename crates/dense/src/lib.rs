@@ -39,4 +39,4 @@ pub use blas::{gemm, Op};
 pub use mat::DMat;
 
 /// Convenience re-export of the scalar abstraction.
-pub use kryst_scalar::{Complex, Real, Scalar, C64};
+pub use kryst_scalar::{Scalar, C64};

@@ -6,7 +6,7 @@
 
 use crate::tri;
 use crate::DMat;
-use kryst_scalar::{Real, Scalar};
+use kryst_scalar::Scalar;
 
 /// Compact LU factorization `P·A = L·U` with partial (row) pivoting.
 pub struct Lu<S> {
@@ -37,7 +37,7 @@ impl<S: Scalar> Lu<S> {
                     pk = i;
                 }
             }
-            if pmax == S::Real::zero() || !pmax.is_finite() {
+            if pmax == 0.0 || !pmax.is_finite() {
                 singular = true;
                 continue;
             }
@@ -68,19 +68,6 @@ impl<S: Scalar> Lu<S> {
     /// Whether a zero pivot was met.
     pub fn is_singular(&self) -> bool {
         self.singular
-    }
-
-    /// `(min, max)` absolute pivot magnitudes — a cheap conditioning probe.
-    pub fn pivot_range(&self) -> (S::Real, S::Real) {
-        let n = self.lu.nrows();
-        let mut lo = S::Real::max_value();
-        let mut hi = S::Real::zero();
-        for i in 0..n {
-            let v = self.lu[(i, i)].abs();
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
-        (lo, hi)
     }
 
     /// Solve `A·X = B` for all columns of `b`, in place.

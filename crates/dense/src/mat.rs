@@ -197,26 +197,26 @@ impl<S: Scalar> DMat<S> {
     }
 
     /// Euclidean norm of column `j`.
-    pub fn col_norm(&self, j: usize) -> S::Real {
-        let mut acc = <S::Real as kryst_scalar::Real>::zero();
+    pub fn col_norm(&self, j: usize) -> f64 {
+        let mut acc = 0.0;
         for &x in self.col(j) {
             acc += x.abs_sqr();
         }
-        kryst_scalar::Real::sqrt(acc)
+        acc.sqrt()
     }
 
     /// Euclidean norms of every column.
-    pub fn col_norms(&self) -> Vec<S::Real> {
+    pub fn col_norms(&self) -> Vec<f64> {
         (0..self.ncols).map(|j| self.col_norm(j)).collect()
     }
 
     /// Frobenius norm.
-    pub fn fro_norm(&self) -> S::Real {
-        let mut acc = <S::Real as kryst_scalar::Real>::zero();
+    pub fn fro_norm(&self) -> f64 {
+        let mut acc = 0.0;
         for &x in &self.data {
             acc += x.abs_sqr();
         }
-        kryst_scalar::Real::sqrt(acc)
+        acc.sqrt()
     }
 
     /// Inner product of columns: `conj(self[:,i]) · other[:,j]`.
@@ -232,10 +232,10 @@ impl<S: Scalar> DMat<S> {
     }
 
     /// Largest absolute entry.
-    pub fn max_abs(&self) -> S::Real {
-        let mut m = <S::Real as kryst_scalar::Real>::zero();
+    pub fn max_abs(&self) -> f64 {
+        let mut m: f64 = 0.0;
         for &x in &self.data {
-            m = kryst_scalar::Real::max(m, x.abs());
+            m = m.max(x.abs());
         }
         m
     }
@@ -301,10 +301,9 @@ impl<S: Scalar> fmt::Debug for DMat<S> {
 /// imaginary part), so that tests can compare NaNs and signed zeros.
 #[cfg(test)]
 pub(crate) fn bits<S: Scalar>(m: &DMat<S>) -> Vec<u64> {
-    use kryst_scalar::Real;
     m.as_slice()
         .iter()
-        .flat_map(|x| [x.re().to_f64().to_bits(), x.im().to_f64().to_bits()])
+        .flat_map(|x| [x.re().to_bits(), x.im().to_bits()])
         .collect()
 }
 

@@ -13,7 +13,7 @@
 
 use crate::tri;
 use crate::DMat;
-use kryst_scalar::{Real, Scalar};
+use kryst_scalar::Scalar;
 
 /// Generate an elementary (complex-capable) Householder reflector.
 ///
@@ -26,21 +26,21 @@ pub fn householder_reflector<S: Scalar>(x: &mut [S]) -> S {
         return S::zero();
     }
     let alpha = x[0];
-    let mut xnorm_sqr = S::Real::zero();
+    let mut xnorm_sqr = 0.0;
     for &v in &x[1..] {
         xnorm_sqr += v.abs_sqr();
     }
-    if xnorm_sqr == S::Real::zero() && alpha.im() == S::Real::zero() {
+    if xnorm_sqr == 0.0 && alpha.im() == 0.0 {
         return S::zero(); // already of the form beta·e₁ with beta real
     }
     let beta_mag = (alpha.abs_sqr() + xnorm_sqr).sqrt();
     // beta takes the opposite sign of Re(alpha) for stability.
-    let beta = if alpha.re() >= S::Real::zero() {
+    let beta = if alpha.re() >= 0.0 {
         -beta_mag
     } else {
         beta_mag
     };
-    let beta_s = S::from_real(beta);
+    let beta_s = S::from_f64(beta);
     let tau = (beta_s - alpha) / beta_s;
     let scale = S::one() / (alpha - beta_s);
     for v in &mut x[1..] {
@@ -297,8 +297,8 @@ impl<S: Scalar> IncrementalQr<S> {
     }
 
     /// Residual norm of right-hand side `l`: `‖g[ncols.., l]‖`.
-    pub fn residual_norm(&self, l: usize) -> S::Real {
-        let mut acc = S::Real::zero();
+    pub fn residual_norm(&self, l: usize) -> f64 {
+        let mut acc = 0.0;
         let col = self.g.col(l);
         for &v in &col[self.ncols..self.nrows] {
             acc += v.abs_sqr();
@@ -307,7 +307,7 @@ impl<S: Scalar> IncrementalQr<S> {
     }
 
     /// All residual norms.
-    pub fn residual_norms(&self) -> Vec<S::Real> {
+    pub fn residual_norms(&self) -> Vec<f64> {
         (0..self.p).map(|l| self.residual_norm(l)).collect()
     }
 
@@ -338,11 +338,6 @@ impl<S: Scalar> IncrementalQr<S> {
             }
         })
     }
-
-    /// Solve `R · X = B` in place using the internal factor.
-    pub fn solve_r_in_place(&self, b: &mut DMat<S>) {
-        tri::solve_upper_in_place(&self.fac, self.ncols, b);
-    }
 }
 
 #[cfg(test)]
@@ -360,7 +355,7 @@ mod tests {
         for i in 0..a.nrows() {
             for j in 0..a.ncols() {
                 assert!(
-                    (qr[(i, j)] - a[(i, j)]).abs().to_f64() < tol,
+                    (qr[(i, j)] - a[(i, j)]).abs() < tol,
                     "QR reconstruction failed at ({i},{j})"
                 );
             }
@@ -370,8 +365,8 @@ mod tests {
         for i in 0..a.ncols() {
             for j in 0..a.ncols() {
                 let expect = if i == j { 1.0 } else { 0.0 };
-                assert!((qtq[(i, j)].re().to_f64() - expect).abs() < tol);
-                assert!(qtq[(i, j)].im().to_f64().abs() < tol);
+                assert!((qtq[(i, j)].re() - expect).abs() < tol);
+                assert!(qtq[(i, j)].im().abs() < tol);
             }
         }
     }

@@ -2,41 +2,55 @@
 //!
 //! Every field is plain data: events must serialize to JSON-lines without
 //! external crates and compare exactly in tests. Communication counts are
-//! carried as [`CommDelta`] — the *change* in the instrumented counters
+//! carried as [`CommSnapshot`]s — the *change* in the instrumented counters
 //! since the previous event of the same solve, which is what turns the
 //! §III-D per-iteration accounting into an asserted artifact.
 
 use crate::span::SpanKind;
 use std::ops::{Add, AddAssign};
 
-/// Interval change of the instrumented communication counters.
-///
-/// Mirrors `kryst_par::CommSnapshot` field-for-field but represents a
-/// *delta* between two points of a solve rather than a running total (this
-/// crate sits below `kryst-par`, so the conversion lives with the caller).
+/// The instrumented communication counters (`kryst_par::CommStats`), as a
+/// point-in-time copy or as the change between two of them
+/// ([`CommSnapshot::since`]); events carry the change.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CommDelta {
-    /// Global reductions (all-reduce operations) in the interval.
+pub struct CommSnapshot {
+    /// Number of global reductions (all-reduce operations).
     pub reductions: u64,
-    /// Payload bytes reduced.
+    /// Payload bytes reduced (per-rank contribution).
     pub reduction_bytes: u64,
     /// Logically separate products batched into the recorded reductions
     /// (a fused `[CᴴW; VᴴW; WᴴW]` reduction counts 1 reduction, 3 parts).
     pub fused_parts: u64,
-    /// Point-to-point messages.
+    /// Point-to-point messages (summed over all ranks).
     pub p2p_messages: u64,
-    /// Point-to-point payload bytes.
+    /// Point-to-point payload bytes (summed over all ranks).
     pub p2p_bytes: u64,
-    /// Local floating-point operations.
+    /// Local floating-point operations (summed over all ranks).
     pub flops: u64,
-    /// Portion of `flops` overlappable with in-flight halo messages.
+    /// Portion of `flops` overlappable with in-flight halo messages
+    /// (interior SpMM work done while the exchange is on the wire).
     pub overlap_flops: u64,
 }
 
-impl Add for CommDelta {
-    type Output = CommDelta;
-    fn add(self, o: CommDelta) -> CommDelta {
-        CommDelta {
+impl CommSnapshot {
+    /// Difference of two snapshots (`self` taken after `earlier`).
+    pub fn since(&self, earlier: &CommSnapshot) -> CommSnapshot {
+        CommSnapshot {
+            reductions: self.reductions - earlier.reductions,
+            reduction_bytes: self.reduction_bytes - earlier.reduction_bytes,
+            fused_parts: self.fused_parts - earlier.fused_parts,
+            p2p_messages: self.p2p_messages - earlier.p2p_messages,
+            p2p_bytes: self.p2p_bytes - earlier.p2p_bytes,
+            flops: self.flops - earlier.flops,
+            overlap_flops: self.overlap_flops - earlier.overlap_flops,
+        }
+    }
+}
+
+impl Add for CommSnapshot {
+    type Output = CommSnapshot;
+    fn add(self, o: CommSnapshot) -> CommSnapshot {
+        CommSnapshot {
             reductions: self.reductions + o.reductions,
             reduction_bytes: self.reduction_bytes + o.reduction_bytes,
             fused_parts: self.fused_parts + o.fused_parts,
@@ -48,8 +62,8 @@ impl Add for CommDelta {
     }
 }
 
-impl AddAssign for CommDelta {
-    fn add_assign(&mut self, o: CommDelta) {
+impl AddAssign for CommSnapshot {
+    fn add_assign(&mut self, o: CommSnapshot) {
         *self = *self + o;
     }
 }
@@ -73,7 +87,7 @@ pub struct IterationEvent {
     /// since the previous iteration event; the first iteration of a cycle
     /// absorbs the cycle-start work, the last iteration of the solve
     /// absorbs the trailing update/refresh work).
-    pub comm: CommDelta,
+    pub comm: CommSnapshot,
     /// Orthogonalization backend in effect (`"cholqr"`, `"mgs"`, …).
     pub orth_backend: &'static str,
     /// Numerical rank detected by the rank-revealing orthogonalization when
@@ -120,7 +134,7 @@ pub struct SpanEvent {
     /// Restart-cycle index the span belongs to.
     pub cycle: usize,
     /// Communication performed inside the span.
-    pub comm: CommDelta,
+    pub comm: CommSnapshot,
     /// Wall-clock nanoseconds spent in the span.
     pub wall_ns: u64,
 }
@@ -193,7 +207,7 @@ pub struct SolveEndEvent {
     pub final_relres: Vec<f64>,
     /// Whole-solve communication totals (equals the sum of the iteration
     /// deltas by construction).
-    pub comm_total: CommDelta,
+    pub comm_total: CommSnapshot,
     /// Wall-clock nanoseconds of the whole solve.
     pub wall_ns: u64,
 }
@@ -232,7 +246,7 @@ mod tests {
 
     #[test]
     fn comm_delta_adds_fieldwise() {
-        let a = CommDelta {
+        let a = CommSnapshot {
             reductions: 1,
             reduction_bytes: 8,
             fused_parts: 3,
@@ -241,7 +255,7 @@ mod tests {
             flops: 100,
             overlap_flops: 60,
         };
-        let b = CommDelta {
+        let b = CommSnapshot {
             reductions: 3,
             reduction_bytes: 16,
             fused_parts: 0,

@@ -6,7 +6,7 @@
 //! escapes, numbers, booleans, null) — enough to read traces back and to
 //! compare golden snapshots.
 
-use crate::event::{span_event_name, CommDelta, Event};
+use crate::event::{span_event_name, CommSnapshot, Event};
 use std::fmt::Write as _;
 
 /// Serialize an event as a single-line JSON object (no trailing newline).
@@ -93,7 +93,7 @@ pub fn event_to_json(ev: &Event) -> String {
 }
 
 /// The seven counters as `"<name>_<suffix>":<value>` fields.
-fn push_comm_fields(s: &mut String, c: &CommDelta, suffix: &str) {
+fn push_comm_fields(s: &mut String, c: &CommSnapshot, suffix: &str) {
     let fields = [
         ("reductions", c.reductions),
         ("reduction_bytes", c.reduction_bytes),
@@ -524,7 +524,7 @@ mod tests {
             cycle: 1,
             iter: 37,
             per_rhs_residuals: vec![1.5e-3, 0.25],
-            comm: CommDelta {
+            comm: CommSnapshot {
                 reductions: 3,
                 reduction_bytes: 72,
                 fused_parts: 6,
@@ -561,7 +561,7 @@ mod tests {
             iterations: 42,
             converged: true,
             final_relres: vec![1e-9],
-            comm_total: CommDelta {
+            comm_total: CommSnapshot {
                 reductions: 100,
                 ..Default::default()
             },

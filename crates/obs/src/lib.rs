@@ -13,7 +13,7 @@
 //! with no recorder constructs none. [`view`] reads the stream back into
 //! convergence histories, [`json`] is the dependency-free JSON writer and
 //! parser. For a single solve the iteration deltas sum to the solve's total
-//! [`CommDelta`]: each is measured since the previous event, and the
+//! [`CommSnapshot`]: each is measured since the previous event, and the
 //! trailing work is folded into the last one.
 //!
 //! **Time** comes from one spine, [`span`]: every timed region opens one
@@ -36,7 +36,9 @@ pub mod view;
 pub mod wire;
 
 pub use diag::StagnationDetector;
-pub use event::{CommDelta, DiagEvent, DiagKind, Event, IterationEvent, SolveEndEvent, SpanEvent};
+pub use event::{
+    CommSnapshot, DiagEvent, DiagKind, Event, IterationEvent, SolveEndEvent, SpanEvent,
+};
 pub use export::chrome_trace;
 pub use profiler::{Aggregates, PhaseStats, ProfileSnapshot, ThreadAggregates};
 pub use recorder::{JsonlRecorder, Recorder, RingRecorder};

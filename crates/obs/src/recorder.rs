@@ -159,7 +159,7 @@ impl Drop for JsonlRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{CommDelta, IterationEvent};
+    use crate::event::{CommSnapshot, IterationEvent};
 
     fn iter_ev(i: usize) -> Event {
         Event::Iteration(IterationEvent {
@@ -168,7 +168,7 @@ mod tests {
             cycle: 0,
             iter: i,
             per_rhs_residuals: vec![1.0 / (i + 1) as f64],
-            comm: CommDelta::default(),
+            comm: CommSnapshot::default(),
             orth_backend: "cholqr",
             breakdown_rank: None,
             wall_ns: 0,

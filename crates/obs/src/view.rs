@@ -4,7 +4,7 @@
 //! iteration events — the same data the conformance tests assert on, so
 //! history and accounting can never drift apart.
 
-use crate::event::{CommDelta, DiagEvent, DiagKind, Event, IterationEvent, SpanEvent};
+use crate::event::{CommSnapshot, DiagEvent, DiagKind, Event, IterationEvent, SpanEvent};
 use crate::span::SpanKind;
 
 /// The iteration events of a stream, in order.
@@ -29,10 +29,10 @@ pub fn history(events: &[Event]) -> Vec<Vec<f64>> {
 
 /// Sum of the iteration deltas — equals the solve's total communication
 /// when the stream covers one whole solve.
-pub fn cumulative_comm(events: &[Event]) -> CommDelta {
+pub fn cumulative_comm(events: &[Event]) -> CommSnapshot {
     iteration_events(events)
         .into_iter()
-        .fold(CommDelta::default(), |acc, it| acc + it.comm)
+        .fold(CommSnapshot::default(), |acc, it| acc + it.comm)
 }
 
 /// The span events of a given kind, in order.
@@ -68,7 +68,7 @@ mod tests {
             cycle: 0,
             iter,
             per_rhs_residuals: vec![res],
-            comm: CommDelta {
+            comm: CommSnapshot {
                 reductions: reds,
                 ..Default::default()
             },
@@ -96,7 +96,7 @@ mod tests {
                 system_index: 0,
                 kind: SpanKind::Restart,
                 cycle: 0,
-                comm: CommDelta {
+                comm: CommSnapshot {
                     reductions: 99,
                     ..Default::default()
                 },

@@ -1,6 +1,6 @@
 //! Wire-level transport counters.
 //!
-//! Where [`crate::event::CommDelta`] counts *logical* communication events
+//! Where [`crate::event::CommSnapshot`] counts *logical* communication events
 //! (reductions, halo exchanges) as the solvers report them, this module
 //! counts what a transport backend actually put on the wire: per-endpoint
 //! messages, payload bytes, and the wall time spent inside `send`/`recv`.

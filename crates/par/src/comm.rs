@@ -6,6 +6,7 @@
 //! SpMM), and local floating-point work. Counters are atomics with relaxed
 //! ordering — they are statistics, not synchronization.
 
+pub use kryst_obs::CommSnapshot;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -19,27 +20,6 @@ pub struct CommStats {
     p2p_bytes: AtomicU64,
     flops: AtomicU64,
     overlap_flops: AtomicU64,
-}
-
-/// A point-in-time copy of [`CommStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CommSnapshot {
-    /// Number of global reductions (all-reduce operations).
-    pub reductions: u64,
-    /// Payload bytes reduced (per-rank contribution).
-    pub reduction_bytes: u64,
-    /// Logically separate products batched into the recorded reductions
-    /// (a fused `[CᴴW; VᴴW; WᴴW]` reduction counts 1 reduction, 3 parts).
-    pub fused_parts: u64,
-    /// Point-to-point messages (summed over all ranks).
-    pub p2p_messages: u64,
-    /// Point-to-point payload bytes (summed over all ranks).
-    pub p2p_bytes: u64,
-    /// Local floating-point operations (summed over all ranks).
-    pub flops: u64,
-    /// Portion of `flops` overlappable with in-flight halo messages
-    /// (interior SpMM work done while the exchange is on the wire).
-    pub overlap_flops: u64,
 }
 
 impl CommStats {
@@ -120,34 +100,6 @@ impl CommStats {
         self.p2p_bytes.store(0, Ordering::Relaxed);
         self.flops.store(0, Ordering::Relaxed);
         self.overlap_flops.store(0, Ordering::Relaxed);
-    }
-}
-
-impl CommSnapshot {
-    /// Difference of two snapshots (`self` taken after `earlier`).
-    pub fn since(&self, earlier: &CommSnapshot) -> CommSnapshot {
-        CommSnapshot {
-            reductions: self.reductions - earlier.reductions,
-            reduction_bytes: self.reduction_bytes - earlier.reduction_bytes,
-            fused_parts: self.fused_parts - earlier.fused_parts,
-            p2p_messages: self.p2p_messages - earlier.p2p_messages,
-            p2p_bytes: self.p2p_bytes - earlier.p2p_bytes,
-            flops: self.flops - earlier.flops,
-            overlap_flops: self.overlap_flops - earlier.overlap_flops,
-        }
-    }
-
-    /// Convert to an observability delta.
-    pub fn to_delta(&self) -> kryst_obs::CommDelta {
-        kryst_obs::CommDelta {
-            reductions: self.reductions,
-            reduction_bytes: self.reduction_bytes,
-            fused_parts: self.fused_parts,
-            p2p_messages: self.p2p_messages,
-            p2p_bytes: self.p2p_bytes,
-            flops: self.flops,
-            overlap_flops: self.overlap_flops,
-        }
     }
 }
 

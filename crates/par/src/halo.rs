@@ -71,11 +71,6 @@ impl HaloPlan {
         self.entries_per_exchange * p * bytes_per_scalar
     }
 
-    /// Maximum number of neighbors over all ranks (network contention proxy).
-    pub fn max_neighbors(&self) -> usize {
-        self.recv.iter().map(Vec::len).max().unwrap_or(0)
-    }
-
     /// Execute one exchange of this plan over a [`Transport`], as the
     /// calling endpoint's rank: post every outgoing message (the plan is
     /// receive-oriented, so rank `r` sends to each rank `d` whose `recv[d]`
@@ -205,7 +200,6 @@ mod tests {
         assert_eq!(plan.messages_per_exchange, 2 + 2 + 1 + 1);
         // One ghost entry per neighbor for a tridiagonal stencil.
         assert_eq!(plan.entries_per_exchange, 6);
-        assert_eq!(plan.max_neighbors(), 2);
         assert_eq!(plan.bytes_per_exchange(4, 8), 6 * 4 * 8);
     }
 

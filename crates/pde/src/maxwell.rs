@@ -15,7 +15,7 @@
 
 use crate::Problem;
 use kryst_dense::DMat;
-use kryst_scalar::{Complex, C64};
+use kryst_scalar::C64;
 use kryst_sparse::{ops, Coo, Csr};
 
 /// Medium description at a point: relative permittivity and conductivity.
@@ -90,7 +90,7 @@ impl MaxwellParams {
         } else {
             (self.eps_background, self.sigma_background)
         };
-        Complex::new(self.omega * self.omega * eps, self.omega * sigma)
+        C64::new(self.omega * self.omega * eps, self.omega * sigma)
     }
 }
 
@@ -198,7 +198,7 @@ impl MaxwellGeom {
         let nfy = nc * np * nc;
         let nfz = nc * nc * np;
         let nfaces = nfx + nfy + nfz;
-        let inv_h = Complex::new(1.0 / self.h, 0.0);
+        let inv_h = C64::new(1.0 / self.h, 0.0);
         let mut coo = Coo::<C64>::with_capacity(nfaces, self.nedges(), 4 * nfaces);
         let mut face = 0usize;
         let add = |coo: &mut Coo<C64>, f: usize, e: usize, s: f64| {
@@ -243,73 +243,6 @@ impl MaxwellGeom {
             }
         }
         assert_eq!(face, nfaces);
-        coo.to_csr()
-    }
-
-    /// Discrete gradient (interior node potentials, zero on the boundary, →
-    /// interior edges), used for the `curl∘grad = 0` structure test.
-    pub fn grad_matrix(&self) -> Csr<C64> {
-        let nc = self.nc;
-        let np = nc + 1;
-        // Potentials vanish on the boundary: only interior nodes are columns.
-        let node = |i: usize, j: usize, k: usize| -> usize {
-            if i == 0 || i == nc || j == 0 || j == nc || k == 0 || k == nc {
-                usize::MAX
-            } else {
-                (i - 1) + (nc - 1) * ((j - 1) + (nc - 1) * (k - 1))
-            }
-        };
-        let nint = (nc - 1) * (nc - 1) * (nc - 1);
-        let inv_h = Complex::new(1.0 / self.h, 0.0);
-        let mut coo = Coo::<C64>::new(self.nedges(), nint);
-        for k in 0..np {
-            for j in 0..np {
-                for i in 0..nc {
-                    let e = self.ex(i, j, k);
-                    if e != usize::MAX {
-                        let (n1, n0) = (node(i + 1, j, k), node(i, j, k));
-                        if n1 != usize::MAX {
-                            coo.push(e, n1, inv_h);
-                        }
-                        if n0 != usize::MAX {
-                            coo.push(e, n0, -inv_h);
-                        }
-                    }
-                }
-            }
-        }
-        for k in 0..np {
-            for j in 0..nc {
-                for i in 0..np {
-                    let e = self.ey(i, j, k);
-                    if e != usize::MAX {
-                        let (n1, n0) = (node(i, j + 1, k), node(i, j, k));
-                        if n1 != usize::MAX {
-                            coo.push(e, n1, inv_h);
-                        }
-                        if n0 != usize::MAX {
-                            coo.push(e, n0, -inv_h);
-                        }
-                    }
-                }
-            }
-        }
-        for k in 0..nc {
-            for j in 0..np {
-                for i in 0..np {
-                    let e = self.ez(i, j, k);
-                    if e != usize::MAX {
-                        let (n1, n0) = (node(i, j, k + 1), node(i, j, k));
-                        if n1 != usize::MAX {
-                            coo.push(e, n1, inv_h);
-                        }
-                        if n0 != usize::MAX {
-                            coo.push(e, n0, -inv_h);
-                        }
-                    }
-                }
-            }
-        }
         coo.to_csr()
     }
 }
@@ -372,7 +305,7 @@ pub fn antenna_ring_rhs(
             }
         }
         assert!(best != usize::MAX, "no interior Ez edge found");
-        rhs[(best, a)] = Complex::new(0.0, params.omega);
+        rhs[(best, a)] = C64::new(0.0, params.omega);
     }
     rhs
 }
@@ -382,11 +315,78 @@ mod tests {
     use super::*;
     use kryst_scalar::Scalar;
 
+    /// Discrete gradient (interior node potentials, zero on the boundary, →
+    /// interior edges).
+    fn grad_matrix(geom: &MaxwellGeom) -> Csr<C64> {
+        let nc = geom.nc;
+        let np = nc + 1;
+        // Potentials vanish on the boundary: only interior nodes are columns.
+        let node = |i: usize, j: usize, k: usize| -> usize {
+            if i == 0 || i == nc || j == 0 || j == nc || k == 0 || k == nc {
+                usize::MAX
+            } else {
+                (i - 1) + (nc - 1) * ((j - 1) + (nc - 1) * (k - 1))
+            }
+        };
+        let nint = (nc - 1) * (nc - 1) * (nc - 1);
+        let inv_h = C64::new(1.0 / geom.h, 0.0);
+        let mut coo = Coo::<C64>::new(geom.nedges(), nint);
+        for k in 0..np {
+            for j in 0..np {
+                for i in 0..nc {
+                    let e = geom.ex(i, j, k);
+                    if e != usize::MAX {
+                        let (n1, n0) = (node(i + 1, j, k), node(i, j, k));
+                        if n1 != usize::MAX {
+                            coo.push(e, n1, inv_h);
+                        }
+                        if n0 != usize::MAX {
+                            coo.push(e, n0, -inv_h);
+                        }
+                    }
+                }
+            }
+        }
+        for k in 0..np {
+            for j in 0..nc {
+                for i in 0..np {
+                    let e = geom.ey(i, j, k);
+                    if e != usize::MAX {
+                        let (n1, n0) = (node(i, j + 1, k), node(i, j, k));
+                        if n1 != usize::MAX {
+                            coo.push(e, n1, inv_h);
+                        }
+                        if n0 != usize::MAX {
+                            coo.push(e, n0, -inv_h);
+                        }
+                    }
+                }
+            }
+        }
+        for k in 0..nc {
+            for j in 0..np {
+                for i in 0..np {
+                    let e = geom.ez(i, j, k);
+                    if e != usize::MAX {
+                        let (n1, n0) = (node(i, j, k + 1), node(i, j, k));
+                        if n1 != usize::MAX {
+                            coo.push(e, n1, inv_h);
+                        }
+                        if n0 != usize::MAX {
+                            coo.push(e, n0, -inv_h);
+                        }
+                    }
+                }
+            }
+        }
+        coo.to_csr()
+    }
+
     #[test]
     fn curl_of_gradient_vanishes() {
         let geom = MaxwellGeom::new(5);
         let c = geom.curl_matrix();
-        let g = geom.grad_matrix();
+        let g = grad_matrix(&geom);
         let cg = ops::spgemm(&c, &g);
         // Every entry must cancel exactly (integer stencils scaled by 1/h²).
         let mut max = 0.0f64;
@@ -458,9 +458,7 @@ mod tests {
         let mut hit = std::collections::HashSet::new();
         for a in 0..8 {
             let col = rhs.col(a);
-            let nz: Vec<usize> = (0..col.len())
-                .filter(|&i| col[i] != Complex::zero())
-                .collect();
+            let nz: Vec<usize> = (0..col.len()).filter(|&i| col[i] != C64::zero()).collect();
             assert_eq!(nz.len(), 1, "antenna {a}");
             hit.insert(nz[0]);
             assert_eq!(geom.edge_dir[nz[0]], 2);

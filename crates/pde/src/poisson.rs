@@ -17,39 +17,37 @@ use kryst_sparse::Csr;
 /// The ν parameters of the paper's four right-hand sides.
 pub const PAPER_NUS: [f64; 4] = [0.1, 10.0, 0.001, 100.0];
 
-/// The 5- or 7-point Laplacian rows of an `nx × ny × nz` grid, `x` fastest,
-/// written in ascending column order straight into the CSR arrays: `−c` to
-/// each neighbour present along axis `d` (`c = cs[d]`), `cd` on the diagonal.
-fn stencil_rows<S: Scalar>(dims: [usize; 3], cs: [S; 3], cd: S) -> Csr<S> {
-    let [nx, ny, nz] = dims;
-    let n = nx * ny * nz;
-    let strides = [1, nx, nx * ny];
+/// The 5-point Laplacian rows of an `nx × ny` grid, `x` fastest, written in
+/// ascending column order straight into the CSR arrays: `−c` to each
+/// neighbour present along axis `d` (`c = cs[d]`), `cd` on the diagonal.
+fn stencil_rows<S: Scalar>(dims: [usize; 2], cs: [S; 2], cd: S) -> Csr<S> {
+    let [nx, ny] = dims;
+    let n = nx * ny;
+    let strides = [1, nx];
     let width = 1 + 2 * dims.iter().filter(|&&m| m > 1).count();
     let mut indptr = Vec::with_capacity(n + 1);
     let mut indices = Vec::with_capacity(width * n);
     let mut data = Vec::with_capacity(width * n);
     indptr.push(0);
-    for z in 0..nz {
-        for y in 0..ny {
-            for x in 0..nx {
-                let me = (z * ny + y) * nx + x;
-                let at = [x, y, z];
-                for d in [2, 1, 0] {
-                    if at[d] > 0 {
-                        indices.push(me - strides[d]);
-                        data.push(-cs[d]);
-                    }
+    for y in 0..ny {
+        for x in 0..nx {
+            let me = y * nx + x;
+            let at = [x, y];
+            for d in [1, 0] {
+                if at[d] > 0 {
+                    indices.push(me - strides[d]);
+                    data.push(-cs[d]);
                 }
-                indices.push(me);
-                data.push(cd);
-                for d in 0..3 {
-                    if at[d] + 1 < dims[d] {
-                        indices.push(me + strides[d]);
-                        data.push(-cs[d]);
-                    }
-                }
-                indptr.push(indices.len());
             }
+            indices.push(me);
+            data.push(cd);
+            for d in 0..2 {
+                if at[d] + 1 < dims[d] {
+                    indices.push(me + strides[d]);
+                    data.push(-cs[d]);
+                }
+            }
+            indptr.push(indices.len());
         }
     }
     Csr::from_raw(n, n, indptr, indices, data)
@@ -73,39 +71,7 @@ pub fn poisson2d<S: Scalar>(nx: usize, ny: usize) -> Problem<S> {
     // Near-nullspace for AMG: the constant vector.
     let ns = DMat::from_fn(n, 1, |_, _| S::one());
     Problem {
-        a: stencil_rows([nx, ny, 1], [cx, cy, S::zero()], cd),
-        coords,
-        near_nullspace: Some(ns),
-    }
-}
-
-/// Assemble the 7-point Laplacian on an `nx × ny × nz` interior grid of the
-/// unit cube (homogeneous Dirichlet). Node `(x, y, z)` is unknown
-/// `(z·ny + y)·nx + x`.
-pub fn poisson3d<S: Scalar>(nx: usize, ny: usize, nz: usize) -> Problem<S> {
-    let n = nx * ny * nz;
-    let hx = 1.0 / (nx as f64 + 1.0);
-    let hy = 1.0 / (ny as f64 + 1.0);
-    let hz = 1.0 / (nz as f64 + 1.0);
-    let cx = S::from_f64(1.0 / (hx * hx));
-    let cy = S::from_f64(1.0 / (hy * hy));
-    let cz = S::from_f64(1.0 / (hz * hz));
-    let cd = S::from_f64(2.0 / (hx * hx) + 2.0 / (hy * hy) + 2.0 / (hz * hz));
-    let mut coords = Vec::with_capacity(n);
-    for z in 0..nz {
-        for y in 0..ny {
-            for x in 0..nx {
-                coords.push(vec![
-                    (x as f64 + 1.0) * hx,
-                    (y as f64 + 1.0) * hy,
-                    (z as f64 + 1.0) * hz,
-                ]);
-            }
-        }
-    }
-    let ns = DMat::from_fn(n, 1, |_, _| S::one());
-    Problem {
-        a: stencil_rows([nx, ny, nz], [cx, cy, cz], cd),
+        a: stencil_rows([nx, ny], [cx, cy], cd),
         coords,
         near_nullspace: Some(ns),
     }
@@ -148,44 +114,30 @@ mod tests {
 
     /// The Laplacian pushed as triplets, as this module assembled it before
     /// it wrote the rows directly.
-    fn laplacian_triplets(dims: [usize; 3]) -> Csr<f64> {
-        let [nx, ny, nz] = dims;
-        let h2: Vec<f64> = dims
+    fn laplacian_triplets(nx: usize, ny: usize) -> Csr<f64> {
+        let h2: Vec<f64> = [nx, ny]
             .iter()
             .map(|&m| 1.0 / (m as f64 + 1.0))
             .map(|h| h * h)
             .collect();
-        // The 2-D diagonal has no z term at all (not `+ 0`).
-        let cd = if nz == 1 {
-            2.0 / h2[0] + 2.0 / h2[1]
-        } else {
-            2.0 / h2[0] + 2.0 / h2[1] + 2.0 / h2[2]
-        };
-        let id = |x: usize, y: usize, z: usize| (z * ny + y) * nx + x;
-        let mut coo = Coo::new(nx * ny * nz, nx * ny * nz);
-        for z in 0..nz {
-            for y in 0..ny {
-                for x in 0..nx {
-                    let me = id(x, y, z);
-                    coo.push(me, me, cd);
-                    if x > 0 {
-                        coo.push(me, id(x - 1, y, z), -1.0 / h2[0]);
-                    }
-                    if x + 1 < nx {
-                        coo.push(me, id(x + 1, y, z), -1.0 / h2[0]);
-                    }
-                    if y > 0 {
-                        coo.push(me, id(x, y - 1, z), -1.0 / h2[1]);
-                    }
-                    if y + 1 < ny {
-                        coo.push(me, id(x, y + 1, z), -1.0 / h2[1]);
-                    }
-                    if z > 0 {
-                        coo.push(me, id(x, y, z - 1), -1.0 / h2[2]);
-                    }
-                    if z + 1 < nz {
-                        coo.push(me, id(x, y, z + 1), -1.0 / h2[2]);
-                    }
+        let cd = 2.0 / h2[0] + 2.0 / h2[1];
+        let id = |x: usize, y: usize| y * nx + x;
+        let mut coo = Coo::new(nx * ny, nx * ny);
+        for y in 0..ny {
+            for x in 0..nx {
+                let me = id(x, y);
+                coo.push(me, me, cd);
+                if x > 0 {
+                    coo.push(me, id(x - 1, y), -1.0 / h2[0]);
+                }
+                if x + 1 < nx {
+                    coo.push(me, id(x + 1, y), -1.0 / h2[0]);
+                }
+                if y > 0 {
+                    coo.push(me, id(x, y - 1), -1.0 / h2[1]);
+                }
+                if y + 1 < ny {
+                    coo.push(me, id(x, y + 1), -1.0 / h2[1]);
                 }
             }
         }
@@ -197,15 +149,8 @@ mod tests {
         for (nx, ny) in [(1usize, 1usize), (1, 4), (5, 1), (7, 5), (24, 24)] {
             assert_eq!(
                 poisson2d::<f64>(nx, ny).a,
-                laplacian_triplets([nx, ny, 1]),
+                laplacian_triplets(nx, ny),
                 "{nx} x {ny}"
-            );
-        }
-        for (nx, ny, nz) in [(1usize, 1usize, 2usize), (3, 1, 2), (4, 5, 3), (6, 6, 6)] {
-            assert_eq!(
-                poisson3d::<f64>(nx, ny, nz).a,
-                laplacian_triplets([nx, ny, nz]),
-                "{nx} x {ny} x {nz}"
             );
         }
     }

@@ -17,7 +17,7 @@ use kryst_dense::{qr::HouseholderQr, DMat};
 use kryst_obs::{traced, SpanKind};
 use kryst_par::PrecondOp;
 use kryst_rt::par::{for_each_range, map_range, max_threads};
-use kryst_scalar::{Real, Scalar};
+use kryst_scalar::Scalar;
 use kryst_sparse::{ops, Csr, PrecondWorkspace, SparseDirect};
 use std::sync::Mutex;
 
@@ -95,7 +95,10 @@ struct Level<S: Scalar> {
 /// The assembled multigrid hierarchy.
 pub struct Amg<S: Scalar> {
     levels: Vec<Level<S>>,
-    coarse: CoarseSolve<S>,
+    /// Coarsest-level direct solve, resolved at setup: the factor of the
+    /// coarse operator, or of a diagonally shifted copy when that is
+    /// numerically singular.
+    coarse: SparseDirect<S>,
     variable: bool,
     n: usize,
     /// After one warm-up cycle every V-cycle apply draws all its level
@@ -109,17 +112,6 @@ pub struct Amg<S: Scalar> {
 struct CycleScratch<S> {
     pool: PrecondWorkspace<S>,
     krylov: KrylovScratch<S>,
-}
-
-/// Coarse-level direct solve, fully resolved at setup: the factor to use
-/// (of the coarse operator, or of a diagonally shifted copy when the
-/// operator is numerically singular).
-/// The per-V-cycle apply path just calls `f.solve_in_place_ws` — no
-/// per-apply fallback checks remain.
-struct CoarseSolve<S: Scalar> {
-    f: SparseDirect<S>,
-    /// The factor is of the regularized (shifted) operator.
-    regularized: bool,
 }
 
 impl<S: Scalar> Amg<S> {
@@ -156,22 +148,10 @@ impl<S: Scalar> Amg<S> {
         // Coarsest level: direct solve, resolved ONCE here — the singularity
         // fallback (regularized factor) is decided at setup so the
         // per-V-cycle path is branch-free.
-        let (factor, regularized) = match SparseDirect::factor(&acur) {
-            Some(f) => (f, false),
-            None => {
-                let shift =
-                    S::from_real(acur.inf_norm() * S::Real::epsilon() * S::Real::from_f64(1e6));
-                let reg = acur.shift_diag(shift);
-                (
-                    SparseDirect::factor(&reg).expect("regularized coarse factor"),
-                    true,
-                )
-            }
-        };
-        let coarse = CoarseSolve {
-            f: factor,
-            regularized,
-        };
+        let coarse = SparseDirect::factor(&acur).unwrap_or_else(|| {
+            let shift = S::from_f64(acur.inf_norm() * f64::EPSILON * 1e6);
+            SparseDirect::factor(&acur.shift_diag(shift)).expect("regularized coarse factor")
+        });
         let coarse_diag = acur.diag();
         let smoother_impl = make_smoother(&acur, &coarse_diag, &opts.smoother);
         levels.push(Level {
@@ -205,11 +185,6 @@ impl<S: Scalar> Amg<S> {
         self.levels.len()
     }
 
-    /// Unknown count on every level, finest first.
-    pub fn level_sizes(&self) -> Vec<usize> {
-        self.levels.iter().map(|l| l.a.nrows()).collect()
-    }
-
     /// The restriction `Pᵀ` from level `l` to level `l + 1` (`None` on the
     /// coarsest level), for kernel benchmarks of its row shape.
     pub fn restriction(&self, l: usize) -> Option<&Csr<S>> {
@@ -236,14 +211,8 @@ impl<S: Scalar> Amg<S> {
         let _t = traced(SpanKind::PrecondLevel(l));
         let mut scratch = ws.take(b.nrows(), b.ncols());
         x.copy_from(b);
-        self.coarse.f.solve_in_place_ws(x, &mut scratch, 8, 1);
+        self.coarse.solve_in_place_ws(x, &mut scratch, 8, 1);
         ws.put(scratch);
-    }
-
-    /// The coarse operator was numerically singular and the direct solve
-    /// runs on a diagonally shifted copy (decided once at setup).
-    pub fn coarse_regularized(&self) -> bool {
-        self.coarse.regularized
     }
 
     /// One smoothing of `A_l·x = b`, with `r` (the shape of `b`) as scratch.
@@ -352,7 +321,7 @@ impl<S: Scalar> PrecondOp<S> for Amg<S> {
     /// grid transfer, and the stored entries of the coarse factor. Vector
     /// traffic is not counted.
     fn bytes_per_apply(&self) -> Option<usize> {
-        let mut total = self.coarse.f.factor_len() * std::mem::size_of::<S>();
+        let mut total = self.coarse.factor_len() * std::mem::size_of::<S>();
         for (l, level) in self.levels.iter().enumerate() {
             if l + 1 == self.levels.len() {
                 break;
@@ -550,7 +519,7 @@ fn strength_flags<S: Scalar>(a: &Csr<S>, threshold: f64, diag: &[S]) -> Vec<bool
                     false
                 } else {
                     let denom = (diag[i].abs() * diag[j].abs()).sqrt();
-                    v.abs().to_f64() > threshold * denom.to_f64()
+                    v.abs() > threshold * denom
                 };
                 unsafe { *base.ptr().add(row_off[i] + k) = s };
             }
@@ -605,7 +574,7 @@ fn estimate_lmax_dinva<S: Scalar>(a: &Csr<S>, inv_diag: &[S]) -> f64 {
         let mut norm = 0.0f64;
         for i in 0..n {
             w[i] *= inv_diag[i];
-            norm += w[i].abs_sqr().to_f64();
+            norm += w[i].abs_sqr();
         }
         let norm = norm.sqrt();
         if norm == 0.0 {
@@ -631,6 +600,11 @@ mod tests {
         let mut r = a.apply(x);
         r.axpy(-1.0, b);
         r.fro_norm()
+    }
+
+    /// Unknown count on every level, finest first.
+    fn level_sizes<S: Scalar>(amg: &Amg<S>) -> Vec<usize> {
+        amg.levels.iter().map(|l| l.a.nrows()).collect()
     }
 
     #[test]
@@ -696,8 +670,8 @@ mod tests {
                 ..Default::default()
             },
         );
-        let s_robust = robust.level_sizes();
-        let s_filtered = filtered.level_sizes();
+        let s_robust = level_sizes(&robust);
+        let s_filtered = level_sizes(&filtered);
         assert!(
             s_filtered[1] > s_robust[1],
             "semi-coarsening expected: {s_filtered:?} vs {s_robust:?}"
@@ -786,7 +760,7 @@ mod tests {
                     ..Default::default()
                 },
             );
-            assert_eq!(amg.level_sizes(), [4608, 784, 91, 12]);
+            assert_eq!(level_sizes(&amg), [4608, 784, 91, 12]);
             assert_eq!(apply_hash(&amg, 1), p1, "{smoother:?} p=1");
             assert_eq!(apply_hash(&amg, 3), p3, "{smoother:?} p=3");
             // The pooled scratch is dirty now: a second apply must not see it.
@@ -904,7 +878,7 @@ mod tests {
             assert!(
                 amg.nlevels() >= min_levels,
                 "{name}: {:?}",
-                amg.level_sizes()
+                level_sizes(&amg)
             );
             assert_eq!(amg.nlevels(), want.len(), "{name}");
             for (l, (level, (a, p, pt))) in amg.levels.iter().zip(&want).enumerate() {
@@ -968,7 +942,7 @@ mod tests {
                     ..Default::default()
                 },
             );
-            assert_eq!(amg.level_sizes(), [6, 2]);
+            assert_eq!(level_sizes(&amg), [6, 2]);
             amg.bytes_per_apply().unwrap()
         };
         let fixed = p_b + pt_b + coarse_b;
@@ -1008,9 +982,8 @@ mod tests {
     fn singular_coarse_regularizes_once_at_setup() {
         // Identity plus one duplicated row pair (rows 0 and 1 both `[1 1]`):
         // exactly singular with a unit diagonal, so the coarse factor must
-        // fall back to the shifted copy — decided at setup, visible through
-        // the accessor, and the apply path still produces finite output
-        // without any per-apply re-check.
+        // fall back to the shifted copy — decided at setup, so the apply
+        // path produces finite output without any per-apply re-check.
         let n = 12;
         let mut coo = Coo::with_capacity(n, n, n + 2);
         for i in 0..n {
@@ -1028,14 +1001,9 @@ mod tests {
             },
         );
         assert_eq!(amg.nlevels(), 1);
-        assert!(amg.coarse_regularized());
         let r = DMat::from_fn(n, 1, |i, _| (i % 3) as f64);
         let z = amg.apply_new(&r);
         assert!(z.as_slice().iter().all(|v| v.is_finite()));
-        // A well-posed operator keeps the direct factor.
-        let p = poisson2d::<f64>(16, 16);
-        let ok = Amg::new(&p.a, p.near_nullspace.as_ref(), &AmgOpts::default());
-        assert!(!ok.coarse_regularized());
     }
 
     #[test]

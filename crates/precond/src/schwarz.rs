@@ -15,7 +15,7 @@
 //!   paper uses for Maxwell (see DESIGN.md).
 
 use kryst_dense::DMat;
-use kryst_par::{CommStats, PrecondOp};
+use kryst_par::PrecondOp;
 use kryst_rt::par::{for_each_range, map_vec};
 use kryst_scalar::Scalar;
 use kryst_sparse::band::{pack, unpack};
@@ -23,7 +23,7 @@ use kryst_sparse::partition::{
     grow_overlap, partition_of_unity, restricted_partition_of_unity, Partition,
 };
 use kryst_sparse::{Csr, SparseDirect};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Schwarz flavor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,10 +101,6 @@ impl<S: Scalar> Subdomain<S> {
 pub struct Schwarz<S: Scalar> {
     subs: Vec<Subdomain<S>>,
     n: usize,
-    stats: Option<Arc<CommStats>>,
-    /// Total triangular-solve flops per single-RHS application (for the cost
-    /// model).
-    flops_per_rhs: usize,
 }
 
 impl<S: Scalar> Schwarz<S> {
@@ -145,7 +141,7 @@ impl<S: Scalar> Schwarz<S> {
             let factor = SparseDirect::factor(&local).unwrap_or_else(|| {
                 // Local singular operator (can happen for ASM on pure
                 // Neumann pieces): tiny diagonal regularization.
-                let shift = S::from_f64(1e-12) * S::from_real(local.inf_norm());
+                let shift = S::from_f64(1e-12) * S::from_f64(local.inf_norm());
                 SparseDirect::factor(&local.shift_diag(shift)).expect("regularized local factor")
             });
             let perm = factor.perm();
@@ -156,21 +152,7 @@ impl<S: Scalar> Schwarz<S> {
                 block: Mutex::new(Vec::new()),
             }
         });
-        // One multiply-add per factor entry streamed.
-        let scale = if S::is_complex() { 4 } else { 1 };
-        let flops_per_rhs = subs.iter().map(|s| 2 * s.factor.factor_len() * scale).sum();
-        Self {
-            subs,
-            n,
-            stats: None,
-            flops_per_rhs,
-        }
-    }
-
-    /// Report communication/flop counts of every application to `stats`.
-    pub fn with_stats(mut self, stats: Arc<CommStats>) -> Self {
-        self.stats = Some(stats);
-        self
+        Self { subs, n }
     }
 
     /// Number of subdomains.
@@ -202,20 +184,6 @@ impl<S: Scalar> PrecondOp<S> for Schwarz<S> {
 
     fn apply(&self, r: &DMat<S>, z: &mut DMat<S>) {
         let _sp = kryst_obs::traced(kryst_obs::SpanKind::PrecondApply);
-        let p = r.ncols();
-        if let Some(stats) = &self.stats {
-            // Each subdomain exchanges its overlap with neighbors before and
-            // after the local solve; charge 2 messages per subdomain as a
-            // conservative aggregate plus the solve flops.
-            stats.record_p2p(
-                2 * self.subs.len(),
-                2 * self.subs.iter().map(|s| s.rows.len()).sum::<usize>()
-                    * p
-                    * S::real_words()
-                    * std::mem::size_of::<f64>(),
-            );
-            stats.record_flops(self.flops_per_rhs * p);
-        }
         // Solve every subdomain in parallel (gather into the subdomain's
         // persistent packed block, solve in place there), then apply the
         // weighted scatter-adds serially in subdomain order — the
@@ -386,24 +354,7 @@ mod tests {
         let n = 50;
         let p = poisson2d::<f64>(n, 1);
         let part = partition_rcb(&p.coords, 1);
-        let stats = CommStats::new_shared();
-        let m = Schwarz::new(&p.a, &part, &SchwarzOpts::default()).with_stats(Arc::clone(&stats));
-        let entries = 3 * n - 2;
-        assert_eq!(m.bytes_per_apply(), Some(entries * 8));
-        let _ = m.apply_new(&DMat::from_fn(n, 3, |i, j| (i + j) as f64));
-        assert_eq!(stats.snapshot().flops, (2 * entries * 3) as u64);
-    }
-
-    #[test]
-    fn stats_recorded_per_application() {
-        let p = poisson2d::<f64>(10, 10);
-        let part = partition_rcb(&p.coords, 2);
-        let stats = CommStats::new_shared();
-        let m = Schwarz::new(&p.a, &part, &SchwarzOpts::default()).with_stats(Arc::clone(&stats));
-        let r = DMat::from_fn(100, 2, |i, _| i as f64);
-        let _ = m.apply_new(&r);
-        let snap = stats.snapshot();
-        assert_eq!(snap.p2p_messages, 4); // 2 per subdomain
-        assert!(snap.flops > 0);
+        let m = Schwarz::new(&p.a, &part, &SchwarzOpts::default());
+        assert_eq!(m.bytes_per_apply(), Some((3 * n - 2) * 8));
     }
 }

@@ -8,7 +8,7 @@
 //! in `kryst-core`, mirroring how PETSc's smoothers are distinct KSP objects.
 
 use kryst_dense::{fused, qr::IncrementalQr, DMat};
-use kryst_scalar::{Real, Scalar};
+use kryst_scalar::Scalar;
 use kryst_sparse::Csr;
 
 /// Everything the smoothers need besides their arguments, sized when the
@@ -96,11 +96,11 @@ pub fn gmres_smooth<S: Scalar>(
     for col in 0..r.ncols() {
         let (v0, xc) = (r.col_mut(col), x.col_mut(col));
         let beta = fused::nrm2_sqr(v0).sqrt();
-        if beta <= S::Real::epsilon() {
+        if beta <= f64::EPSILON {
             continue;
         }
-        scale(v0, S::one() / S::from_real(beta));
-        ks.s1[(0, 0)] = S::from_real(beta);
+        scale(v0, S::one() / S::from_f64(beta));
+        ks.s1[(0, 0)] = S::from_f64(beta);
         ks.qr.reset(&ks.s1);
         let (mut steps, mut breakdown) = (0, false);
         for j in 0..iters {
@@ -122,15 +122,15 @@ pub fn gmres_smooth<S: Scalar>(
             h[(j, 0)] = hi;
             let nrm = fused::axpy_nrm2_sqr(w, hi, vi).sqrt();
             steps = j + 1;
-            breakdown = nrm <= S::Real::epsilon();
+            breakdown = nrm <= f64::EPSILON;
             h[(j + 1, 0)] = if breakdown {
                 S::zero()
             } else {
                 // Only the residual reads the last vector.
                 if hand_back || steps < iters {
-                    scale(w, S::one() / S::from_real(nrm));
+                    scale(w, S::one() / S::from_f64(nrm));
                 }
-                S::from_real(nrm)
+                S::from_f64(nrm)
             };
             ks.qr.push_block(h);
             if breakdown {
@@ -143,7 +143,7 @@ pub fn gmres_smooth<S: Scalar>(
         // v_steps, and its coefficient is an exact zero.
         let g = &mut ks.g[..steps + usize::from(!breakdown)];
         g.fill(S::zero());
-        g[0] = S::from_real(beta);
+        g[0] = S::from_f64(beta);
         for (h, &yj) in ks.hcols.iter().zip(y) {
             for (gi, &hij) in g.iter_mut().zip(h.col(0)) {
                 *gi -= hij * yj;
@@ -188,7 +188,7 @@ pub fn cg_smooth<S: Scalar>(
         d.copy_from_slice(res);
         let mut rr = fused::nrm2_sqr(res);
         for _ in 0..iters {
-            if rr <= S::Real::epsilon() {
+            if rr <= f64::EPSILON {
                 break;
             }
             a.spmv(d, ad);
@@ -196,9 +196,9 @@ pub fn cg_smooth<S: Scalar>(
             if dad == S::zero() {
                 break;
             }
-            let alpha = S::from_real(rr) / dad;
+            let alpha = S::from_f64(rr) / dad;
             let rr_new = fused::axpy_nrm2_sqr(res, alpha, ad);
-            let beta = S::from_real(rr_new / rr);
+            let beta = S::from_f64(rr_new / rr);
             // The step along d and the next direction, one sweep.
             for ((xi, di), &ri) in xc.iter_mut().zip(d.iter_mut()).zip(res.iter()) {
                 *xi += alpha * *di;
@@ -237,7 +237,7 @@ mod tests {
         total
     }
 
-    fn norm_ref<S: Scalar>(v: &[S]) -> S::Real {
+    fn norm_ref<S: Scalar>(v: &[S]) -> f64 {
         dot_ref(v, v).re().sqrt()
     }
 
@@ -246,14 +246,14 @@ mod tests {
     fn gmres_smooth_ref<S: Scalar>(a: &Csr<S>, r: &[S], x: &[S], iters: usize) -> [Vec<S>; 2] {
         let n = a.nrows();
         let beta = norm_ref(r);
-        if iters == 0 || beta <= S::Real::epsilon() {
+        if iters == 0 || beta <= f64::EPSILON {
             return [x.to_vec(), r.to_vec()];
         }
-        let inv = S::one() / S::from_real(beta);
+        let inv = S::one() / S::from_f64(beta);
         let mut v = vec![r.iter().map(|&ri| ri * inv).collect::<Vec<S>>()];
         let mut hcols: Vec<DMat<S>> = Vec::new();
         let mut qr = IncrementalQr::new(iters, 1);
-        qr.reset(&DMat::from_fn(1, 1, |_, _| S::from_real(beta)));
+        qr.reset(&DMat::from_fn(1, 1, |_, _| S::from_f64(beta)));
         for j in 0..iters {
             let mut w = vec![S::zero(); n];
             a.spmv(&v[j], &mut w);
@@ -265,20 +265,20 @@ mod tests {
                 }
             }
             let nrm = norm_ref(&w);
-            if nrm > S::Real::epsilon() {
-                h[(j + 1, 0)] = S::from_real(nrm);
-                let inv = S::one() / S::from_real(nrm);
+            if nrm > f64::EPSILON {
+                h[(j + 1, 0)] = S::from_f64(nrm);
+                let inv = S::one() / S::from_f64(nrm);
                 v.push(w.iter().map(|&wk| wk * inv).collect());
             }
             qr.push_block(&h);
             hcols.push(h);
-            if nrm <= S::Real::epsilon() {
+            if nrm <= f64::EPSILON {
                 break;
             }
         }
         let y = qr.solve_y();
         let mut g = vec![S::zero(); v.len()];
-        g[0] = S::from_real(beta);
+        g[0] = S::from_f64(beta);
         for (j, h) in hcols.iter().enumerate() {
             for (gi, &hij) in g.iter_mut().zip(h.col(0)) {
                 *gi -= hij * y[(j, 0)];
@@ -305,7 +305,7 @@ mod tests {
         let mut ad = vec![S::zero(); a.nrows()];
         let mut rr = dot_ref(&res, &res).re();
         for _ in 0..iters {
-            if rr <= S::Real::epsilon() {
+            if rr <= f64::EPSILON {
                 break;
             }
             a.spmv(&d, &mut ad);
@@ -313,7 +313,7 @@ mod tests {
             if dad == S::zero() {
                 break;
             }
-            let alpha = S::from_real(rr) / dad;
+            let alpha = S::from_f64(rr) / dad;
             for (ri, &adi) in res.iter_mut().zip(&ad) {
                 *ri -= alpha * adi;
             }
@@ -321,7 +321,7 @@ mod tests {
             for (xi, &di) in x.iter_mut().zip(&d) {
                 *xi += alpha * di;
             }
-            let beta = S::from_real(rr_new / rr);
+            let beta = S::from_f64(rr_new / rr);
             for (di, &ri) in d.iter_mut().zip(&res) {
                 *di = ri + beta * *di;
             }
@@ -357,7 +357,7 @@ mod tests {
 
     fn bits<S: Scalar>(v: &[S]) -> Vec<(u64, u64)> {
         v.iter()
-            .map(|v| (v.re().to_f64().to_bits(), v.im().to_f64().to_bits()))
+            .map(|v| (v.re().to_bits(), v.im().to_bits()))
             .collect()
     }
 

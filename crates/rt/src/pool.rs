@@ -227,16 +227,6 @@ pub fn run_parts<F: Fn(usize) + Sync>(nparts: usize, f: F) {
     }
 }
 
-/// Number of helper threads the pool would use (0 when serial-only). The
-/// dispatching thread always participates on top of this.
-pub fn pool_workers() -> usize {
-    if max_threads() <= 1 {
-        0
-    } else {
-        global().workers
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

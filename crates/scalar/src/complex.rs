@@ -3,47 +3,41 @@
 //! `num-complex` is not in the approved offline crate list, so the workspace
 //! carries its own implementation. Only the operations needed by the dense
 //! and sparse kernels are provided; the layout is `repr(C)` so a slice of
-//! `Complex<T>` is also a slice of interleaved re/im pairs
+//! `C64` is also a slice of interleaved re/im pairs
 //! ([`crate::Scalar::reals`]).
 
-use crate::Real;
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
-/// Cartesian complex number over a [`Real`] component type.
+/// Cartesian complex number with `f64` parts — the scalar type of the
+/// Maxwell experiments (§V of the paper).
 #[derive(Copy, Clone, PartialEq, Default)]
 #[repr(C)]
-pub struct Complex<T> {
+pub struct C64 {
     /// Real part.
-    pub re: T,
+    pub re: f64,
     /// Imaginary part.
-    pub im: T,
+    pub im: f64,
 }
 
-impl<T: Real> Complex<T> {
+impl C64 {
     /// Create a complex number from real and imaginary parts.
     #[inline(always)]
-    pub fn new(re: T, im: T) -> Self {
+    pub fn new(re: f64, im: f64) -> Self {
         Self { re, im }
     }
 
     /// The additive identity `0 + 0i`.
     #[inline(always)]
     pub fn zero() -> Self {
-        Self::new(T::zero(), T::zero())
+        Self::new(0.0, 0.0)
     }
 
     /// The multiplicative identity `1 + 0i`.
     #[inline(always)]
     pub fn one() -> Self {
-        Self::new(T::one(), T::zero())
-    }
-
-    /// The imaginary unit `i`.
-    #[inline(always)]
-    pub fn i() -> Self {
-        Self::new(T::zero(), T::one())
+        Self::new(1.0, 0.0)
     }
 
     /// Complex conjugate.
@@ -54,13 +48,13 @@ impl<T: Real> Complex<T> {
 
     /// Modulus `|z|`, computed robustly with `hypot`.
     #[inline(always)]
-    pub fn abs(self) -> T {
+    pub fn abs(self) -> f64 {
         self.re.hypot(self.im)
     }
 
     /// Squared modulus `|z|²` (no square root).
     #[inline(always)]
-    pub fn norm_sqr(self) -> T {
+    pub fn norm_sqr(self) -> f64 {
         self.re * self.re + self.im * self.im
     }
 
@@ -71,34 +65,30 @@ impl<T: Real> Complex<T> {
         if self.re.abs() >= self.im.abs() {
             let r = self.im / self.re;
             let d = self.re + self.im * r;
-            Self::new(T::one() / d, -r / d)
+            Self::new(1.0 / d, -r / d)
         } else {
             let r = self.re / self.im;
             let d = self.re * r + self.im;
-            Self::new(r / d, -T::one() / d)
+            Self::new(r / d, -1.0 / d)
         }
     }
 
     /// Principal square root.
     pub fn sqrt(self) -> Self {
         let m = self.abs();
-        if m == T::zero() {
+        if m == 0.0 {
             return Self::zero();
         }
-        let two = T::from_f64(2.0);
+        let two = 2.0;
         let re = ((m + self.re) / two).sqrt();
         let im_mag = ((m - self.re) / two).sqrt();
-        let im = if self.im >= T::zero() {
-            im_mag
-        } else {
-            -im_mag
-        };
+        let im = if self.im >= 0.0 { im_mag } else { -im_mag };
         Self::new(re, im)
     }
 
     /// Scale by a real factor.
     #[inline(always)]
-    pub fn scale(self, s: T) -> Self {
+    pub fn scale(self, s: f64) -> Self {
         Self::new(self.re * s, self.im * s)
     }
 
@@ -109,7 +99,7 @@ impl<T: Real> Complex<T> {
     }
 }
 
-impl<T: Real> Add for Complex<T> {
+impl Add for C64 {
     type Output = Self;
     #[inline(always)]
     fn add(self, rhs: Self) -> Self {
@@ -117,7 +107,7 @@ impl<T: Real> Add for Complex<T> {
     }
 }
 
-impl<T: Real> Sub for Complex<T> {
+impl Sub for C64 {
     type Output = Self;
     #[inline(always)]
     fn sub(self, rhs: Self) -> Self {
@@ -125,7 +115,7 @@ impl<T: Real> Sub for Complex<T> {
     }
 }
 
-impl<T: Real> Mul for Complex<T> {
+impl Mul for C64 {
     type Output = Self;
     #[inline(always)]
     fn mul(self, rhs: Self) -> Self {
@@ -136,7 +126,7 @@ impl<T: Real> Mul for Complex<T> {
     }
 }
 
-impl<T: Real> Div for Complex<T> {
+impl Div for C64 {
     type Output = Self;
     #[inline(always)]
     #[allow(clippy::suspicious_arithmetic_impl)] // division via Smith-style reciprocal
@@ -145,7 +135,7 @@ impl<T: Real> Div for Complex<T> {
     }
 }
 
-impl<T: Real> Neg for Complex<T> {
+impl Neg for C64 {
     type Output = Self;
     #[inline(always)]
     fn neg(self) -> Self {
@@ -153,46 +143,46 @@ impl<T: Real> Neg for Complex<T> {
     }
 }
 
-impl<T: Real> AddAssign for Complex<T> {
+impl AddAssign for C64 {
     #[inline(always)]
     fn add_assign(&mut self, rhs: Self) {
         *self = *self + rhs;
     }
 }
-impl<T: Real> SubAssign for Complex<T> {
+impl SubAssign for C64 {
     #[inline(always)]
     fn sub_assign(&mut self, rhs: Self) {
         *self = *self - rhs;
     }
 }
-impl<T: Real> MulAssign for Complex<T> {
+impl MulAssign for C64 {
     #[inline(always)]
     fn mul_assign(&mut self, rhs: Self) {
         *self = *self * rhs;
     }
 }
-impl<T: Real> DivAssign for Complex<T> {
+impl DivAssign for C64 {
     #[inline(always)]
     fn div_assign(&mut self, rhs: Self) {
         *self = *self / rhs;
     }
 }
 
-impl<T: Real> Sum for Complex<T> {
+impl Sum for C64 {
     fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
         iter.fold(Self::zero(), |a, b| a + b)
     }
 }
 
-impl<T: Real> fmt::Debug for Complex<T> {
+impl fmt::Debug for C64 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "({:?}{:+?}i)", self.re, self.im)
     }
 }
 
-impl<T: Real> fmt::Display for Complex<T> {
+impl fmt::Display for C64 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "({}{:+}i)", self.re.to_f64(), self.im.to_f64())
+        write!(f, "({}{:+}i)", self.re, self.im)
     }
 }
 
@@ -200,7 +190,7 @@ impl<T: Real> fmt::Display for Complex<T> {
 mod tests {
     use super::*;
 
-    type C = Complex<f64>;
+    type C = C64;
 
     #[test]
     fn arithmetic_identities() {

@@ -4,22 +4,28 @@
 //! Every solver, preconditioner, and kernel in the workspace is generic over a
 //! [`Scalar`] type, so the same GCRO-DR code runs on real Poisson/elasticity
 //! systems (`f64`) and on the complex time-harmonic Maxwell systems
-//! (`Complex<f64>`) from the paper's §V.
+//! ([`C64`]) from the paper's §V. Norms, residuals and tolerances are `f64`
+//! for both.
 //!
-//! The crate provides its own [`Complex`] type (the offline crate list does
-//! not include `num-complex`) together with the [`Real`] and [`Scalar`]
-//! traits.
+//! The crate provides its own [`C64`] type (the offline crate list does not
+//! include `num-complex`) together with the [`Scalar`] trait.
 
 mod complex;
-mod real;
 mod scalar;
 
-pub use complex::Complex;
-pub use real::Real;
+pub use complex::C64;
 pub use scalar::Scalar;
 
-/// Complex number with `f64` components — the scalar type used by the Maxwell
-/// experiments (§V of the paper).
-pub type C64 = Complex<f64>;
-/// Complex number with `f32` components.
-pub type C32 = Complex<f32>;
+/// `f64`'s conversion to itself, kept only because the repository benchmark
+/// calls `.to_f64()` on [`Scalar::re`] and [`Scalar::im`].
+pub trait Real {
+    /// The value itself.
+    fn to_f64(self) -> f64;
+}
+
+impl Real for f64 {
+    #[inline(always)]
+    fn to_f64(self) -> f64 {
+        self
+    }
+}

@@ -1,14 +1,15 @@
 //! The [`Scalar`] trait: the element type of all matrices and vectors.
 
-use crate::{Complex, Real};
+use crate::C64;
 use std::fmt::{Debug, Display};
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
 /// Field element used by every kernel in the workspace.
 ///
-/// Implemented for `f32`, `f64` (real problems: Poisson, elasticity) and
-/// [`Complex<f32>`], [`Complex<f64>`] (time-harmonic Maxwell).
+/// Implemented for `f64` (real problems: Poisson, elasticity) and [`C64`]
+/// (time-harmonic Maxwell). Moduli, real parts and tolerances are `f64` for
+/// both.
 ///
 /// The convention throughout the workspace is the *mathematician's* inner
 /// product: `dot(x, y) = Σ conj(xᵢ) yᵢ`, so `conj` below is what kernels call
@@ -34,9 +35,6 @@ pub trait Scalar:
     + DivAssign
     + Sum<Self>
 {
-    /// The associated real type (`f64` for both `f64` and `Complex<f64>`).
-    type Real: Real;
-
     /// Additive identity.
     fn zero() -> Self;
     /// Multiplicative identity.
@@ -44,18 +42,16 @@ pub trait Scalar:
     /// Complex conjugate (identity for real types).
     fn conj(self) -> Self;
     /// Real part.
-    fn re(self) -> Self::Real;
+    fn re(self) -> f64;
     /// Imaginary part (zero for real types).
-    fn im(self) -> Self::Real;
+    fn im(self) -> f64;
     /// Modulus.
-    fn abs(self) -> Self::Real;
+    fn abs(self) -> f64;
     /// Squared modulus (`re² + im²`; avoids the square root).
-    fn abs_sqr(self) -> Self::Real;
+    fn abs_sqr(self) -> f64;
     /// Principal square root.
     fn sqrt(self) -> Self;
     /// Embed a real value.
-    fn from_real(r: Self::Real) -> Self;
-    /// Embed an `f64` constant.
     fn from_f64(v: f64) -> Self;
     /// Build from real and imaginary `f64` parts (imaginary ignored for real types).
     fn from_parts(re: f64, im: f64) -> Self;
@@ -75,151 +71,132 @@ pub trait Scalar:
     /// The real components of `s` in memory order, [`Scalar::real_words`]
     /// per scalar: the slice itself for a real type, `re, im, re, im, …`
     /// for a complex one.
-    fn reals(s: &[Self]) -> &[Self::Real];
+    fn reals(s: &[Self]) -> &[f64];
     /// Mutable form of [`Scalar::reals`]. Any values written through it are
     /// valid scalars: every pair of reals is a complex number.
-    fn reals_mut(s: &mut [Self]) -> &mut [Self::Real];
+    fn reals_mut(s: &mut [Self]) -> &mut [f64];
 }
 
-macro_rules! impl_scalar_real {
-    ($t:ty) => {
-        impl Scalar for $t {
-            type Real = $t;
-
-            #[inline(always)]
-            fn zero() -> Self {
-                0.0
-            }
-            #[inline(always)]
-            fn one() -> Self {
-                1.0
-            }
-            #[inline(always)]
-            fn conj(self) -> Self {
-                self
-            }
-            #[inline(always)]
-            fn re(self) -> Self::Real {
-                self
-            }
-            #[inline(always)]
-            fn im(self) -> Self::Real {
-                0.0
-            }
-            #[inline(always)]
-            fn abs(self) -> Self::Real {
-                <$t>::abs(self)
-            }
-            #[inline(always)]
-            fn abs_sqr(self) -> Self::Real {
-                self * self
-            }
-            #[inline(always)]
-            fn sqrt(self) -> Self {
-                <$t>::sqrt(self)
-            }
-            #[inline(always)]
-            fn from_real(r: Self::Real) -> Self {
-                r
-            }
-            #[inline(always)]
-            fn from_f64(v: f64) -> Self {
-                v as $t
-            }
-            #[inline(always)]
-            fn from_parts(re: f64, _im: f64) -> Self {
-                re as $t
-            }
-            #[inline(always)]
-            fn is_finite(self) -> bool {
-                <$t>::is_finite(self)
-            }
-            #[inline(always)]
-            fn is_complex() -> bool {
-                false
-            }
-            #[inline(always)]
-            fn reals(s: &[Self]) -> &[Self::Real] {
-                s
-            }
-            #[inline(always)]
-            fn reals_mut(s: &mut [Self]) -> &mut [Self::Real] {
-                s
-            }
-        }
-    };
-}
-
-impl_scalar_real!(f32);
-impl_scalar_real!(f64);
-
-impl<T: Real> Scalar for Complex<T> {
-    type Real = T;
-
+impl Scalar for f64 {
     #[inline(always)]
     fn zero() -> Self {
-        Complex::zero()
+        0.0
     }
     #[inline(always)]
     fn one() -> Self {
-        Complex::one()
+        1.0
     }
     #[inline(always)]
     fn conj(self) -> Self {
-        Complex::conj(self)
+        self
     }
     #[inline(always)]
-    fn re(self) -> T {
-        self.re
+    fn re(self) -> f64 {
+        self
     }
     #[inline(always)]
-    fn im(self) -> T {
-        self.im
+    fn im(self) -> f64 {
+        0.0
     }
     #[inline(always)]
-    fn abs(self) -> T {
-        Complex::abs(self)
+    fn abs(self) -> f64 {
+        f64::abs(self)
     }
     #[inline(always)]
-    fn abs_sqr(self) -> T {
-        Complex::norm_sqr(self)
+    fn abs_sqr(self) -> f64 {
+        self * self
     }
     #[inline(always)]
     fn sqrt(self) -> Self {
-        Complex::sqrt(self)
-    }
-    #[inline(always)]
-    fn from_real(r: T) -> Self {
-        Complex::new(r, T::zero())
+        f64::sqrt(self)
     }
     #[inline(always)]
     fn from_f64(v: f64) -> Self {
-        Complex::new(T::from_f64(v), T::zero())
+        v
     }
     #[inline(always)]
-    fn from_parts(re: f64, im: f64) -> Self {
-        Complex::new(T::from_f64(re), T::from_f64(im))
+    fn from_parts(re: f64, _im: f64) -> Self {
+        re
     }
     #[inline(always)]
     fn is_finite(self) -> bool {
-        Complex::is_finite(self)
+        f64::is_finite(self)
+    }
+    #[inline(always)]
+    fn is_complex() -> bool {
+        false
+    }
+    #[inline(always)]
+    fn reals(s: &[Self]) -> &[f64] {
+        s
+    }
+    #[inline(always)]
+    fn reals_mut(s: &mut [Self]) -> &mut [f64] {
+        s
+    }
+}
+
+impl Scalar for C64 {
+    #[inline(always)]
+    fn zero() -> Self {
+        C64::zero()
+    }
+    #[inline(always)]
+    fn one() -> Self {
+        C64::one()
+    }
+    #[inline(always)]
+    fn conj(self) -> Self {
+        C64::conj(self)
+    }
+    #[inline(always)]
+    fn re(self) -> f64 {
+        self.re
+    }
+    #[inline(always)]
+    fn im(self) -> f64 {
+        self.im
+    }
+    #[inline(always)]
+    fn abs(self) -> f64 {
+        C64::abs(self)
+    }
+    #[inline(always)]
+    fn abs_sqr(self) -> f64 {
+        C64::norm_sqr(self)
+    }
+    #[inline(always)]
+    fn sqrt(self) -> Self {
+        C64::sqrt(self)
+    }
+    #[inline(always)]
+    fn from_f64(v: f64) -> Self {
+        C64::new(v, 0.0)
+    }
+    #[inline(always)]
+    fn from_parts(re: f64, im: f64) -> Self {
+        C64::new(re, im)
+    }
+    #[inline(always)]
+    fn is_finite(self) -> bool {
+        C64::is_finite(self)
     }
     #[inline(always)]
     fn is_complex() -> bool {
         true
     }
     #[inline(always)]
-    fn reals(s: &[Self]) -> &[T] {
-        // SAFETY: `Complex<T>` is `repr(C)` with exactly two `T` fields, so
-        // it has the size of `[T; 2]`, the alignment of `T` and no padding:
-        // `s.len()` of them are `2 * s.len()` initialised `T`s in the same
+    fn reals(s: &[Self]) -> &[f64] {
+        // SAFETY: `C64` is `repr(C)` with exactly two `f64` fields, so it has
+        // the size of `[f64; 2]`, the alignment of `f64` and no padding:
+        // `s.len()` of them are `2 * s.len()` initialised `f64`s in the same
         // allocation, borrowed for the same lifetime.
         unsafe { std::slice::from_raw_parts(s.as_ptr().cast(), 2 * s.len()) }
     }
     #[inline(always)]
-    fn reals_mut(s: &mut [Self]) -> &mut [T] {
-        // SAFETY: as in `reals`; the borrow is unique, and any two `T`s are
-        // a valid `Complex<T>`.
+    fn reals_mut(s: &mut [Self]) -> &mut [f64] {
+        // SAFETY: as in `reals`; the borrow is unique, and any two `f64`s are
+        // a valid `C64`.
         unsafe { std::slice::from_raw_parts_mut(s.as_mut_ptr().cast(), 2 * s.len()) }
     }
 }
@@ -227,21 +204,19 @@ impl<T: Real> Scalar for Complex<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::C64;
 
     fn generic_roundtrip<S: Scalar>() {
         let x = S::from_f64(2.0);
-        assert_eq!(x.re().to_f64(), 2.0);
-        assert_eq!((x * x).re().to_f64(), 4.0);
+        assert_eq!(x.re(), 2.0);
+        assert_eq!((x * x).re(), 4.0);
         assert_eq!(S::zero() + S::one(), S::one());
         assert!(x.is_finite());
         let n = x.abs_sqr();
-        assert_eq!(n.to_f64(), 4.0);
+        assert_eq!(n, 4.0);
     }
 
     #[test]
     fn scalar_impls_agree() {
-        generic_roundtrip::<f32>();
         generic_roundtrip::<f64>();
         generic_roundtrip::<C64>();
     }
@@ -269,8 +244,8 @@ mod tests {
         C64::reals_mut(&mut z)[3] = 7.0;
         assert_eq!(z[1], C64::from_parts(3.5, 7.0));
         assert_eq!(C64::reals(&z[..0]), [0.0; 0]);
-        let mut x = [1.0f32, 2.0];
-        f32::reals_mut(&mut x)[0] = 4.0;
-        assert_eq!(f32::reals(&x), [4.0, 2.0]);
+        let mut x = [1.0, 2.0];
+        f64::reals_mut(&mut x)[0] = 4.0;
+        assert_eq!(f64::reals(&x), [4.0, 2.0]);
     }
 }

@@ -12,7 +12,8 @@
 //! parts of its right-hand sides together and the imaginary parts together,
 //! so the right-hand sides are the vector lanes for complex scalars too.
 
-use kryst_scalar::{Real, Scalar};
+use kryst_scalar::Scalar;
+use std::marker::PhantomData;
 
 /// Banded matrix in LAPACK band storage with room for pivoting fill:
 /// entry `(i, j)` lives at `ab[(kl + ku + i − j, j)]`, valid for
@@ -103,7 +104,7 @@ impl<S: Scalar> BandMat<S> {
             }
             ipiv[j] = j + jp;
             ju = ju.max((j + self.ku + jp).min(n - 1));
-            if pmax == S::Real::zero() || !pmax.is_finite() {
+            if pmax == 0.0 || !pmax.is_finite() {
                 return None;
             }
             // Column k > j holds row j at band row `kv − (k − j)`; the pivot
@@ -210,7 +211,7 @@ fn tiles(p: usize) -> impl Iterator<Item = (usize, usize)> {
 fn tiles_mut<S: Scalar>(
     block: &mut [S],
     n: usize,
-) -> impl Iterator<Item = (usize, usize, &mut [S::Real])> {
+) -> impl Iterator<Item = (usize, usize, &mut [f64])> {
     let p = block.len().checked_div(n).unwrap_or(0);
     assert_eq!(block.len(), n * p, "packed block must hold whole columns");
     let mut rest = S::reals_mut(block);
@@ -274,7 +275,7 @@ pub fn unpack<S: Scalar, F: FnMut(&mut S, S)>(
             let mut put = row(k);
             let (re, im) = planes.split_at(w);
             for (c, (&re, col)) in re.iter().zip(&mut cols).enumerate() {
-                let mut v = S::from_real(re);
+                let mut v = S::from_f64(re);
                 if S::is_complex() {
                     S::reals_mut(std::slice::from_mut(&mut v))[1] = im[c];
                 }
@@ -289,26 +290,24 @@ pub fn unpack<S: Scalar, F: FnMut(&mut S, S)>(
 /// optimised away). The lanes are the tile's right-hand sides.
 #[derive(Clone, Copy)]
 struct Lanes<S: Scalar, const W: usize> {
-    re: [S::Real; W],
-    im: [S::Real; W],
+    re: [f64; W],
+    im: [f64; W],
+    scalar: PhantomData<S>,
 }
 
 impl<S: Scalar, const W: usize> Lanes<S, W> {
     #[inline(always)]
-    fn load(row: &[S::Real]) -> Self {
+    fn load(row: &[f64]) -> Self {
         let plane = |k: usize| row[k * W..][..W].try_into().expect("plane of W lanes");
         Self {
             re: plane(0),
-            im: if S::is_complex() {
-                plane(1)
-            } else {
-                [S::Real::zero(); W]
-            },
+            im: if S::is_complex() { plane(1) } else { [0.0; W] },
+            scalar: PhantomData,
         }
     }
 
     #[inline(always)]
-    fn store(self, row: &mut [S::Real]) {
+    fn store(self, row: &mut [f64]) {
         row[..W].copy_from_slice(&self.re);
         if S::is_complex() {
             row[W..][..W].copy_from_slice(&self.im);
@@ -317,7 +316,7 @@ impl<S: Scalar, const W: usize> Lanes<S, W> {
 
     /// `self − a·b` in every lane, rounded as `a * b` followed by `-=`
     /// rounds on `S`: the four products, the difference and the sum of
-    /// `Complex::mul` in its operand order, then the subtraction per part.
+    /// `C64::mul` in its operand order, then the subtraction per part.
     #[inline(always)]
     fn sub_mul(self, a: S, b: &Self) -> Self {
         let (ar, ai) = (a.re(), a.im());
@@ -353,8 +352,7 @@ impl<S: Scalar, const W: usize> Lanes<S, W> {
     /// every part is not).
     #[inline(always)]
     fn nonzero(&self, c: usize) -> bool {
-        let zero = S::Real::zero();
-        self.re[c] != zero || (S::is_complex() && self.im[c] != zero)
+        self.re[c] != 0.0 || (S::is_complex() && self.im[c] != 0.0)
     }
 
     /// Lane by lane, `self` where `keep` is zero and `other` elsewhere.
@@ -456,7 +454,7 @@ impl<S: Scalar> BandLu<S> {
 
     /// Forward and backward substitution on the planes of one `n × W` tile.
     #[inline(always)]
-    fn solve_tile<const W: usize>(&self, x: &mut [S::Real]) {
+    fn solve_tile<const W: usize>(&self, x: &mut [f64]) {
         let n = self.n;
         let rw = W * S::real_words();
         // Forward: row interchanges, then an axpy per column of L.
@@ -528,7 +526,7 @@ impl<S: Scalar> Kernel for Solve<'_, S> {
 mod tests {
     use super::*;
     use kryst_rt::rng::Rng64;
-    use kryst_scalar::{C32, C64};
+    use kryst_scalar::C64;
 
     /// The column-at-a-time recurrence on the fill-padded band (`m` already
     /// factored in place), each column of `L` and row of `U` read up to its
@@ -573,7 +571,7 @@ mod tests {
     }
 
     fn bits<S: Scalar>(v: S) -> (u64, u64) {
-        (v.re().to_f64().to_bits(), v.im().to_f64().to_bits())
+        (v.re().to_bits(), v.im().to_bits())
     }
 
     type SolveFn<S> = fn(&BandLu<S>, &mut [S]);
@@ -613,10 +611,8 @@ mod tests {
     /// returns is not pinned down).
     fn check_widths<S: Scalar>(f: &BandLu<S>, cols: &[S], expect: &[S], nan_ok: bool, what: &str) {
         let n = f.n();
-        let same = |g: S::Real, e: S::Real| {
-            g.to_f64().to_bits() == e.to_f64().to_bits()
-                || (nan_ok && g.to_f64().is_nan() && e.to_f64().is_nan())
-        };
+        let same =
+            |g: f64, e: f64| g.to_bits() == e.to_bits() || (nan_ok && g.is_nan() && e.is_nan());
         for (body, &(_, solve)) in variants::<S>().iter().enumerate() {
             for p in [1, 2, 3, 4, 7, 8, 9, 17] {
                 let got = solve_columns(f, solve, &cols[..n * p], p);
@@ -713,8 +709,6 @@ mod tests {
     fn packed_kernel_is_bitwise_the_band_recurrence() {
         packed_matches_recurrence::<f64>(11);
         packed_matches_recurrence::<C64>(12);
-        packed_matches_recurrence::<f32>(13);
-        packed_matches_recurrence::<C32>(14);
     }
 
     /// `unpack ∘ pack` is the identity through every tile shape, the packed
@@ -761,8 +755,6 @@ mod tests {
     fn pack_then_unpack_is_the_identity() {
         pack_round_trips::<f64>();
         pack_round_trips::<C64>();
-        pack_round_trips::<f32>();
-        pack_round_trips::<C32>();
     }
 
     /// Both compiled bodies of the factorization leave the same band and
@@ -799,8 +791,6 @@ mod tests {
     fn factor_bodies_agree_bitwise() {
         factor_bodies_agree::<f64>(21);
         factor_bodies_agree::<C64>(22);
-        factor_bodies_agree::<f32>(23);
-        factor_bodies_agree::<C32>(24);
     }
 
     #[test]

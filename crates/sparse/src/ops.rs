@@ -240,7 +240,6 @@ mod tests {
 
     /// Same shape, same pattern, same values bit for bit.
     fn assert_same<S: Scalar>(got: &Csr<S>, want: &Csr<S>, what: &str) {
-        use kryst_scalar::Real;
         assert_eq!(
             (got.nrows(), got.ncols()),
             (want.nrows(), want.ncols()),
@@ -254,7 +253,7 @@ mod tests {
                 "{what}: row {i} pattern"
             );
             for (g, w) in got.row_values(i).iter().zip(want.row_values(i)) {
-                let bits = |v: &S| (v.re().to_f64().to_bits(), v.im().to_f64().to_bits());
+                let bits = |v: &S| (v.re().to_bits(), v.im().to_bits());
                 assert_eq!(bits(g), bits(w), "{what}: row {i}");
             }
         }

@@ -64,7 +64,7 @@ fn check(name: &str, run: &Run) {
         cum, end.comm_total,
         "{name}: iteration deltas must tile the solve"
     );
-    let snap = run.stats.snapshot().to_delta();
+    let snap = run.stats.snapshot();
     assert_eq!(
         cum, snap,
         "{name}: event stream must match the raw counters"

@@ -22,7 +22,7 @@ use kryst_dense::{blas, DMat};
 use kryst_par::LinOp;
 use kryst_pde::elasticity::{elasticity3d, ElasticityOpts, PAPER_INCLUSIONS};
 use kryst_precond::Jacobi;
-use kryst_scalar::{Real, Scalar, C64};
+use kryst_scalar::{Scalar, C64};
 use kryst_sparse::{Coo, Csr};
 
 const RESTART: usize = 30;
@@ -49,11 +49,11 @@ fn check_pair<S: Scalar>(a: &Csr<S>, ctx: &SolverContext<S>, at: &str) {
     for i in 0..k {
         gram[(i, i)] -= S::one();
     }
-    let orth = gram.fro_norm().to_f64();
+    let orth = gram.fro_norm();
     assert!(orth <= 1e-10 * k as f64, "{at}: ‖CᴴC − I‖_F = {orth:e}");
     let mut au = a.apply_new(&rec.u);
     au.axpy(-S::one(), &rec.c);
-    let rel = au.fro_norm().to_f64() / rec.c.fro_norm().to_f64();
+    let rel = au.fro_norm() / rec.c.fro_norm();
     assert!(rel <= 1e-8, "{at}: ‖A·U − C‖_F / ‖C‖_F = {rel:e}");
 }
 

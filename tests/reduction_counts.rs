@@ -497,7 +497,7 @@ fn pseudo_block_lanes_merge_their_reductions() {
         let mut x = DMat::zeros(n, b.ncols());
         assert!(solve(b, &mut x, &opts));
         let events = ring.events();
-        assert_eq!(cumulative_comm(&events), stats.snapshot().to_delta());
+        assert_eq!(cumulative_comm(&events), stats.snapshot());
         let comm: Vec<_> = iteration_events(&events).iter().map(|e| e.comm).collect();
         comm
     };
@@ -523,4 +523,60 @@ fn pseudo_block_lanes_merge_their_reductions() {
         let bytes: u64 = at.iter().map(|d| d.reduction_bytes).sum();
         assert_eq!(got.reduction_bytes, bytes, "lock-step {t}");
     }
+}
+
+/// The phases of a pseudo-block GCRO-DR lane (set-up, eigensolve, refresh,
+/// restart) count into the lane's own counters, so its span events carry
+/// exactly what the same phases carry in the single-RHS solve of that
+/// column: per span kind, the reductions of the pseudo-block solve's spans
+/// sum to those of the per-column solves, over two systems in sequence.
+#[test]
+fn pseudo_block_spans_carry_their_lanes_reductions() {
+    let nx = 16;
+    let a = poisson2d::<f64>(nx, nx).a;
+    let n = a.nrows();
+    let id = IdentityPrecond::new(n);
+    let b1 = kryst_pde::poisson::paper_rhs_block::<f64>(nx, nx);
+    let b2 = DMat::from_fn(n, 4, |i, l| b1[(i, l)] + ((i * (l + 1)) % 3) as f64);
+    let kinds = [
+        SpanKind::Setup,
+        SpanKind::Eigensolve,
+        SpanKind::RecycleRefresh,
+        SpanKind::Restart,
+    ];
+    let ring = Arc::new(RingRecorder::new(1 << 16));
+    let opts = SolveOpts {
+        rtol: 1e-8,
+        restart: 10,
+        recycle: 3,
+        stats: Some(CommStats::new_shared()),
+        recorder: Some(ring.clone() as Arc<dyn Recorder>),
+        ..Default::default()
+    };
+    let span_sums = |events: &[Event]| -> Vec<u64> {
+        let sum = |k| spans_of(events, k).iter().map(|s| s.comm.reductions).sum();
+        kinds.iter().map(|&k| sum(k)).collect()
+    };
+    let (mut ctxs, mut seq) = (Vec::new(), Vec::new());
+    seq.resize_with(4, SolverContext::new);
+    let (mut pseudo_sums, mut column_sums) = (vec![0; kinds.len()], vec![0; kinds.len()]);
+    for b in [&b1, &b2] {
+        let mut x = DMat::zeros(n, 4);
+        let ctx = Some(&mut ctxs);
+        assert!(pseudo::solve(&a, &id, b, &mut x, &opts, PseudoMethod::GcroDr, ctx).converged);
+        let sums = span_sums(&ring.events());
+        pseudo_sums.iter_mut().zip(sums).for_each(|(t, s)| *t += s);
+        ring.clear();
+        for (l, ctx) in seq.iter_mut().enumerate() {
+            let mut x = DMat::zeros(n, 1);
+            assert!(gcrodr::solve(&a, &id, &b.cols(l, 1), &mut x, &opts, ctx).converged);
+            let sums = span_sums(&ring.events());
+            column_sums.iter_mut().zip(sums).for_each(|(t, s)| *t += s);
+            ring.clear();
+        }
+    }
+    for (k, kind) in kinds.iter().enumerate() {
+        assert_eq!(pseudo_sums[k], column_sums[k], "{kind:?}");
+    }
+    assert!(pseudo_sums[0] > 0 && pseudo_sums[2] > 0, "{pseudo_sums:?}");
 }

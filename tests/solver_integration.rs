@@ -8,7 +8,7 @@ use kryst_pde::elasticity::{elasticity3d, ElasticityOpts};
 use kryst_pde::maxwell::{antenna_ring_rhs, maxwell3d, MaxwellParams};
 use kryst_pde::poisson::{paper_rhs_block, poisson2d};
 use kryst_precond::{Amg, AmgOpts, Schwarz, SchwarzOpts, SchwarzVariant, SmootherKind};
-use kryst_scalar::{Real, Scalar, C64};
+use kryst_scalar::{Scalar, C64};
 use kryst_sparse::partition::partition_rcb;
 use kryst_sparse::{Csr, SparseDirect};
 use std::sync::Mutex;
@@ -19,7 +19,7 @@ fn true_relres<S: Scalar>(a: &Csr<S>, b: &DMat<S>, x: &DMat<S>) -> f64 {
     r.axpy(-S::one(), b);
     let mut worst = 0.0f64;
     for l in 0..b.ncols() {
-        worst = worst.max(r.col_norm(l).to_f64() / b.col_norm(l).to_f64().max(1e-300));
+        worst = worst.max(r.col_norm(l) / b.col_norm(l).max(1e-300));
     }
     worst
 }
