@@ -418,55 +418,38 @@ fn safe_right_solve<S: Scalar>(x: &mut DMat<S>, r: &DMat<S>) {
 /// matrix in the working scalar type. For real scalars, complex-conjugate
 /// pairs contribute their real and imaginary parts (both are needed to span
 /// the invariant subspace); for complex scalars the vectors embed directly.
+/// The choice is made on the eigenvalues alone, so only the chosen
+/// eigenvectors are back-substituted.
 fn select_smallest<S: Scalar>(decomp: &EigDecomp, k: usize) -> DMat<S> {
-    let n = decomp.vectors.nrows();
-    let idx = decomp.smallest_indices(n);
-    let mut cols: Vec<Vec<S>> = Vec::with_capacity(k);
+    let values = &decomp.values;
+    // Each column to keep: its eigenvector, and whether it is that vector's
+    // imaginary part.
+    let mut picks: Vec<(usize, bool)> = Vec::with_capacity(k);
     if S::is_complex() {
-        for &i in idx.iter().take(k) {
-            let col: Vec<S> = (0..n)
-                .map(|r| {
-                    let v = decomp.vectors[(r, i)];
-                    S::from_parts(v.re, v.im)
-                })
-                .collect();
-            cols.push(col);
-        }
+        picks.extend(decomp.smallest_indices(k).into_iter().map(|i| (i, false)));
     } else {
         let tol = f64::EPSILON.sqrt();
-        let mut used = vec![false; decomp.values.len()];
-        for &i in idx.iter() {
-            if cols.len() >= k {
+        let mut used = vec![false; values.len()];
+        for i in decomp.smallest_indices(values.len()) {
+            if picks.len() >= k {
                 break;
             }
             if used[i] {
                 continue;
             }
             used[i] = true;
-            let lam = decomp.values[i];
+            let lam = values[i];
             let scale = 1.0 + lam.abs();
             if lam.im.abs() <= tol * scale {
                 // Real eigenvalue: real part of the vector.
-                cols.push(
-                    (0..n)
-                        .map(|r| S::from_f64(decomp.vectors[(r, i)].re))
-                        .collect(),
-                );
+                picks.push((i, false));
             } else {
                 // Complex pair: real and imaginary parts; mark the partner.
-                cols.push(
-                    (0..n)
-                        .map(|r| S::from_f64(decomp.vectors[(r, i)].re))
-                        .collect(),
-                );
-                if cols.len() < k {
-                    cols.push(
-                        (0..n)
-                            .map(|r| S::from_f64(decomp.vectors[(r, i)].im))
-                            .collect(),
-                    );
+                picks.push((i, false));
+                if picks.len() < k {
+                    picks.push((i, true));
                 }
-                for (j, &lj) in decomp.values.iter().enumerate() {
+                for (j, &lj) in values.iter().enumerate() {
                     if !used[j]
                         && (lj.re - lam.re).abs() <= tol * scale
                         && (lj.im + lam.im).abs() <= tol * scale
@@ -478,6 +461,18 @@ fn select_smallest<S: Scalar>(decomp: &EigDecomp, k: usize) -> DMat<S> {
             }
         }
     }
+    let idx: Vec<usize> = picks.iter().map(|&(i, _)| i).collect();
+    let vecs = decomp.vectors(&idx);
+    let cols = picks.iter().enumerate().map(|(c, &(_, imag))| {
+        let v = vecs.col(c).iter();
+        if S::is_complex() {
+            v.map(|z| S::from_parts(z.re, z.im)).collect()
+        } else if imag {
+            v.map(|z| S::from_f64(z.im)).collect()
+        } else {
+            v.map(|z| S::from_f64(z.re)).collect::<Vec<S>>()
+        }
+    });
     // Drop numerically zero columns.
     let mut out_cols: Vec<Vec<S>> = Vec::new();
     for col in cols {
@@ -486,6 +481,7 @@ fn select_smallest<S: Scalar>(decomp: &EigDecomp, k: usize) -> DMat<S> {
             out_cols.push(col);
         }
     }
+    let n = decomp.values.len();
     let kk = out_cols.len();
     DMat::from_fn(n, kk, |i, j| out_cols[j][i])
 }
@@ -762,5 +758,106 @@ mod tests {
         let res2 = solve(&prob.a, &id, &b2, &mut x2, &opts, &mut ctx);
         assert!(res2.converged);
         check_true_residual(&prob.a, &b2, &x2, 1e-9);
+    }
+
+    /// The identity, until its `after`-th apply: from then on every entry
+    /// it writes is NaN.
+    struct NanAfter {
+        n: usize,
+        after: usize,
+        calls: std::sync::atomic::AtomicUsize,
+    }
+
+    impl kryst_par::PrecondOp<f64> for NanAfter {
+        fn nrows(&self) -> usize {
+            self.n
+        }
+        fn apply(&self, r: &DMat<f64>, z: &mut DMat<f64>) {
+            use std::sync::atomic::Ordering::Relaxed;
+            if self.calls.fetch_add(1, Relaxed) < self.after {
+                z.copy_from(r);
+            } else {
+                z.fill(f64::NAN);
+            }
+        }
+    }
+
+    /// A cycle whose residual comes back NaN carries nothing over: the solve
+    /// hands back the recycle space it had before that cycle, bit for bit,
+    /// and runs no eigensolve or refresh on it. In the first cycle that is
+    /// no space at all (not an extraction from NaN); in the second, the
+    /// space the first cycle extracted.
+    #[test]
+    fn a_non_finite_cycle_keeps_the_recycle_space() {
+        use kryst_obs::{spans_of, Recorder, RingRecorder};
+        use std::sync::Arc;
+        let prob = poisson2d::<f64>(16, 16);
+        let n = prob.a.nrows();
+        let b = DMat::from_fn(n, 2, |i, j| (((i * 7 + j) % 11) as f64) - 5.0);
+        let ring = Arc::new(RingRecorder::new(1 << 14));
+        let opts = SolveOpts {
+            rtol: 1e-12,
+            restart: 10,
+            recycle: 3,
+            recorder: Some(ring.clone() as Arc<dyn Recorder>),
+            ..Default::default()
+        };
+        let pc = |after| NanAfter {
+            n,
+            after,
+            calls: Default::default(),
+        };
+        let bits = |ctx: &SolverContext<f64>| -> Option<Vec<u64>> {
+            let rec = ctx.recycle.as_ref()?;
+            let cols = rec.u.as_slice().iter().chain(rec.c.as_slice());
+            Some(cols.map(|v| v.to_bits()).collect())
+        };
+        // The first cycle alone, and the preconditioner applies it takes.
+        let (mut first, finite) = (SolverContext::new(), pc(usize::MAX));
+        let one_cycle = SolveOpts {
+            max_iters: 10,
+            ..opts.clone()
+        };
+        solve(
+            &prob.a,
+            &finite,
+            &b,
+            &mut DMat::zeros(n, 2),
+            &one_cycle,
+            &mut first,
+        );
+        let applies = finite.calls.into_inner();
+        assert!(bits(&first).is_some());
+        // The same solve, its preconditioner failing three steps into the
+        // first cycle, then three steps into the second.
+        for (nan_from, space, eig_cycles) in
+            [(3, None, vec![]), (applies + 3, bits(&first), vec![0])]
+        {
+            ring.clear();
+            let mut ctx = SolverContext::new();
+            let res = solve(
+                &prob.a,
+                &pc(nan_from),
+                &b,
+                &mut DMat::zeros(n, 2),
+                &opts,
+                &mut ctx,
+            );
+            assert!(!res.converged);
+            assert!(res.final_relres.iter().any(|v| !v.is_finite()));
+            assert_eq!(
+                bits(&ctx),
+                space,
+                "NaN from apply {nan_from}: the recycle space"
+            );
+            let events = ring.events();
+            let eigs = spans_of(&events, SpanKind::Eigensolve);
+            let cycles: Vec<usize> = eigs.iter().map(|s| s.cycle).collect();
+            assert_eq!(
+                cycles, eig_cycles,
+                "NaN from apply {nan_from}: eigensolves by cycle"
+            );
+            assert!(spans_of(&events, SpanKind::RecycleRefresh).is_empty());
+        }
     }
 }

@@ -125,8 +125,8 @@ pub(crate) trait Augmentation<S: Scalar> {
         end.add_own_directions(x);
     }
 
-    /// After the true residual of the corrected `x`: what the next cycle,
-    /// or the next solve, gets from this one.
+    /// After the true residual of the corrected `x`, when it is finite:
+    /// what the next cycle, or the next solve, gets from this one.
     fn carry_over(&mut self, _cx: &Cx<'_, S>, _end: &CycleEnd<S>, _converged: bool) {}
 }
 
@@ -505,7 +505,11 @@ pub(crate) fn solve_lanes<S: Scalar>(
         // estimate only ends the cycle early.
         for ((t, policy), (end, _)) in lanes.into_iter().zip(ends) {
             t.judge(Some(opts.rtol), &mut sh.row);
-            policy.carry_over(cx!(t), &end, t.converged);
+            // A lane whose residual is not a number stops here, and its
+            // policy keeps what it had before this cycle.
+            if t.finite {
+                policy.carry_over(cx!(t), &end, t.converged);
+            }
             t.bufs = end.bufs;
         }
         sh.cycle += 1;
