@@ -39,9 +39,10 @@ fn sweep_group<S: Scalar>(c: &mut Criterion, name: &str, a: &Csr<S>, p: usize) {
     g.finish();
 }
 
-/// The sweeps under the four workloads of `benchmark/`: rows of 18–79
-/// entries (Fig. 3's elasticity at `ne = 14`) and of 78–517 (its level-0
-/// restriction `Pᵀ`), 5-point rows out of and in L2 (Fig. 2's Poisson at
+/// The sweeps under the four workloads of `benchmark/`: rows of 24–81
+/// entries in full 3 × 3 blocks (Fig. 3's elasticity at `ne = 14`, which
+/// `spmv` sweeps by block rows) and of 78–517 (its level-0 restriction
+/// `Pᵀ`), 5-point rows out of and in L2 (Fig. 2's Poisson at
 /// 384² and 64²), and the complex `p = 8` block product of Fig. 8's Maxwell
 /// chamber (7–13 entries a row).
 fn bench_workload_sweeps(c: &mut Criterion) {

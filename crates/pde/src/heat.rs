@@ -30,11 +30,8 @@ impl<S: Scalar> HeatSequence<S> {
         let problem = poisson2d::<S>(nx, ny);
         // A = I + dt·L.
         let mut a = problem.a.clone();
-        for i in 0..a.nrows() {
-            let row = a.row_values_mut(i);
-            for v in row.iter_mut() {
-                *v *= S::from_f64(dt);
-            }
+        for v in a.values_mut().2 {
+            *v *= S::from_f64(dt);
         }
         let a = a.shift_diag(S::one());
         let n = nx * ny;

@@ -554,8 +554,9 @@ fn damping_scale<S: Scalar>(a: &Csr<S>, damping: f64, diag: &[S]) -> Vec<S> {
 /// `P = (I − ω·D⁻¹·A)·P̂`.
 fn smooth_prolongator<S: Scalar>(a: &Csr<S>, ptent: &Csr<S>, damping: f64, diag: &[S]) -> Csr<S> {
     let mut damped = ops::spgemm(a, ptent);
+    let (ptr, _, vals) = damped.values_mut();
     for (i, &s) in damping_scale(a, damping, diag).iter().enumerate() {
-        for v in damped.row_values_mut(i) {
+        for v in &mut vals[ptr[i]..ptr[i + 1]] {
             *v *= s;
         }
     }
@@ -896,6 +897,22 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Level 0 is the caller's operator, not a copy of it: node-blocked, and
+    /// the value storage shared by the level and its Chebyshev smoother.
+    #[test]
+    fn level_zero_shares_the_input_storage() {
+        use kryst_pde::elasticity::{elasticity3d, ElasticityOpts};
+        let prob = elasticity3d::<f64>(&ElasticityOpts {
+            ne: 4,
+            ..Default::default()
+        });
+        let a = &prob.problem.a;
+        let amg = Amg::new(a, prob.problem.near_nullspace.as_ref(), &AmgOpts::default());
+        assert!(amg.nlevels() >= 2);
+        assert!(amg.levels[0].a.is_node_blocked());
+        assert!(amg.levels[0].a.shares_values(a));
     }
 
     #[test]

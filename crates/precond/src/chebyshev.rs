@@ -199,6 +199,12 @@ mod tests {
     }
 
     #[test]
+    fn smoother_shares_the_operator() {
+        let a = laplace1d(20);
+        assert!(Chebyshev::new(&a, 3, 10.0).a.shares_values(&a));
+    }
+
+    #[test]
     fn apply_is_linear() {
         // M⁻¹(αr) = α·M⁻¹r — Chebyshev is a fixed polynomial.
         let a = laplace1d(20);

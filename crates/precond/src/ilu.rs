@@ -58,9 +58,11 @@ impl<S: Scalar> Ilu0<S> {
         let n = a.nrows();
         assert_eq!(n, a.ncols());
         let mut f = a.clone();
+        let (ptr, cols, vals) = f.values_mut();
+        let row = |i: usize| ptr[i]..ptr[i + 1];
         let mut diag_pos = vec![usize::MAX; n];
         for i in 0..n {
-            match f.row_indices(i).binary_search(&i) {
+            match cols[row(i)].binary_search(&i) {
                 Ok(k) => diag_pos[i] = k,
                 Err(_) => return None, // missing diagonal
             }
@@ -68,38 +70,33 @@ impl<S: Scalar> Ilu0<S> {
         // IKJ-variant Gaussian elimination restricted to the pattern.
         for i in 0..n {
             // For each k < i present in row i:
-            let row_cols: Vec<usize> = f.row_indices(i).to_vec();
-            for (ki, &k) in row_cols.iter().enumerate() {
+            for ki in 0..row(i).len() {
+                let k = cols[ptr[i] + ki];
                 if k >= i {
                     break;
                 }
-                let pivot = f.row_values(k)[diag_pos[k]];
+                let pivot = vals[ptr[k] + diag_pos[k]];
                 if pivot == S::zero() || !pivot.is_finite() {
                     return None;
                 }
-                let lik = f.row_values(i)[ki] / pivot;
-                f.row_values_mut(i)[ki] = lik;
+                let lik = vals[ptr[i] + ki] / pivot;
+                vals[ptr[i] + ki] = lik;
                 if lik == S::zero() {
                     continue;
                 }
                 // row_i ⟵ row_i − l_ik · row_k (pattern-restricted, j > k).
-                let krange: Vec<(usize, S)> = {
-                    let kc = f.row_indices(k);
-                    let kv = f.row_values(k);
-                    kc.iter()
-                        .zip(kv)
-                        .filter(|(&c, _)| c > k)
-                        .map(|(&c, &v)| (c, v))
-                        .collect()
-                };
-                for (c, ukj) in krange {
-                    if let Ok(pos) = f.row_indices(i).binary_search(&c) {
-                        let upd = lik * ukj;
-                        f.row_values_mut(i)[pos] -= upd;
+                for kk in row(k) {
+                    let c = cols[kk];
+                    if c <= k {
+                        continue;
+                    }
+                    if let Ok(pos) = cols[row(i)].binary_search(&c) {
+                        let upd = lik * vals[kk];
+                        vals[ptr[i] + pos] -= upd;
                     }
                 }
             }
-            if f.row_values(i)[diag_pos[i]] == S::zero() {
+            if vals[ptr[i] + diag_pos[i]] == S::zero() {
                 return None;
             }
         }

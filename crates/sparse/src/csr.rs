@@ -1,17 +1,73 @@
 //! Compressed sparse row matrix.
 
+use std::sync::Arc;
+
 use kryst_dense::DMat;
 use kryst_rt::par::{for_each_range, SendPtr};
 use kryst_scalar::Scalar;
 
 /// Compressed sparse row matrix with sorted column indices per row.
+///
+/// The arrays sit behind [`Arc`]: `clone` shares them, and the first write
+/// through [`Csr::row_values_mut`] or [`Csr::values_mut`] copies the values
+/// of the matrix written to, so a clone never sees the write.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Csr<S> {
     nrows: usize,
     ncols: usize,
-    indptr: Vec<usize>,
-    indices: Vec<usize>,
-    data: Vec<S>,
+    indptr: Arc<Vec<usize>>,
+    indices: Arc<Vec<usize>>,
+    data: Arc<Vec<S>>,
+    /// The node blocking of the pattern, when [`NodeBlocks::detect`] finds
+    /// one: single-vector sweeps then read it instead of `indptr`/`indices`.
+    blocks: Option<Arc<NodeBlocks>>,
+}
+
+/// A pattern of 3 × 3 blocks: every aligned row triple `3b..3b + 3` stores
+/// one column list, made of aligned column triples (the three displacement
+/// components of a mesh node coupled to those of its neighbours). Block row
+/// `b` couples to the block columns `cols[ptr[b]..ptr[b + 1]]`; with `m`
+/// of them, its three rows' `3m` values each lie one after the other in the
+/// CSR's `data` from `9·ptr[b]` on, as every stored row before them is a
+/// full row of blocks.
+#[derive(Debug, PartialEq)]
+struct NodeBlocks {
+    ptr: Vec<usize>,
+    cols: Vec<u32>,
+}
+
+impl NodeBlocks {
+    /// The blocking of a validated CSR pattern, or `None` at the first block
+    /// row that breaks it (so a matrix of another shape pays for one block
+    /// row). Empty rows break it too.
+    fn detect(nrows: usize, ncols: usize, indptr: &[usize], indices: &[usize]) -> Option<Self> {
+        if nrows == 0
+            || !nrows.is_multiple_of(3)
+            || !ncols.is_multiple_of(3)
+            || ncols / 3 > u32::MAX as usize
+        {
+            return None;
+        }
+        let (mut ptr, mut cols) = (vec![0], Vec::new());
+        for r in indptr.windows(4).step_by(3) {
+            let len = r[1] - r[0];
+            let row = &indices[r[0]..r[1]];
+            if len == 0 || r[2] - r[1] != len || r[3] - r[2] != len || !len.is_multiple_of(3) {
+                return None;
+            }
+            if row != &indices[r[1]..r[2]] || row != &indices[r[2]..r[3]] {
+                return None;
+            }
+            for t in row.chunks_exact(3) {
+                if t[0] % 3 != 0 || t[1] != t[0] + 1 || t[2] != t[0] + 2 {
+                    return None;
+                }
+                cols.push((t[0] / 3) as u32);
+            }
+            ptr.push(cols.len());
+        }
+        Some(Self { ptr, cols })
+    }
 }
 
 /// Row count below which SpMV/SpMM stay single-threaded.
@@ -140,8 +196,9 @@ unsafe fn sweep_block<S: Scalar, const W: usize>(
 /// `y[j·n + i] ⟵ fin(j·n + i, Σ_k a_ik·x[j·xn + c_k])` for the rows
 /// `i = row(r)`, `r < count`, and every column `j < p` of the column-major
 /// `x` (`xn` rows) and `y` (`n` rows): the row loop under every sweep of
-/// [`Csr`]. The matrix is read once per block of [`SPMM_COLS`] columns;
-/// threads take one contiguous range of `r` each.
+/// [`Csr`] but the single-vector ones of a node-blocked matrix
+/// ([`sweep_node_blocks`]). The matrix is read once per block of
+/// [`SPMM_COLS`] columns; threads take one contiguous range of `r` each.
 ///
 /// **Summation rule.** A row of fewer than [`TWO_LANE_LEN`] stored entries
 /// is summed in index order. A longer one adds the products at even
@@ -196,12 +253,108 @@ unsafe fn sweep_rows<S: Scalar>(
     }
 }
 
+/// `y[i] ⟵ fin(i, Σ_k a_ik·x[c_k])` for every row of a node-blocked matrix
+/// (`data` its CSR values, `x` of `3·(max block column + 1)` entries or
+/// more): [`sweep_rows`] at `p = 1` by block rows. Each `x` triple is loaded
+/// once for the three rows of a block row, and the column numbers are the
+/// `u32` block columns. The summation rule is that of [`sweep_rows`] on the
+/// same stored entries, so the results are the same bits: a row of three or
+/// six entries is summed in index order, a longer one on six accumulators,
+/// the even and odd positions of each of the three rows. Position `3j + c`
+/// of block `j` is even for `c ∈ {0, 2}` when `j` is even and for `c = 1`
+/// when it is odd, so the loop takes blocks in pairs with a fixed pattern.
+///
+/// # Safety
+/// `blocks` must be [`NodeBlocks::detect`] of the pattern that `data` holds
+/// the values of, and every block column must be `< x.len() / 3`.
+unsafe fn sweep_node_blocks<S: Scalar>(
+    blocks: &NodeBlocks,
+    data: &[S],
+    x: &[S],
+    y: &mut [S],
+    fin: impl Fn(usize, S) -> S + Sync,
+) {
+    let nbr = blocks.ptr.len() - 1;
+    assert_eq!(y.len(), 3 * nbr);
+    let y = SendPtr::new(y.as_mut_ptr());
+    let band = |b0: usize, b1: usize| {
+        for b in b0..b1 {
+            // Checked: a block row out of range panics before the write.
+            let (lo, hi) = (blocks.ptr[b], blocks.ptr[b + 1]);
+            let len = 3 * (hi - lo);
+            // SAFETY: the caller's contract. Block row `b`'s values are
+            // `data[9·lo..9·hi]`, row `r` at `9·lo + r·len`, its block columns
+            // `cols[lo..hi]`, and `x` holds every triple they name; `b < nbr`,
+            // so rows `3b..3b + 3` are inside `y` (`3·nbr` long), and threads
+            // take disjoint ranges of block rows.
+            unsafe {
+                let v = |r: usize, k: usize| *data.get_unchecked(9 * lo + r * len + k);
+                let xt = |j: usize| {
+                    let c = 3 * *blocks.cols.get_unchecked(lo + j) as usize;
+                    let x = x.get_unchecked(c..c + 3);
+                    [x[0], x[1], x[2]]
+                };
+                let mut even = [S::zero(); 3];
+                if len < TWO_LANE_LEN {
+                    for j in 0..hi - lo {
+                        let xs = xt(j);
+                        for (r, e) in even.iter_mut().enumerate() {
+                            for (c, &xc) in xs.iter().enumerate() {
+                                *e += v(r, 3 * j + c) * xc;
+                            }
+                        }
+                    }
+                } else {
+                    let mut odd = [S::zero(); 3];
+                    let mut j = 0;
+                    while j + 2 <= hi - lo {
+                        let (x0, x1) = (xt(j), xt(j + 1));
+                        for r in 0..3 {
+                            let k = 3 * j;
+                            even[r] += v(r, k) * x0[0];
+                            odd[r] += v(r, k + 1) * x0[1];
+                            even[r] += v(r, k + 2) * x0[2];
+                            odd[r] += v(r, k + 3) * x1[0];
+                            even[r] += v(r, k + 4) * x1[1];
+                            odd[r] += v(r, k + 5) * x1[2];
+                        }
+                        j += 2;
+                    }
+                    if j < hi - lo {
+                        let x0 = xt(j);
+                        for r in 0..3 {
+                            let k = 3 * j;
+                            even[r] += v(r, k) * x0[0];
+                            odd[r] += v(r, k + 1) * x0[1];
+                            even[r] += v(r, k + 2) * x0[2];
+                        }
+                    }
+                    for (e, o) in even.iter_mut().zip(odd) {
+                        *e += o;
+                    }
+                }
+                for (r, &sum) in even.iter().enumerate() {
+                    let i = 3 * b + r;
+                    *y.ptr().add(i) = fin(i, sum);
+                }
+            }
+        }
+    };
+    if 3 * nbr >= PAR_ROWS {
+        for_each_range(nbr, 0, band);
+    } else {
+        band(0, nbr);
+    }
+}
+
 impl<S: Scalar> Csr<S> {
     /// Build from raw CSR arrays. Panics unless `indptr` is non-decreasing
     /// from row to row, every column index is `< ncols` and the column
     /// indices of a row strictly increase — checked in every build profile,
     /// because the kernels index `x` and the value arrays by these numbers
-    /// and [`Csr::get`] and [`Csr::diag`] search the sorted rows.
+    /// and [`Csr::get`] and [`Csr::diag`] search the sorted rows. A pattern
+    /// of aligned 3 × 3 blocks is detected here (see
+    /// [`Csr::is_node_blocked`]); nothing else is asked of the caller.
     pub fn from_raw(
         nrows: usize,
         ncols: usize,
@@ -220,12 +373,14 @@ impl<S: Scalar> Csr<S> {
         if decreasing + out_of_range > 0 || descents > row_start_descents(&indptr, &indices) {
             invalid_csr(ncols, &indptr, &indices);
         }
+        let blocks = NodeBlocks::detect(nrows, ncols, &indptr, &indices).map(Arc::new);
         Self {
             nrows,
             ncols,
-            indptr,
-            indices,
-            data,
+            indptr: Arc::new(indptr),
+            indices: Arc::new(indices),
+            data: Arc::new(data),
+            blocks,
         }
     }
 
@@ -255,12 +410,41 @@ impl<S: Scalar> Csr<S> {
         self.data.len()
     }
 
-    /// Bytes of matrix data (values + indices + row pointers) streamed by
-    /// one apply, independent of the block width `p` (every nonzero is read
-    /// once per apply thanks to the column-block register kernel).
+    /// Whether the pattern is node-blocked: `nrows` and `ncols` are
+    /// multiples of 3, and each aligned row triple stores one column list
+    /// made of aligned column triples. [`Csr::spmv`], [`Csr::spmm`] and
+    /// [`Csr::residual`] of a single vector then sweep block rows, with the
+    /// same bits as the row sweep.
+    pub fn is_node_blocked(&self) -> bool {
+        self.blocks.is_some()
+    }
+
+    /// Bytes of matrix data streamed by one single-vector apply: the values
+    /// plus what locates them — the `u32` block columns and the block-row
+    /// pointers of a node-blocked matrix, the column indices and row
+    /// pointers of any other. At `p > 1` every matrix takes the row sweep,
+    /// which reads the second form's arrays once per apply (the column-block
+    /// register kernel); the figure stays that of `p = 1`.
     pub fn bytes_streamed(&self) -> usize {
-        self.nnz() * (core::mem::size_of::<S>() + core::mem::size_of::<usize>())
-            + (self.nrows() + 1) * core::mem::size_of::<usize>()
+        let values = self.nnz() * core::mem::size_of::<S>();
+        match &self.blocks {
+            Some(b) => {
+                values
+                    + b.cols.len() * core::mem::size_of::<u32>()
+                    + b.ptr.len() * core::mem::size_of::<usize>()
+            }
+            None => {
+                values
+                    + self.nnz() * core::mem::size_of::<usize>()
+                    + (self.nrows + 1) * core::mem::size_of::<usize>()
+            }
+        }
+    }
+
+    /// Whether `other` shares this matrix's value storage (a clone nobody
+    /// has written to since).
+    pub fn shares_values(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.data, &other.data)
     }
 
     /// Row pointer array.
@@ -278,9 +462,22 @@ impl<S: Scalar> Csr<S> {
         &self.data[self.indptr[i]..self.indptr[i + 1]]
     }
 
-    /// Mutable values of row `i`.
+    /// Mutable values of row `i`; copies the values first if they are
+    /// shared. Loops over entries take [`Csr::values_mut`] once instead.
     pub fn row_values_mut(&mut self, i: usize) -> &mut [S] {
-        &mut self.data[self.indptr[i]..self.indptr[i + 1]]
+        let (lo, hi) = (self.indptr[i], self.indptr[i + 1]);
+        &mut Arc::make_mut(&mut self.data)[lo..hi]
+    }
+
+    /// The row pointers, the column indices and the mutable values at once,
+    /// row `i` at `indptr[i]..indptr[i + 1]` of the last two; copies the
+    /// values first if they are shared.
+    pub fn values_mut(&mut self) -> (&[usize], &[usize], &mut [S]) {
+        (
+            &self.indptr,
+            &self.indices,
+            Arc::make_mut(&mut self.data).as_mut_slice(),
+        )
     }
 
     /// Entry `(i, j)` (zero if not stored) — O(log nnz_row).
@@ -323,13 +520,28 @@ impl<S: Scalar> Csr<S> {
         let arrays = (&self.indptr[..], &self.indices[..], &self.data[..]);
         let (x, y) = ((x, self.ncols), (y, self.nrows));
         // SAFETY: `from_raw`, the only constructor, validated the arrays for
-        // `ncols` columns, and nothing hands them out mutably.
+        // `ncols` columns, and nothing hands the pattern out mutably.
         unsafe { sweep_rows(arrays, x, y, p, (count, row), fin) }
+    }
+
+    /// Every row of this matrix: [`sweep_node_blocks`] for a single vector
+    /// of a node-blocked matrix, [`sweep_rows`] otherwise.
+    fn sweep_all(&self, (x, p): (&[S], usize), y: &mut [S], fin: impl Fn(usize, S) -> S + Sync) {
+        match &self.blocks {
+            Some(blocks) if p == 1 => {
+                assert_eq!((x.len(), y.len()), (self.ncols, self.nrows));
+                // SAFETY: `from_raw` detected `blocks` on the pattern `data`
+                // belongs to (writes change values only), and every block
+                // column is below `ncols / 3`.
+                unsafe { sweep_node_blocks(blocks, &self.data, x, y, fin) }
+            }
+            _ => self.sweep((x, p), y, (self.nrows, |r| r), fin),
+        }
     }
 
     /// `y ⟵ A·x` for a single vector.
     pub fn spmv(&self, x: &[S], y: &mut [S]) {
-        self.sweep((x, 1), y, (self.nrows, |r| r), |_, acc| acc);
+        self.sweep_all((x, 1), y, |_, acc| acc);
     }
 
     /// `Y ⟵ A·X` for a block of `p` vectors (sparse matrix–dense matrix
@@ -361,8 +573,7 @@ impl<S: Scalar> Csr<S> {
     /// position `idx` of `y` instead of the bare row sum.
     fn spmm_fin(&self, x: &DMat<S>, y: &mut DMat<S>, fin: impl Fn(usize, S) -> S + Sync) {
         assert_eq!((x.nrows(), y.nrows()), (self.ncols, self.nrows));
-        let x = (x.as_slice(), x.ncols());
-        self.sweep(x, y.as_mut_slice(), (self.nrows, |r| r), fin);
+        self.sweep_all((x.as_slice(), x.ncols()), y.as_mut_slice(), fin);
     }
 
     /// `Y(rows, :) ⟵ A(rows, :)·X` — the SpMM kernel restricted to a row
@@ -387,7 +598,7 @@ impl<S: Scalar> Csr<S> {
     /// (Conjugate-free) transpose.
     pub fn transpose(&self) -> Self {
         let mut counts = vec![0usize; self.ncols + 1];
-        for &c in &self.indices {
+        for &c in self.indices.iter() {
             counts[c + 1] += 1;
         }
         for i in 0..self.ncols {
@@ -458,6 +669,16 @@ impl<S: Scalar> Csr<S> {
             best = best.max(acc);
         }
         best
+    }
+
+    /// The same matrix without its node blocking, so that every sweep takes
+    /// the row sweep: the reference of the block-row sweep's tests.
+    #[cfg(test)]
+    fn row_sweep_only(&self) -> Self {
+        Self {
+            blocks: None,
+            ..self.clone()
+        }
     }
 
     /// Check structural symmetry of the sparsity pattern.
@@ -723,6 +944,239 @@ mod tests {
     #[test]
     fn single_vector_kernels_are_bit_identical_c64() {
         single_vector_kernels_match_per_row_reference::<kryst_scalar::C64>();
+    }
+
+    /// Random node-blocked matrix: block row `b` couples to `blocks(b)`
+    /// random block columns of `nbc`, every stored value random.
+    fn node_blocked<S: Scalar>(
+        nbr: usize,
+        nbc: usize,
+        seed: u64,
+        blocks: impl Fn(usize) -> usize,
+    ) -> Csr<S> {
+        let mut rng = kryst_rt::rng::Rng64::seed_from_u64(seed);
+        let (mut indptr, mut indices, mut data) = (vec![0], Vec::new(), Vec::new());
+        for b in 0..nbr {
+            let (mut need, mut cols) = (blocks(b), Vec::new());
+            for c in 0..nbc {
+                if rng.gen_index(nbc - c) < need {
+                    need -= 1;
+                    cols.extend([3 * c, 3 * c + 1, 3 * c + 2]);
+                }
+            }
+            for _ in 0..3 {
+                indices.extend(&cols);
+                data.extend(
+                    (0..cols.len())
+                        .map(|_| S::from_parts(rng.next_f64() - 0.5, rng.next_f64() - 0.5)),
+                );
+                indptr.push(indices.len());
+            }
+        }
+        Csr::from_raw(3 * nbr, 3 * nbc, indptr, indices, data)
+    }
+
+    /// The block-row sweep against the row sweep on the same matrix, bit for
+    /// bit: `spmv`, `spmm` and `residual` of one vector, and each column of a
+    /// three-column `spmm` (which takes the row sweep) against `spmv`. Block
+    /// rows of 1–28 blocks, so rows of 3 and 6 entries take the in-order
+    /// rule. Operands: plain; with −0 and NaN entries; with −0 and ±∞
+    /// entries; with all four. A −0 and a +∞ are stored in the matrix too.
+    /// 87 rows stay serial, 4200 are above `PAR_ROWS` (on the pool under
+    /// `KRYST_THREADS=4`).
+    ///
+    /// Where a sum meets two NaNs of different bits — the operand's NaN and
+    /// the one `∞ − ∞` makes — the result is one of them, and which one is
+    /// the compiler's choice of operand order for the add (IEEE 754 leaves
+    /// it open, and Rust does not fix NaN bits of arithmetic). The operand
+    /// with all four specials is therefore held to the same bits with every
+    /// NaN read as one value; the others, where only one NaN value can
+    /// arise, to the exact bits.
+    fn block_row_sweep_matches_the_row_sweep<S: Scalar>() {
+        let special = [-0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY].map(S::from_f64);
+        let nan_as_one = |v: &[S]| -> Vec<(u64, u64)> {
+            let one = |f: f64| {
+                if f.is_nan() {
+                    f64::NAN.to_bits()
+                } else {
+                    f.to_bits()
+                }
+            };
+            v.iter().map(|v| (one(v.re()), one(v.im()))).collect()
+        };
+        for (nbr, nbc) in [(29usize, 30usize), (1400, 1500)] {
+            let mut a = node_blocked::<S>(nbr, nbc, 5 + nbr as u64, |b| 1 + b % 28);
+            assert!(a.is_node_blocked());
+            let (ptr, _, vals) = a.values_mut();
+            // The first entry of block row 7's middle row, the last of block
+            // row 20's top row.
+            vals[ptr[22]] = special[0];
+            vals[ptr[61] - 1] = special[2];
+            let rows = a.row_sweep_only();
+            assert!(!rows.is_node_blocked());
+            let (n, m) = (3 * nbr, 3 * nbc);
+            let plain = operand::<S>(m, 1);
+            // Specials `kinds` at every 41st entry from 3 on, and from 13 on.
+            let sprinkled = |kinds: &[usize]| {
+                DMat::from_fn(m, 1, |i, _| match i % 41 {
+                    3 | 13 => special[kinds[i / 41 % kinds.len()]],
+                    _ => plain[(i, 0)],
+                })
+            };
+            let operands = [
+                (plain.clone(), "plain", true),
+                (sprinkled(&[0, 1]), "-0 and NaN", true),
+                (sprinkled(&[0, 2, 3]), "-0 and ±inf", true),
+                (sprinkled(&[0, 1, 2, 3]), "all four", false),
+            ];
+            let b = DMat::from_fn(n, 1, |i, _| S::from_parts((i % 9) as f64 - 4.0, -0.0));
+            for (x, what, exact) in &operands {
+                let same = |got: &[S], want: &[S], op: &str| {
+                    let (g, w) = if *exact {
+                        (bits(got), bits(want))
+                    } else {
+                        (nan_as_one(got), nan_as_one(want))
+                    };
+                    assert_eq!(g, w, "{op}, {what}, {n} rows");
+                };
+                let (mut got, mut want) = (vec![S::zero(); n], vec![S::one(); n]);
+                a.spmv(x.col(0), &mut got);
+                rows.spmv(x.col(0), &mut want);
+                // Only the row of the stored ∞ is not finite for the plain
+                // operand; the specials reach more rows.
+                let non_finite = want.iter().filter(|v| !v.is_finite()).count();
+                assert_eq!(non_finite == 1, *what == "plain", "{what}");
+                same(&got, &want, "spmv");
+                same(a.apply(x).as_slice(), &want, "spmm");
+                let mut got = DMat::zeros(n, 1);
+                let mut want = DMat::zeros(n, 1);
+                a.residual(&b, x, &mut got);
+                rows.residual(&b, x, &mut want);
+                same(got.as_slice(), want.as_slice(), "residual");
+                let x3 = DMat::from_fn(m, 3, |i, j| [x, &plain][j % 2][(i, 0)]);
+                let y3 = a.apply(&x3);
+                for j in 0..3 {
+                    let mut yj = vec![S::zero(); n];
+                    a.spmv(x3.col(j), &mut yj);
+                    same(y3.col(j), &yj, &format!("spmm column {j} of 3"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn block_row_sweep_is_bit_identical_f64() {
+        block_row_sweep_matches_the_row_sweep::<f64>();
+    }
+
+    #[test]
+    fn block_row_sweep_is_bit_identical_c64() {
+        block_row_sweep_matches_the_row_sweep::<kryst_scalar::C64>();
+    }
+
+    #[test]
+    fn node_blocking_is_detected_from_the_pattern_alone() {
+        let blocked = |nrows: usize, ncols: usize, indptr: Vec<usize>, indices: Vec<usize>| {
+            let data = vec![1.0f64; indices.len()];
+            Csr::from_raw(nrows, ncols, indptr, indices, data).is_node_blocked()
+        };
+        let triple = |cols: &[usize]| cols.repeat(3);
+        assert!(blocked(3, 6, vec![0, 3, 6, 9], triple(&[3, 4, 5])));
+        assert!(blocked(6, 6, vec![0, 6, 12, 18, 21, 24, 27], {
+            let mut c = triple(&[0, 1, 2, 3, 4, 5]);
+            c.extend(triple(&[3, 4, 5]));
+            c
+        }));
+        // A fourth row; a seventh column.
+        assert!(!blocked(4, 6, vec![0, 3, 6, 9, 12], [3, 4, 5].repeat(4)));
+        assert!(!blocked(3, 7, vec![0, 3, 6, 9], triple(&[3, 4, 5])));
+        // Column triples that are not aligned, or not consecutive.
+        assert!(!blocked(3, 6, vec![0, 3, 6, 9], triple(&[2, 3, 4])));
+        assert!(!blocked(3, 6, vec![0, 3, 6, 9], triple(&[0, 1, 3])));
+        // The last row of the triple has a list of its own, of the same
+        // length or longer.
+        assert!(!blocked(
+            3,
+            6,
+            vec![0, 3, 6, 9],
+            vec![3, 4, 5, 3, 4, 5, 0, 1, 2]
+        ));
+        assert!(!blocked(3, 6, vec![0, 3, 6, 12], {
+            let mut c = vec![3, 4, 5, 3, 4, 5];
+            c.extend(0..6);
+            c
+        }));
+        // The second block row is empty, then only its last row is.
+        assert!(!blocked(
+            6,
+            6,
+            vec![0, 3, 6, 9, 9, 9, 9],
+            triple(&[0, 1, 2])
+        ));
+        assert!(!blocked(
+            6,
+            6,
+            vec![0, 3, 6, 9, 12, 15, 15],
+            [0, 1, 2].repeat(5)
+        ));
+        assert!(!ragged::<f64>(99, 99, 3).is_node_blocked());
+    }
+
+    #[test]
+    fn clones_share_the_arrays_until_one_is_written() {
+        let a = node_blocked::<f64>(5, 6, 3, |b| 1 + b);
+        let before: Vec<_> = (0..a.nrows()).flat_map(|i| bits(a.row_values(i))).collect();
+        let mut b = a.clone();
+        assert!(b.shares_values(&a));
+        b.row_values_mut(4)[1] = 42.0;
+        assert!(!b.shares_values(&a));
+        let after: Vec<_> = (0..a.nrows()).flat_map(|i| bits(a.row_values(i))).collect();
+        assert_eq!(after, before);
+        assert_eq!(b.row_values(4)[1], 42.0);
+        // The copy keeps the blocking, which the write did not change.
+        assert!(b.is_node_blocked());
+        let mut c = b.clone();
+        c.values_mut().2[0] = -1.0;
+        assert_eq!(
+            (b.row_values(0)[0], c.row_values(0)[0]),
+            (a.row_values(0)[0], -1.0)
+        );
+    }
+
+    /// What one single-vector sweep reads of the matrix: values, `u32`
+    /// block columns and block-row pointers of a node-blocked matrix;
+    /// values, column indices and row pointers of any other.
+    #[test]
+    fn bytes_streamed_counts_what_the_sweep_reads() {
+        // Block row 0 couples to block columns 0 and 1, block row 1 to 1:
+        // 27 values in 3 blocks, 3 block-row pointers.
+        let a = Csr::from_raw(
+            6,
+            6,
+            vec![0, 6, 12, 18, 21, 24, 27],
+            {
+                let mut c = [0, 1, 2, 3, 4, 5].repeat(3);
+                c.extend([3, 4, 5].repeat(3));
+                c
+            },
+            vec![1.0f64; 27],
+        );
+        assert!(a.is_node_blocked());
+        assert_eq!(a.bytes_streamed(), 27 * 8 + 3 * 4 + 3 * 8);
+        // Seven values and indices, four row pointers.
+        assert_eq!(small().bytes_streamed(), 7 * 16 + 4 * 8);
+        let z = Csr::<kryst_scalar::C64>::from_raw(
+            6,
+            6,
+            vec![0, 6, 12, 18, 21, 24, 27],
+            {
+                let mut c = [0, 1, 2, 3, 4, 5].repeat(3);
+                c.extend([3, 4, 5].repeat(3));
+                c
+            },
+            vec![kryst_scalar::C64::new(1.0, 0.0); 27],
+        );
+        assert_eq!(z.bytes_streamed(), 27 * 16 + 3 * 4 + 3 * 8);
     }
 
     #[test]

@@ -376,9 +376,7 @@ mod tests {
             assert_same(&add(&a, &b), &add_ref(&a, &b), "a + b");
             assert_same(&add(&b, &a), &add_ref(&b, &a), "b + a");
             let mut neg = a.clone();
-            for i in 0..nr {
-                neg.row_values_mut(i).iter_mut().for_each(|v| *v = -*v);
-            }
+            neg.values_mut().2.iter_mut().for_each(|v| *v = -*v);
             assert_eq!(add(&a, &neg).nnz(), 0);
             // `a + b − a` keeps what of `b` lies off `a`'s pattern exactly.
             let ab = add(&a, &b);
