@@ -39,7 +39,7 @@ struct NodeBlocks {
 impl NodeBlocks {
     /// The blocking of a validated CSR pattern, or `None` at the first block
     /// row that breaks it (so a matrix of another shape pays for one block
-    /// row). Empty rows break it too.
+    /// row, and allocates nothing). Empty rows break it too.
     fn detect(nrows: usize, ncols: usize, indptr: &[usize], indices: &[usize]) -> Option<Self> {
         if nrows == 0
             || !nrows.is_multiple_of(3)
@@ -48,24 +48,29 @@ impl NodeBlocks {
         {
             return None;
         }
-        let (mut ptr, mut cols) = (vec![0], Vec::new());
-        for r in indptr.windows(4).step_by(3) {
-            let len = r[1] - r[0];
-            let row = &indices[r[0]..r[1]];
-            if len == 0 || r[2] - r[1] != len || r[3] - r[2] != len || !len.is_multiple_of(3) {
-                return None;
-            }
-            if row != &indices[r[1]..r[2]] || row != &indices[r[2]..r[3]] {
-                return None;
-            }
-            for t in row.chunks_exact(3) {
-                if t[0] % 3 != 0 || t[1] != t[0] + 1 || t[2] != t[0] + 2 {
-                    return None;
-                }
-                cols.push((t[0] / 3) as u32);
-            }
-            ptr.push(cols.len());
+        // The column lists of each block row's three rows.
+        let triples =
+            || (indptr.windows(4).step_by(3)).map(|r| [0, 1, 2].map(|k| &indices[r[k]..r[k + 1]]));
+        let aligned = |t: &[usize]| t[0].is_multiple_of(3) && t[1] == t[0] + 1 && t[2] == t[0] + 2;
+        let blocked = triples().all(|[row, r1, r2]| {
+            row == r1
+                && row == r2
+                && !row.is_empty()
+                && row.len().is_multiple_of(3)
+                && row.chunks_exact(3).all(aligned)
+        });
+        if !blocked {
+            return None;
         }
+        let ptr = std::iter::once(0)
+            .chain(triples().scan(0, |n, [row, ..]| {
+                *n += row.len() / 3;
+                Some(*n)
+            }))
+            .collect();
+        let cols = triples()
+            .flat_map(|[row, ..]| row.iter().step_by(3).map(|&c| (c / 3) as u32))
+            .collect();
         Some(Self { ptr, cols })
     }
 }
@@ -447,6 +452,14 @@ impl<S: Scalar> Csr<S> {
         Arc::ptr_eq(&self.data, &other.data)
     }
 
+    /// The row pointers, column indices and values as plain slices. The
+    /// arrays sit behind `Arc`, so a loop that writes memory between two
+    /// calls of [`Csr::row_indices`] reloads their headers; loops over many
+    /// short rows take these once.
+    pub(crate) fn arrays(&self) -> (&[usize], &[usize], &[S]) {
+        (&self.indptr, &self.indices, &self.data)
+    }
+
     /// Row pointer array.
     pub fn indptr(&self) -> &[usize] {
         &self.indptr
@@ -493,13 +506,14 @@ impl<S: Scalar> Csr<S> {
     /// index ≥ `i` instead of binary-searching the whole row.
     pub fn diag(&self) -> Vec<S> {
         let d = self.nrows.min(self.ncols);
+        let (indptr, indices, data) = self.arrays();
         let mut out = vec![S::zero(); d];
         for (i, oi) in out.iter_mut().enumerate() {
-            for k in self.indptr[i]..self.indptr[i + 1] {
-                let c = self.indices[k];
+            for k in indptr[i]..indptr[i + 1] {
+                let c = indices[k];
                 if c >= i {
                     if c == i {
-                        *oi = self.data[k];
+                        *oi = data[k];
                     }
                     break;
                 }
@@ -517,7 +531,7 @@ impl<S: Scalar> Csr<S> {
         (count, row): (usize, impl Fn(usize) -> usize + Sync),
         fin: impl Fn(usize, S) -> S + Sync,
     ) {
-        let arrays = (&self.indptr[..], &self.indices[..], &self.data[..]);
+        let arrays = self.arrays();
         let (x, y) = ((x, self.ncols), (y, self.nrows));
         // SAFETY: `from_raw`, the only constructor, validated the arrays for
         // `ncols` columns, and nothing hands the pattern out mutably.
@@ -597,8 +611,9 @@ impl<S: Scalar> Csr<S> {
 
     /// (Conjugate-free) transpose.
     pub fn transpose(&self) -> Self {
+        let (indptr, cols, vals) = self.arrays();
         let mut counts = vec![0usize; self.ncols + 1];
-        for &c in self.indices.iter() {
+        for &c in cols {
             counts[c + 1] += 1;
         }
         for i in 0..self.ncols {
@@ -608,10 +623,10 @@ impl<S: Scalar> Csr<S> {
         let mut data = vec![S::zero(); self.nnz()];
         let mut next = counts.clone();
         for i in 0..self.nrows {
-            for k in self.indptr[i]..self.indptr[i + 1] {
-                let c = self.indices[k];
+            for k in indptr[i]..indptr[i + 1] {
+                let c = cols[k];
                 indices[next[c]] = i;
-                data[next[c]] = self.data[k];
+                data[next[c]] = vals[k];
                 next[c] += 1;
             }
         }
@@ -631,13 +646,14 @@ impl<S: Scalar> Csr<S> {
         let mut indices = Vec::new();
         let mut data = Vec::new();
         indptr.push(0);
+        let (gptr, gcols, gvals) = self.arrays();
         let mut rowbuf: Vec<(usize, S)> = Vec::new();
         for &g in rows {
             rowbuf.clear();
-            for k in self.indptr[g]..self.indptr[g + 1] {
-                let lc = global_to_local[self.indices[k]];
+            for k in gptr[g]..gptr[g + 1] {
+                let lc = global_to_local[gcols[k]];
                 if lc != usize::MAX {
-                    rowbuf.push((lc, self.data[k]));
+                    rowbuf.push((lc, gvals[k]));
                 }
             }
             rowbuf.sort_unstable_by_key(|&(c, _)| c);

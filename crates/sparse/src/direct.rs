@@ -31,8 +31,8 @@ impl<S: Scalar> SparseDirect<S> {
         let bw = order::bandwidth(&ap);
         let mut band = BandMat::zeros(n, bw, bw);
         for i in 0..n {
-            for (k, &j) in ap.row_indices(i).iter().enumerate() {
-                band.set(i, j, ap.row_values(i)[k]);
+            for (&j, &v) in ap.row_indices(i).iter().zip(ap.row_values(i)) {
+                band.set(i, j, v);
             }
         }
         Some(Self {

@@ -69,7 +69,9 @@ fn spgemm_rows<S: Scalar>(
     hi: usize,
 ) -> (Vec<usize>, Vec<usize>, Vec<S>) {
     let ncols = b.ncols();
-    let bptr = b.indptr();
+    let (aptr, acol, aval) = a.arrays();
+    let (bptr, bcol, bval) = b.arrays();
+    let brow = |r: usize| (&bcol[bptr[r]..bptr[r + 1]], &bval[bptr[r]..bptr[r + 1]]);
     let mut lens = Vec::with_capacity(hi - lo);
     let mut indices = Vec::new();
     let mut data = Vec::new();
@@ -80,12 +82,13 @@ fn spgemm_rows<S: Scalar>(
     let mut touched: Vec<usize> = Vec::new();
 
     for i in lo..hi {
-        let (acols, avals) = (a.row_indices(i), a.row_values(i));
+        let (acols, avals) = (&acol[aptr[i]..aptr[i + 1]], &aval[aptr[i]..aptr[i + 1]]);
         let products: usize = acols.iter().map(|&ac| bptr[ac + 1] - bptr[ac]).sum();
         let before = indices.len();
         if products * SCATTER_SHARE >= ncols {
             for (&ac, &av) in acols.iter().zip(avals) {
-                for (&bc, &bv) in b.row_indices(ac).iter().zip(b.row_values(ac)) {
+                let (bcols, bvals) = brow(ac);
+                for (&bc, &bv) in bcols.iter().zip(bvals) {
                     acc[bc] += av * bv;
                 }
             }
@@ -99,7 +102,8 @@ fn spgemm_rows<S: Scalar>(
         } else {
             touched.clear();
             for (&ac, &av) in acols.iter().zip(avals) {
-                for (&bc, &bv) in b.row_indices(ac).iter().zip(b.row_values(ac)) {
+                let (bcols, bvals) = brow(ac);
+                for (&bc, &bv) in bcols.iter().zip(bvals) {
                     if stamp[bc] != i {
                         stamp[bc] = i;
                         touched.push(bc);
@@ -137,9 +141,10 @@ pub fn add<S: Scalar>(a: &Csr<S>, b: &Csr<S>) -> Csr<S> {
     let mut indices = Vec::with_capacity(a.nnz() + b.nnz());
     let mut data = Vec::with_capacity(a.nnz() + b.nnz());
     indptr.push(0);
+    let ((aptr, acol, aval), (bptr, bcol, bval)) = (a.arrays(), b.arrays());
     for i in 0..a.nrows() {
-        let (ac, av) = (a.row_indices(i), a.row_values(i));
-        let (bc, bv) = (b.row_indices(i), b.row_values(i));
+        let (ac, av) = (&acol[aptr[i]..aptr[i + 1]], &aval[aptr[i]..aptr[i + 1]]);
+        let (bc, bv) = (&bcol[bptr[i]..bptr[i + 1]], &bval[bptr[i]..bptr[i + 1]]);
         let (mut ka, mut kb) = (0, 0);
         while ka < ac.len() || kb < bc.len() {
             let ca = ac.get(ka).copied().unwrap_or(usize::MAX);

@@ -135,8 +135,8 @@ pub fn permute_sym<S: Scalar>(a: &Csr<S>, perm: &[usize]) -> Csr<S> {
     }
     let mut coo = crate::Coo::with_capacity(n, n, a.nnz());
     for (k, &p) in perm.iter().enumerate() {
-        for (t, &c) in a.row_indices(p).iter().enumerate() {
-            coo.push(k, inv[c], a.row_values(p)[t]);
+        for (&c, &v) in a.row_indices(p).iter().zip(a.row_values(p)) {
+            coo.push(k, inv[c], v);
         }
     }
     coo.to_csr()
