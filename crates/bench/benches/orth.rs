@@ -1,13 +1,12 @@
-//! Block orthogonalization backends (CholQR vs CGS vs MGS vs IMGS)
-//! — the §III-A choice. CholQR and CGS run the fused step, MGS and IMGS the
-//! per-column sweep, as in the Arnoldi cycle.
+//! Block orthogonalization — the fused CholQR step of the Arnoldi cycle
+//! (§III-A/D), its sweeps, and the products between two cycles.
 
-use kryst_bench::harness::{BenchmarkId, Criterion};
+use kryst_bench::harness::Criterion;
 use kryst_bench::{criterion_group, criterion_main};
 use kryst_dense::fused::{
     fused_accumulate, fused_adjoint_times, fused_gram, fused_update, fused_update_gram, ColsRef,
 };
-use kryst_dense::gs::{fused_orthogonalize_block, mgs_orthogonalize, OrthScheme};
+use kryst_dense::gs::fused_orthogonalize_block;
 use kryst_dense::{blas, chol, DMat, Scalar, C64};
 
 fn basis(n: usize, k: usize) -> DMat<f64> {
@@ -21,33 +20,12 @@ fn bench_orth(c: &mut Criterion) {
     let v = basis(n, 20);
     let w0 = DMat::from_fn(n, 4, |i, j| ((i * 3 + j * 11) % 23) as f64 - 11.0);
     let mut g = c.benchmark_group("orth_against_20_block_4");
-    for (name, scheme) in [
-        ("cholqr", OrthScheme::CholQr),
-        ("cgs", OrthScheme::Cgs),
-        ("mgs", OrthScheme::Mgs),
-        ("imgs", OrthScheme::Imgs),
-    ] {
-        g.bench_with_input(
-            BenchmarkId::from_parameter(name),
-            &scheme,
-            |bch, &scheme| {
-                bch.iter(|| {
-                    let mut w = w0.clone();
-                    match scheme {
-                        OrthScheme::Cgs | OrthScheme::CholQr => {
-                            let reorth = scheme == OrthScheme::Cgs;
-                            fused_orthogonalize_block(None, &v, 20, &mut w, reorth, f64::EPSILON)
-                                .rank
-                        }
-                        OrthScheme::Mgs | OrthScheme::Imgs => {
-                            let iterated = scheme == OrthScheme::Imgs;
-                            mgs_orthogonalize(ColsRef::whole(&v), &mut w, iterated).rank
-                        }
-                    }
-                });
-            },
-        );
-    }
+    g.bench_function("cholqr", |bch| {
+        bch.iter(|| {
+            let mut w = w0.clone();
+            fused_orthogonalize_block(None, &v, 20, &mut w, false, f64::EPSILON).rank
+        });
+    });
     g.finish();
 }
 

@@ -7,7 +7,7 @@
 //! converges. Same comparison here on the scaled-down chamber.
 
 use kryst_bench::{rule, time};
-use kryst_core::{gmres, OrthScheme, PrecondSide, SolveOpts};
+use kryst_core::{gmres, PrecondSide, SolveOpts};
 use kryst_dense::DMat;
 use kryst_par::PrecondOp;
 use kryst_pde::maxwell::{antenna_ring_rhs, maxwell3d, MaxwellParams};
@@ -27,7 +27,6 @@ fn run(
         restart: 200,
         max_iters,
         side: PrecondSide::Right,
-        orth: OrthScheme::Imgs,
         ..Default::default()
     };
     let mut x = DMat::<C64>::zeros(a.nrows(), b.ncols());

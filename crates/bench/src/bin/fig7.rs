@@ -16,7 +16,7 @@
 //!    substitution for the 8,192-core machine.
 
 use kryst_bench::{maxwell_oras, rule, time, traced_opts};
-use kryst_core::{gmres, OrthScheme, PrecondSide, SolveOpts};
+use kryst_core::{gmres, PrecondSide, SolveOpts};
 use kryst_dense::DMat;
 use kryst_par::{CommStats, CostModel, DistOp, HaloPlan, Layout};
 use kryst_pde::maxwell::{antenna_ring_rhs, MaxwellParams};
@@ -47,7 +47,6 @@ fn main() {
             restart: 400,
             max_iters: 400,
             side: PrecondSide::Right,
-            orth: OrthScheme::Imgs,
             ..Default::default()
         };
         let opts = traced_opts(&opts, &format!("fig7_gmres_n{nsub}"));
@@ -81,7 +80,6 @@ fn main() {
         restart: 400,
         max_iters: 400,
         side: PrecondSide::Right,
-        orth: OrthScheme::Imgs,
         stats: Some(Arc::clone(&stats)),
         ..Default::default()
     };

@@ -10,8 +10,8 @@
 
 use crate::opts::PrecondSide;
 use kryst_dense::chol;
-use kryst_dense::fused::{self, ColsRef};
-use kryst_dense::gs::{fused_orthogonalize_cols, mgs_orthogonalize, OrthScheme};
+use kryst_dense::fused::ColsRef;
+use kryst_dense::gs::fused_orthogonalize_cols;
 use kryst_dense::qr::IncrementalQr;
 use kryst_dense::{blas, DMat};
 use kryst_par::{CommStats, LinOp, PrecondOp};
@@ -214,12 +214,9 @@ impl<S: Scalar> CycleBuffers<S> {
 
 /// One restart cycle of the block Arnoldi process.
 ///
-/// Every step orthogonalizes one way per [`OrthScheme`]: CGS and CholQR
-/// through the fused low-synchronization step
-/// ([`fused_orthogonalize_cols`]: `CᴴW`, `VᴴW` and `WᴴW` in one reduction
-/// per pass, §III-D); MGS and IMGS project the recycled block off in one
-/// product, then go column by column over the basis blocks in place
-/// ([`mgs_orthogonalize`]).
+/// Every step orthogonalizes through the fused low-synchronization CholQR
+/// step ([`fused_orthogonalize_cols`]: `CᴴW`, `VᴴW` and `WᴴW` in one
+/// reduction per pass, §III-D), reading the basis blocks in place.
 pub struct BlockArnoldi<'a, S: Scalar> {
     a: &'a dyn LinOp<S>,
     mode: &'a PrecondMode<'a, S>,
@@ -230,14 +227,13 @@ pub struct BlockArnoldi<'a, S: Scalar> {
     j: usize,
     m: usize,
     p: usize,
-    orth: OrthScheme,
     /// Running estimate of the basis' mutual orthogonality loss under the
     /// fused step (units of machine ε); single-pass steps multiply it by the
     /// square of the step's cancellation amplification, re-orthogonalized
     /// steps hold it.
     fused_loss: f64,
     /// Orthogonalization passes taken by the most recent step (1, or 2 when
-    /// re-orthogonalization triggered; always 1 under MGS/IMGS).
+    /// re-orthogonalization triggered).
     last_passes: usize,
     /// Whether the most recent step needed a rank-revealing CholQR refresh.
     last_refreshed: bool,
@@ -257,7 +253,6 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
         mode: &'a PrecondMode<'a, S>,
         m: usize,
         p: usize,
-        orth: OrthScheme,
         c_proj: Option<&'a DMat<S>>,
         stats: Option<Arc<CommStats>>,
     ) -> Self {
@@ -269,7 +264,6 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
             j: 0,
             m,
             p,
-            orth,
             fused_loss: f64::EPSILON,
             last_passes: 1,
             last_refreshed: false,
@@ -411,58 +405,32 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
         let (built, rest) = buf.v.split_at_mut(j + 1);
         let w = &mut rest[0];
         // Orthogonalize against the recycled block C (if any) and the basis
-        // built so far. CGS/CholQR fold both projections and the Gram matrix
-        // into a single reduction per pass (§III-D); MGS/IMGS reduce once per
-        // basis column.
-        let (coeffs, rfac) = if matches!(self.orth, OrthScheme::Cgs | OrthScheme::CholQr) {
-            let out = fused_orthogonalize_cols(
-                self.c_proj,
-                ColsRef::blocks(built),
-                w,
-                self.orth == OrthScheme::Cgs,
-                self.fused_loss,
+        // built so far: both projections and the Gram matrix in a single
+        // reduction per pass (§III-D).
+        let out = fused_orthogonalize_cols(
+            self.c_proj,
+            ColsRef::blocks(built),
+            w,
+            false,
+            self.fused_loss,
+        );
+        self.last_step_rank = out.rank;
+        self.last_passes = out.passes;
+        self.last_refreshed = out.refreshed;
+        if out.passes == 1 {
+            self.fused_loss *= out.amp * out.amp;
+        }
+        if let Some(st) = &self.stats {
+            st.record_fused_reductions(
+                out.reductions,
+                out.reduction_parts,
+                out.reduction_elems * std::mem::size_of::<S>(),
             );
-            self.last_step_rank = out.rank;
-            self.last_passes = out.passes;
-            self.last_refreshed = out.refreshed;
-            if out.passes == 1 {
-                self.fused_loss *= out.amp * out.amp;
-            }
-            if let Some(st) = &self.stats {
-                st.record_fused_reductions(
-                    out.reductions,
-                    out.reduction_parts,
-                    out.reduction_elems * std::mem::size_of::<S>(),
-                );
-            }
-            if let Some(ec) = &out.c_coeffs {
-                buf.e.set_block(0, j * p, ec);
-            }
-            (out.coeffs, out.r)
-        } else {
-            // Inner orthogonalization against the recycled block C (one
-            // reduction — the extra communication of recycling, §III-D).
-            if let Some(c) = self.c_proj {
-                let ecol = fused::adjoint_times(ColsRef::whole(c), w);
-                if let Some(st) = &self.stats {
-                    st.record_reduction(std::mem::size_of_val(ecol.as_slice()));
-                }
-                fused::fused_update(&[ColsRef::whole(c)], std::slice::from_ref(&ecol), w);
-                buf.e.set_block(0, j * p, &ecol);
-            }
-            let out = mgs_orthogonalize(ColsRef::blocks(built), w, self.orth == OrthScheme::Imgs);
-            self.last_step_rank = out.rank;
-            self.last_passes = 1;
-            self.last_refreshed = false;
-            if let Some(st) = &self.stats {
-                st.record_reductions(
-                    out.reductions,
-                    out.reduction_elems * std::mem::size_of::<S>(),
-                );
-            }
-            (out.coeffs, out.r)
-        };
-        self.push_hessenberg_column(&coeffs, &rfac)
+        }
+        if let Some(ec) = &out.c_coeffs {
+            buf.e.set_block(0, j * p, ec);
+        }
+        self.push_hessenberg_column(&out.coeffs, &out.r)
     }
 
     /// Closes a step: the new Hessenberg block column `[coeffs; r]` goes
@@ -491,7 +459,7 @@ impl<'a, S: Scalar> BlockArnoldi<'a, S> {
     }
 
     /// Running orthogonality-loss estimate of the fused step (units of
-    /// machine ε; `ε` while loss-free or under MGS/IMGS).
+    /// machine ε; `ε` while loss-free).
     pub fn fused_loss(&self) -> f64 {
         self.fused_loss
     }
@@ -593,7 +561,7 @@ mod tests {
         let id = IdentityPrecond::new(n);
         let mode = PrecondMode::new(&id, PrecondSide::Right);
         let p = 2;
-        let mut arn = BlockArnoldi::new(&a, &mode, 6, p, OrthScheme::CholQr, None, None);
+        let mut arn = BlockArnoldi::new(&a, &mode, 6, p, None, None);
         let r0 = DMat::from_fn(n, p, |i, j| ((i * 3 + j * 7) % 11) as f64 - 5.0);
         arn.start(&r0);
         for _ in 0..6 {
@@ -627,7 +595,7 @@ mod tests {
         // C = orthonormalized random block.
         let mut c = DMat::from_fn(n, 2, |i, j| ((i * 7 + j * 3) % 13) as f64 - 6.0);
         let _ = chol::cholqr(&mut c);
-        let mut arn = BlockArnoldi::new(&a, &mode, 5, 1, OrthScheme::CholQr, Some(&c), None);
+        let mut arn = BlockArnoldi::new(&a, &mode, 5, 1, Some(&c), None);
         let mut r0 = DMat::from_fn(n, 1, |i, _| (i as f64 * 0.17).sin());
         // Project r0 off C first, like GCRO-DR line 9.
         let coef = blas::adjoint_times(&c, &r0);
@@ -666,7 +634,7 @@ mod tests {
         let a = laplace1d(n);
         let id = IdentityPrecond::new(n);
         let mode = PrecondMode::new(&id, PrecondSide::Right);
-        let mut arn = BlockArnoldi::new(&a, &mode, 10, 1, OrthScheme::Imgs, None, None);
+        let mut arn = BlockArnoldi::new(&a, &mode, 10, 1, None, None);
         let r0 = DMat::from_fn(n, 1, |i, _| 1.0 + (i % 3) as f64);
         arn.start(&r0);
         let mut prev = f64::MAX;

@@ -59,7 +59,6 @@ pub fn solve<S: Scalar>(
 mod tests {
     use super::*;
     use crate::opts::PrecondSide;
-    use kryst_dense::gs::OrthScheme;
     use kryst_par::IdentityPrecond;
     use kryst_pde::poisson::poisson2d;
     use kryst_precond::{Amg, AmgOpts, Jacobi, SmootherKind};
@@ -209,7 +208,6 @@ mod tests {
             rtol: 1e-8,
             restart: 60,
             max_iters: 2000,
-            orth: OrthScheme::Imgs,
             ..Default::default()
         };
         let mut x = DMat::<C64>::zeros(n, 2);

@@ -28,8 +28,8 @@
 //!
 //! Every option is a field of [`SolveOpts`] with a constant default
 //! (CholQR, right preconditioning, …); the crate reads nothing from the
-//! environment. The block orthogonalization has one path: CholQR/CGS take
-//! one fused reduction per pass, MGS/IMGS their per-column sweep.
+//! environment. The block orthogonalization has one path: the fused CholQR
+//! step, one reduction per pass.
 //!
 //! # Quick start
 //!

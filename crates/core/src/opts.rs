@@ -33,12 +33,13 @@ pub enum RecycleStrategy {
     B,
 }
 
-/// The orthogonalization path of the Arnoldi cycles. There is one: CGS and
-/// CholQR take the fused `[CᴴW; VᴴW; WᴴW]` reduction per pass, MGS and IMGS
-/// their per-column sweep (see [`crate::cycle::BlockArnoldi`]).
+/// The orthogonalization path of the Arnoldi cycles. There is one: the
+/// fused CholQR step, one `[CᴴW; VᴴW; WᴴW]` reduction per pass (see
+/// [`crate::cycle::BlockArnoldi`]).
 ///
-/// The enum and [`SolveOpts::ortho`] survive only because the repository
-/// benchmark names them (it checks and reports `ortho == Fused`); nothing in
+/// This enum, the single-valued [`OrthScheme`] and their fields
+/// [`SolveOpts::ortho`] and [`SolveOpts::orth`] survive only because the
+/// repository benchmark names them (it checks and reports them); nothing in
 /// the library branches on them.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
 pub enum OrthPath {
@@ -70,7 +71,7 @@ pub struct SolveOpts {
     pub recycle: usize,
     /// Preconditioner side / flexibility.
     pub side: PrecondSide,
-    /// Orthogonalization backend (paper advocates CholQR).
+    /// Orthogonalization scheme; [`OrthScheme::CholQr`] is the only one.
     pub orth: OrthScheme,
     /// Orthogonalization path; [`OrthPath::Fused`] is the only one.
     pub ortho: OrthPath,

@@ -358,7 +358,7 @@ impl<S: Scalar> Shared<S> {
             ship(&self.own, opts.stats.as_deref());
             let iter = self.tracer.iterations();
             let breakdown = (rank < row.len()).then_some(rank);
-            (self.tracer).iteration(self.cycle, iter, row.to_vec(), opts.orth.name(), breakdown);
+            (self.tracer).iteration(self.cycle, iter, row.to_vec(), breakdown);
             for arn in stepping.iter().map(|&i| &runs[i].arn) {
                 if arn.last_orth_passes() > 1 || arn.last_orth_refreshed() {
                     // The fused path's amp² budget forced a second pass (or a
@@ -466,7 +466,7 @@ pub(crate) fn solve_lanes<S: Scalar>(
                 let plan = policy.prepare(cx!(t), &mut t.r);
                 let (length, p) = (plan.steps + plan.images.len(), t.r.ncols());
                 let stats = t.opts.stats.clone();
-                let mut arn = BlockArnoldi::new(a, &mode, length, p, opts.orth, plan.c, stats)
+                let mut arn = BlockArnoldi::new(a, &mode, length, p, plan.c, stats)
                     .with_buffers(std::mem::take(&mut t.bufs));
                 arn.start(&t.r);
                 Run {

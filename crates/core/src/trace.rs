@@ -123,7 +123,6 @@ impl SolveTracer {
         cycle: usize,
         iter: usize,
         residuals: Vec<f64>,
-        orth_backend: &'static str,
         breakdown_rank: Option<usize>,
     ) {
         // Rotate the per-rank trace span: close the one covering this
@@ -143,7 +142,6 @@ impl SolveTracer {
                 iter,
                 per_rhs_residuals: residuals.clone(),
                 comm,
-                orth_backend,
                 breakdown_rank,
                 wall_ns,
             };
@@ -293,9 +291,9 @@ mod tests {
         let mut tr = SolveTracer::begin(&opts, "test", 3, 100, 2);
 
         stats.record_reductions(2, 16); // setup → absorbed by iteration 0
-        tr.iteration(0, 0, vec![1.0, 0.9], "cholqr", None);
+        tr.iteration(0, 0, vec![1.0, 0.9], None);
         stats.record_reductions(3, 24);
-        tr.iteration(0, 1, vec![0.5, 0.4], "cholqr", Some(1));
+        tr.iteration(0, 1, vec![0.5, 0.4], Some(1));
         stats.record_reduction(8); // trailing work → folded into iteration 1
         let history = tr.finish(true, &[0.5, 0.4]);
 
@@ -328,12 +326,12 @@ mod tests {
             ..SolveOpts::default()
         };
         let mut tr = SolveTracer::begin(&opts, "test", 0, 100, 2);
-        tr.iteration(0, 0, vec![1.0, 1.0], "cholqr", None);
+        tr.iteration(0, 0, vec![1.0, 1.0], None);
         tr.diag(0, 0, DiagKind::OrthLoss, 1e-12, 2);
-        tr.iteration(0, 1, vec![0.9, 0.9], "cholqr", Some(1));
+        tr.iteration(0, 1, vec![0.9, 0.9], Some(1));
         // Flat residuals past the detector window must raise Stagnation.
         for i in 2..70 {
-            tr.iteration(0, i, vec![0.9, 0.9], "cholqr", None);
+            tr.iteration(0, i, vec![0.9, 0.9], None);
         }
         let _ = tr.finish(false, &[0.9, 0.9]);
         let events = ring.events();
@@ -372,7 +370,7 @@ mod tests {
         let opts = SolveOpts::default();
         let mut tr = SolveTracer::begin(&opts, "test", 0, 10, 1);
         assert!(!tr.enabled());
-        tr.iteration(0, 0, vec![1.0], "mgs", None);
+        tr.iteration(0, 0, vec![1.0], None);
         let probe = tr.span_start(SpanKind::Setup, None);
         tr.span_end(probe, 0);
         let h = tr.finish(false, &[1.0]);
@@ -392,7 +390,7 @@ mod tests {
         let probe = tr.span_start(SpanKind::Setup, Some(&stats));
         stats.record_reductions(5, 40);
         tr.span_end(probe, 0);
-        tr.iteration(0, 0, vec![0.1], "cholqr", None);
+        tr.iteration(0, 0, vec![0.1], None);
         let _ = tr.finish(true, &[0.1]);
         let events = ring.events();
         let sp = kryst_obs::spans_of(&events, SpanKind::Setup);

@@ -1,19 +1,14 @@
-//! Gram–Schmidt orthogonalization schemes.
+//! Block Gram–Schmidt orthogonalization.
 //!
 //! The Arnoldi step of every solver in `kryst-core` orthogonalizes the new
-//! candidate block `W` against the existing basis `V` and then within itself.
-//! The paper's §III-D counts the *global reductions* of each scheme, which is
-//! why several are provided:
-//!
-//! * **CholQR** (the paper's choice) and **classical (CGS)** — the fused
-//!   low-synchronization step [`fused_orthogonalize_block`]: one reduction
-//!   per pass for the projection and the Gram matrix together, the CholQR
-//!   factor from a Gram downdate; CGS always takes the second pass,
-//! * **Modified (MGS)** — [`mgs_orthogonalize`]: one reduction *per basis
-//!   column*, the stable textbook choice,
-//! * **Iterated Modified (IMGS)** — Belos' default: MGS repeated until the
-//!   norm stops dropping (here: a fixed two passes, the standard
-//!   "twice-is-enough" criterion).
+//! candidate block `W` against the existing basis `V` (and the recycled
+//! block `C`, if any) and then within itself. The paper's §III-D counts the
+//! *global reductions* of that step, and there is one way to take it: the
+//! fused low-synchronization CholQR step [`fused_orthogonalize_block`] — one
+//! reduction per pass for the projections and the Gram matrix together, the
+//! intra-block factor from a Gram downdate, a second pass only when the
+//! step's own cancellation asks for it. Per-column modified Gram–Schmidt,
+//! with one reduction per basis column, is deliberately absent.
 
 use crate::blas::{self, Op};
 use crate::chol;
@@ -22,120 +17,20 @@ use crate::tri;
 use crate::DMat;
 use kryst_scalar::Scalar;
 
-/// Which orthogonalization scheme the solvers use.
+/// The orthogonalization scheme the solvers use: the fused CholQR step is
+/// the only one, and its name is what solver options report.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum OrthScheme {
-    /// Classical Gram–Schmidt (single fused reduction), re-orthogonalized once.
-    Cgs,
-    /// Modified Gram–Schmidt.
-    Mgs,
-    /// Iterated (two-pass) modified Gram–Schmidt — Belos' default.
-    Imgs,
     /// Cholesky-QR for the intra-block factorization (paper's choice).
     CholQr,
 }
 
 impl OrthScheme {
-    /// Stable lowercase name used in solver traces.
+    /// Stable lowercase name.
     pub fn name(self) -> &'static str {
         match self {
-            OrthScheme::Cgs => "cgs",
-            OrthScheme::Mgs => "mgs",
-            OrthScheme::Imgs => "imgs",
             OrthScheme::CholQr => "cholqr",
         }
-    }
-}
-
-/// Projection coefficients produced by [`mgs_orthogonalize`]: the new block
-/// satisfies `W_orig = V·C + Q·R` with `Q` the orthonormalized output block.
-pub struct BlockOrth<S: Scalar> {
-    /// Coefficients against the existing basis (`V.ncols() × p`).
-    pub coeffs: DMat<S>,
-    /// Intra-block triangular factor (`p × p`).
-    pub r: DMat<S>,
-    /// Numerical rank of the block after projection.
-    pub rank: usize,
-    /// Number of global reductions this call would cost in a distributed run.
-    pub reductions: usize,
-    /// Total scalar elements those reductions carry (§III-D byte accounting):
-    /// the sum over every reduced product of its element count.
-    pub reduction_elems: usize,
-}
-
-/// Modified Gram–Schmidt: orthogonalize `w` (n×p) against the basis `v` one
-/// column at a time, twice when `iterated` (IMGS), then orthonormalize it
-/// internally column by column, returning the projection coefficients.
-///
-/// `v` is a borrowed view, so a basis kept one matrix per Krylov block is
-/// read where it lives.
-pub fn mgs_orthogonalize<S: Scalar>(
-    v: ColsRef<'_, S>,
-    w: &mut DMat<S>,
-    iterated: bool,
-) -> BlockOrth<S> {
-    let _t = kryst_obs::traced(kryst_obs::SpanKind::OrthGram);
-    let ncols = v.ncols();
-    assert!(ncols == 0 || v.nrows() == w.nrows());
-    let p = w.ncols();
-    let mut coeffs = DMat::zeros(ncols, p);
-    let mut reductions = 0;
-    let mut elems = 0;
-
-    let passes = if iterated { 2 } else { 1 };
-    for _pass in 0..passes {
-        for j in 0..ncols {
-            let vj = v.col(j);
-            for l in 0..p {
-                let wl = w.col_mut(l);
-                let mut dot = S::zero();
-                for (a, b) in vj.iter().zip(wl.iter()) {
-                    dot += a.conj() * *b;
-                }
-                for (a, b) in vj.iter().zip(wl.iter_mut()) {
-                    *b -= dot * *a;
-                }
-                coeffs[(j, l)] += dot;
-            }
-            reductions += 1; // one reduction per basis column (dots fused over l)
-            elems += p;
-        }
-    }
-
-    // Intra-block orthonormalization; each reduction carries a single
-    // scalar (one dot or norm).
-    let mut r = DMat::zeros(p, p);
-    let mut rank = p;
-    for l in 0..p {
-        // Project against the already-normalized columns of w.
-        for j in 0..l {
-            let dot = w.col_dot(j, w, l);
-            let (dst, src) = w.two_cols_mut(l, j);
-            for (d, s) in dst.iter_mut().zip(src.iter()) {
-                *d -= dot * *s;
-            }
-            r[(j, l)] = dot;
-            reductions += 1;
-            elems += 1;
-        }
-        let nrm = w.col_norm(l);
-        reductions += 1;
-        elems += 1;
-        if nrm <= f64::EPSILON {
-            rank = rank.min(l);
-            r[(l, l)] = S::zero();
-        } else {
-            r[(l, l)] = S::from_f64(nrm);
-            w.scale_col(l, S::one() / S::from_f64(nrm));
-        }
-    }
-
-    BlockOrth {
-        coeffs,
-        r,
-        rank,
-        reductions,
-        reduction_elems: elems,
     }
 }
 
@@ -381,76 +276,6 @@ mod tests {
         v
     }
 
-    /// `w` orthogonalized against all of `v` the way the Arnoldi cycle runs
-    /// `scheme`: `(coeffs, r, rank, reductions, reduction_elems)`.
-    fn orth_like_the_cycle<S: Scalar>(
-        v: &DMat<S>,
-        w: &mut DMat<S>,
-        scheme: OrthScheme,
-    ) -> (DMat<S>, DMat<S>, usize, usize, usize) {
-        match scheme {
-            OrthScheme::Cgs | OrthScheme::CholQr => {
-                let reorth = scheme == OrthScheme::Cgs;
-                let out = fused_orthogonalize_block(None, v, v.ncols(), w, reorth, 0.0);
-                let (red, elems) = (out.reductions, out.reduction_elems);
-                (out.coeffs, out.r, out.rank, red, elems)
-            }
-            OrthScheme::Mgs | OrthScheme::Imgs => {
-                let out = mgs_orthogonalize(ColsRef::whole(v), w, scheme == OrthScheme::Imgs);
-                let (red, elems) = (out.reductions, out.reduction_elems);
-                (out.coeffs, out.r, out.rank, red, elems)
-            }
-        }
-    }
-
-    fn check_scheme(scheme: OrthScheme) {
-        let n = 50;
-        let v = basis(n, 5);
-        let w0 = DMat::from_fn(n, 3, |i, j| ((i * 3 + j * 11) % 23) as f64 - 11.0);
-        let mut w = w0.clone();
-        let (coeffs, r, rank, _, _) = orth_like_the_cycle(&v, &mut w, scheme);
-        assert_eq!(rank, 3);
-        // VᴴQ ≈ 0
-        let c = blas::adjoint_times(&v, &w);
-        assert!(
-            c.max_abs() < 1e-10,
-            "{scheme:?}: basis orthogonality {}",
-            c.max_abs()
-        );
-        // QᴴQ ≈ I
-        let g = blas::adjoint_times(&w, &w);
-        for i in 0..3 {
-            for j in 0..3 {
-                let e = if i == j { 1.0 } else { 0.0 };
-                assert!((g[(i, j)] - e).abs() < 1e-10, "{scheme:?}: Gram ({i},{j})");
-            }
-        }
-        // Reconstruction: W0 = V·C + Q·R
-        let mut rec = matmul(&v, Op::None, &coeffs, Op::None);
-        let qr = matmul(&w, Op::None, &r, Op::None);
-        rec.axpy(1.0, &qr);
-        for i in 0..n {
-            for j in 0..3 {
-                assert!(
-                    (rec[(i, j)] - w0[(i, j)]).abs() < 1e-9,
-                    "{scheme:?}: reconstruction ({i},{j})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn all_schemes_orthogonalize() {
-        for scheme in [
-            OrthScheme::Cgs,
-            OrthScheme::Mgs,
-            OrthScheme::Imgs,
-            OrthScheme::CholQr,
-        ] {
-            check_scheme(scheme);
-        }
-    }
-
     #[test]
     fn complex_cholqr_block_orth() {
         let n = 40;
@@ -461,46 +286,10 @@ mod tests {
         let mut w = DMat::<C64>::from_fn(n, 2, |i, j| {
             C64::from_parts(((i * 2 + j) % 9) as f64 - 4.0, (i % 3) as f64)
         });
-        let (_, _, rank, _, _) = orth_like_the_cycle(&vb, &mut w, OrthScheme::CholQr);
-        assert_eq!(rank, 2);
+        let out = fused_orthogonalize_block(None, &vb, 4, &mut w, false, 0.0);
+        assert_eq!(out.rank, 2);
         let c = blas::adjoint_times(&vb, &w);
         assert!(c.max_abs() < 1e-10);
-    }
-
-    #[test]
-    fn reduction_counts_reflect_scheme() {
-        let n = 30;
-        let v = basis(n, 4);
-        let w0 = DMat::from_fn(n, 2, |i, j| (i + j) as f64 + 0.5);
-        let mut w = w0.clone();
-        let (.., cholqr, cholqr_elems) = orth_like_the_cycle(&v, &mut w, OrthScheme::CholQr);
-        // CholQR: one fused reduction carrying VᴴW and WᴴW.
-        assert_eq!(cholqr, 1);
-        assert_eq!(cholqr_elems, (4 + 2) * 2);
-        let mut w = w0.clone();
-        let (.., mgs, mgs_elems) = orth_like_the_cycle(&v, &mut w, OrthScheme::Mgs);
-        // MGS: k reductions (projection) + per-column intra-block work.
-        assert!(mgs > cholqr);
-        // MGS: ncols·p projection elements + p(p+1)/2 intra scalars.
-        assert_eq!(mgs_elems, 4 * 2 + 2 * 3 / 2);
-    }
-
-    #[test]
-    fn mgs_reads_block_views_bit_for_bit() {
-        // A basis kept one matrix per Krylov block gives the same bits as
-        // the same columns side by side in one matrix.
-        let n = 37;
-        let v = basis(n, 6);
-        let blocks: Vec<DMat<f64>> = (0..3).map(|b| v.cols(2 * b, 2)).collect();
-        let w0 = DMat::from_fn(n, 2, |i, j| ((i * 5 + j * 7) % 17) as f64 - 8.0);
-        for iterated in [false, true] {
-            let (mut wa, mut wb) = (w0.clone(), w0.clone());
-            let a = mgs_orthogonalize(ColsRef::blocks(&blocks), &mut wa, iterated);
-            let b = mgs_orthogonalize(ColsRef::whole(&v), &mut wb, iterated);
-            assert_eq!(bits(&a.coeffs), bits(&b.coeffs));
-            assert_eq!(bits(&a.r), bits(&b.r));
-            assert_eq!(bits(&wa), bits(&wb));
-        }
     }
 
     #[test]

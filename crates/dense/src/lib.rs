@@ -12,9 +12,8 @@
 //!   eq. (2) relies on this),
 //! * [`chol`]: Cholesky, pivoted (rank-revealing) Cholesky, and CholQR — the
 //!   orthogonalization scheme the paper advocates (§III-A),
-//! * [`gs`]: the low-synchronization fused block orthogonalization (§III-D)
-//!   that CholQR and classical Gram–Schmidt run, and modified /
-//!   iterated-modified Gram–Schmidt,
+//! * [`gs`]: the low-synchronization fused CholQR block orthogonalization
+//!   (§III-D), the one orthogonalization step of the Arnoldi cycles,
 //! * [`fused`]: fused Gram+projection products — `[CᴴW; VᴴW; WᴴW]` in one
 //!   sweep, one reduction instead of `j+2`,
 //! * [`lu`]: LU with partial pivoting (complex-capable),

@@ -88,8 +88,6 @@ pub struct IterationEvent {
     /// absorbs the cycle-start work, the last iteration of the solve
     /// absorbs the trailing update/refresh work).
     pub comm: CommSnapshot,
-    /// Orthogonalization backend in effect (`"cholqr"`, `"mgs"`, …).
-    pub orth_backend: &'static str,
     /// Numerical rank detected by the rank-revealing orthogonalization when
     /// it is deficient (`Some(rank) < block width`); `None` when the block
     /// kept full rank.

@@ -39,7 +39,6 @@ pub fn event_to_json(ev: &Event) -> String {
                 f64_array(&it.per_rhs_residuals),
             );
             push_comm_fields(&mut s, &it.comm, "delta");
-            let _ = write!(s, ",\"orth_backend\":\"{}\"", it.orth_backend);
             match it.breakdown_rank {
                 Some(r) => {
                     let _ = write!(s, ",\"breakdown_rank\":{r}");
@@ -533,7 +532,6 @@ mod tests {
                 flops: 12345,
                 overlap_flops: 2345,
             },
-            orth_backend: "cholqr",
             breakdown_rank: Some(1),
             wall_ns: 9876,
         });

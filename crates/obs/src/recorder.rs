@@ -169,7 +169,6 @@ mod tests {
             iter: i,
             per_rhs_residuals: vec![1.0 / (i + 1) as f64],
             comm: CommSnapshot::default(),
-            orth_backend: "cholqr",
             breakdown_rank: None,
             wall_ns: 0,
         })

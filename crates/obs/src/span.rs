@@ -79,8 +79,7 @@ pub enum SpanKind {
     /// Small dense kernels: eigensolves, QR/LU factorizations.
     SmallDense,
     /// Building a preconditioner from the operator: the AMG hierarchy, the
-    /// Schwarz subdomain factors, an incomplete factorization. Outside every
-    /// solve.
+    /// Schwarz subdomain factors. Outside every solve.
     PrecondSetup,
     /// Solve setup: recycle-space reuse / initial-guess correction
     /// (GCRO-DR Fig. 1 lines 2–9).

@@ -72,7 +72,6 @@ mod tests {
                 reductions: reds,
                 ..Default::default()
             },
-            orth_backend: "cholqr",
             breakdown_rank: None,
             wall_ns: 0,
         })

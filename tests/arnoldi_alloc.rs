@@ -63,7 +63,7 @@ static COUNTER: CountingAlloc = CountingAlloc;
 
 use kryst_core::cycle::{BlockArnoldi, CycleBuffers, PrecondMode};
 use kryst_core::pseudo::{self, PseudoMethod};
-use kryst_core::{gcrodr, lgmres, OrthScheme, PrecondSide, SolveOpts, SolverContext};
+use kryst_core::{gcrodr, lgmres, PrecondSide, SolveOpts, SolverContext};
 use kryst_dense::{blas, chol, DMat};
 use kryst_obs::{Event, Recorder, SpanKind};
 use kryst_precond::Jacobi;
@@ -264,8 +264,7 @@ fn step_and_restart_allocate_no_vector_after_the_first_cycle() {
                 let (r0, r1) = (residual(0), residual(4));
                 let cycle = |r: &DMat<f64>, bufs: CycleBuffers<f64>| {
                     let mut arn =
-                        BlockArnoldi::new(&a, &mode, m, p, OrthScheme::CholQr, c_proj, None)
-                            .with_buffers(bufs);
+                        BlockArnoldi::new(&a, &mode, m, p, c_proj, None).with_buffers(bufs);
                     arn.start(r);
                     let mut last = Vec::new();
                     while arn.can_step() {

@@ -4,10 +4,9 @@
 //!
 //! 1. **Determinism** — enabling tracing must not perturb a solve in any
 //!    observable way: the full iteration trace (residuals bit for bit,
-//!    communication deltas, orthogonalization backend, breakdown ranks) and
-//!    the solution vector are compared between a tracing-off and a
-//!    tracing-on run, on both branches of the Arnoldi step's
-//!    orthogonalization (CI runs this file under `KRYST_THREADS` ∈ {1, 4}).
+//!    communication deltas, breakdown ranks) and the solution vector are
+//!    compared between a tracing-off and a tracing-on run (CI runs this
+//!    file under `KRYST_THREADS` ∈ {1, 4}).
 //!    The per-kind aggregates count every apply of a pseudo-block solve.
 //! 2. **Diagnostics** — the stagnation detector fires exactly once on the
 //!    golden stagnating case (GMRES(30) on the 1-D Laplacian) and stays
@@ -24,7 +23,7 @@
 //!    at P ∈ {2, 4, 8}.
 
 use kryst_core::pseudo::{self, PseudoMethod};
-use kryst_core::{gcrodr, gmres, lgmres, OrthScheme, PrecondSide, SolveOpts, SolverContext};
+use kryst_core::{gcrodr, gmres, lgmres, PrecondSide, SolveOpts, SolverContext};
 use kryst_dense::DMat;
 use kryst_obs::{
     aggregates, diags_of, iteration_events, set_trace_enabled, DiagKind, Event, Recorder,
@@ -115,7 +114,6 @@ fn trace_fingerprint(events: &[Event], x: &DMat<f64>) -> Vec<u64> {
         fp.push(ev.comm.p2p_messages);
         fp.push(ev.comm.flops);
         fp.push(ev.breakdown_rank.map(|r| r as u64 + 1).unwrap_or(0));
-        fp.push(ev.orth_backend.len() as u64);
     }
     for j in 0..x.ncols() {
         for &v in x.col(j) {
@@ -126,9 +124,7 @@ fn trace_fingerprint(events: &[Event], x: &DMat<f64>) -> Vec<u64> {
 }
 
 /// The golden GMRES(30) and GCRO-DR(30,10) traces must be bit-identical
-/// with tracing off and on: a span only ever reads the clock. CholQR runs
-/// the fused step and IMGS the per-column sweep — both branches of the
-/// Arnoldi step's orthogonalization.
+/// with tracing off and on: a span only ever reads the clock.
 #[test]
 fn tracing_on_off_traces_bit_identical() {
     let _turn = profiler_turn();
@@ -137,14 +133,13 @@ fn tracing_on_off_traces_bit_identical() {
     let b = pinned_rhs(n, 42);
     let id = IdentityPrecond::new(n);
 
-    let run_gmres = |orth| {
+    let run_gmres = || {
         let ring = Arc::new(RingRecorder::new(1 << 16));
         let opts = ring_opts(
             SolveOpts {
                 rtol: 1e-8,
                 restart: 30,
                 max_iters: 600,
-                orth,
                 ..Default::default()
             },
             &ring,
@@ -153,7 +148,7 @@ fn tracing_on_off_traces_bit_identical() {
         gmres::solve(&a, &id, &b, &mut x, &opts);
         trace_fingerprint(&ring.events(), &x)
     };
-    let run_gcrodr = |orth| {
+    let run_gcrodr = || {
         let ring = Arc::new(RingRecorder::new(1 << 16));
         let opts = ring_opts(
             SolveOpts {
@@ -161,7 +156,6 @@ fn tracing_on_off_traces_bit_identical() {
                 restart: 30,
                 recycle: 10,
                 max_iters: 5000,
-                orth,
                 ..Default::default()
             },
             &ring,
@@ -174,25 +168,23 @@ fn tracing_on_off_traces_bit_identical() {
     };
 
     aggregates().reset();
-    for orth in [OrthScheme::CholQr, OrthScheme::Imgs] {
-        set_trace_enabled(false);
-        let gmres_off = run_gmres(orth);
-        let gcrodr_off = run_gcrodr(orth);
-        set_trace_enabled(true);
-        let gmres_on = run_gmres(orth);
-        let gcrodr_on = run_gcrodr(orth);
-        set_trace_enabled(false);
-        kryst_obs::span::reset_thread();
+    set_trace_enabled(false);
+    let gmres_off = run_gmres();
+    let gcrodr_off = run_gcrodr();
+    set_trace_enabled(true);
+    let gmres_on = run_gmres();
+    let gcrodr_on = run_gcrodr();
+    set_trace_enabled(false);
+    kryst_obs::span::reset_thread();
 
-        assert_eq!(
-            gmres_off, gmres_on,
-            "tracing perturbed the GMRES iteration trace ({orth:?})"
-        );
-        assert_eq!(
-            gcrodr_off, gcrodr_on,
-            "tracing perturbed the GCRO-DR iteration trace ({orth:?})"
-        );
-    }
+    assert_eq!(
+        gmres_off, gmres_on,
+        "tracing perturbed the GMRES iteration trace"
+    );
+    assert_eq!(
+        gcrodr_off, gcrodr_on,
+        "tracing perturbed the GCRO-DR iteration trace"
+    );
     // And the enabled run actually measured the instrumented kernels.
     let snap = aggregates().snapshot();
     for phase in [

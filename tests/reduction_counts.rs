@@ -278,55 +278,6 @@ fn same_system_setup_span_skips_au_qr() {
     }
 }
 
-/// MGS costs one reduction per basis column (growing with the cycle); CholQR
-/// stays flat at one fused reduction per pass — the §III-A case for CholQR,
-/// read off the event deltas.
-#[test]
-fn mgs_deltas_grow_with_basis_cholqr_stays_flat() {
-    let (a, b) = poisson_setup(24);
-    let n = a.nrows();
-    let id = IdentityPrecond::new(n);
-    let mut per_iter = Vec::new();
-    for orth in [OrthScheme::CholQr, OrthScheme::Mgs] {
-        let ring = Arc::new(RingRecorder::new(8192));
-        let opts = SolveOpts {
-            rtol: 1e-8,
-            restart: 30,
-            orth,
-            stats: Some(CommStats::new_shared()),
-            recorder: Some(ring.clone() as Arc<dyn Recorder>),
-            ..Default::default()
-        };
-        let mut x = DMat::zeros(n, 1);
-        let res = gmres::solve(&a, &id, &b, &mut x, &opts);
-        assert!(res.converged);
-        let events = ring.events();
-        per_iter.push(cumulative_comm(&events).reductions as f64 / res.iterations as f64);
-        // Flat vs growing deltas within one cycle.
-        let iters = iteration_events(&events);
-        let window: Vec<_> = iters
-            .iter()
-            .filter(|e| e.cycle == 0 && e.iter > 0 && e.iter < 10)
-            .collect();
-        let deltas: Vec<u64> = window.iter().map(|e| e.comm.reductions).collect();
-        match orth {
-            OrthScheme::CholQr => {
-                let passes = passes_per_iteration(&events);
-                let want: Vec<u64> = window.iter().map(|e| passes[e.iter]).collect();
-                assert_eq!(deltas, want);
-            }
-            OrthScheme::Mgs => assert!(deltas.windows(2).all(|w| w[1] > w[0]), "{deltas:?}"),
-            _ => unreachable!(),
-        }
-    }
-    assert!(
-        per_iter[1] > 2.0 * per_iter[0],
-        "MGS ({:.1}/it) must dwarf CholQR ({:.1}/it) in synchronizations",
-        per_iter[1],
-        per_iter[0]
-    );
-}
-
 /// The distributed operator's halo traffic: message COUNT is independent of
 /// the number of RHS columns (pseudo-block/block fusion), while the byte
 /// volume scales linearly with p — §V-B2's "MPI buffers are p times bigger".
