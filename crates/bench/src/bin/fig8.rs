@@ -21,7 +21,7 @@
 
 use kryst_bench::{maxwell_oras, rule, time, traced_opts, worst};
 use kryst_core::pseudo::{self, PseudoMethod};
-use kryst_core::{gcrodr, gmres, OrthScheme, PrecondSide, SolveOpts, SolverContext};
+use kryst_core::{gcrodr, gmres, PrecondSide, SolveOpts, SolverContext};
 use kryst_dense::DMat;
 use kryst_pde::maxwell::{antenna_ring_rhs, MaxwellParams};
 use kryst_scalar::{Scalar, C64};
@@ -84,7 +84,6 @@ fn main() {
         restart: 50,
         recycle: 10,
         side: PrecondSide::Right,
-        orth: OrthScheme::CholQr,
         max_iters: 5000,
         same_system: true,
         ..Default::default()

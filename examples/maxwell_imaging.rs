@@ -10,7 +10,7 @@
 //!
 //! Usage: `cargo run --release --example maxwell_imaging [nc] [antennas]`
 
-use kryst_core::{gcrodr, OrthScheme, PrecondSide, SolveOpts, SolverContext};
+use kryst_core::{gcrodr, PrecondSide, SolveOpts, SolverContext};
 use kryst_dense::DMat;
 use kryst_pde::maxwell::{antenna_ring_rhs, maxwell3d, MaxwellParams};
 use kryst_precond::{Schwarz, SchwarzOpts, SchwarzVariant};
@@ -59,7 +59,6 @@ fn main() {
         restart: 50,
         recycle: 10,
         side: PrecondSide::Right,
-        orth: OrthScheme::CholQr,
         same_system: true,
         max_iters: 3000,
         ..Default::default()

@@ -26,7 +26,7 @@
 //!   busiest lane, with the parts and bytes of all of them.
 
 use kryst_core::pseudo::{self, PseudoMethod};
-use kryst_core::{gcrodr, gmres, OrthScheme, RecycleStrategy, SolveOpts, SolverContext};
+use kryst_core::{gcrodr, gmres, RecycleStrategy, SolveOpts, SolverContext};
 use kryst_dense::DMat;
 use kryst_obs::{
     cumulative_comm, diags_of, iteration_events, spans_of, DiagKind, Event, Recorder, RingRecorder,
@@ -87,7 +87,6 @@ fn gmres_cholqr_reduction_count_is_exact() {
     let opts = SolveOpts {
         rtol: 1e-8,
         restart: 20,
-        orth: OrthScheme::CholQr,
         stats: Some(Arc::clone(&stats)),
         recorder: Some(ring.clone() as Arc<dyn Recorder>),
         ..Default::default()
@@ -144,7 +143,6 @@ fn gcrodr_deflated_cycle_count_is_exact() {
         rtol: 1e-8,
         restart: 20,
         recycle: 8,
-        orth: OrthScheme::CholQr,
         same_system: true,
         stats: Some(Arc::clone(&stats)),
         ..Default::default()
@@ -332,7 +330,6 @@ fn fused_reduction_bytes_and_parts_are_exact() {
     let opts = SolveOpts {
         rtol: 1e-8,
         restart: 20,
-        orth: OrthScheme::CholQr,
         stats: Some(CommStats::new_shared()),
         recorder: Some(ring.clone() as Arc<dyn Recorder>),
         ..Default::default()
@@ -375,7 +372,6 @@ fn fused_deflated_cycle_parts_are_exact() {
         rtol: 1e-8,
         restart: 20,
         recycle: k,
-        orth: OrthScheme::CholQr,
         same_system: true,
         ..Default::default()
     };

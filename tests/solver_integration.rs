@@ -1,7 +1,7 @@
 //! Cross-crate integration: solvers × preconditioners × problems.
 
 use kryst_core::pseudo::{self, PseudoMethod};
-use kryst_core::{gcrodr, gmres, lgmres, OrthScheme, PrecondSide, SolveOpts, SolverContext};
+use kryst_core::{gcrodr, gmres, lgmres, PrecondSide, SolveOpts, SolverContext};
 use kryst_dense::DMat;
 use kryst_par::{IdentityPrecond, LinOp, PrecondOp};
 use kryst_pde::elasticity::{elasticity3d, ElasticityOpts};
@@ -119,7 +119,6 @@ fn oras_gmres_maxwell_multiple_antennas() {
         rtol: 1e-8,
         restart: 60,
         max_iters: 600,
-        orth: OrthScheme::CholQr,
         ..Default::default()
     };
     let res = gmres::solve(&prob.a, &oras, &b, &mut x, &opts);
