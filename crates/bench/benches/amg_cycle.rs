@@ -3,7 +3,7 @@
 //! workloads (assembly, hierarchy, one V-cycle), and the multi-RHS apply
 //! benchmarks:
 //! blocked (all p columns per sweep) vs column-at-a-time applies for the
-//! AMG V-cycle and Schwarz/RAS.
+//! AMG V-cycle, level-scheduled ILU(0), and Schwarz/RAS.
 
 use kryst_bench::harness::{BenchmarkId, Criterion};
 use kryst_bench::{criterion_group, criterion_main};
@@ -11,7 +11,7 @@ use kryst_dense::DMat;
 use kryst_par::PrecondOp;
 use kryst_pde::elasticity::{elasticity3d, ElasticityOpts, PAPER_INCLUSIONS};
 use kryst_pde::poisson::poisson2d;
-use kryst_precond::{Amg, AmgOpts, Schwarz, SchwarzOpts, SchwarzVariant, SmootherKind};
+use kryst_precond::{Amg, AmgOpts, Ilu0, Schwarz, SchwarzOpts, SchwarzVariant, SmootherKind};
 use kryst_sparse::partition::partition_rcb;
 
 const P: usize = 8;
@@ -143,6 +143,23 @@ fn bench_workload_shapes(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_ilu(c: &mut Criterion) {
+    // 3-D elasticity: ~81 nonzeros per row gives the level schedule real
+    // rows per level, unlike a 5-point stencil.
+    let ep = elasticity3d::<f64>(&ElasticityOpts::default());
+    let a = &ep.problem.a;
+    let n = a.nrows();
+    let ilu = Ilu0::new(a).expect("ILU(0) on elasticity");
+    let rp = pinned_block(n, P);
+    let mut zp = DMat::zeros(n, P);
+    let mut g = c.benchmark_group("ilu_apply");
+    g.bench_function("levelsched_p8", |bch| bch.iter(|| ilu.apply(&rp, &mut zp)));
+    g.bench_function("columnwise_p8", |bch| {
+        bch.iter(|| apply_columnwise(&ilu, &rp, &mut zp))
+    });
+    g.finish();
+}
+
 fn bench_schwarz(c: &mut Criterion) {
     let prob = poisson2d::<f64>(64, 32);
     let n = prob.a.nrows();
@@ -169,6 +186,6 @@ fn bench_schwarz(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(2));
-    targets = bench_amg, bench_workload_shapes, bench_schwarz
+    targets = bench_amg, bench_workload_shapes, bench_ilu, bench_schwarz
 }
 criterion_main!(benches);

@@ -2,8 +2,8 @@
 //!
 //! Two modes, combinable:
 //!
-//! * `kryst_prof demo <dir>` — run two instrumented solves (GMRES(30) and
-//!   GCRO-DR(30,10) under Jacobi on the Fig. 7 convection–diffusion problem)
+//! * `kryst_prof demo <dir>` — run two instrumented solves (GMRES(30)+ILU(0)
+//!   and GCRO-DR(30,10)+ILU(0) on the Fig. 7 convection–diffusion problem)
 //!   with tracing enabled, writing per-solve artifacts into `<dir>`: the
 //!   JSONL event trace, the span-aggregate snapshot
 //!   (`<label>.profile.json`) and the exact communication counters
@@ -27,7 +27,7 @@ use kryst_par::{
     TransportError, TransportKind, ValidationRow,
 };
 use kryst_pde::poisson::poisson2d;
-use kryst_precond::{Amg, AmgOpts, Jacobi};
+use kryst_precond::{Amg, AmgOpts, Ilu0};
 use kryst_rt::rng::Rng64;
 use kryst_sparse::{Coo, Csr};
 use std::path::{Path, PathBuf};
@@ -118,7 +118,7 @@ fn demo(dir: &Path) {
     std::fs::create_dir_all(dir).expect("create profile dir");
     let a = convdiff2d(32, 0.001, 1.0, 0.3);
     let n = a.nrows();
-    let jacobi = Jacobi::new(&a, 1.0);
+    let ilu = Ilu0::new(&a).expect("ILU(0) on convdiff");
     let plan = HaloPlan::build(&a, &Layout::even(n, DEMO_RANKS));
     kryst_obs::set_trace_enabled(true);
 
@@ -147,14 +147,14 @@ fn demo(dir: &Path) {
             let b2 = DMat::from_fn(n, 1, |_, _| rng2.gen_range(-1.0, 1.0));
             let mut ctx = SolverContext::new();
             let mut x = DMat::zeros(n, 1);
-            let r1 = gcrodr::solve(&dist, &jacobi, &b, &mut x, &opts, &mut ctx);
+            let r1 = gcrodr::solve(&dist, &ilu, &b, &mut x, &opts, &mut ctx);
             let mut x2 = DMat::zeros(n, 1);
-            let r2 = gcrodr::solve(&dist, &jacobi, &b2, &mut x2, &opts, &mut ctx);
+            let r2 = gcrodr::solve(&dist, &ilu, &b2, &mut x2, &opts, &mut ctx);
             assert!(r1.converged && r2.converged, "{label} did not converge");
             r1.iterations + r2.iterations
         } else {
             let mut x = DMat::zeros(n, 1);
-            let r = gmres::solve(&dist, &jacobi, &b, &mut x, &opts);
+            let r = gmres::solve(&dist, &ilu, &b, &mut x, &opts);
             assert!(r.converged, "{label} did not converge");
             r.iterations
         };
@@ -171,8 +171,8 @@ fn demo(dir: &Path) {
         print_imbalance(label, &per_rank_comm(&plan, &snap, DEMO_RANKS));
         eprintln!("  [demo] {label}: {iters} iterations");
     };
-    run("gmres30_jacobi", 0);
-    run("gcrodr30_10_jacobi", 10);
+    run("gmres30_ilu0", 0);
+    run("gcrodr30_10_ilu0", 10);
     amg_demo(dir);
     transport_demo(dir, &a);
     trace_demo(dir);
