@@ -276,63 +276,37 @@ mod tests {
         v
     }
 
-    /// `w` orthogonalized against all of `v` the way the Arnoldi cycle runs
-    /// `scheme`: `(coeffs, r, rank, reductions, reduction_elems)`. The match
-    /// is exhaustive, so a new scheme cannot skip these tests.
-    fn orth_like_the_cycle<S: Scalar>(
-        v: &DMat<S>,
-        w: &mut DMat<S>,
-        scheme: OrthScheme,
-    ) -> (DMat<S>, DMat<S>, usize, usize, usize) {
-        match scheme {
-            OrthScheme::CholQr => {
-                let out = fused_orthogonalize_block(None, v, v.ncols(), w, false, 0.0);
-                let (red, elems) = (out.reductions, out.reduction_elems);
-                (out.coeffs, out.r, out.rank, red, elems)
-            }
-        }
-    }
-
-    fn check_scheme(scheme: OrthScheme) {
+    #[test]
+    fn all_schemes_orthogonalize() {
         let n = 50;
         let v = basis(n, 5);
         let w0 = DMat::from_fn(n, 3, |i, j| ((i * 3 + j * 11) % 23) as f64 - 11.0);
         let mut w = w0.clone();
-        let (coeffs, r, rank, _, _) = orth_like_the_cycle(&v, &mut w, scheme);
-        assert_eq!(rank, 3);
+        let out = fused_orthogonalize_block(None, &v, v.ncols(), &mut w, false, 0.0);
+        assert_eq!(out.rank, 3);
         // VᴴQ ≈ 0
         let c = blas::adjoint_times(&v, &w);
-        assert!(
-            c.max_abs() < 1e-10,
-            "{scheme:?}: basis orthogonality {}",
-            c.max_abs()
-        );
+        assert!(c.max_abs() < 1e-10, "basis orthogonality {}", c.max_abs());
         // QᴴQ ≈ I
         let g = blas::adjoint_times(&w, &w);
         for i in 0..3 {
             for j in 0..3 {
                 let e = if i == j { 1.0 } else { 0.0 };
-                assert!((g[(i, j)] - e).abs() < 1e-10, "{scheme:?}: Gram ({i},{j})");
+                assert!((g[(i, j)] - e).abs() < 1e-10, "Gram ({i},{j})");
             }
         }
         // Reconstruction: W0 = V·C + Q·R
-        let mut rec = matmul(&v, Op::None, &coeffs, Op::None);
-        let qr = matmul(&w, Op::None, &r, Op::None);
+        let mut rec = matmul(&v, Op::None, &out.coeffs, Op::None);
+        let qr = matmul(&w, Op::None, &out.r, Op::None);
         rec.axpy(1.0, &qr);
         for i in 0..n {
             for j in 0..3 {
                 assert!(
                     (rec[(i, j)] - w0[(i, j)]).abs() < 1e-9,
-                    "{scheme:?}: reconstruction ({i},{j})"
+                    "reconstruction ({i},{j})"
                 );
             }
         }
-    }
-
-    #[test]
-    fn all_schemes_orthogonalize() {
-        // Every variant: `orth_like_the_cycle` matches exhaustively.
-        check_scheme(OrthScheme::CholQr);
     }
 
     #[test]
@@ -345,8 +319,8 @@ mod tests {
         let mut w = DMat::<C64>::from_fn(n, 2, |i, j| {
             C64::from_parts(((i * 2 + j) % 9) as f64 - 4.0, (i % 3) as f64)
         });
-        let (_, _, rank, _, _) = orth_like_the_cycle(&vb, &mut w, OrthScheme::CholQr);
-        assert_eq!(rank, 2);
+        let out = fused_orthogonalize_block(None, &vb, vb.ncols(), &mut w, false, 0.0);
+        assert_eq!(out.rank, 2);
         let c = blas::adjoint_times(&vb, &w);
         assert!(c.max_abs() < 1e-10);
     }
@@ -355,12 +329,11 @@ mod tests {
     fn reduction_counts_reflect_scheme() {
         let n = 30;
         let v = basis(n, 4);
-        let w0 = DMat::from_fn(n, 2, |i, j| (i + j) as f64 + 0.5);
-        let mut w = w0.clone();
-        let (.., cholqr, cholqr_elems) = orth_like_the_cycle(&v, &mut w, OrthScheme::CholQr);
+        let mut w = DMat::from_fn(n, 2, |i, j| (i + j) as f64 + 0.5);
+        let out = fused_orthogonalize_block(None, &v, v.ncols(), &mut w, false, 0.0);
         // CholQR: one fused reduction carrying VᴴW and WᴴW.
-        assert_eq!(cholqr, 1);
-        assert_eq!(cholqr_elems, (4 + 2) * 2);
+        assert_eq!(out.reductions, 1);
+        assert_eq!(out.reduction_elems, (4 + 2) * 2);
     }
 
     #[test]
