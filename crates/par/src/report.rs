@@ -394,7 +394,7 @@ mod tests {
             ..Default::default()
         };
         let rep = phase_report(
-            "gmres30+ilu0",
+            "gmres30+jacobi",
             &prof.snapshot(),
             &comm,
             &CostModel::default(),
@@ -402,7 +402,7 @@ mod tests {
             50,
         );
         let text = rep.to_text();
-        assert!(text.contains("gmres30+ilu0"));
+        assert!(text.contains("gmres30+jacobi"));
         assert!(text.contains("spmv"));
         assert!(text.contains("reduction"));
         assert!(text.contains("iterations: 50"));

@@ -11,21 +11,17 @@
 //! * [`amg`] — smoothed-aggregation algebraic multigrid with a strength
 //!   threshold mirroring `-pc_gamg_threshold` and near-nullspace support
 //!   (the GAMG stand-in),
-//! * [`ilu`] — ILU(0), the zero-fill incomplete factorization (§IV-B names
-//!   the fill level as a setup knob recycling lets one relax),
 //! * [`schwarz`] — one-level overlapping Schwarz: ASM, RAS, and the
 //!   optimized ORAS variant of the paper's eq. (6) with impedance interface
 //!   conditions for Maxwell.
 
 pub mod amg;
 pub mod chebyshev;
-pub mod ilu;
 pub mod jacobi;
 pub mod schwarz;
 pub mod smoother;
 
 pub use amg::{Amg, AmgOpts, SmootherKind};
 pub use chebyshev::Chebyshev;
-pub use ilu::Ilu0;
 pub use jacobi::Jacobi;
 pub use schwarz::{Schwarz, SchwarzOpts, SchwarzVariant};

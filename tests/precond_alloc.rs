@@ -38,7 +38,7 @@ use kryst_dense::DMat;
 use kryst_par::{LinOp, PrecondOp};
 use kryst_pde::poisson::poisson2d;
 use kryst_precond::{
-    Amg, AmgOpts, Chebyshev, Ilu0, Jacobi, Schwarz, SchwarzOpts, SchwarzVariant, SmootherKind,
+    Amg, AmgOpts, Chebyshev, Jacobi, Schwarz, SchwarzOpts, SchwarzVariant, SmootherKind,
 };
 use kryst_sparse::partition::partition_rcb;
 
@@ -90,7 +90,6 @@ fn steady_state_applies_do_not_allocate() {
 
     let jacobi = Jacobi::new(a, 0.8);
     let chebyshev = Chebyshev::new(a, 3, 30.0);
-    let ilu = Ilu0::new(a).expect("factorizable");
     let amg = Amg::new(a, prob.near_nullspace.as_ref(), &AmgOpts::default());
     // Inner Krylov smoothers: the Arnoldi basis, the small QR and the CG
     // vectors all live in the hierarchy's scratch.
@@ -129,7 +128,6 @@ fn steady_state_applies_do_not_allocate() {
     for p in [1usize, 4, 8] {
         assert_zero_alloc(&jacobi, p, "jacobi");
         assert_zero_alloc(&chebyshev, p, "chebyshev");
-        assert_zero_alloc(&ilu, p, "ilu0");
         assert_zero_alloc(&amg, p, "amg");
         assert_zero_alloc(&amg_gmres, p, "amg/gmres(3)");
         assert_zero_alloc(&amg_cg, p, "amg/cg(4)");

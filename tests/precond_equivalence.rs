@@ -3,17 +3,16 @@
 //! preconditioner, scalar type, block width, and thread count.
 //!
 //! The blocked paths stream all `p` columns per row/level/sweep and may run
-//! rows of an ILU level (or Schwarz subdomains, or AMG setup products) on
-//! the worker pool — but each output element is produced by the *same*
-//! floating-point operations in the *same* order as the scalar reference,
-//! so equality here is exact, not approximate. Run in CI under both
-//! `KRYST_THREADS=1` and `KRYST_THREADS=4`.
+//! Schwarz subdomains (or AMG setup products) on the worker pool — but each
+//! output element is produced by the *same* floating-point operations in
+//! the *same* order as the scalar reference, so equality here is exact, not
+//! approximate. Run in CI under both `KRYST_THREADS=1` and `KRYST_THREADS=4`.
 
 use kryst_dense::DMat;
 use kryst_par::PrecondOp;
 use kryst_pde::poisson::poisson2d;
 use kryst_precond::{
-    Amg, AmgOpts, Chebyshev, Ilu0, Jacobi, Schwarz, SchwarzOpts, SchwarzVariant, SmootherKind,
+    Amg, AmgOpts, Chebyshev, Jacobi, Schwarz, SchwarzOpts, SchwarzVariant, SmootherKind,
 };
 use kryst_scalar::{Scalar, C64};
 use kryst_sparse::partition::partition_rcb;
@@ -86,45 +85,6 @@ fn chebyshev_blocked_matches_columnwise() {
     check_blocked_matches_columnwise(&Chebyshev::new(&prob.a, 3, 30.0), "chebyshev f64");
     let probc = poisson2d::<C64>(12, 10);
     check_blocked_matches_columnwise(&Chebyshev::new(&probc.a, 3, 30.0), "chebyshev C64");
-}
-
-#[test]
-fn ilu_blocked_matches_columnwise() {
-    // 40×20 grid: 800 rows gives forward/backward levels wider than the
-    // parallel-dispatch threshold, so KRYST_THREADS=4 exercises the pooled
-    // level sweep while KRYST_THREADS=1 exercises the serial one.
-    let prob = poisson2d::<f64>(40, 20);
-    check_blocked_matches_columnwise(&Ilu0::new(&prob.a).expect("factorizable"), "ilu0 f64");
-    let probc = poisson2d::<C64>(14, 10);
-    check_blocked_matches_columnwise(&Ilu0::new(&probc.a).expect("factorizable"), "ilu0 C64");
-}
-
-#[test]
-fn ilu_level_sweep_matches_serial_solve_col() {
-    // The level-scheduled sweep vs the plain row-by-row substitution: the
-    // per-row accumulation order is shared, so even the parallel sweep is
-    // bit-identical to the scalar reference.
-    let prob = poisson2d::<f64>(40, 20);
-    let n = prob.a.nrows();
-    let ilu = Ilu0::new(&prob.a).expect("factorizable");
-    for p in WIDTHS {
-        let r = pinned_rhs::<f64>(n, p);
-        let mut z = DMat::zeros(n, p);
-        ilu.apply(&r, &mut z);
-        let mut out = vec![0.0f64; n];
-        for j in 0..p {
-            ilu.solve_col(r.col(j), &mut out);
-            for i in 0..n {
-                assert_eq!(
-                    z[(i, j)].to_bits(),
-                    out[i].to_bits(),
-                    "p={p} ({i},{j}): sweep {} vs solve_col {}",
-                    z[(i, j)],
-                    out[i]
-                );
-            }
-        }
-    }
 }
 
 #[test]
