@@ -1,4 +1,4 @@
-//! Measure the α–β–γ machine constants on real transports.
+//! Measure the α–β machine constants on real transports.
 //!
 //! Usage: `kryst_calibrate [P] [--backend channel|socket|both] [--reps N]
 //! [--json <path>]`

@@ -7,12 +7,12 @@
 //!   problem) with tracing enabled, writing per-solve artifacts into
 //!   `<dir>`: the JSONL event trace, the span-aggregate snapshot
 //!   (`<label>.profile.json`) and the exact communication counters
-//!   (`<label>.comm.json`). It prints the per-rank imbalance of each solve's
-//!   counters and the wire counters of each transport world as it goes.
+//!   (`<label>.comm.json`). It prints the wire counters of each transport
+//!   world as it goes.
 //! * `kryst_prof report <dir>` — consume those artifacts and print the
 //!   paper-style per-phase breakdown: measured local wall time per span
-//!   kind, iterations (counted from the JSONL trace), and α–β–γ modeled
-//!   comm/compute time at the paper's rank counts.
+//!   kind, iterations (counted from the JSONL trace), and α–β modeled
+//!   reduction time at the paper's rank counts.
 //!
 //! With no mode argument it runs `demo` then `report` on
 //! `target/kryst-prof` (or the directory given as the only argument).
@@ -22,9 +22,9 @@ use kryst_dense::DMat;
 use kryst_obs::json::JsonValue;
 use kryst_obs::{aggregates, JsonlRecorder, ProfileSnapshot, Recorder, WireSnapshot};
 use kryst_par::{
-    calibration_table, comm_from_json, comm_to_json, per_rank_comm, phase_report, validation_table,
-    Calibration, CommSnapshot, CommStats, CostModel, DistOp, HaloPlan, Layout, SpmdWorld,
-    TransportError, TransportKind, ValidationRow,
+    calibration_table, comm_from_json, comm_to_json, phase_report, validation_table, Calibration,
+    CommSnapshot, CommStats, CostModel, HaloPlan, Layout, SpmdWorld, TransportError, TransportKind,
+    ValidationRow,
 };
 use kryst_pde::poisson::poisson2d;
 use kryst_precond::{Amg, AmgOpts, Jacobi};
@@ -34,7 +34,6 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 const RANKS: [usize; 5] = [512, 1024, 2048, 4096, 8192];
-const DEMO_RANKS: usize = 8;
 
 /// The Fig. 7 benchmark operator: 2-D convection–diffusion, first-order
 /// upwind convection.
@@ -68,50 +67,30 @@ fn write_file(path: &Path, content: &str) {
     std::fs::write(path, content).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
 }
 
-/// Max/min/avg over ranks of each per-rank counter.
-fn print_spread(title: &str, fields: &[(&str, Vec<u64>)]) {
-    println!("{title}:");
+/// Max/min/avg over ranks of the wire counters every rank of a transport
+/// world measured.
+fn print_wire(backend: &str, wires: &[WireSnapshot]) {
+    println!("wire counters ({backend}, P = {}):", wires.len());
     println!(
         "  {:<16} {:>14} {:>14} {:>16}",
         "counter", "max", "min", "avg"
     );
-    for (name, per_rank) in fields {
-        let max = per_rank.iter().max().copied().unwrap_or(0);
-        let min = per_rank.iter().min().copied().unwrap_or(0);
-        let avg = per_rank.iter().sum::<u64>() as f64 / per_rank.len().max(1) as f64;
+    type Get = fn(&WireSnapshot) -> u64;
+    let fields: [(&str, Get); 6] = [
+        ("msgs_sent", |w| w.msgs_sent),
+        ("bytes_sent", |w| w.bytes_sent),
+        ("msgs_recv", |w| w.msgs_recv),
+        ("bytes_recv", |w| w.bytes_recv),
+        ("send_ns", |w| w.send_ns),
+        ("recv_ns", |w| w.recv_ns),
+    ];
+    for (name, get) in fields {
+        let max = wires.iter().map(get).max().unwrap_or(0);
+        let min = wires.iter().map(get).min().unwrap_or(0);
+        let avg = wires.iter().map(get).sum::<u64>() as f64 / wires.len().max(1) as f64;
         println!("  {name:<16} {max:>14} {min:>14} {avg:>16.1}");
     }
     println!();
-}
-
-/// The per-rank imbalance of one solve's counters, split by the halo plan.
-fn print_imbalance(label: &str, snaps: &[CommSnapshot]) {
-    let field = |get: fn(&CommSnapshot) -> u64| snaps.iter().map(get).collect();
-    print_spread(
-        &format!("per-rank imbalance ({label}, P = {})", snaps.len()),
-        &[
-            ("p2p_messages", field(|s| s.p2p_messages)),
-            ("p2p_bytes", field(|s| s.p2p_bytes)),
-            ("fused_parts", field(|s| s.fused_parts)),
-            ("reductions", field(|s| s.reductions)),
-        ],
-    );
-}
-
-/// The wire counters every rank of a transport world measured.
-fn print_wire(backend: &str, wires: &[WireSnapshot]) {
-    let field = |get: fn(&WireSnapshot) -> u64| wires.iter().map(get).collect();
-    print_spread(
-        &format!("wire counters ({backend}, P = {})", wires.len()),
-        &[
-            ("msgs_sent", field(|w| w.msgs_sent)),
-            ("bytes_sent", field(|w| w.bytes_sent)),
-            ("msgs_recv", field(|w| w.msgs_recv)),
-            ("bytes_recv", field(|w| w.bytes_recv)),
-            ("send_ns", field(|w| w.send_ns)),
-            ("recv_ns", field(|w| w.recv_ns)),
-        ],
-    );
 }
 
 fn demo(dir: &Path) {
@@ -119,12 +98,10 @@ fn demo(dir: &Path) {
     let a = convdiff2d(32, 0.001, 1.0, 0.3);
     let n = a.nrows();
     let jacobi = Jacobi::new(&a, 1.0);
-    let plan = HaloPlan::build(&a, &Layout::even(n, DEMO_RANKS));
     kryst_obs::set_trace_enabled(true);
 
     let run = |label: &str, recycle: usize| {
         let stats = CommStats::new_shared();
-        let dist = DistOp::new(a.clone(), DEMO_RANKS, Arc::clone(&stats));
         let trace = dir.join(format!("{label}.jsonl"));
         let rec = JsonlRecorder::create(&trace)
             .unwrap_or_else(|e| panic!("open {}: {e}", trace.display()));
@@ -147,28 +124,26 @@ fn demo(dir: &Path) {
             let b2 = DMat::from_fn(n, 1, |_, _| rng2.gen_range(-1.0, 1.0));
             let mut ctx = SolverContext::new();
             let mut x = DMat::zeros(n, 1);
-            let r1 = gcrodr::solve(&dist, &jacobi, &b, &mut x, &opts, &mut ctx);
+            let r1 = gcrodr::solve(&a, &jacobi, &b, &mut x, &opts, &mut ctx);
             let mut x2 = DMat::zeros(n, 1);
-            let r2 = gcrodr::solve(&dist, &jacobi, &b2, &mut x2, &opts, &mut ctx);
+            let r2 = gcrodr::solve(&a, &jacobi, &b2, &mut x2, &opts, &mut ctx);
             assert!(r1.converged && r2.converged, "{label} did not converge");
             r1.iterations + r2.iterations
         } else {
             let mut x = DMat::zeros(n, 1);
-            let r = gmres::solve(&dist, &jacobi, &b, &mut x, &opts);
+            let r = gmres::solve(&a, &jacobi, &b, &mut x, &opts);
             assert!(r.converged, "{label} did not converge");
             r.iterations
         };
         drop(opts); // flush the JSONL trace
-        let snap = stats.snapshot();
         write_file(
             &dir.join(format!("{label}.profile.json")),
             &aggregates().snapshot().to_json(),
         );
         write_file(
             &dir.join(format!("{label}.comm.json")),
-            &comm_to_json(&snap),
+            &comm_to_json(&stats.snapshot()),
         );
-        print_imbalance(label, &per_rank_comm(&plan, &snap, DEMO_RANKS));
         eprintln!("  [demo] {label}: {iters} iterations");
     };
     run("gmres30_jacobi", 0);
@@ -183,7 +158,7 @@ fn demo(dir: &Path) {
 /// socket backend (real OS processes) spawns quickly in CI.
 const CAL_RANKS: usize = 4;
 
-/// The transport calibration + validation pass: measure the α–β–γ machine
+/// The transport calibration + validation pass: measure the α–β machine
 /// constants on each backend ([`Calibration::measure`]), then replay the
 /// demo's per-iteration communication pattern — one fused 30-double Gram
 /// all-reduce and one halo exchange of the Fig. 7 operator — on the *live*
@@ -214,7 +189,7 @@ fn transport_demo(dir: &Path, a: &Csr<f64>) {
                 reduction_bytes: 30 * 8,
                 ..Default::default()
             };
-            let ar_modeled = model.time(&snap, CAL_RANKS).reduction;
+            let ar_modeled = model.reduction_time(&snap, CAL_RANKS);
             rows.push(ValidationRow {
                 what: "allreduce(30)/iter".to_string(),
                 backend: cal.backend.clone(),
@@ -224,12 +199,7 @@ fn transport_demo(dir: &Path, a: &Csr<f64>) {
             });
 
             let halo_measured = world.halo(&plan, 1, reps)?.as_secs_f64() / reps as f64;
-            let snap = CommSnapshot {
-                p2p_messages: plan.messages_per_exchange as u64,
-                p2p_bytes: plan.bytes_per_exchange(1, 8) as u64,
-                ..Default::default()
-            };
-            let halo_modeled = model.time(&snap, CAL_RANKS).p2p;
+            let halo_modeled = model.halo_time(&plan, 1, 8);
             rows.push(ValidationRow {
                 what: "halo(spmv)/iter".to_string(),
                 backend: cal.backend.clone(),
@@ -347,33 +317,13 @@ fn report_transport(dir: &Path) {
         eprintln!("  [report] unparseable calibration.json, skipped");
         return;
     };
-    let mut cals = Vec::new();
-    for e in v
+    let cals: Vec<Calibration> = v
         .get("calibrations")
         .and_then(JsonValue::as_array)
         .unwrap_or(&[])
-    {
-        let (Some(backend), Some(nranks)) = (
-            e.get("backend").and_then(JsonValue::as_str),
-            e.get("nranks").and_then(JsonValue::as_usize),
-        ) else {
-            continue;
-        };
-        let f = |k: &str| e.get(k).and_then(JsonValue::as_f64);
-        let (Some(alpha_msg), Some(alpha_reduce), Some(beta), Some(gamma)) =
-            (f("alpha_msg"), f("alpha_reduce"), f("beta"), f("gamma"))
-        else {
-            continue;
-        };
-        cals.push(Calibration {
-            backend: backend.to_string(),
-            nranks,
-            alpha_msg,
-            alpha_reduce,
-            beta,
-            gamma,
-        });
-    }
+        .iter()
+        .filter_map(Calibration::from_json_value)
+        .collect();
     let mut rows = Vec::new();
     for e in v
         .get("validation")
@@ -434,7 +384,6 @@ fn amg_demo(dir: &Path) {
         },
     );
     let stats = CommStats::new_shared();
-    let dist = DistOp::new(prob.a.clone(), DEMO_RANKS, Arc::clone(&stats));
     let label = "gmres30_amg";
     let trace = dir.join(format!("{label}.jsonl"));
     let rec =
@@ -450,7 +399,7 @@ fn amg_demo(dir: &Path) {
     let mut rng = Rng64::seed_from_u64(44);
     let b = DMat::from_fn(n, 1, |_, _| rng.gen_range(-1.0, 1.0));
     let mut x = DMat::zeros(n, 1);
-    let r = gmres::solve(&dist, &amg, &b, &mut x, &opts);
+    let r = gmres::solve(&prob.a, &amg, &b, &mut x, &opts);
     assert!(r.converged, "{label} did not converge");
     drop(opts);
     write_file(
@@ -461,8 +410,6 @@ fn amg_demo(dir: &Path) {
         &dir.join(format!("{label}.comm.json")),
         &comm_to_json(&stats.snapshot()),
     );
-    let plan = HaloPlan::build(&prob.a, &Layout::even(n, DEMO_RANKS));
-    print_imbalance(label, &per_rank_comm(&plan, &stats.snapshot(), DEMO_RANKS));
     eprintln!("  [demo] {label}: {} iterations", r.iterations);
 }
 

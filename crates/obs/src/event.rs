@@ -9,7 +9,7 @@
 use crate::span::SpanKind;
 use std::ops::{Add, AddAssign};
 
-/// The instrumented communication counters (`kryst_par::CommStats`), as a
+/// The instrumented reduction counters (`kryst_par::CommStats`), as a
 /// point-in-time copy or as the change between two of them
 /// ([`CommSnapshot::since`]); events carry the change.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -21,15 +21,6 @@ pub struct CommSnapshot {
     /// Logically separate products batched into the recorded reductions
     /// (a fused `[CᴴW; VᴴW; WᴴW]` reduction counts 1 reduction, 3 parts).
     pub fused_parts: u64,
-    /// Point-to-point messages (summed over all ranks).
-    pub p2p_messages: u64,
-    /// Point-to-point payload bytes (summed over all ranks).
-    pub p2p_bytes: u64,
-    /// Local floating-point operations (summed over all ranks).
-    pub flops: u64,
-    /// Portion of `flops` overlappable with in-flight halo messages
-    /// (interior SpMM work done while the exchange is on the wire).
-    pub overlap_flops: u64,
 }
 
 impl CommSnapshot {
@@ -39,10 +30,6 @@ impl CommSnapshot {
             reductions: self.reductions - earlier.reductions,
             reduction_bytes: self.reduction_bytes - earlier.reduction_bytes,
             fused_parts: self.fused_parts - earlier.fused_parts,
-            p2p_messages: self.p2p_messages - earlier.p2p_messages,
-            p2p_bytes: self.p2p_bytes - earlier.p2p_bytes,
-            flops: self.flops - earlier.flops,
-            overlap_flops: self.overlap_flops - earlier.overlap_flops,
         }
     }
 }
@@ -54,10 +41,6 @@ impl Add for CommSnapshot {
             reductions: self.reductions + o.reductions,
             reduction_bytes: self.reduction_bytes + o.reduction_bytes,
             fused_parts: self.fused_parts + o.fused_parts,
-            p2p_messages: self.p2p_messages + o.p2p_messages,
-            p2p_bytes: self.p2p_bytes + o.p2p_bytes,
-            flops: self.flops + o.flops,
-            overlap_flops: self.overlap_flops + o.overlap_flops,
         }
     }
 }
@@ -248,28 +231,16 @@ mod tests {
             reductions: 1,
             reduction_bytes: 8,
             fused_parts: 3,
-            p2p_messages: 2,
-            p2p_bytes: 64,
-            flops: 100,
-            overlap_flops: 60,
         };
         let b = CommSnapshot {
             reductions: 3,
             reduction_bytes: 16,
             fused_parts: 0,
-            p2p_messages: 1,
-            p2p_bytes: 32,
-            flops: 50,
-            overlap_flops: 10,
         };
         let c = a + b;
         assert_eq!(c.reductions, 4);
         assert_eq!(c.reduction_bytes, 24);
         assert_eq!(c.fused_parts, 3);
-        assert_eq!(c.p2p_messages, 3);
-        assert_eq!(c.p2p_bytes, 96);
-        assert_eq!(c.flops, 150);
-        assert_eq!(c.overlap_flops, 70);
         let mut d = a;
         d += b;
         assert_eq!(d, c);

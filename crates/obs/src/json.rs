@@ -91,16 +91,12 @@ pub fn event_to_json(ev: &Event) -> String {
     s
 }
 
-/// The seven counters as `"<name>_<suffix>":<value>` fields.
+/// The three counters as `"<name>_<suffix>":<value>` fields.
 fn push_comm_fields(s: &mut String, c: &CommSnapshot, suffix: &str) {
     let fields = [
         ("reductions", c.reductions),
         ("reduction_bytes", c.reduction_bytes),
         ("fused_parts", c.fused_parts),
-        ("p2p", c.p2p_messages),
-        ("p2p_bytes", c.p2p_bytes),
-        ("flops", c.flops),
-        ("overlap_flops", c.overlap_flops),
     ];
     for (i, (name, v)) in fields.iter().enumerate() {
         let sep = if i > 0 { "," } else { "" };
@@ -527,10 +523,6 @@ mod tests {
                 reductions: 3,
                 reduction_bytes: 72,
                 fused_parts: 6,
-                p2p_messages: 14,
-                p2p_bytes: 4096,
-                flops: 12345,
-                overlap_flops: 2345,
             },
             breakdown_rank: Some(1),
             wall_ns: 9876,
@@ -543,8 +535,7 @@ mod tests {
         assert_eq!(v.get("iter").unwrap().as_usize(), Some(37));
         assert_eq!(v.get("reductions_delta").unwrap().as_usize(), Some(3));
         assert_eq!(v.get("fused_parts_delta").unwrap().as_usize(), Some(6));
-        assert_eq!(v.get("overlap_flops_delta").unwrap().as_usize(), Some(2345));
-        assert_eq!(v.get("p2p_delta").unwrap().as_usize(), Some(14));
+        assert_eq!(v.get("reduction_bytes_delta").unwrap().as_usize(), Some(72));
         assert_eq!(v.get("breakdown_rank").unwrap().as_usize(), Some(1));
         let res = v.get("per_rhs_residuals").unwrap().as_array().unwrap();
         assert_eq!(res[0].as_f64(), Some(1.5e-3));

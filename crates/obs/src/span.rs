@@ -67,8 +67,8 @@ pub enum SpanKind {
     /// low 32 bits = stage count, bit 32 set for split-phase); also the
     /// projected operator's Gram product.
     Reduction,
-    /// One halo exchange (`detail` = scalar entries received), or the
-    /// boundary rows a distributed SpMM finishes after it.
+    /// One halo exchange on a live world (`detail` = scalar entries
+    /// received).
     Halo,
     /// One preconditioner application.
     PrecondApply,

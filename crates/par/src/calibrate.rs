@@ -1,6 +1,6 @@
 //! Measured machine constants for the cost model.
 //!
-//! The α–β–γ model in [`crate::cost`] ships with *assumed* Curie-like
+//! The α–β model in [`crate::cost`] ships with *assumed* Curie-like
 //! constants; this module measures them on an actual [`SpmdWorld`] — either
 //! backend — with the two textbook microbenchmarks:
 //!
@@ -9,9 +9,9 @@
 //!   small one gives the bandwidth (`beta` = extra bytes / extra time);
 //! * **all-reduce**: a small butterfly all-reduce divided by its stage count
 //!   ([`crate::spmd::reduce_stages`]) gives the per-stage reduction latency
-//!   (`alpha_reduce`);
+//!   (`alpha_reduce`).
 //!
-//! plus a local daxpy sweep for the compute rate `gamma`. Feed the result to
+//! Feed the result to
 //! [`CostModel::calibrated`](crate::cost::CostModel::calibrated) and the
 //! strong-scaling projections are anchored to wire reality instead of
 //! assumptions — the measured-vs-modeled table `kryst_prof` prints.
@@ -38,8 +38,6 @@ pub struct Calibration {
     /// Link bandwidth (bytes/second) from the large-vs-small ping-pong
     /// difference.
     pub beta: f64,
-    /// Local compute rate (flops/second) from a daxpy sweep.
-    pub gamma: f64,
 }
 
 fn positive_or(v: f64, fallback: f64) -> f64 {
@@ -80,15 +78,12 @@ impl Calibration {
         let t_reduce = world.all_reduce(8, reps)?.as_secs_f64() / reps as f64;
         let alpha_reduce = positive_or(t_reduce / stages, defaults.alpha_reduce);
 
-        let gamma = positive_or(measure_gamma(), defaults.gamma);
-
         Ok(Calibration {
             backend: world.kind().name().to_string(),
             nranks: world.nranks(),
             alpha_msg,
             alpha_reduce,
             beta,
-            gamma,
         })
     }
 
@@ -101,7 +96,6 @@ impl Calibration {
             ("alpha_msg", self.alpha_msg.into()),
             ("alpha_reduce", self.alpha_reduce.into()),
             ("beta", self.beta.into()),
-            ("gamma", self.gamma.into()),
         ])
     }
 
@@ -110,40 +104,22 @@ impl Calibration {
         self.to_json_value().to_json()
     }
 
-    /// Parse a [`Calibration::to_json`] document. `None` on malformed input.
-    pub fn from_json(src: &str) -> Option<Self> {
-        let v = JsonValue::parse(src).ok()?;
+    /// Read back a [`Calibration::to_json_value`] object. `None` when a
+    /// field is missing or of the wrong type.
+    pub fn from_json_value(v: &JsonValue) -> Option<Self> {
         Some(Calibration {
             backend: v.get("backend")?.as_str()?.to_string(),
             nranks: v.get("nranks")?.as_usize()?,
             alpha_msg: v.get("alpha_msg")?.as_f64()?,
             alpha_reduce: v.get("alpha_reduce")?.as_f64()?,
             beta: v.get("beta")?.as_f64()?,
-            gamma: v.get("gamma")?.as_f64()?,
         })
     }
-}
 
-/// Local compute rate from a daxpy sweep over an L2-busting vector.
-fn measure_gamma() -> f64 {
-    let n = 1 << 20;
-    let x: Vec<f64> = (0..n).map(|i| (i % 17) as f64 * 0.25).collect();
-    let mut y = vec![1.0f64; n];
-    // Warmup pass.
-    for (yi, xi) in y.iter_mut().zip(&x) {
-        *yi += 1.000001 * *xi;
+    /// Parse a [`Calibration::to_json`] document. `None` on malformed input.
+    pub fn from_json(src: &str) -> Option<Self> {
+        Self::from_json_value(&JsonValue::parse(src).ok()?)
     }
-    let passes = 8;
-    let t0 = std::time::Instant::now();
-    for k in 0..passes {
-        let a = 1.0 + (k as f64 + 1.0) * 1e-9;
-        for (yi, xi) in y.iter_mut().zip(&x) {
-            *yi += a * *xi;
-        }
-    }
-    let secs = t0.elapsed().as_secs_f64();
-    std::hint::black_box(&y);
-    (2 * n * passes) as f64 / secs
 }
 
 #[cfg(test)]
@@ -159,7 +135,6 @@ mod tests {
             alpha_msg: 1.25e-6,
             alpha_reduce: 2.5e-6,
             beta: 3.1e9,
-            gamma: 7.2e9,
         };
         assert_eq!(Calibration::from_json(&c.to_json()), Some(c));
         assert_eq!(Calibration::from_json("{\"backend\":\"x\"}"), None);
@@ -174,7 +149,6 @@ mod tests {
             ("alpha_msg", c.alpha_msg),
             ("alpha_reduce", c.alpha_reduce),
             ("beta", c.beta),
-            ("gamma", c.gamma),
         ] {
             assert!(v.is_finite() && v > 0.0, "{name} = {v}");
         }

@@ -1,25 +1,22 @@
-//! Instrumented communication counters.
+//! Instrumented reduction counters.
 //!
-//! Every kernel that would communicate in a distributed run reports here:
-//! global reductions (dot products, Gram matrices, norms — the quantity the
-//! paper's §III-D analyses), point-to-point messages (halo exchanges of
-//! SpMM), and local floating-point work. Counters are atomics with relaxed
-//! ordering — they are statistics, not synchronization.
+//! Every solver kernel that would make a global reduction in a distributed
+//! run (dot products, Gram matrices, norms — the quantity the paper's §III-D
+//! analyses) reports it here. Halo traffic is not counted here: it is
+//! measured on the wire by [`crate::HaloPlan::execute`] on a live world.
+//! Counters are atomics with relaxed ordering — they are statistics, not
+//! synchronization.
 
 pub use kryst_obs::CommSnapshot;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Shared communication/work counters.
+/// Shared reduction counters.
 #[derive(Debug, Default)]
 pub struct CommStats {
     reductions: AtomicU64,
     reduction_bytes: AtomicU64,
     fused_parts: AtomicU64,
-    p2p_messages: AtomicU64,
-    p2p_bytes: AtomicU64,
-    flops: AtomicU64,
-    overlap_flops: AtomicU64,
 }
 
 impl CommStats {
@@ -55,39 +52,12 @@ impl CommStats {
             .fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
-    /// Record a halo exchange: `messages` point-to-point sends moving `bytes`
-    /// in total.
-    #[inline]
-    pub fn record_p2p(&self, messages: usize, bytes: usize) {
-        self.p2p_messages
-            .fetch_add(messages as u64, Ordering::Relaxed);
-        self.p2p_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-    }
-
-    /// Record local floating-point work.
-    #[inline]
-    pub fn record_flops(&self, flops: usize) {
-        self.flops.fetch_add(flops as u64, Ordering::Relaxed);
-    }
-
-    /// Record the portion of already-counted flops that can hide behind an
-    /// in-flight halo exchange (interior rows of an overlapped SpMM).
-    #[inline]
-    pub fn record_overlap_flops(&self, flops: usize) {
-        self.overlap_flops
-            .fetch_add(flops as u64, Ordering::Relaxed);
-    }
-
     /// Copy out the counters.
     pub fn snapshot(&self) -> CommSnapshot {
         CommSnapshot {
             reductions: self.reductions.load(Ordering::Relaxed),
             reduction_bytes: self.reduction_bytes.load(Ordering::Relaxed),
             fused_parts: self.fused_parts.load(Ordering::Relaxed),
-            p2p_messages: self.p2p_messages.load(Ordering::Relaxed),
-            p2p_bytes: self.p2p_bytes.load(Ordering::Relaxed),
-            flops: self.flops.load(Ordering::Relaxed),
-            overlap_flops: self.overlap_flops.load(Ordering::Relaxed),
         }
     }
 
@@ -96,10 +66,6 @@ impl CommStats {
         self.reductions.store(0, Ordering::Relaxed);
         self.reduction_bytes.store(0, Ordering::Relaxed);
         self.fused_parts.store(0, Ordering::Relaxed);
-        self.p2p_messages.store(0, Ordering::Relaxed);
-        self.p2p_bytes.store(0, Ordering::Relaxed);
-        self.flops.store(0, Ordering::Relaxed);
-        self.overlap_flops.store(0, Ordering::Relaxed);
     }
 }
 
@@ -160,13 +126,9 @@ mod tests {
         let s = CommStats::new_shared();
         s.record_reduction(64);
         s.record_reduction(8);
-        s.record_p2p(4, 4096);
-        s.record_flops(1000);
         let snap = s.snapshot();
         assert_eq!(snap.reductions, 2);
         assert_eq!(snap.reduction_bytes, 72);
-        assert_eq!(snap.p2p_messages, 4);
-        assert_eq!(snap.flops, 1000);
         s.reset();
         assert_eq!(s.snapshot(), CommSnapshot::default());
     }
@@ -177,18 +139,13 @@ mod tests {
         // Three products batched into ONE reduction: 1 latency charge,
         // 3 parts, summed payload.
         s.record_fused_reductions(1, 3, 24 + 40 + 16);
-        s.record_overlap_flops(500);
-        s.record_flops(800);
         let snap = s.snapshot();
         assert_eq!(snap.reductions, 1);
         assert_eq!(snap.fused_parts, 3);
         assert_eq!(snap.reduction_bytes, 80);
-        assert_eq!(snap.flops, 800);
-        assert_eq!(snap.overlap_flops, 500);
-        // New fields participate in since/reset like the rest.
+        // The fused-part count participates in since/reset like the rest.
         let d = s.snapshot().since(&CommSnapshot::default());
         assert_eq!(d.fused_parts, 3);
-        assert_eq!(d.overlap_flops, 500);
         s.reset();
         assert_eq!(s.snapshot(), CommSnapshot::default());
     }
@@ -198,12 +155,12 @@ mod tests {
         let s = CommStats::new_shared();
         s.record_reduction(8);
         let a = s.snapshot();
-        s.record_reduction(8);
-        s.record_p2p(1, 100);
+        s.record_fused_reductions(1, 2, 100);
         let b = s.snapshot();
         let d = b.since(&a);
         assert_eq!(d.reductions, 1);
-        assert_eq!(d.p2p_messages, 1);
+        assert_eq!(d.fused_parts, 2);
+        assert_eq!(d.reduction_bytes, 100);
     }
 
     #[test]
@@ -213,12 +170,11 @@ mod tests {
         s.record_reductions(3, 24);
         let d1 = iv.take();
         assert_eq!(d1.reductions, 3);
-        s.record_reduction(8);
-        s.record_p2p(2, 128);
+        s.record_fused_reductions(1, 2, 128);
         assert_eq!(iv.peek().reductions, 1);
         let d2 = iv.take();
         assert_eq!(d2.reductions, 1);
-        assert_eq!(d2.p2p_messages, 2);
+        assert_eq!(d2.fused_parts, 2);
         // Deltas tile the stream: their sum is the absolute total.
         assert_eq!(d1.reductions + d2.reductions, s.snapshot().reductions);
         assert_eq!(iv.take(), CommSnapshot::default());

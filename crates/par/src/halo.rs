@@ -3,8 +3,8 @@
 //! For a block-row distributed sparse matrix, each SpMV/SpMM requires every
 //! rank to receive the off-rank vector entries its rows reference. This
 //! module computes the exact communication pattern — which pairs of ranks
-//! exchange, and how many entries — so the instrumented operator can report
-//! exact message/byte counts to the cost model.
+//! exchange, and how many entries — which [`HaloPlan::execute`] moves over a
+//! live transport and the cost model charges.
 
 #![allow(clippy::needless_range_loop)] // index loops mirror the BLAS/LAPACK reference forms
 

@@ -7,14 +7,14 @@
 //!
 //! * [`layout::Layout`] — contiguous row distributions over `N` ranks,
 //! * [`halo`] — halo-exchange plans derived from the matrix sparsity, giving
-//!   exact per-SpMM message and byte counts,
+//!   exact per-SpMM message and byte counts, executed on a live world by
+//!   [`halo::HaloPlan::execute`],
 //! * [`comm::CommStats`] — atomic counters every solver kernel reports its
-//!   collectives to (the quantities §III-D of the paper reasons about),
-//! * [`cost::CostModel`] — an α–β–γ (latency–bandwidth–compute) model that
-//!   converts those counts into modeled times for any rank count,
+//!   global reductions to (the quantity §III-D of the paper reasons about),
+//! * [`cost::CostModel`] — an α–β (latency–bandwidth) model that converts
+//!   reduction counts and a halo plan into modeled times for any rank count,
 //! * [`op`] — the operator/preconditioner abstraction shared by `kryst-core`
-//!   and `kryst-precond`, including the instrumented distributed operator
-//!   [`op::DistOp`],
+//!   and `kryst-precond`,
 //! * [`transport`] — the [`transport::Transport`] trait with two backends:
 //!   the in-process channel mesh (default) and a socket mesh between real OS
 //!   worker processes ([`TransportKind::Socket`]), both reporting wire-level
@@ -45,13 +45,13 @@ pub mod transport;
 
 pub use calibrate::Calibration;
 pub use comm::{CommInterval, CommSnapshot, CommStats};
-pub use cost::{CostModel, ModeledTime};
+pub use cost::CostModel;
 pub use halo::HaloPlan;
 pub use layout::Layout;
-pub use op::{DistOp, IdentityPrecond, LinOp, PrecondOp, PrecondPrecision};
+pub use op::{IdentityPrecond, LinOp, PrecondOp, PrecondPrecision};
 pub use report::{
-    calibration_table, comm_from_json, comm_to_json, per_rank_comm, phase_report, validation_table,
-    ModeledRow, PhaseReport, PhaseRow, ValidationRow,
+    calibration_table, comm_from_json, comm_to_json, phase_report, validation_table, ModeledRow,
+    PhaseReport, PhaseRow, ValidationRow,
 };
 pub use spmd::{maybe_primitive_worker, reduce_stages, run_spmd, SpmdRun, SpmdWorld};
 pub use trace::{gather_timeline, SPLIT_PHASE_BIT};

@@ -148,18 +148,16 @@ unsafe fn add_entry<S: Scalar>(
     }
 }
 
-/// Rows `row(r0..r1)` of one block of `nb ≤ SPMM_COLS` columns starting at
+/// Rows `r0..r1` of one block of `nb ≤ SPMM_COLS` columns starting at
 /// column `jb`; see [`sweep_rows`], whose contract this inherits. `W` is `nb`
 /// where that is a literal and 0 where it is not. Never inlined: each width
 /// is a function of its own, so the single-column loop over 5-point rows is
 /// not allocated registers together with the 16-accumulator block loop.
 #[inline(never)]
-#[allow(clippy::too_many_arguments)]
 unsafe fn sweep_block<S: Scalar, const W: usize>(
     (indptr, indices, data): (&[usize], &[usize], &[S]),
     (x, xn): (&[S], usize),
     (y, n): (SendPtr<S>, usize),
-    row: &impl Fn(usize) -> usize,
     fin: &impl Fn(usize, S) -> S,
     (r0, r1): (usize, usize),
     (jb, nb): (usize, usize),
@@ -167,8 +165,7 @@ unsafe fn sweep_block<S: Scalar, const W: usize>(
     let nb = if W == 0 { nb } else { W };
     let x = (x[jb * xn..].as_ptr(), xn);
     let at = |k: usize| (*data.get_unchecked(k), *indices.get_unchecked(k));
-    for r in r0..r1 {
-        let i = row(r);
+    for i in r0..r1 {
         // Checked: a row that is out of range panics here, before the write.
         let (lo, hi) = (indptr[i], indptr[i + 1]);
         let mut even = [S::zero(); SPMM_COLS];
@@ -198,12 +195,12 @@ unsafe fn sweep_block<S: Scalar, const W: usize>(
     }
 }
 
-/// `y[j·n + i] ⟵ fin(j·n + i, Σ_k a_ik·x[j·xn + c_k])` for the rows
-/// `i = row(r)`, `r < count`, and every column `j < p` of the column-major
-/// `x` (`xn` rows) and `y` (`n` rows): the row loop under every sweep of
-/// [`Csr`] but the single-vector ones of a node-blocked matrix
-/// ([`sweep_node_blocks`]). The matrix is read once per block of
-/// [`SPMM_COLS`] columns; threads take one contiguous range of `r` each.
+/// `y[j·n + i] ⟵ fin(j·n + i, Σ_k a_ik·x[j·xn + c_k])` for every row
+/// `i < n` and every column `j < p` of the column-major `x` (`xn` rows) and
+/// `y` (`n` rows): the row loop under every sweep of [`Csr`] but the
+/// single-vector ones of a node-blocked matrix ([`sweep_node_blocks`]). The
+/// matrix is read once per block of [`SPMM_COLS`] columns; threads take one
+/// contiguous range of rows each.
 ///
 /// **Summation rule.** A row of fewer than [`TWO_LANE_LEN`] stored entries
 /// is summed in index order. A longer one adds the products at even
@@ -211,18 +208,16 @@ unsafe fn sweep_block<S: Scalar, const W: usize>(
 /// a second, each in index order, and returns `even + odd`: two independent
 /// add chains where one would wait out the add latency at every entry. The
 /// rule looks at one row and one column only, so a value depends neither on
-/// `p`, nor on the thread count, nor on which rows were asked for.
+/// `p` nor on the thread count.
 ///
 /// # Safety
 /// `indptr` must not decrease and must end at `indices.len() == data.len()`,
-/// and every stored column index must be `< xn`; `row` must not name a row
-/// twice.
+/// and every stored column index must be `< xn`.
 unsafe fn sweep_rows<S: Scalar>(
     arrays: (&[usize], &[usize], &[S]),
     (x, xn): (&[S], usize),
     (y, n): (&mut [S], usize),
     p: usize,
-    (count, row): (usize, impl Fn(usize) -> usize + Sync),
     fin: impl Fn(usize, S) -> S + Sync,
 ) {
     assert_eq!(arrays.0.len(), n + 1);
@@ -236,25 +231,24 @@ unsafe fn sweep_rows<S: Scalar>(
             // and `data` and every column number below `xn`, so with
             // `x.len() == p·xn` (asserted above) every operand read is in
             // bounds. `indptr[i]` is bounds-checked, so `i < n` and the write
-            // at `(jb + l)·n + i` is inside `y` (`p·n` long); rows are
-            // distinct and threads take disjoint ranges of them, so each
-            // element is written once. The checks these replace cost
-            // 1.07–1.5× on rows of 5–81 entries.
+            // at `(jb + l)·n + i` is inside `y` (`p·n` long); threads take
+            // disjoint ranges of rows, so each element is written once. The
+            // checks these replace cost 1.07–1.5× on rows of 5–81 entries.
             unsafe {
                 // One compiled copy per literal width, one for the rest.
                 let cols = (jb, SPMM_COLS.min(p - jb));
                 match cols.1 {
-                    1 => sweep_block::<_, 1>(arrays, x, y, &row, &fin, rs, cols),
-                    SPMM_COLS => sweep_block::<_, SPMM_COLS>(arrays, x, y, &row, &fin, rs, cols),
-                    _ => sweep_block::<_, 0>(arrays, x, y, &row, &fin, rs, cols),
+                    1 => sweep_block::<_, 1>(arrays, x, y, &fin, rs, cols),
+                    SPMM_COLS => sweep_block::<_, SPMM_COLS>(arrays, x, y, &fin, rs, cols),
+                    _ => sweep_block::<_, 0>(arrays, x, y, &fin, rs, cols),
                 }
             }
         }
     };
-    if count >= PAR_ROWS {
-        for_each_range(count, 0, band);
+    if n >= PAR_ROWS {
+        for_each_range(n, 0, band);
     } else {
-        band(0, count);
+        band(0, n);
     }
 }
 
@@ -522,24 +516,9 @@ impl<S: Scalar> Csr<S> {
         out
     }
 
-    /// [`sweep_rows`] over this matrix: `x` and `y` are column-major with
-    /// `p` columns, `row` names the `count` rows to compute.
-    fn sweep(
-        &self,
-        (x, p): (&[S], usize),
-        y: &mut [S],
-        (count, row): (usize, impl Fn(usize) -> usize + Sync),
-        fin: impl Fn(usize, S) -> S + Sync,
-    ) {
-        let arrays = self.arrays();
-        let (x, y) = ((x, self.ncols), (y, self.nrows));
-        // SAFETY: `from_raw`, the only constructor, validated the arrays for
-        // `ncols` columns, and nothing hands the pattern out mutably.
-        unsafe { sweep_rows(arrays, x, y, p, (count, row), fin) }
-    }
-
     /// Every row of this matrix: [`sweep_node_blocks`] for a single vector
-    /// of a node-blocked matrix, [`sweep_rows`] otherwise.
+    /// of a node-blocked matrix, [`sweep_rows`] otherwise. `x` and `y` are
+    /// column-major with `p` columns.
     fn sweep_all(&self, (x, p): (&[S], usize), y: &mut [S], fin: impl Fn(usize, S) -> S + Sync) {
         match &self.blocks {
             Some(blocks) if p == 1 => {
@@ -549,7 +528,9 @@ impl<S: Scalar> Csr<S> {
                 // column is below `ncols / 3`.
                 unsafe { sweep_node_blocks(blocks, &self.data, x, y, fin) }
             }
-            _ => self.sweep((x, p), y, (self.nrows, |r| r), fin),
+            // SAFETY: `from_raw`, the only constructor, validated the arrays
+            // for `ncols` columns, and nothing hands the pattern out mutably.
+            _ => unsafe { sweep_rows(self.arrays(), (x, self.ncols), (y, self.nrows), p, fin) },
         }
     }
 
@@ -588,18 +569,6 @@ impl<S: Scalar> Csr<S> {
     fn spmm_fin(&self, x: &DMat<S>, y: &mut DMat<S>, fin: impl Fn(usize, S) -> S + Sync) {
         assert_eq!((x.nrows(), y.nrows()), (self.ncols, self.nrows));
         self.sweep_all((x.as_slice(), x.ncols()), y.as_mut_slice(), fin);
-    }
-
-    /// `Y(rows, :) ⟵ A(rows, :)·X` — the SpMM kernel restricted to a row
-    /// subset; rows outside the set are left untouched. Every row is summed
-    /// by the kernel of [`Csr::spmm`], so computing the interior rows while a
-    /// halo exchange is in flight and the boundary rows afterwards
-    /// reproduces the unsplit product bit for bit.
-    pub fn spmm_rows(&self, x: &DMat<S>, y: &mut DMat<S>, rows: &[usize]) {
-        assert_eq!((x.nrows(), y.nrows()), (self.ncols, self.nrows));
-        let x = (x.as_slice(), x.ncols());
-        let rows = (rows.len(), |r| rows[r]);
-        self.sweep(x, y.as_mut_slice(), rows, |_, acc| acc);
     }
 
     /// Convenience: allocate and return `A·X`.
@@ -899,9 +868,8 @@ mod tests {
     }
 
     /// Every sweep against the rule and against each other, bit for bit: a
-    /// column of `spmm` is `spmv` of that column, `spmm_rows` is `spmm` on
-    /// its rows and leaves the others alone, `residual` is its three-pass
-    /// form. 4099 rows is above `PAR_ROWS`, so under `KRYST_THREADS=4` (a CI
+    /// column of `spmm` is `spmv` of that column, `residual` is its
+    /// three-pass form. 4099 rows is above `PAR_ROWS`, so under `KRYST_THREADS=4` (a CI
     /// leg) the sweeps run on the pool; 37 rows stay serial.
     fn single_vector_kernels_match_per_row_reference<S: Scalar>() {
         for (nrows, ncols) in [(37usize, 29usize), (4099, 4500)] {
@@ -923,22 +891,6 @@ mod tests {
                     a.spmv(x.col(j), &mut yj);
                     assert_eq!(bits(&yj), bits(want.col(j)), "spmv of column {j} of {p}");
                 }
-                // Every third row, the rest left alone.
-                let rows: Vec<usize> = (0..nrows).filter(|i| i % 3 == 1).collect();
-                got.fill(S::from_f64(7.0));
-                a.spmm_rows(&x, &mut got, &rows);
-                let split = DMat::from_fn(nrows, p, |i, j| {
-                    if i % 3 == 1 {
-                        want[(i, j)]
-                    } else {
-                        S::from_f64(7.0)
-                    }
-                });
-                assert_eq!(
-                    bits(got.as_slice()),
-                    bits(split.as_slice()),
-                    "spmm_rows p={p}"
-                );
                 want.scale(-S::one());
                 want.axpy(S::one(), &b);
                 got.fill(S::from_f64(f64::NAN));

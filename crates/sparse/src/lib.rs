@@ -14,8 +14,6 @@
 //!   stand-in for PARDISO (paper §V-B3, Fig. 6),
 //! * [`partition`] — coordinate/graph partitioning with δ-layer overlap
 //!   growth for the Schwarz preconditioners (stand-in for SCOTCH),
-//! * [`split`] — interior/boundary row classification so SpMM on the
-//!   interior overlaps the halo exchange,
 //! * [`workspace`] — the [`workspace::SpmmWorkspace`] and
 //!   [`workspace::PrecondWorkspace`] buffer pools that make per-iteration
 //!   kernel and preconditioner calls allocation-free.
@@ -27,11 +25,9 @@ pub mod direct;
 pub mod ops;
 pub mod order;
 pub mod partition;
-pub mod split;
 pub mod workspace;
 
 pub use coo::Coo;
 pub use csr::Csr;
 pub use direct::SparseDirect;
-pub use split::RowSplit;
 pub use workspace::{PrecondWorkspace, SpmmWorkspace};

@@ -208,73 +208,3 @@ fn pool_survives_panicking_job_and_keeps_working() {
     });
     assert!(v.iter().all(|&x| x == 2));
 }
-
-/// Halo/compute overlap correctness: computing the interior rows first and
-/// the boundary rows afterwards (the overlapped schedule of the distributed
-/// operator) must reproduce the unsplit SpMM **bit for bit** — same
-/// register-block kernel, same nonzero order per row, under any
-/// `KRYST_THREADS` (CI runs this file at 1 and 4). `p` sweeps across the
-/// `SPMM_COLS = 8` register-block boundary; the matrix is large enough
-/// (`n ≥ 4096`) to cross the parallel-dispatch threshold for the interior
-/// set.
-#[test]
-fn row_split_spmm_is_bit_identical_to_unsplit() {
-    use kryst_sparse::RowSplit;
-    let nx = 72; // n = 5184 ≥ PAR_ROWS
-    let n = nx * nx;
-    let mut coo = Coo::new(n, n);
-    for i in 0..n {
-        coo.push(i, i, 4.0);
-        if i % nx != 0 {
-            coo.push(i, i - 1, -1.0);
-        }
-        if i % nx != nx - 1 {
-            coo.push(i, i + 1, -1.0);
-        }
-        if i >= nx {
-            coo.push(i, i - nx, -1.0);
-        }
-        if i + nx < n {
-            coo.push(i, i + nx, -1.0);
-        }
-    }
-    let a = coo.to_csr();
-
-    // 4 contiguous ownership ranges, as a 4-rank row decomposition would.
-    let chunk = n / 4;
-    let ranges: Vec<std::ops::Range<usize>> = (0..4)
-        .map(|r| r * chunk..if r == 3 { n } else { (r + 1) * chunk })
-        .collect();
-    let split = RowSplit::build(&a, &ranges);
-
-    // The split partitions the rows: disjoint, complete.
-    let mut seen = vec![false; n];
-    for &i in split.interior.iter().chain(&split.boundary) {
-        assert!(!seen[i], "row {i} classified twice");
-        seen[i] = true;
-    }
-    assert!(seen.iter().all(|&s| s), "rows dropped by the split");
-    assert!(
-        split.interior.len() >= 4096,
-        "interior too small to hit the parallel path"
-    );
-
-    for p in [1usize, 4, 7, 8, 9, 16, 17] {
-        let x = shaped::<f64>(n, p, fill_f64);
-        let mut y_full = DMat::zeros(n, p);
-        a.spmm(&x, &mut y_full);
-
-        // Sentinel prefill proves every row is written by exactly one half.
-        let mut y_split = DMat::from_fn(n, p, |_, _| 777.0);
-        a.spmm_rows(&x, &mut y_split, &split.interior);
-        a.spmm_rows(&x, &mut y_split, &split.boundary);
-
-        for (k, (&g, &w)) in y_split.as_slice().iter().zip(y_full.as_slice()).enumerate() {
-            assert_eq!(
-                g.to_bits(),
-                w.to_bits(),
-                "p={p} element {k}: split {g:e} vs unsplit {w:e}"
-            );
-        }
-    }
-}

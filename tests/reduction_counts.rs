@@ -32,7 +32,7 @@ use kryst_obs::{
     cumulative_comm, diags_of, iteration_events, spans_of, DiagKind, Event, Recorder, RingRecorder,
     SpanKind,
 };
-use kryst_par::{CommStats, DistOp, IdentityPrecond};
+use kryst_par::{CommStats, HaloPlan, IdentityPrecond, Layout, SpmdWorld, TransportKind};
 use kryst_pde::poisson::poisson2d;
 use std::sync::Arc;
 
@@ -276,22 +276,24 @@ fn same_system_setup_span_skips_au_qr() {
     }
 }
 
-/// The distributed operator's halo traffic: message COUNT is independent of
-/// the number of RHS columns (pseudo-block/block fusion), while the byte
-/// volume scales linearly with p — §V-B2's "MPI buffers are p times bigger".
+/// Halo traffic of the operator's exchange, measured on the wire: message
+/// COUNT is independent of the number of RHS columns (pseudo-block/block
+/// fusion), while the byte volume scales linearly with p — §V-B2's "MPI
+/// buffers are p times bigger".
 #[test]
 fn spmm_messages_independent_of_p_bytes_linear_in_p() {
     let prob = poisson2d::<f64>(32, 32);
-    let stats = CommStats::new_shared();
-    let op = DistOp::new(prob.a, 8, Arc::clone(&stats));
-    let n = 32 * 32;
+    let plan = HaloPlan::build(&prob.a, &Layout::even(32 * 32, 8));
     let mut runs = Vec::new();
     for p in [1usize, 4, 16] {
-        stats.reset();
-        let x = DMat::from_fn(n, p, |i, j| (i + j) as f64);
-        let _ = kryst_par::LinOp::apply_new(&op, &x);
-        let snap = stats.snapshot();
-        runs.push((p, snap.p2p_messages, snap.p2p_bytes));
+        let world = SpmdWorld::spawn(TransportKind::Channel, 8).expect("world spawns");
+        world.halo(&plan, p, 1).expect("halo exchange runs");
+        let wires = world.shutdown().expect("clean shutdown");
+        let msgs: u64 = wires.iter().map(|w| w.msgs_sent).sum();
+        let bytes: u64 = wires.iter().map(|w| w.bytes_sent).sum();
+        assert_eq!(msgs, plan.messages_per_exchange as u64, "p = {p}");
+        assert_eq!(bytes, plan.bytes_per_exchange(p, 8) as u64, "p = {p}");
+        runs.push((p, msgs, bytes));
     }
     assert_eq!(runs[0].1, runs[1].1);
     assert_eq!(runs[1].1, runs[2].1);

@@ -228,7 +228,6 @@ fn socket_world_calibrates_with_borrowed_worker_exe() {
         ("alpha_msg", cal.alpha_msg),
         ("alpha_reduce", cal.alpha_reduce),
         ("beta", cal.beta),
-        ("gamma", cal.gamma),
     ] {
         assert!(v.is_finite() && v > 0.0, "{name} = {v}");
     }
