@@ -45,8 +45,6 @@ fn convdiff2d(nx: usize, eps: f64, bx: f64, by: f64) -> Csr<f64> {
 fn bench_obs_overhead(c: &mut Criterion) {
     // Raw guard cost: 1000 enter/exit pairs per iteration, so the per-pair
     // cost reads directly in nanoseconds from the reported microseconds.
-    // The enabled leg drains the thread ring each iteration so it measures
-    // steady-state pushes, not the full-ring drop path.
     for on in [false, true] {
         kryst_obs::set_trace_enabled(on);
         let name = if on {
@@ -59,7 +57,6 @@ fn bench_obs_overhead(c: &mut Criterion) {
                 for _ in 0..1000 {
                     drop(black_box(traced(SpanKind::Spmv)));
                 }
-                black_box(kryst_obs::span::drain());
             });
         });
     }
@@ -67,7 +64,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
     // End-to-end: the same GMRES(30) solve the comm-fusion benches use,
     // tracing off vs on. The two legs must be within noise of each other —
     // every instrumented region costs one atomic load when disabled, two
-    // clock reads, the aggregate update and a ring push when enabled.
+    // clock reads and the aggregate update when enabled.
     let a = convdiff2d(32, 0.001, 1.0, 0.3);
     let n = a.nrows();
     let id = IdentityPrecond::new(n);
@@ -88,8 +85,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
         c.bench_function(name, |b| {
             b.iter(|| {
                 let mut x = DMat::zeros(n, 1);
-                gmres::solve(&a, &id, &b0, &mut x, &opts);
-                black_box(kryst_obs::span::drain());
+                black_box(gmres::solve(&a, &id, &b0, &mut x, &opts));
             });
         });
     }

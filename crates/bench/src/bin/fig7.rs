@@ -82,7 +82,9 @@ fn main() {
     let red_per_it = snap.reductions as f64 / iters_meas as f64;
     // We keep the paper's problem/rank ratio: each of the N ranks owns
     // 119M/N unknowns, and one halo exchange per iteration sends six face
-    // messages of local_n^{2/3} complex (16-byte) entries.
+    // messages of local_n^{2/3} complex (16-byte) entries. This per-rank
+    // six-face charge is the model's one halo term: `CostModel` itself
+    // models only reductions.
     let model = CostModel::curie_like();
     let n_paper = 119_000_000f64;
     // Iteration growth: fit iters(N) = a·N^e to the measured points.

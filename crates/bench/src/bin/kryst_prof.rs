@@ -2,13 +2,12 @@
 //!
 //! Two modes, combinable:
 //!
-//! * `kryst_prof demo <dir>` — run two instrumented solves (GMRES(30) and
-//!   GCRO-DR(30,10) under right Jacobi on the Fig. 7 convection–diffusion
-//!   problem) with tracing enabled, writing per-solve artifacts into
-//!   `<dir>`: the JSONL event trace, the span-aggregate snapshot
-//!   (`<label>.profile.json`) and the exact communication counters
-//!   (`<label>.comm.json`). It prints the wire counters of each transport
-//!   world as it goes.
+//! * `kryst_prof demo <dir>` — run three instrumented solves with tracing
+//!   enabled: GMRES(30) and GCRO-DR(30,10) under right Jacobi on a 2-D
+//!   convection–diffusion problem, and GMRES(30) under a two-level AMG on
+//!   Poisson (`gmres30_amg`). Each writes its artifacts into `<dir>`: the
+//!   JSONL event trace, the span-aggregate snapshot (`<label>.profile.json`)
+//!   and the exact communication counters (`<label>.comm.json`).
 //! * `kryst_prof report <dir>` — consume those artifacts and print the
 //!   paper-style per-phase breakdown: measured local wall time per span
 //!   kind, iterations (counted from the JSONL trace), and α–β modeled
@@ -16,16 +15,16 @@
 //!
 //! With no mode argument it runs `demo` then `report` on
 //! `target/kryst-prof` (or the directory given as the only argument).
+//!
+//! The binary also serves as the worker executable of socket
+//! [`kryst_par::SpmdWorld`]s: a process spawned as a primitive worker never
+//! reaches the modes above.
 
 use kryst_core::{gcrodr, gmres, SolveOpts, SolverContext};
 use kryst_dense::DMat;
 use kryst_obs::json::JsonValue;
-use kryst_obs::{aggregates, JsonlRecorder, ProfileSnapshot, Recorder, WireSnapshot};
-use kryst_par::{
-    calibration_table, comm_from_json, comm_to_json, phase_report, validation_table, Calibration,
-    CommSnapshot, CommStats, CostModel, HaloPlan, Layout, SpmdWorld, TransportError, TransportKind,
-    ValidationRow,
-};
+use kryst_obs::{aggregates, JsonlRecorder, ProfileSnapshot, Recorder};
+use kryst_par::{comm_from_json, comm_to_json, phase_report, CommStats, CostModel};
 use kryst_pde::poisson::poisson2d;
 use kryst_precond::{Amg, AmgOpts, Jacobi};
 use kryst_rt::rng::Rng64;
@@ -35,8 +34,7 @@ use std::sync::Arc;
 
 const RANKS: [usize; 5] = [512, 1024, 2048, 4096, 8192];
 
-/// The Fig. 7 benchmark operator: 2-D convection–diffusion, first-order
-/// upwind convection.
+/// 2-D convection–diffusion with first-order upwind convection.
 fn convdiff2d(nx: usize, eps: f64, bx: f64, by: f64) -> Csr<f64> {
     let n = nx * nx;
     let h = 1.0 / (nx as f64 + 1.0);
@@ -65,32 +63,6 @@ fn convdiff2d(nx: usize, eps: f64, bx: f64, by: f64) -> Csr<f64> {
 
 fn write_file(path: &Path, content: &str) {
     std::fs::write(path, content).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-}
-
-/// Max/min/avg over ranks of the wire counters every rank of a transport
-/// world measured.
-fn print_wire(backend: &str, wires: &[WireSnapshot]) {
-    println!("wire counters ({backend}, P = {}):", wires.len());
-    println!(
-        "  {:<16} {:>14} {:>14} {:>16}",
-        "counter", "max", "min", "avg"
-    );
-    type Get = fn(&WireSnapshot) -> u64;
-    let fields: [(&str, Get); 6] = [
-        ("msgs_sent", |w| w.msgs_sent),
-        ("bytes_sent", |w| w.bytes_sent),
-        ("msgs_recv", |w| w.msgs_recv),
-        ("bytes_recv", |w| w.bytes_recv),
-        ("send_ns", |w| w.send_ns),
-        ("recv_ns", |w| w.recv_ns),
-    ];
-    for (name, get) in fields {
-        let max = wires.iter().map(get).max().unwrap_or(0);
-        let min = wires.iter().map(get).min().unwrap_or(0);
-        let avg = wires.iter().map(get).sum::<u64>() as f64 / wires.len().max(1) as f64;
-        println!("  {name:<16} {max:>14} {min:>14} {avg:>16.1}");
-    }
-    println!();
 }
 
 fn demo(dir: &Path) {
@@ -149,212 +121,7 @@ fn demo(dir: &Path) {
     run("gmres30_jacobi", 0);
     run("gcrodr30_10_jacobi", 10);
     amg_demo(dir);
-    transport_demo(dir, &a);
-    trace_demo(dir);
     eprintln!("  [demo] artifacts in {}", dir.display());
-}
-
-/// World size of the calibration/validation worlds — small enough that the
-/// socket backend (real OS processes) spawns quickly in CI.
-const CAL_RANKS: usize = 4;
-
-/// The transport calibration + validation pass: measure the α–β machine
-/// constants on each backend ([`Calibration::measure`]), then replay the
-/// demo's per-iteration communication pattern — one fused 30-double Gram
-/// all-reduce and one halo exchange of the Fig. 7 operator — on the *live*
-/// world and record the wall time next to what the freshly calibrated model
-/// charges for the same pattern. Writes `calibration.json` for the report's
-/// measured-vs-modeled table (acceptance: within 2× on the socket backend),
-/// and prints each world's per-rank wire counters.
-fn transport_demo(dir: &Path, a: &Csr<f64>) {
-    let plan = HaloPlan::build(a, &Layout::even(a.nrows(), CAL_RANKS));
-    let mut cals: Vec<Calibration> = Vec::new();
-    let mut rows: Vec<ValidationRow> = Vec::new();
-    for kind in [TransportKind::Channel, TransportKind::Socket] {
-        let world = match SpmdWorld::spawn(kind, CAL_RANKS) {
-            Ok(w) => w,
-            Err(e) => {
-                eprintln!("  [demo] {}: world unavailable, skipped: {e}", kind.name());
-                continue;
-            }
-        };
-        let mut pass = || -> Result<(), TransportError> {
-            let cal = Calibration::measure(&world, 64)?;
-            let model = CostModel::calibrated(&cal);
-
-            let reps = 200;
-            let ar_measured = world.all_reduce(30, reps)?.as_secs_f64() / reps as f64;
-            let snap = CommSnapshot {
-                reductions: 1,
-                reduction_bytes: 30 * 8,
-                ..Default::default()
-            };
-            let ar_modeled = model.reduction_time(&snap, CAL_RANKS);
-            rows.push(ValidationRow {
-                what: "allreduce(30)/iter".to_string(),
-                backend: cal.backend.clone(),
-                nranks: CAL_RANKS,
-                measured_s: ar_measured,
-                modeled_s: ar_modeled,
-            });
-
-            let halo_measured = world.halo(&plan, 1, reps)?.as_secs_f64() / reps as f64;
-            let halo_modeled = model.halo_time(&plan, 1, 8);
-            rows.push(ValidationRow {
-                what: "halo(spmv)/iter".to_string(),
-                backend: cal.backend.clone(),
-                nranks: CAL_RANKS,
-                measured_s: halo_measured,
-                modeled_s: halo_modeled,
-            });
-            // The acceptance metric: total per-iteration communication (one
-            // fused Gram reduction + one halo exchange, the fused-path
-            // pattern of the demo solves), measured vs modeled.
-            rows.push(ValidationRow {
-                what: "comm/iter (total)".to_string(),
-                backend: cal.backend.clone(),
-                nranks: CAL_RANKS,
-                measured_s: ar_measured + halo_measured,
-                modeled_s: ar_modeled + halo_modeled,
-            });
-            cals.push(cal);
-            Ok(())
-        };
-        let res = pass();
-        let shut = world.shutdown();
-        if let Err(e) = res {
-            eprintln!("  [demo] {}: calibration failed: {e}", kind.name());
-        }
-        match shut {
-            // Real measured per-rank wire counters (rank 0 first) from the
-            // transport endpoints themselves.
-            Ok(wires) => print_wire(kind.name(), &wires),
-            Err(e) => eprintln!("  [demo] {}: world shutdown failed: {e}", kind.name()),
-        }
-    }
-    let json = JsonValue::obj(vec![
-        (
-            "calibrations",
-            JsonValue::Arr(cals.iter().map(Calibration::to_json_value).collect()),
-        ),
-        (
-            "validation",
-            JsonValue::Arr(
-                rows.iter()
-                    .map(|r| {
-                        JsonValue::obj(vec![
-                            ("what", r.what.as_str().into()),
-                            ("backend", r.backend.as_str().into()),
-                            ("nranks", r.nranks.into()),
-                            ("measured_s", r.measured_s.into()),
-                            ("modeled_s", r.modeled_s.into()),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-    .to_json();
-    write_file(&dir.join("calibration.json"), &json);
-    eprintln!(
-        "  [demo] transport calibration: {} backend(s), {} validation rows",
-        cals.len(),
-        rows.len()
-    );
-}
-
-/// The measured-imbalance section, demo side: run the traced skewed
-/// workload ([`kryst_bench::tracedemo`]) on a small channel world, gather
-/// the merged per-rank timeline, and write `timeline.json` for the report's
-/// wait-behind-slowest attribution.
-fn trace_demo(dir: &Path) {
-    let res = kryst_par::run_spmd(TransportKind::Channel, CAL_RANKS, |t| {
-        let tl = kryst_bench::tracedemo::skewed_workload(t, 12)?;
-        Ok(tl.map(|tl| tl.encode()).unwrap_or_default())
-    });
-    match res {
-        Ok(run) => match kryst_obs::Timeline::decode(&run.results[0]) {
-            Some(tl) => {
-                write_file(&dir.join("timeline.json"), &tl.to_json());
-                let spans: usize = tl.streams.iter().map(|s| s.spans.len()).sum();
-                eprintln!(
-                    "  [demo] traced workload: {spans} spans over {} ranks",
-                    tl.nranks
-                );
-            }
-            None => eprintln!("  [demo] traced workload returned a malformed timeline"),
-        },
-        Err(e) => eprintln!("  [demo] traced workload failed, skipped: {e}"),
-    }
-}
-
-/// The measured-imbalance section, report side: replay `timeline.json`.
-fn report_trace(dir: &Path) {
-    let Ok(text) = std::fs::read_to_string(dir.join("timeline.json")) else {
-        return;
-    };
-    let Some(tl) = kryst_obs::Timeline::from_json(&text) else {
-        eprintln!("  [report] unparseable timeline.json, skipped");
-        return;
-    };
-    println!(
-        "measured imbalance (gathered trace timeline, P = {}):",
-        tl.nranks
-    );
-    print!("{}", kryst_obs::timeline::phase_table(&tl.phase_totals()));
-    print!("{}", tl.imbalance().to_text());
-    println!();
-}
-
-/// Render the `calibration.json` artifact written by [`transport_demo`]:
-/// the assumed-vs-measured constants table and the measured-vs-modeled
-/// replay validation.
-fn report_transport(dir: &Path) {
-    let Ok(text) = std::fs::read_to_string(dir.join("calibration.json")) else {
-        return;
-    };
-    let Ok(v) = JsonValue::parse(&text) else {
-        eprintln!("  [report] unparseable calibration.json, skipped");
-        return;
-    };
-    let cals: Vec<Calibration> = v
-        .get("calibrations")
-        .and_then(JsonValue::as_array)
-        .unwrap_or(&[])
-        .iter()
-        .filter_map(Calibration::from_json_value)
-        .collect();
-    let mut rows = Vec::new();
-    for e in v
-        .get("validation")
-        .and_then(JsonValue::as_array)
-        .unwrap_or(&[])
-    {
-        let (Some(what), Some(backend), Some(nranks), Some(measured_s), Some(modeled_s)) = (
-            e.get("what").and_then(JsonValue::as_str),
-            e.get("backend").and_then(JsonValue::as_str),
-            e.get("nranks").and_then(JsonValue::as_usize),
-            e.get("measured_s").and_then(JsonValue::as_f64),
-            e.get("modeled_s").and_then(JsonValue::as_f64),
-        ) else {
-            continue;
-        };
-        rows.push(ValidationRow {
-            what: what.to_string(),
-            backend: backend.to_string(),
-            nranks,
-            measured_s,
-            modeled_s,
-        });
-    }
-    if !cals.is_empty() {
-        print!("{}", calibration_table(&CostModel::curie_like(), &cals));
-        println!();
-    }
-    if !rows.is_empty() {
-        print!("{}", validation_table(&rows));
-        println!();
-    }
 }
 
 /// AMG-preconditioned solve on a Poisson operator with a deliberately
@@ -459,13 +226,12 @@ fn report(dir: &Path) -> bool {
         print!("{}", rep.to_text());
         println!();
     }
-    report_transport(dir);
-    report_trace(dir);
     any_phase
 }
 
 fn main() {
-    // Socket worlds re-exec this binary as workers; hand those invocations
+    // This binary doubles as the worker executable of socket `SpmdWorld`s
+    // (`tests/transport_equivalence.rs` borrows it): hand those invocations
     // to the primitive loop before any argument parsing.
     kryst_par::maybe_primitive_worker();
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -7,7 +7,6 @@
 //! reports.
 
 pub mod harness;
-pub mod tracedemo;
 
 use kryst_core::{SolveOpts, SolveResult};
 use kryst_obs::{JsonlRecorder, Recorder};

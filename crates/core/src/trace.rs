@@ -125,10 +125,10 @@ impl SolveTracer {
         residuals: Vec<f64>,
         breakdown_rank: Option<usize>,
     ) {
-        // Rotate the per-rank trace span: close the one covering this
+        // Rotate the iteration span: close the one covering this
         // iteration's work, open the next. One relaxed load when tracing is
         // off (both calls are no-ops), so results stay bit-identical.
-        span::end(self.iter_span.take(), 0, 0, self.history.len() as u64);
+        span::end(self.iter_span.take());
         self.iter_span = span::begin(SpanKind::Iteration);
         if let Some(rec) = &self.rec {
             let comm = self.interval.take();
@@ -219,7 +219,7 @@ impl SolveTracer {
     /// `kryst_obs::span` and, when recording, emit its [`SpanEvent`]. Span
     /// deltas use local snapshots and do not advance the iteration interval.
     pub fn span_end(&self, probe: SpanProbe, cycle: usize) {
-        span::end(probe.open, 0, 0, cycle as u64);
+        span::end(probe.open);
         if let (Some(r), Some((t, counters))) = (&self.rec, probe.event) {
             let comm = counters.peek();
             r.record(&Event::Span(SpanEvent {

@@ -19,19 +19,15 @@
 //! **Time** comes from one spine, [`span`]: every timed region opens one
 //! span of a [`SpanKind`] behind the one `KRYST_TRACE` gate. Closing it
 //! folds it into the per-kind aggregates of [`profiler`] (the phase table,
-//! [`ProfileSnapshot`]) and the per-thread ring that [`timeline`] merges
-//! across ranks (straggler attribution, reduction skew) and [`export`]
-//! writes as a Chrome trace. [`wire`] counts what a transport put on the
-//! wire; [`diag`] holds the [`StagnationDetector`].
+//! [`ProfileSnapshot`]). [`wire`] counts what a transport put on the wire;
+//! [`diag`] holds the [`StagnationDetector`].
 
 pub mod diag;
 pub mod event;
-pub mod export;
 pub mod json;
 pub mod profiler;
 pub mod recorder;
 pub mod span;
-pub mod timeline;
 pub mod view;
 pub mod wire;
 
@@ -39,10 +35,8 @@ pub use diag::StagnationDetector;
 pub use event::{
     CommSnapshot, DiagEvent, DiagKind, Event, IterationEvent, SolveEndEvent, SpanEvent,
 };
-pub use export::chrome_trace;
 pub use profiler::{Aggregates, PhaseStats, ProfileSnapshot, ThreadAggregates};
 pub use recorder::{JsonlRecorder, Recorder, RingRecorder};
-pub use span::{aggregates, set_trace_enabled, trace_enabled, traced, SpanKind, TraceSpan};
-pub use timeline::{ImbalanceReport, RankStream, Timeline};
+pub use span::{aggregates, set_trace_enabled, trace_enabled, traced, SpanKind};
 pub use view::{cumulative_comm, diags_of, history, iteration_events, spans_of};
 pub use wire::{WireSnapshot, WireStats};

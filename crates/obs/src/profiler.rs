@@ -1,6 +1,7 @@
 //! Per-kind aggregates of the span stream: the phase table.
 //!
-//! Every span closed by [`crate::span::end`] folds its duration into one
+//! Every span closed by [`crate::span::end`] (or a dropped
+//! [`crate::span::traced`] guard) folds its duration into one
 //! fixed slot per [`SpanKind`] — count, total, min, max and a log₂ latency
 //! histogram — held in relaxed atomics of the closing thread's own slots
 //! ([`ThreadAggregates`]), so concurrent workers record without contention

@@ -1,13 +1,12 @@
 //! Wire-level transport counters.
 //!
 //! Where [`crate::event::CommSnapshot`] counts *logical* communication events
-//! (reductions, halo exchanges) as the solvers report them, this module
+//! (global reductions) as the solvers report them, this module
 //! counts what a transport backend actually put on the wire: per-endpoint
 //! messages, payload bytes, and the wall time spent inside `send`/`recv`.
 //! The two views bracket each other — a butterfly all-reduce on `P` ranks is
-//! one logical reduction but `O(P log P)` wire messages — and comparing them
-//! is exactly the measured-vs-modeled validation the calibration pass
-//! performs.
+//! one logical reduction but `O(P log P)` wire messages. A rank's
+//! `recv_ns` is its measured time waiting on peers.
 //!
 //! Counters are relaxed atomics: statistics, not synchronization.
 

@@ -13,8 +13,8 @@
 //! in place — no per-stage payload clones anywhere on the butterfly.
 
 use crate::spmd::reduce_stages;
-use crate::trace::{edge_begin, edge_end, OpenEdge, SPLIT_PHASE_BIT};
 use crate::transport::{Transport, TransportError};
+use kryst_obs::span::{self, OpenSpan};
 use kryst_obs::SpanKind;
 
 /// All-reduce (sum) in place via the recursive-doubling **butterfly**:
@@ -27,12 +27,11 @@ pub fn all_reduce_sum<T: Transport + ?Sized>(
     local: &mut Vec<f64>,
     scratch: &mut Vec<f64>,
 ) -> Result<u32, TransportError> {
-    // One trace hook covers the plain, fused, and barrier flavors — they all
+    // One span covers the plain, fused, and barrier flavors — they all
     // funnel through this butterfly.
-    let trace = edge_begin(t, SpanKind::Reduction);
+    let _span = span::traced(SpanKind::Reduction);
     let p = t.nranks();
     if p == 1 {
-        edge_end(t, trace, 0);
         return Ok(0);
     }
     let r = t.rank();
@@ -75,7 +74,6 @@ pub fn all_reduce_sum<T: Transport + ?Sized>(
         }
         stages += 1;
     }
-    edge_end(t, trace, u64::from(stages));
     Ok(stages)
 }
 
@@ -122,8 +120,8 @@ pub fn ireduce_start<'a, T: Transport + ?Sized>(
     local: Vec<f64>,
 ) -> Result<PendingReduce<'a, T>, TransportError> {
     // The span opens here and closes in `finish`, so its wall footprint is
-    // the whole in-flight window — the overlap the skew analysis decomposes.
-    let trace = edge_begin(t, SpanKind::Reduction);
+    // the whole in-flight window.
+    let trace = span::begin(SpanKind::Reduction);
     let p = t.nranks();
     let mut sent_stage1 = false;
     if p > 1 {
@@ -177,7 +175,7 @@ pub struct PendingReduce<'a, T: Transport + ?Sized> {
     t: &'a T,
     local: Vec<f64>,
     sent_stage1: bool,
-    trace: OpenEdge,
+    trace: Option<OpenSpan>,
 }
 
 impl<T: Transport + ?Sized> PendingReduce<'_, T> {
@@ -189,7 +187,7 @@ impl<T: Transport + ?Sized> PendingReduce<'_, T> {
         let t = self.t;
         let p = t.nranks();
         if p == 1 {
-            edge_end(t, self.trace.take(), SPLIT_PHASE_BIT);
+            span::end(self.trace.take());
             return Ok((self.local, 0));
         }
         let r = t.rank();
@@ -227,7 +225,7 @@ impl<T: Transport + ?Sized> PendingReduce<'_, T> {
             stages += 1;
         }
         debug_assert_eq!(stages, reduce_stages(p));
-        edge_end(t, self.trace.take(), u64::from(stages) | SPLIT_PHASE_BIT);
+        span::end(self.trace.take());
         Ok((self.local, stages))
     }
 }

@@ -1,23 +1,20 @@
 //! α–β communication cost model.
 //!
-//! Converts the reduction counters of [`crate::CommStats`] and the message
-//! pattern of a [`HaloPlan`] into modeled wall times for an arbitrary rank
-//! count, so strong-scaling figures (Fig. 7) can be extrapolated on a
-//! laptop. The model is the textbook one:
-//!
-//! * a global reduction costs `α_r · stages(P)` where `stages(P)` is what
-//!   the butterfly in [`crate::spmd`] actually executes
-//!   ([`crate::spmd::reduce_stages`]: `log₂ P` for powers of two,
-//!   `⌊log₂ P⌋ + 2` otherwise) — the charge and the executor are reconciled
-//!   by test,
-//! * a point-to-point message costs `α_m + bytes / β`.
+//! Converts the reduction counters a solve reports to [`crate::CommStats`]
+//! into modeled wall times for an arbitrary rank count, so strong-scaling
+//! figures (Fig. 7) can be extrapolated on a laptop. A global reduction
+//! costs `α_r · stages(P) + bytes · stages(P) / β`, where `stages(P)` is
+//! what the butterfly in [`crate::spmd`] actually executes
+//! ([`crate::spmd::reduce_stages`]: `log₂ P` for powers of two,
+//! `⌊log₂ P⌋ + 2` otherwise) — the charge and the executor are reconciled
+//! by test. The point-to-point constants `α_m` and `β` are kept for the one
+//! halo term `fig7` charges per iteration at paper scale.
 //!
 //! Default constants approximate the paper's Curie system (Sandy Bridge +
 //! InfiniBand QDR); they only set the absolute scale, the *shape* of the
 //! curves comes from the measured counts.
 
 use crate::comm::CommSnapshot;
-use crate::halo::HaloPlan;
 use crate::spmd::reduce_stages;
 
 /// Machine constants for the model.
@@ -47,17 +44,6 @@ impl CostModel {
         }
     }
 
-    /// Constants *measured* on an actual transport backend by the
-    /// calibration pass ([`crate::calibrate::Calibration::measure`]) —
-    /// replaces every assumed default with wire reality.
-    pub fn calibrated(c: &crate::calibrate::Calibration) -> Self {
-        Self {
-            alpha_reduce: c.alpha_reduce,
-            alpha_msg: c.alpha_msg,
-            beta: c.beta,
-        }
-    }
-
     /// Modeled seconds of the reductions counted in `snap` on `nranks`
     /// ranks. Every reduction is exposed; the per-event stage charge is the
     /// same however many products one event batches.
@@ -65,16 +51,6 @@ impl CostModel {
         let stages = f64::from(reduce_stages(nranks.max(1))).max(1.0);
         snap.reductions as f64 * self.alpha_reduce * stages
             + snap.reduction_bytes as f64 * stages / self.beta
-    }
-
-    /// Modeled seconds of one exchange of `plan` moving a `cols`-wide
-    /// multivector of `bytes_per_scalar`-byte entries. The plan's message
-    /// and byte totals are over all its ranks; messages between distinct
-    /// pairs proceed concurrently, so each rank is charged its average share.
-    pub fn halo_time(&self, plan: &HaloPlan, cols: usize, bytes_per_scalar: usize) -> f64 {
-        let p = plan.recv.len().max(1) as f64;
-        (plan.messages_per_exchange as f64 / p) * self.alpha_msg
-            + (plan.bytes_per_exchange(cols, bytes_per_scalar) as f64 / p) / self.beta
     }
 }
 
@@ -150,23 +126,5 @@ mod tests {
             let tf = m.reduction_time(&fused, p);
             assert!(tc / tf >= 2.0, "P = {p}: ratio {}", tc / tf);
         }
-    }
-
-    #[test]
-    fn halo_charge_is_each_ranks_share_of_one_exchange() {
-        // 1-D chain of 64 rows over 4 ranks: 6 messages of one entry each.
-        let mut c = kryst_sparse::Coo::new(64, 64);
-        for i in 0..64 {
-            c.push(i, i, 2.0);
-            if i > 0 {
-                c.push(i, i - 1, -1.0);
-            }
-        }
-        let a: kryst_sparse::Csr<f64> = c.to_csr();
-        let plan = HaloPlan::build(&a, &crate::Layout::even(64, 4));
-        assert_eq!(plan.messages_per_exchange, 3);
-        let m = CostModel::default();
-        let expect = 3.0 / 4.0 * m.alpha_msg + (3 * 5 * 8) as f64 / 4.0 / m.beta;
-        assert!((m.halo_time(&plan, 5, 8) - expect).abs() < 1e-18);
     }
 }

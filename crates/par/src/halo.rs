@@ -95,7 +95,7 @@ impl HaloPlan {
                 ),
             });
         }
-        let trace = crate::trace::edge_begin(t, kryst_obs::SpanKind::Halo);
+        let _span = kryst_obs::traced(kryst_obs::SpanKind::Halo);
         // Sends first (buffered on every backend — deadlock-free).
         for (d, wants) in self.recv.iter().enumerate() {
             for &(owner, entries) in wants {
@@ -119,7 +119,6 @@ impl HaloPlan {
             }
             got += buf.len();
         }
-        crate::trace::edge_end(t, trace, got as u64);
         Ok(got)
     }
 

@@ -1,9 +1,10 @@
 #![warn(missing_docs)]
-//! Simulated distributed runtime for the `kryst` workspace.
+//! Distributed runtime for the `kryst` workspace.
 //!
 //! The paper's experiments ran on up to 8,192 MPI ranks; the Rust MPI
-//! ecosystem is thin, so this crate provides the faithful laptop-scale
-//! substitute described in `DESIGN.md`:
+//! ecosystem is thin, so this crate provides the laptop-scale substitute
+//! described in `DESIGN.md` — real collectives between threads or OS
+//! processes, plus a cost model for the rank counts beyond them:
 //!
 //! * [`layout::Layout`] — contiguous row distributions over `N` ranks,
 //! * [`halo`] — halo-exchange plans derived from the matrix sparsity, giving
@@ -12,7 +13,7 @@
 //! * [`comm::CommStats`] — atomic counters every solver kernel reports its
 //!   global reductions to (the quantity §III-D of the paper reasons about),
 //! * [`cost::CostModel`] — an α–β (latency–bandwidth) model that converts
-//!   reduction counts and a halo plan into modeled times for any rank count,
+//!   reduction counts into modeled times for any rank count,
 //! * [`op`] — the operator/preconditioner abstraction shared by `kryst-core`
 //!   and `kryst-precond`,
 //! * [`transport`] — the [`transport::Transport`] trait with two backends:
@@ -20,10 +21,10 @@
 //!   worker processes ([`TransportKind::Socket`]), both reporting wire-level
 //!   counters,
 //! * [`collective`] — butterfly all-reduce, split-phase and fused variants,
-//!   and layout redistribution, written once against the trait,
+//!   written once against the trait,
 //! * [`spmd`] — the SPMD runners: closure mode ([`spmd::run_spmd`]) and the
 //!   persistent primitive-worker world ([`spmd::SpmdWorld`]) driving the
-//!   microbenchmarks and cost-model calibration ([`calibrate`]).
+//!   transport microbenchmarks.
 //!
 //! The arithmetic of a "distributed" run is bit-identical to the sequential
 //! sharded execution — and, because both transport backends execute the
@@ -31,7 +32,6 @@
 //! convergence histories are exactly what a real MPI run with the same
 //! reduction order would produce.
 
-pub mod calibrate;
 pub mod collective;
 pub mod comm;
 pub mod cost;
@@ -40,19 +40,13 @@ pub mod layout;
 pub mod op;
 pub mod report;
 pub mod spmd;
-pub mod trace;
 pub mod transport;
 
-pub use calibrate::Calibration;
 pub use comm::{CommInterval, CommSnapshot, CommStats};
 pub use cost::CostModel;
 pub use halo::HaloPlan;
 pub use layout::Layout;
 pub use op::{IdentityPrecond, LinOp, PrecondOp, PrecondPrecision};
-pub use report::{
-    calibration_table, comm_from_json, comm_to_json, phase_report, validation_table, ModeledRow,
-    PhaseReport, PhaseRow, ValidationRow,
-};
+pub use report::{comm_from_json, comm_to_json, phase_report, ModeledRow, PhaseReport, PhaseRow};
 pub use spmd::{maybe_primitive_worker, reduce_stages, run_spmd, SpmdRun, SpmdWorld};
-pub use trace::{gather_timeline, SPLIT_PHASE_BIT};
 pub use transport::{ChannelTransport, SocketTransport, Transport, TransportError, TransportKind};

@@ -1,12 +1,9 @@
-//! Combined phase reports and the calibration tables.
+//! Combined phase reports.
 //!
 //! Combines the measured per-kind span times of a solve with the α–β
 //! modeled time of its global reductions ([`CommSnapshot`]) at arbitrary
-//! rank counts into one paper-style report table, and renders the
-//! assumed-vs-measured machine constants and the measured-vs-modeled replay
-//! of one iteration's communication.
+//! rank counts into one paper-style report table.
 
-use crate::calibrate::Calibration;
 use crate::comm::CommSnapshot;
 use crate::cost::CostModel;
 use kryst_obs::ProfileSnapshot;
@@ -125,84 +122,6 @@ impl PhaseReport {
     }
 }
 
-/// Render the transport calibration table: assumed (Curie-like) constants
-/// next to the constants measured on each backend, one column per
-/// [`Calibration`]. This is the table the prof-smoke CI leg greps for.
-pub fn calibration_table(assumed: &CostModel, cals: &[Calibration]) -> String {
-    let mut s = String::from("transport calibration (measured machine constants):\n");
-    s.push_str(&format!("  {:<14} {:>14}", "constant", "assumed"));
-    for c in cals {
-        s.push_str(&format!(
-            " {:>14}",
-            format!("{}(P={})", c.backend, c.nranks)
-        ));
-    }
-    s.push('\n');
-    type Get = fn(&Calibration) -> f64;
-    let rows: [(&str, f64, Get); 3] = [
-        ("alpha_msg_s", assumed.alpha_msg, |c| c.alpha_msg),
-        ("alpha_reduce_s", assumed.alpha_reduce, |c| c.alpha_reduce),
-        ("beta_B_per_s", assumed.beta, |c| c.beta),
-    ];
-    for (name, assumed_v, get) in rows {
-        s.push_str(&format!("  {:<14} {:>14.4e}", name, assumed_v));
-        for c in cals {
-            s.push_str(&format!(" {:>14.4e}", get(c)));
-        }
-        s.push('\n');
-    }
-    s
-}
-
-/// One measured-vs-modeled comparison: a communication pattern replayed on a
-/// real backend against the time the calibrated cost model predicts for it.
-#[derive(Debug, Clone)]
-pub struct ValidationRow {
-    /// What was replayed (e.g. `"reductions/iter"`, `"halo/iter"`).
-    pub what: String,
-    /// Backend it ran on.
-    pub backend: String,
-    /// World size of the replay.
-    pub nranks: usize,
-    /// Wall seconds measured on the wire.
-    pub measured_s: f64,
-    /// Seconds the calibrated model charges for the same pattern.
-    pub modeled_s: f64,
-}
-
-impl ValidationRow {
-    /// measured / modeled (∞ when the model charges zero).
-    pub fn ratio(&self) -> f64 {
-        if self.modeled_s > 0.0 {
-            self.measured_s / self.modeled_s
-        } else {
-            f64::INFINITY
-        }
-    }
-}
-
-/// Render the measured-vs-modeled validation table (the acceptance check:
-/// per-iteration comm time agreeing within 2× on the socket backend).
-pub fn validation_table(rows: &[ValidationRow]) -> String {
-    let mut s = String::from("measured vs modeled comm time:\n");
-    s.push_str(&format!(
-        "  {:<18} {:>10} {:>4} {:>14} {:>14} {:>8}\n",
-        "pattern", "backend", "P", "measured_s", "modeled_s", "ratio"
-    ));
-    for r in rows {
-        s.push_str(&format!(
-            "  {:<18} {:>10} {:>4} {:>14.6e} {:>14.6e} {:>8.3}\n",
-            r.what,
-            r.backend,
-            r.nranks,
-            r.measured_s,
-            r.modeled_s,
-            r.ratio()
-        ));
-    }
-    s
-}
-
 /// Serialize a [`CommSnapshot`] as a JSON object.
 pub fn comm_to_json(snap: &CommSnapshot) -> String {
     kryst_obs::json::JsonValue::obj(vec![
@@ -254,34 +173,6 @@ mod tests {
         assert!(text.contains("  1024"));
         // Measured rows are sorted by descending total time.
         assert!(text.find("spmv").unwrap() < text.find("reduction").unwrap());
-    }
-
-    #[test]
-    fn calibration_and_validation_tables_render() {
-        let cal = Calibration {
-            backend: "socket".into(),
-            nranks: 4,
-            alpha_msg: 2.0e-6,
-            alpha_reduce: 3.0e-6,
-            beta: 1.5e9,
-        };
-        let table = calibration_table(&CostModel::curie_like(), std::slice::from_ref(&cal));
-        assert!(table.contains("transport calibration"));
-        assert!(table.contains("alpha_reduce_s"));
-        assert!(table.contains("socket(P=4)"));
-        assert!(table.contains("3.0000e-6"));
-        let rows = vec![ValidationRow {
-            what: "reductions/iter".into(),
-            backend: "socket".into(),
-            nranks: 4,
-            measured_s: 2.0e-5,
-            modeled_s: 1.6e-5,
-        }];
-        assert!((rows[0].ratio() - 1.25).abs() < 1e-12);
-        let vtext = validation_table(&rows);
-        assert!(vtext.contains("measured vs modeled"));
-        assert!(vtext.contains("reductions/iter"));
-        assert!(vtext.contains("1.25"));
     }
 
     #[test]

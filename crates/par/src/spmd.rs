@@ -15,8 +15,8 @@
 //!   the backends are bit-identical) until the targeted call is reached.
 //! * **Primitive mode** ([`SpmdWorld`]) — a persistent world of workers
 //!   executing small framed commands (all-reduce, ping-pong, halo exchange).
-//!   This is what the microbenchmarks and the cost-model calibration drive:
-//!   no re-exec per measurement, workers stay hot between timed repetitions.
+//!   This is what the transport microbenchmarks drive: no re-exec per
+//!   measurement, workers stay hot between timed repetitions.
 //!   Binaries that want to *host* socket primitive workers must call
 //!   [`maybe_primitive_worker`] first thing in `main`.
 //!
@@ -172,8 +172,6 @@ where
         let mut handles = Vec::with_capacity(nranks);
         for t in mesh {
             handles.push(scope.spawn(move || {
-                // Fresh per-rank trace state: this thread *is* the rank.
-                kryst_obs::span::reset_thread();
                 let res = f(&t);
                 let wire = t.wire().snapshot();
                 // `t` drops here: disconnecting the endpoint is what turns a
@@ -234,9 +232,6 @@ where
     if t.nranks() != nranks {
         std::process::exit(11);
     }
-    // Replayed earlier calls may have recorded spans on this thread; the
-    // targeted call starts from clean, rank-aligned trace state.
-    kryst_obs::span::reset_thread();
     let res = f(&t);
     match res {
         Ok(out) => {
@@ -274,21 +269,12 @@ where
             "--test-threads=1".into(),
         ]
     };
-    let mut extra_env = vec![
+    let extra_env = [
         ("KRYST_SPMD_CALL".to_string(), call_idx.to_string()),
         ("KRYST_SPMD_THREAD".to_string(), thread_name.to_string()),
     ];
-    // Tracing may have been enabled at runtime (set_trace_enabled) rather
-    // than via the environment; worker processes must agree, or the logical
-    // clocks diverge across ranks.
-    if kryst_obs::span::trace_enabled() {
-        extra_env.push(("KRYST_TRACE".to_string(), "1".to_string()));
-    }
     let (t, mut children) = spawn_world(nranks, "worker", None, &args, &extra_env)?;
 
-    // Rank 0 runs on the calling thread, which may be long-lived: reset so
-    // its trace state is as fresh as the workers'.
-    kryst_obs::span::reset_thread();
     let r0 = f(&t);
     let r0 = match r0 {
         Ok(v) => v,
@@ -370,7 +356,7 @@ fn pattern(rank: usize, len: usize) -> Vec<f64> {
 /// If this process was spawned as a *primitive* socket worker
 /// (`KRYST_SPMD_MODE=primitive`), join the mesh, serve commands until
 /// shutdown, and exit — never returning to the caller. Binaries that host
-/// [`SpmdWorld`] socket workers (the calibration bin, the transport bench)
+/// [`SpmdWorld`] socket workers (`kryst_prof`, the repository benchmark)
 /// must call this first thing in `main`.
 pub fn maybe_primitive_worker() {
     if !matches!(std::env::var("KRYST_SPMD_MODE"), Ok(m) if m == "primitive") {
@@ -454,8 +440,8 @@ enum WorldBacking {
 }
 
 /// A persistent world of primitive workers plus this process's rank-0
-/// endpoint: the measurement substrate for the transport microbenchmarks and
-/// the cost-model calibration. Channel worlds back workers with threads;
+/// endpoint: the measurement substrate for the transport microbenchmarks.
+/// Channel worlds back workers with threads;
 /// socket worlds spawn real worker processes (the hosting binary — or the
 /// explicit `exe` — must call [`maybe_primitive_worker`] at the top of
 /// `main`).
@@ -475,7 +461,7 @@ impl SpmdWorld {
 
     /// Like [`SpmdWorld::spawn`] but socket workers execute `exe` instead of
     /// the current binary — how test binaries (which cannot host the
-    /// pre-libtest worker hook) borrow the calibration bin as their worker.
+    /// pre-libtest worker hook) borrow `kryst_prof` as their worker.
     pub fn spawn_with_exe(
         kind: TransportKind,
         nranks: usize,

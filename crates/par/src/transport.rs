@@ -21,7 +21,7 @@
 //! PeerClosed`], never an abort of the whole mesh.
 //!
 //! Every endpoint carries [`WireStats`] counters recording what actually
-//! crossed the wire — the measurement side of the cost-model calibration.
+//! crossed the wire.
 
 use kryst_obs::WireStats;
 use std::collections::HashMap;

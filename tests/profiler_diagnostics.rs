@@ -170,7 +170,6 @@ fn tracing_on_off_traces_bit_identical() {
     let gmres_on = run_gmres();
     let gcrodr_on = run_gcrodr();
     set_trace_enabled(false);
-    kryst_obs::span::reset_thread();
 
     assert_eq!(
         gmres_off, gmres_on,
@@ -222,7 +221,6 @@ fn phases_cover_an_lgmres_solve() {
     let res = lgmres::solve(&a, &jac, &b, &mut x, &opts);
     let wall = t0.elapsed().as_nanos() as f64;
     set_trace_enabled(false);
-    kryst_obs::span::reset_thread();
     assert!(res.converged && res.iterations > 90, "{}", res.iterations);
     let snap = aggregates().snapshot();
     let kinds = [
@@ -291,7 +289,6 @@ fn setup_phase_of_a_fig3_run_is_nonzero_and_below_the_solve() {
         solve_ns += t0.elapsed().as_nanos();
     }
     set_trace_enabled(false);
-    kryst_obs::span::reset_thread();
     let snap = aggregates().snapshot();
     let setup = snap
         .phase(SpanKind::PrecondSetup)
@@ -491,7 +488,6 @@ fn pseudo_block_precond_applies_are_all_counted() {
     aggregates().reset();
     let res = pseudo::solve(&a, &pc, &b, &mut x, &opts, PseudoMethod::Gmres, None);
     set_trace_enabled(false);
-    kryst_obs::span::reset_thread();
     assert!(res.converged);
     let applies = pc.applies.load(Ordering::Relaxed);
     assert!(applies > 3, "{applies} applies");

@@ -7,16 +7,16 @@
 //! Socket runs re-exec this test binary as worker processes (the
 //! `run_spmd` worker hook keys on the libtest thread name), so each test
 //! below is self-contained: no external launcher, no MPI. The persistent
-//! [`SpmdWorld`] socket test instead borrows the `kryst_calibrate` binary
-//! as its worker executable, since primitive workers can't pass through
-//! libtest's `main`.
+//! [`SpmdWorld`] socket test instead borrows the `kryst_prof` binary, whose
+//! `main` starts with `maybe_primitive_worker()`, as its worker executable,
+//! since primitive workers can't pass through libtest's `main`.
 
 use kryst_core::{gcrodr, gmres, SolveOpts, SolverContext};
 use kryst_dense::DMat;
 use kryst_par::collective::{all_reduce_sum, ifused_reduce_start, ireduce_start};
 use kryst_par::{
-    reduce_stages, run_spmd, IdentityPrecond, SpmdRun, SpmdWorld, Transport, TransportError,
-    TransportKind,
+    reduce_stages, run_spmd, HaloPlan, IdentityPrecond, Layout, SpmdRun, SpmdWorld, Transport,
+    TransportError, TransportKind,
 };
 use kryst_rt::rng::Rng64;
 use kryst_sparse::{Coo, Csr};
@@ -68,27 +68,49 @@ fn payload(rank: usize, len: usize, salt: usize) -> Vec<f64> {
 
 /// Two chained all-reduces of different lengths per rank; results must be
 /// bit-identical between the channel and socket backends at every world
-/// size, including the non-power-of-two fold/unfold cases.
+/// size, including the non-power-of-two fold/unfold cases, with tracing off
+/// and on. Tracing is switched on in this process only: socket workers
+/// re-enter this test with `KRYST_RANK` set and keep it off, so a traced
+/// socket run mixes a traced rank 0 with untraced peers, and the spans must
+/// not move a bit either way.
 #[test]
 fn all_reduce_bit_identical_across_backends() {
-    for p in WORLDS {
-        let f = move |t: &dyn Transport| -> Result<Vec<f64>, TransportError> {
-            let mut scratch = Vec::new();
-            let mut out = Vec::new();
-            for (salt, len) in [(0usize, 33usize), (5, 8)] {
-                let mut v = payload(t.rank(), len, salt);
-                let stages = all_reduce_sum(t, &mut v, &mut scratch)?;
-                assert_eq!(stages, reduce_stages(t.nranks()), "stage count");
-                out.extend_from_slice(&v);
-            }
-            Ok(out)
-        };
-        let chan = run_spmd(TransportKind::Channel, p, f).expect("channel run");
-        let sock = run_spmd(TransportKind::Socket, p, f).expect("socket run");
-        assert_bits_equal(&chan, &sock, &format!("all-reduce P={p}"));
-        // Same schedule ⇒ same wire message count.
-        assert_eq!(chan.messages, sock.messages, "P={p}: wire message totals");
+    let worker = std::env::var_os("KRYST_RANK").is_some();
+    let reductions = || {
+        kryst_obs::aggregates()
+            .snapshot()
+            .phase(kryst_obs::SpanKind::Reduction)
+            .map_or(0, |p| p.count)
+    };
+    for traced in [false, true] {
+        kryst_obs::set_trace_enabled(traced && !worker);
+        let before = reductions();
+        for p in WORLDS {
+            let f = move |t: &dyn Transport| -> Result<Vec<f64>, TransportError> {
+                let mut scratch = Vec::new();
+                let mut out = Vec::new();
+                for (salt, len) in [(0usize, 33usize), (5, 8)] {
+                    let mut v = payload(t.rank(), len, salt);
+                    let stages = all_reduce_sum(t, &mut v, &mut scratch)?;
+                    assert_eq!(stages, reduce_stages(t.nranks()), "stage count");
+                    out.extend_from_slice(&v);
+                }
+                Ok(out)
+            };
+            let chan = run_spmd(TransportKind::Channel, p, f).expect("channel run");
+            let sock = run_spmd(TransportKind::Socket, p, f).expect("socket run");
+            assert_bits_equal(&chan, &sock, &format!("all-reduce P={p} traced={traced}"));
+            // Same schedule ⇒ same wire message count.
+            assert_eq!(chan.messages, sock.messages, "P={p}: wire message totals");
+        }
+        if traced && !worker {
+            assert!(
+                reductions() > before,
+                "the traced leg recorded no reduction span"
+            );
+        }
     }
+    kryst_obs::set_trace_enabled(false);
 }
 
 /// Split-phase (`ireduce_start`/`finish`) and fused split-phase reductions,
@@ -212,23 +234,30 @@ fn socket_peer_death_is_typed_error() {
     }
 }
 
-/// A persistent socket [`SpmdWorld`] built on the `kryst_calibrate` worker
-/// executable: the all-reduce primitive must agree bitwise with the channel
-/// world, and calibration must produce positive finite constants.
+/// A persistent socket [`SpmdWorld`] built on the `kryst_prof` worker
+/// executable runs every primitive, and puts on the wire exactly the
+/// messages and bytes a channel world running the same commands does.
 #[test]
-fn socket_world_calibrates_with_borrowed_worker_exe() {
-    let exe = std::path::PathBuf::from(env!("CARGO_BIN_EXE_kryst_calibrate"));
-    let world = SpmdWorld::spawn_with_exe(TransportKind::Socket, 2, Some(&exe))
-        .expect("socket world via calibrate bin");
-    let cal = kryst_par::Calibration::measure(&world, 4).expect("socket calibration");
-    world.shutdown().expect("clean shutdown");
-    assert_eq!(cal.backend, "socket");
-    assert_eq!(cal.nranks, 2);
-    for (name, v) in [
-        ("alpha_msg", cal.alpha_msg),
-        ("alpha_reduce", cal.alpha_reduce),
-        ("beta", cal.beta),
-    ] {
-        assert!(v.is_finite() && v > 0.0, "{name} = {v}");
-    }
+fn socket_world_runs_primitives_with_borrowed_worker_exe() {
+    let exe = std::path::PathBuf::from(env!("CARGO_BIN_EXE_kryst_prof"));
+    let plan = HaloPlan::build(&laplace1d(64), &Layout::even(64, 2));
+    let run = |world: SpmdWorld| {
+        world.all_reduce(8, 4).expect("all-reduce");
+        world.ping_pong(8, 4).expect("ping-pong");
+        world.halo(&plan, 3, 4).expect("halo");
+        let wires = world.shutdown().expect("clean shutdown");
+        let msgs: u64 = wires.iter().map(|w| w.msgs_sent).sum();
+        let bytes: u64 = wires.iter().map(|w| w.bytes_sent).sum();
+        (msgs, bytes)
+    };
+    let sock = run(
+        SpmdWorld::spawn_with_exe(TransportKind::Socket, 2, Some(&exe))
+            .expect("socket world via kryst_prof"),
+    );
+    let chan = run(SpmdWorld::spawn(TransportKind::Channel, 2).expect("channel world"));
+    assert!(
+        sock.0 > 0 && sock.1 > 0,
+        "socket world sent nothing: {sock:?}"
+    );
+    assert_eq!(sock, chan, "(messages, bytes) socket vs channel");
 }
