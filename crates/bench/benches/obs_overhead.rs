@@ -14,33 +14,7 @@ use kryst_core::{gmres, SolveOpts};
 use kryst_dense::DMat;
 use kryst_obs::{traced, SpanKind};
 use kryst_par::IdentityPrecond;
-use kryst_sparse::{Coo, Csr};
-
-fn convdiff2d(nx: usize, eps: f64, bx: f64, by: f64) -> Csr<f64> {
-    let n = nx * nx;
-    let h = 1.0 / (nx as f64 + 1.0);
-    let mut c = Coo::new(n, n);
-    let idx = |i: usize, j: usize| i * nx + j;
-    for i in 0..nx {
-        for j in 0..nx {
-            let row = idx(i, j);
-            c.push(row, row, 4.0 * eps / (h * h) + (bx.abs() + by.abs()) / h);
-            if i > 0 {
-                c.push(row, idx(i - 1, j), -eps / (h * h) - bx.max(0.0) / h);
-            }
-            if i + 1 < nx {
-                c.push(row, idx(i + 1, j), -eps / (h * h) + bx.min(0.0) / h);
-            }
-            if j > 0 {
-                c.push(row, idx(i, j - 1), -eps / (h * h) - by.max(0.0) / h);
-            }
-            if j + 1 < nx {
-                c.push(row, idx(i, j + 1), -eps / (h * h) + by.min(0.0) / h);
-            }
-        }
-    }
-    c.to_csr()
-}
+use kryst_pde::poisson::convdiff2d;
 
 fn bench_obs_overhead(c: &mut Criterion) {
     // Raw guard cost: 1000 enter/exit pairs per iteration, so the per-pair

@@ -509,7 +509,7 @@ mod tests {
     use super::*;
     use kryst_dense::blas;
     use kryst_par::IdentityPrecond;
-    use kryst_sparse::{Coo, Csr};
+    use kryst_pde::poisson::laplace1d;
 
     /// The blocks side by side in one matrix.
     fn cat(blocks: &[DMat<f64>]) -> DMat<f64> {
@@ -539,18 +539,6 @@ mod tests {
     fn couplings(arn: &BlockArnoldi<'_, f64>) -> DMat<f64> {
         let e = arn.buf.couplings();
         e.block(0, 0, e.nrows(), arn.j * arn.p)
-    }
-
-    fn laplace1d(n: usize) -> Csr<f64> {
-        let mut c = Coo::new(n, n);
-        for i in 0..n {
-            c.push(i, i, 2.0);
-            if i > 0 {
-                c.push(i, i - 1, -1.0);
-                c.push(i - 1, i, -1.0);
-            }
-        }
-        c.to_csr()
     }
 
     #[test]

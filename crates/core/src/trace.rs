@@ -23,9 +23,11 @@
 //!    [`SolveTracer::span_start`]) and do not advance the iteration
 //!    interval, so they overlay the iteration stream without perturbing it.
 //!
-//! With no recorder the tracer skips event construction entirely: per
-//! iteration it costs one `Option` check beyond the history push the solvers
-//! always did.
+//! Events carry counts, never time: the tracer reads no clock, so two runs
+//! of the same solve record the same events. Phase time is the span
+//! aggregates' (`KRYST_TRACE=1`). With no recorder the tracer skips event
+//! construction entirely: per iteration it costs one `Option` check beyond
+//! the history push the solvers always did.
 
 use crate::opts::SolveOpts;
 use kryst_obs::span::{self, OpenSpan};
@@ -36,15 +38,14 @@ use kryst_obs::{
 use kryst_par::{CommInterval, CommSnapshot, CommStats};
 use std::cell::RefCell;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Start marker of a [`SolveTracer`] span (see [`SolveTracer::span_start`]).
 pub struct SpanProbe {
     kind: SpanKind,
     open: Option<OpenSpan>,
-    /// Start time and the counters measured from there, taken only when a
+    /// The counters measured from the span's start, taken only when a
     /// recorder is attached.
-    event: Option<(Instant, CommInterval)>,
+    counters: Option<CommInterval>,
 }
 
 /// Per-solve event emitter (see module docs).
@@ -54,8 +55,6 @@ pub struct SolveTracer {
     system_index: usize,
     interval: CommInterval,
     base: CommSnapshot,
-    t0: Instant,
-    t_last: Instant,
     pending: Option<IterationEvent>,
     /// Diagnostics raised since the last flushed iteration event. They are
     /// flushed *after* the iteration they belong to, in one
@@ -93,15 +92,12 @@ impl SolveTracer {
                 recycle: opts.recycle,
             });
         }
-        let now = Instant::now();
         Self {
             rec,
             solver,
             system_index,
             interval,
             base,
-            t0: now,
-            t_last: now,
             pending: None,
             pending_diags: RefCell::new(Vec::new()),
             stagnation: StagnationDetector::default_solver(),
@@ -132,9 +128,6 @@ impl SolveTracer {
         self.iter_span = span::begin(SpanKind::Iteration);
         if let Some(rec) = &self.rec {
             let comm = self.interval.take();
-            let now = Instant::now();
-            let wall_ns = now.duration_since(self.t_last).as_nanos() as u64;
-            self.t_last = now;
             let ev = IterationEvent {
                 solver: self.solver,
                 system_index: self.system_index,
@@ -143,7 +136,6 @@ impl SolveTracer {
                 per_rhs_residuals: residuals.clone(),
                 comm,
                 breakdown_rank,
-                wall_ns,
             };
             if let Some(prev) = self.pending.replace(ev) {
                 let mut batch = vec![Event::Iteration(prev)];
@@ -200,18 +192,18 @@ impl SolveTracer {
 
     /// Begin a span of `kind` whose work counts into `stats`: opens the
     /// `kryst_obs::span` of the phase table and, when recording, notes the
-    /// clock and the counters for the event. A lane of a multi-lane solve
-    /// counts into its own counters, which reach the solve's only at the
-    /// next lock-step, so its phases pass those (`Cx::opts.stats`); a span
-    /// must then close before that lock-step. Cheap when neither is on.
+    /// counters for the event. A lane of a multi-lane solve counts into its
+    /// own counters, which reach the solve's only at the next lock-step, so
+    /// its phases pass those (`Cx::opts.stats`); a span must then close
+    /// before that lock-step. Cheap when neither is on.
     pub fn span_start(&self, kind: SpanKind, stats: Option<&Arc<CommStats>>) -> SpanProbe {
         SpanProbe {
             kind,
             open: span::begin(kind),
-            event: self
+            counters: self
                 .rec
                 .as_ref()
-                .map(|_| (Instant::now(), CommInterval::start(stats.cloned()))),
+                .map(|_| CommInterval::start(stats.cloned())),
         }
     }
 
@@ -220,15 +212,13 @@ impl SolveTracer {
     /// deltas use local snapshots and do not advance the iteration interval.
     pub fn span_end(&self, probe: SpanProbe, cycle: usize) {
         span::end(probe.open);
-        if let (Some(r), Some((t, counters))) = (&self.rec, probe.event) {
-            let comm = counters.peek();
+        if let (Some(r), Some(counters)) = (&self.rec, probe.counters) {
             r.record(&Event::Span(SpanEvent {
                 solver: self.solver,
                 system_index: self.system_index,
                 kind: probe.kind,
                 cycle,
-                comm,
-                wall_ns: t.elapsed().as_nanos() as u64,
+                comm: counters.peek(),
             }));
         }
     }
@@ -243,11 +233,9 @@ impl SolveTracer {
         self.iter_span = None;
         if let Some(r) = self.rec.take() {
             let tail = self.interval.take();
-            let now = Instant::now();
             let mut batch = Vec::new();
             if let Some(mut last) = self.pending.take() {
                 last.comm += tail;
-                last.wall_ns += now.duration_since(self.t_last).as_nanos() as u64;
                 batch.push(Event::Iteration(last));
             }
             batch.extend(self.pending_diags.borrow_mut().drain(..).map(Event::Diag));
@@ -259,7 +247,6 @@ impl SolveTracer {
                 converged,
                 final_relres: final_relres.to_vec(),
                 comm_total,
-                wall_ns: now.duration_since(self.t0).as_nanos() as u64,
             }));
             r.record_batch(&batch);
         }

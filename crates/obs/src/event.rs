@@ -75,8 +75,6 @@ pub struct IterationEvent {
     /// it is deficient (`Some(rank) < block width`); `None` when the block
     /// kept full rank.
     pub breakdown_rank: Option<usize>,
-    /// Wall-clock nanoseconds since the previous iteration event.
-    pub wall_ns: u64,
 }
 
 /// The name a [`SpanEvent`] of `kind` carries in traces: the kind's name,
@@ -89,7 +87,8 @@ pub fn span_event_name(kind: SpanKind) -> &'static str {
     }
 }
 
-/// A timed phase of a solve.
+/// A phase of a solve and the communication inside it. Its time is in the
+/// phase table (`kryst_obs::aggregates()`), not on the event.
 ///
 /// Span deltas are measured with local snapshots and do **not** consume the
 /// iteration-delta stream: a span that contains iterations overlaps their
@@ -100,9 +99,9 @@ pub fn span_event_name(kind: SpanKind) -> &'static str {
 /// A `Restart` span covers the solution update and the restart loop's
 /// between-cycle bookkeeping and closes *before* the true residual is
 /// recomputed: that residual's operator and preconditioner applies (with a
-/// distributed operator, its halo exchange too) are in neither its `comm`
-/// nor its `wall_ns`; the next cycle's first iteration event carries them
-/// (after the last cycle, the solve's last one).
+/// distributed operator, its halo exchange too) are not in its `comm`; the
+/// next cycle's first iteration event carries them (after the last cycle,
+/// the solve's last one).
 #[derive(Debug, Clone)]
 pub struct SpanEvent {
     /// Solver family (see [`IterationEvent::solver`]).
@@ -116,8 +115,6 @@ pub struct SpanEvent {
     pub cycle: usize,
     /// Communication performed inside the span.
     pub comm: CommSnapshot,
-    /// Wall-clock nanoseconds spent in the span.
-    pub wall_ns: u64,
 }
 
 /// What a [`DiagEvent`] reports.
@@ -189,8 +186,6 @@ pub struct SolveEndEvent {
     /// Whole-solve communication totals (equals the sum of the iteration
     /// deltas by construction).
     pub comm_total: CommSnapshot,
-    /// Wall-clock nanoseconds of the whole solve.
-    pub wall_ns: u64,
 }
 
 /// The event union recorded by a [`crate::recorder::Recorder`].
@@ -213,7 +208,7 @@ pub enum Event {
     },
     /// One (block) iteration.
     Iteration(IterationEvent),
-    /// A timed solve phase.
+    /// A solve phase.
     Span(SpanEvent),
     /// A convergence-health diagnostic.
     Diag(DiagEvent),

@@ -45,7 +45,7 @@ pub fn event_to_json(ev: &Event) -> String {
                 }
                 None => s.push_str(",\"breakdown_rank\":null"),
             }
-            let _ = write!(s, ",\"wall_ns\":{}}}", it.wall_ns);
+            s.push('}');
         }
         Event::Span(sp) => {
             let _ = write!(
@@ -57,7 +57,7 @@ pub fn event_to_json(ev: &Event) -> String {
                 sp.cycle,
             );
             push_comm_fields(&mut s, &sp.comm, "delta");
-            let _ = write!(s, ",\"wall_ns\":{}}}", sp.wall_ns);
+            s.push('}');
         }
         Event::Diag(d) => {
             let _ = write!(
@@ -85,7 +85,7 @@ pub fn event_to_json(ev: &Event) -> String {
                 f64_array(&e.final_relres),
             );
             push_comm_fields(&mut s, &e.comm_total, "total");
-            let _ = write!(s, ",\"wall_ns\":{}}}", e.wall_ns);
+            s.push('}');
         }
     }
     s
@@ -525,7 +525,6 @@ mod tests {
                 fused_parts: 6,
             },
             breakdown_rank: Some(1),
-            wall_ns: 9876,
         });
         let line = event_to_json(&ev);
         let v = JsonValue::parse(&line).expect("parse back");
@@ -554,7 +553,6 @@ mod tests {
                 reductions: 100,
                 ..Default::default()
             },
-            wall_ns: 1,
         });
         let v = JsonValue::parse(&event_to_json(&ev)).unwrap();
         assert_eq!(v.get("type").unwrap().as_str(), Some("solve_end"));

@@ -14,13 +14,14 @@
 //! convergence histories, [`json`] is the dependency-free JSON writer and
 //! parser. For a single solve the iteration deltas sum to the solve's total
 //! [`CommSnapshot`]: each is measured since the previous event, and the
-//! trailing work is folded into the last one.
+//! trailing work is folded into the last one. Events carry counts and
+//! residuals, never time, so the same solve records the same events.
 //!
 //! **Time** comes from one spine, [`span`]: every timed region opens one
 //! span of a [`SpanKind`] behind the one `KRYST_TRACE` gate. Closing it
 //! folds it into the per-kind aggregates of [`profiler`] (the phase table,
-//! [`ProfileSnapshot`]). [`wire`] counts what a transport put on the wire;
-//! [`diag`] holds the [`StagnationDetector`].
+//! [`ProfileSnapshot`]: a count and a total per kind). [`wire`] counts what
+//! a transport put on the wire; [`diag`] holds the [`StagnationDetector`].
 
 pub mod diag;
 pub mod event;

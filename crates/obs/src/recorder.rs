@@ -170,7 +170,6 @@ mod tests {
             per_rhs_residuals: vec![1.0 / (i + 1) as f64],
             comm: CommSnapshot::default(),
             breakdown_rank: None,
-            wall_ns: 0,
         })
     }
 

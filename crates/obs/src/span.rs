@@ -20,9 +20,8 @@ use std::time::Instant;
 /// AMG levels with a kind of their own; deeper levels fold into the last.
 pub const MAX_PRECOND_LEVELS: usize = 8;
 
-/// Size of the kind-code space: the named kinds, the retired codes
-/// [`SpanKind::code`] keeps free, and one code per level.
-pub const NUM_KINDS: usize = 17 + MAX_PRECOND_LEVELS;
+/// Number of aggregate slots: one per named kind, one per level.
+pub(crate) const NUM_SLOTS: usize = 13 + MAX_PRECOND_LEVELS;
 
 const LEVEL_NAMES: [&str; MAX_PRECOND_LEVELS] = [
     "precond/l0",
@@ -71,52 +70,55 @@ pub enum SpanKind {
     /// The deflation eigenproblem (eq. (2) / eq. (3)).
     Eigensolve,
     /// One AMG level's own cycle work (smoother, residual and transfers at
-    /// level `l`; levels past [`MAX_PRECOND_LEVELS`] share the last code).
+    /// level `l`; levels past [`MAX_PRECOND_LEVELS`] share the last slot).
     PrecondLevel(usize),
 }
 
 impl SpanKind {
-    /// Stable numeric code, `< NUM_KINDS`: the index of the kind's
-    /// aggregate slot. A code is never reused: 2 and 5–7 belonged to
-    /// retired kinds and decode to `None`.
-    pub fn code(self) -> u8 {
+    /// One kind per aggregate slot, in slot order.
+    pub(crate) const ALL: [SpanKind; NUM_SLOTS] = [
+        SpanKind::Iteration,
+        SpanKind::Reduction,
+        SpanKind::Halo,
+        SpanKind::PrecondApply,
+        SpanKind::Spmv,
+        SpanKind::OrthGram,
+        SpanKind::SmallDense,
+        SpanKind::PrecondSetup,
+        SpanKind::Setup,
+        SpanKind::Cycle,
+        SpanKind::Restart,
+        SpanKind::RecycleRefresh,
+        SpanKind::Eigensolve,
+        SpanKind::PrecondLevel(0),
+        SpanKind::PrecondLevel(1),
+        SpanKind::PrecondLevel(2),
+        SpanKind::PrecondLevel(3),
+        SpanKind::PrecondLevel(4),
+        SpanKind::PrecondLevel(5),
+        SpanKind::PrecondLevel(6),
+        SpanKind::PrecondLevel(7),
+    ];
+
+    /// Index of the kind's aggregate slot in [`SpanKind::ALL`]; levels past
+    /// [`MAX_PRECOND_LEVELS`] share the last one.
+    pub(crate) fn slot(self) -> usize {
         match self {
             SpanKind::Iteration => 0,
             SpanKind::Reduction => 1,
-            SpanKind::Halo => 3,
-            SpanKind::PrecondApply => 4,
-            SpanKind::Spmv => 8,
-            SpanKind::OrthGram => 9,
-            SpanKind::SmallDense => 10,
-            SpanKind::PrecondSetup => 11,
-            SpanKind::Setup => 12,
-            SpanKind::Cycle => 13,
-            SpanKind::Restart => 14,
-            SpanKind::RecycleRefresh => 15,
-            SpanKind::Eigensolve => 16,
-            SpanKind::PrecondLevel(l) => 17 + l.min(MAX_PRECOND_LEVELS - 1) as u8,
+            SpanKind::Halo => 2,
+            SpanKind::PrecondApply => 3,
+            SpanKind::Spmv => 4,
+            SpanKind::OrthGram => 5,
+            SpanKind::SmallDense => 6,
+            SpanKind::PrecondSetup => 7,
+            SpanKind::Setup => 8,
+            SpanKind::Cycle => 9,
+            SpanKind::Restart => 10,
+            SpanKind::RecycleRefresh => 11,
+            SpanKind::Eigensolve => 12,
+            SpanKind::PrecondLevel(l) => 13 + l.min(MAX_PRECOND_LEVELS - 1),
         }
-    }
-
-    /// Inverse of [`SpanKind::code`]; `None` for unknown codes.
-    pub fn from_code(code: u8) -> Option<SpanKind> {
-        Some(match code {
-            0 => SpanKind::Iteration,
-            1 => SpanKind::Reduction,
-            3 => SpanKind::Halo,
-            4 => SpanKind::PrecondApply,
-            8 => SpanKind::Spmv,
-            9 => SpanKind::OrthGram,
-            10 => SpanKind::SmallDense,
-            11 => SpanKind::PrecondSetup,
-            12 => SpanKind::Setup,
-            13 => SpanKind::Cycle,
-            14 => SpanKind::Restart,
-            15 => SpanKind::RecycleRefresh,
-            16 => SpanKind::Eigensolve,
-            c @ 17.. if (c as usize) < NUM_KINDS => SpanKind::PrecondLevel(c as usize - 17),
-            _ => return None,
-        })
     }
 
     /// Display name used by the phase table and the solve events.
@@ -137,11 +139,6 @@ impl SpanKind {
             SpanKind::Eigensolve => "eigensolve",
             SpanKind::PrecondLevel(l) => LEVEL_NAMES[l.min(MAX_PRECOND_LEVELS - 1)],
         }
-    }
-
-    /// Every kind, in code order (for per-kind report tables).
-    pub fn all() -> impl Iterator<Item = SpanKind> {
-        (0..NUM_KINDS as u8).filter_map(SpanKind::from_code)
     }
 }
 
@@ -277,47 +274,16 @@ mod tests {
         });
     }
 
+    /// Every slot belongs to exactly one kind, and a deep level folds into
+    /// the last level's slot.
     #[test]
-    fn kind_codes_round_trip() {
-        assert_eq!(SpanKind::all().count(), NUM_KINDS - RETIRED_CODES.len());
-        for k in SpanKind::all() {
-            assert_eq!(SpanKind::from_code(k.code()), Some(k));
+    fn slots_are_dense() {
+        for (i, k) in SpanKind::ALL.iter().enumerate() {
+            assert_eq!(k.slot(), i, "{k:?}");
         }
-        assert_eq!(SpanKind::from_code(NUM_KINDS as u8), None);
-        assert_eq!(SpanKind::from_code(200), None);
-    }
-
-    /// Codes of kinds that no longer exist.
-    const RETIRED_CODES: [u8; 4] = [2, 5, 6, 7];
-
-    /// Every kind keeps its aggregate slot, and a retired code decodes to
-    /// nothing.
-    #[test]
-    fn span_codes_are_stable() {
-        let pinned = [
-            (SpanKind::Iteration, 0),
-            (SpanKind::Reduction, 1),
-            (SpanKind::Halo, 3),
-            (SpanKind::PrecondApply, 4),
-            (SpanKind::Spmv, 8),
-            (SpanKind::OrthGram, 9),
-            (SpanKind::SmallDense, 10),
-            (SpanKind::PrecondSetup, 11),
-            (SpanKind::Setup, 12),
-            (SpanKind::Cycle, 13),
-            (SpanKind::Restart, 14),
-            (SpanKind::RecycleRefresh, 15),
-            (SpanKind::Eigensolve, 16),
-        ];
-        for (kind, code) in pinned {
-            assert_eq!(kind.code(), code, "{kind:?}");
-        }
-        for l in 0..MAX_PRECOND_LEVELS {
-            assert_eq!(SpanKind::PrecondLevel(l).code(), 17 + l as u8);
-        }
-        assert_eq!(SpanKind::PrecondLevel(MAX_PRECOND_LEVELS + 3).code(), 24);
-        for code in RETIRED_CODES {
-            assert_eq!(SpanKind::from_code(code), None, "code {code}");
-        }
+        assert_eq!(
+            SpanKind::PrecondLevel(MAX_PRECOND_LEVELS + 3).slot(),
+            NUM_SLOTS - 1
+        );
     }
 }

@@ -73,7 +73,6 @@ mod tests {
                 ..Default::default()
             },
             breakdown_rank: None,
-            wall_ns: 0,
         })
     }
 
@@ -99,7 +98,6 @@ mod tests {
                     reductions: 99,
                     ..Default::default()
                 },
-                wall_ns: 0,
             }),
             it(2, 3, 0.125),
         ];

@@ -56,16 +56,6 @@ impl WireStats {
             recv_ns: self.recv_ns.load(Ordering::Relaxed),
         }
     }
-
-    /// Zero all counters.
-    pub fn reset(&self) {
-        self.msgs_sent.store(0, Ordering::Relaxed);
-        self.bytes_sent.store(0, Ordering::Relaxed);
-        self.msgs_recv.store(0, Ordering::Relaxed);
-        self.bytes_recv.store(0, Ordering::Relaxed);
-        self.send_ns.store(0, Ordering::Relaxed);
-        self.recv_ns.store(0, Ordering::Relaxed);
-    }
 }
 
 /// A point-in-time copy of [`WireStats`].
@@ -85,32 +75,6 @@ pub struct WireSnapshot {
     pub recv_ns: u64,
 }
 
-impl WireSnapshot {
-    /// Difference of two snapshots (`self` taken after `earlier`).
-    pub fn since(&self, earlier: &WireSnapshot) -> WireSnapshot {
-        WireSnapshot {
-            msgs_sent: self.msgs_sent - earlier.msgs_sent,
-            bytes_sent: self.bytes_sent - earlier.bytes_sent,
-            msgs_recv: self.msgs_recv - earlier.msgs_recv,
-            bytes_recv: self.bytes_recv - earlier.bytes_recv,
-            send_ns: self.send_ns - earlier.send_ns,
-            recv_ns: self.recv_ns - earlier.recv_ns,
-        }
-    }
-
-    /// Element-wise sum (aggregate several ranks into world totals).
-    pub fn merge(&self, other: &WireSnapshot) -> WireSnapshot {
-        WireSnapshot {
-            msgs_sent: self.msgs_sent + other.msgs_sent,
-            bytes_sent: self.bytes_sent + other.bytes_sent,
-            msgs_recv: self.msgs_recv + other.msgs_recv,
-            bytes_recv: self.bytes_recv + other.bytes_recv,
-            send_ns: self.send_ns + other.send_ns,
-            recv_ns: self.recv_ns + other.recv_ns,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,23 +92,5 @@ mod tests {
         assert_eq!(s.bytes_recv, 64);
         assert_eq!(s.send_ns, 150);
         assert_eq!(s.recv_ns, 2000);
-        w.reset();
-        assert_eq!(w.snapshot(), WireSnapshot::default());
-    }
-
-    #[test]
-    fn since_and_merge() {
-        let w = WireStats::default();
-        w.record_send(10, 1);
-        let a = w.snapshot();
-        w.record_send(10, 1);
-        w.record_recv(20, 5);
-        let b = w.snapshot();
-        let d = b.since(&a);
-        assert_eq!(d.msgs_sent, 1);
-        assert_eq!(d.msgs_recv, 1);
-        assert_eq!(d.bytes_recv, 20);
-        let m = a.merge(&d);
-        assert_eq!(m, b);
     }
 }

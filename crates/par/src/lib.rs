@@ -47,6 +47,6 @@ pub use cost::CostModel;
 pub use halo::HaloPlan;
 pub use layout::Layout;
 pub use op::{IdentityPrecond, LinOp, PrecondOp, PrecondPrecision};
-pub use report::{comm_from_json, comm_to_json, phase_report, ModeledRow, PhaseReport, PhaseRow};
+pub use report::{phase_report, ModeledRow, PhaseReport};
 pub use spmd::{maybe_primitive_worker, reduce_stages, run_spmd, SpmdRun, SpmdWorld};
 pub use transport::{ChannelTransport, SocketTransport, Transport, TransportError, TransportKind};

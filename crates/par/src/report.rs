@@ -6,18 +6,7 @@
 
 use crate::comm::CommSnapshot;
 use crate::cost::CostModel;
-use kryst_obs::ProfileSnapshot;
-
-/// One row of a [`PhaseReport`]: a measured phase.
-#[derive(Debug, Clone)]
-pub struct PhaseRow {
-    /// Phase name (as in [`kryst_obs::SpanKind::name`]).
-    pub name: String,
-    /// Number of timed occurrences.
-    pub count: u64,
-    /// Measured local wall time in nanoseconds.
-    pub total_ns: u64,
-}
+use kryst_obs::{PhaseStats, ProfileSnapshot};
 
 /// Modeled reduction time at one rank count.
 #[derive(Debug, Clone, Copy)]
@@ -37,7 +26,7 @@ pub struct PhaseReport {
     /// suppressed in that case).
     pub iterations: usize,
     /// Measured local phases, sorted by descending total time.
-    pub measured: Vec<PhaseRow>,
+    pub measured: Vec<PhaseStats>,
     /// Modeled reduction time at each requested rank count.
     pub modeled: Vec<ModeledRow>,
 }
@@ -53,16 +42,7 @@ pub fn phase_report(
     ranks: &[usize],
     iterations: usize,
 ) -> PhaseReport {
-    let mut measured: Vec<PhaseRow> = prof
-        .phases
-        .iter()
-        .filter(|p| p.count > 0)
-        .map(|p| PhaseRow {
-            name: p.name.clone(),
-            count: p.count,
-            total_ns: p.total_ns,
-        })
-        .collect();
+    let mut measured = prof.phases.clone();
     measured.sort_by_key(|r| std::cmp::Reverse(r.total_ns));
     let modeled = ranks
         .iter()
@@ -122,27 +102,6 @@ impl PhaseReport {
     }
 }
 
-/// Serialize a [`CommSnapshot`] as a JSON object.
-pub fn comm_to_json(snap: &CommSnapshot) -> String {
-    kryst_obs::json::JsonValue::obj(vec![
-        ("reductions", (snap.reductions as f64).into()),
-        ("reduction_bytes", (snap.reduction_bytes as f64).into()),
-        ("fused_parts", (snap.fused_parts as f64).into()),
-    ])
-    .to_json()
-}
-
-/// Parse a [`CommSnapshot`] from the JSON produced by [`comm_to_json`].
-pub fn comm_from_json(text: &str) -> Option<CommSnapshot> {
-    let v = kryst_obs::json::JsonValue::parse(text).ok()?;
-    let field = |k: &str| v.get(k).and_then(|x| x.as_f64()).map(|x| x as u64);
-    Some(CommSnapshot {
-        reductions: field("reductions")?,
-        reduction_bytes: field("reduction_bytes")?,
-        fused_parts: field("fused_parts")?,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,17 +132,5 @@ mod tests {
         assert!(text.contains("  1024"));
         // Measured rows are sorted by descending total time.
         assert!(text.find("spmv").unwrap() < text.find("reduction").unwrap());
-    }
-
-    #[test]
-    fn comm_snapshot_json_round_trips() {
-        let snap = CommSnapshot {
-            reductions: 1,
-            reduction_bytes: 2,
-            fused_parts: 3,
-        };
-        let text = comm_to_json(&snap);
-        assert_eq!(comm_from_json(&text), Some(snap));
-        assert_eq!(comm_from_json("{"), None);
     }
 }

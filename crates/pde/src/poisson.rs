@@ -8,11 +8,15 @@
 //! f_i(x, y) = (1/ν_i)·exp(−(1−x)²/ν_i)·exp(−(1−y)²/ν_i),
 //! {ν_i} = {0.1, 10, 0.001, 100}.
 //! ```
+//!
+//! Beside it sit the two small operators of the tests, benches and the
+//! profile demo: the 1-D Laplacian [`laplace1d`] and the upwind
+//! convection–diffusion operator [`convdiff2d`].
 
 use crate::Problem;
 use kryst_dense::DMat;
 use kryst_scalar::Scalar;
-use kryst_sparse::Csr;
+use kryst_sparse::{Coo, Csr};
 
 /// The ν parameters of the paper's four right-hand sides.
 pub const PAPER_NUS: [f64; 4] = [0.1, 10.0, 0.001, 100.0];
@@ -77,6 +81,50 @@ pub fn poisson2d<S: Scalar>(nx: usize, ny: usize) -> Problem<S> {
     }
 }
 
+/// The 1-D Laplacian `tridiag(−1, 2, −1)` of order `n`, unscaled.
+pub fn laplace1d<S: Scalar>(n: usize) -> Csr<S> {
+    let mut c = Coo::new(n, n);
+    for i in 0..n {
+        c.push(i, i, S::from_f64(2.0));
+        if i > 0 {
+            c.push(i, i - 1, S::from_f64(-1.0));
+        }
+        if i + 1 < n {
+            c.push(i, i + 1, S::from_f64(-1.0));
+        }
+    }
+    c.to_csr()
+}
+
+/// 2-D convection–diffusion `−ε·Δu + b·∇u` on an `nx × nx` interior grid
+/// of the unit square, with first-order upwind convection along the wind
+/// `b = (bx, by)`; nonsymmetric whenever the wind is not zero.
+pub fn convdiff2d(nx: usize, eps: f64, bx: f64, by: f64) -> Csr<f64> {
+    let n = nx * nx;
+    let h = 1.0 / (nx as f64 + 1.0);
+    let mut c = Coo::new(n, n);
+    let idx = |i: usize, j: usize| i * nx + j;
+    for i in 0..nx {
+        for j in 0..nx {
+            let row = idx(i, j);
+            c.push(row, row, 4.0 * eps / (h * h) + (bx.abs() + by.abs()) / h);
+            if i > 0 {
+                c.push(row, idx(i - 1, j), -eps / (h * h) - bx.max(0.0) / h);
+            }
+            if i + 1 < nx {
+                c.push(row, idx(i + 1, j), -eps / (h * h) + bx.min(0.0) / h);
+            }
+            if j > 0 {
+                c.push(row, idx(i, j - 1), -eps / (h * h) - by.max(0.0) / h);
+            }
+            if j + 1 < nx {
+                c.push(row, idx(i, j + 1), -eps / (h * h) + by.min(0.0) / h);
+            }
+        }
+    }
+    c.to_csr()
+}
+
 /// The paper's `i`-th right-hand side sampled on the grid.
 pub fn rhs_nu<S: Scalar>(nx: usize, ny: usize, nu: f64) -> Vec<S> {
     let hx = 1.0 / (nx as f64 + 1.0);
@@ -110,7 +158,6 @@ pub fn paper_rhs_block<S: Scalar>(nx: usize, ny: usize) -> DMat<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kryst_sparse::Coo;
 
     /// The Laplacian pushed as triplets, as this module assembled it before
     /// it wrote the rows directly.

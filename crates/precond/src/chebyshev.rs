@@ -161,19 +161,7 @@ impl<S: Scalar> PrecondOp<S> for Chebyshev<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kryst_sparse::Coo;
-
-    fn laplace1d(n: usize) -> Csr<f64> {
-        let mut c = Coo::new(n, n);
-        for i in 0..n {
-            c.push(i, i, 2.0);
-            if i > 0 {
-                c.push(i, i - 1, -1.0);
-                c.push(i - 1, i, -1.0);
-            }
-        }
-        c.to_csr()
-    }
+    use kryst_pde::poisson::laplace1d;
 
     #[test]
     fn lmax_estimate_close_to_two() {
@@ -200,14 +188,14 @@ mod tests {
 
     #[test]
     fn smoother_shares_the_operator() {
-        let a = laplace1d(20);
+        let a = laplace1d::<f64>(20);
         assert!(Chebyshev::new(&a, 3, 10.0).a.shares_values(&a));
     }
 
     #[test]
     fn apply_is_linear() {
         // M⁻¹(αr) = α·M⁻¹r — Chebyshev is a fixed polynomial.
-        let a = laplace1d(20);
+        let a = laplace1d::<f64>(20);
         let cheb = Chebyshev::new(&a, 3, 10.0);
         let r = DMat::from_fn(20, 1, |i, _| (i as f64).sin());
         let mut r2 = r.clone();

@@ -213,9 +213,9 @@ pub fn cg_smooth<S: Scalar>(
 mod tests {
     use super::*;
     use kryst_pde::elasticity::{elasticity3d, ElasticityOpts};
+    use kryst_pde::poisson::laplace1d;
     use kryst_pde::poisson::poisson2d;
     use kryst_scalar::C64;
-    use kryst_sparse::Coo;
 
     /// `uᴴ·w` in the summation order of `kryst_dense::fused`, written out:
     /// per chunk of 512 rows four interleaved sums over the rows in fours,
@@ -335,18 +335,6 @@ mod tests {
         z.set_zero();
         let mut ks = KrylovScratch::gmres(a.nrows(), iters);
         gmres_smooth(a, &mut r.clone(), z, iters, false, &mut ks);
-    }
-
-    fn laplace1d<S: Scalar>(n: usize) -> Csr<S> {
-        let mut c = Coo::new(n, n);
-        for i in 0..n {
-            c.push(i, i, S::from_f64(2.0));
-            if i > 0 {
-                c.push(i, i - 1, S::from_f64(-1.0));
-                c.push(i - 1, i, S::from_f64(-1.0));
-            }
-        }
-        c.to_csr()
     }
 
     fn residual(a: &Csr<f64>, b: &DMat<f64>, x: &DMat<f64>) -> f64 {

@@ -15,24 +15,10 @@ use kryst_dense::DMat;
 use kryst_obs::json::{f64_array, JsonValue};
 use kryst_obs::{cumulative_comm, iteration_events, Event, Recorder, RingRecorder};
 use kryst_par::{CommStats, IdentityPrecond};
+use kryst_pde::poisson::laplace1d;
 use kryst_rt::rng::Rng64;
-use kryst_sparse::{Coo, Csr};
 use std::path::PathBuf;
 use std::sync::Arc;
-
-fn laplace1d(n: usize) -> Csr<f64> {
-    let mut c = Coo::new(n, n);
-    for i in 0..n {
-        c.push(i, i, 2.0);
-        if i > 0 {
-            c.push(i, i - 1, -1.0);
-        }
-        if i + 1 < n {
-            c.push(i, i + 1, -1.0);
-        }
-    }
-    c.to_csr()
-}
 
 fn pinned_rhs(n: usize, seed: u64) -> DMat<f64> {
     let mut rng = Rng64::seed_from_u64(seed);

@@ -10,6 +10,7 @@ use kryst_core::pseudo::{self, PseudoMethod};
 use kryst_core::{gcrodr, gmres, lgmres};
 use kryst_core::{PrecondSide, SolveOpts, SolveResult, SolverContext};
 use kryst_dense::DMat;
+use kryst_obs::json::event_to_json;
 use kryst_obs::{cumulative_comm, history, iteration_events, Event, Recorder, RingRecorder};
 use kryst_par::{CommStats, IdentityPrecond};
 use kryst_pde::poisson::{paper_rhs_block, poisson2d};
@@ -263,4 +264,35 @@ fn pseudo_block_gmres_and_gcrodr() {
             assert_eq!(ev.per_rhs_residuals.len(), b.ncols());
         }
     }
+}
+
+/// Events carry counts and residuals, never time: the same GCRO-DR(30,10)
+/// cold and warm pair, run twice from scratch, records the same JSON lines.
+#[test]
+fn event_stream_is_deterministic() {
+    let prob = poisson2d::<f64>(24, 24);
+    let n = prob.a.nrows();
+    let id = IdentityPrecond::new(n);
+    let b1 = DMat::from_fn(n, 1, |i, _| ((i % 7) as f64) - 3.0);
+    let b2 = DMat::from_fn(n, 1, |i, _| ((i % 4) as f64) - 1.5);
+    let run = || {
+        let ring = Arc::new(RingRecorder::new(65536));
+        let opts = SolveOpts {
+            rtol: 1e-9,
+            restart: 30,
+            recycle: 10,
+            stats: Some(CommStats::new_shared()),
+            recorder: Some(ring.clone() as Arc<dyn Recorder>),
+            ..Default::default()
+        };
+        let mut ctx = SolverContext::new();
+        for b in [&b1, &b2] {
+            let mut x = DMat::zeros(n, 1);
+            assert!(gcrodr::solve(&prob.a, &id, b, &mut x, &opts, &mut ctx).converged);
+        }
+        ring.events().iter().map(event_to_json).collect::<Vec<_>>()
+    };
+    let first = run();
+    assert!(first.iter().any(|l| l.contains("\"type\":\"span\"")));
+    assert_eq!(first, run());
 }

@@ -29,10 +29,10 @@ use kryst_obs::{
 use kryst_par::{CommStats, IdentityPrecond, PrecondOp};
 use kryst_pde::elasticity::paper_sequence;
 use kryst_pde::maxwell::{antenna_ring_rhs, maxwell3d, MaxwellParams};
+use kryst_pde::poisson::{convdiff2d, laplace1d};
 use kryst_precond::{Amg, AmgOpts, Jacobi, SmootherKind};
 use kryst_rt::rng::Rng64;
 use kryst_scalar::C64;
-use kryst_sparse::{Coo, Csr};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -41,46 +41,6 @@ use std::sync::{Arc, Mutex, MutexGuard};
 fn profiler_turn() -> MutexGuard<'static, ()> {
     static TURN: Mutex<()> = Mutex::new(());
     TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-fn laplace1d(n: usize) -> Csr<f64> {
-    let mut c = Coo::new(n, n);
-    for i in 0..n {
-        c.push(i, i, 2.0);
-        if i > 0 {
-            c.push(i, i - 1, -1.0);
-        }
-        if i + 1 < n {
-            c.push(i, i + 1, -1.0);
-        }
-    }
-    c.to_csr()
-}
-
-fn convdiff2d(nx: usize, eps: f64, bx: f64, by: f64) -> Csr<f64> {
-    let n = nx * nx;
-    let h = 1.0 / (nx as f64 + 1.0);
-    let mut c = Coo::new(n, n);
-    let idx = |i: usize, j: usize| i * nx + j;
-    for i in 0..nx {
-        for j in 0..nx {
-            let row = idx(i, j);
-            c.push(row, row, 4.0 * eps / (h * h) + (bx.abs() + by.abs()) / h);
-            if i > 0 {
-                c.push(row, idx(i - 1, j), -eps / (h * h) - bx.max(0.0) / h);
-            }
-            if i + 1 < nx {
-                c.push(row, idx(i + 1, j), -eps / (h * h) + bx.min(0.0) / h);
-            }
-            if j > 0 {
-                c.push(row, idx(i, j - 1), -eps / (h * h) - by.max(0.0) / h);
-            }
-            if j + 1 < nx {
-                c.push(row, idx(i, j + 1), -eps / (h * h) + by.min(0.0) / h);
-            }
-        }
-    }
-    c.to_csr()
 }
 
 fn pinned_rhs(n: usize, seed: u64) -> DMat<f64> {
@@ -238,9 +198,9 @@ fn phases_cover_an_lgmres_solve() {
     let share = covered as f64 / wall;
     assert!(
         (0.95..=1.0).contains(&share),
-        "phases cover {:.1} % of the solve:\n{}",
+        "phases cover {:.1} % of the solve:\n{:?}",
         100.0 * share,
-        snap.to_json()
+        snap.phases
     );
 }
 

@@ -18,25 +18,11 @@ use kryst_par::{
     reduce_stages, run_spmd, HaloPlan, IdentityPrecond, Layout, SpmdRun, SpmdWorld, Transport,
     TransportError, TransportKind,
 };
+use kryst_pde::poisson::laplace1d;
 use kryst_rt::rng::Rng64;
-use kryst_sparse::{Coo, Csr};
 
 /// World sizes exercised: powers of two and the fold/unfold cases.
 const WORLDS: [usize; 6] = [2, 3, 4, 7, 8, 16];
-
-fn laplace1d(n: usize) -> Csr<f64> {
-    let mut c = Coo::new(n, n);
-    for i in 0..n {
-        c.push(i, i, 2.0);
-        if i > 0 {
-            c.push(i, i - 1, -1.0);
-        }
-        if i + 1 < n {
-            c.push(i, i + 1, -1.0);
-        }
-    }
-    c.to_csr()
-}
 
 fn pinned_rhs(n: usize, seed: u64) -> DMat<f64> {
     let mut rng = Rng64::seed_from_u64(seed);
@@ -240,7 +226,7 @@ fn socket_peer_death_is_typed_error() {
 #[test]
 fn socket_world_runs_primitives_with_borrowed_worker_exe() {
     let exe = std::path::PathBuf::from(env!("CARGO_BIN_EXE_kryst_prof"));
-    let plan = HaloPlan::build(&laplace1d(64), &Layout::even(64, 2));
+    let plan = HaloPlan::build(&laplace1d::<f64>(64), &Layout::even(64, 2));
     let run = |world: SpmdWorld| {
         world.all_reduce(8, 4).expect("all-reduce");
         world.ping_pong(8, 4).expect("ping-pong");
