@@ -1,12 +1,13 @@
 //! Dense kernels on GCRO-DR-sized problems: gemm, incremental QR,
 //! eigen-solves of the deflation dimension.
 
-use kryst_bench::harness::{BenchmarkId, Criterion};
+use kryst_bench::harness::{print_tiers, BenchmarkId, Criterion};
 use kryst_bench::{criterion_group, criterion_main};
 use kryst_dense::qr::IncrementalQr;
 use kryst_dense::{blas, eig, DMat, C64};
 
 fn bench_dense(c: &mut Criterion) {
+    print_tiers(&[("eig", eig::tier())]);
     // Basis update gemm: tall-skinny times small (the solution update).
     let n = 50_000;
     let v = DMat::from_fn(n, 30, |i, j| ((i + j * 7) % 11) as f64 - 5.0);

@@ -1,10 +1,11 @@
 //! Block orthogonalization — the fused CholQR step of the Arnoldi cycle
 //! (§III-A/D), its sweeps, and the products between two cycles.
 
-use kryst_bench::harness::Criterion;
+use kryst_bench::harness::{print_tiers, Criterion};
 use kryst_bench::{criterion_group, criterion_main};
 use kryst_dense::fused::{
-    fused_accumulate, fused_adjoint_times, fused_gram, fused_update, fused_update_gram, ColsRef,
+    self, fused_accumulate, fused_adjoint_times, fused_gram, fused_update, fused_update_gram,
+    ColsRef,
 };
 use kryst_dense::gs::fused_orthogonalize_block;
 use kryst_dense::{blas, chol, DMat, Scalar, C64};
@@ -16,6 +17,10 @@ fn basis(n: usize, k: usize) -> DMat<f64> {
 }
 
 fn bench_orth(c: &mut Criterion) {
+    print_tiers(&[
+        ("fused f64", fused::tier::<f64>()),
+        ("fused C64", fused::tier::<C64>()),
+    ]);
     let n = 20_000;
     let v = basis(n, 20);
     let w0 = DMat::from_fn(n, 4, |i, j| ((i * 3 + j * 11) % 23) as f64 - 11.0);

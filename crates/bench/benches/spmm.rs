@@ -2,7 +2,7 @@
 //! the kernel argument of the paper's §V-B2 — and the operator sweeps of
 //! the repository benchmark's workloads, by row shape.
 
-use kryst_bench::harness::{BenchmarkId, Criterion, Throughput};
+use kryst_bench::harness::{print_tiers, BenchmarkId, Criterion, Throughput};
 use kryst_bench::{criterion_group, criterion_main};
 use kryst_dense::DMat;
 use kryst_pde::elasticity::{elasticity3d, ElasticityOpts, PAPER_INCLUSIONS};
@@ -10,9 +10,14 @@ use kryst_pde::maxwell::{maxwell3d, MaxwellParams};
 use kryst_pde::poisson::poisson2d;
 use kryst_precond::{Amg, AmgOpts};
 use kryst_scalar::{Scalar, C64};
+use kryst_sparse::csr::row_sweep_tier;
 use kryst_sparse::Csr;
 
 fn bench_spmm(c: &mut Criterion) {
+    print_tiers(&[
+        ("Csr row sweep f64", row_sweep_tier::<f64>()),
+        ("C64", row_sweep_tier::<C64>()),
+    ]);
     let prob = poisson2d::<f64>(96, 96);
     let n = prob.a.nrows();
     let mut g = c.benchmark_group("spmm");

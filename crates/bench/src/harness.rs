@@ -15,6 +15,7 @@
 //! CI smoke mode. Regressions are judged by the repository benchmark
 //! (`benchmark/`, `bash benchmark/run.sh compare`), not from these numbers.
 
+use kryst_rt::simd::{self, Tier};
 use std::fmt::Display;
 use std::time::{Duration, Instant};
 
@@ -217,6 +218,21 @@ fn fmt_time(s: f64) -> String {
     } else {
         format!("{:.1} ns", s * 1e9)
     }
+}
+
+/// Print which compiled body each kernel family runs on this CPU, as the
+/// header of a kernel bench, so that a recorded median names the body it
+/// timed: `kernels` pairs a name with its [`Tier`].
+pub fn print_tiers(kernels: &[(&str, Tier)]) {
+    let rows: Vec<String> = kernels
+        .iter()
+        .map(|(name, t)| format!("{name} at {}", t.name()))
+        .collect();
+    println!(
+        "vector tiers (this CPU: {}): {}",
+        simd::detected().name(),
+        rows.join(", ")
+    );
 }
 
 /// Criterion-style group definition: binds a config and a target list to a

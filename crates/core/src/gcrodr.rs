@@ -100,12 +100,15 @@ impl<S: Scalar> Deflation<S> {
     /// holds, which it takes until [`Self::into_context`].
     pub(crate) fn from_context(ctx: &mut SolverContext<S>, n: usize, opts: &SolveOpts) -> Self {
         let m = opts.restart.max(MIN_RESTART);
+        let space = (ctx.recycle.take()).filter(|rec| rec.u.nrows() == n && rec.u.ncols() >= 1);
         Deflation {
-            space: (ctx.recycle.take()).filter(|rec| rec.u.nrows() == n && rec.u.ncols() >= 1),
+            // A solve that starts without a space is the first of its
+            // sequence, whether the context is new or was reset.
+            refresh_allowed: !opts.same_system || space.is_none(),
+            space,
             spare: None,
             m,
             k_blocks: opts.recycle.clamp(1, m - 1),
-            refresh_allowed: !opts.same_system || ctx.solves == 0,
             cr: DMat::zeros(0, 0),
         }
     }
@@ -553,6 +556,40 @@ mod tests {
             counts[1..].iter().all(|&c| c < counts[0]),
             "recycling must cut iterations: {counts:?}"
         );
+    }
+
+    /// A reset context is a fresh one: under `same_system` its next solve
+    /// extracts and refreshes the recycle space as a first solve does.
+    #[test]
+    fn reset_context_recycles_as_a_fresh_one() {
+        let prob = poisson2d::<f64>(32, 32);
+        let n = prob.a.nrows();
+        let jacobi = kryst_precond::Jacobi::new(&prob.a, 1.0);
+        let opts = SolveOpts {
+            rtol: 1e-8,
+            restart: 30,
+            recycle: 10,
+            side: PrecondSide::Right,
+            same_system: true,
+            ..Default::default()
+        };
+        let rhss = paper_rhs_sequence::<f64>(32, 32);
+        let run = |ctx: &mut SolverContext<f64>| -> Vec<usize> {
+            rhss.iter()
+                .map(|rhs| {
+                    let b = DMat::from_col_major(n, 1, rhs.clone());
+                    let mut x = DMat::zeros(n, 1);
+                    let res = solve(&prob.a, &jacobi, &b, &mut x, &opts, ctx);
+                    assert!(res.converged);
+                    res.iterations
+                })
+                .collect()
+        };
+        let fresh = run(&mut SolverContext::new());
+        let mut reset = SolverContext::new();
+        run(&mut reset);
+        reset.reset();
+        assert_eq!(run(&mut reset), fresh, "reset context against a fresh one");
     }
 
     #[test]

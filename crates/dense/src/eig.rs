@@ -39,10 +39,10 @@
 //! this file are those loops, and the tests pin the two `to_bits`.
 //!
 //! The kernels under those sweeps (`Kernels`) have a plain body and, on
-//! x86-64, an AVX2 one (`avx2`, no FMA, so the same bits), picked once
-//! per decomposition at run time as in [`crate::fused`]. The plain body
-//! compiled with AVX2 enabled left the complex rotations scalar; the AVX2
-//! body holds two complex numbers to a register.
+//! x86-64, an AVX2 one (`avx2`, no FMA, so the same bits), picked once per
+//! decomposition through [`kryst_rt::simd`], which caps it at AVX2. The
+//! plain body compiled with AVX2 enabled left the complex rotations scalar;
+//! the AVX2 body holds two complex numbers to a register.
 //!
 //! A non-finite input is answered at once (`converged: false`, no sweep,
 //! NaN values): the QR iteration cannot deflate a NaN and would run to its
@@ -50,6 +50,7 @@
 
 use crate::lu::Lu;
 use crate::DMat;
+use kryst_rt::simd::{self, Kernel, Tier, Width};
 use kryst_scalar::{Scalar, C64};
 use std::slice::from_ref;
 
@@ -423,12 +424,56 @@ fn schur_body<K: Kernels>(kern: K, mut h: DMat<C64>) -> EigDecomp {
     }
 }
 
-/// [`schur_body`] compiled with 256-bit vectors, on the [`avx2`] kernels. AVX2 alone: FMA stays off, so the result is the same
-/// bits as the baseline build.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn schur_avx2(kern: avx2::Avx2, h: DMat<C64>) -> EigDecomp {
-    schur_body(kern, h)
+/// The widest tier of the decomposition. At 512 bits the plain body and the
+/// [`avx2`] kernels read slower on the 224 × 224 extraction of the Maxwell
+/// workload, and intrinsic kernels four complex numbers to a register did
+/// not resolve a gain in the `eig_deflation` bench.
+const WIDEST: Tier = Tier::Avx2;
+
+/// The tier the decomposition runs at on this CPU.
+pub fn tier() -> Tier {
+    simd::capped(WIDEST)
+}
+
+/// [`schur_body`] as a [`Kernel`], on the [`avx2`] kernels where the tier
+/// has them.
+struct Schur(DMat<C64>);
+
+impl Kernel for Schur {
+    type Out = EigDecomp;
+
+    fn widest(&self) -> Tier {
+        WIDEST
+    }
+
+    #[inline(always)]
+    fn body(self, width: Width) -> EigDecomp {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(kern) = avx2::Avx2::new(width) {
+            return schur_body(kern, self.0);
+        }
+        schur_body(Plain, self.0)
+    }
+}
+
+/// [`EigDecomp::vectors_body`] as a [`Kernel`].
+struct Vectors<'a>(&'a EigDecomp, &'a [usize]);
+
+impl Kernel for Vectors<'_> {
+    type Out = DMat<C64>;
+
+    fn widest(&self) -> Tier {
+        WIDEST
+    }
+
+    #[inline(always)]
+    fn body(self, width: Width) -> DMat<C64> {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(kern) = avx2::Avx2::new(width) {
+            return self.0.vectors_body(kern, self.1);
+        }
+        self.0.vectors_body(Plain, self.1)
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -442,17 +487,18 @@ mod avx2 {
     //! do; the `to_bits` suite holds both.
 
     use super::{axpy, rotate_pair, Kernels, Rot, G};
+    use kryst_rt::simd::{Tier, Width};
     use kryst_scalar::C64;
     use std::arch::x86_64::*;
 
-    /// The kernels on AVX2; only [`Avx2::detect`] makes one, on a CPU that
-    /// has it.
+    /// The kernels on AVX2; only [`Avx2::new`] makes one, from the proof
+    /// that the CPU has AVX2 or wider.
     #[derive(Clone, Copy)]
     pub(super) struct Avx2(());
 
     impl Avx2 {
-        pub(super) fn detect() -> Option<Self> {
-            std::is_x86_feature_detected!("avx2").then_some(Avx2(()))
+        pub(super) fn new(width: Width) -> Option<Self> {
+            (width.tier() >= Tier::Avx2).then_some(Avx2(()))
         }
     }
 
@@ -610,13 +656,7 @@ fn schur(a: DMat<C64>) -> EigDecomp {
     if !all_finite(&a) {
         return EigDecomp::not_finite(a.nrows());
     }
-    #[cfg(target_arch = "x86_64")]
-    if let Some(kern) = avx2::Avx2::detect() {
-        // SAFETY: `kern` exists, so the CPU has AVX2, the one feature
-        // `schur_avx2` is compiled with.
-        return unsafe { schur_avx2(kern, a) };
-    }
-    schur_body(Plain, a)
+    simd::run(Schur(a))
 }
 
 /// Schur decomposition of a general square matrix.
@@ -669,20 +709,7 @@ impl EigDecomp {
     /// columns normalized to unit 2-norm: back-substitution in `T` for only
     /// those columns, then `Q·y`.
     pub fn vectors(&self, idx: &[usize]) -> DMat<C64> {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(kern) = avx2::Avx2::detect() {
-            // SAFETY: `kern` exists, so the CPU has AVX2, the one feature
-            // `vectors_avx2` is compiled with.
-            return unsafe { self.vectors_avx2(kern, idx) };
-        }
-        self.vectors_body(Plain, idx)
-    }
-
-    /// [`Self::vectors_body`] on the [`avx2`] kernels.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    fn vectors_avx2(&self, kern: avx2::Avx2, idx: &[usize]) -> DMat<C64> {
-        self.vectors_body(kern, idx)
+        simd::run(Vectors(self, idx))
     }
 
     #[inline(always)]
@@ -1128,22 +1155,6 @@ mod tests {
 
     // --- The sweeps against the reference, bit for bit. ---
 
-    type SchurFn = fn(DMat<C64>) -> EigDecomp;
-
-    /// Both compiled variants of the decomposition, where the second exists.
-    fn variants() -> Vec<SchurFn> {
-        let mut v: Vec<SchurFn> = vec![|h| schur_body(Plain, h)];
-        #[cfg(target_arch = "x86_64")]
-        if avx2::Avx2::detect().is_some() {
-            v.push(|h| {
-                let kern = avx2::Avx2::detect().expect("AVX2 was detected");
-                // SAFETY: `kern` exists, so the CPU has AVX2.
-                unsafe { schur_avx2(kern, h) }
-            });
-        }
-        v
-    }
-
     fn bits(v: &[C64]) -> Vec<(u64, u64)> {
         v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
     }
@@ -1193,12 +1204,17 @@ mod tests {
             "{what}: vectors"
         );
         let all: Vec<usize> = (0..n).collect();
-        let plain = d.vectors_body(Plain, &all);
-        assert_eq!(
-            bits(plain.as_slice()),
-            bits(vecs.as_slice()),
-            "{what}: plain vectors"
-        );
+        let tiers = simd::suite_tiers("eig vectors");
+        for &tier in &tiers {
+            let got = simd::run_at(tier, Vectors(d, &all));
+            assert_eq!(
+                bits(got.as_slice()),
+                bits(vecs.as_slice()),
+                "{what}: vectors at {} of {}",
+                tier.name(),
+                simd::names(&tiers)
+            );
+        }
         let mut some = d.smallest_indices(n.div_ceil(3));
         some.reverse();
         some.push(n - 1);
@@ -1211,8 +1227,11 @@ mod tests {
     fn eig_matches_reference<S: Scalar>(a: &DMat<S>, what: &str) {
         let ac = to_complex(a);
         let want = reference_eig(&ac);
-        for (v, body) in variants().into_iter().enumerate() {
-            assert_same(&body(ac.clone()), &want, &format!("{what}, variant {v}"));
+        let tiers = simd::suite_tiers("eig schur");
+        for &tier in &tiers {
+            let d = simd::run_at(tier, Schur(ac.clone()));
+            let what = format!("{what}, {} of {}", tier.name(), simd::names(&tiers));
+            assert_same(&d, &want, &what);
         }
         assert_same(&eig(a), &want, what);
     }

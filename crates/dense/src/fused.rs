@@ -65,11 +65,15 @@
 //! are added in row order, and the update subtracts `c · b` column by column
 //! in panel order, skipping exact-zero coefficients. Products and sums are
 //! never contracted into fused multiply–adds. On x86-64 the same body is
-//! compiled a second time with AVX2 enabled and picked at run time; wider
+//! compiled for AVX2 and for AVX-512F as well, and [`kryst_rt::simd`] picks
+//! one at run time: `C64` sweeps run at 512 bits, `f64` ones stop at AVX2
+//! (at 512 the `p = 1` update and step against 30 columns read slower, and
+//! the `f64` workloads came out mixed). Wider
 //! registers change how many entries move per instruction, not one bit of
 //! the result.
 
 use crate::DMat;
+use kryst_rt::simd::{self, Kernel, Tier, Width};
 use kryst_scalar::Scalar;
 
 /// Borrowed columns of equal height — e.g. the leading columns of a wider
@@ -399,22 +403,40 @@ fn sweep_body<S: Scalar>(blocks: &[ColsRef<'_, S>], job: Sweep<'_, S>) {
     }
 }
 
-/// [`sweep_body`] compiled with 256-bit vectors. AVX2 alone: FMA stays off,
-/// so the result is the same bits as the baseline build of the body.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn sweep_avx2<S: Scalar>(blocks: &[ColsRef<'_, S>], job: Sweep<'_, S>) {
-    sweep_body(blocks, job)
+/// The tier the kernels of this module take: 512-bit vectors for a complex
+/// scalar; a real one stops at AVX2 (see the module documentation).
+fn widest<S: Scalar>() -> Tier {
+    if S::is_complex() {
+        Tier::Avx512
+    } else {
+        Tier::Avx2
+    }
+}
+
+/// The tier the sweeps and vector passes of this module run at for `S` on
+/// this CPU.
+pub fn tier<S: Scalar>() -> Tier {
+    simd::capped(widest::<S>())
+}
+
+/// [`sweep_body`] as a [`Kernel`].
+struct SweepKernel<'b, 'x, S>(&'b [ColsRef<'b, S>], Sweep<'x, S>);
+
+impl<S: Scalar> Kernel for SweepKernel<'_, '_, S> {
+    type Out = ();
+
+    fn widest(&self) -> Tier {
+        widest::<S>()
+    }
+
+    #[inline(always)]
+    fn body(self, _: Width) {
+        sweep_body(self.0, self.1)
+    }
 }
 
 fn sweep<S: Scalar>(blocks: &[ColsRef<'_, S>], job: Sweep<'_, S>) {
-    #[cfg(target_arch = "x86_64")]
-    if std::is_x86_feature_detected!("avx2") {
-        // SAFETY: the CPU this runs on reports AVX2, the one feature
-        // `sweep_avx2` is compiled with.
-        return unsafe { sweep_avx2(blocks, job) };
-    }
-    sweep_body(blocks, job)
+    simd::run(SweepKernel(blocks, job))
 }
 
 /// Shape checks shared by the three entry points: every panel as tall as
@@ -558,28 +580,36 @@ fn axpy_dot_body<S: Scalar>(w: &mut [S], c: S, v: &[S], u: Option<&[S]>) -> S {
     total
 }
 
-/// [`dot_body`] compiled with 256-bit vectors; see [`sweep_avx2`].
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn dot_avx2<S: Scalar>(u: &[S], w: &[S]) -> S {
-    dot_body(u, w)
-}
+/// [`dot_body`] as a [`Kernel`].
+struct DotKernel<'a, S>(&'a [S], &'a [S]);
 
-/// [`axpy_dot_body`] compiled with 256-bit vectors; see [`sweep_avx2`].
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn axpy_dot_avx2<S: Scalar>(w: &mut [S], c: S, v: &[S], u: Option<&[S]>) -> S {
-    axpy_dot_body(w, c, v, u)
-}
+impl<S: Scalar> Kernel for DotKernel<'_, S> {
+    type Out = S;
 
-fn axpy_dot_opt<S: Scalar>(w: &mut [S], c: S, v: &[S], u: Option<&[S]>) -> S {
-    #[cfg(target_arch = "x86_64")]
-    if std::is_x86_feature_detected!("avx2") {
-        // SAFETY: the CPU this runs on reports AVX2, the one feature
-        // `axpy_dot_avx2` is compiled with.
-        return unsafe { axpy_dot_avx2(w, c, v, u) };
+    fn widest(&self) -> Tier {
+        widest::<S>()
     }
-    axpy_dot_body(w, c, v, u)
+
+    #[inline(always)]
+    fn body(self, _: Width) -> S {
+        dot_body(self.0, self.1)
+    }
+}
+
+/// [`axpy_dot_body`] as a [`Kernel`].
+struct AxpyDotKernel<'a, S>(&'a mut [S], S, &'a [S], Option<&'a [S]>);
+
+impl<S: Scalar> Kernel for AxpyDotKernel<'_, S> {
+    type Out = S;
+
+    fn widest(&self) -> Tier {
+        widest::<S>()
+    }
+
+    #[inline(always)]
+    fn body(self, _: Width) -> S {
+        axpy_dot_body(self.0, self.1, self.2, self.3)
+    }
 }
 
 /// `uᴴ·w` of two vectors in the summation order of [`fused_gram`] (its
@@ -591,13 +621,7 @@ fn axpy_dot_opt<S: Scalar>(w: &mut [S], c: S, v: &[S], u: Option<&[S]>) -> S {
 /// them once per cycle, not once per row sweep, and every golden trace pins
 /// their rounding.
 pub fn dot<S: Scalar>(u: &[S], w: &[S]) -> S {
-    #[cfg(target_arch = "x86_64")]
-    if std::is_x86_feature_detected!("avx2") {
-        // SAFETY: the CPU this runs on reports AVX2, the one feature
-        // `dot_avx2` is compiled with.
-        return unsafe { dot_avx2(u, w) };
-    }
-    dot_body(u, w)
+    simd::run(DotKernel(u, w))
 }
 
 /// `‖w‖²`: the real part of [`dot`]`(w, w)`, whose imaginary part is an
@@ -610,13 +634,13 @@ pub fn nrm2_sqr<S: Scalar>(w: &[S]) -> f64 {
 /// updated `w` as [`dot`] would, in the same pass: a Gram–Schmidt projection
 /// and the next one's coefficient.
 pub fn axpy_dot<S: Scalar>(w: &mut [S], c: S, v: &[S], u: &[S]) -> S {
-    axpy_dot_opt(w, c, v, Some(u))
+    simd::run(AxpyDotKernel(w, c, v, Some(u)))
 }
 
 /// `w ⟵ w − c·v`, returning `‖w‖²` of the updated `w` as [`nrm2_sqr`] would,
 /// in the same pass.
 pub fn axpy_nrm2_sqr<S: Scalar>(w: &mut [S], c: S, v: &[S]) -> f64 {
-    axpy_dot_opt(w, c, v, None).re()
+    simd::run(AxpyDotKernel(w, c, v, None)).re()
 }
 
 #[cfg(test)]
@@ -699,17 +723,9 @@ mod tests {
         })
     }
 
-    type SweepFn<S> = for<'a, 'x> fn(&[ColsRef<'a, S>], Sweep<'x, S>);
-
-    /// Both compiled variants of the sweep, where the second exists.
-    fn variants<S: Scalar>() -> Vec<SweepFn<S>> {
-        let mut v: Vec<SweepFn<S>> = vec![|b, j| sweep_body(b, j)];
-        #[cfg(target_arch = "x86_64")]
-        if std::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 was detected on the line above.
-            v.push(|b, j| unsafe { sweep_avx2(b, j) });
-        }
-        v
+    /// The sweep at `tier`.
+    fn sweep_at<S: Scalar>(tier: Tier, blocks: &[ColsRef<'_, S>], job: Sweep<'_, S>) {
+        simd::run_at(tier, SweepKernel(blocks, job))
     }
 
     /// Reference vector dot: [`dot_conj_ref`] per row chunk, chunks in order.
@@ -721,26 +737,9 @@ mod tests {
         sum
     }
 
-    type DotFn<S> = fn(&[S], &[S]) -> S;
-    type AxpyDotFn<S> = fn(&mut [S], S, &[S], Option<&[S]>) -> S;
-
-    /// Both compiled variants of the two vector passes.
-    fn vector_variants<S: Scalar>() -> Vec<(DotFn<S>, AxpyDotFn<S>)> {
-        let mut v: Vec<(DotFn<S>, AxpyDotFn<S>)> = vec![(dot_body, axpy_dot_body)];
-        #[cfg(target_arch = "x86_64")]
-        if std::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 was detected on the line above.
-            v.push((
-                |u, w| unsafe { dot_avx2(u, w) },
-                |w, c, v, u| unsafe { axpy_dot_avx2(w, c, v, u) },
-            ));
-        }
-        v
-    }
-
     /// The vector passes against the scalar loops, and against the `1 × 1`
     /// Gram sweep they stand in for.
-    fn vector_case<S: Scalar>(n: usize) {
+    fn vector_case<S: Scalar>(tiers: &[Tier], n: usize) {
         let cols: DMat<S> = mat(n, 3, 53);
         let (u, v, w0) = (cols.col(0), cols.col(1), cols.col(2));
         let c = S::from_parts(rnd(n, 1, 59), rnd(n, 2, 61));
@@ -750,14 +749,16 @@ mod tests {
         }
         let vbits = |x: &[S]| bits(&DMat::from_col_major(x.len(), 1, x.to_vec()));
         let (want_dot, want_nrm) = (dot_ref(u, &want_w), dot_ref(&want_w, &want_w));
-        for (dot, axpy_dot) in vector_variants::<S>() {
-            assert_eq!(vbits(&[dot(u, w0)]), vbits(&[dot_ref(u, w0)]), "dot n={n}");
-            assert_eq!(vbits(&[dot(w0, w0)]), vbits(&[dot_ref(w0, w0)]), "n={n}");
+        for &tier in tiers {
+            let case = format!("n={n} tier {} of {}", tier.name(), simd::names(tiers));
+            let dot = |u, w| simd::run_at(tier, DotKernel(u, w));
+            assert_eq!(vbits(&[dot(u, w0)]), vbits(&[dot_ref(u, w0)]), "dot {case}");
+            assert_eq!(vbits(&[dot(w0, w0)]), vbits(&[dot_ref(w0, w0)]), "{case}");
             for (with_u, want) in [(Some(u), want_dot), (None, want_nrm)] {
                 let mut w = w0.to_vec();
-                let got = axpy_dot(&mut w, c, v, with_u);
-                assert_eq!(vbits(&[got]), vbits(&[want]), "axpy_dot n={n}");
-                assert_eq!(vbits(&w), vbits(&want_w), "axpy_dot w n={n}");
+                let got = simd::run_at(tier, AxpyDotKernel(&mut w, c, v, with_u));
+                assert_eq!(vbits(&[got]), vbits(&[want]), "axpy_dot {case}");
+                assert_eq!(vbits(&w), vbits(&want_w), "axpy_dot w {case}");
             }
         }
         // The public names dispatch to one of those bodies.
@@ -771,22 +772,26 @@ mod tests {
     }
 
     fn property<S: Scalar>() {
+        let tiers = simd::suite_tiers("fused sweeps");
         for n in [1usize, 3, 4, 511, 512, 513, 1100, 4099] {
-            vector_case::<S>(n);
+            vector_case::<S>(&tiers, n);
         }
         for n in [1usize, 3, 511, 512, 513, 4099] {
             for k in [0usize, 1, 3, 4, 5, 17] {
                 for p in [1usize, 2, 3, 8, 9] {
                     for with_c in [false, true] {
-                        one_case::<S>(n, k, p, with_c);
+                        one_case::<S>(&tiers, n, k, p, with_c);
                     }
                 }
             }
         }
+        // The shape of the repository benchmark's complex workload.
+        if S::is_complex() {
+            one_case::<S>(&tiers, 1176, 400, 8, false);
+        }
     }
 
-    fn one_case<S: Scalar>(n: usize, k: usize, p: usize, with_c: bool) {
-        let case = format!("n={n} k={k} p={p} c={with_c}");
+    fn one_case<S: Scalar>(tiers: &[Tier], n: usize, k: usize, p: usize, with_c: bool) {
         let cm: DMat<S> = mat(n, 3, 11);
         let mut vm: DMat<S> = mat(n, k, 23);
         if k >= 3 {
@@ -817,12 +822,18 @@ mod tests {
         update_ref(&blocks, &coeffs, &mut want_w);
         let want_gram2 = gram_ref(&blocks, &want_w);
 
-        for run in variants::<S>() {
+        for &tier in tiers {
+            let case = format!(
+                "n={n} k={k} p={p} c={with_c} tier {} of {}",
+                tier.name(),
+                simd::names(tiers)
+            );
             let mut outs: Vec<DMat<S>> = want_gram
                 .iter()
                 .map(|m| DMat::zeros(m.nrows(), p))
                 .collect();
-            run(
+            sweep_at(
+                tier,
                 &blocks,
                 Sweep::Gram {
                     w: &w0,
@@ -833,7 +844,8 @@ mod tests {
                 assert_eq!(bits(got), bits(want), "gram {case}");
             }
             let mut w = w0.clone();
-            run(
+            sweep_at(
+                tier,
                 &blocks,
                 Sweep::Update {
                     coeffs: &coeffs,
@@ -843,7 +855,8 @@ mod tests {
             assert_eq!(bits(&w), bits(&want_w), "update {case}");
             let mut w = w0.clone();
             outs.iter_mut().for_each(DMat::set_zero);
-            run(
+            sweep_at(
+                tier,
                 &blocks,
                 Sweep::UpdateGram {
                     coeffs: &coeffs,

@@ -12,8 +12,11 @@
 //!   condvar/atomic job handoff) replacing per-call `std::thread::scope`
 //!   spawn/join on every kernel invocation;
 //! * [`rng`] — a deterministic SplitMix64 generator for seeded test data
-//!   and benchmark inputs.
+//!   and benchmark inputs;
+//! * [`simd`] — the run-time choice of vector width (baseline, AVX2,
+//!   AVX-512F) that every hand-vectorised kernel is dispatched through.
 
 pub mod par;
 pub mod pool;
 pub mod rng;
+pub mod simd;

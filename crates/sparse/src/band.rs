@@ -11,7 +11,14 @@
 //! regime change the paper measures in Fig. 6. A tile row keeps the real
 //! parts of its right-hand sides together and the imaginary parts together,
 //! so the right-hand sides are the vector lanes for complex scalars too.
+//!
+//! The solve and the factorization's trailing update are each one loop nest,
+//! compiled per vector tier and dispatched through [`kryst_rt::simd`], never
+//! with FMA, so every tier gives the recurrence's bits: the `C64` solve runs
+//! at 512 bits (AVX-512F), the `f64` solve and both factorizations at most at
+//! 256 (AVX2), where each reads fastest.
 
+use kryst_rt::simd::{self, Kernel, Tier, Width};
 use kryst_scalar::Scalar;
 use std::marker::PhantomData;
 
@@ -80,7 +87,7 @@ impl<S: Scalar> BandMat<S> {
     /// diagonal (bandwidth `kl + ku`) and the multipliers of `L` below it.
     /// Returns the pivot rows, or `None` on a zero or non-finite pivot.
     fn factor_in_place(&mut self) -> Option<Vec<usize>> {
-        run(Factor(self))
+        simd::run(Factor(self))
     }
 
     #[inline(always)]
@@ -139,42 +146,20 @@ impl<S: Scalar> BandMat<S> {
     }
 }
 
-/// A loop nest of this file that is compiled twice, for the baseline target
-/// and for 256-bit vectors; [`run`] picks.
-trait Kernel {
-    type Out;
-    /// The loops. Always `#[inline(always)]`, so that they are compiled with
-    /// the target features of the function they are called from.
-    fn body(self) -> Self::Out;
-}
-
-/// Run `kernel` at the widest vectors the CPU has.
-fn run<K: Kernel>(kernel: K) -> K::Out {
-    #[cfg(target_arch = "x86_64")]
-    if std::is_x86_feature_detected!("avx2") {
-        // SAFETY: the CPU this runs on reports AVX2, the one feature
-        // `run_avx2` is compiled with.
-        return unsafe { run_avx2(kernel) };
-    }
-    kernel.body()
-}
-
-/// [`Kernel::body`] compiled with 256-bit vectors. AVX2 alone: FMA stays
-/// off, so the result is the same bits as the baseline build of the body.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn run_avx2<K: Kernel>(kernel: K) -> K::Out {
-    kernel.body()
-}
-
-/// [`BandMat::factor_in_place`].
+/// [`BandMat::factor_in_place`] as a [`Kernel`].
 struct Factor<'a, S>(&'a mut BandMat<S>);
 
 impl<S: Scalar> Kernel for Factor<'_, S> {
     type Out = Option<Vec<usize>>;
 
+    /// 256 bits: the ORAS set-up of the Maxwell workload read the same with
+    /// the complex factorization at 512.
+    fn widest(&self) -> Tier {
+        Tier::Avx2
+    }
+
     #[inline(always)]
-    fn body(self) -> Option<Vec<usize>> {
+    fn body(self, _: Width) -> Option<Vec<usize>> {
         self.0.factor_body()
     }
 }
@@ -442,14 +427,7 @@ impl<S: Scalar> BandLu<S> {
     /// single right-hand side is the plain vector). Each column sees the
     /// same operations in the same order whichever tile width carries it.
     pub fn solve_packed(&self, b: &mut [S]) {
-        if b.len() == self.n && !S::is_complex() {
-            // One real column has no lanes to fill: its backward sweep is a
-            // single scalar dependency chain, and 256-bit work in the
-            // forward sweep only slows the clock under it (3 % slower
-            // measured on `f64`; a complex column is 8 % faster wide).
-            return Solve(self, b).body();
-        }
-        run(Solve(self, b))
+        simd::run(Solve(self, b))
     }
 
     /// Forward and backward substitution on the planes of one `n × W` tile.
@@ -501,14 +479,31 @@ impl<S: Scalar> BandLu<S> {
     }
 }
 
-/// [`BandLu::solve_packed`]: every tile of the block, widest first.
+/// [`BandLu::solve_packed`] as a [`Kernel`]: every tile of the block,
+/// widest first.
 struct Solve<'a, S>(&'a BandLu<S>, &'a mut [S]);
 
 impl<S: Scalar> Kernel for Solve<'_, S> {
     type Out = ();
 
+    /// 512 bits for a complex scalar, whose tiles read faster there; a
+    /// real one stops at AVX2.
+    fn widest(&self) -> Tier {
+        if S::is_complex() {
+            Tier::Avx512
+        } else if self.1.len() == self.0.n {
+            // One real column has no lanes to fill: its backward sweep is a
+            // single scalar dependency chain, and 256-bit work in the
+            // forward sweep only slows the clock under it (3 % slower
+            // measured on `f64`; a complex column is 8 % faster wide).
+            Tier::Baseline
+        } else {
+            Tier::Avx2
+        }
+    }
+
     #[inline(always)]
-    fn body(self) {
+    fn body(self, _: Width) {
         let Solve(lu, b) = self;
         for (_, w, tile) in tiles_mut(b, lu.n) {
             match w {
@@ -574,27 +569,19 @@ mod tests {
         (v.re().to_bits(), v.im().to_bits())
     }
 
-    type SolveFn<S> = fn(&BandLu<S>, &mut [S]);
-    type FactorFn<S> = fn(&mut BandMat<S>) -> Option<Vec<usize>>;
-
-    /// Both compiled variants of the two kernels, where the second exists.
-    fn variants<S: Scalar>() -> Vec<(FactorFn<S>, SolveFn<S>)> {
-        let mut v: Vec<(FactorFn<S>, SolveFn<S>)> =
-            vec![(|m| Factor(m).body(), |f, b| Solve(f, b).body())];
-        #[cfg(target_arch = "x86_64")]
-        if std::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 was detected on the line above.
-            v.push((
-                |m| unsafe { run_avx2(Factor(m)) },
-                |f, b| unsafe { run_avx2(Solve(f, b)) },
-            ));
-        }
-        v
+    /// The solve kernel at `tier`.
+    fn solve_at<S: Scalar>(tier: Tier) -> impl Fn(&BandLu<S>, &mut [S]) {
+        move |f, b| simd::run_at(tier, Solve(f, b))
     }
 
     /// Pack column-major `cols` (`n × p`), solve with `solve`, and return
     /// the solution column-major again.
-    fn solve_columns<S: Scalar>(f: &BandLu<S>, solve: SolveFn<S>, cols: &[S], p: usize) -> Vec<S> {
+    fn solve_columns<S: Scalar>(
+        f: &BandLu<S>,
+        solve: impl Fn(&BandLu<S>, &mut [S]),
+        cols: &[S],
+        p: usize,
+    ) -> Vec<S> {
         let n = f.n();
         let rows: Vec<usize> = (0..n).collect();
         let mut packed = vec![S::zero(); n * p];
@@ -605,21 +592,30 @@ mod tests {
         out
     }
 
-    /// Every column of every block width, through both compiled bodies,
-    /// against `expect` (column-major, 17 columns): the same bits, or with
-    /// `nan_ok` a NaN where the reference has one (which NaN an operation
-    /// returns is not pinned down).
-    fn check_widths<S: Scalar>(f: &BandLu<S>, cols: &[S], expect: &[S], nan_ok: bool, what: &str) {
+    /// Every column of every block width, through the body of each of
+    /// `tiers`, against `expect` (column-major, 17 columns): the same bits,
+    /// or with `nan_ok` a NaN where the reference has one (which NaN an
+    /// operation returns is not pinned down).
+    fn check_widths<S: Scalar>(
+        tiers: &[Tier],
+        f: &BandLu<S>,
+        cols: &[S],
+        expect: &[S],
+        nan_ok: bool,
+        what: &str,
+    ) {
         let n = f.n();
         let same =
             |g: f64, e: f64| g.to_bits() == e.to_bits() || (nan_ok && g.is_nan() && e.is_nan());
-        for (body, &(_, solve)) in variants::<S>().iter().enumerate() {
+        for &tier in tiers {
             for p in [1, 2, 3, 4, 7, 8, 9, 17] {
-                let got = solve_columns(f, solve, &cols[..n * p], p);
+                let got = solve_columns(f, solve_at(tier), &cols[..n * p], p);
                 for (k, (&g, &e)) in got.iter().zip(expect).enumerate() {
                     assert!(
                         same(g.re(), e.re()) && same(g.im(), e.im()),
-                        "{what} body {body} n={n} p={p} column {} row {}: {:?} vs {:?}",
+                        "{what} tier {} of {} n={n} p={p} column {} row {}: {:?} vs {:?}",
+                        tier.name(),
+                        simd::names(tiers),
                         k / n,
                         k % n,
                         bits(g),
@@ -638,6 +634,7 @@ mod tests {
     /// planted in `L`, which a zero lane must skip.
     fn packed_matches_recurrence<S: Scalar>(seed: u64) {
         let mut rng = Rng64::seed_from_u64(seed);
+        let tiers = simd::suite_tiers("band solve");
         let (mut factored, mut pivoted, mut trimmed, mut poisoned) = (0, false, false, 0);
         // `(kl, ku, stored)`: entries further than `stored` from the
         // diagonal are zero, so the factors' profiles end inside the band.
@@ -679,7 +676,14 @@ mod tests {
                     expect
                 };
                 let what = format!("kl={kl} ku={ku} stored={stored}");
-                check_widths(&f, &cols, &reference_solve(&reference), false, &what);
+                check_widths(
+                    &tiers,
+                    &f,
+                    &cols,
+                    &reference_solve(&reference),
+                    false,
+                    &what,
+                );
 
                 // Plant an infinity and a NaN in stored entries of L.
                 let bad = [f64::INFINITY, f64::NAN].map(|v| S::from_parts(v, -v));
@@ -695,7 +699,14 @@ mod tests {
                 for c in [4, 6] {
                     assert!(expect[c * n..(c + 1) * n].iter().all(|v| v.is_finite()));
                 }
-                check_widths(&f, &cols, &expect, true, &format!("{what} poisoned"));
+                check_widths(
+                    &tiers,
+                    &f,
+                    &cols,
+                    &expect,
+                    true,
+                    &format!("{what} poisoned"),
+                );
             }
         }
         assert!(
@@ -757,10 +768,12 @@ mod tests {
         pack_round_trips::<C64>();
     }
 
-    /// Both compiled bodies of the factorization leave the same band and
-    /// the same pivots, bit for bit, on matrices that need interchanges.
+    /// The factorization's body at every tier the CPU has leaves the same
+    /// band and the same pivots, bit for bit, on matrices that need
+    /// interchanges.
     fn factor_bodies_agree<S: Scalar>(seed: u64) {
         let mut rng = Rng64::seed_from_u64(seed);
+        let tiers = simd::suite_tiers("band factor");
         for (n, kl, ku) in [(1, 0, 0), (7, 2, 1), (40, 5, 3), (33, 1, 6)] {
             let vals: Vec<S> = (0..n * n)
                 .map(|_| S::from_parts(rng.gen_range(-1.0, 1.0), rng.gen_range(-1.0, 1.0)))
@@ -772,17 +785,23 @@ mod tests {
                     vals[i * n + j]
                 }
             };
-            let results: Vec<_> = variants::<S>()
+            let results: Vec<_> = tiers
                 .iter()
-                .map(|&(factor, _)| {
+                .map(|&tier| {
                     let mut m = band_from(n, kl, ku, entry);
-                    let ipiv = factor(&mut m);
+                    let ipiv = simd::run_at(tier, Factor(&mut m));
                     (ipiv, m.ab.iter().map(|&v| bits(v)).collect::<Vec<_>>())
                 })
                 .collect();
             assert!(results[0].0.is_some(), "n={n} kl={kl} ku={ku} factors");
-            for r in &results[1..] {
-                assert_eq!(r, &results[0], "n={n} kl={kl} ku={ku}");
+            for (r, tier) in results.iter().zip(&tiers).skip(1) {
+                assert_eq!(
+                    r,
+                    &results[0],
+                    "n={n} kl={kl} ku={ku}: {} against baseline, of {}",
+                    tier.name(),
+                    simd::names(&tiers)
+                );
             }
         }
     }

@@ -4,6 +4,7 @@ use std::sync::Arc;
 
 use kryst_dense::DMat;
 use kryst_rt::par::{for_each_range, SendPtr};
+use kryst_rt::simd::{self, Kernel, Tier, Width};
 use kryst_scalar::Scalar;
 
 /// Compressed sparse row matrix with sorted column indices per row.
@@ -154,43 +155,104 @@ unsafe fn add_entry<S: Scalar>(
 /// is a function of its own, so the single-column loop over 5-point rows is
 /// not allocated registers together with the 16-accumulator block loop.
 #[inline(never)]
-unsafe fn sweep_block<S: Scalar, const W: usize>(
-    (indptr, indices, data): (&[usize], &[usize], &[S]),
-    (x, xn): (&[S], usize),
-    (y, n): (SendPtr<S>, usize),
-    fin: &impl Fn(usize, S) -> S,
-    (r0, r1): (usize, usize),
-    (jb, nb): (usize, usize),
+unsafe fn sweep_block<S: Scalar, F: Fn(usize, S) -> S, const W: usize>(
+    arrays: (&[usize], &[usize], &[S]),
+    x: (&[S], usize),
+    y: (SendPtr<S>, usize),
+    fin: &F,
+    rows: (usize, usize),
+    cols: (usize, usize),
 ) {
-    let nb = if W == 0 { nb } else { W };
-    let x = (x[jb * xn..].as_ptr(), xn);
-    let at = |k: usize| (*data.get_unchecked(k), *indices.get_unchecked(k));
-    for i in r0..r1 {
-        // Checked: a row that is out of range panics here, before the write.
-        let (lo, hi) = (indptr[i], indptr[i + 1]);
-        let mut even = [S::zero(); SPMM_COLS];
-        if hi - lo < TWO_LANE_LEN {
-            for k in lo..hi {
-                add_entry(&mut even, nb, at(k), x);
+    simd::run(RowBlock::<S, F, W> {
+        arrays,
+        x,
+        y,
+        fin,
+        rows,
+        cols,
+    })
+}
+
+/// The widest tier of the row sweep. A complex sweep reads faster at every
+/// vector width (about 2× at 256 or 512 bits, `p` = 1 and 8, on the Maxwell
+/// operator), and fastest at 512; a real one runs on the baseline target as
+/// it always has.
+fn row_sweep_widest<S: Scalar>() -> Tier {
+    if S::is_complex() {
+        Tier::Avx512
+    } else {
+        Tier::Baseline
+    }
+}
+
+/// The tier the row sweep under [`Csr::spmm`] runs at for `S` on this CPU.
+pub fn row_sweep_tier<S: Scalar>() -> Tier {
+    simd::capped(row_sweep_widest::<S>())
+}
+
+/// The arguments of one [`sweep_block`] call: its loops as a [`Kernel`].
+/// Only `sweep_block` makes one, under its caller's contract (and the
+/// tests, from the arrays of a matrix `Csr::from_raw` validated).
+struct RowBlock<'a, S, F, const W: usize> {
+    arrays: (&'a [usize], &'a [usize], &'a [S]),
+    x: (&'a [S], usize),
+    y: (SendPtr<S>, usize),
+    fin: &'a F,
+    rows: (usize, usize),
+    cols: (usize, usize),
+}
+
+impl<S: Scalar, F: Fn(usize, S) -> S, const W: usize> Kernel for RowBlock<'_, S, F, W> {
+    type Out = ();
+
+    fn widest(&self) -> Tier {
+        row_sweep_widest::<S>()
+    }
+
+    #[inline(always)]
+    fn body(self, _: Width) {
+        let RowBlock {
+            arrays: (indptr, indices, data),
+            x: (x, xn),
+            y: (y, n),
+            fin,
+            rows: (r0, r1),
+            cols: (jb, nb),
+        } = self;
+        // SAFETY: a `RowBlock` is made only where the contract of
+        // `sweep_rows` holds for its arguments (see the type's doc).
+        unsafe {
+            let nb = if W == 0 { nb } else { W };
+            let x = (x[jb * xn..].as_ptr(), xn);
+            let at = |k: usize| (*data.get_unchecked(k), *indices.get_unchecked(k));
+            for i in r0..r1 {
+                // Checked: a row that is out of range panics here, before the write.
+                let (lo, hi) = (indptr[i], indptr[i + 1]);
+                let mut even = [S::zero(); SPMM_COLS];
+                if hi - lo < TWO_LANE_LEN {
+                    for k in lo..hi {
+                        add_entry(&mut even, nb, at(k), x);
+                    }
+                } else {
+                    let mut odd = [S::zero(); SPMM_COLS];
+                    let mut k = lo;
+                    while k + 1 < hi {
+                        add_entry(&mut even, nb, at(k), x);
+                        add_entry(&mut odd, nb, at(k + 1), x);
+                        k += 2;
+                    }
+                    if k < hi {
+                        add_entry(&mut even, nb, at(k), x);
+                    }
+                    for (e, o) in even.iter_mut().zip(odd).take(nb) {
+                        *e += o;
+                    }
+                }
+                for (l, &sum) in even.iter().enumerate().take(nb) {
+                    let idx = (jb + l) * n + i;
+                    *y.ptr().add(idx) = fin(idx, sum);
+                }
             }
-        } else {
-            let mut odd = [S::zero(); SPMM_COLS];
-            let mut k = lo;
-            while k + 1 < hi {
-                add_entry(&mut even, nb, at(k), x);
-                add_entry(&mut odd, nb, at(k + 1), x);
-                k += 2;
-            }
-            if k < hi {
-                add_entry(&mut even, nb, at(k), x);
-            }
-            for (e, o) in even.iter_mut().zip(odd).take(nb) {
-                *e += o;
-            }
-        }
-        for (l, &sum) in even.iter().enumerate().take(nb) {
-            let idx = (jb + l) * n + i;
-            *y.ptr().add(idx) = fin(idx, sum);
         }
     }
 }
@@ -238,9 +300,9 @@ unsafe fn sweep_rows<S: Scalar>(
                 // One compiled copy per literal width, one for the rest.
                 let cols = (jb, SPMM_COLS.min(p - jb));
                 match cols.1 {
-                    1 => sweep_block::<_, 1>(arrays, x, y, &fin, rs, cols),
-                    SPMM_COLS => sweep_block::<_, SPMM_COLS>(arrays, x, y, &fin, rs, cols),
-                    _ => sweep_block::<_, 0>(arrays, x, y, &fin, rs, cols),
+                    1 => sweep_block::<_, _, 1>(arrays, x, y, &fin, rs, cols),
+                    SPMM_COLS => sweep_block::<_, _, SPMM_COLS>(arrays, x, y, &fin, rs, cols),
+                    _ => sweep_block::<_, _, 0>(arrays, x, y, &fin, rs, cols),
                 }
             }
         }
@@ -831,10 +893,41 @@ mod tests {
         })
     }
 
+    /// `A·X` through the row-block kernel at `tier`, each block of columns
+    /// on the width `sweep_rows` gives it.
+    fn apply_at<S: Scalar>(tier: Tier, a: &Csr<S>, x: &DMat<S>) -> DMat<S> {
+        let (n, p) = (a.nrows(), x.ncols());
+        let mut y = DMat::zeros(n, p);
+        let y_ptr = SendPtr::new(y.as_mut_slice().as_mut_ptr());
+        let fin = |_: usize, v: S| v;
+        for jb in (0..p).step_by(SPMM_COLS) {
+            macro_rules! block {
+                ($w:expr) => {
+                    RowBlock::<S, _, $w> {
+                        arrays: a.arrays(),
+                        x: (x.as_slice(), a.ncols()),
+                        y: (y_ptr, n),
+                        fin: &fin,
+                        rows: (0, n),
+                        cols: (jb, SPMM_COLS.min(p - jb)),
+                    }
+                };
+            }
+            match SPMM_COLS.min(p - jb) {
+                1 => simd::run_at(tier, block!(1)),
+                SPMM_COLS => simd::run_at(tier, block!(SPMM_COLS)),
+                _ => simd::run_at(tier, block!(0)),
+            }
+        }
+        y
+    }
+
     /// Row lengths 0..=17, 59 and 81 (elasticity's mean row and its full
     /// 27-node stencil) at every column-block shape: one column, a partial
-    /// block, a full block, a full block and a column.
+    /// block, a full block, a full block and a column; through the sweeps,
+    /// and through the row-block kernel at every tier the CPU has.
     fn row_sums_follow_the_rule<S: Scalar>() {
+        let tiers = simd::suite_tiers("csr row sweep");
         let lens: Vec<usize> = (0..=17).chain([59, 81]).collect();
         let a = with_row_lengths::<S>(lens.len(), 97, 11, |i| lens[i]);
         for (i, &len) in lens.iter().enumerate() {
@@ -847,11 +940,19 @@ mod tests {
             let in_order = (a.row_indices(19).iter().zip(a.row_values(19)))
                 .fold(S::zero(), |acc, (&c, &v)| acc + v * x[(c, 0)]);
             assert_ne!(bits(&[in_order]), bits(&[want[(19, 0)]]));
-            let got = a.apply(&x);
-            for (i, &len) in lens.iter().enumerate() {
-                for j in 0..p {
-                    let (g, w) = (bits(&[got[(i, j)]]), bits(&[want[(i, j)]]));
-                    assert_eq!(g, w, "row of {len} entries, column {j} of {p}");
+            let runs = std::iter::once(("apply", a.apply(&x)))
+                .chain(tiers.iter().map(|&t| (t.name(), apply_at(t, &a, &x))));
+            for (how, got) in runs {
+                for (i, &len) in lens.iter().enumerate() {
+                    for j in 0..p {
+                        let (g, w) = (bits(&[got[(i, j)]]), bits(&[want[(i, j)]]));
+                        assert_eq!(
+                            g,
+                            w,
+                            "row of {len} entries, column {j} of {p}, {how} of apply/{}",
+                            simd::names(&tiers)
+                        );
+                    }
                 }
             }
         }
