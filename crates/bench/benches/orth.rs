@@ -7,7 +7,7 @@ use kryst_dense::fused::{
     self, fused_accumulate, fused_adjoint_times, fused_gram, fused_update, fused_update_gram,
     ColsRef,
 };
-use kryst_dense::gs::fused_orthogonalize_block;
+use kryst_dense::gs::{fused_orthogonalize_block, fused_orthogonalize_cols};
 use kryst_dense::{blas, chol, DMat, Scalar, C64};
 
 fn basis(n: usize, k: usize) -> DMat<f64> {
@@ -17,9 +17,14 @@ fn basis(n: usize, k: usize) -> DMat<f64> {
 }
 
 fn bench_orth(c: &mut Criterion) {
+    let c64 = |p: usize| format!("fused C64 p={p} ({})", fused::body::<C64>(p));
     print_tiers(&[
-        ("fused f64", fused::tier::<f64>()),
-        ("fused C64", fused::tier::<C64>()),
+        (
+            &format!("fused f64 ({})", fused::body::<f64>(1)),
+            fused::tier::<f64>(),
+        ),
+        (&c64(8), fused::tier::<C64>()),
+        (&c64(1), fused::tier::<C64>()),
     ]);
     let n = 20_000;
     let v = basis(n, 20);
@@ -79,14 +84,61 @@ fn fused_shape<S: Scalar>(c: &mut Criterion, tag: &str, n: usize, k: usize, p: u
     g.finish();
 }
 
-/// The two shapes of the repository benchmark's core-bound workloads:
+/// A warm step of a recycling solve as the Arnoldi cycle runs it: `w`
+/// (`n × p`) against a recycle space `C` of `kc` orthonormal columns and a
+/// basis kept one `n × p` block per Krylov block (`nb` blocks,
+/// [`ColsRef::blocks`]) — the sweeps and the fused step.
+fn warm_step_shape<S: Scalar>(
+    c: &mut Criterion,
+    tag: &str,
+    n: usize,
+    kc: usize,
+    nb: usize,
+    p: usize,
+) {
+    let mut all = hashed::<S>(n, kc + nb * p, 0);
+    let _ = chol::cholqr(&mut all);
+    let cm = all.cols(0, kc);
+    let list: Vec<DMat<S>> = (0..nb).map(|b| all.cols(kc + b * p, p)).collect();
+    let w0 = hashed::<S>(n, p, 3);
+    let blocks = [ColsRef::whole(&cm), ColsRef::blocks(&list)];
+    let mut coef = [hashed::<S>(kc, p, 1), hashed::<S>(nb * p, p, 2)];
+    coef.iter_mut().for_each(|m| m.scale(S::from_f64(1e-3)));
+    let mut g = c.benchmark_group(format!("fused_{tag}_n{n}_c{kc}_v{}_p{p}", nb * p));
+    let mut outs = [
+        DMat::zeros(kc, p),
+        DMat::zeros(nb * p, p),
+        DMat::zeros(p, p),
+    ];
+    let mut w = w0.clone();
+    g.bench_function("gram", |b| b.iter(|| fused_gram(&blocks, &w0, &mut outs)));
+    g.bench_function("update", |b| {
+        b.iter(|| fused_update(&blocks, &coef, &mut w))
+    });
+    for (name, reorth) in [("step_1pass", false), ("step_2pass", true)] {
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                w.copy_from(&w0);
+                let v = ColsRef::blocks(&list);
+                fused_orthogonalize_cols(Some(&cm), v, &mut w, reorth, f64::EPSILON).passes
+            })
+        });
+    }
+    g.finish();
+}
+
+/// The shapes of the repository benchmark's core-bound workloads:
 /// `poisson_jacobi_long` (n = 4096, p = 1, up to 30 columns) and
-/// `maxwell_block_rhs32` (n = 1176, complex, p = 8, up to 400 columns).
+/// `maxwell_block_rhs32` (n = 1176, complex): its block solves (p = 8, up
+/// to 400 columns; a warm step against 80 recycled and 72 basis columns)
+/// and its pseudo-block lanes (p = 1, 10 recycled and 50 basis columns).
 fn bench_fused(c: &mut Criterion) {
     for k in [5, 15, 30] {
         fused_shape::<f64>(c, "f64", 4096, k, 1);
     }
     fused_shape::<C64>(c, "c64", 1176, 400, 8);
+    warm_step_shape::<C64>(c, "c64", 1176, 80, 9, 8);
+    warm_step_shape::<C64>(c, "c64", 1176, 10, 50, 1);
 }
 
 /// What a solver does between two cycles, on one shape: the product of a

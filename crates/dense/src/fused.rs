@@ -29,49 +29,75 @@
 //!
 //! # Blocking
 //!
-//! Rows are cut into chunks of [`KB`]` = 512`, and within a chunk the
-//! kernels take **four source columns at a time**: one load of a `W` entry
-//! feeds four multiply–adds, and the sixteen running sums of a 4-column dot
-//! (four interleaved lanes per column) stay in registers.
+//! Rows are cut into chunks of [`KB`]` = 512`. Within a chunk there are two
+//! bodies, chosen by the shape of `W`.
 //!
-//! What a sweep keeps in L1, and what it does not:
+//! **Columns** (a real `W`, a single complex column — a pseudo-block lane —
+//! and every `W` at the baseline tier): the kernels take **four source columns at a time**, one column of
+//! `W` at a time, on interleaved scalars. One load of a `W` entry feeds four
+//! multiply–adds, and the sixteen running sums of a 4-column dot (four
+//! interleaved lanes per column) stay in registers.
 //!
 //! * **Gram product.** Resident are one group of four source chunks and one
 //!   column of `W`: `5 · 512 · size_of::<S>()` bytes — 20 KB for `f64`,
-//!   40 KB for `C64` — whatever the block width `p`.
-//!   The whole `512 × p` chunk of `W` is 4 KB at `f64`, `p = 1` but 64 KB at
-//!   `C64`, `p = 8`, more than an L1; so the `p` columns of `W` stream past
-//!   the resident group, and each source chunk is fetched once and used `p`
-//!   times.
+//!   40 KB for `C64` — whatever the block width `p`. The `p` columns of `W`
+//!   stream past the resident group, and each source chunk is fetched once
+//!   and used `p` times. The partial sums travel through one lane array per
+//!   sweep, `4·p` scalars per source column.
 //! * **Update.** No reduction has to keep its order, so the chunk is cut
 //!   further, to `512 / p` rows (at least 64): all `p` columns of that
-//!   sub-chunk (≤ `512 · size_of::<S>()` bytes, 8 KB for `C64`) stay
-//!   resident while every source column streams past them once, four at a
-//!   time.
-//! * **Update + Gram.** Chunk by chunk: the update of rows `k0..k1`, then
-//!   their Gram product. The chunk of *all* source columns
-//!   (`ncols · 512 · size_of::<S>()`: 120 KB for 30 `f64` columns) does not
-//!   fit an L1, so it is read twice, but the second time from L2. That
-//!   saves a pass over memory when the basis is larger than L2; a basis that
-//!   lives in L2 gains nothing, the two sweeps being bound by arithmetic
-//!   (no FMA) and by L2 bandwidth already.
+//!   sub-chunk (≤ `512 · size_of::<S>()` bytes) stay resident while every
+//!   source column streams past them once, four at a time.
+//!
+//! **Planes** (a complex `W` of two or more columns, the block solves, at
+//! AVX2 and AVX-512F): the block's columns go in the vector lanes, as
+//! [`Lanes`] rows — the real parts of up to [`TILE`]` = 8` columns, then
+//! their imaginary parts, the tile layout of the banded solve — so a complex
+//! product is lane-wise products and sums with no shuffle per element, and
+//! every register lane does useful work at any `p ≥ 2` (tiles of 8, then
+//! 4/2/1, cover `p`).
+//!
+//! * **Gram product.** Each chunk of a tile of `W` is copied once into a
+//!   plane buffer on the stack (`512` rows × 16 words, 64 KB); each source
+//!   entry is then one operand against all the tile's columns, two sources
+//!   at a time. The four lane sets of both sources' dots (16 registers at
+//!   an 8-wide tile and 512 bits) stay in registers for the whole chunk, and
+//!   nothing is allocated.
+//! * **Update.** The same copy of a chunk of a tile; each source entry is
+//!   one operand against all the tile's columns, four sources at a time,
+//!   with their coefficients held in the lanes, and the rows go back to `W`
+//!   afterwards. No source is reshuffled: a source entry is read once per
+//!   tile, as it is stored.
+//!
+//! **Update + Gram** (both bodies): chunk by chunk, the update of rows
+//! `k0..k1`, then their Gram product. The chunk of *all* source columns
+//! (`ncols · 512 · size_of::<S>()`: 120 KB for 30 `f64` columns) does not fit
+//! an L1, so it is read twice, but the second time from L2. That saves a
+//! pass over memory when the basis is larger than L2; a basis that lives in
+//! L2 gains nothing, the two sweeps being bound by arithmetic (no FMA) and
+//! by L2 bandwidth already.
 //!
 //! # Rounding
 //!
 //! Every output entry is computed by the same sequence of floating-point
 //! operations as the scalar loops the module started with (kept below as the
-//! `#[cfg(test)]` references): a dot over a chunk runs four interleaved
-//! accumulators combined as `(a0 + a1) + (a2 + a3)` plus a tail, chunk sums
-//! are added in row order, and the update subtracts `c · b` column by column
-//! in panel order, skipping exact-zero coefficients. Products and sums are
-//! never contracted into fused multiply–adds. On x86-64 the same body is
-//! compiled for AVX2 and for AVX-512F as well, and [`kryst_rt::simd`] picks
-//! one at run time: `C64` sweeps run at 512 bits, `f64` ones stop at AVX2
-//! (at 512 the `p = 1` update and step against 30 columns read slower, and
-//! the `f64` workloads came out mixed). Wider
+//! `#[cfg(test)]` references), whichever body runs: a dot over a chunk runs
+//! four interleaved accumulators (rows `4q + t` of the chunk in accumulator
+//! `t`) combined as `(a0 + a1) + (a2 + a3)`, then the tail rows in order;
+//! chunk sums are added in row order; every product is `C64::mul`'s four
+//! products, difference and sum in its operand order (`conj(b)·w` in a dot,
+//! `c·b` in an update); and the update subtracts `c · b` column by column in
+//! panel order, skipping exact-zero coefficients. Planes change which
+//! entries share a register, not the operations on any one entry. Products
+//! and sums are never contracted into fused multiply–adds. On x86-64 each
+//! body is compiled for AVX2 and for AVX-512F as well, and
+//! [`kryst_rt::simd`] picks one at run time: `C64` sweeps run at 512 bits,
+//! `f64` ones stop at AVX2 (at 512 the `p = 1` update and step against 30
+//! columns read slower, and the `f64` workloads came out mixed). Wider
 //! registers change how many entries move per instruction, not one bit of
 //! the result.
 
+use crate::lanes::{tiles, Lanes, TILE};
 use crate::DMat;
 use kryst_rt::simd::{self, Kernel, Tier, Width};
 use kryst_scalar::Scalar;
@@ -164,12 +190,12 @@ const GROUP: usize = 4;
 
 /// The four interleaved running sums of one conjugated dot product: lane
 /// `t` holds the sum over rows `4q + t` of the current chunk.
-type Lanes<S> = [S; 4];
+type Sums<S> = [S; 4];
 
 /// Advances the running sums of `N` dots `b[s]ᴴ·w` over rows whose count is
 /// a multiple of four, sharing each load of `w`.
 #[inline(always)]
-fn dots<S: Scalar, const N: usize>(acc: &mut [Lanes<S>; N], b: [&[S]; N], w: &[S]) {
+fn dots<S: Scalar, const N: usize>(acc: &mut [Sums<S>; N], b: [&[S]; N], w: &[S]) {
     let (wq, tail) = w.as_chunks::<4>();
     debug_assert!(tail.is_empty());
     let bq = b.map(|c| c[..w.len()].as_chunks::<4>().0);
@@ -252,7 +278,7 @@ fn gram_source<'a, S: Scalar>(
 fn gram_group<S: Scalar, const N: usize>(
     blocks: &[ColsRef<'_, S>],
     w: &DMat<S>,
-    acc: &mut [Lanes<S>],
+    acc: &mut [Sums<S>],
     (r0, r1): (usize, usize),
     g: usize,
 ) {
@@ -262,7 +288,7 @@ fn gram_group<S: Scalar, const N: usize>(
         // The sums travel through `acc` in memory, lane by lane, which is
         // also what makes the vectoriser pack the four lanes of a column
         // into one register and not one lane of four columns.
-        let mut a: [Lanes<S>; N] = std::array::from_fn(|t| acc[(g + t) * p + l]);
+        let mut a: [Sums<S>; N] = std::array::from_fn(|t| acc[(g + t) * p + l]);
         dots(&mut a, cols, &w.col(l)[r0..r1]);
         for (t, at) in a.iter().enumerate() {
             acc[(g + t) * p + l] = *at;
@@ -278,7 +304,7 @@ fn gram_group<S: Scalar, const N: usize>(
 fn gram_chunk<S: Scalar>(
     blocks: &[ColsRef<'_, S>],
     w: &DMat<S>,
-    acc: &mut [Lanes<S>],
+    acc: &mut [Sums<S>],
     outs: &mut [DMat<S>],
     (k0, t0, k1): (usize, usize, usize),
 ) {
@@ -343,6 +369,203 @@ fn update_rows<S: Scalar>(
     }
 }
 
+/// Words of the plane buffer of the complex sweeps: one chunk of a
+/// [`TILE`]-wide tile of `W`, two planes per row (64 KB).
+const PLANES: usize = KB * 2 * TILE;
+
+/// Source columns the complex Gram sweep takes at a time: with the four
+/// lane sets of each dot live, two sources fill 16 of the 32 vector
+/// registers at an 8-wide tile and 512 bits.
+const GRAM_GROUP: usize = 2;
+
+/// Calls `$f::<S, TW>($args)` for a tile width `TW` of [`tiles`].
+macro_rules! by_tile_width {
+    ($tw:expr, $f:ident, $($arg:expr),*) => {
+        match $tw {
+            8 => $f::<S, 8>($($arg),*),
+            4 => $f::<S, 4>($($arg),*),
+            2 => $f::<S, 2>($($arg),*),
+            _ => $f::<S, 1>($($arg),*),
+        }
+    };
+}
+
+/// Rows `k0..k1` of the `TW` columns of `W` from `c0` on, copied into
+/// `planes` as one [`Lanes`] row per row of `W`.
+#[inline(always)]
+fn to_planes<S: Scalar, const TW: usize>(
+    w: &DMat<S>,
+    planes: &mut [f64],
+    (k0, k1): (usize, usize),
+    c0: usize,
+) {
+    let rl = Lanes::<S, TW>::row_len();
+    for c in 0..TW {
+        for (k, v) in w.col(c0 + c)[k0..k1].iter().enumerate() {
+            planes[k * rl + c] = v.re();
+            if S::is_complex() {
+                planes[k * rl + TW + c] = v.im();
+            }
+        }
+    }
+}
+
+/// [`to_planes`] backwards: the rows of `planes` into rows `k0..k1` of the
+/// `TW` columns of `W` from `c0` on.
+#[inline(always)]
+fn from_planes<S: Scalar, const TW: usize>(
+    planes: &[f64],
+    w: &mut DMat<S>,
+    (k0, k1): (usize, usize),
+    c0: usize,
+) {
+    let rl = Lanes::<S, TW>::row_len();
+    for c in 0..TW {
+        for (k, v) in w.col_mut(c0 + c)[k0..k1].iter_mut().enumerate() {
+            let im = if S::is_complex() {
+                planes[k * rl + TW + c]
+            } else {
+                0.0
+            };
+            *v = S::from_parts(planes[k * rl + c], im);
+        }
+    }
+}
+
+/// Rows `k0..k1` of `outs ⟸ outs + [B₀ B₁ … W]ᴴ·W` for the `TW` columns of
+/// `W` from `c0` on, in the lanes: the chunk of the tile is copied into
+/// `planes`, and every source entry meets all the tile's columns in one
+/// lane-wise product — the dots of [`gram_chunk`], operation for operation.
+#[inline(always)]
+fn gram_tile<S: Scalar, const TW: usize>(
+    blocks: &[ColsRef<'_, S>],
+    w: &DMat<S>,
+    planes: &mut [f64; PLANES],
+    outs: &mut [DMat<S>],
+    (k0, t0, k1): (usize, usize, usize),
+    sources: usize,
+    c0: usize,
+) {
+    let planes = &mut planes[..(k1 - k0) * Lanes::<S, TW>::row_len()];
+    to_planes::<S, TW>(w, planes, (k0, k1), c0);
+    let planes = &*planes;
+    let rows = (k0, t0, k1);
+    let mut g = 0;
+    while g + GRAM_GROUP <= sources {
+        gram_tile_group::<S, GRAM_GROUP, TW>(blocks, w, planes, outs, rows, c0, g);
+        g += GRAM_GROUP;
+    }
+    for g in g..sources {
+        gram_tile_group::<S, 1, TW>(blocks, w, planes, outs, rows, c0, g);
+    }
+}
+
+/// Source columns `g..g + N` of [`gram_tile`]: each row of the tile's
+/// planes is loaded once for the `N` sources, and each source entry is one
+/// operand for all the tile's columns. Lane set `t` of a dot sums rows
+/// `4q + t` of the chunk, as [`dots`] does.
+#[inline(always)]
+fn gram_tile_group<S: Scalar, const N: usize, const TW: usize>(
+    blocks: &[ColsRef<'_, S>],
+    w: &DMat<S>,
+    planes: &[f64],
+    outs: &mut [DMat<S>],
+    (k0, t0, k1): (usize, usize, usize),
+    c0: usize,
+    g: usize,
+) {
+    let rl = Lanes::<S, TW>::row_len();
+    let nq = (t0 - k0) / 4;
+    let src: [(&[S], (usize, usize)); N] = std::array::from_fn(|s| {
+        let (col, at) = gram_source(blocks, w, g + s);
+        (&col[k0..k1], at)
+    });
+    let quads = src.map(|(col, _)| &col.as_chunks::<4>().0[..nq]);
+    let mut lanes = [[Lanes::<S, TW>::zero(); N]; 4];
+    for (q, r4) in planes[..nq * 4 * rl].chunks_exact(4 * rl).enumerate() {
+        for (t, acc) in lanes.iter_mut().enumerate() {
+            let wk = Lanes::<S, TW>::load(&r4[t * rl..]);
+            for s in 0..N {
+                acc[s] = acc[s].add_conj_mul(quads[s][q][t], &wk);
+            }
+        }
+    }
+    let tail = planes[nq * 4 * rl..].chunks_exact(rl);
+    for (s, &(col, (b, i))) in src.iter().enumerate() {
+        let [a0, a1, a2, a3] = lanes.map(|l| l[s]);
+        let mut sum = (a0 + a1) + (a2 + a3);
+        for (x, row) in col[t0 - k0..].iter().zip(tail.clone()) {
+            sum = sum.add_conj_mul(*x, &Lanes::load(row));
+        }
+        for c in 0..TW {
+            outs[b][(i, c0 + c)] += sum.get(c);
+        }
+    }
+}
+
+/// Rows `k0..k1` of `W ⟵ W − Σ_b B_b·C_b` for the `TW` columns of `W` from
+/// `c0` on, in the lanes: the chunk of the tile is copied into `planes`,
+/// every source entry meets all the tile's columns (their coefficients in
+/// the lanes) in one lane-wise product, and the rows go back to `W`. Each
+/// entry sees [`update_rows`]'s operations in its order.
+#[inline(always)]
+fn update_tile<S: Scalar, const TW: usize>(
+    blocks: &[ColsRef<'_, S>],
+    coeffs: &[DMat<S>],
+    w: &mut DMat<S>,
+    planes: &mut [f64; PLANES],
+    rows: (usize, usize),
+    c0: usize,
+) {
+    let planes = &mut planes[..(rows.1 - rows.0) * Lanes::<S, TW>::row_len()];
+    to_planes::<S, TW>(w, planes, rows, c0);
+    let total: usize = blocks.iter().map(|b| b.ncols).sum();
+    let mut g = 0;
+    while g + GROUP <= total {
+        update_tile_group::<S, GROUP, TW>(blocks, coeffs, planes, rows, c0, g);
+        g += GROUP;
+    }
+    for g in g..total {
+        update_tile_group::<S, 1, TW>(blocks, coeffs, planes, rows, c0, g);
+    }
+    from_planes::<S, TW>(planes, w, rows, c0);
+}
+
+/// Source columns `g..g + N` of [`update_tile`]: per row, `N` times
+/// `x ⟵ x − c_s·b_s` with the coefficients `c_s` in the lanes — lane by
+/// lane where a coefficient is an exact zero, which skips its column as
+/// [`update_group`] does.
+#[inline(always)]
+fn update_tile_group<S: Scalar, const N: usize, const TW: usize>(
+    blocks: &[ColsRef<'_, S>],
+    coeffs: &[DMat<S>],
+    planes: &mut [f64],
+    (k0, k1): (usize, usize),
+    c0: usize,
+    g: usize,
+) {
+    let rl = Lanes::<S, TW>::row_len();
+    let at: [(usize, usize); N] = std::array::from_fn(|t| locate(blocks, g + t));
+    let src = at.map(|(b, i)| &blocks[b].col(i)[k0..k1]);
+    let c = at.map(|(b, i)| {
+        let row: [S; TW] = std::array::from_fn(|l| coeffs[b][(i, c0 + l)]);
+        Lanes::<S, TW>::split(&row)
+    });
+    let dense = c.iter().all(|cs| (0..TW).all(|l| cs.nonzero(l)));
+    for (k, row) in planes.chunks_exact_mut(rl).enumerate() {
+        let mut x = Lanes::<S, TW>::load(row);
+        for s in 0..N {
+            let next = x.sub_mul_lanes(&c[s], &Lanes::splat(src[s][k]));
+            x = if dense {
+                next
+            } else {
+                x.where_zero(&c[s], next)
+            };
+        }
+        x.store(row);
+    }
+}
+
 /// One sweep over the rows of `W`.
 enum Sweep<'x, S> {
     Gram {
@@ -361,7 +584,7 @@ enum Sweep<'x, S> {
 }
 
 #[inline(always)]
-fn sweep_body<S: Scalar>(blocks: &[ColsRef<'_, S>], job: Sweep<'_, S>) {
+fn sweep_body<S: Scalar>(blocks: &[ColsRef<'_, S>], job: Sweep<'_, S>, width: Width) {
     let (n, p) = match &job {
         Sweep::Gram { w, .. } => (w.nrows(), w.ncols()),
         Sweep::Update { w, .. } | Sweep::UpdateGram { w, .. } => (w.nrows(), w.ncols()),
@@ -374,6 +597,9 @@ fn sweep_body<S: Scalar>(blocks: &[ColsRef<'_, S>], job: Sweep<'_, S>) {
         let k1 = (k0 + KB).min(n);
         (k0, k0 + ((k1 - k0) & !3), k1)
     });
+    if on_planes::<S>(p, width.tier()) {
+        return sweep_planes(blocks, job, chunks);
+    }
     // One set of lanes per source column and column of `W`; the sources of
     // a Gram sweep are the panels' columns, then `W`'s own when `outs` has
     // the slot for `WᴴW`.
@@ -403,6 +629,59 @@ fn sweep_body<S: Scalar>(blocks: &[ColsRef<'_, S>], job: Sweep<'_, S>) {
     }
 }
 
+/// [`sweep_body`] for a complex `W` of two or more columns, on planes: per
+/// chunk of rows, the update (with `coeffs`), then the Gram product (with
+/// `outs`). One call site each keeps one copy of each body per tier.
+#[inline(always)]
+fn sweep_planes<S: Scalar>(
+    blocks: &[ColsRef<'_, S>],
+    job: Sweep<'_, S>,
+    chunks: impl Iterator<Item = (usize, usize, usize)>,
+) {
+    let (coeffs, mut w, mut outs) = match job {
+        Sweep::Gram { w, outs } => (None, WRef::Shared(w), Some(outs)),
+        Sweep::Update { coeffs, w } => (Some(coeffs), WRef::Mut(w), None),
+        Sweep::UpdateGram { coeffs, w, outs } => (Some(coeffs), WRef::Mut(w), Some(outs)),
+    };
+    let mut planes = [0.0; PLANES];
+    // The sources of a Gram sweep: the panels' columns, then `W`'s own when
+    // `outs` has the slot for `WᴴW`.
+    let panels: usize = blocks.iter().map(|b| b.ncols).sum();
+    let own = outs.as_ref().is_some_and(|o| o.len() > blocks.len());
+    let srcs = panels + if own { w.get().ncols() } else { 0 };
+    for (k0, t0, k1) in chunks {
+        if let (Some(coeffs), WRef::Mut(w)) = (coeffs, &mut w) {
+            let rows = (k0, k1);
+            for (c0, tw) in tiles(w.ncols()) {
+                by_tile_width!(tw, update_tile, blocks, coeffs, w, &mut planes, rows, c0);
+            }
+        }
+        if let Some(outs) = outs.as_deref_mut() {
+            let (w, rows) = (w.get(), (k0, t0, k1));
+            for (c0, tw) in tiles(w.ncols()) {
+                by_tile_width!(tw, gram_tile, blocks, w, &mut planes, outs, rows, srcs, c0);
+            }
+        }
+    }
+}
+
+/// The `W` of a sweep on planes: read only by a Gram sweep, updated by the
+/// others.
+enum WRef<'x, S> {
+    Shared(&'x DMat<S>),
+    Mut(&'x mut DMat<S>),
+}
+
+impl<S> WRef<'_, S> {
+    #[inline(always)]
+    fn get(&self) -> &DMat<S> {
+        match self {
+            WRef::Shared(w) => w,
+            WRef::Mut(w) => w,
+        }
+    }
+}
+
 /// The tier the kernels of this module take: 512-bit vectors for a complex
 /// scalar; a real one stops at AVX2 (see the module documentation).
 fn widest<S: Scalar>() -> Tier {
@@ -419,6 +698,27 @@ pub fn tier<S: Scalar>() -> Tier {
     simd::capped(widest::<S>())
 }
 
+/// Whether the sweeps run on planes ([`sweep_planes`]) for a `W` of `p`
+/// columns of `S` at `tier`: a complex `W` of two or more columns does at
+/// AVX2 and AVX-512F. A real `W`, a single complex column (a pseudo-block
+/// lane) and the baseline tier keep the interleaved body.
+#[inline(always)]
+fn on_planes<S: Scalar>(p: usize, tier: Tier) -> bool {
+    S::is_complex() && p >= 2 && tier >= Tier::Avx2
+}
+
+/// The body the sweeps of this module run on this CPU for a `W` of `p`
+/// columns of `S`, for bench headers: `"planes"` (the block's columns in
+/// the vector lanes) or `"columns"` (interleaved scalars, one column of `W`
+/// at a time).
+pub fn body<S: Scalar>(p: usize) -> &'static str {
+    if on_planes::<S>(p, tier::<S>()) {
+        "planes"
+    } else {
+        "columns"
+    }
+}
+
 /// [`sweep_body`] as a [`Kernel`].
 struct SweepKernel<'b, 'x, S>(&'b [ColsRef<'b, S>], Sweep<'x, S>);
 
@@ -430,8 +730,8 @@ impl<S: Scalar> Kernel for SweepKernel<'_, '_, S> {
     }
 
     #[inline(always)]
-    fn body(self, _: Width) {
-        sweep_body(self.0, self.1)
+    fn body(self, width: Width) {
+        sweep_body(self.0, self.1, width)
     }
 }
 
@@ -788,22 +1088,47 @@ mod tests {
         // The shape of the repository benchmark's complex workload.
         if S::is_complex() {
             one_case::<S>(&tiers, 1176, 400, 8, false);
+            // The tile widths of the complex block sweeps (8/4/2/1 lanes of
+            // `W`'s columns, the extraction products' 80) against a
+            // recycled panel and a basis kept one matrix per block.
+            for (p, nb) in [(4, 5), (5, 3), (16, 2), (80, 1)] {
+                one_case_with::<S>(&tiers, 1176, nb * p, p, true, Some(nb));
+            }
         }
     }
 
     fn one_case<S: Scalar>(tiers: &[Tier], n: usize, k: usize, p: usize, with_c: bool) {
+        one_case_with::<S>(tiers, n, k, p, with_c, None);
+    }
+
+    /// Every sweep at every tier against the references, on `W` (`n × p`)
+    /// and a basis of `k` columns — one flat matrix, or with `list = Some(nb)`
+    /// `nb` blocks of `n × p` viewed through [`ColsRef::blocks`] — after a
+    /// recycled panel of three columns when `with_c`.
+    fn one_case_with<S: Scalar>(
+        tiers: &[Tier],
+        n: usize,
+        k: usize,
+        p: usize,
+        with_c: bool,
+        list: Option<usize>,
+    ) {
         let cm: DMat<S> = mat(n, 3, 11);
         let mut vm: DMat<S> = mat(n, k, 23);
         if k >= 3 {
             // A non-finite source column: `0·NaN` must stay skipped.
             vm.col_mut(2)[n / 2] = S::from_parts(f64::NAN, 0.0);
         }
+        let vlist: Vec<DMat<S>> = (0..list.unwrap_or(0)).map(|b| vm.cols(b * p, p)).collect();
         let w0: DMat<S> = mat(n, p, 37);
         let mut blocks = Vec::new();
         if with_c {
             blocks.push(ColsRef::whole(&cm));
         }
-        blocks.push(ColsRef::whole(&vm));
+        blocks.push(match list {
+            Some(_) => ColsRef::blocks(&vlist),
+            None => ColsRef::whole(&vm),
+        });
         // Coefficients with exact zeros of both signs in every position of
         // a group of four, and in the remainder columns.
         let coeffs: Vec<DMat<S>> = blocks
@@ -824,7 +1149,7 @@ mod tests {
 
         for &tier in tiers {
             let case = format!(
-                "n={n} k={k} p={p} c={with_c} tier {} of {}",
+                "n={n} k={k} p={p} c={with_c} blocks={list:?} tier {} of {}",
                 tier.name(),
                 simd::names(tiers)
             );

@@ -16,6 +16,8 @@
 //!   (§III-D), the one orthogonalization step of the Arnoldi cycles,
 //! * [`fused`]: fused Gram+projection products — `[CᴴW; VᴴW; WᴴW]` in one
 //!   sweep, one reduction instead of `j+2`,
+//! * [`lanes`]: scalars in vector lanes as planes of reals, the tile row of
+//!   the banded solve and of the complex fused sweeps,
 //! * [`lu`]: LU with partial pivoting (complex-capable),
 //! * [`eig`]: complex Hessenberg QR eigensolver with Schur vectors, plus the
 //!   generalized eigensolver used by GCRO-DR's deflation (eq. (3)),
@@ -29,6 +31,7 @@ pub mod chol;
 pub mod eig;
 pub mod fused;
 pub mod gs;
+pub mod lanes;
 pub mod lu;
 pub mod mat;
 pub mod qr;

@@ -19,6 +19,15 @@
 //! [`Kernel::widest`] caps it: the complex (`C64`) kernels that read faster
 //! at 512 bits take them; the real (`f64`) ones, whose benches and
 //! workloads came out mixed at 512, stop at AVX2 or below.
+//!
+//! **What fills the lanes.** A wider tier pays only where the body gives
+//! each lane independent work. The banded solve and the complex block
+//! sweeps (`p ≥ 2` columns) keep their columns in the lanes as planes of
+//! reals (`kryst_dense::lanes`: the real parts of up to eight columns, then
+//! their imaginary parts), so an 8-wide tile fills one 512-bit register per
+//! plane and a complex product needs no shuffle. A body on interleaved
+//! complex scalars (a single complex column, the `Csr` row sweep) spends
+//! shuffles on every product at any width.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Mutex;

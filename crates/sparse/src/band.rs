@@ -9,8 +9,10 @@
 //! right-hand sides, so every factor entry is loaded once, stride-1, and
 //! updates a contiguous run of right-hand-side values: the BLAS-2 → BLAS-3
 //! regime change the paper measures in Fig. 6. A tile row keeps the real
-//! parts of its right-hand sides together and the imaginary parts together,
-//! so the right-hand sides are the vector lanes for complex scalars too.
+//! parts of its right-hand sides together and the imaginary parts together
+//! ([`kryst_dense::lanes`], the plane layout the complex fused sweeps use
+//! too), so the right-hand sides are the vector lanes for complex scalars
+//! too.
 //!
 //! The solve and the factorization's trailing update are each one loop nest,
 //! compiled per vector tier and dispatched through [`kryst_rt::simd`], never
@@ -18,9 +20,9 @@
 //! at 512 bits (AVX-512F), the `f64` solve and both factorizations at most at
 //! 256 (AVX2), where each reads fastest.
 
+use kryst_dense::lanes::{tiles, Lanes, TILE};
 use kryst_rt::simd::{self, Kernel, Tier, Width};
 use kryst_scalar::Scalar;
-use std::marker::PhantomData;
 
 /// Banded matrix in LAPACK band storage with room for pivoting fill:
 /// entry `(i, j)` lives at `ab[(kl + ku + i − j, j)]`, valid for
@@ -164,35 +166,14 @@ impl<S: Scalar> Kernel for Factor<'_, S> {
     }
 }
 
-/// Widest right-hand-side tile of the solve kernel.
-const TILE: usize = 8;
-
-/// The tiles that cover `p` right-hand sides, as `(first column, width)`:
-/// full 8-wide ones, then a 4/2/1 tail. In a packed `n × p` block, tile
-/// `(c0, w)` is the slice `[n·c0 .. n·(c0 + w)]`, row by row; a row is `w`
-/// scalars stored as planes of reals — the `w` real parts, then (for a
-/// complex scalar) the `w` imaginary parts — so the kernel's lanes are the
+/// The tiles of a packed block of `n`-row columns, as
+/// `(first column, width, the tile's planes)`. The block's columns are cut
+/// by [`tiles`] (8-wide, then a 4/2/1 tail); tile `(c0, w)` is the slice
+/// `[n·c0 .. n·(c0 + w)]`, row by row, and a row is `w` scalars stored as
+/// planes of reals ([`Lanes`]) — the `w` real parts, then (for a complex
+/// scalar) the `w` imaginary parts — so the kernel's lanes are the
 /// right-hand sides whatever the scalar type. At `w = 1` that is the plain
 /// vector. Only [`pack`], [`unpack`] and the kernel know the plane order.
-fn tiles(p: usize) -> impl Iterator<Item = (usize, usize)> {
-    let mut c0 = 0;
-    std::iter::from_fn(move || {
-        let left = p - c0;
-        if left == 0 {
-            return None;
-        }
-        let w = if left >= TILE {
-            TILE
-        } else {
-            1 << left.ilog2()
-        };
-        c0 += w;
-        Some((c0 - w, w))
-    })
-}
-
-/// The tiles of a packed block of `n`-row columns, as
-/// `(first column, width, the tile's planes)`.
 fn tiles_mut<S: Scalar>(
     block: &mut [S],
     n: usize,
@@ -267,90 +248,6 @@ pub fn unpack<S: Scalar, F: FnMut(&mut S, S)>(
                 put(&mut col[g], v);
             }
         }
-    }
-}
-
-/// One tile row in registers: the plane of real parts and, for a complex
-/// `S`, the plane of imaginary parts (for a real `S` it is dead and
-/// optimised away). The lanes are the tile's right-hand sides.
-#[derive(Clone, Copy)]
-struct Lanes<S: Scalar, const W: usize> {
-    re: [f64; W],
-    im: [f64; W],
-    scalar: PhantomData<S>,
-}
-
-impl<S: Scalar, const W: usize> Lanes<S, W> {
-    #[inline(always)]
-    fn load(row: &[f64]) -> Self {
-        let plane = |k: usize| row[k * W..][..W].try_into().expect("plane of W lanes");
-        Self {
-            re: plane(0),
-            im: if S::is_complex() { plane(1) } else { [0.0; W] },
-            scalar: PhantomData,
-        }
-    }
-
-    #[inline(always)]
-    fn store(self, row: &mut [f64]) {
-        row[..W].copy_from_slice(&self.re);
-        if S::is_complex() {
-            row[W..][..W].copy_from_slice(&self.im);
-        }
-    }
-
-    /// `self − a·b` in every lane, rounded as `a * b` followed by `-=`
-    /// rounds on `S`: the four products, the difference and the sum of
-    /// `C64::mul` in its operand order, then the subtraction per part.
-    #[inline(always)]
-    fn sub_mul(self, a: S, b: &Self) -> Self {
-        let (ar, ai) = (a.re(), a.im());
-        let mut out = self;
-        for c in 0..W {
-            if S::is_complex() {
-                out.re[c] = self.re[c] - (ar * b.re[c] - ai * b.im[c]);
-                out.im[c] = self.im[c] - (ar * b.im[c] + ai * b.re[c]);
-            } else {
-                out.re[c] = self.re[c] - ar * b.re[c];
-            }
-        }
-        out
-    }
-
-    /// `self·d` in every lane, rounded as `self * d` rounds on `S`.
-    #[inline(always)]
-    fn mul(self, d: S) -> Self {
-        let (dr, di) = (d.re(), d.im());
-        let mut out = self;
-        for c in 0..W {
-            if S::is_complex() {
-                out.re[c] = self.re[c] * dr - self.im[c] * di;
-                out.im[c] = self.re[c] * di + self.im[c] * dr;
-            } else {
-                out.re[c] = self.re[c] * dr;
-            }
-        }
-        out
-    }
-
-    /// Whether lane `c` holds a nonzero scalar (a zero of either sign in
-    /// every part is not).
-    #[inline(always)]
-    fn nonzero(&self, c: usize) -> bool {
-        self.re[c] != 0.0 || (S::is_complex() && self.im[c] != 0.0)
-    }
-
-    /// Lane by lane, `self` where `keep` is zero and `other` elsewhere.
-    #[inline(always)]
-    fn where_zero(self, keep: &Self, other: Self) -> Self {
-        let mut out = self;
-        for c in 0..W {
-            if keep.nonzero(c) {
-                out.re[c] = other.re[c];
-                out.im[c] = other.im[c];
-            }
-        }
-        out
     }
 }
 
@@ -434,7 +331,7 @@ impl<S: Scalar> BandLu<S> {
     #[inline(always)]
     fn solve_tile<const W: usize>(&self, x: &mut [f64]) {
         let n = self.n;
-        let rw = W * S::real_words();
+        let rw = Lanes::<S, W>::row_len();
         // Forward: row interchanges, then an axpy per column of L.
         for j in 0..n {
             let pvt = self.ipiv[j];
@@ -474,7 +371,7 @@ impl<S: Scalar> BandLu<S> {
             for (&uv, row) in u.iter().zip(tail.chunks_exact(rw)) {
                 acc = acc.sub_mul(uv, &Lanes::load(row));
             }
-            acc.mul(self.dinv[j]).store(xj);
+            acc.times(self.dinv[j]).store(xj);
         }
     }
 }
@@ -810,21 +707,6 @@ mod tests {
     fn factor_bodies_agree_bitwise() {
         factor_bodies_agree::<f64>(21);
         factor_bodies_agree::<C64>(22);
-    }
-
-    #[test]
-    fn tiles_cover_every_width() {
-        for p in 0..40 {
-            let t: Vec<_> = tiles(p).collect();
-            assert_eq!(t.iter().map(|&(_, w)| w).sum::<usize>(), p);
-            let mut next = 0;
-            for &(c0, w) in &t {
-                assert_eq!(c0, next);
-                assert!(matches!(w, 1 | 2 | 4 | 8));
-                next += w;
-            }
-        }
-        assert_eq!(tiles(7).collect::<Vec<_>>(), [(0, 4), (4, 2), (6, 1)]);
     }
 
     #[test]

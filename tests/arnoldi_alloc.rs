@@ -19,6 +19,11 @@
 //! step of the next cycle. The windows are cut out of a whole solve by a
 //! recorder that notes the counter at every span and iteration event.
 //!
+//! The complex block path holds to the same: a `C64` GCRO-DR solve at
+//! `p = 8` with a recycle space allocates nothing of that size in a step,
+//! restart or refresh once its first refresh is done — the fused sweeps
+//! keep their partial sums in registers, not in a per-call array.
+//!
 //! A pseudo-block solve runs its lanes in lock-step, one batched operator
 //! apply per step: once its first cycle has sized the batches, no lock-step
 //! allocates a vector either, restarts and batched true residuals included.
@@ -64,7 +69,7 @@ static COUNTER: CountingAlloc = CountingAlloc;
 use kryst_core::cycle::{BlockArnoldi, CycleBuffers, PrecondMode};
 use kryst_core::pseudo::{self, PseudoMethod};
 use kryst_core::{gcrodr, lgmres, PrecondSide, SolveOpts, SolverContext};
-use kryst_dense::{blas, chol, DMat};
+use kryst_dense::{blas, chol, DMat, C64};
 use kryst_obs::{Event, Recorder, SpanKind};
 use kryst_precond::Jacobi;
 use kryst_sparse::{Coo, Csr};
@@ -82,6 +87,20 @@ fn varying_tridiag(n: usize) -> Csr<f64> {
         if i > 0 {
             c.push(i, i - 1, -1.0);
             c.push(i - 1, i, -1.0);
+        }
+    }
+    c.to_csr()
+}
+
+/// [`varying_tridiag`] with a complex shift on the diagonal,
+/// `(−1, 2 + (i mod 5)/10 + 0.3i, −1)`.
+fn varying_tridiag_c64(n: usize) -> Csr<C64> {
+    let mut c = Coo::new(n, n);
+    for i in 0..n {
+        c.push(i, i, C64::new(2.0 + (i % 5) as f64 * 0.1, 0.3));
+        if i > 0 {
+            c.push(i, i - 1, C64::new(-1.0, 0.0));
+            c.push(i - 1, i, C64::new(-1.0, 0.0));
         }
     }
     c.to_csr()
@@ -198,6 +217,60 @@ fn restarts_allocate_their_storage_once() {
     }
 }
 
+/// Block GCRO-DR(2, 2) at `p = 8` on a complex operator of `n = 1200`
+/// rows: once the first refresh has built its pair, neither a step (the
+/// Gram sweep against the recycle space and the basis included) nor a
+/// restart and refresh allocates anything of `n · 8` bytes. The restart
+/// length keeps the refresh's dense matrices under that size, so what is
+/// counted is the tall work alone.
+fn complex_block_steps_allocate_nothing() {
+    let (n, p) = (1200, 8);
+    let a = varying_tridiag_c64(n);
+    let jac = Jacobi::new(&a, 1.0);
+    let b = DMat::from_fn(n, p, |i, j| {
+        C64::new(
+            ((i * 3 + j * 7) % 11) as f64 - 5.0,
+            ((i + 2 * j) % 7) as f64 - 3.0,
+        )
+    });
+    let marks = Arc::new(SpanMarks::default());
+    let opts = SolveOpts {
+        rtol: 1e-14,
+        restart: 2,
+        recycle: 2,
+        max_iters: 24,
+        side: PrecondSide::Right,
+        recorder: Some(marks.clone() as Arc<dyn Recorder>),
+        ..Default::default()
+    };
+    let mut x = DMat::zeros(n, p);
+    let mut ctx = SolverContext::new();
+    big_allocs(n, || {
+        gcrodr::solve(&a, &jac, &b, &mut x, &opts, &mut ctx);
+    });
+    let refreshes = marks.between_cycles();
+    let marks = marks.0.lock().expect("no panic under the lock");
+    let steps: Vec<usize> = marks
+        .iter()
+        .filter(|m| m.0.is_none())
+        .map(|m| m.1)
+        .collect();
+    let grown: Vec<usize> = steps.windows(2).map(|w| w[1] - w[0]).collect();
+    assert!(refreshes.len() >= 4, "refreshes seen: {refreshes:?}");
+    assert_eq!(
+        refreshes[0], 2,
+        "C64 p=8: the first refresh builds one new pair: {refreshes:?}"
+    );
+    assert!(
+        refreshes[1..].iter().all(|&big| big == 0),
+        "C64 p=8: GCRO-DR restart + refresh allocated a vector: {refreshes:?}"
+    );
+    assert!(
+        grown[2..].iter().all(|&big| big == 0),
+        "C64 p=8: a step allocated a vector: {grown:?}"
+    );
+}
+
 /// Pseudo-block GMRES(6) and GCRO-DR(6, 2) over three lanes: the big
 /// allocations between two iteration events, which lie one lock-step
 /// apart, are none once the first cycle and the refresh after it are done.
@@ -243,6 +316,7 @@ fn lock_steps_allocate_nothing() {
 fn step_and_restart_allocate_no_vector_after_the_first_cycle() {
     std::env::set_var("KRYST_THREADS", "1");
     restarts_allocate_their_storage_once();
+    complex_block_steps_allocate_nothing();
     lock_steps_allocate_nothing();
     let n = 3000;
     let m = 5;

@@ -5,13 +5,15 @@
 //! reduction totals are pinned integers; per-RHS final residuals are
 //! compared against the checked-in JSON snapshots with a float tolerance.
 //! All kernels in the workspace preserve per-element summation order under
-//! threading, so these runs are bit-deterministic.
+//! threading, so these runs are bit-deterministic. The complex block golden
+//! (Maxwell under ORAS) also pins an FNV-1a hash of the solution's bits, so
+//! a kernel of the complex block path that moves one bit fails it.
 //!
 //! Regenerate after an intentional numerical change with:
 //! `KRYST_GOLDEN_REGEN=1 cargo test -p kryst-bench --test golden_traces`
 
-use kryst_core::{gcrodr, gmres, SolveOpts, SolveResult, SolverContext};
-use kryst_dense::DMat;
+use kryst_core::{gcrodr, gmres, PrecondSide, SolveOpts, SolveResult, SolverContext};
+use kryst_dense::{DMat, Scalar};
 use kryst_obs::json::{f64_array, JsonValue};
 use kryst_obs::{cumulative_comm, iteration_events, Event, Recorder, RingRecorder};
 use kryst_par::{CommStats, IdentityPrecond};
@@ -32,6 +34,20 @@ struct Golden {
     converged: bool,
     reductions: u64,
     final_relres: Vec<f64>,
+    /// FNV-1a hash of the solution's bits, for the goldens that pin them.
+    x_fnv1a: Option<u64>,
+}
+
+/// FNV-1a over the little-endian bits of every real word of `x`, column by
+/// column.
+fn fnv1a<S: Scalar>(x: &DMat<S>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for v in S::reals(x.as_slice()) {
+        for byte in v.to_bits().to_le_bytes() {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
 }
 
 impl Golden {
@@ -49,13 +65,17 @@ impl Golden {
             converged: res.converged,
             reductions: cumulative_comm(events).reductions,
             final_relres: res.final_relres.clone(),
+            x_fnv1a: None,
         }
     }
 
     fn to_json(&self) -> String {
+        let hash = self
+            .x_fnv1a
+            .map_or(String::new(), |h| format!(",\"x_fnv1a\":\"{h:016x}\""));
         format!(
             "{{\"solver\":\"{}\",\"iterations\":{},\"cycles\":{},\"converged\":{},\
-             \"reductions\":{},\"final_relres\":{}}}\n",
+             \"reductions\":{},\"final_relres\":{}{hash}}}\n",
             self.solver,
             self.iterations,
             self.cycles,
@@ -93,6 +113,10 @@ impl Golden {
                 .iter()
                 .map(|x| x.as_f64().expect("residual"))
                 .collect(),
+            x_fnv1a: v.get("x_fnv1a").map(|h| {
+                let h = h.as_str().expect("hash as a hex string");
+                u64::from_str_radix(h, 16).expect("hex hash")
+            }),
         }
     }
 }
@@ -128,6 +152,11 @@ fn check_against_golden(file: &str, got: &Golden) {
     assert_eq!(
         got.reductions, want.reductions,
         "{file}: reduction total drifted"
+    );
+    assert_eq!(
+        got.x_fnv1a.map(|h| format!("{h:016x}")),
+        want.x_fnv1a.map(|h| format!("{h:016x}")),
+        "{file}: solution bits drifted"
     );
     assert_eq!(got.final_relres.len(), want.final_relres.len());
     for (l, (g, w)) in got.final_relres.iter().zip(&want.final_relres).enumerate() {
@@ -318,6 +347,49 @@ fn gcrodr30_10_jacobi_poisson20_matches_golden() {
             res.final_relres
         );
         let got = Golden::capture("gcrodr", &ring.events(), &res);
+        check_against_golden(file, &got);
+    }
+}
+
+/// Block GCRO-DR(5, 3) on the complex Maxwell problem with the cylinder
+/// (`nc = 4`) under ORAS (4 RCB parts, overlap 2), right preconditioned:
+/// a cold solve of four antenna right-hand sides, then a warm one of four
+/// more on the recycled space. Every step runs the complex fused sweeps at
+/// `p = 4` and the banded solves on a 4-wide tile; the solution's bits are
+/// pinned, not only its residual.
+#[test]
+fn block_gcrodr5_3_oras_maxwell4_matches_golden() {
+    use kryst_pde::maxwell::{antenna_ring_rhs, MaxwellParams};
+    use kryst_scalar::C64;
+    let params = MaxwellParams::with_cylinder(4);
+    let setup = kryst_bench::maxwell_oras(params, 4, 2);
+    let (a, n) = (&setup.problem.a, setup.problem.a.nrows());
+    let solve_opts = SolveOpts {
+        rtol: 1e-8,
+        restart: 5,
+        recycle: 3,
+        side: PrecondSide::Right,
+        max_iters: 2000,
+        same_system: true,
+        ..Default::default()
+    };
+    let mut ctx = SolverContext::new();
+    for (ring_z, file) in [
+        (0.55, "block_gcrodr5_3_oras_maxwell4.json"),
+        (0.35, "block_gcrodr5_3_oras_maxwell4_warm.json"),
+    ] {
+        let b = antenna_ring_rhs(&setup.geom, &params, 4, 0.3, ring_z);
+        let ring = Arc::new(RingRecorder::new(1 << 16));
+        let opts = instrumented_opts(solve_opts.clone(), &ring);
+        let mut x = DMat::<C64>::zeros(n, 4);
+        let res = gcrodr::solve(a, &setup.oras, &b, &mut x, &opts, &mut ctx);
+        assert!(
+            res.converged,
+            "block GCRO-DR(5,3)+ORAS on Maxwell nc=4, z={ring_z}: {:?}",
+            res.final_relres
+        );
+        let mut got = Golden::capture("gcrodr", &ring.events(), &res);
+        got.x_fnv1a = Some(fnv1a(&x));
         check_against_golden(file, &got);
     }
 }
