@@ -139,6 +139,25 @@ fn bench_fused(c: &mut Criterion) {
     fused_shape::<C64>(c, "c64", 1176, 400, 8);
     warm_step_shape::<C64>(c, "c64", 1176, 80, 9, 8);
     warm_step_shape::<C64>(c, "c64", 1176, 10, 50, 1);
+    cholqr_shape::<C64>(c, "c64", 1176, 8);
+}
+
+/// The CholQR of one `n × p` block, the first step of each block cycle:
+/// the Gram of `W` alone (no panel, so the columns body at every tier) and
+/// the whole factorization.
+fn cholqr_shape<S: Scalar>(c: &mut Criterion, tag: &str, n: usize, p: usize) {
+    let w0 = hashed::<S>(n, p, 5);
+    let mut w = w0.clone();
+    let mut gram = [DMat::zeros(p, p)];
+    let mut g = c.benchmark_group(format!("cholqr_{tag}_n{n}_p{p}"));
+    g.bench_function("gram", |b| b.iter(|| fused_gram(&[], &w0, &mut gram)));
+    g.bench_function("cholqr", |b| {
+        b.iter(|| {
+            w.copy_from(&w0);
+            chol::cholqr(&mut w).rank
+        })
+    });
+    g.finish();
 }
 
 /// What a solver does between two cycles, on one shape: the product of a

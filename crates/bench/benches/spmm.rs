@@ -1,6 +1,7 @@
 //! SpMM arithmetic-intensity scaling with the number of RHS columns —
-//! the kernel argument of the paper's §V-B2 — and the operator sweeps of
-//! the repository benchmark's workloads, by row shape.
+//! the kernel argument of the paper's §V-B2 — the operator sweeps of the
+//! repository benchmark's workloads, by row shape, and the level-0 Galerkin
+//! products of their AMG set-up.
 
 use kryst_bench::harness::{print_tiers, BenchmarkId, Criterion, Throughput};
 use kryst_bench::{criterion_group, criterion_main};
@@ -11,7 +12,7 @@ use kryst_pde::poisson::poisson2d;
 use kryst_precond::{Amg, AmgOpts};
 use kryst_scalar::{Scalar, C64};
 use kryst_sparse::csr::row_sweep_tier;
-use kryst_sparse::Csr;
+use kryst_sparse::{ops, Csr};
 
 fn bench_spmm(c: &mut Criterion) {
     print_tiers(&[
@@ -72,9 +73,47 @@ fn bench_workload_sweeps(c: &mut Criterion) {
     sweep_group::<C64>(c, "spmm_maxwell8_p8", &maxwell.a, 8);
 }
 
+/// The level-0 Galerkin products `A·P` and `Pᵀ·(AP)` of the two AMG
+/// workloads, `P` and `Pᵀ` taken from the hierarchy: Fig. 3's elasticity
+/// at `ne = 14` (a node-blocked `A`, so `A·P` takes row triples, and right
+/// runs in `Pᵀ·(AP)`) and Fig. 2's Poisson at 384² (the stamped
+/// accumulator). The header names the work each product shares.
+fn bench_galerkin(c: &mut Criterion) {
+    let elasticity = elasticity3d::<f64>(&ElasticityOpts {
+        ne: 14,
+        inclusion: Some(PAPER_INCLUSIONS[0]),
+        ..Default::default()
+    })
+    .problem;
+    let poisson = poisson2d::<f64>(384, 384);
+    let mut g = c.benchmark_group("galerkin");
+    for (name, prob) in [("elasticity14", &elasticity), ("poisson384", &poisson)] {
+        let a = &prob.a;
+        let amg = Amg::new(a, prob.near_nullspace.as_ref(), &AmgOpts::default());
+        let pt = amg.restriction(0).expect("level 0 coarsens").clone();
+        let p = pt.transpose();
+        let ap = ops::spgemm(a, &p);
+        for (what, l, r) in [("ap", a, &p), ("ptap", &pt, &ap)] {
+            let (triples, runs) = ops::shared_work(l, r);
+            println!(
+                "galerkin/{name}_{what}: {} x {} times {} x {}, {triples} left triples, \
+                 {runs} right runs",
+                l.nrows(),
+                l.ncols(),
+                r.nrows(),
+                r.ncols()
+            );
+            g.bench_function(format!("{name}_{what}"), |bch| {
+                bch.iter(|| ops::spgemm(l, r))
+            });
+        }
+    }
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2));
-    targets = bench_spmm, bench_workload_sweeps
+    targets = bench_spmm, bench_workload_sweeps, bench_galerkin
 }
 criterion_main!(benches);

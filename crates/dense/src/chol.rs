@@ -179,7 +179,8 @@ pub(crate) fn well_conditioned_cholesky<S: Scalar>(gram: &DMat<S>) -> Option<(DM
 
 /// Apply the pivoted-Cholesky factor to produce an orthonormal `Q` spanning
 /// the numerical range, with deficient columns replaced (re-orthogonalized
-/// canonical directions) so downstream code always sees a full block.
+/// canonical directions) so downstream code always sees a full block. All
+/// of it happens in `v`'s own storage.
 fn rank_revealing_fixup<S: Scalar>(
     v: &mut DMat<S>,
     piv: PivotedCholesky<S>,
@@ -187,14 +188,20 @@ fn rank_revealing_fixup<S: Scalar>(
 ) -> CholQr<S> {
     let p = v.ncols();
     let rank = piv.rank.max(1).min(p);
-    // Permute columns of V to pivot order, solve against the leading rank×rank R.
-    let mut vp = DMat::zeros(v.nrows(), p);
-    for k in 0..p {
-        vp.col_mut(k).copy_from_slice(v.col(piv.perm[k]));
+    // Permute the columns of V to pivot order by pairwise swaps (`at[c]` is
+    // the original index of the column now at `c`, `pos` its inverse), then
+    // solve its leading `rank` columns against the leading rank×rank R.
+    let mut at: Vec<usize> = (0..p).collect();
+    let mut pos = at.clone();
+    for (k, &want) in piv.perm.iter().enumerate() {
+        let src = pos[want];
+        if src != k {
+            v.swap_cols(k, src);
+            at.swap(k, src);
+            (pos[at[k]], pos[at[src]]) = (k, src);
+        }
     }
-    let r_lead = piv.r.block(0, 0, rank, rank);
-    let mut q_lead = vp.cols(0, rank);
-    tri::right_solve_upper(&mut q_lead, &r_lead);
+    tri::right_solve_upper_leading(v, &piv.r, rank);
     // Deficient trailing columns: replace with canonical vectors
     // orthogonalized against everything accumulated so far — external bases
     // (recycled space / Arnoldi basis), the leading range and earlier
@@ -203,25 +210,25 @@ fn rank_revealing_fixup<S: Scalar>(
     // projection is exactly zero, and normalising it filled the block (and
     // every later estimate and update) with NaN: the next vectors are tried
     // instead. Should every one vanish, the column stays zero.
-    let n = v.nrows();
-    for k in rank..p {
-        let (mut e, nrm) = (0..n)
-            .map(|t| projected_canonical((k + t) % n, ext, &q_lead))
-            .find(|(_, nrm)| *nrm > 0.0)
-            .unwrap_or_else(|| (vec![S::zero(); n], 1.0));
-        let inv = S::one() / S::from_f64(nrm);
-        for x in &mut e {
-            *x *= inv;
-        }
-        q_lead = q_lead.hcat(&DMat::from_vec(e));
-    }
-    // Store Q in pivot order: with R_orig = R_piv · Pᵀ below, the identity
+    //
+    // Q stays in pivot order: with R_orig = R_piv · Pᵀ below, the identity
     // V[:, perm[k]] = Q · R_orig[:, perm[k]] = Q_lead · R_piv[:, k] only
     // holds when column k of Q is q_lead[:, k] — scattering Q back through
     // the permutation while leaving the R rows unpermuted would break
     // V = Q·R for any nontrivial pivoting.
-    for k in 0..p {
-        v.col_mut(k).copy_from_slice(q_lead.col(k));
+    let n = v.nrows();
+    for k in rank..p {
+        let (q, e) = v.as_mut_slice()[..(k + 1) * n].split_at_mut(k * n);
+        let nrm = (0..n)
+            .map(|t| projected_canonical((k + t) % n, ext, q, e))
+            .find(|&nrm| nrm > 0.0);
+        match nrm {
+            Some(nrm) => {
+                let inv = S::one() / S::from_f64(nrm);
+                e.iter_mut().for_each(|x| *x *= inv);
+            }
+            None => e.fill(S::zero()),
+        }
     }
     // R = R_piv · Pᵀ restricted to the leading rank rows (upper triangular
     // up to the column permutation).
@@ -238,13 +245,15 @@ fn rank_revealing_fixup<S: Scalar>(
     }
 }
 
-/// The canonical vector `e_i` orthogonalized, in two MGS passes, against
-/// the external bases and the columns of `q`, and its norm. The
-/// replacements of a breakdown multiply zero rows of `R`, so reshaping them
-/// never perturbs the factorization `V = Q·R`.
-fn projected_canonical<S: Scalar>(i: usize, ext: &[ColsRef<'_, S>], q: &DMat<S>) -> (Vec<S>, f64) {
-    let mut e = vec![S::zero(); q.nrows()];
+/// The canonical vector `e_i`, written into `e`, orthogonalized in two MGS
+/// passes against the external bases and the columns of `q` (column-major,
+/// `e.len()` rows each); returns its norm. The replacements of a breakdown
+/// multiply zero rows of `R`, so reshaping them never perturbs the
+/// factorization `V = Q·R`.
+fn projected_canonical<S: Scalar>(i: usize, ext: &[ColsRef<'_, S>], q: &[S], e: &mut [S]) -> f64 {
+    e.fill(S::zero());
     e[i] = S::one();
+    let n = e.len();
     let mut project = |col: &[S]| {
         let mut dot = S::zero();
         for (qi, ei) in col.iter().zip(e.iter()) {
@@ -258,10 +267,10 @@ fn projected_canonical<S: Scalar>(i: usize, ext: &[ColsRef<'_, S>], q: &DMat<S>)
         for m in ext {
             (0..m.ncols()).for_each(|j| project(m.col(j)));
         }
-        (0..q.ncols()).for_each(|j| project(q.col(j)));
+        q.chunks_exact(n).for_each(&mut project);
     }
     let nrm = e.iter().fold(0.0, |acc, x| acc + x.abs_sqr());
-    (e, nrm.sqrt())
+    nrm.sqrt()
 }
 
 #[cfg(test)]

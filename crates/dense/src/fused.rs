@@ -597,7 +597,8 @@ fn sweep_body<S: Scalar>(blocks: &[ColsRef<'_, S>], job: Sweep<'_, S>, width: Wi
         let k1 = (k0 + KB).min(n);
         (k0, k0 + ((k1 - k0) & !3), k1)
     });
-    if on_planes::<S>(p, width.tier()) {
+    let panels = blocks.iter().map(|b| b.ncols).sum::<usize>();
+    if on_planes::<S>(p, panels, width.tier()) {
         return sweep_planes(blocks, job, chunks);
     }
     // One set of lanes per source column and column of `W`; the sources of
@@ -605,7 +606,7 @@ fn sweep_body<S: Scalar>(blocks: &[ColsRef<'_, S>], job: Sweep<'_, S>, width: Wi
     // the slot for `WᴴW`.
     let lanes = |outs: &[DMat<S>]| {
         let own = if outs.len() > blocks.len() { p } else { 0 };
-        vec![[S::zero(); 4]; (blocks.iter().map(|b| b.ncols).sum::<usize>() + own) * p]
+        vec![[S::zero(); 4]; (panels + own) * p]
     };
     match job {
         Sweep::Gram { w, outs } => {
@@ -699,20 +700,22 @@ pub fn tier<S: Scalar>() -> Tier {
 }
 
 /// Whether the sweeps run on planes ([`sweep_planes`]) for a `W` of `p`
-/// columns of `S` at `tier`: a complex `W` of two or more columns does at
-/// AVX2 and AVX-512F. A real `W`, a single complex column (a pseudo-block
-/// lane) and the baseline tier keep the interleaved body.
+/// columns of `S` against `panels` source columns at `tier`: a complex `W`
+/// of two or more columns does at AVX2 and AVX-512F, against at least one
+/// panel column. A real `W`, a single complex column (a pseudo-block lane),
+/// the baseline tier and the Gram of `W` alone (CholQR's, where the copy
+/// into planes is not paid back) keep the interleaved body.
 #[inline(always)]
-fn on_planes<S: Scalar>(p: usize, tier: Tier) -> bool {
-    S::is_complex() && p >= 2 && tier >= Tier::Avx2
+fn on_planes<S: Scalar>(p: usize, panels: usize, tier: Tier) -> bool {
+    S::is_complex() && p >= 2 && panels > 0 && tier >= Tier::Avx2
 }
 
 /// The body the sweeps of this module run on this CPU for a `W` of `p`
-/// columns of `S`, for bench headers: `"planes"` (the block's columns in
-/// the vector lanes) or `"columns"` (interleaved scalars, one column of `W`
-/// at a time).
+/// columns of `S` against at least one panel column, for bench headers:
+/// `"planes"` (the block's columns in the vector lanes) or `"columns"`
+/// (interleaved scalars, one column of `W` at a time).
 pub fn body<S: Scalar>(p: usize) -> &'static str {
-    if on_planes::<S>(p, tier::<S>()) {
+    if on_planes::<S>(p, 1, tier::<S>()) {
         "planes"
     } else {
         "columns"

@@ -45,8 +45,13 @@ pub fn solve_lower_in_place<S: Scalar>(l: &DMat<S>, n: usize, unit_diag: bool, b
 /// inverse R factor" step of CholQR / recycled-space updates (`U_k ⟵ U_k R⁻¹`
 /// in Fig. 1 lines 6, 20, 37 of the paper).
 pub fn right_solve_upper<S: Scalar>(x: &mut DMat<S>, r: &DMat<S>) {
-    let k = x.ncols();
-    assert!(r.nrows() >= k && r.ncols() >= k);
+    right_solve_upper_leading(x, r, x.ncols());
+}
+
+/// [`right_solve_upper`] on the leading `k` columns of `X` only, against
+/// the leading `k × k` block of `R`.
+pub fn right_solve_upper_leading<S: Scalar>(x: &mut DMat<S>, r: &DMat<S>, k: usize) {
+    assert!(x.ncols() >= k && r.nrows() >= k && r.ncols() >= k);
     // Column j of X·R⁻¹ solves  (X·R⁻¹)[:,j] = (X[:,j] − Σ_{l<j} (XR⁻¹)[:,l]·R[l,j]) / R[j,j].
     for j in 0..k {
         for l in 0..j {

@@ -1,5 +1,23 @@
 //! Sparse matrix–matrix products (Gustavson's algorithm) and the Galerkin
 //! triple product used by the multigrid hierarchy.
+//!
+//! **Row groups.** `spgemm` shares the work of rows that store one column
+//! list. The rows of each aligned triple of a node-blocked left operand
+//! (the elasticity operator, three displacement components per mesh node)
+//! go through the product as one group: each right-hand row they name is
+//! read once, and its products go into three accumulators side by side
+//! (one `[S; 3]` slot per column). Consecutive stored columns of a left row
+//! that name right-hand rows of one column list (a *right run*: the node
+//! triples of `A·P`, which `Pᵀ·(AP)` reads) take one pass over that list.
+//!
+//! **The rounding is unchanged.** An output entry is the sum, from a zero,
+//! of its row's products in the order of the row's stored columns. A group
+//! keeps each row's own accumulator, and a run adds its products to each
+//! entry in column order, so every entry sees the same products in the
+//! same order as the one-row-at-a-time loop: the result is `to_bits` the
+//! stamped reference's, at any thread count and wherever the parallel split
+//! cuts a triple. The choice of accumulator (dense or stamped) is still per
+//! row, and a triple's rows, sharing one column list, always agree on it.
 
 #![allow(clippy::needless_range_loop)] // index loops mirror the BLAS/LAPACK reference forms
 
@@ -12,12 +30,24 @@ use std::cmp::Ordering;
 /// more than the product itself on the coarse AMG levels).
 const SPGEMM_PAR_MIN_ROWS: usize = 256;
 
+/// Longest run of equal-pattern `B` rows that one pass over their column
+/// list takes (see [`spgemm`]).
+const MAX_RUN: usize = 4;
+
 /// `C = A·B` (CSR × CSR) via row-merge with a dense accumulator.
 ///
 /// Rows are independent, so large products split into contiguous row ranges
 /// across the worker pool, each with its own accumulator; per-row
 /// accumulation order is the serial order, so the result is bit-identical
 /// at any thread count.
+///
+/// Rows that share a column list share their work (see the module
+/// documentation). When `A` is node-blocked ([`Csr::is_node_blocked`]),
+/// each aligned row triple is one group; a triple that the parallel split
+/// cuts runs row by row. When consecutive stored columns `k, k + 1, …` (at
+/// most `MAX_RUN`, four) of an `A` row name `B` rows of one column list, one
+/// pass over that list adds all their products to each accumulator entry,
+/// in `k` order.
 pub fn spgemm<S: Scalar>(a: &Csr<S>, b: &Csr<S>) -> Csr<S> {
     assert_eq!(a.ncols(), b.nrows(), "spgemm: dimension mismatch");
     let nrows = a.nrows();
@@ -27,8 +57,9 @@ pub fn spgemm<S: Scalar>(a: &Csr<S>, b: &Csr<S>) -> Csr<S> {
         max_threads()
     };
     let per = nrows.div_ceil(workers).max(1);
+    let same = repeats_previous_row(b);
     let mut parts = map_range(nrows.div_ceil(per).max(1), |pi| {
-        spgemm_rows(a, b, pi * per, ((pi + 1) * per).min(nrows))
+        spgemm_rows(a, b, &same, pi * per, ((pi + 1) * per).min(nrows))
     })
     .into_iter();
     // The first part's arrays become the product's; the others are appended.
@@ -46,10 +77,76 @@ pub fn spgemm<S: Scalar>(a: &Csr<S>, b: &Csr<S>) -> Csr<S> {
     Csr::from_raw(nrows, b.ncols(), indptr, indices, data)
 }
 
+/// Whether each row of `b` stores the same column list as the row before it
+/// (never the first row): one pass over the pattern.
+fn repeats_previous_row<S: Scalar>(b: &Csr<S>) -> Vec<bool> {
+    let (bptr, bcol, _) = b.arrays();
+    let mut same = vec![false; b.nrows()];
+    for r in 1..b.nrows() {
+        let (s0, s1, e) = (bptr[r - 1], bptr[r], bptr[r + 1]);
+        same[r] = e - s1 == s1 - s0 && bcol[s0..s1].iter().zip(&bcol[s1..e]).all(|(x, y)| x == y);
+    }
+    same
+}
+
+/// How many `B` rows from the stored position `j` of the column list
+/// `acols` on one pass can take: `acols[j..j + w]` are consecutive columns
+/// whose `B` rows all repeat the first one's pattern, `w ≤ MAX_RUN`.
+fn run_width(acols: &[usize], j: usize, same: &[bool]) -> usize {
+    let k = acols[j];
+    let mut w = 1;
+    while w < MAX_RUN && j + w < acols.len() && acols[j + w] == k + w && same[k + w] {
+        w += 1;
+    }
+    w
+}
+
+/// The work that [`spgemm`] shares in `A·B` on one thread: the aligned row
+/// triples of a node-blocked `A` taken as one group, and the right runs (of
+/// two to `MAX_RUN` equal-pattern `B` rows) that one pass took, counted
+/// once per row group.
+pub fn shared_work<S: Scalar>(a: &Csr<S>, b: &Csr<S>) -> (usize, usize) {
+    let same = repeats_previous_row(b);
+    let group = if a.is_node_blocked() { 3 } else { 1 };
+    let (aptr, acol, _) = a.arrays();
+    let mut runs = 0;
+    for i in (0..a.nrows()).step_by(group) {
+        let acols = &acol[aptr[i]..aptr[i + 1]];
+        let mut j = 0;
+        while j < acols.len() {
+            let w = run_width(acols, j, &same);
+            runs += usize::from(w > 1);
+            j += w;
+        }
+    }
+    let triples = if group == 3 { a.nrows() / 3 } else { 0 };
+    (triples, runs)
+}
+
 /// Share of `ncols` that the bound `Σ_k nnz(B[a_ik, :])` on a row's products
 /// has to reach for the row to be accumulated without bookkeeping: `1 / 4`
 /// (swept in EXPERIMENTS.md, *Set-up path*).
 const SCATTER_SHARE: usize = 4;
+
+/// What one part of [`spgemm`] reads and the rows it has written.
+struct Rows<'a, S> {
+    aptr: &'a [usize],
+    acol: &'a [usize],
+    aval: &'a [S],
+    bptr: &'a [usize],
+    bcol: &'a [usize],
+    bval: &'a [S],
+    same: &'a [bool],
+    lens: Vec<usize>,
+    indices: Vec<usize>,
+    data: Vec<S>,
+    /// The touched columns of a stamped row group, and the group that last
+    /// touched each column.
+    touched: Vec<usize>,
+    stamp: Vec<usize>,
+    /// Rows 1 and 2 of a triple, written out after row 0.
+    spill: [Vec<(usize, S)>; 2],
+}
 
 /// Gustavson row-merge over the row range `[lo, hi)`; returns per-row
 /// lengths plus the concatenated column indices and values.
@@ -60,69 +157,159 @@ const SCATTER_SHARE: usize = 4;
 /// and zeroed afterwards; otherwise a generation stamp records which
 /// columns were touched, and only those are sorted and read. Both add the
 /// same products in the same order to a zero, so the choice does not show
-/// in the result.
+/// in the result. The rows of a triple store one column list, so they have
+/// the same bound and take the same side.
 #[allow(clippy::type_complexity)]
 fn spgemm_rows<S: Scalar>(
     a: &Csr<S>,
     b: &Csr<S>,
+    same: &[bool],
     lo: usize,
     hi: usize,
 ) -> (Vec<usize>, Vec<usize>, Vec<S>) {
     let ncols = b.ncols();
-    let (aptr, acol, aval) = a.arrays();
-    let (bptr, bcol, bval) = b.arrays();
-    let brow = |r: usize| (&bcol[bptr[r]..bptr[r + 1]], &bval[bptr[r]..bptr[r + 1]]);
-    let mut lens = Vec::with_capacity(hi - lo);
-    let mut indices = Vec::new();
-    let mut data = Vec::new();
+    let ((aptr, acol, aval), (bptr, bcol, bval)) = (a.arrays(), b.arrays());
+    let mut rows = Rows {
+        aptr,
+        acol,
+        aval,
+        bptr,
+        bcol,
+        bval,
+        same,
+        lens: Vec::with_capacity(hi - lo),
+        indices: Vec::new(),
+        data: Vec::new(),
+        touched: Vec::new(),
+        stamp: vec![usize::MAX; ncols],
+        spill: [Vec::new(), Vec::new()],
+    };
+    // The whole triples in the range; the rows around them go one by one.
+    let (first, last) = if a.is_node_blocked() {
+        (lo.next_multiple_of(3).min(hi), hi - hi % 3)
+    } else {
+        (hi, hi)
+    };
+    // All zero between row groups: each path zeroes what it read.
+    let mut acc = vec![[S::zero(); 1]; ncols];
+    for i in lo..first {
+        rows.group::<1>(i, &mut acc);
+    }
+    if first < last {
+        let mut acc3 = vec![[S::zero(); 3]; ncols];
+        for i in (first..last).step_by(3) {
+            rows.group::<3>(i, &mut acc3);
+        }
+    }
+    for i in last.max(first)..hi {
+        rows.group::<1>(i, &mut acc);
+    }
+    (rows.lens, rows.indices, rows.data)
+}
 
-    // All zero between rows: each path zeroes what it read.
-    let mut acc = vec![S::zero(); ncols];
-    let mut stamp = vec![usize::MAX; ncols];
-    let mut touched: Vec<usize> = Vec::new();
-
-    for i in lo..hi {
-        let (acols, avals) = (&acol[aptr[i]..aptr[i + 1]], &aval[aptr[i]..aptr[i + 1]]);
-        let products: usize = acols.iter().map(|&ac| bptr[ac + 1] - bptr[ac]).sum();
-        let before = indices.len();
-        if products * SCATTER_SHARE >= ncols {
-            for (&ac, &av) in acols.iter().zip(avals) {
-                let (bcols, bvals) = brow(ac);
-                for (&bc, &bv) in bcols.iter().zip(bvals) {
-                    acc[bc] += av * bv;
+impl<S: Scalar> Rows<'_, S> {
+    /// The `G` rows from `i` on, which store one column list, into `acc`
+    /// (zero on entry and on return), then out row by row.
+    fn group<const G: usize>(&mut self, i: usize, acc: &mut [[S; G]]) {
+        let (aptr, bptr) = (self.aptr, self.bptr);
+        let acols = &self.acol[aptr[i]..aptr[i + 1]];
+        let avals: [&[S]; G] = std::array::from_fn(|r| &self.aval[aptr[i + r]..aptr[i + r + 1]]);
+        debug_assert!(avals.iter().all(|v| v.len() == acols.len()));
+        let products: usize = acols.iter().map(|&k| bptr[k + 1] - bptr[k]).sum();
+        let dense = products * SCATTER_SHARE >= acc.len();
+        if !dense {
+            self.touched.clear();
+        }
+        let mut j = 0;
+        while j < acols.len() {
+            let w = run_width(acols, j, self.same);
+            let k = acols[j];
+            match (w, dense) {
+                (1, true) => self.run::<G, 1, true>(i, k, &avals, j, acc),
+                (2, true) => self.run::<G, 2, true>(i, k, &avals, j, acc),
+                (3, true) => self.run::<G, 3, true>(i, k, &avals, j, acc),
+                (_, true) => self.run::<G, MAX_RUN, true>(i, k, &avals, j, acc),
+                (1, false) => self.run::<G, 1, false>(i, k, &avals, j, acc),
+                (2, false) => self.run::<G, 2, false>(i, k, &avals, j, acc),
+                (3, false) => self.run::<G, 3, false>(i, k, &avals, j, acc),
+                (_, false) => self.run::<G, MAX_RUN, false>(i, k, &avals, j, acc),
+            }
+            j += w;
+        }
+        let before = self.indices.len();
+        let mut out = |c: usize, v: [S; G]| {
+            for (r, &x) in v.iter().enumerate() {
+                if x != S::zero() {
+                    if r == 0 {
+                        self.indices.push(c);
+                        self.data.push(x);
+                    } else {
+                        self.spill[r - 1].push((c, x));
+                    }
                 }
             }
+        };
+        if dense {
             for (c, v) in acc.iter_mut().enumerate() {
-                if *v != S::zero() {
-                    indices.push(c);
-                    data.push(*v);
-                    *v = S::zero();
+                if v.iter().any(|&x| x != S::zero()) {
+                    out(c, std::mem::replace(v, [S::zero(); G]));
                 }
             }
         } else {
-            touched.clear();
-            for (&ac, &av) in acols.iter().zip(avals) {
-                let (bcols, bvals) = brow(ac);
-                for (&bc, &bv) in bcols.iter().zip(bvals) {
-                    if stamp[bc] != i {
-                        stamp[bc] = i;
-                        touched.push(bc);
-                    }
-                    acc[bc] += av * bv;
-                }
-            }
-            touched.sort_unstable();
-            for &c in &touched {
-                let v = std::mem::replace(&mut acc[c], S::zero());
-                if v != S::zero() {
-                    indices.push(c);
-                    data.push(v);
-                }
+            self.touched.sort_unstable();
+            for &c in &self.touched {
+                out(c, std::mem::replace(&mut acc[c], [S::zero(); G]));
             }
         }
-        lens.push(indices.len() - before);
+        self.lens.push(self.indices.len() - before);
+        for spill in &mut self.spill[..G - 1] {
+            self.lens.push(spill.len());
+            self.indices.extend(spill.iter().map(|&(c, _)| c));
+            self.data.extend(spill.iter().map(|&(_, v)| v));
+            spill.clear();
+        }
     }
-    (lens, indices, data)
+
+    /// The products of the `R` equal-pattern `B` rows from `k` on with the
+    /// `A` entries at stored positions `j..j + R` of the group's `G` rows,
+    /// added to each accumulator entry row by row in `k` order. `DENSE`
+    /// skips the stamp of the touched columns.
+    #[inline(always)]
+    fn run<const G: usize, const R: usize, const DENSE: bool>(
+        &mut self,
+        i: usize,
+        k: usize,
+        avals: &[&[S]; G],
+        j: usize,
+        acc: &mut [[S; G]],
+    ) {
+        // The `R` rows are stored one after the other, each as long as the
+        // first.
+        let (b0, len) = (self.bptr[k], self.bptr[k + 1] - self.bptr[k]);
+        let cols = &self.bcol[b0..b0 + len];
+        let vals = &self.bval[b0..b0 + R * len];
+        let coef: [[S; R]; G] = std::array::from_fn(|r| std::array::from_fn(|m| avals[r][j + m]));
+        for (l, &c) in cols.iter().enumerate() {
+            // SAFETY: `Csr::from_raw` checked every column index of `B`
+            // against `ncols`, the length of `acc` and of `stamp`, and
+            // `vals` holds `R` rows of `len` values.
+            unsafe {
+                if !DENSE && *self.stamp.get_unchecked(c) != i {
+                    *self.stamp.get_unchecked_mut(c) = i;
+                    self.touched.push(c);
+                }
+                let slot = acc.get_unchecked_mut(c);
+                let mut sum = *slot;
+                for m in 0..R {
+                    let bv = *vals.get_unchecked(m * len + l);
+                    for r in 0..G {
+                        sum[r] += coef[r][m] * bv;
+                    }
+                }
+                *slot = sum;
+            }
+        }
+    }
 }
 
 /// Galerkin coarse operator `A_c = Pᵀ·A·P` (the multigrid "RAP") from the
@@ -360,6 +547,149 @@ mod tests {
             assert!(cancelled > 0, "{nr}x{nk}x{nc}: no row cancels");
             assert_same(&spgemm(&a, &b), &want, &format!("{nr}x{nk}x{nc}"));
         }
+    }
+
+    /// `nr × nc` matrix whose rows come in runs of 1 to 5 (in turn) that
+    /// store one column list of up to `max_row` columns, empty lists
+    /// included. The rows of every third run also share their values; the
+    /// second result marks each row whose successor is such a twin.
+    fn equal_runs<S: Scalar>(
+        nr: usize,
+        nc: usize,
+        max_row: usize,
+        seed: u64,
+    ) -> (Csr<S>, Vec<bool>) {
+        let mut rng = Rng64::seed_from_u64(seed);
+        let (mut indptr, mut indices, mut data) = (vec![0], Vec::new(), Vec::new());
+        let mut twin = vec![false; nr];
+        let (mut i, mut run) = (0, 0);
+        while i < nr {
+            let len = (run % 5 + 1).min(nr - i);
+            let mut cols: Vec<usize> = (0..rng.gen_index(max_row + 1))
+                .map(|_| rng.gen_index(nc))
+                .collect();
+            cols.sort_unstable();
+            cols.dedup();
+            let vals: Vec<S> = (0..cols.len())
+                .map(|_| S::from_parts(rng.next_f64() - 0.5, rng.next_f64() - 0.5))
+                .collect();
+            for r in 0..len {
+                indices.extend_from_slice(&cols);
+                if run % 3 == 0 {
+                    data.extend_from_slice(&vals);
+                    twin[i + r] = r + 1 < len && !cols.is_empty();
+                } else {
+                    data.extend(
+                        (0..cols.len())
+                            .map(|_| S::from_parts(rng.next_f64() - 0.5, rng.next_f64())),
+                    );
+                }
+                indptr.push(indices.len());
+            }
+            i += len;
+            run += 1;
+        }
+        (Csr::from_raw(nr, nc, indptr, indices, data), twin)
+    }
+
+    /// Node-blocked `3·nbr × 3·nbk` matrix: each block row couples to 1 to
+    /// `max_blocks` block columns. The three rows of every fourth block row
+    /// are zero but for one pair `(k, v), (k + 1, −v)` each, where `twin`
+    /// marks `k`, so that their product with the twin rows is exactly zero.
+    fn blocked<S: Scalar>(
+        nbr: usize,
+        nbk: usize,
+        max_blocks: usize,
+        seed: u64,
+        twin: &[bool],
+    ) -> Csr<S> {
+        let mut rng = Rng64::seed_from_u64(seed);
+        let (mut indptr, mut indices, mut data) = (vec![0], Vec::new(), Vec::new());
+        for bi in 0..nbr {
+            let mut bcols: Vec<usize> = (0..1 + rng.gen_index(max_blocks))
+                .map(|_| rng.gen_index(nbk))
+                .collect();
+            bcols.sort_unstable();
+            bcols.dedup();
+            let cols: Vec<usize> = bcols.iter().flat_map(|&b| 3 * b..3 * b + 3).collect();
+            let pairs: Vec<usize> = (0..cols.len())
+                .filter(|&q| q % 3 < 2 && twin[cols[q]])
+                .collect();
+            for _ in 0..3 {
+                indices.extend_from_slice(&cols);
+                let mut vals: Vec<S> = (0..cols.len())
+                    .map(|_| S::from_parts(rng.next_f64() - 0.5, rng.next_f64() - 0.5))
+                    .collect();
+                if bi % 4 == 1 && !pairs.is_empty() {
+                    let q = pairs[rng.gen_index(pairs.len())];
+                    let v = vals[q];
+                    vals.iter_mut().for_each(|v| *v = S::zero());
+                    (vals[q], vals[q + 1]) = (v, -v);
+                }
+                data.extend(vals);
+                indptr.push(indices.len());
+            }
+        }
+        Csr::from_raw(3 * nbr, 3 * nbk, indptr, indices, data)
+    }
+
+    /// Row-grouped `spgemm` against the stamped reference, bit for bit:
+    /// node-blocked left operands (row triples) with rows on both sides of
+    /// the accumulator rule, and a plain left operand with empty rows, each
+    /// against right operands whose rows come in runs of 1 to 5 equal
+    /// column lists; some rows cancel to exactly zero. At 603 rows, past
+    /// `SPGEMM_PAR_MIN_ROWS`, `KRYST_THREADS=4` splits the rows in parts of
+    /// 151, so the parallel split cuts triples.
+    fn shared_rows_match_the_stamped_reference<S: Scalar>() {
+        let nr = 603usize;
+        assert_ne!(nr.div_ceil(4) % 3, 0, "four parts cut a triple");
+        for (nk, nc, max_blocks, max_b) in [
+            (300usize, 4000usize, 4usize, 8usize),
+            (300, 60, 6, 10),
+            (450, 240, 12, 6),
+        ] {
+            let what = format!("{nr}x{nk}x{nc}");
+            let (b, twin) = equal_runs::<S>(nk, nc, max_b, 3 + nc as u64);
+            for (a, triples) in [
+                (
+                    blocked::<S>(nr / 3, nk / 3, max_blocks, 7 + nk as u64, &twin),
+                    nr / 3,
+                ),
+                (
+                    ragged::<S>(nr, nk, 3 * max_blocks, 9 + nk as u64, false, false),
+                    0,
+                ),
+            ] {
+                assert_eq!(a.is_node_blocked(), triples > 0, "{what}");
+                let (shared_triples, runs) = shared_work(&a, &b);
+                assert_eq!(shared_triples, triples, "{what}");
+                assert!(runs > 0, "{what}: no right run");
+                let want = spgemm_ref(&a, &b);
+                if triples > 0 {
+                    let cancelled = (0..nr).filter(|&i| want.row_indices(i).is_empty()).count();
+                    assert!(cancelled > 0, "{what}: no row cancels");
+                } else {
+                    assert!((0..nr).any(|i| a.row_indices(i).is_empty()), "{what}");
+                }
+                let (scatter, stamped) = sides(&a, &b);
+                let both = scatter > 0 && stamped > 0;
+                assert!(
+                    both || nc == 4000,
+                    "{what}: {scatter} scatter, {stamped} stamped"
+                );
+                assert_same(&spgemm(&a, &b), &want, &what);
+            }
+        }
+    }
+
+    #[test]
+    fn shared_rows_match_the_stamped_reference_f64() {
+        shared_rows_match_the_stamped_reference::<f64>();
+    }
+
+    #[test]
+    fn shared_rows_match_the_stamped_reference_c64() {
+        shared_rows_match_the_stamped_reference::<C64>();
     }
 
     #[test]

@@ -393,3 +393,55 @@ fn block_gcrodr5_3_oras_maxwell4_matches_golden() {
         check_against_golden(file, &got);
     }
 }
+
+/// FGCRO-DR(30, 10) under smoothed-aggregation AMG with the CG(4) smoother
+/// and the six rigid-body modes, on the first two systems of the Fig. 3
+/// elasticity sequence (`ne = 5`): each system builds its own node-blocked
+/// hierarchy, and the operator changes between the solves, so the warm one
+/// runs the recycle refresh. Pins the set-up's Galerkin products and every
+/// flexible cycle through the solution's bits.
+#[test]
+fn fgcrodr30_10_amg_elasticity5_matches_golden() {
+    use kryst_core::RecycleStrategy;
+    use kryst_precond::{Amg, AmgOpts, SmootherKind};
+    let systems = kryst_pde::elasticity::paper_sequence::<f64>(5);
+    let amg_opts = AmgOpts {
+        smoother: SmootherKind::Cg { iters: 4 },
+        ..Default::default()
+    };
+    let solve_opts = SolveOpts {
+        rtol: 1e-8,
+        restart: 30,
+        recycle: 10,
+        side: PrecondSide::Flexible,
+        recycle_strategy: RecycleStrategy::A,
+        same_system: false,
+        ..Default::default()
+    };
+    let mut ctx = SolverContext::new();
+    for (sys, file) in systems.iter().zip([
+        "fgcrodr30_10_amg_elasticity5.json",
+        "fgcrodr30_10_amg_elasticity5_warm.json",
+    ]) {
+        let a = &sys.problem.a;
+        assert!(
+            a.is_node_blocked(),
+            "the elasticity operator is node-blocked"
+        );
+        let n = a.nrows();
+        let amg = Amg::new(a, sys.problem.near_nullspace.as_ref(), &amg_opts);
+        let b = DMat::from_col_major(n, 1, sys.rhs.clone());
+        let ring = Arc::new(RingRecorder::new(1 << 16));
+        let opts = instrumented_opts(solve_opts.clone(), &ring);
+        let mut x = DMat::zeros(n, 1);
+        let res = gcrodr::solve(a, &amg, &b, &mut x, &opts, &mut ctx);
+        assert!(
+            res.converged,
+            "FGCRO-DR(30,10)+AMG on elasticity ne=5, {file}: {:?}",
+            res.final_relres
+        );
+        let mut got = Golden::capture("gcrodr", &ring.events(), &res);
+        got.x_fnv1a = Some(fnv1a(&x));
+        check_against_golden(file, &got);
+    }
+}
