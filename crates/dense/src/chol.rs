@@ -213,9 +213,9 @@ fn rank_revealing_fixup<S: Scalar>(
     //
     // Q stays in pivot order: with R_orig = R_piv · Pᵀ below, the identity
     // V[:, perm[k]] = Q · R_orig[:, perm[k]] = Q_lead · R_piv[:, k] only
-    // holds when column k of Q is q_lead[:, k] — scattering Q back through
-    // the permutation while leaving the R rows unpermuted would break
-    // V = Q·R for any nontrivial pivoting.
+    // holds when column k of Q is the solved pivot column k — scattering Q
+    // back through the permutation while leaving the R rows unpermuted
+    // would break V = Q·R for any nontrivial pivoting.
     let n = v.nrows();
     for k in rank..p {
         let (q, e) = v.as_mut_slice()[..(k + 1) * n].split_at_mut(k * n);

@@ -49,8 +49,10 @@
 //!   sub-chunk (≤ `512 · size_of::<S>()` bytes) stay resident while every
 //!   source column streams past them once, four at a time.
 //!
-//! **Planes** (a complex `W` of two or more columns, the block solves, at
-//! AVX2 and AVX-512F): the block's columns go in the vector lanes, as
+//! **Planes** (a complex `W` of two or more columns against at least one
+//! panel column, the block solves, at AVX2 and AVX-512F; CholQR's Gram of
+//! `W` alone stays on the columns body, where the copy into planes is not
+//! paid back): the block's columns go in the vector lanes, as
 //! [`Lanes`] rows — the real parts of up to [`TILE`]` = 8` columns, then
 //! their imaginary parts, the tile layout of the banded solve — so a complex
 //! product is lane-wise products and sums with no shuffle per element, and
