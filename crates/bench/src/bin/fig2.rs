@@ -12,19 +12,36 @@
 //! algorithm on a laptop-scale grid — the comparison (recycling gains per
 //! RHS, cumulative gain, convergence curves) is what the figure shows.
 
-use kryst_bench::{print_curve, rhs_row, rule, time, traced_opts};
-use kryst_core::{gcrodr, gmres, PrecondSide, SolveOpts, SolverContext};
+use kryst_bench::{compare, rule, time, Method, System};
+use kryst_core::{PrecondSide, SolveOpts};
 use kryst_dense::DMat;
-use kryst_pde::poisson::{paper_rhs_sequence, poisson2d, PAPER_NUS};
-use kryst_precond::{Amg, AmgOpts, SmootherKind};
+use kryst_par::PrecondOp;
+use kryst_pde::poisson::{paper_rhs_sequence, poisson2d};
+use kryst_precond::{Amg, AmgOpts, Jacobi, SmootherKind};
+use kryst_sparse::Csr;
 
-fn run_setting(title: &str, tag: &str, nx: usize, threshold: f64, smoother_iters: usize) {
+/// The four right-hand sides of the paper's sequence on one operator and
+/// preconditioner.
+fn systems<'a>(nx: usize, a: &'a Csr<f64>, pc: &'a dyn PrecondOp<f64>) -> Vec<System<'a, f64>> {
+    let b = |rhs| DMat::from_col_major(a.nrows(), 1, rhs);
+    let rhss = paper_rhs_sequence::<f64>(nx, nx);
+    rhss.into_iter()
+        .map(|rhs| System { a, pc, b: b(rhs) })
+        .collect()
+}
+
+fn run_setting(
+    title: &str,
+    tag: &str,
+    nx: usize,
+    threshold: f64,
+    smoother_iters: usize,
+    paper: [&str; 2],
+) {
     rule();
     println!("{title}");
     rule();
     let prob = poisson2d::<f64>(nx, nx);
-    let n = prob.a.nrows();
-    let rhss = paper_rhs_sequence::<f64>(nx, nx);
     let (amg, setup) = time(|| {
         Amg::new(
             &prob.a,
@@ -39,7 +56,8 @@ fn run_setting(title: &str, tag: &str, nx: usize, threshold: f64, smoother_iters
         )
     });
     println!(
-        "n = {n}, AMG setup {setup:.3}s, {} levels, operator complexity {:.2}",
+        "n = {}, AMG setup {setup:.3}s, {} levels, operator complexity {:.2}",
+        prob.a.nrows(),
         amg.nlevels(),
         amg.operator_complexity()
     );
@@ -51,66 +69,21 @@ fn run_setting(title: &str, tag: &str, nx: usize, threshold: f64, smoother_iters
         same_system: true,
         ..Default::default()
     };
-
-    // FGMRES(30) baseline.
-    let fg_opts = traced_opts(&opts, &format!("{tag}_fgmres"));
-    println!("\nFGMRES(30):");
-    println!(
-        "{:>4} {:>8} {:>12} {:>10}",
-        "RHS", "iters", "seconds", "gain"
+    let (fgmres, fgcrodr) = (format!("{tag}_fgmres"), format!("{tag}_fgcrodr"));
+    compare(
+        "RHS",
+        &systems(nx, &prob.a, &amg),
+        &opts,
+        [
+            ("FGMRES(30)", Method::Gmres, &fgmres),
+            (
+                "FGCRO-DR(30,10), -hpddm_recycle_same_system",
+                Method::GcroDr,
+                &fgcrodr,
+            ),
+        ],
+        paper,
     );
-    let mut fg_times = Vec::new();
-    let mut fg_total_iters = 0;
-    let mut fg_hist = Vec::new();
-    for (i, rhs) in rhss.iter().enumerate() {
-        let b = DMat::from_col_major(n, 1, rhs.clone());
-        let mut x = DMat::zeros(n, 1);
-        let (res, secs) = time(|| gmres::solve(&prob.a, &amg, &b, &mut x, &fg_opts));
-        assert!(
-            res.converged,
-            "FGMRES diverged on RHS {i} (ν = {})",
-            PAPER_NUS[i]
-        );
-        rhs_row(i + 1, res.iterations, secs, None);
-        fg_times.push(secs);
-        fg_total_iters += res.iterations;
-        fg_hist.extend(res.history);
-    }
-
-    // FGCRO-DR(30,10) with recycling across the sequence.
-    let gc_opts = traced_opts(&opts, &format!("{tag}_fgcrodr"));
-    println!("\nFGCRO-DR(30,10), -hpddm_recycle_same_system:");
-    println!(
-        "{:>4} {:>8} {:>12} {:>10}",
-        "RHS", "iters", "seconds", "gain"
-    );
-    let mut ctx = SolverContext::new();
-    let mut gc_times = Vec::new();
-    let mut gc_total_iters = 0;
-    let mut gc_hist = Vec::new();
-    for (i, rhs) in rhss.iter().enumerate() {
-        let b = DMat::from_col_major(n, 1, rhs.clone());
-        let mut x = DMat::zeros(n, 1);
-        let (res, secs) = time(|| gcrodr::solve(&prob.a, &amg, &b, &mut x, &gc_opts, &mut ctx));
-        assert!(res.converged, "FGCRO-DR diverged on RHS {i}");
-        rhs_row(i + 1, res.iterations, secs, Some(fg_times[i]));
-        gc_times.push(secs);
-        gc_total_iters += res.iterations;
-        gc_hist.extend(res.history);
-    }
-    let cum_fg: f64 = fg_times.iter().sum();
-    let cum_gc: f64 = gc_times.iter().sum();
-    println!(
-        "\ntotal iterations: FGMRES {fg_total_iters}, FGCRO-DR {gc_total_iters} \
-         (paper: 124 vs 90 / 172 vs 137)"
-    );
-    println!(
-        "cumulative time: FGMRES {cum_fg:.3}s, FGCRO-DR {cum_gc:.3}s, \
-         cumulative gain {:+.1}% (paper: +30.5% / +18.5%)",
-        (cum_fg / cum_gc - 1.0) * 100.0
-    );
-    print_curve("FGMRES", &fg_hist);
-    print_curve("FGCRO-DR", &gc_hist);
 }
 
 /// The artifact-description smoke test regime: a weak (Jacobi)
@@ -122,9 +95,7 @@ fn run_relaxed(nx: usize) {
     println!("Artifact smoke-test regime — relaxed (Jacobi) preconditioner, rtol 1e-6");
     rule();
     let prob = poisson2d::<f64>(nx, nx);
-    let n = prob.a.nrows();
-    let rhss = paper_rhs_sequence::<f64>(nx, nx);
-    let jac = kryst_precond::Jacobi::new(&prob.a, 1.0);
+    let jac = Jacobi::new(&prob.a, 1.0);
     let opts = SolveOpts {
         rtol: 1e-6,
         restart: 30,
@@ -133,45 +104,20 @@ fn run_relaxed(nx: usize) {
         max_iters: 20000,
         ..Default::default()
     };
-    let g_opts = traced_opts(&opts, "fig2_relaxed_gmres");
-    println!("\nGMRES(30):");
-    println!(
-        "{:>4} {:>8} {:>12} {:>10}",
-        "RHS", "iters", "seconds", "gain"
+    compare(
+        "RHS",
+        &systems(nx, &prob.a, &jac),
+        &opts,
+        [
+            ("GMRES(30)", Method::Gmres, "fig2_relaxed_gmres"),
+            (
+                "GCRO-DR(30,10), -hpddm_recycle_same_system",
+                Method::GcroDr,
+                "fig2_relaxed_gcrodr",
+            ),
+        ],
+        ["artifact: 288 vs 147", ""],
     );
-    let mut g_times = Vec::new();
-    let mut g_iters = 0;
-    for (i, rhs) in rhss.iter().enumerate() {
-        let b = DMat::from_col_major(n, 1, rhs.clone());
-        let mut x = DMat::zeros(n, 1);
-        let (res, secs) = time(|| gmres::solve(&prob.a, &jac, &b, &mut x, &g_opts));
-        assert!(res.converged);
-        rhs_row(i + 1, res.iterations, secs, None);
-        g_times.push(secs);
-        g_iters += res.iterations;
-    }
-    let r_opts = traced_opts(&opts, "fig2_relaxed_gcrodr");
-    println!("\nGCRO-DR(30,10), -hpddm_recycle_same_system:");
-    println!(
-        "{:>4} {:>8} {:>12} {:>10}",
-        "RHS", "iters", "seconds", "gain"
-    );
-    let mut ctx = SolverContext::new();
-    let mut r_times = Vec::new();
-    let mut r_iters = 0;
-    for (i, rhs) in rhss.iter().enumerate() {
-        let b = DMat::from_col_major(n, 1, rhs.clone());
-        let mut x = DMat::zeros(n, 1);
-        let (res, secs) = time(|| gcrodr::solve(&prob.a, &jac, &b, &mut x, &r_opts, &mut ctx));
-        assert!(res.converged);
-        rhs_row(i + 1, res.iterations, secs, Some(g_times[i]));
-        r_times.push(secs);
-        r_iters += res.iterations;
-    }
-    let cg: f64 = g_times.iter().sum();
-    let cr: f64 = r_times.iter().sum();
-    println!("\ntotal iterations: GMRES {g_iters}, GCRO-DR {r_iters} (artifact: 288 vs 147)");
-    println!("cumulative gain {:+.1}%", (cg / cr - 1.0) * 100.0);
 }
 
 fn main() {
@@ -186,6 +132,7 @@ fn main() {
         nx,
         0.0,
         3,
+        ["paper: 124 vs 90", "paper: +30.5%"],
     );
     run_setting(
         "Fig. 2c/2d — cheaper GAMG (threshold 0.08, GMRES(1) smoother)",
@@ -193,6 +140,7 @@ fn main() {
         nx,
         0.08,
         1,
+        ["paper: 172 vs 137", "paper: +18.5%"],
     );
     run_relaxed(nx / 2);
 }

@@ -12,7 +12,10 @@
 //! sample times a batch of calls and the report prints the minimum, median,
 //! and mean per-call time (plus element throughput when declared).
 //! `KRYST_BENCH_FAST=1` caps every bench at one sample × one iteration —
-//! CI smoke mode. Regressions are judged by the repository benchmark
+//! CI smoke mode. Arguments that do not start with `-` filter: only the
+//! benchmarks whose `group/id` contains one of them run
+//! (`cargo bench --bench spmm -- galerkin`); flags such as cargo's `--bench`
+//! are ignored. Regressions are judged by the repository benchmark
 //! (`benchmark/`, `bash benchmark/run.sh compare`), not from these numbers.
 
 use kryst_rt::simd::{self, Tier};
@@ -21,10 +24,12 @@ use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;
 
-/// Top-level driver holding the sampling configuration.
+/// Top-level driver holding the sampling configuration and the name
+/// filters of the command line.
 pub struct Criterion {
     samples: usize,
     measurement: Duration,
+    filters: Vec<String>,
 }
 
 impl Default for Criterion {
@@ -32,8 +37,20 @@ impl Default for Criterion {
         Self {
             samples: 10,
             measurement: Duration::from_secs(2),
+            filters: filters(std::env::args().skip(1)),
         }
     }
+}
+
+/// The arguments that are not flags.
+fn filters(args: impl Iterator<Item = String>) -> Vec<String> {
+    args.filter(|a| !a.starts_with('-')).collect()
+}
+
+/// Whether the benchmark `name` (`group/id`) runs under `filters`: all do
+/// when there is none.
+fn selected(filters: &[String], name: &str) -> bool {
+    filters.is_empty() || filters.iter().any(|f| name.contains(f.as_str()))
 }
 
 impl Criterion {
@@ -53,21 +70,20 @@ impl Criterion {
     pub fn benchmark_group(&mut self, name: impl Display) -> BenchmarkGroup {
         println!("\n== {name} ==");
         BenchmarkGroup {
+            name: name.to_string(),
             samples: self.samples,
             measurement: self.measurement,
+            filters: self.filters.clone(),
             throughput: None,
         }
     }
 
     /// Benchmark a single function outside any group.
     pub fn bench_function(&mut self, id: impl Display, mut f: impl FnMut(&mut Bencher)) {
-        run_one(
-            &id.to_string(),
-            self.samples,
-            self.measurement,
-            None,
-            &mut f,
-        );
+        let id = id.to_string();
+        if selected(&self.filters, &id) {
+            run_one(&id, self.samples, self.measurement, None, &mut f);
+        }
     }
 }
 
@@ -96,8 +112,10 @@ impl Display for BenchmarkId {
 
 /// A group of benchmarks sharing configuration and throughput.
 pub struct BenchmarkGroup {
+    name: String,
     samples: usize,
     measurement: Duration,
+    filters: Vec<String>,
     throughput: Option<Throughput>,
 }
 
@@ -109,13 +127,11 @@ impl BenchmarkGroup {
 
     /// Benchmark a closure.
     pub fn bench_function(&mut self, id: impl Display, mut f: impl FnMut(&mut Bencher)) {
-        run_one(
-            &id.to_string(),
-            self.samples,
-            self.measurement,
-            self.throughput,
-            &mut f,
-        );
+        let id = id.to_string();
+        if selected(&self.filters, &format!("{}/{id}", self.name)) {
+            let (samples, time, tp) = (self.samples, self.measurement, self.throughput);
+            run_one(&id, samples, time, tp, &mut f);
+        }
     }
 
     /// Benchmark a closure against an explicit input.
@@ -125,13 +141,7 @@ impl BenchmarkGroup {
         input: &I,
         mut f: impl FnMut(&mut Bencher, &I),
     ) {
-        run_one(
-            &id.0,
-            self.samples,
-            self.measurement,
-            self.throughput,
-            &mut |b| f(b, input),
-        );
+        self.bench_function(id, |b| f(b, input));
     }
 
     /// End the group (report separator).
@@ -261,4 +271,21 @@ macro_rules! criterion_main {
             $( $group(); )+
         }
     };
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn filter_keeps_non_flag_arguments_and_matches_group_slash_id() {
+        let args = ["galerkin", "--bench", "-q", "spmv_poisson"].map(String::from);
+        let f = filters(args.into_iter());
+        assert_eq!(f, ["galerkin", "spmv_poisson"]);
+        assert!(selected(&f, "galerkin/elasticity_ap"));
+        assert!(selected(&f, "spmv_poisson64/sweep"));
+        assert!(!selected(&f, "spmm/8"));
+        assert!(filters(["--bench".to_string()].into_iter()).is_empty());
+        assert!(selected(&[], "anything/at_all"));
+    }
 }

@@ -16,7 +16,7 @@ use kryst_dense::qr::IncrementalQr;
 use kryst_dense::{blas, DMat};
 use kryst_par::{CommStats, LinOp, PrecondOp};
 use kryst_scalar::Scalar;
-use kryst_sparse::SpmmWorkspace;
+use kryst_sparse::Workspace;
 use std::sync::Arc;
 
 /// Preconditioning mode resolved from [`crate::SolveOpts::side`].
@@ -47,7 +47,7 @@ impl<'a, S: Scalar> PrecondMode<'a, S> {
         a: &dyn LinOp<S>,
         b: &DMat<S>,
         x: &DMat<S>,
-        ws: &mut SpmmWorkspace<S>,
+        ws: &mut Workspace<S>,
     ) -> DMat<S> {
         let mut r = ws.take_stale(b.nrows(), b.ncols());
         a.residual(b, x, &mut r);
@@ -71,7 +71,7 @@ impl<'a, S: Scalar> PrecondMode<'a, S> {
         v: &DMat<S>,
         z: Option<&mut DMat<S>>,
         w: &mut DMat<S>,
-        ws: &mut SpmmWorkspace<S>,
+        ws: &mut Workspace<S>,
     ) {
         match self {
             PrecondMode::Right(m) => {
@@ -92,7 +92,7 @@ impl<'a, S: Scalar> PrecondMode<'a, S> {
     /// Iteration-space image of a solution-space direction: `w = A·d`
     /// (left: `M⁻¹·A·d`). The returned matrix comes from `ws` (callers `put`
     /// it back once consumed).
-    pub fn apply_op_ws(&self, a: &dyn LinOp<S>, d: &DMat<S>, ws: &mut SpmmWorkspace<S>) -> DMat<S> {
+    pub fn apply_op_ws(&self, a: &dyn LinOp<S>, d: &DMat<S>, ws: &mut Workspace<S>) -> DMat<S> {
         let mut w = ws.take_stale(d.nrows(), d.ncols());
         a.apply(d, &mut w);
         match self {
@@ -116,7 +116,7 @@ impl<'a, S: Scalar> PrecondMode<'a, S> {
 pub struct CycleBuffers<S: Scalar> {
     /// Pool for `n × p` temporaries — the cycle's own and, between cycles,
     /// the solver's (residuals, recycle-space products).
-    pub ws: SpmmWorkspace<S>,
+    pub ws: Workspace<S>,
     /// Shape `(n, p)` of a block and the longest cycle (in blocks) the
     /// Hessenberg storage holds.
     shape: (usize, usize),
@@ -139,7 +139,7 @@ pub struct CycleBuffers<S: Scalar> {
 impl<S: Scalar> Default for CycleBuffers<S> {
     fn default() -> Self {
         Self {
-            ws: SpmmWorkspace::new(),
+            ws: Workspace::new(),
             shape: (0, 0),
             cap: 0,
             v: Vec::new(),
@@ -723,7 +723,7 @@ mod tests {
         let x = DMat::zeros(n, 1);
         let left = PrecondMode::new(&jac, PrecondSide::Left);
         let right = PrecondMode::new(&jac, PrecondSide::Right);
-        let mut ws = SpmmWorkspace::new();
+        let mut ws = Workspace::new();
         let rl = left.residual_ws(&a, &b, &x, &mut ws);
         let rr = right.residual_ws(&a, &b, &x, &mut ws);
         // Left residual is D⁻¹·b, right residual is b.

@@ -32,7 +32,7 @@ use kryst_dense::{blas, chol, tri, DMat};
 use kryst_obs::{DiagKind, SpanKind};
 use kryst_par::{LinOp, PrecondOp};
 use kryst_scalar::Scalar;
-use kryst_sparse::SpmmWorkspace;
+use kryst_sparse::Workspace;
 use std::slice::from_ref;
 
 /// The recycled subspace pair.
@@ -130,7 +130,7 @@ impl<S: Scalar> Augmentation<S> for Deflation<S> {
         if let Some(rec) = &mut self.space {
             if !cx.opts.same_system {
                 // Lines 4–6: [Q,R] = distributed_qr(A·U); C ⟵ Q; U ⟵ U·R⁻¹.
-                let mut w = cx.mode.apply_op_ws(cx.a, &rec.u, &mut SpmmWorkspace::new());
+                let mut w = cx.mode.apply_op_ws(cx.a, &rec.u, &mut Workspace::new());
                 let out = chol::cholqr(&mut w);
                 if let Some(st) = stats {
                     st.record_reduction(std::mem::size_of_val(out.r.as_slice()));

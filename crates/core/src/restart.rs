@@ -42,7 +42,7 @@ use kryst_dense::DMat;
 use kryst_obs::{DiagKind, SpanKind};
 use kryst_par::{CommStats, LinOp, PrecondOp};
 use kryst_scalar::Scalar;
-use kryst_sparse::SpmmWorkspace;
+use kryst_sparse::Workspace;
 use std::slice::{from_ref, ChunksExact};
 use std::sync::Arc;
 
@@ -266,7 +266,7 @@ fn ship(own: &[Arc<CommStats>], to: Option<&CommStats>) {
 fn true_residuals<S: Scalar>(
     (a, mode): (&dyn LinOp<S>, &PrecondMode<'_, S>),
     lanes: &mut [&mut Track<'_, S>],
-    ws: &mut SpmmWorkspace<S>,
+    ws: &mut Workspace<S>,
 ) {
     if let [t] = lanes {
         ws.put(std::mem::replace(&mut t.r, DMat::zeros(0, 0)));
@@ -300,7 +300,7 @@ struct Shared<S: Scalar> {
     own: Vec<Arc<CommStats>>,
     /// Every column's latest residual.
     row: Vec<f64>,
-    pool: SpmmWorkspace<S>,
+    pool: Workspace<S>,
     cycle: usize,
 }
 
@@ -405,7 +405,7 @@ pub(crate) fn solve_lanes<S: Scalar>(
             _ => Vec::new(),
         },
         row: vec![0.0; width],
-        pool: SpmmWorkspace::new(),
+        pool: Workspace::new(),
         cycle: 0,
     };
     let mut col0 = 0;

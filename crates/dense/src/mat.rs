@@ -52,12 +52,6 @@ impl<S: Scalar> DMat<S> {
         Self { data, nrows, ncols }
     }
 
-    /// Build an `n × 1` matrix (a vector) from a slice.
-    pub fn from_vec(v: Vec<S>) -> Self {
-        let n = v.len();
-        Self::from_col_major(n, 1, v)
-    }
-
     /// Consume the matrix and return its column-major backing buffer
     /// (capacity preserved — buffer pools reshape through this).
     pub fn into_vec(self) -> Vec<S> {

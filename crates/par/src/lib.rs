@@ -20,7 +20,7 @@
 //!   the in-process channel mesh (default) and a socket mesh between real OS
 //!   worker processes ([`TransportKind::Socket`]), both reporting wire-level
 //!   counters,
-//! * [`collective`] — butterfly all-reduce, split-phase and fused variants,
+//! * [`collective`] — butterfly all-reduce and its fused variant,
 //!   written once against the trait,
 //! * [`spmd`] — the SPMD runners: closure mode ([`spmd::run_spmd`]) and the
 //!   persistent primitive-worker world ([`spmd::SpmdWorld`]) driving the

@@ -18,7 +18,7 @@ use kryst_obs::{traced, SpanKind};
 use kryst_par::PrecondOp;
 use kryst_rt::par::{for_each_range, map_range, max_threads};
 use kryst_scalar::Scalar;
-use kryst_sparse::{ops, Csr, PrecondWorkspace, SparseDirect};
+use kryst_sparse::{ops, Csr, SparseDirect, Workspace};
 use std::sync::Mutex;
 
 /// Which smoother runs on each level.
@@ -110,7 +110,7 @@ pub struct Amg<S: Scalar> {
 /// the one Krylov-smoother scratch all levels share (empty for the linear
 /// smoothers).
 struct CycleScratch<S> {
-    pool: PrecondWorkspace<S>,
+    pool: Workspace<S>,
     krylov: KrylovScratch<S>,
 }
 
@@ -170,7 +170,7 @@ impl<S: Scalar> Amg<S> {
             variable,
             n,
             ws: Mutex::new(CycleScratch {
-                pool: PrecondWorkspace::new(),
+                pool: Workspace::new(),
                 krylov: match opts.smoother {
                     SmootherKind::Gmres { iters } => KrylovScratch::gmres(n, iters),
                     SmootherKind::Cg { .. } => KrylovScratch::cg(n),
@@ -201,13 +201,7 @@ impl<S: Scalar> Amg<S> {
     /// Coarsest-level solve of the V-cycle: the factor was
     /// resolved at setup (regularization already folded in), so this is a
     /// straight multi-RHS substitution.
-    fn coarse_solve_ws(
-        &self,
-        l: usize,
-        b: &DMat<S>,
-        x: &mut DMat<S>,
-        ws: &mut PrecondWorkspace<S>,
-    ) {
+    fn coarse_solve_ws(&self, l: usize, b: &DMat<S>, x: &mut DMat<S>, ws: &mut Workspace<S>) {
         let _t = traced(SpanKind::PrecondLevel(l));
         let mut scratch = ws.take(b.nrows(), b.ncols());
         x.copy_from(b);

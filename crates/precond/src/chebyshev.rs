@@ -9,7 +9,7 @@
 use kryst_dense::DMat;
 use kryst_par::PrecondOp;
 use kryst_scalar::Scalar;
-use kryst_sparse::{Csr, PrecondWorkspace};
+use kryst_sparse::{Csr, Workspace};
 use std::sync::Mutex;
 
 /// Chebyshev smoother of fixed degree.
@@ -22,7 +22,7 @@ pub struct Chebyshev<S: Scalar> {
     hi: f64,
     /// Scratch pool for standalone applies (`apply` takes `&self`); AMG
     /// threads its own pool through [`Chebyshev::smooth_ws`] instead.
-    ws: Mutex<PrecondWorkspace<S>>,
+    ws: Mutex<Workspace<S>>,
 }
 
 impl<S: Scalar> Chebyshev<S> {
@@ -50,7 +50,7 @@ impl<S: Scalar> Chebyshev<S> {
             degree,
             lo: lmax / ratio,
             hi: 1.1 * lmax,
-            ws: Mutex::new(PrecondWorkspace::new()),
+            ws: Mutex::new(Workspace::new()),
         }
     }
 
@@ -69,7 +69,7 @@ impl<S: Scalar> Chebyshev<S> {
     /// [`Chebyshev::smooth`] drawing its two scratch multivectors from a
     /// caller-provided pool: zero allocations in steady state, and all `p`
     /// columns stream through each matrix sweep.
-    pub fn smooth_ws(&self, b: &DMat<S>, x: &mut DMat<S>, ws: &mut PrecondWorkspace<S>) {
+    pub fn smooth_ws(&self, b: &DMat<S>, x: &mut DMat<S>, ws: &mut Workspace<S>) {
         let n = b.nrows();
         let p = b.ncols();
         let theta = 0.5 * (self.hi + self.lo);

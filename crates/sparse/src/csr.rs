@@ -607,7 +607,7 @@ impl<S: Scalar> Csr<S> {
     /// register accumulators — the arithmetic-intensity win of §V-B2 —
     /// writing the column-major output directly. No temporaries, no
     /// allocation: reusing `y` across solver iterations (see
-    /// `SpmmWorkspace`) makes the whole product allocation-free.
+    /// `Workspace`) makes the whole product allocation-free.
     pub fn spmm(&self, x: &DMat<S>, y: &mut DMat<S>) {
         self.spmm_fin(x, y, |_, acc| acc);
     }

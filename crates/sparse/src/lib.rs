@@ -14,9 +14,8 @@
 //!   stand-in for PARDISO (paper §V-B3, Fig. 6),
 //! * [`partition`] — coordinate/graph partitioning with δ-layer overlap
 //!   growth for the Schwarz preconditioners (stand-in for SCOTCH),
-//! * [`workspace`] — the [`workspace::SpmmWorkspace`] and
-//!   [`workspace::PrecondWorkspace`] buffer pools that make per-iteration
-//!   kernel and preconditioner calls allocation-free.
+//! * [`workspace`] — the [`workspace::Workspace`] buffer pool that makes
+//!   per-iteration kernel and preconditioner calls allocation-free.
 
 pub mod band;
 pub mod coo;
@@ -30,4 +29,4 @@ pub mod workspace;
 pub use coo::Coo;
 pub use csr::Csr;
 pub use direct::SparseDirect;
-pub use workspace::{PrecondWorkspace, SpmmWorkspace};
+pub use workspace::Workspace;

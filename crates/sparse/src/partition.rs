@@ -30,14 +30,6 @@ impl Partition {
         }
         sets
     }
-
-    /// Size of the largest / smallest part (balance diagnostics).
-    pub fn balance(&self) -> (usize, usize) {
-        let sets = self.owned_sets();
-        let max = sets.iter().map(Vec::len).max().unwrap_or(0);
-        let min = sets.iter().map(Vec::len).min().unwrap_or(0);
-        (max, min)
-    }
 }
 
 /// Recursive coordinate bisection over point coordinates (any dimension).
@@ -203,10 +195,13 @@ mod tests {
     fn rcb_balanced() {
         let (_, coords) = grid(16, 16);
         for nparts in [2, 3, 4, 8] {
-            let p = partition_rcb(&coords, nparts);
-            let (max, min) = p.balance();
+            let sizes: Vec<usize> = (partition_rcb(&coords, nparts).owned_sets())
+                .iter()
+                .map(Vec::len)
+                .collect();
+            let (max, min) = (sizes.iter().max().unwrap(), sizes.iter().min().unwrap());
             assert!(max - min <= 16, "nparts={nparts}: {min}..{max}");
-            assert_eq!(p.owned_sets().iter().map(Vec::len).sum::<usize>(), 256);
+            assert_eq!(sizes.iter().sum::<usize>(), 256);
         }
     }
 

@@ -13,7 +13,7 @@
 
 use kryst_core::{gcrodr, gmres, SolveOpts, SolverContext};
 use kryst_dense::DMat;
-use kryst_par::collective::{all_reduce_sum, ifused_reduce_start, ireduce_start};
+use kryst_par::collective::all_reduce_sum;
 use kryst_par::{
     reduce_stages, run_spmd, HaloPlan, IdentityPrecond, Layout, SpmdRun, SpmdWorld, Transport,
     TransportError, TransportKind,
@@ -97,33 +97,6 @@ fn all_reduce_bit_identical_across_backends() {
         }
     }
     kryst_obs::set_trace_enabled(false);
-}
-
-/// Split-phase (`ireduce_start`/`finish`) and fused split-phase reductions,
-/// with local work issued while the butterfly is in flight, are likewise
-/// bit-identical across backends.
-#[test]
-fn split_phase_reduce_bit_identical_across_backends() {
-    for p in [3usize, 4, 8] {
-        let f = move |t: &dyn Transport| -> Result<Vec<f64>, TransportError> {
-            let mut scratch = Vec::new();
-            let pending = ireduce_start(t, payload(t.rank(), 21, 1))?;
-            // Local work between start and finish (the latency it hides).
-            let local: f64 = payload(t.rank(), 64, 2).iter().sum();
-            let (mut v, _) = pending.finish(&mut scratch)?;
-            let parts = vec![payload(t.rank(), 5, 3), payload(t.rank(), 11, 4)];
-            let pending = ifused_reduce_start(t, &parts)?;
-            let (fused, _) = pending.finish(&mut scratch)?;
-            v.push(local);
-            for part in fused {
-                v.extend_from_slice(&part);
-            }
-            Ok(v)
-        };
-        let chan = run_spmd(TransportKind::Channel, p, f).expect("channel run");
-        let sock = run_spmd(TransportKind::Socket, p, f).expect("socket run");
-        assert_bits_equal(&chan, &sock, &format!("split-phase P={p}"));
-    }
 }
 
 /// Fingerprint of a solver trace: every quantity a golden trace pins,
